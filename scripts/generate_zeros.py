@@ -15,6 +15,9 @@ conductor 3, 4, 5, 7, 8, 12, 13 and 24.  For each one the script
   5. writes the table with the metadata needed downstream (conductor, parity,
      weight, spectral sum).
 
+After the tables it prints their build summaries (count, timings, check
+results) as one JSON line on stdout.
+
 Complex characters come in conjugate pairs whose zero sets are mirror images
 of each other; one merged table (ordinates of both members, equivalently |t|
 over the whole critical line for one member) serves the pair and is marked
@@ -708,17 +711,8 @@ def main() -> None:
               f"polish {info['n_polished']} (max {info['polish_max_delta']:.2e}); "
               f"spots worst {info['spot_worst']:.2e}", flush=True)
 
-    summary_path = Path("/root/notes/zerogen_summary.json")
-    summary_path.parent.mkdir(parents=True, exist_ok=True)
-    existing = []
-    if summary_path.exists():
-        try:
-            existing = json.loads(summary_path.read_text())
-        except Exception:
-            existing = []
-    keys_new = {s["key"] for s in summaries}
-    existing = [s for s in existing if s.get("key") not in keys_new]
-    summary_path.write_text(json.dumps(existing + summaries, indent=1))
+    # the per-table summaries, one JSON line on stdout
+    print(json.dumps(summaries), flush=True)
     print("all requested tables built", flush=True)
 
 

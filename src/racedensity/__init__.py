@@ -2,9 +2,9 @@
 
 The package computes, from tables of Riemann and Dirichlet zeros, the
 logarithmic density of the set where one prime-counting contestant leads
-another, through three independent numerical routes that check each other:
-a Fourier/Poisson summation with controlled remainder, a third-order
-steepest descent, and a direct convolution of single-zero densities.
+another, by a Fourier/Poisson summation with a controlled remainder. The
+cumulant function and its derivatives, the ingredients of a third-order
+steepest descent into the far tail, are computed alongside it.
 """
 
 __version__ = "0.1.0"

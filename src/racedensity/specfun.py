@@ -4,13 +4,13 @@ Pure functions only. Three families matter downstream:
 
 * J0 and its positive zeros, which set where the two-sided characteristic
   function of a single zero's contribution vanishes;
-* the modified Bessel pair I0, I1 and the derivatives of log I0 through
-  fifth order, which drive the saddle-point solve;
+* log I0 and its derivatives through fifth order, over a float or a
+  whole array of arguments, which drive the cumulant function;
 * the coefficients c_k of log I0(w) = sum_{k>=1} (-1)^{k-1} c_k w^{2k} / 2^k,
   shared between the Fourier remainder and the density expansions.
 
-Everything that can overflow has a log-domain companion, and callers are
-written against those.
+I0 and I1 themselves overflow near w = 713 and never appear: the kernel
+works with log I0 and the ratio I1/I0 only.
 """
 
 from __future__ import annotations
@@ -21,16 +21,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0 as _sp_j0, j1 as _sp_j1
+from scipy.special import i0e, i1e, j0 as _sp_j0, j1 as _sp_j1
 
 __all__ = [
     "CoeffTable",
     "BaseConstants",
-    "bessel_j0",
     "j0_lowbias",
-    "bessel_i0",
-    "bessel_i1",
-    "log_i0",
     "log_i0_derivs",
     "c_coeffs",
     "j0_zeros",
@@ -42,19 +38,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # J0 and its zeros
 # ---------------------------------------------------------------------------
-
-def bessel_j0(w: float) -> float:
-    """J0(w) for finite real w.
-
-    Delegates to the cephes routine, which is a (small-argument polynomial,
-    large-argument phase/amplitude) pair accurate to a few ulp over the
-    range we use (|w| <= 60 in the Fourier sum).
-    """
-    w = float(w)
-    if not math.isfinite(w):
-        raise ValueError(f"bessel_j0 needs a finite argument, got {w!r}")
-    return float(_sp_j0(w))
-
 
 # Ascending-series coefficients (-1)^n / (n!)^2 in extended precision.
 # 27 terms leave the cutover argument (q = 9) with a relative remainder
@@ -116,85 +99,8 @@ def j0_zeros(L: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# I0, I1 and log I0
+# log I0 and its derivatives
 # ---------------------------------------------------------------------------
-
-# Power series below w = 20, asymptotic expansion at and above. 31 series
-# terms leave a relative tail ~4e-14 at the crossover; the asymptotic
-# bracket truncated after t_15 leaves ~2.5e-14 there, and both improve
-# rapidly away from it.
-
-_SERIES_TERMS = 30
-_ASYM_TERMS = 16  # t_0 .. t_15
-_CROSSOVER = 20.0
-
-
-def _i0_series(w: float) -> float:
-    ww4 = 0.25 * w * w
-    t = 1.0
-    s = 1.0
-    for n in range(1, _SERIES_TERMS + 1):
-        t *= ww4 / (n * n)
-        s += t
-    return s
-
-
-def _i1_series(w: float) -> float:
-    ww4 = 0.25 * w * w
-    t = 1.0
-    s = 1.0
-    for n in range(1, _SERIES_TERMS + 1):
-        t *= ww4 / (n * (n + 1))
-        s += t
-    return 0.5 * w * s
-
-
-def _i_asym_bracket(four_nu2: int, w: float) -> float:
-    # sum of t_k with t_0 = 1, t_{k+1} = -t_k (4nu^2 - (2k+1)^2) / (8(k+1)w)
-    t = 1.0
-    s = 1.0
-    for k in range(_ASYM_TERMS - 1):
-        t *= -(four_nu2 - (2 * k + 1) ** 2) / (8.0 * (k + 1) * w)
-        s += t
-    return s
-
-
-def _check_nonneg(w: float, who: str) -> float:
-    w = float(w)
-    if not (math.isfinite(w) and w >= 0.0):
-        raise ValueError(f"{who} needs w >= 0, got {w!r}")
-    return w
-
-
-def bessel_i0(w: float) -> float:
-    """I0(w) for w >= 0. Overflows to +inf above w ~ 713."""
-    w = _check_nonneg(w, "bessel_i0")
-    if w < _CROSSOVER:
-        return _i0_series(w)
-    lg = w - 0.5 * math.log(2.0 * math.pi * w) + math.log(_i_asym_bracket(0, w))
-    return math.exp(lg) if lg < 709.0 else math.inf
-
-
-def bessel_i1(w: float) -> float:
-    """I1(w) for w >= 0. Overflows to +inf above w ~ 713."""
-    w = _check_nonneg(w, "bessel_i1")
-    if w < _CROSSOVER:
-        return _i1_series(w)
-    lg = w - 0.5 * math.log(2.0 * math.pi * w) + math.log(_i_asym_bracket(4, w))
-    return math.exp(lg) if lg < 709.0 else math.inf
-
-
-def log_i0(w: float) -> float:
-    """log I0(w), overflow-safe for arbitrarily large w."""
-    w = _check_nonneg(w, "log_i0")
-    if w <= _ODE_LO:
-        # log(1 + tiny) through math.log wastes relative accuracy; the
-        # expansion of log I0 itself keeps full precision down to w = 0
-        return _derivs_series(w, 0)[0]
-    if w < _CROSSOVER:
-        return math.log(_i0_series(w))
-    return w - 0.5 * math.log(2.0 * math.pi * w) + math.log(_i_asym_bracket(0, w))
-
 
 # --- derivatives of g(w) = log I0(w) through order 5 ----------------------
 #
@@ -212,9 +118,10 @@ def log_i0(w: float) -> float:
 # 1 - r^2 - r/w of O(1) pieces once r hugs 1, and each further order
 # repeats the game, so the relative error of g^(m) grows roughly like
 # w^m * eps. The asymptotic series (divergent, optimally truncated)
-# behaves oppositely: its error falls rapidly with w. The two error
-# curves cross near w = 18 for m = 5, where both sit at about 1e-9
-# relative; that fixes the upper switch point.
+# behaves oppositely: its error falls rapidly with w. At w = 18 both
+# give m = 5 to about 1e-9 relative (measured against mpmath: at most
+# 5e-10 from the recurrences just below, 1.2e-9 from the series at 18),
+# which fixes the upper switch point.
 
 _ODE_LO = 1.0
 _ODE_HI = 18.0
@@ -240,88 +147,104 @@ def _log_coeff_fracs() -> tuple[Fraction, ...]:
     return tuple(f[1:])
 
 
-_RISING = [[1] * 6 for _ in range(25)]
-for _k in range(1, 25):
-    for _m in range(1, 6):
-        _RISING[_k][_m] = _RISING[_k][_m - 1] * (_k + _m - 1)
+@lru_cache(maxsize=1)
+def _asymptotic_coeffs() -> np.ndarray:
+    # row m: the coefficients of x^k (x = 1/w) in x^-(m+1) times the m-th
+    # w-derivative of sum_k f_k x^(k+1), that is (-1)^m (k+1)...(k+m) f_k,
+    # each rounded once from its exact rational
+    return np.array([[float((-1) ** m * math.perm(k + m, m) * f)
+                      for k, f in enumerate(_log_coeff_fracs())]
+                     for m in range(6)])
 
 
-def _derivs_asymptotic(w: float, max_order: int) -> list[float]:
-    fk = [float(x) for x in _log_coeff_fracs()]
-    out = []
-    for m in range(max_order + 1):
-        if m == 0:
-            val = w - 0.5 * math.log(2.0 * math.pi * w)
-            val += sum(f * w ** (-k - 1) for k, f in enumerate(fk))
-        elif m == 1:
-            val = 1.0 - 0.5 / w
-            val -= sum((k + 1) * f * w ** (-k - 2) for k, f in enumerate(fk))
-        else:
-            sign = -1.0 if m % 2 else 1.0
-            val = -0.5 * (-sign) * math.factorial(m - 1) * w ** (-m)
-            val += sign * sum(
-                _RISING[k + 1][m] * f * w ** (-k - 1 - m)
-                for k, f in enumerate(fk)
-            )
-        out.append(val)
-    return out
+@lru_cache(maxsize=1)
+def _series_coeffs() -> tuple[tuple[int, np.ndarray], ...]:
+    # per order m: the lowest surviving power p0 of w, and the coefficients
+    # of (w^2)^j above it, in the m-th derivative of
+    # sum_{k<=25} (-1)^(k-1) c_k w^(2k) / 2^k
+    c = c_coeffs(25).c
+    rows = []
+    for m in range(6):
+        kmin = max(1, (m + 1) // 2)
+        rows.append((2 * kmin - m, np.array([
+            (-1) ** (k - 1) * c[k - 1] * 0.5 ** k * math.perm(2 * k, m)
+            for k in range(kmin, 26)])))
+    return tuple(rows)
 
 
-def _derivs_series(w: float, max_order: int) -> list[float]:
-    ct = c_coeffs(25)
-    out = []
-    for m in range(max_order + 1):
-        acc = 0.0
-        for k in range(1, ct.K + 1):
-            p = 2 * k - m
-            if p < 0:
-                continue
-            fall = 1.0
-            for i in range(m):
-                fall *= 2 * k - i
-            base = ct.c[k - 1] * 0.5 ** k * fall
-            term = base if p == 0 else base * w ** p
-            acc += term if k % 2 else -term
-        out.append(acc)
-    return out
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    acc = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
 
 
-def _derivs_ratio(w: float, max_order: int) -> list[float]:
-    if w < _CROSSOVER:
-        r = _i1_series(w) / _i0_series(w)
-        g0 = math.log(_i0_series(w))
-    else:
-        r = _i_asym_bracket(4, w) / _i_asym_bracket(0, w)
-        g0 = w - 0.5 * math.log(2.0 * math.pi * w) + math.log(_i_asym_bracket(0, w))
-    vals = [g0, r]
+def _derivs_series(w: np.ndarray, max_order: int) -> np.ndarray:
+    ww = w * w
+    return np.array([w ** p0 * _horner(coeffs, ww)
+                     for p0, coeffs in _series_coeffs()[: max_order + 1]])
+
+
+def _derivs_ratio(w: np.ndarray, max_order: int) -> np.ndarray:
+    # the exponentially scaled pair gives r = I1/I0 and log I0 without
+    # ever forming I0 or I1
+    e0 = i0e(w)
+    r = i1e(w) / e0
     iw = 1.0 / w
     g2 = 1.0 - r * r - r * iw
-    vals.append(g2)
     g3 = -(2.0 * r + iw) * g2 + r * iw * iw
-    vals.append(g3)
     g4 = (-2.0 * g2 * g2 + 2.0 * g2 * iw * iw
           - (2.0 * r + iw) * g3 - 2.0 * r * iw ** 3)
-    vals.append(g4)
     g5 = (-6.0 * g2 * g3 + 3.0 * g3 * iw * iw - 6.0 * g2 * iw ** 3
           - (2.0 * r + iw) * g4 + 6.0 * r * iw ** 4)
-    vals.append(g5)
-    return vals[: max_order + 1]
+    return np.array([np.log(e0) + w, r, g2, g3, g4, g5][: max_order + 1])
 
 
-def log_i0_derivs(w: float, max_order: int = 5) -> list[float]:
+def _derivs_asymptotic(w: np.ndarray, max_order: int) -> np.ndarray:
+    x = 1.0 / w
+    coeffs = _asymptotic_coeffs()
+    rows = []
+    for m in range(max_order + 1):
+        # the m-th derivative of the leading part w - log(2 pi w)/2
+        if m == 0:
+            lead = w - 0.5 * np.log(2.0 * math.pi * w)
+        elif m == 1:
+            lead = 1.0 - 0.5 * x
+        else:
+            lead = 0.5 * (-1) ** m * math.factorial(m - 1) * x ** m
+        rows.append(lead + x ** (m + 1) * _horner(coeffs[m], x))
+    return np.array(rows)
+
+
+def log_i0_derivs(w, max_order: int = 5) -> list[float] | np.ndarray:
     """d^m/dw^m log I0(w) for m = 0..max_order (max_order <= 5).
 
-    Safe for w up to ~1e6 and beyond: only the ratio I1/I0 and log I0
-    itself ever appear, never I0 or I1 bare.
+    w is a float or a 1-D array, every value finite and >= 0. A float
+    gives a list of max_order + 1 floats; an array of n values gives an
+    array of shape (max_order + 1, n) whose row m is the m-th
+    derivative. A float and the same value inside an array give
+    identical numbers. Safe for w up to ~1e6 and beyond: only the ratio
+    I1/I0 and log I0 itself ever appear, never I0 or I1 bare.
     """
     if not isinstance(max_order, int) or not 0 <= max_order <= 5:
         raise ValueError(f"max_order must be an integer in 0..5, got {max_order!r}")
-    w = _check_nonneg(w, "log_i0_derivs")
-    if w <= _ODE_LO:
-        return _derivs_series(w, max_order)
-    if w < _ODE_HI:
-        return _derivs_ratio(w, max_order)
-    return _derivs_asymptotic(w, max_order)
+    x = np.asarray(w, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    if x.ndim != 1:
+        raise ValueError(
+            f"log_i0_derivs takes a float or a 1-D array, got shape {x.shape}")
+    bad = ~(np.isfinite(x) & (x >= 0.0))
+    if bad.any():
+        raise ValueError(f"log_i0_derivs needs finite w >= 0, got {float(x[bad][0])!r}")
+    out = np.empty((max_order + 1, x.size))
+    lo = x <= _ODE_LO
+    hi = x >= _ODE_HI
+    for sel, regime in ((lo, _derivs_series), (~(lo | hi), _derivs_ratio),
+                        (hi, _derivs_asymptotic)):
+        if sel.any():
+            out[:, sel] = regime(x[sel], max_order)
+    return out[:, 0].tolist() if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +369,7 @@ def _a0_a1() -> tuple[float, float]:
     def near(x: float) -> float:
         # log I0(x)/x^2 -> 1/4 as x -> 0; evaluate the limit branch to keep
         # the quadrature smooth near the left endpoint
-        return log_i0(x) / (x * x) if x > 1e-8 else 0.25
+        return log_i0_derivs(x, 0)[0] / (x * x) if x > 1e-8 else 0.25
 
     # On (1, inf) subtract the exact asymptote first: with
     # h(x) = log I0(x) - x + (1/2) log(2 pi x), which decays like 1/(8x),
@@ -456,20 +379,21 @@ def _a0_a1() -> tuple[float, float]:
     # Leaving the log-growing asymptote in makes the adaptive extrapolation
     # struggle at the 1e-13 tolerances we ask for.
     def far(x: float) -> float:
-        return (log_i0(x) - x + 0.5 * math.log(2.0 * math.pi * x)) / (x * x)
+        return (log_i0_derivs(x, 0)[0] - x
+                + 0.5 * math.log(2.0 * math.pi * x)) / (x * x)
 
     l2pi = math.log(2.0 * math.pi)
     pieces = []
     # the log x weight on (0, 1) goes through the QAWS rule, which treats
     # the endpoint singularity exactly instead of by extrapolation; the
-    # unweighted tail pieces split at the series/asymptotic crossover so
-    # its ~1e-14 representation jump never lands inside a panel
+    # unweighted tail pieces split at the ratio/asymptotic switch so its
+    # representation jump never lands inside a panel
     for g, segs, wgt in (
         (near, ((0.0, 1.0),), None),
-        (far, ((1.0, _CROSSOVER), (_CROSSOVER, math.inf)), None),
+        (far, ((1.0, _ODE_HI), (_ODE_HI, math.inf)), None),
         (near, ((0.0, 1.0),), "log"),
         (lambda x: far(x) * math.log(x),
-         ((1.0, _CROSSOVER), (_CROSSOVER, math.inf)), None),
+         ((1.0, _ODE_HI), (_ODE_HI, math.inf)), None),
     ):
         tot = 0.0
         for lo, hi in segs:

@@ -6,8 +6,9 @@ Fourier side as a product of J0 kernel factors, on the Laplace side as
 a sum of log I0 terms. Above the cutoff only aggregate tail moments
 survive, and the two remainders are power series in tau = sigma_u*omega
 or t = sqrt(2 B1)*s. The Fourier tail factor and the raw Laplace series
-l_remainder converge only inside the radius T carried by the tail
-statistics; the accelerated remainder below reaches (j2/j1) T.
+sum_k (-1)^(k-1) c_k R_k t^(2k) converge only inside the radius T
+carried by the tail statistics; the accelerated remainder below
+reaches (j2/j1) T.
 
 The raw remainder series loses accuracy quickly as t approaches T. The
 accelerated form fixes that: the series implied by the smooth density
@@ -49,7 +50,6 @@ __all__ = [
     "LDerivs",
     "l0_asymptotic",
     "l0_full",
-    "l_remainder",
     "model_constants",
     "model_log_density",
     "model_log_exceedance",
@@ -205,38 +205,6 @@ def _covers(table, u: float) -> bool:
 
 # ----------------------------------------------------------------- Laplace side
 
-def l_remainder(s: float, stats: TailStats, K: int = 8, order: int = 0) -> float:
-    """Order-th s-derivative of the raw tail series of the cumulant function.
-
-    sum_{k<=K} (-1)^{k-1} c_k R_k t^{2k} with t = sqrt(2 B1) s,
-    differentiated term by term. Valid only strictly inside |t| < T.
-    """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    if K > len(stats.R):
-        raise ValueError(
-            f"stats carry moment ratios to order {len(stats.R)}; need Kmax >= {K}")
-    if not 0 <= order <= 5:
-        raise ValueError("order must lie in 0..5")
-    s = float(s)
-    t = stats.sigma_u * s
-    T = stats.T
-    if not (T > 0.0) or math.isnan(T):
-        raise ConvergenceError(
-            "tail statistics carry no usable convergence radius; raise the cutoff u")
-    if abs(t) >= T:
-        raise _radius_error(abs(t), T, stats.u)
-    c = c_coeffs(K).c
-    parts = []
-    for k in range(max(1, (order + 1) // 2), K + 1):
-        p = 2 * k
-        if p < order:
-            continue
-        coef = (-1.0) ** (k - 1) * c[k - 1] * stats.R[k - 1] * stats.sigma_u ** p
-        parts.append(coef * math.perm(p, order) * s ** (p - order))
-    return math.fsum(parts)
-
-
 def _model_series_coef(k: int, y: float) -> float:
     # coefficient of x^{2k} in (y-1)g(x) + h(x); both defining series
     # alternate with these magnitudes
@@ -349,6 +317,19 @@ def _per_char_ratios(pc) -> tuple:
                  for k in range(1, len(pc.b) + 1))
 
 
+def _warn_if_truncated(value: float, last: float, t: float, T: float,
+                       label: str) -> None:
+    # the final retained correction term bounds what truncation dropped;
+    # past 1e-7 of the remainder it threatens the target accuracy.
+    # stacklevel 3 points at the caller of the public function.
+    scale = max(abs(value), 1e-300)
+    if abs(last) > 1e-7 * scale:
+        warnings.warn(
+            f"{label}: final correction term is {abs(last) / scale:.2e} of the "
+            f"remainder (t/T = {abs(t) / T:.3f}); raise the zero cutoff for "
+            f"full accuracy", AccuracyWarning, stacklevel=3)
+
+
 def _accelerated(t: float, y: float, T: float, rk, order: int):
     if not (T > 0.0) or math.isnan(T):
         raise ConvergenceError(
@@ -383,12 +364,7 @@ def sigma_accelerated(t: float, stats: TailStats, order: int = 0) -> float:
     # for a single weight-1 series the race-normalized ratios R_k and
     # the per-series ratios coincide (alpha cancels)
     value, last = _accelerated(t, pc.y, T, stats.R, order)
-    scale = max(abs(value), 1e-300)
-    if abs(last) > 1e-7 * scale:
-        warnings.warn(
-            f"final correction term is {abs(last) / scale:.2e} of the remainder "
-            f"(t/T = {abs(t) / T:.3f}); raise the zero cutoff for full accuracy",
-            AccuracyWarning, stacklevel=2)
+    _warn_if_truncated(value, last, t, T, pc.label)
     return value
 
 
@@ -436,12 +412,15 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats,
     rule; each character's tail enters through the accelerated
     remainder in its own variable t_chi = alpha*sqrt(2 b1_chi)*s. The
     error estimate collects the final correction terms, which bound
-    what truncating the correction series discards.
+    what truncating the correction series discards; a series whose
+    final term exceeds 1e-7 of its remainder raises AccuracyWarning.
     """
     s = float(s)
     if s < 0.0:
         raise ValueError("s must be nonnegative (the function is even)")
     u = stats.u
+    # per order, one array per character: its explicit zeros' terms and
+    # then its remainder
     buckets = [[] for _ in range(6)]
     err_parts = []
     for entry, pc in zip(race.characters, stats.per_char):
@@ -451,13 +430,12 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats,
                 f"{entry.label}: zero table ends at {table.last_zero:.6g}, "
                 f"so zeros below u = {u:g} are missing")
         g = table.gammas[table.gammas <= u]
-        scales = 2.0 * entry.alpha / np.sqrt(0.25 + g * g)
-        for a in scales:
-            d = log_i0_derivs(a * s, 5)
-            p = 1.0
-            for m in range(6):
-                buckets[m].append(p * d[m])
-                p *= a
+        a = 2.0 * entry.alpha / np.sqrt(0.25 + g * g)
+        d = log_i0_derivs(a * s, 5)
+        p = np.ones_like(a)
+        for m in range(6):
+            buckets[m].append(p * d[m])
+            p = p * a
         # remainder, once per series; the merged table carries `weight`
         # identical conjugate series
         b1_chi = pc.b[0] / pc.weight
@@ -474,11 +452,12 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats,
         p = float(pc.weight)
         for m in range(6):
             val, last = _accelerated(t_chi, pc.y, T, rk, m)
-            buckets[m].append(p * val)
+            buckets[m].append(np.array([p * val]))
             if m == 0:
+                _warn_if_truncated(val, last, t_chi, T, entry.label)
                 err_parts.append(abs(p * last))
             p *= dtds
-    values = tuple(math.fsum(b) for b in buckets)
+    values = tuple(math.fsum(np.concatenate(b)) for b in buckets)
     if s > 0.0 and not values[2] > 0.0:
         raise ArithmeticError(
             f"second derivative came out nonpositive ({values[2]:g}) at s = {s:g}; "

@@ -8,8 +8,8 @@ those lists, evaluates the inverse-power sums
 
 with an analytic continuation past the end of each table, and aggregates
 them across the characters of a race into the moment data (B_k, R_k,
-sigma_u, convergence radius T, explicit span S) that the Fourier,
-saddle-point and convolution routes all consume.
+sigma_u, convergence radius T, explicit span S) that the Fourier and
+cumulant (saddle-point) layers consume.
 
 Tables for conjugate character pairs are merged: one file holds both
 members' ordinates ascending, with weight = 2 recorded in the header.
@@ -35,6 +35,16 @@ _J1 = j0_zeros(1)[0]
 
 class ZeroDataError(ValueError):
     pass
+
+
+class ThinTailWarning(UserWarning):
+    """Fewer than 100 tabulated zeros lie above the cutoff, so b_k leans
+    on the analytic continuation past the table end."""
+
+
+class FrozenSpanWarning(UserWarning):
+    """The cutoff lies past the table end, so the explicit span S stops
+    growing at the last tabulated zero."""
 
 
 @dataclass(frozen=True)
@@ -269,12 +279,12 @@ def tail_bk(table: ZeroTable, u: float, k: int, method: str = "auto") -> float:
             f"{table.label}: only {tail_g.size} tabulated zeros above "
             f"u={u:g}; b_{k} leans on the analytic tail "
             f"(relative error of order {k / max(u, U):.1e} * 10)",
-            stacklevel=2)
+            ThinTailWarning, stacklevel=2)
     if k == 1 and method in ("auto", "closed") and table.b1_total is not None \
             and u < U:
-        head = math.fsum(1.0 / (0.25 + x * x) for x in g[g <= u])
-        return table.b1_total - head
-    head = math.fsum((0.25 + x * x) ** (-k) for x in tail_g)
+        head_g = g[g <= u]
+        return table.b1_total - math.fsum(1.0 / (0.25 + head_g * head_g))
+    head = math.fsum((0.25 + tail_g * tail_g) ** (-k))
     ueff = max(u, U)
     y = math.log(table.qstar * ueff / _TWO_PI)
     m = 2 * k - 1
@@ -312,8 +322,8 @@ def span_and_delta(table: ZeroTable, u: float) -> SpanDelta:
         raise ZeroDataError(
             f"{table.label}: S({u:g}) needs zeros beyond the table end "
             f"{g[-1]:g}")
-    s_u = 2.0 * math.fsum(1.0 / math.sqrt(0.25 + x * x) for x in g[g <= u])
     half_jump = 1.0 / np.sqrt(0.25 + g * g)
+    s_u = 2.0 * math.fsum(half_jump[g <= u])
     cum = 2.0 * np.cumsum(half_jump)
     top = g >= g[-1] / 10.0
     resid = cum[top] - _span_main(table, g[top]) - half_jump[top]
@@ -398,7 +408,7 @@ def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8,
         if u > t.last_zero:
             warnings.warn(
                 f"{e.label}: span frozen at table end {t.last_zero:g} < "
-                f"u={u:g}", stacklevel=2)
+                f"u={u:g}", FrozenSpanWarning, stacklevel=2)
         y = math.log(t.qstar * u / _TWO_PI) if u > 0.0 else float("-inf")
         # single-series ratios: the merged table's b_k is weight times the
         # per-member value, so r_k picks up weight^(k-1)

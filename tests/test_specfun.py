@@ -3,8 +3,9 @@
 Reference values marked "oracle" were computed once with mpmath at 30
 significant digits (Bessel values, Catalan, the arctan integral by
 adaptive quadrature, log I0 derivatives by direct high-precision
-differentiation) and are frozen here so the suite never depends on
-mpmath at runtime.
+differentiation) and are frozen here. The array test of the log I0
+kernel computes its references with mpmath (a dev dependency) at 40
+digits as it runs.
 """
 
 import math
@@ -13,8 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import j0 as scipy_j0
 
 from racedensity import specfun as sf
+
+
+def log_i0(w):
+    return sf.log_i0_derivs(w, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -22,23 +28,17 @@ from racedensity import specfun as sf
 # ---------------------------------------------------------------------------
 
 def test_j0_at_zero_is_one():
-    assert sf.bessel_j0(0.0) == 1.0
+    assert sf.j0_lowbias(0.0)[0] == 1.0
 
 
 def test_j0_at_two_oracle():
-    assert sf.bessel_j0(2.0) == pytest.approx(0.223890779141235668, rel=1e-13)
+    assert float(sf.j0_lowbias(2.0)[0]) == pytest.approx(
+        0.223890779141235668, rel=1e-13)
 
 
 def test_j0_vanishes_at_first_zero():
     j1 = sf.j0_zeros(1)[0]
-    assert abs(sf.bessel_j0(j1)) < 1e-12
-
-
-def test_j0_rejects_non_finite():
-    with pytest.raises(ValueError):
-        sf.bessel_j0(math.inf)
-    with pytest.raises(ValueError):
-        sf.bessel_j0(math.nan)
+    assert abs(float(sf.j0_lowbias(j1)[0])) < 1e-12
 
 
 def test_j0_lowbias_against_30_digit_values():
@@ -71,14 +71,14 @@ def test_j0_lowbias_fallback_joins_smoothly():
     # branches must agree at library accuracy around the seam
     for z in (5.99, 6.01, 8.0, 25.0):
         a = float(sf.j0_lowbias(np.array([z]))[0])
-        assert a == pytest.approx(sf.bessel_j0(z), rel=4e-15, abs=1e-16)
+        assert a == pytest.approx(scipy_j0(z), rel=4e-15, abs=1e-16)
 
 
 def test_j0_lowbias_matches_scalar_routine_coarsely():
     zs = np.linspace(0.01, 5.99, 211)
     vals = sf.j0_lowbias(zs)
     for z, v in zip(zs, vals):
-        assert float(v) == pytest.approx(sf.bessel_j0(float(z)), abs=5e-16)
+        assert float(v) == pytest.approx(scipy_j0(float(z)), abs=5e-16)
 
 
 def test_j0_zeros_first_two():
@@ -112,49 +112,58 @@ def test_j0_zero_reciprocal_square_sum():
 
 
 # ---------------------------------------------------------------------------
-# I0, I1
+# log I0 at pinned I0, I1 values
 # ---------------------------------------------------------------------------
 
+# I0 and I1 are never formed: a 1e-13 relative pin on I0 is a 1e-13
+# absolute pin on log I0, and I1/I0 is the first derivative of log I0
+
 def test_i0_i1_at_zero():
-    assert sf.bessel_i0(0.0) == 1.0
-    assert sf.bessel_i1(0.0) == 0.0
+    # I0(0) = 1, I1(0) = 0
+    assert sf.log_i0_derivs(0.0, 1) == [0.0, 0.0]
 
 
 def test_i0_at_ten_oracle():
-    assert sf.bessel_i0(10.0) == pytest.approx(2815.71662846625447, rel=1e-13)
+    assert log_i0(10.0) == pytest.approx(math.log(2815.71662846625447), abs=1e-13)
 
 
 def test_i0_i1_both_regimes_oracle():
-    # straddle the series/asymptotic crossover at w = 20
-    assert sf.bessel_i0(19.5) == pytest.approx(26760525.339838766, rel=1e-13)
-    assert sf.bessel_i1(19.5) == pytest.approx(26065069.2644571657, rel=1e-13)
-    assert sf.bessel_i0(20.5) == pytest.approx(70922869.8343170066, rel=1e-13)
-    assert sf.bessel_i1(20.5) == pytest.approx(69170831.6791843729, rel=1e-13)
+    # either side of w = 20, inside the asymptotic regime (w >= 18); the
+    # w = 10 pin above sits in the ratio regime
+    for w, i0, i1 in ((19.5, 26760525.339838766, 26065069.2644571657),
+                      (20.5, 70922869.8343170066, 69170831.6791843729)):
+        d = sf.log_i0_derivs(w, 1)
+        assert d[0] == pytest.approx(math.log(i0), abs=1e-13)
+        assert d[1] == pytest.approx(i1 / i0, rel=1e-13)
 
 
 def test_i0_large_argument_leading_asymptote():
     # e^-w sqrt(2 pi w) I0(w) = 1 + 1/(8w) + O(w^-2)
     w = 50.0
-    scaled = sf.bessel_i0(w) * math.exp(-w) * math.sqrt(2 * math.pi * w)
+    scaled = math.exp(log_i0(w) - w + 0.5 * math.log(2 * math.pi * w))
     assert scaled == pytest.approx(1.0 + 1.0 / (8 * w), abs=5e-5)
-    assert sf.bessel_i0(w) == pytest.approx(2.93255378384933633e+20, rel=1e-13)
+    assert log_i0(w) == pytest.approx(math.log(2.93255378384933633e+20), abs=1e-13)
 
 
 def test_i_rejects_negative():
+    for bad in (-1.0, -0.5, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sf.log_i0_derivs(bad)
+    # one bad element spoils a whole array
+    for bad in (-1e-300, math.nan):
+        with pytest.raises(ValueError):
+            sf.log_i0_derivs(np.array([0.5, 3.0, bad, 40.0]), 5)
     with pytest.raises(ValueError):
-        sf.bessel_i0(-1.0)
-    with pytest.raises(ValueError):
-        sf.bessel_i1(-0.5)
-    with pytest.raises(ValueError):
-        sf.log_i0(-2.0)
+        sf.log_i0_derivs(np.ones((2, 2)))
 
 
 def test_i0_overflow_policy():
-    assert sf.bessel_i0(800.0) == math.inf
-    # while the log form stays finite and accurate
-    lg = sf.log_i0(800.0)
+    # I0 itself overflows a double above w ~ 713; its log stays finite
+    # and accurate, over a float or a whole array
+    lg = log_i0(800.0)
     assert lg == pytest.approx(800.0 - 0.5 * math.log(2 * math.pi * 800.0)
                                + math.log(1 + 1 / 6400), rel=1e-6)
+    assert np.all(np.isfinite(sf.log_i0_derivs(np.array([700.0, 720.0, 1e5]), 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +183,15 @@ _DERIV_ORACLE = {
 }
 
 
-# Achievable relative accuracy per derivative order. Orders 3..5 near the
-# top of the middle window (w -> 18) lose digits to the structural
+# Achievable relative accuracy per derivative order. Orders 2..5 lose
+# digits on both sides of the w = 18 switch: below it to the structural
 # cancellation in the ratio recurrences (g^(m) ~ (m-1)!/(2w^m) emerges from
-# O(w^{1-m}) pieces); measured worst cases 1.6e-11 (m=3), 1.5e-10 (m=4),
-# 1.1e-9 (m=5), all at the w = 18 regime boundary.
+# O(w^{1-m}) pieces), at and just above it to the truncation of the
+# divergent asymptotic series. Measured against mpmath at 40 digits on
+# 1606 points over (0, 1e5) including w = 1 and 18 and 1e-12 w either
+# side of them, the worst cases per order m = 0..5 are 8.3e-16, 1.7e-15,
+# 1.4e-12, 1.9e-11, 1.8e-10 and 1.2e-9, orders 2..5 all at w = 18 itself
+# (5.1e-10 for m = 5 on the ratio side, at w = 17.6).
 _DERIV_RTOL = [1e-12, 1e-12, 5e-11, 1e-9, 1e-9, 1e-8]
 
 
@@ -188,6 +201,43 @@ def test_log_i0_derivs_oracle(w):
     want = _DERIV_ORACLE[w]
     for m in range(6):
         assert got[m] == pytest.approx(want[m], rel=_DERIV_RTOL[m], abs=1e-18)
+
+
+def _mpmath_log_i0_derivs(w):
+    # derivatives 0..5 of log I0 at w by mpmath at 40 digits
+    import mpmath
+
+    with mpmath.workdps(40):
+        c = mpmath.taylor(lambda t: mpmath.log(mpmath.besseli(0, t)),
+                          mpmath.mpf(float(w)), 5)
+        return [float(c[m] * mpmath.factorial(m)) for m in range(6)]
+
+
+def test_log_i0_derivs_array_against_mpmath():
+    # one array across the series (w <= 1), ratio (1 < w < 18) and
+    # asymptotic (w >= 18) regimes, with points within 1e-12 w of both
+    # switches
+    ws = np.array([1e-6, 0.05, 0.3, 0.77, 1.0 - 1e-12, 1.0, 1.0 + 1e-12,
+                   1.5, 3.3, 7.85, 12.9, 17.6, 18.0 * (1.0 - 1e-12), 18.0,
+                   18.0 * (1.0 + 1e-12), 18.1, 25.0, 60.0, 333.0, 2500.0, 1e5])
+    got = sf.log_i0_derivs(ws, 5)
+    assert got.shape == (6, ws.size)
+    for i, w in enumerate(ws):
+        want = _mpmath_log_i0_derivs(w)
+        for m in range(6):
+            assert got[m, i] == pytest.approx(want[m], rel=_DERIV_RTOL[m],
+                                              abs=1e-18), (w, m)
+
+
+def test_log_i0_derivs_float_matches_array():
+    ws = [0.0, 0.5, 1.0, 1.0 + 1e-12, 9.0, 18.0, 250.0]
+    arr = sf.log_i0_derivs(np.array(ws), 5)
+    for i, w in enumerate(ws):
+        d = sf.log_i0_derivs(w, 5)
+        assert all(type(v) is float for v in d)
+        assert d == arr[:, i].tolist()
+    # a lower order returns the leading rows of the full result
+    assert np.array_equal(sf.log_i0_derivs(np.array(ws), 2), arr[:3])
 
 
 @pytest.mark.parametrize("w", [0.1, 1.0, 10.0, 100.0])
@@ -242,7 +292,7 @@ def test_log_i0_derivs_huge_argument():
 @settings(max_examples=300, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=1e3))
 def test_log_i0_bounds_property(w):
-    val = sf.log_i0(w)
+    val = log_i0(w)
     assert 0.0 < val < min(w * w / 4.0, w)
     d = sf.log_i0_derivs(w, 2)
     assert 0.0 < d[1] < min(w / 2.0, 1.0)
@@ -252,9 +302,8 @@ def test_log_i0_bounds_property(w):
 def test_log_i0_bounds_dense_sample():
     rng = np.random.default_rng(20260816)
     ws = rng.uniform(1e-9, 1e3, size=10_000)
-    for w in ws:
-        val = sf.log_i0(float(w))
-        assert 0.0 < val < min(w * w / 4.0, w)
+    val = sf.log_i0_derivs(ws, 0)[0]
+    assert np.all((0.0 < val) & (val < np.minimum(ws * ws / 4.0, ws)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +365,7 @@ def test_log_j0_series_identity():
     # ratio is w^2/j1^2 so at w = 1.5 depth 25 leaves ~1e-12
     ct = sf.c_coeffs(25)
     for w in (0.5, 1.0, 1.5):
-        direct = math.log(sf.bessel_j0(w))
+        direct = math.log(scipy_j0(w))
         series = -sum(ct.c[k - 1] * w ** (2 * k) / 2 ** k
                       for k in range(1, 26))
         assert direct == pytest.approx(series, abs=1e-10)
@@ -326,7 +375,7 @@ def test_log_i0_series_identity():
     # log I0(w) = sum (-1)^{k-1} c_k w^{2k} / 2^k for |w| <= 1
     ct = sf.c_coeffs(25)
     for w in (0.125, 0.5, 0.9, 1.0):
-        direct = sf.log_i0(w)
+        direct = log_i0(w)
         series = sum((-1) ** (k - 1) * ct.c[k - 1] * w ** (2 * k) / 2 ** k
                      for k in range(1, 26))
         assert direct == pytest.approx(series, abs=1e-12)

@@ -17,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 from racedensity.race import prime_count_race, square_race, two_way_race
 from racedensity.specfun import j0_zeros
 from racedensity.zerodata import (
-    CountCheck, ZeroDataError, ZeroTable, aggregate_stats, available_tables,
-    bundled_table, load_zeros, moment_ratios, montgomery_bound,
-    span_and_delta, tail_bk, validate_counting,
+    CountCheck, FrozenSpanWarning, ThinTailWarning, ZeroDataError, ZeroTable,
+    aggregate_stats, available_tables, bundled_table, load_zeros,
+    moment_ratios, montgomery_bound, span_and_delta, tail_bk,
+    validate_counting,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -198,7 +199,7 @@ def test_tail_formula_against_brute_truncation():
         trunc = ZeroTable(gammas=g, qstar=1, label="trunc", source="x")
         for k in range(1, 9):
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.simplefilter("ignore", ThinTailWarning)
                 pure = tail_bk(trunc, u, k)
             true = tail_bk(z, u, k)
             rel = abs(pure - true) / true
@@ -216,14 +217,28 @@ def test_tail_head_consistency():
 
 def test_tail_warns_when_thin():
     t = bundled_table("mod5_quad")
-    with pytest.warns(UserWarning, match="analytic tail"):
+    with pytest.warns(ThinTailWarning):
         tail_bk(t, t.last_zero - 1.0, 2)
-    with pytest.warns(UserWarning):
+    with pytest.warns(ThinTailWarning):
         beyond = tail_bk(t, 500.0, 2)
     # past the table the value is the continuation formula alone
     y = math.log(5 * 500.0 / (2 * math.pi))
     want = (y + 1 / 3) / (6 * math.pi * 500.0 ** 3)
     assert beyond == pytest.approx(want, rel=1e-13)
+
+
+def test_span_warns_when_frozen():
+    # mod5_j1 ends below 290: a cutoff past it freezes that character's
+    # span, and the typed warnings stay visible to UserWarning filters
+    race = two_way_race(5, 1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ThinTailWarning)
+        with pytest.warns(FrozenSpanWarning, match="mod5_j1"):
+            stats = aggregate_stats(race, 300.0)
+    table = bundled_table("mod5_j1")
+    assert stats.per_char[0].S == span_and_delta(table, table.last_zero).S
+    assert issubclass(ThinTailWarning, UserWarning)
+    assert issubclass(FrozenSpanWarning, UserWarning)
 
 
 def test_closed_method_constraints():
@@ -342,7 +357,7 @@ def test_aggregate_matches_manual_weighting():
 def test_tail_bk_monotone(u, du):
     t = bundled_table("mod5_quad")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", ThinTailWarning)
         b2a = tail_bk(t, u, 2)
         b2b = tail_bk(t, u + du, 2)
         b3a = tail_bk(t, u, 3)
