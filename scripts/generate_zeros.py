@@ -110,6 +110,8 @@ def make_tables() -> list[Table]:
         Table("mod12", 12, {1: F(0), 5: F(1), 7: F(1), 11: F(0)}, 350.0),
         Table("mod24_even", 24, {1: F(0), 5: F(0), 7: F(1), 11: F(1),
                                  13: F(1), 17: F(1), 19: F(0), 23: F(0)}, 350.0),
+        Table("mod24_odd", 24, {1: F(0), 5: F(0), 7: F(0), 11: F(0),
+                                13: F(1), 17: F(1), 19: F(1), 23: F(1)}, 350.0),
         Table("mod3", 3, cyclic_expos(3, 2, 2, 1), 450.0),
         Table("mod5_quad", 5, cyclic_expos(5, 2, 4, 2), 400.0),
         Table("mod8_even", 8, {1: F(0), 3: F(1), 5: F(1), 7: F(0)}, 400.0),

@@ -232,16 +232,14 @@ class RaceEntry:
 @dataclass(frozen=True)
 class RaceSpec:
     q: int
-    kind: str                       # prime-count | two-way |
-    #                                 square-vs-nonsquare | multi-way
-    contestants: tuple[int, ...]    # () | (a, b) | residue list
+    kind: str                       # prime-count | two-way | square-vs-nonsquare
+    contestants: tuple[int, ...]    # () | (a, b)
     characters: tuple[RaceEntry, ...]
     offset: float
     name: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("prime-count", "two-way",
-                             "square-vs-nonsquare", "multi-way"):
+        if self.kind not in ("prime-count", "two-way", "square-vs-nonsquare"):
             raise RaceError(f"unknown race kind {self.kind!r}")
         for e in self.characters:
             if not 0.0 <= e.alpha <= 1.0:
@@ -333,46 +331,6 @@ def square_race(q: int) -> RaceSpec:
                     characters=(entry,), offset=1.0, name=f"q{q}.square")
 
 
-def multi_way_race(q: int, residues: tuple[int, ...],
-                   offset: float = 0.0) -> RaceSpec:
-    """Joint ordering race among several residue classes. The offset
-    field is not used by joint-distribution evaluation (shift constants
-    are built into the convolution construction for each published case)
-    and defaults to 0."""
-    residues = tuple(r % q for r in residues)
-    if len(set(residues)) != len(residues) or len(residues) < 2:
-        raise RaceError(f"need distinct residues, got {residues}")
-    for r in residues:
-        if math.gcd(r, q) != 1:
-            raise RaceError(f"residue {r} not coprime to {q}")
-    entries = []
-    seen = set()
-    for c in characters(q):
-        if c.table_key in seen:
-            continue
-        seen.add(c.table_key)
-        mult = sum(1 for d in characters(q) if d.table_key == c.table_key)
-        entries.append(RaceEntry(label=c.table_key, qstar=c.qstar, alpha=1.0,
-                                 table=c.table_key, weight=mult))
-    return RaceSpec(q=q, kind="multi-way", contestants=residues,
-                    characters=tuple(entries), offset=offset,
-                    name=f"q{q}.order." + ".".join(map(str, residues)))
-
-
-def bias_offset(spec: RaceSpec) -> float:
-    """The v at which E(v) answers the race question. Only race types
-    whose offset is pinned by published results get a value; everything
-    else must carry an explicit offset in its config."""
-    if spec.kind == "prime-count":
-        return 1.0
-    if spec.kind in ("two-way", "square-vs-nonsquare") \
-            and spec.q in SUPPORTED_MODULI:
-        return spec.offset
-    raise RaceError(
-        f"offset required in config for race kind {spec.kind!r} "
-        f"(q={spec.q}): no published value to draw on")
-
-
 def race_from_config(path: str) -> RaceSpec:
     """Build a race from a line-oriented key = value file.
 
@@ -440,8 +398,6 @@ def race_from_config(path: str) -> RaceSpec:
             spec = two_way_race(q, *residues)
         elif kind == "square-vs-nonsquare":
             spec = square_race(q)
-        elif kind == "multi-way":
-            spec = multi_way_race(q, residues, offset=offset or 0.0)
         else:
             raise bad("kind", f"unknown kind {kind!r}")
         entries = []

@@ -1,4 +1,5 @@
-"""Common result record shared by the three computational methods."""
+"""The result record of a density or exceedance evaluation; its method
+names the route that produced it ("fourier", the only one built)."""
 
 from __future__ import annotations
 

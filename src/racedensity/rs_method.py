@@ -22,11 +22,11 @@ radius ends, whichever comes first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .race import RaceSpec, bias_offset
+from .race import RaceSpec
 from .results import DensityResult
 from .transforms import phat_prefix, phat_remainder
 from .zerodata import TailStats, aggregate_stats, montgomery_bound
@@ -139,22 +139,17 @@ def phat_samples(race: RaceSpec, params: RSParams, stats: TailStats = None,
     return tuple(out)
 
 
-def _aliasing_log_bound(v: float, params: RSParams, stats: TailStats) -> float:
-    # the wrap-around error is below E(2 pi / domega - |v|)
-    w = 2.0 * math.pi / params.domega - abs(v)
-    return montgomery_bound(w, stats)
-
-
 def _check_aliasing(v: float, params: RSParams, stats: TailStats,
                     density: bool) -> float:
-    log_bound = _aliasing_log_bound(v, params, stats)
-    bound = math.exp(log_bound)
+    # the wrap-around error is below E(2 pi / domega - |v|); the density
+    # at w is below the exceedance mass one deviation earlier spread over
+    # that deviation
+    w = 2.0 * math.pi / params.domega - abs(v)
     if density:
-        # the density at w is below the exceedance mass one deviation
-        # earlier spread over that deviation
-        w = 2.0 * math.pi / params.domega - abs(v)
         bound = math.exp(montgomery_bound(max(w - stats.sigma0, 0.0), stats)) \
             / stats.sigma0
+    else:
+        bound = math.exp(montgomery_bound(w, stats))
     if params.target is not None and bound > params.target:
         need = abs(v) + stats.sigma0 * math.sqrt(
             2.0 * math.log(1.0 / params.target))
@@ -164,11 +159,11 @@ def _check_aliasing(v: float, params: RSParams, stats: TailStats,
     return bound
 
 
-def _truncation_bound(samples, params: RSParams, stats: TailStats) -> float:
+def _truncation_bound(params: RSParams, stats: TailStats) -> float:
     # terms dropped past C have tail factor below e^-46; count how many
     # lattice points sit between C and the radius end, where they stop
     # existing altogether
-    if not (stats.T > 0.0) or math.isnan(stats.T):
+    if not stats.T > 0.0:
         return 0.0
     omega_end = stats.T / stats.sigma_u
     if omega_end <= params.C:
@@ -181,6 +176,50 @@ def _truncation_bound(samples, params: RSParams, stats: TailStats) -> float:
         1.0 / m for m in range(m_lo, m_hi + 1))
 
 
+def _lattice(vs, race: RaceSpec, params: RSParams, stats, tables, samples,
+             density: bool):
+    # E (density=False) or P0 at each v from one set of samples. The
+    # checks run once, the aliasing bound at the largest |v|, where it is
+    # worst, so every v shares one error estimate.
+    stats = _stats_for(race, params, stats, tables)
+    reach = max(map(abs, vs), default=0.0)
+    if reach > params.v_max:
+        raise ParameterError(
+            f"|v| = {reach:g} exceeds the v_max = {params.v_max:g} these "
+            f"parameters were validated for")
+    alias = _check_aliasing(reach, params, stats, density)
+    if samples is None:
+        samples = phat_samples(race, params, stats, tables)
+    live = [s for s in samples if s.tail != 0.0]
+    w = params.domega
+    # s.prefix * s.tail is s.phat, spelled out to save a call per term
+    if density:
+        values = [w / math.pi * (0.5 + math.fsum(
+            [s.prefix * s.tail * math.cos(s.m * v * w) for s in live]))
+            for v in vs]
+        err = (alias + w / math.pi * math.fsum([s.error for s in live])
+               + w * _truncation_bound(params, stats))
+    else:
+        values = [0.5 - v * w / (2.0 * math.pi) - math.fsum(
+            [s.prefix * s.tail * math.sin(s.m * v * w) / s.m for s in live])
+            / math.pi for v in vs]
+        err = (alias + math.fsum([s.error / s.m for s in live]) / math.pi
+               + _truncation_bound(params, stats))
+    return values, err, len(live), stats
+
+
+def _lattice_result(v, race, params, stats, tables, samples, density):
+    (value,), err, n_terms, stats = _lattice(
+        [float(v)], race, params, stats, tables, samples, density)
+    log = math.log(value) if value > 0.0 else float("-inf")
+    return DensityResult(
+        v=float(v), log_p=log if density else math.nan,
+        log_e=math.nan if density else log, method="fourier",
+        params={"u": params.u, "K": params.K, "domega": params.domega,
+                "C": params.C, "n_terms": n_terms, "n_zeros": stats.n_zeros},
+        error_estimate=err)
+
+
 def compute_E(v: float, race: RaceSpec, params: RSParams,
               stats: TailStats = None, tables=None,
               samples=None) -> DensityResult:
@@ -190,85 +229,21 @@ def compute_E(v: float, race: RaceSpec, params: RSParams,
     tail-factor error estimates, and the bound on terms dropped past
     the frequency ceiling.
     """
-    v = float(v)
-    stats = _stats_for(race, params, stats, tables)
-    if abs(v) > params.v_max:
-        raise ParameterError(
-            f"|v| = {abs(v):g} exceeds the v_max = {params.v_max:g} these "
-            f"parameters were validated for")
-    alias = _check_aliasing(v, params, stats, density=False)
-    if samples is None:
-        samples = phat_samples(race, params, stats, tables)
-    terms = []
-    term_err = []
-    for s in samples:
-        if s.tail == 0.0:
-            continue
-        sine = math.sin(s.m * v * params.domega)
-        terms.append(s.phat * sine / s.m)
-        term_err.append(s.error / s.m)
-    value = 0.5 - v * params.domega / (2.0 * math.pi) - math.fsum(terms) / math.pi
-    err = (alias + math.fsum(term_err) / math.pi
-           + _truncation_bound(samples, params, stats))
-    return DensityResult(
-        v=v, log_p=float("nan"),
-        log_e=math.log(value) if value > 0.0 else float("-inf"),
-        method="fourier",
-        params={"u": params.u, "K": params.K, "domega": params.domega,
-                "C": params.C, "n_terms": len(terms),
-                "n_zeros": stats.n_zeros},
-        error_estimate=err)
+    return _lattice_result(v, race, params, stats, tables, samples, False)
 
 
 def compute_P(v: float, race: RaceSpec, params: RSParams,
               stats: TailStats = None, tables=None,
               samples=None) -> DensityResult:
     """Density P0(v) by the Poisson lattice sum. Even in v by construction."""
-    v = float(v)
-    stats = _stats_for(race, params, stats, tables)
-    if abs(v) > params.v_max:
-        raise ParameterError(
-            f"|v| = {abs(v):g} exceeds the v_max = {params.v_max:g} these "
-            f"parameters were validated for")
-    alias = _check_aliasing(v, params, stats, density=True)
-    if samples is None:
-        samples = phat_samples(race, params, stats, tables)
-    terms = []
-    term_err = []
-    for s in samples:
-        if s.tail == 0.0:
-            continue
-        terms.append(s.phat * math.cos(s.m * v * params.domega))
-        term_err.append(s.error)
-    value = params.domega / math.pi * (0.5 + math.fsum(terms))
-    err = (alias
-           + params.domega / math.pi * math.fsum(term_err)
-           + params.domega * _truncation_bound(samples, params, stats))
-    return DensityResult(
-        v=v, log_p=math.log(value) if value > 0.0 else float("-inf"),
-        log_e=float("nan"), method="fourier",
-        params={"u": params.u, "K": params.K, "domega": params.domega,
-                "C": params.C, "n_terms": len(terms),
-                "n_zeros": stats.n_zeros},
-        error_estimate=err)
+    return _lattice_result(v, race, params, stats, tables, samples, True)
 
 
 def density_grid(vs, race: RaceSpec, params: RSParams,
                  stats: TailStats = None, tables=None) -> np.ndarray:
     """P0 on an array of thresholds, sharing one set of lattice samples."""
-    stats = _stats_for(race, params, stats, tables)
-    vs = np.asarray(vs, dtype=float)
-    if vs.size and float(np.max(np.abs(vs))) > params.v_max:
-        raise ParameterError(
-            f"grid reaches |v| = {float(np.max(np.abs(vs))):g} beyond "
-            f"v_max = {params.v_max:g}")
-    _check_aliasing(float(np.max(np.abs(vs))) if vs.size else 0.0,
-                    params, stats, density=True)
-    samples = phat_samples(race, params, stats, tables)
-    ms = np.array([s.m for s in samples if s.tail != 0.0], dtype=float)
-    ph = np.array([s.phat for s in samples if s.tail != 0.0], dtype=float)
-    acc = 0.5 + np.cos(np.outer(vs, ms) * params.domega) @ ph
-    return params.domega / math.pi * acc
+    vs = np.asarray(vs, dtype=float).ravel().tolist()
+    return np.array(_lattice(vs, race, params, stats, tables, None, True)[0])
 
 
 def default_domega(race: RaceSpec, sigma0: float) -> float:
@@ -292,7 +267,7 @@ def _ceiling_for(stats: TailStats, K: int) -> float:
                          for k in range(1, K + 1))
 
     T = stats.T
-    if not (T > 0.0) or math.isnan(T):
+    if not T > 0.0:
         raise ParameterError("stats carry no usable convergence radius")
     if exponent(T * (1.0 - 1e-12)) < _EXPONENT_CUTOFF:
         return T / stats.sigma_u
@@ -330,20 +305,15 @@ def choose_params(v_max: float, stats: TailStats, target: float,
         raise ParameterError(
             f"domega = {domega:g} leaves the aliasing bound above "
             f"{slack:.3g}; at most {domega_max:.6g} is admissible")
-    best = None
     for K in range(2, len(stats.R) + 1):
         params = RSParams(u=stats.u, K=K, domega=domega,
                           C=_ceiling_for(stats, K), v_max=v_max,
                           target=target)
-        err = _series_error_budget(params, stats)
-        if err < slack:
-            best = params
-            break
-    if best is None:
-        raise ParameterError(
-            f"per-term error stays above {slack:.3g} even at K = "
-            f"{len(stats.R)}; raise the zero cutoff u or the moment depth")
-    return best
+        if _series_error_budget(params, stats) < slack:
+            return params
+    raise ParameterError(
+        f"per-term error stays above {slack:.3g} even at K = "
+        f"{len(stats.R)}; raise the zero cutoff u or the moment depth")
 
 
 def _series_error_budget(params: RSParams, stats: TailStats) -> float:
@@ -363,7 +333,7 @@ def default_params(race: RaceSpec, stats: TailStats,
                    target: float = 1e-11, v_max: float = None) -> RSParams:
     """choose_params with the per-race default frequency step."""
     if v_max is None:
-        v_max = max(1.0, abs(bias_offset(race)))
+        v_max = max(1.0, abs(race.offset))
     step = default_domega(race, stats.sigma0)
     return choose_params(v_max, stats, target, domega=step)
 
@@ -372,7 +342,7 @@ def race_result(race: RaceSpec, params: RSParams = None,
                 stats: TailStats = None, tables=None,
                 target: float = 1e-11) -> DensityResult:
     """Chance of the trailing contestant leading: E at the race offset."""
-    offset = bias_offset(race)
+    offset = race.offset
     if offset == 0.0:
         raise ParameterError(
             f"race {race.name or race.q} carries no offset; the headline "

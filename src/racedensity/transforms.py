@@ -91,6 +91,10 @@ class AccuracyWarning(UserWarning):
     """A truncated tail term is large enough to threaten the target accuracy."""
 
 
+_NO_RADIUS = \
+    "tail statistics carry no usable convergence radius; raise the cutoff u"
+
+
 def _radius_error(what: float, wall: float, u: float, label: str = "") -> ConvergenceError:
     # t/T is exactly linear in 1/u at fixed s (the nearest tail zero
     # sets the radius), so the needed cutoff follows by direct scaling;
@@ -133,9 +137,8 @@ def phat_remainder(omega: float, stats: TailStats, K: int) -> FourierTail:
     if tau == 0.0:
         return FourierTail(1.0, 0.0, False)
     T = stats.T
-    if not (T > 0.0) or math.isnan(T):
-        raise ConvergenceError(
-            "tail statistics carry no usable convergence radius; raise the cutoff u")
+    if not T > 0.0:
+        raise ConvergenceError(_NO_RADIUS)
     if tau >= T:
         return FourierTail(0.0, 0.0, True)
     c = c_coeffs(K).c
@@ -330,10 +333,16 @@ def _warn_if_truncated(value: float, last: float, t: float, T: float,
             f"full accuracy", AccuracyWarning, stacklevel=3)
 
 
+def _check_disk(t: float, T: float, u: float, label: str,
+                no_radius: str = _NO_RADIUS) -> None:
+    # a usable radius, and |t| inside the extended disk (j2/j1) T
+    if not T > 0.0:
+        raise ConvergenceError(no_radius)
+    if abs(t) >= _EXT_RADIUS * T:
+        raise _radius_error(abs(t), _EXT_RADIUS * T, u, label)
+
+
 def _accelerated(t: float, y: float, T: float, rk, order: int):
-    if not (T > 0.0) or math.isnan(T):
-        raise ConvergenceError(
-            "tail statistics carry no usable convergence radius; raise the cutoff u")
     value_model = _sigma_model(t, y, T, order)
     value_corr, last = _sigma_corr(t, rk, y, T, order)
     return value_model + value_corr, last
@@ -356,11 +365,7 @@ def sigma_accelerated(t: float, stats: TailStats, order: int = 0) -> float:
     pc = stats.per_char[0]
     t = float(t)
     T = pc.T_single
-    if not (T > 0.0) or math.isnan(T):
-        raise ConvergenceError(
-            "tail statistics carry no usable convergence radius; raise the cutoff u")
-    if abs(t) >= _EXT_RADIUS * T:
-        raise _radius_error(abs(t), _EXT_RADIUS * T, stats.u, pc.label)
+    _check_disk(t, T, stats.u, pc.label)
     # for a single weight-1 series the race-normalized ratios R_k and
     # the per-series ratios coincide (alpha cancels)
     value, last = _accelerated(t, pc.y, T, stats.R, order)
@@ -442,12 +447,9 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats,
         dtds = entry.alpha * math.sqrt(2.0 * b1_chi)
         t_chi = dtds * s
         T = pc.T_single
-        if not (T > 0.0) or math.isnan(T):
-            raise ConvergenceError(
-                f"{entry.label}: no usable convergence radius at u = {u:g}; "
-                f"raise the cutoff")
-        if abs(t_chi) >= _EXT_RADIUS * T:
-            raise _radius_error(abs(t_chi), _EXT_RADIUS * T, u, entry.label)
+        _check_disk(t_chi, T, u, entry.label,
+                    f"{entry.label}: no usable convergence radius at u = "
+                    f"{u:g}; raise the cutoff")
         rk = _per_char_ratios(pc)
         p = float(pc.weight)
         for m in range(6):

@@ -261,6 +261,23 @@ def tail_bk(table: ZeroTable, u: float, k: int, method: str = "auto") -> float:
     own relative accuracy decays like k/u, so thin tails trigger a
     warning rather than silently degrading.
     """
+    value = _tail_bk(table, u, k, method)
+    _warn_if_thin(table, u, f"b_{k} leans", k)
+    return value
+
+
+def _warn_if_thin(table: ZeroTable, u: float, what: str, k: int) -> None:
+    # stacklevel 3 names the caller of the public function
+    n_above = len(table) - table.count(u)
+    if n_above < 100:
+        warnings.warn(
+            f"{table.label}: only {n_above} tabulated zeros above "
+            f"u={u:g}; {what} on the analytic tail "
+            f"(relative error of order {k / max(u, table.last_zero):.1e} * 10)",
+            ThinTailWarning, stacklevel=3)
+
+
+def _tail_bk(table: ZeroTable, u: float, k: int, method: str = "auto") -> float:
     if k < 1 or k != int(k):
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if not (math.isfinite(u) and u >= 0.0):
@@ -274,12 +291,6 @@ def tail_bk(table: ZeroTable, u: float, k: int, method: str = "auto") -> float:
         if table.b1_total is None:
             raise ZeroDataError(
                 f"{table.label}: no full-spectrum b_1 recorded")
-    if tail_g.size < 100:
-        warnings.warn(
-            f"{table.label}: only {tail_g.size} tabulated zeros above "
-            f"u={u:g}; b_{k} leans on the analytic tail "
-            f"(relative error of order {k / max(u, U):.1e} * 10)",
-            ThinTailWarning, stacklevel=2)
     if k == 1 and method in ("auto", "closed") and table.b1_total is not None \
             and u < U:
         head_g = g[g <= u]
@@ -403,7 +414,8 @@ def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8,
     b20 = []
     for e in race.characters:
         t = resolve_table(e, tables)
-        b = tuple(tail_bk(t, u, k) for k in range(1, Kmax + 1))
+        b = tuple(_tail_bk(t, u, k) for k in range(1, Kmax + 1))
+        _warn_if_thin(t, u, f"b_1..b_{Kmax} lean", Kmax)
         sd = span_and_delta(t, min(u, t.last_zero))
         if u > t.last_zero:
             warnings.warn(
@@ -417,11 +429,8 @@ def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8,
             label=e.label, qstar=t.qstar, weight=t.weight, alpha=e.alpha,
             b=b, n_zeros=t.count(u), S=sd.S, y=y, delta=sd.delta, r2=r2,
             T_single=_t_single(y, r2), T_effective=float("nan")))
-        if t.b1_total is not None:
-            b10.append(t.b1_total)
-        else:
-            b10.append(tail_bk(t, 0.0, 1))
-        b20.append(tail_bk(t, 0.0, 2))
+        b10.append(_tail_bk(t, 0.0, 1))
+        b20.append(_tail_bk(t, 0.0, 2))
     B = tuple(
         math.fsum(p.alpha ** (2 * k) * p.b[k - 1] for p in per)
         for k in range(1, Kmax + 1))

@@ -8,9 +8,8 @@ from hypothesis import given, strategies as st
 
 from racedensity.race import (
     RaceEntry, RaceError, RaceSpec, SUPPORTED_MODULI, alpha_coeffs,
-    bias_offset, character_values, characters, multi_way_race,
-    prime_count_race, race_from_config, square_race, square_root_count,
-    two_way_race,
+    character_values, characters, prime_count_race, race_from_config,
+    square_race, square_root_count, two_way_race,
 )
 
 
@@ -146,8 +145,7 @@ def test_offsets():
     assert two_way_race(13, 1, 6).offset == 1.0
     assert square_race(5).offset == 1.0
     assert square_race(13).offset == 1.0
-    for spec in (prime_count_race(), two_way_race(8, 1, 3), square_race(7)):
-        assert bias_offset(spec) == spec.offset
+    assert square_race(7).offset == 1.0
 
 
 def test_square_root_counts():
@@ -166,17 +164,13 @@ def test_reversed_race_rejected():
         two_way_race(8, 3, 1)
 
 
-def test_multiway_offset_needs_config():
-    mw = multi_way_race(8, (7, 1, 5))
-    with pytest.raises(RaceError, match="offset required in config"):
-        bias_offset(mw)
-
-
-def test_multiway_q24_uses_every_table():
-    mw = multi_way_race(24, (1, 5, 7))
-    assert {e.table for e in mw.characters} == {
-        "mod3", "mod4", "mod8_even", "mod8_odd", "mod12", "mod24_even",
-        "mod24_odd"}
+def test_q24_races_draw_on_mod24_odd():
+    # the characters with chi(b) = -1: 13 is 1 mod 3, 4 and 12 but 5 mod
+    # 8; 23 is 2 mod 3, 3 mod 4, 7 mod 8 and 11 mod 12
+    assert {e.table for e in two_way_race(24, 1, 13).characters} == {
+        "mod8_even", "mod8_odd", "mod24_even", "mod24_odd"}
+    assert {e.table for e in two_way_race(24, 1, 23).characters} == {
+        "mod3", "mod4", "mod8_odd", "mod24_odd"}
 
 
 def test_square_race_single_quadratic_table():
@@ -208,13 +202,12 @@ def test_bad_inputs_rejected():
         two_way_race(13, 1, 13)
     with pytest.raises(RaceError, match="coincide"):
         two_way_race(5, 2, 7)
-    with pytest.raises(RaceError, match="distinct"):
-        multi_way_race(8, (1, 1, 3))
-    with pytest.raises(RaceError):
-        RaceSpec(q=5, kind="circular", contestants=(), characters=(),
-                 offset=0.0)
+    for kind in ("circular", "multi-way"):
+        with pytest.raises(RaceError, match="unknown race kind"):
+            RaceSpec(q=5, kind=kind, contestants=(), characters=(),
+                     offset=0.0)
     with pytest.raises(RaceError, match="offset"):
-        RaceSpec(q=5, kind="multi-way", contestants=(1, 2),
+        RaceSpec(q=5, kind="two-way", contestants=(1, 2),
                  characters=(), offset=-1.0)
 
 

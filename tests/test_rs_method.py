@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from racedensity import rs_method as rs
-from racedensity.race import bias_offset, prime_count_race, square_race, two_way_race
-from racedensity.zerodata import aggregate_stats, bundled_table
+from racedensity.race import (
+    prime_count_race, race_from_config, square_race, two_way_race,
+)
+from racedensity.zerodata import aggregate_stats, bundled_table, montgomery_bound
 
 REFINED_E1 = 2.629967324e-7
 
@@ -122,6 +124,34 @@ def test_mod4_race_value():
     assert result.v == 1.0
 
 
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.parametrize("u", [100.0, 2999.0])
+def test_config_race_of_unlisted_modulus(tmp_path, u):
+    # a modulus outside the supported set comes in through a config with
+    # explicit tables; fed the mod 4 table, it must give the published
+    # mod 4 value
+    p = tmp_path / "race.cfg"
+    p.write_text(f"q = 9\nkind = custom\noffset = 1\n"
+                 f"table.main = {bundled_table('mod4').source}\n"
+                 f"qstar.main = 4\nalpha.main = 1\n")
+    race = race_from_config(str(p))
+    assert race.q == 9
+    result = rs.race_result(race, stats=aggregate_stats(race, u))
+    assert result.v == 1.0
+    assert result.e == pytest.approx(0.004072076720775, abs=1e-13)
+
+
+def test_q24_odd_conductor_races_solve():
+    # both races need the mod24_odd table; two cutoffs must agree within
+    # their error estimates, under the exponential-moment bound
+    for b in (13, 23):
+        race = two_way_race(24, 1, b)
+        stats = [aggregate_stats(race, u) for u in (100.0, 200.0)]
+        lo, hi = (rs.race_result(race, stats=st) for st in stats)
+        assert abs(lo.e - hi.e) <= lo.error_estimate + hi.error_estimate + 1e-15
+        assert 0.0 < hi.e < math.exp(montgomery_bound(hi.v, stats[1]))
+
+
 def test_q5_inter_residue_race():
     # one zero per component L-function suffices for seven decimals
     race = two_way_race(5, 1, 2)
@@ -149,7 +179,7 @@ def test_q8_race_runs_at_its_offset():
     # the 1-vs-3 race needs the exceedance two deviations out and the
     # modulus-8 default step
     race = two_way_race(8, 1, 3)
-    assert bias_offset(race) == 2.0
+    assert race.offset == 2.0
     assert rs.default_domega(race, 0.5) == 0.8
     stats = aggregate_stats(race, 60.0, Kmax=8)
     result = rs.race_result(race, stats=stats, target=1e-9)
@@ -160,7 +190,7 @@ def test_q8_race_runs_at_its_offset():
 
 def test_unbiased_race_refused():
     race = two_way_race(5, 2, 3)
-    assert bias_offset(race) == 0.0
+    assert race.offset == 0.0
     stats = aggregate_stats(race, 7.0, Kmax=8)
     with pytest.raises(rs.ParameterError):
         rs.race_result(race, stats=stats)

@@ -49,6 +49,14 @@ def test_all_tables_load_and_validate():
         assert abs(cc.mean_residual - cc.expected_mean) < 0.1, (k, cc)
 
 
+def test_every_table_key_is_bundled():
+    # a character's table key must name a shipped table, or any race
+    # drawing on that character fails when evaluated
+    from racedensity.race import _TABLE_KEYS
+    for key in sorted(set(_TABLE_KEYS.values())):
+        assert len(bundled_table(key)) > 0, key
+
+
 def test_b1_closed_form():
     # the full inverse-square sum over all nontrivial zeros of the
     # conductor-1 function: 1 + gamma_E/2 - log(4 pi)/2
@@ -225,6 +233,18 @@ def test_tail_warns_when_thin():
     y = math.log(5 * 500.0 / (2 * math.pi))
     want = (y + 1 / 3) / (6 * math.pi * 500.0 ** 3)
     assert beyond == pytest.approx(want, rel=1e-13)
+
+
+def test_aggregate_warns_once_per_thin_table():
+    # mod5_j1 holds few zeros above 250, mod5_quad enough: one warning
+    # for all orders b_1..b_8, naming the line that asked for the stats
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        aggregate_stats(two_way_race(5, 1, 2), 250.0)
+    thin = [w for w in caught if issubclass(w.category, ThinTailWarning)]
+    assert len(thin) == 1
+    assert "mod5_j1" in str(thin[0].message)
+    assert thin[0].filename == __file__
 
 
 def test_span_warns_when_frozen():
