@@ -28,7 +28,7 @@ import numpy as np
 
 from .race import RaceSpec
 from .results import DensityResult
-from .transforms import phat_prefix, phat_remainder
+from .transforms import _tail_exponent, phat_prefix, phat_remainder
 from .zerodata import TailStats, aggregate_stats, montgomery_bound
 
 __all__ = [
@@ -98,7 +98,7 @@ class PhatSample:
         return self.prefix * self.tail
 
 
-def _stats_for(race: RaceSpec, params: RSParams, stats, tables) -> TailStats:
+def _stats_for(race: RaceSpec, params: RSParams, stats) -> TailStats:
     if stats is not None:
         if stats.u != params.u:
             raise ParameterError(
@@ -107,36 +107,35 @@ def _stats_for(race: RaceSpec, params: RSParams, stats, tables) -> TailStats:
             raise ParameterError(
                 f"stats carry {len(stats.R)} moment ratios, K = {params.K} needed")
         return stats
-    return aggregate_stats(race, params.u, Kmax=max(params.K, 2), tables=tables)
+    return aggregate_stats(race, params.u, Kmax=max(params.K, 2))
 
 
-def phat_samples(race: RaceSpec, params: RSParams, stats: TailStats = None,
-                 tables=None) -> tuple[PhatSample, ...]:
+def phat_samples(race: RaceSpec, params: RSParams,
+                 stats: TailStats = None) -> tuple[PhatSample, ...]:
     """Characteristic-function values at m*domega for 0 < m*domega < C.
 
     The expensive, threshold-independent part of both Poisson sums;
     evaluate once and reuse across v. Frequencies past the tail
     factor's convergence radius come back as exact zeros (each carries
     at least one kernel factor beyond its first root, making the true
-    value smaller than anything retained here).
+    value smaller than anything retained here); their kernel products
+    are never formed, and those of the other frequencies come from one
+    phat_prefix call.
     """
-    stats = _stats_for(race, params, stats, tables)
-    out = []
+    stats = _stats_for(race, params, stats)
     m_max = int(math.ceil(params.C / params.domega))
-    for m in range(1, m_max + 1):
-        omega = m * params.domega
-        if omega >= params.C:
-            break
-        tail = phat_remainder(omega, stats, params.K)
-        if tail.beyond_radius or tail.value == 0.0:
-            out.append(PhatSample(m, omega, 0.0, 0.0, 0.0))
-            continue
-        prefix = phat_prefix(omega, race, params.u, tables)
-        # d(exp(-x)) = -exp(-x) dx: the tail's exponent error transfers
-        # multiplicatively
-        out.append(PhatSample(m, omega, prefix, tail.value,
-                              abs(prefix) * tail.value * tail.error_estimate))
-    return tuple(out)
+    omegas = [w for w in (m * params.domega for m in range(1, m_max + 1))
+              if w < params.C]
+    tails = [phat_remainder(w, stats, params.K) for w in omegas]
+    live = [i for i, tail in enumerate(tails) if tail.value != 0.0]
+    prefixes = np.zeros(len(omegas))
+    prefixes[live] = phat_prefix([omegas[i] for i in live], race, params.u)
+    # d(exp(-x)) = -exp(-x) dx: the tail's exponent error transfers
+    # multiplicatively
+    return tuple(
+        PhatSample(m, w, p, t.value, abs(p) * t.value * t.error_estimate)
+        for m, (w, p, t) in enumerate(
+            zip(omegas, prefixes.tolist(), tails), start=1))
 
 
 def _check_aliasing(v: float, params: RSParams, stats: TailStats,
@@ -176,12 +175,12 @@ def _truncation_bound(params: RSParams, stats: TailStats) -> float:
         1.0 / m for m in range(m_lo, m_hi + 1))
 
 
-def _lattice(vs, race: RaceSpec, params: RSParams, stats, tables, samples,
+def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
              density: bool):
     # E (density=False) or P0 at each v from one set of samples. The
     # checks run once, the aliasing bound at the largest |v|, where it is
     # worst, so every v shares one error estimate.
-    stats = _stats_for(race, params, stats, tables)
+    stats = _stats_for(race, params, stats)
     reach = max(map(abs, vs), default=0.0)
     if reach > params.v_max:
         raise ParameterError(
@@ -189,7 +188,7 @@ def _lattice(vs, race: RaceSpec, params: RSParams, stats, tables, samples,
             f"parameters were validated for")
     alias = _check_aliasing(reach, params, stats, density)
     if samples is None:
-        samples = phat_samples(race, params, stats, tables)
+        samples = phat_samples(race, params, stats)
     live = [s for s in samples if s.tail != 0.0]
     w = params.domega
     # s.prefix * s.tail is s.phat, spelled out to save a call per term
@@ -208,9 +207,9 @@ def _lattice(vs, race: RaceSpec, params: RSParams, stats, tables, samples,
     return values, err, len(live), stats
 
 
-def _lattice_result(v, race, params, stats, tables, samples, density):
+def _lattice_result(v, race, params, stats, samples, density):
     (value,), err, n_terms, stats = _lattice(
-        [float(v)], race, params, stats, tables, samples, density)
+        [float(v)], race, params, stats, samples, density)
     log = math.log(value) if value > 0.0 else float("-inf")
     return DensityResult(
         v=float(v), log_p=log if density else math.nan,
@@ -221,29 +220,27 @@ def _lattice_result(v, race, params, stats, tables, samples, density):
 
 
 def compute_E(v: float, race: RaceSpec, params: RSParams,
-              stats: TailStats = None, tables=None,
-              samples=None) -> DensityResult:
+              stats: TailStats = None, samples=None) -> DensityResult:
     """Exceedance probability E(v) by the Poisson lattice sum.
 
     The error estimate adds the aliasing bound, the summed per-term
     tail-factor error estimates, and the bound on terms dropped past
     the frequency ceiling.
     """
-    return _lattice_result(v, race, params, stats, tables, samples, False)
+    return _lattice_result(v, race, params, stats, samples, False)
 
 
 def compute_P(v: float, race: RaceSpec, params: RSParams,
-              stats: TailStats = None, tables=None,
-              samples=None) -> DensityResult:
+              stats: TailStats = None, samples=None) -> DensityResult:
     """Density P0(v) by the Poisson lattice sum. Even in v by construction."""
-    return _lattice_result(v, race, params, stats, tables, samples, True)
+    return _lattice_result(v, race, params, stats, samples, True)
 
 
 def density_grid(vs, race: RaceSpec, params: RSParams,
-                 stats: TailStats = None, tables=None) -> np.ndarray:
+                 stats: TailStats = None) -> np.ndarray:
     """P0 on an array of thresholds, sharing one set of lattice samples."""
     vs = np.asarray(vs, dtype=float).ravel().tolist()
-    return np.array(_lattice(vs, race, params, stats, tables, None, True)[0])
+    return np.array(_lattice(vs, race, params, stats, None, True)[0])
 
 
 def default_domega(race: RaceSpec, sigma0: float) -> float:
@@ -259,22 +256,15 @@ def default_domega(race: RaceSpec, sigma0: float) -> float:
 def _ceiling_for(stats: TailStats, K: int) -> float:
     # smallest omega whose tail-factor exponent reaches the cutoff,
     # capped at the convergence radius where samples vanish anyway
-    from .specfun import c_coeffs
-    c = c_coeffs(K).c
-
-    def exponent(tau: float) -> float:
-        return math.fsum(c[k - 1] * stats.R[k - 1] * tau ** (2 * k)
-                         for k in range(1, K + 1))
-
     T = stats.T
     if not T > 0.0:
         raise ParameterError("stats carry no usable convergence radius")
-    if exponent(T * (1.0 - 1e-12)) < _EXPONENT_CUTOFF:
+    if _tail_exponent(T * (1.0 - 1e-12), stats, K) < _EXPONENT_CUTOFF:
         return T / stats.sigma_u
+    # the midpoint rounds onto lo or hi once they are adjacent floats
     lo, hi = 0.0, T
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if exponent(mid) < _EXPONENT_CUTOFF:
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _tail_exponent(mid, stats, K) < _EXPONENT_CUTOFF:
             lo = mid
         else:
             hi = mid
@@ -339,7 +329,7 @@ def default_params(race: RaceSpec, stats: TailStats,
 
 
 def race_result(race: RaceSpec, params: RSParams = None,
-                stats: TailStats = None, tables=None,
+                stats: TailStats = None,
                 target: float = 1e-11) -> DensityResult:
     """Chance of the trailing contestant leading: E at the race offset."""
     offset = race.offset
@@ -352,4 +342,4 @@ def race_result(race: RaceSpec, params: RSParams = None,
         if stats is None:
             raise ParameterError("race_result needs params or stats")
         params = default_params(race, stats, target=target, v_max=v)
-    return compute_E(v, race, params, stats=stats, tables=tables)
+    return compute_E(v, race, params, stats=stats)

@@ -40,7 +40,7 @@ from scipy import special as _sp
 from .race import RaceSpec
 from .specfun import arctan_integral, base_constants, c_coeffs, j0_lowbias
 from .specfun import j0_zeros, log_i0_derivs
-from .zerodata import TailStats, ZeroDataError, resolve_table, span_and_delta
+from .zerodata import TailStats, ZeroDataError, resolve_table
 
 __all__ = [
     "AccuracyWarning",
@@ -141,20 +141,27 @@ def phat_remainder(omega: float, stats: TailStats, K: int) -> FourierTail:
         raise ConvergenceError(_NO_RADIUS)
     if tau >= T:
         return FourierTail(0.0, 0.0, True)
+    err = c_coeffs(K).c[K - 1] * stats.R[K - 1] * tau ** (2 * K + 2) \
+        / (T * T - tau * tau)
+    return FourierTail(math.exp(-_tail_exponent(tau, stats, K)), err, False)
+
+
+def _tail_exponent(tau: float, stats: TailStats, K: int) -> float:
+    # sum_{k<=K} c_k R_k tau^{2k}, the exponent of the tail factor
     c = c_coeffs(K).c
-    expo = math.fsum(c[k - 1] * stats.R[k - 1] * tau ** (2 * k)
+    return math.fsum(c[k - 1] * stats.R[k - 1] * tau ** (2 * k)
                      for k in range(1, K + 1))
-    err = c[K - 1] * stats.R[K - 1] * tau ** (2 * K + 2) / (T * T - tau * tau)
-    return FourierTail(math.exp(-expo), err, False)
 
 
-def phat_prefix(omega: float, race: RaceSpec, u: float,
-                tables=None) -> float:
-    """Product of explicit-zero kernel factors J0(2*alpha*omega/sqrt(1/4+g^2)).
+def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
+    """Products of explicit-zero kernel factors J0(2*alpha*w/sqrt(1/4+g^2)),
+    one for each frequency w in omegas.
 
-    Runs over every table zero at or below u in ascending order. Merged
-    conjugate-pair tables already list both members' ordinates, so no
-    multiplicity factor appears.
+    Each product runs over every table zero at or below u in ascending
+    order. Merged conjugate-pair tables already list both members'
+    ordinates, so no multiplicity factor appears. The tables are
+    resolved and checked for coverage once per call, so pass every
+    frequency of a solve at once.
 
     The whole chain (arguments, factors, running product) stays in
     extended precision: the lattice sums downstream cancel to a few
@@ -164,23 +171,23 @@ def phat_prefix(omega: float, race: RaceSpec, u: float,
     magnitude the product is re-done as a sign-tracked sum of logs to
     dodge underflow in long products.
     """
-    w = float(omega)
     u = float(u)
     if u < 0.0:
         raise ValueError("cutoff u must be nonnegative")
-    arrays = []
-    for entry in race.characters:
-        table = resolve_table(entry, tables)
-        if table.last_zero < u and not _covers(table, u):
-            raise ZeroDataError(
-                f"{entry.label}: zero table ends at {table.last_zero:.6g}, "
-                f"so zeros below u = {u:g} are missing")
-        g = table.gammas[table.gammas <= u]
-        if g.size == 0:
-            continue
-        gl = g.astype(np.longdouble)
-        factors = j0_lowbias(2.0 * entry.alpha * w / np.sqrt(0.25 + gl * gl))
-        arrays.append(factors)
+    dens = []
+    for entry, g in zip(race.characters, _explicit_zeros(race, u)):
+        if g.size:
+            gl = g.astype(np.longdouble)
+            dens.append((entry.alpha, np.sqrt(0.25 + gl * gl)))
+    # one frequency at a time: a frequency-by-zero block would hold
+    # several extended-precision temporaries of that full size
+    return np.array([
+        _kernel_product([j0_lowbias(2.0 * alpha * w / den)
+                         for alpha, den in dens])
+        for w in np.asarray(omegas, dtype=float).ravel().tolist()])
+
+
+def _kernel_product(arrays) -> float:
     if not arrays:
         return 1.0
     if any(np.any(f == 0.0) for f in arrays):
@@ -198,12 +205,22 @@ def phat_prefix(omega: float, race: RaceSpec, u: float,
     return float(value)
 
 
-def _covers(table, u: float) -> bool:
-    # a cutoff a few mean gaps past the final listed zero cannot hide a
-    # missing zero; anything further out could
-    y_end = math.log(max(table.qstar * table.last_zero / (2.0 * math.pi), 2.0))
-    gap = 2.0 * math.pi / (table.weight * y_end)
-    return u <= table.last_zero + 3.0 * gap
+def _explicit_zeros(race: RaceSpec, u: float) -> list:
+    # each character's table ordinates at or below u, in race order; a
+    # cutoff a few mean gaps past the final listed zero cannot hide a
+    # missing zero, anything further out could
+    out = []
+    for entry in race.characters:
+        table = resolve_table(entry)
+        y_end = math.log(max(table.qstar * table.last_zero / (2.0 * math.pi),
+                             2.0))
+        gap = 2.0 * math.pi / (table.weight * y_end)
+        if not u <= table.last_zero + 3.0 * gap:
+            raise ZeroDataError(
+                f"{entry.label}: zero table ends at {table.last_zero:.6g}, "
+                f"so zeros below u = {u:g} are missing")
+        out.append(table.gammas[table.gammas <= u])
+    return out
 
 
 # ----------------------------------------------------------------- Laplace side
@@ -409,8 +426,7 @@ class LDerivs:
         return self.values[5]
 
 
-def l0_full(s: float, race: RaceSpec, stats: TailStats,
-            tables=None) -> LDerivs:
+def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
     """Cumulant generating function with derivatives 1..5 at real s >= 0.
 
     Explicit zeros below stats.u enter through log I0 with the chain
@@ -428,13 +444,8 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats,
     # then its remainder
     buckets = [[] for _ in range(6)]
     err_parts = []
-    for entry, pc in zip(race.characters, stats.per_char):
-        table = resolve_table(entry, tables)
-        if not _covers(table, u):
-            raise ZeroDataError(
-                f"{entry.label}: zero table ends at {table.last_zero:.6g}, "
-                f"so zeros below u = {u:g} are missing")
-        g = table.gammas[table.gammas <= u]
+    for entry, pc, g in zip(race.characters, stats.per_char,
+                            _explicit_zeros(race, u)):
         a = 2.0 * entry.alpha / np.sqrt(0.25 + g * g)
         d = log_i0_derivs(a * s, 5)
         p = np.ones_like(a)
@@ -498,18 +509,7 @@ class AsymptoticL:
     constants: ModelConstants
 
 
-_DELTA_CACHE: dict = {}
-
-
-def _table_delta(entry, tables) -> float:
-    table = resolve_table(entry, tables)
-    key = (table.label, table.qstar, len(table), float(table.last_zero))
-    if key not in _DELTA_CACHE:
-        _DELTA_CACHE[key] = span_and_delta(table, table.last_zero).delta
-    return _DELTA_CACHE[key]
-
-
-def model_constants(race: RaceSpec, tables=None) -> ModelConstants:
+def model_constants(race: RaceSpec) -> ModelConstants:
     """Constants feeding the large-s model and the extreme-tail estimates.
 
     Requires every character to share one conductor, so that a single
@@ -534,7 +534,7 @@ def model_constants(race: RaceSpec, tables=None) -> ModelConstants:
         parts_a.append(w * entry.alpha)
         parts_y.append(w * entry.alpha * la)
         parts_z.append(w * entry.alpha * la * la)
-        parts_d.append(entry.alpha * _table_delta(entry, tables))
+        parts_d.append(entry.alpha * resolve_table(entry).span_fit[0])
     alpha_sum = math.fsum(parts_a)
     return ModelConstants(
         q=race.q, qstar=qstar, A0=bc.A0, A=bc.A, X=bc.X,
@@ -545,7 +545,7 @@ def model_constants(race: RaceSpec, tables=None) -> ModelConstants:
     )
 
 
-def l0_asymptotic(s: float, race: RaceSpec, tables=None) -> AsymptoticL:
+def l0_asymptotic(s: float, race: RaceSpec) -> AsymptoticL:
     """Smooth-model cumulant function for large s (reliable from s ~ 10 up).
 
     Each character contributes the single-series model at alpha*s:
@@ -556,7 +556,7 @@ def l0_asymptotic(s: float, race: RaceSpec, tables=None) -> AsymptoticL:
     s = float(s)
     if s <= 0.0:
         raise ValueError("the asymptotic model needs s > 0")
-    mc = model_constants(race, tables)
+    mc = model_constants(race)
     A, X = mc.A, mc.X
     v0, v1, v2, v3 = [], [], [], []
     for entry in race.characters:
@@ -564,7 +564,7 @@ def l0_asymptotic(s: float, race: RaceSpec, tables=None) -> AsymptoticL:
         al = entry.alpha
         sig = al * s
         ls = math.log(sig)
-        delta = _table_delta(entry, tables)
+        delta = resolve_table(entry).span_fit[0]
         smooth = ls * ls / (2.0 * math.pi) + A * ls / math.pi + X
         v1.append(w * al * smooth + al * delta)
         v0.append(sig * (w * al * smooth + al * delta)
@@ -595,29 +595,29 @@ def _model_w(mc: ModelConstants, v: float) -> float:
     return math.sqrt(w2)
 
 
-def model_saddle(race_or_constants, v: float, tables=None) -> float:
+def model_saddle(race_or_constants, v: float) -> float:
     """Model solution s of d1 = v; useful as a starting point for solvers."""
-    mc = _as_constants(race_or_constants, tables)
+    mc = _as_constants(race_or_constants)
     W = _model_w(mc, v)
     return math.exp(W - mc.A - mc.Y)
 
 
-def model_log_density(race_or_constants, v: float, tables=None) -> float:
+def model_log_density(race_or_constants, v: float) -> float:
     """Double-exponential model of log P0(v) for large v."""
-    mc = _as_constants(race_or_constants, tables)
+    mc = _as_constants(race_or_constants)
     W = _model_w(mc, v)
     return -(mc.alpha_sum / mc.q) * (W - 1.0) * math.exp(W - mc.Y - mc.A0)
 
 
-def model_log_exceedance(race_or_constants, v: float, tables=None) -> float:
+def model_log_exceedance(race_or_constants, v: float) -> float:
     """Model of log E(v): the density model less the log of the saddle."""
-    mc = _as_constants(race_or_constants, tables)
+    mc = _as_constants(race_or_constants)
     W = _model_w(mc, v)
     log_s = W - mc.A - mc.Y
     return -(mc.alpha_sum / mc.q) * (W - 1.0) * math.exp(W - mc.Y - mc.A0) - log_s
 
 
-def _as_constants(race_or_constants, tables) -> ModelConstants:
+def _as_constants(race_or_constants) -> ModelConstants:
     if isinstance(race_or_constants, ModelConstants):
         return race_or_constants
-    return model_constants(race_or_constants, tables)
+    return model_constants(race_or_constants)

@@ -23,6 +23,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -111,6 +112,21 @@ class ZeroTable:
 
     def __len__(self) -> int:
         return int(self.gammas.size)
+
+    @cached_property
+    def full_sums(self) -> tuple[float, float]:
+        """b_1(0) and b_2(0), the inverse-power sums over every ordinate."""
+        return _tail_bk(self, 0.0, 1), _tail_bk(self, 0.0, 2)
+
+    @cached_property
+    def span_fit(self) -> tuple[float, int]:
+        """delta and n_used of span_and_delta, fixed by the table alone."""
+        g = self.gammas
+        half_jump = 1.0 / np.sqrt(0.25 + g * g)
+        cum = 2.0 * np.cumsum(half_jump)
+        top = g >= g[-1] / 10.0
+        resid = cum[top] - _span_main(self, g[top]) - half_jump[top]
+        return float(np.median(resid)), int(np.count_nonzero(top))
 
 
 _HEADER_KEYS = {"key", "qstar", "parity", "weight", "count", "max_gamma",
@@ -316,6 +332,11 @@ def _span_main(table: ZeroTable, t: np.ndarray) -> np.ndarray:
     return table.weight * (lt * lt / (2.0 * math.pi) + a_chi * lt / math.pi)
 
 
+def _span(table: ZeroTable, u: float) -> float:
+    head = table.gammas[table.gammas <= u]
+    return 2.0 * math.fsum(1.0 / np.sqrt(0.25 + head * head))
+
+
 def span_and_delta(table: ZeroTable, u: float) -> SpanDelta:
     """S(u) plus an estimate of the constant in its smooth expansion,
     taken as the median residual over the table's top decade (the median
@@ -328,18 +349,11 @@ def span_and_delta(table: ZeroTable, u: float) -> SpanDelta:
     partial summation. Subtracting half of each sample's own jump
     removes that bias, and brings the estimate within a few 1e-5 of the
     level the residual actually oscillates about."""
-    g = table.gammas
-    if u > g[-1]:
+    if u > table.last_zero:
         raise ZeroDataError(
             f"{table.label}: S({u:g}) needs zeros beyond the table end "
-            f"{g[-1]:g}")
-    half_jump = 1.0 / np.sqrt(0.25 + g * g)
-    s_u = 2.0 * math.fsum(half_jump[g <= u])
-    cum = 2.0 * np.cumsum(half_jump)
-    top = g >= g[-1] / 10.0
-    resid = cum[top] - _span_main(table, g[top]) - half_jump[top]
-    return SpanDelta(S=s_u, delta=float(np.median(resid)),
-                     n_used=int(np.count_nonzero(top)))
+            f"{table.last_zero:g}")
+    return SpanDelta(_span(table, u), *table.span_fit)
 
 
 @dataclass(frozen=True)
@@ -380,8 +394,10 @@ class TailStats:
 
 def resolve_table(entry: RaceEntry,
                   tables: dict[str, ZeroTable] | None = None) -> ZeroTable:
-    """The zero table an entry draws from: an explicit override wins,
-    then a file path, then the bundled set."""
+    """The zero table an entry draws from: a file when entry.table holds
+    a path separator or ends in .txt (read afresh on every call, so
+    resolve once per computation), else the bundled table of that key.
+    tables, when given, maps entry labels to tables that win over both."""
     if tables and entry.label in tables:
         return tables[entry.label]
     if os.sep in entry.table or entry.table.endswith(".txt"):
@@ -398,8 +414,7 @@ def _t_single(y: float, r2: float) -> float:
     return _J1 * math.sqrt((y + 1.0 / 3.0) / (6.0 * (y + 1.0) * r2))
 
 
-def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8,
-                    tables: dict[str, ZeroTable] | None = None) -> TailStats:
+def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8) -> TailStats:
     """All tail statistics of a race at truncation height u.
 
     B_k sums alpha^(2k) b_k over the race's characters (merged tables
@@ -409,55 +424,48 @@ def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8,
     """
     if Kmax < 2:
         raise ValueError("Kmax must be at least 2")
-    per = []
-    b10 = []
-    b20 = []
+    rows = []
     for e in race.characters:
-        t = resolve_table(e, tables)
+        t = resolve_table(e)
         b = tuple(_tail_bk(t, u, k) for k in range(1, Kmax + 1))
         _warn_if_thin(t, u, f"b_1..b_{Kmax} lean", Kmax)
-        sd = span_and_delta(t, min(u, t.last_zero))
         if u > t.last_zero:
             warnings.warn(
                 f"{e.label}: span frozen at table end {t.last_zero:g} < "
                 f"u={u:g}", FrozenSpanWarning, stacklevel=2)
-        y = math.log(t.qstar * u / _TWO_PI) if u > 0.0 else float("-inf")
-        # single-series ratios: the merged table's b_k is weight times the
-        # per-member value, so r_k picks up weight^(k-1)
-        r2 = t.weight * b[1] / (b[0] * b[0])
-        per.append(CharTailStats(
-            label=e.label, qstar=t.qstar, weight=t.weight, alpha=e.alpha,
-            b=b, n_zeros=t.count(u), S=sd.S, y=y, delta=sd.delta, r2=r2,
-            T_single=_t_single(y, r2), T_effective=float("nan")))
-        b10.append(_tail_bk(t, 0.0, 1))
-        b20.append(_tail_bk(t, 0.0, 2))
+        rows.append((e, t, b))
     B = tuple(
-        math.fsum(p.alpha ** (2 * k) * p.b[k - 1] for p in per)
+        math.fsum(e.alpha ** (2 * k) * b[k - 1] for e, _, b in rows)
         for k in range(1, Kmax + 1))
     if B[0] <= 0.0:
         raise ZeroDataError(f"race {race.name or race.q}: b_1 sum is zero")
     R = tuple(bk / B[0] ** k for k, bk in enumerate(B, start=1))
-    B1_0 = math.fsum(e.alpha ** 2 * b for e, b in zip(race.characters, b10))
-    B2_0 = math.fsum(e.alpha ** 4 * b for e, b in zip(race.characters, b20))
-    # effective radius per character: alpha^2 b_1(chi) of the limiting
-    # series against the race's own B_1
-    per2 = []
-    for p in per:
-        b1_chi = p.b[0] / p.weight
-        t_eff = p.T_single * math.sqrt(B[0] / (p.alpha ** 2 * b1_chi)) \
-            if p.alpha > 0 else float("inf")
-        per2.append(CharTailStats(
-            label=p.label, qstar=p.qstar, weight=p.weight, alpha=p.alpha,
-            b=p.b, n_zeros=p.n_zeros, S=p.S, y=p.y, delta=p.delta, r2=p.r2,
-            T_single=p.T_single, T_effective=t_eff))
-    t_vals = [p.T_effective for p in per2]
+    B1_0 = math.fsum(e.alpha ** 2 * t.full_sums[0] for e, t, _ in rows)
+    B2_0 = math.fsum(e.alpha ** 4 * t.full_sums[1] for e, t, _ in rows)
+    per = []
+    for e, t, b in rows:
+        y = math.log(t.qstar * u / _TWO_PI) if u > 0.0 else float("-inf")
+        # single-series ratios: the merged table's b_k is weight times the
+        # per-member value, so r_k picks up weight^(k-1)
+        r2 = t.weight * b[1] / (b[0] * b[0])
+        t_single = _t_single(y, r2)
+        # effective radius per character: alpha^2 b_1(chi) of the limiting
+        # series against the race's own B_1
+        t_eff = t_single * math.sqrt(B[0] / (e.alpha ** 2 * (b[0] / t.weight))) \
+            if e.alpha > 0 else float("inf")
+        per.append(CharTailStats(
+            label=e.label, qstar=t.qstar, weight=t.weight, alpha=e.alpha,
+            b=b, n_zeros=t.count(u), S=_span(t, u), y=y,
+            delta=t.span_fit[0], r2=r2, T_single=t_single,
+            T_effective=t_eff))
+    t_vals = [p.T_effective for p in per]
     T = float("nan") if any(math.isnan(t) for t in t_vals) else min(t_vals)
     return TailStats(
         race=race.name, u=float(u), Kmax=Kmax, B=B, R=R,
         sigma_u=math.sqrt(2.0 * B[0]), sigma0=math.sqrt(2.0 * B1_0),
         beta0=B2_0 / (B1_0 * B1_0),
-        S=math.fsum(p.alpha * p.S for p in per2),
-        n_zeros=sum(p.n_zeros for p in per2), T=T, per_char=tuple(per2))
+        S=math.fsum(p.alpha * p.S for p in per),
+        n_zeros=sum(p.n_zeros for p in per), T=T, per_char=tuple(per))
 
 
 def moment_ratios(stats: TailStats) -> tuple[float, float, float, float]:

@@ -6,12 +6,15 @@ results of independent calculations; partial-sum rows reproduce a
 published worked example line by line.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from racedensity import rs_method as rs
+from racedensity import transforms as tr
+from racedensity import zerodata as zd
 from racedensity.race import (
     prime_count_race, race_from_config, square_race, two_way_race,
 )
@@ -125,20 +128,26 @@ def test_mod4_race_value():
 
 
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
-@pytest.mark.parametrize("u", [100.0, 2999.0])
-def test_config_race_of_unlisted_modulus(tmp_path, u):
+@pytest.mark.parametrize("u", [100.0, 1000.0, 2999.0])
+def test_config_race_of_unlisted_modulus(tmp_path, monkeypatch, u):
     # a modulus outside the supported set comes in through a config with
     # explicit tables; fed the mod 4 table, it must give the published
-    # mod 4 value
+    # mod 4 value, reading the table file once for the tail statistics
+    # and once for all lattice frequencies together
     p = tmp_path / "race.cfg"
     p.write_text(f"q = 9\nkind = custom\noffset = 1\n"
                  f"table.main = {bundled_table('mod4').source}\n"
                  f"qstar.main = 4\nalpha.main = 1\n")
     race = race_from_config(str(p))
     assert race.q == 9
+    loads = []
+    load = zd.load_zeros
+    monkeypatch.setattr(zd, "load_zeros",
+                        lambda *a, **k: loads.append(a) or load(*a, **k))
     result = rs.race_result(race, stats=aggregate_stats(race, u))
     assert result.v == 1.0
     assert result.e == pytest.approx(0.004072076720775, abs=1e-13)
+    assert len(loads) <= 2
 
 
 def test_q24_odd_conductor_races_solve():
@@ -309,3 +318,15 @@ def test_stats_params_mismatch_refused(zeta_race, run25):
     other = aggregate_stats(zeta_race, 35.0, Kmax=8)
     with pytest.raises(rs.ParameterError):
         rs.compute_E(1.0, zeta_race, params, stats=other)
+
+
+def test_no_public_function_takes_tables():
+    # a character's zeros come from its RaceEntry.table alone; only
+    # resolve_table still accepts a label-to-table mapping
+    takers = [
+        f"{mod.__name__}.{name}"
+        for mod in (zd, tr, rs) for name, obj in vars(mod).items()
+        if not name.startswith("_") and inspect.isfunction(obj)
+        and obj.__module__ == mod.__name__
+        and "tables" in inspect.signature(obj).parameters]
+    assert takers == ["racedensity.zerodata.resolve_table"]

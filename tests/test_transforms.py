@@ -22,7 +22,9 @@ from scipy.special import j0 as scipy_j0
 from racedensity import transforms as tr
 from racedensity.race import prime_count_race, square_race, two_way_race
 from racedensity.specfun import base_constants, c_coeffs
-from racedensity.zerodata import ZeroDataError, aggregate_stats, bundled_table
+from racedensity.zerodata import (
+    ZeroDataError, aggregate_stats, bundled_table, resolve_table,
+)
 
 J1, J2 = (float(j) for j in jn_zeros(0, 2))
 EULER_GAMMA = 0.5772156649015329
@@ -106,22 +108,22 @@ def test_tail_factor_order_validation(stats35):
 
 
 def test_explicit_product_at_zero_frequency(zeta_race):
-    assert tr.phat_prefix(0.0, zeta_race, 35.0) == 1.0
+    assert tr.phat_prefix([0.0], zeta_race, 35.0).tolist() == [1.0]
 
 
 def test_explicit_product_matches_printed_run(zeta_race):
     # the first kernel factor alone, then the five-factor product
-    assert tr.phat_prefix(math.pi / 2, zeta_race, 15.0) == pytest.approx(
+    assert tr.phat_prefix([math.pi / 2], zeta_race, 15.0)[0] == pytest.approx(
         0.9877, abs=5e-5)
-    assert tr.phat_prefix(math.pi / 2, zeta_race, 35.0) == pytest.approx(
+    assert tr.phat_prefix([math.pi / 2], zeta_race, 35.0)[0] == pytest.approx(
         0.9735, abs=5e-5)
-    assert tr.phat_prefix(3 * math.pi / 2, zeta_race, 35.0) == pytest.approx(
+    assert tr.phat_prefix([3 * math.pi / 2], zeta_race, 35.0)[0] == pytest.approx(
         0.7822, abs=5e-5)
 
 
 def test_explicit_product_needs_zero_coverage(zeta_race):
     with pytest.raises(ZeroDataError):
-        tr.phat_prefix(1.0, zeta_race, 20000.0)
+        tr.phat_prefix([1.0], zeta_race, 20000.0)
 
 
 def test_explicit_product_log_route_matches_direct(zeta_race):
@@ -139,7 +141,7 @@ def test_explicit_product_log_route_matches_direct(zeta_race):
     direct = 1.0
     for v in factors:
         direct *= float(v)
-    got = tr.phat_prefix(w, zeta_race, 1000.0)
+    (got,) = tr.phat_prefix([w], zeta_race, 1000.0)
     assert got < 0.0
     assert got == pytest.approx(direct, rel=1e-10)
 
@@ -147,12 +149,32 @@ def test_explicit_product_log_route_matches_direct(zeta_race):
 def test_split_point_independence(zeta_race, stats35):
     # moving the explicit/tail cutoff must not move the product
     stats100 = aggregate_stats(zeta_race, 100.0)
-    for w in (math.pi / 2, math.pi, 2 * math.pi):
-        full35 = (tr.phat_prefix(w, zeta_race, 35.0)
-                  * tr.phat_remainder(w, stats35, 8).value)
-        full100 = (tr.phat_prefix(w, zeta_race, 100.0)
-                   * tr.phat_remainder(w, stats100, 8).value)
+    ws = [math.pi / 2, math.pi, 2 * math.pi]
+    prefix35 = tr.phat_prefix(ws, zeta_race, 35.0)
+    prefix100 = tr.phat_prefix(ws, zeta_race, 100.0)
+    for w, p35, p100 in zip(ws, prefix35, prefix100):
+        full35 = p35 * tr.phat_remainder(w, stats35, 8).value
+        full100 = p100 * tr.phat_remainder(w, stats100, 8).value
         assert full35 == pytest.approx(full100, rel=1e-10)
+
+
+@pytest.mark.parametrize("race, u", [
+    (prime_count_race(), 1000.0),
+    (two_way_race(5, 1, 2), 7.0),
+    (two_way_race(24, 1, 5), 100.0),
+])
+def test_explicit_product_frequencies_independent(race, u):
+    # one call over many frequencies gives, bit for bit, what one call
+    # per frequency gives; the last frequency puts the first kernel
+    # factor within 1e-3 of a zero of J0, so its product takes the
+    # log-sum route and the others the direct one
+    entry = race.characters[0]
+    g1 = float(resolve_table(entry).gammas[0])
+    ws = [0.0, 0.1, 0.7, 1.9, 2.5, 4.0,
+          J1 * math.sqrt(0.25 + g1 * g1) / (2.0 * entry.alpha) + 3e-4]
+    together = tr.phat_prefix(ws, race, u).tolist()
+    assert together == [tr.phat_prefix([w], race, u)[0] for w in ws]
+    assert tr.phat_prefix([], race, u).size == 0
 
 
 # ------------------------------------------------------------ raw tail series

@@ -9,6 +9,7 @@ and frozen before the module was written.
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -353,11 +354,18 @@ def test_multi_character_moment_bounds():
         assert st_.R[1] <= avg_r2 / phi_half * 1.05, u
 
 
-def test_tables_override_hook():
+def test_file_path_table(tmp_path):
+    # an entry whose table is a file path draws on that file, not on the
+    # bundled table of its label
     z = bundled_table("zeta")
-    t = ZeroTable(gammas=z.gammas[:500], qstar=1, label="short", source="x",
-                  b1_total=z.b1_total)
-    st_ = aggregate_stats(prime_count_race(), 20.0, tables={"zeta": t})
+    p = tmp_path / "short.txt"
+    p.write_text(f"# qstar: 1\n# b1_total: {z.b1_total!r}\n"
+                 + "".join(f"{g!r}\n" for g in z.gammas[:500].tolist()))
+    race = prime_count_race()
+    race = replace(race, characters=(
+        replace(race.characters[0], table=str(p)),))
+    t = load_zeros(str(p))
+    st_ = aggregate_stats(race, 20.0)
     assert st_.n_zeros == 1
     assert st_.B[0] == pytest.approx(tail_bk(t, 20.0, 1), rel=1e-14)
 
