@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,6 +60,10 @@ def j0_lowbias(z) -> np.ndarray:
     ascending series by Horner in 80-bit arithmetic instead, which is
     unbiased at the 1e-18 level; larger arguments (only reached by
     lattice terms that are negligible anyway) fall back to cephes.
+
+    transforms.phat_prefix calls it for the near zone of each product
+    only, the factors with z above 0.7; the far zone goes through the
+    log-J0 power series of _log_j0_coeffs instead.
 
     Returns extended precision so callers can keep multiplying without
     re-rounding every factor to double.
@@ -127,6 +132,19 @@ _ODE_LO = 1.0
 _ODE_HI = 18.0
 
 
+def _log_series(b: list[Fraction]) -> tuple[Fraction, ...]:
+    # f_1..f_n of log(1 + sum_{n>=1} b_n x^n), given b_0 = 1, b_1..b_n,
+    # as exact rationals
+    nmax = len(b) - 1
+    f = [Fraction(0)] * (nmax + 1)
+    for n in range(1, nmax + 1):
+        acc = b[n]
+        for jj in range(1, n):
+            acc -= Fraction(jj, n) * f[jj] * b[n - jj]
+        f[n] = acc
+    return tuple(f[1:])
+
+
 @lru_cache(maxsize=1)
 def _log_coeff_fracs() -> tuple[Fraction, ...]:
     # f_k of log(1 + sum b_n x^n) where b_n = ((2n-1)!!)^2 / (n! 8^n) are
@@ -138,13 +156,31 @@ def _log_coeff_fracs() -> tuple[Fraction, ...]:
     b = [Fraction(1)]
     for n in range(1, nmax + 1):
         b.append(b[-1] * Fraction((2 * n - 1) ** 2, 8 * n))
-    f = [Fraction(0)] * (nmax + 1)
-    for n in range(1, nmax + 1):
-        acc = b[n]
-        for jj in range(1, n):
-            acc -= Fraction(jj, n) * f[jj] * b[n - jj]
-        f[n] = acc
-    return tuple(f[1:])
+    return _log_series(b)
+
+
+@lru_cache(maxsize=None)
+def _log_j0_fracs(n: int) -> tuple[Fraction, ...]:
+    """a_1..a_n of log J0(z) = sum_k a_k (z^2/4)^k, exact (|z| < j1).
+
+    They come from the ascending series J0 = sum_m (-1)^m (z^2/4)^m / (m!)^2
+    and equal -2^k c_k of the log-I0 family; every a_k is negative.
+    """
+    b = [Fraction((-1) ** m, math.factorial(m) ** 2) for m in range(n + 1)]
+    return _log_series(b)
+
+
+@lru_cache(maxsize=None)
+def _log_j0_coeffs(n: int) -> np.ndarray:
+    # a_1..a_n of _log_j0_fracs in extended precision, each rounded from
+    # 40 significant digits of its exact value; read-only, as every
+    # caller shares it
+    with localcontext() as ctx:
+        ctx.prec = 40
+        out = np.array([np.longdouble(str(Decimal(a.numerator) / a.denominator))
+                        for a in _log_j0_fracs(n)])
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=1)

@@ -38,8 +38,8 @@ import numpy as np
 from scipy import special as _sp
 
 from .race import RaceSpec
-from .specfun import arctan_integral, base_constants, c_coeffs, j0_lowbias
-from .specfun import j0_zeros, log_i0_derivs
+from .specfun import _log_j0_coeffs, arctan_integral, base_constants, c_coeffs
+from .specfun import j0_lowbias, j0_zeros, log_i0_derivs
 from .zerodata import TailStats, ZeroDataError, resolve_table
 
 __all__ = [
@@ -73,6 +73,13 @@ _SERIES_CUTOVER = 0.3
 # the correction series is always truncated here; its terms fall off
 # geometrically so more would add nothing above double precision
 _CORR_TERMS = 8
+
+# phat_prefix sums the kernel factors with z <= _FAR_Z from the log-J0
+# series, truncated after _FAR_TERMS terms. Its terms fall like
+# (z/j1)^(2k)/k, and the dropped part is below 7e-29 per factor at
+# z = _FAR_Z, so below 1e-21 for rows of up to ten million far zeros.
+_FAR_Z = 0.7
+_FAR_TERMS = 24
 
 
 class ConvergenceError(ValueError):
@@ -157,49 +164,84 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
     """Products of explicit-zero kernel factors J0(2*alpha*w/sqrt(1/4+g^2)),
     one for each frequency w in omegas.
 
-    Each product runs over every table zero at or below u in ascending
-    order. Merged conjugate-pair tables already list both members'
-    ordinates, so no multiplicity factor appears. The tables are
-    resolved and checked for coverage once per call, so pass every
-    frequency of a solve at once.
+    Each product runs over every table zero at or below u. Merged
+    conjugate-pair tables already list both members' ordinates, so no
+    multiplicity factor appears. The tables are resolved and checked for
+    coverage once per call, so pass every frequency of a solve at once.
 
-    The whole chain (arguments, factors, running product) stays in
-    extended precision: the lattice sums downstream cancel to a few
-    parts in 1e6 of their largest term, so a length-proportional
-    rounding drift in a hundred-factor product would surface directly
-    in their last two digits. When any factor drops below 1e-3 in
-    magnitude the product is re-done as a sign-tracked sum of logs to
-    dodge underflow in long products.
+    Every row splits at z = _FAR_Z, where z = t/sqrt(1/4+g^2) with
+    t = 2*alpha*w falls as g grows. The near zeros (z above the split,
+    the low ordinates) enter as explicit j0_lowbias factors. The far
+    zeros enter through log J0(z) = sum_k a_k (z^2/4)^k, which for row w
+    is sum_k a_k (t^2/4)^k S_k with S_k the sum of (1/4+g^2)^(-k) over
+    the far zeros: a suffix of one power-sum table per character, built
+    once per call. No frequency-by-zero block is ever formed. Both zones
+    take the same double t, so a factor has one argument whichever zone
+    it falls in.
+
+    Both parts stay unbiased in extended precision. The lattice sums
+    downstream cancel to a few parts in 1e6 of their largest term, so a
+    length-proportional rounding drift in a thousand-factor product
+    would surface in their last two digits. The near factors come from
+    j0_lowbias, which has no per-factor bias, and multiply in 80-bit
+    arithmetic. The far sum adds positive power sums with coefficients
+    that are all negative, so it has no cancellation and no per-factor
+    rounding to accumulate. When a near factor drops below 1e-3 in
+    magnitude the product is re-done as a sign-tracked sum of logs, the
+    far log sum included, to dodge underflow in long products.
     """
     u = float(u)
     if u < 0.0:
         raise ValueError("cutoff u must be nonnegative")
-    dens = []
+    ws = np.asarray(omegas, dtype=float).ravel()
+    a = _log_j0_coeffs(_FAR_TERMS)
+    far = np.zeros(ws.size, dtype=np.longdouble)
+    near = []
     for entry, g in zip(race.characters, _explicit_zeros(race, u)):
-        if g.size:
-            gl = g.astype(np.longdouble)
-            dens.append((entry.alpha, np.sqrt(0.25 + gl * gl)))
+        gl = g.astype(np.longdouble)
+        den2 = 0.25 + gl * gl
+        den = np.sqrt(den2)
+        # every factor of row i is J0(t[i] / den), in both zones
+        t = 2.0 * entry.alpha * ws
+        # zeros before split[i] have z above _FAR_Z in row i
+        split = np.searchsorted(den, np.abs(t) / _FAR_Z)
+        near.append((t.tolist(), den, split.tolist()))
+        # S[k-1, j - lo] = sum over zeros from j on of den2^(-k), filled
+        # in place; column g.size - lo is the empty sum, 0
+        lo = int(split.min(initial=g.size))
+        inv2 = 1.0 / den2[lo:]
+        S = np.zeros((_FAR_TERMS, inv2.size + 1), dtype=np.longdouble)
+        np.cumprod(np.broadcast_to(inv2, (_FAR_TERMS, inv2.size)), axis=0,
+                   out=S[:, :-1])
+        suffix = S[:, :-1][:, ::-1]
+        np.cumsum(suffix, axis=1, out=suffix)
+        # row i: sum_k a_k q_i^k S_k[split_i], by Horner in q
+        terms = a[:, None] * S[:, split - lo]
+        q = 0.25 * np.square(t.astype(np.longdouble))
+        acc = terms[-1]
+        for row in terms[-2::-1]:
+            acc = acc * q + row
+        far += acc * q
     # one frequency at a time: a frequency-by-zero block would hold
     # several extended-precision temporaries of that full size
     return np.array([
-        _kernel_product([j0_lowbias(2.0 * alpha * w / den)
-                         for alpha, den in dens])
-        for w in np.asarray(omegas, dtype=float).ravel().tolist()])
+        _kernel_product([j0_lowbias(t[i] / den[:split[i]])
+                         for t, den, split in near if split[i]], far[i])
+        for i in range(ws.size)])
 
 
-def _kernel_product(arrays) -> float:
-    if not arrays:
-        return 1.0
+def _kernel_product(arrays, far) -> float:
+    # the near factors in arrays times exp(far), far the far zone's log sum
     if any(np.any(f == 0.0) for f in arrays):
         return 0.0
-    if min(float(np.min(np.abs(f))) for f in arrays) < 1e-3:
+    if arrays and min(float(np.min(np.abs(f))) for f in arrays) < 1e-3:
         neg = sum(int(np.sum(f < 0.0)) for f in arrays)
-        total = np.longdouble(0.0)
+        total = far
         for f in arrays:
             total += np.sum(np.log(np.abs(f)))
         sign = -1.0 if neg % 2 else 1.0
         return float(sign * np.exp(total))
-    value = np.longdouble(1.0)
+    value = np.exp(far)
     for f in arrays:
         value *= np.prod(f)
     return float(value)
@@ -494,6 +536,7 @@ class ModelConstants:
     Y: float
     Z: float
     sum_alpha_delta: float
+    deltas: tuple[float, ...]   # each character's span constant, race order
 
 
 @dataclass(frozen=True)
@@ -527,21 +570,23 @@ def model_constants(race: RaceSpec) -> ModelConstants:
     parts_a = []
     parts_y = []
     parts_z = []
-    parts_d = []
+    deltas = tuple(resolve_table(entry).span_fit[0]
+                   for entry in race.characters)
     for entry in race.characters:
         w = float(entry.weight)
         la = math.log(entry.alpha)
         parts_a.append(w * entry.alpha)
         parts_y.append(w * entry.alpha * la)
         parts_z.append(w * entry.alpha * la * la)
-        parts_d.append(entry.alpha * resolve_table(entry).span_fit[0])
     alpha_sum = math.fsum(parts_a)
     return ModelConstants(
         q=race.q, qstar=qstar, A0=bc.A0, A=bc.A, X=bc.X,
         alpha_sum=alpha_sum,
         Y=math.fsum(parts_y) / alpha_sum,
         Z=math.fsum(parts_z) / alpha_sum,
-        sum_alpha_delta=math.fsum(parts_d),
+        sum_alpha_delta=math.fsum(
+            e.alpha * d for e, d in zip(race.characters, deltas)),
+        deltas=deltas,
     )
 
 
@@ -559,12 +604,11 @@ def l0_asymptotic(s: float, race: RaceSpec) -> AsymptoticL:
     mc = model_constants(race)
     A, X = mc.A, mc.X
     v0, v1, v2, v3 = [], [], [], []
-    for entry in race.characters:
+    for entry, delta in zip(race.characters, mc.deltas):
         w = float(entry.weight)
         al = entry.alpha
         sig = al * s
         ls = math.log(sig)
-        delta = resolve_table(entry).span_fit[0]
         smooth = ls * ls / (2.0 * math.pi) + A * ls / math.pi + X
         v1.append(w * al * smooth + al * delta)
         v0.append(sig * (w * al * smooth + al * delta)

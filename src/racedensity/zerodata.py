@@ -392,17 +392,32 @@ class TailStats:
         return self.B[0]
 
 
+# (resolved path, qstar, label) -> (st_mtime_ns, st_size, table)
+_file_cache: dict[tuple[str, int, str], tuple[int, int, ZeroTable]] = {}
+
+
 def resolve_table(entry: RaceEntry,
                   tables: dict[str, ZeroTable] | None = None) -> ZeroTable:
     """The zero table an entry draws from: a file when entry.table holds
-    a path separator or ends in .txt (read afresh on every call, so
-    resolve once per computation), else the bundled table of that key.
+    a path separator or ends in .txt, else the bundled table of that key.
+    A file is read again only once its modification time or size has
+    changed, so its cached full_sums and span_fit survive between calls.
     tables, when given, maps entry labels to tables that win over both."""
     if tables and entry.label in tables:
         return tables[entry.label]
-    if os.sep in entry.table or entry.table.endswith(".txt"):
-        return load_zeros(entry.table, qstar=entry.qstar, label=entry.label)
-    return bundled_table(entry.table)
+    if not (os.sep in entry.table or entry.table.endswith(".txt")):
+        return bundled_table(entry.table)
+    try:
+        st = os.stat(entry.table)
+    except OSError as e:
+        raise ZeroDataError(f"{entry.table}: {e.strerror or e}") from None
+    key = (os.path.realpath(entry.table), entry.qstar, entry.label)
+    hit = _file_cache.get(key)
+    if hit is None or hit[:2] != (st.st_mtime_ns, st.st_size):
+        hit = (st.st_mtime_ns, st.st_size,
+               load_zeros(entry.table, qstar=entry.qstar, label=entry.label))
+        _file_cache[key] = hit
+    return hit[2]
 
 
 def _t_single(y: float, r2: float) -> float:

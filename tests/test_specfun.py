@@ -9,6 +9,7 @@ digits as it runs.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.special import j0 as scipy_j0
 
 from racedensity import specfun as sf
+from racedensity import transforms as tr
 
 
 def log_i0(w):
@@ -369,6 +371,46 @@ def test_log_j0_series_identity():
         series = -sum(ct.c[k - 1] * w ** (2 * k) / 2 ** k
                       for k in range(1, 26))
         assert direct == pytest.approx(series, abs=1e-10)
+
+
+def test_log_j0_exact_coefficients_match_c_family():
+    # a_k of log J0(z) = sum a_k (z^2/4)^k are -2^k c_k: exactly against
+    # the closed forms for k <= 5, and against the zero-sum values of
+    # c_coeffs beyond (measured: 2.4e-15 relative at worst)
+    a = sf._log_j0_fracs(tr._FAR_TERMS)
+    assert all(x < 0 for x in a)
+    for k, c in enumerate(sf._C_EXACT, start=1):
+        assert a[k - 1] == -(2 ** k) * c
+    c = sf.c_coeffs(tr._FAR_TERMS).c
+    for k in range(6, tr._FAR_TERMS + 1):
+        assert float(a[k - 1]) == pytest.approx(-(2.0 ** k) * c[k - 1],
+                                                rel=1e-14)
+
+
+def test_log_j0_coefficients_rounded_once():
+    # each extended-precision coefficient sits within half an ulp of its
+    # exact rational
+    half_ulp = Fraction(1, 2 ** 64)
+    for exact, ld in zip(sf._log_j0_fracs(tr._FAR_TERMS),
+                         sf._log_j0_coeffs(tr._FAR_TERMS)):
+        assert abs(Fraction(*ld.as_integer_ratio()) - exact) \
+            <= half_ulp * abs(exact)
+
+
+def test_log_j0_truncation_bound():
+    # the terms phat_prefix drops past _FAR_TERMS, at the far zone's edge
+    # z = _FAR_Z, add up to less than the 7e-29 per factor its comment
+    # states; past k = K + 40 the terms shrink by more than 10x a step
+    # from below 1e-40 of that, so they cannot change it
+    K = tr._FAR_TERMS
+    q = Fraction(tr._FAR_Z) ** 2 / 4
+    a = sf._log_j0_fracs(K + 40)
+    dropped = sum(-a[k - 1] * q ** k for k in range(K + 1, K + 41))
+    assert dropped < Fraction(7, 10 ** 29)
+    assert -a[-1] * q ** (K + 40) < dropped * Fraction(1, 10 ** 40)
+    assert a[-1] / a[-2] * q < Fraction(1, 10)
+    # ten million far factors stay below 1e-21
+    assert dropped * 10 ** 7 < Fraction(1, 10 ** 21)
 
 
 def test_log_i0_series_identity():

@@ -21,7 +21,8 @@ from scipy.special import j0 as scipy_j0
 
 from racedensity import transforms as tr
 from racedensity.race import prime_count_race, square_race, two_way_race
-from racedensity.specfun import base_constants, c_coeffs
+from racedensity.rs_method import default_params, phat_samples
+from racedensity.specfun import base_constants, c_coeffs, j0_lowbias
 from racedensity.zerodata import (
     ZeroDataError, aggregate_stats, bundled_table, resolve_table,
 )
@@ -175,6 +176,88 @@ def test_explicit_product_frequencies_independent(race, u):
     together = tr.phat_prefix(ws, race, u).tolist()
     assert together == [tr.phat_prefix([w], race, u)[0] for w in ws]
     assert tr.phat_prefix([], race, u).size == 0
+
+
+# (frequency, relative tolerance) at u = 850, 530 zeros. The tolerances
+# are the errors measured against the 30-digit product, rounded up; the
+# explicit product over every zero lands on the same values. Rows with
+# no factor near a root of J0 and no factor past z = 6 are good to an
+# ulp; the others carry the conditioning of their near-root factors.
+_LONG_ROWS = [
+    (3.0, 2e-16),      # every zero far; measured 6.2e-17
+    (20.0, 2e-16),     # 12 near zeros; 6.2e-17
+    (None, 5e-15),     # 9 near, one factor 3e-4 past j1: the log-sum
+                       # route; 2.8e-15
+    (100.0, 5e-15),    # 129 near; 2.7e-15
+    (250.0, 5e-15),    # 426 near; 2.7e-15 (2.9e-15 explicit)
+    (400.0, 5e-13),    # all 530 near, 44 of them past z = 6; 1.8e-13
+]
+
+
+def test_long_product_matches_30_digit_oracle(zeta_race):
+    mpmath = pytest.importorskip("mpmath")
+    g = bundled_table("zeta").gammas
+    g = g[g <= 850.0]
+    assert g.size > 500
+    g1 = float(g[0])
+    log_route = J1 * math.sqrt(0.25 + g1 * g1) / 2.0 + 3e-4
+    ws = [log_route if w is None else w for w, _ in _LONG_ROWS]
+    got = tr.phat_prefix(ws, zeta_race, 850.0)
+    with mpmath.workdps(30):
+        for w, (_, tol), value in zip(ws, _LONG_ROWS, got):
+            want = mpmath.fprod(
+                mpmath.besselj(0, 2 * mpmath.mpf(w)
+                               / mpmath.sqrt(0.25 + mpmath.mpf(x) ** 2))
+                for x in g.tolist())
+            assert abs(value - want) <= tol * abs(want), w
+
+
+def _explicit_product(ws, race, u):
+    # the whole product of j0_lowbias factors over every zero, in
+    # extended precision, with the log-sum route below 1e-3: the prefix
+    # algorithm before the far zone went through the log-J0 series
+    dens = []
+    for entry in race.characters:
+        g = resolve_table(entry).gammas
+        gl = g[g <= u].astype(np.longdouble)
+        dens.append((entry.alpha, np.sqrt(0.25 + gl * gl)))
+    out = []
+    for w in ws:
+        fs = [j0_lowbias(2.0 * alpha * w / den) for alpha, den in dens]
+        fs = [f for f in fs if f.size]
+        if any(np.any(f == 0.0) for f in fs):
+            out.append(0.0)
+        elif fs and min(float(np.min(np.abs(f))) for f in fs) < 1e-3:
+            total = sum(np.sum(np.log(np.abs(f))) for f in fs)
+            neg = sum(int(np.sum(f < 0.0)) for f in fs)
+            out.append(float((-1.0) ** neg * np.exp(total)))
+        else:
+            value = np.longdouble(1.0)
+            for f in fs:
+                value *= np.prod(f)
+            out.append(float(value))
+    return np.array(out)
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.parametrize("race, u", [
+    (prime_count_race(), 2999.0),
+    (two_way_race(4, 1, 3), 2999.0),
+    (two_way_race(24, 1, 5), 140.0),
+])
+def test_prefix_matches_explicit_product(race, u):
+    # at every live frequency of a default solve, the split product
+    # agrees with the explicit one to 4e-16 relative, or 1e-18 absolute
+    # where it is below 1e-3 (measured over the six published races at
+    # u = 60 to 2999: 1.7e-16 and 1.4e-20 at worst)
+    stats = aggregate_stats(race, u)
+    params = default_params(race, stats, v_max=abs(race.offset))
+    ws = [s.omega for s in phat_samples(race, params, stats) if s.tail != 0.0]
+    got = tr.phat_prefix(ws, race, u)
+    want = _explicit_product(ws, race, u)
+    small = np.abs(want) < 1e-3
+    assert np.all(np.abs(got - want)[~small] <= 4e-16 * np.abs(want[~small]))
+    assert np.all(np.abs(got - want)[small] <= 1e-18)
 
 
 # ------------------------------------------------------------ raw tail series

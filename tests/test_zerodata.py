@@ -15,7 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from racedensity.race import prime_count_race, square_race, two_way_race
+from racedensity import transforms as tr
+from racedensity import zerodata as zd
+from racedensity.race import (
+    prime_count_race, race_from_config, square_race, two_way_race,
+)
 from racedensity.specfun import j0_zeros
 from racedensity.zerodata import (
     CountCheck, FrozenSpanWarning, ThinTailWarning, ZeroDataError, ZeroTable,
@@ -437,3 +441,35 @@ def test_data_dir_override(tmp_path, monkeypatch):
 def test_unknown_bundled_key():
     with pytest.raises(ZeroDataError, match="available:"):
         bundled_table("nonexistent_table")
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+def test_file_table_read_once_until_rewritten(tmp_path, monkeypatch):
+    # a config race's file-path table is read once; later calls, and
+    # l0_asymptotic's two lookups, reuse it until the file changes
+    table = tmp_path / "mod4.txt"
+    table.write_text(open(bundled_table("mod4").source).read())
+    cfg = tmp_path / "race.cfg"
+    cfg.write_text(f"q = 9\nkind = custom\noffset = 1\n"
+                   f"table.main = {table}\nqstar.main = 4\nalpha.main = 1\n")
+    race = race_from_config(str(cfg))
+    loads = []
+    load = zd.load_zeros
+    monkeypatch.setattr(zd, "load_zeros",
+                        lambda *a, **k: loads.append(a) or load(*a, **k))
+    resolves = []
+    resolve = tr.resolve_table
+    monkeypatch.setattr(tr, "resolve_table",
+                        lambda *a, **k: resolves.append(a) or resolve(*a, **k))
+    first = aggregate_stats(race, 1000.0)
+    assert len(loads) == 1
+    assert aggregate_stats(race, 1000.0) == first
+    model = tr.l0_asymptotic(50.0, race)
+    assert len(loads) == 1
+    assert len(resolves) == 1
+    # the same bytes under a new modification time: read once more
+    stat = os.stat(table)
+    os.utime(table, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10 ** 9))
+    assert aggregate_stats(race, 1000.0) == first
+    assert tr.l0_asymptotic(50.0, race) == model
+    assert len(loads) == 2
