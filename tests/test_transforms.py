@@ -163,19 +163,56 @@ def test_split_point_independence(zeta_race, stats35):
     (prime_count_race(), 1000.0),
     (two_way_race(5, 1, 2), 7.0),
     (two_way_race(24, 1, 5), 100.0),
+    (prime_count_race(), 2999.0),
 ])
-def test_explicit_product_frequencies_independent(race, u):
+def test_explicit_product_frequencies_independent(race, u, monkeypatch):
     # one call over many frequencies gives, bit for bit, what one call
     # per frequency gives; the last frequency puts the first kernel
     # factor within 1e-3 of a zero of J0, so its product takes the
-    # log-sum route and the others the direct one
+    # log-sum route and the others the direct one. At u = 2999 the
+    # leading spread of frequencies fills several blocks of near
+    # factors, so the log-sum row lands in a later block
     entry = race.characters[0]
     g1 = float(resolve_table(entry).gammas[0])
-    ws = [0.0, 0.1, 0.7, 1.9, 2.5, 4.0,
-          J1 * math.sqrt(0.25 + g1 * g1) / (2.0 * entry.alpha) + 3e-4]
+    ws = np.linspace(20.0, 1000.0, 40).tolist() + [
+        0.0, 0.1, 0.7, 1.9, 2.5, 4.0,
+        J1 * math.sqrt(0.25 + g1 * g1) / (2.0 * entry.alpha) + 3e-4]
+    calls = []
+
+    def counted(z):
+        calls.append(z.size)
+        return j0_lowbias(z)
+
+    monkeypatch.setattr(tr, "j0_lowbias", counted)
     together = tr.phat_prefix(ws, race, u).tolist()
+    if u > 2000.0:
+        assert len(calls) >= 3
     assert together == [tr.phat_prefix([w], race, u)[0] for w in ws]
     assert tr.phat_prefix([], race, u).size == 0
+
+
+def test_log_route_spans_characters():
+    # q8 1v3 at u = 140: the frequency puts the first mod 4 factor 3e-4
+    # below a zero of J0, while every mod8_even factor stays above 0.24
+    # in magnitude. The whole row, both characters, must take the
+    # log-sum route: an odd number of negative factors over the two,
+    # and the explicit product's value (measured equal bit for bit;
+    # the bound is test_prefix_matches_explicit_product's)
+    race = two_way_race(8, 1, 3)
+    u = 140.0
+    g1 = float(resolve_table(race.characters[0]).gammas[0])
+    w = J1 * math.sqrt(0.25 + g1 * g1) / 2.0 - 3e-4
+    least = []
+    for entry in race.characters:
+        g = resolve_table(entry).gammas
+        g = g[g <= u].astype(np.longdouble)
+        f = j0_lowbias(2.0 * entry.alpha * w / np.sqrt(0.25 + g * g))
+        least.append(float(np.min(np.abs(f))))
+    assert least[0] < 1e-3 < least[1]
+    (got,) = tr.phat_prefix([w], race, u)
+    (want,) = _explicit_product([w], race, u)
+    assert got < 0.0
+    assert abs(got - want) <= 4e-16 * abs(want)
 
 
 # (frequency, relative tolerance) at u = 850, 530 zeros. The tolerances
