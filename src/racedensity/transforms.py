@@ -216,10 +216,12 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
         gl = g.astype(np.longdouble)
         den2 = 0.25 + gl * gl
         den = np.sqrt(den2)
-        # every factor of row i is J0(t[i] / den), in both zones
-        t = 2.0 * entry.alpha * ws
+        # every factor of row i is J0(t[i] / den), in both zones, with
+        # t = 2*alpha*w formed in extended precision: rounded to double,
+        # one argument error would be shared by every factor of a row
+        t = np.longdouble(2.0 * entry.alpha) * ws
         # zeros before split[i] have z above _FAR_Z in row i
-        split = np.searchsorted(den, np.abs(t) / _FAR_Z)
+        split = np.searchsorted(den, np.abs(t).astype(float) / _FAR_Z)
         near.append((t, den, split))
         # S[k-1, j - lo] = sum over zeros from j on of den2^(-k), filled
         # in place; column g.size - lo is the empty sum, 0
@@ -232,7 +234,7 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
         np.cumsum(suffix, axis=1, out=suffix)
         # row i: sum_k a_k q_i^k S_k[split_i], by Horner in q
         terms = a[:, None] * S[:, split - lo]
-        q = 0.25 * np.square(t.astype(np.longdouble))
+        q = 0.25 * np.square(t)
         acc = terms[-1]
         for row in terms[-2::-1]:
             acc = acc * q + row

@@ -249,6 +249,36 @@ def test_long_product_matches_30_digit_oracle(zeta_race):
             assert abs(value - want) <= tol * abs(want), w
 
 
+def test_prefix_with_irrational_alpha_rounds_correctly():
+    # q5 1v2 weights its conjugate pair by alpha = 1/sqrt(2), so t =
+    # 2*alpha*w is not a double. At every live frequency of a default
+    # solve at u = 106.873 with |prefix| >= 1e-3 (7 rows), the result
+    # lies within half an ulp of a 40-digit product, plus 1e-18 relative
+    # for the extended-precision product's own error. Measured: every
+    # row within half an ulp. With t rounded to double first, 4 of the
+    # 7 rows lay up to 3.3e-16 relative beyond it (4.0e-16 in all)
+    mpmath = pytest.importorskip("mpmath")
+    race = two_way_race(5, 1, 2)
+    u = 106.873
+    stats = aggregate_stats(race, u)
+    params = default_params(race, stats, v_max=abs(race.offset))
+    ws = [s.omega for s in phat_samples(race, params, stats) if s.tail != 0.0]
+    got = tr.phat_prefix(ws, race, u)
+    rows = [(w, v) for w, v in zip(ws, got) if abs(v) >= 1e-3]
+    assert len(rows) == 7
+    with mpmath.workdps(40):
+        chars = [(mpmath.mpf(e.alpha),
+                  [mpmath.mpf(x) for x in resolve_table(e).gammas if x <= u])
+                 for e in race.characters]
+        for w, value in rows:
+            want = mpmath.fprod(
+                mpmath.besselj(0, 2 * alpha * mpmath.mpf(w)
+                               / mpmath.sqrt(0.25 + x * x))
+                for alpha, g in chars for x in g)
+            err = float(abs(value - want))
+            assert err <= 0.5 * np.spacing(abs(value)) + 1e-18 * abs(value), w
+
+
 def _explicit_product(ws, race, u):
     # the whole product of j0_lowbias factors over every zero, in
     # extended precision, with the log-sum route below 1e-3: the prefix
