@@ -119,6 +119,12 @@ class ZeroTable:
         return _tail_bk(self, 0.0, 1), _tail_bk(self, 0.0, 2)
 
     @cached_property
+    def _power_sums(self) -> dict[int, list[float]]:
+        # k -> doubles whose exact sum is that of (1/4 + gamma^2)^(-k)
+        # over every ordinate, filled in by _full_power_sum on first use
+        return {}
+
+    @cached_property
     def span_fit(self) -> tuple[float, int]:
         """delta and n_used of span_and_delta, fixed by the table alone."""
         g = self.gammas
@@ -302,23 +308,47 @@ def _tail_bk(table: ZeroTable, u: float, k: int, method: str = "auto") -> float:
         raise ValueError(f"u must be finite and >= 0, got {u!r}")
     g = table.gammas
     U = float(g[-1])
-    tail_g = g[g > u]
     if method == "closed":
         if k != 1:
             raise ValueError("closed form only available for k = 1")
         if table.b1_total is None:
             raise ZeroDataError(
                 f"{table.label}: no full-spectrum b_1 recorded")
+    n_head = table.count(u)
     if k == 1 and method in ("auto", "closed") and table.b1_total is not None \
             and u < U:
-        head_g = g[g <= u]
+        head_g = g[:n_head]
         return table.b1_total - math.fsum(1.0 / (0.25 + head_g * head_g))
-    head = math.fsum((0.25 + tail_g * tail_g) ** (-k))
+    # fsum rounds the exact sum once, so the full sum less the head terms
+    # gives the same bits as the tail terms; sum whichever side is shorter
+    if 2 * n_head < len(g):
+        head_g = g[:n_head]
+        tabulated = math.fsum(_full_power_sum(table, k)
+                              + (-(0.25 + head_g * head_g) ** (-k)).tolist())
+    else:
+        tail_g = g[n_head:]
+        tabulated = math.fsum(((0.25 + tail_g * tail_g) ** (-k)).tolist())
     ueff = max(u, U)
     y = math.log(table.qstar * ueff / _TWO_PI)
     m = 2 * k - 1
     tail = table.weight * (y + 1.0 / m) / (2.0 * m * math.pi * ueff ** m)
-    return head + tail
+    return tabulated + tail
+
+
+def _full_power_sum(table: ZeroTable, k: int) -> list[float]:
+    # the table's sum of (1/4 + gamma^2)^(-k), exact as an expansion: each
+    # part is the correctly rounded remainder the ones before it leave,
+    # down to a zero remainder (at most four for k <= 8 on the bundled
+    # tables, five for k <= 10)
+    parts = table._power_sums.get(k)
+    if parts is None:
+        g = table.gammas
+        terms = ((0.25 + g * g) ** (-k)).tolist()
+        parts = []
+        while (rest := math.fsum(terms + [-p for p in parts])) != 0.0:
+            parts.append(rest)
+        table._power_sums[k] = parts
+    return parts
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,91 @@ def test_tail_head_consistency():
         assert full - head == pytest.approx(at_u, rel=1e-12)
 
 
+def _plain_tail_bk(table, u, k, method):
+    # b_k(u) as one fsum over the tabulated ordinates above u (or, for
+    # k = 1 under "auto", the recorded total less the head), plus the
+    # analytic continuation past the table end
+    g = table.gammas
+    U = float(g[-1])
+    if k == 1 and method == "auto" and table.b1_total is not None and u < U:
+        head_g = g[g <= u]
+        return table.b1_total - math.fsum(1.0 / (0.25 + head_g * head_g))
+    tail_g = g[g > u]
+    explicit = math.fsum((0.25 + tail_g * tail_g) ** (-k))
+    ueff = max(u, U)
+    y = math.log(table.qstar * ueff / (2.0 * math.pi))
+    m = 2 * k - 1
+    return explicit + table.weight * (y + 1.0 / m) \
+        / (2.0 * m * math.pi * ueff ** m)
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.parametrize("key", available_tables())
+def test_tail_bk_bit_exact_against_plain_sum(key):
+    # whichever side of u tail_bk sums, fsum's single rounding of the
+    # exact sum must give the very bits of the plain tail sum
+    t = bundled_table(key)
+    g = t.gammas
+    rng = np.random.default_rng(sum(map(ord, key)))
+    n = len(g)
+    us = ([0.0] + g[::max(1, n // 12)].tolist()
+          + rng.uniform(0.0, 1.05 * t.last_zero, 8).tolist()
+          + [float(g[n // 2 - 1]), float(g[n // 2]),
+             float(0.5 * (g[n // 2 - 1] + g[n // 2])),
+             t.last_zero, t.last_zero + 1.0])
+    # the head {gamma <= u} is the shorter side for some u, not for others
+    assert {2 * t.count(u) < n for u in us} == {True, False}
+    for k in range(1, 11):
+        for method in ("auto", "tail"):
+            for u in us:
+                assert tail_bk(t, u, k, method) \
+                    == _plain_tail_bk(t, u, k, method), (u, k, method)
+
+
+def _file_race(path, gammas, b1_total):
+    path.write_text(f"# qstar: 1\n# b1_total: {b1_total!r}\n"
+                    + "".join(f"{g!r}\n" for g in gammas.tolist()))
+    race = prime_count_race()
+    return replace(race, characters=(
+        replace(race.characters[0], table=str(path)),))
+
+
+def test_power_sums_built_once_per_table(tmp_path):
+    # the full-table sums behind b_k are built on a table's first use and
+    # kept on it: a second aggregate_stats builds none
+    z = bundled_table("zeta")
+    race = _file_race(tmp_path / "zeta.txt", z.gammas, z.b1_total)
+    t = zd.resolve_table(race.characters[0])
+    assert t._power_sums == {}
+    first = aggregate_stats(race, 100.0)
+    built = dict(t._power_sums)
+    # b_1 comes from the recorded total
+    assert sorted(built) == list(range(2, 9))
+    second = aggregate_stats(race, 200.0)
+    assert zd.resolve_table(race.characters[0]) is t
+    assert t._power_sums.keys() == built.keys()
+    assert all(t._power_sums[k] is parts for k, parts in built.items())
+    for st_, u in ((first, 100.0), (second, 200.0)):
+        assert st_.per_char[0].b == tuple(
+            _plain_tail_bk(t, u, k, "auto") for k in range(1, 9))
+
+
+def test_rewritten_table_gets_fresh_power_sums(tmp_path):
+    # a file rewritten with fewer zeros is a new table: its b_k must come
+    # from its own ordinates, not from sums cached for the old ones
+    z = bundled_table("zeta")
+    path = tmp_path / "zeta.txt"
+    race = _file_race(path, z.gammas[:2000], z.b1_total)
+    before = aggregate_stats(race, 100.0)
+    _file_race(path, z.gammas[:1000], z.b1_total)
+    after = aggregate_stats(race, 100.0)
+    t = load_zeros(str(path))
+    assert len(t) == 1000
+    want = tuple(_plain_tail_bk(t, 100.0, k, "auto") for k in range(1, 9))
+    assert after.per_char[0].b == want
+    assert before.per_char[0].b[1:] != want[1:]
+
+
 def test_tail_warns_when_thin():
     t = bundled_table("mod5_quad")
     with pytest.warns(ThinTailWarning):
