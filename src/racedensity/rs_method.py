@@ -28,6 +28,7 @@ import numpy as np
 
 from .race import RaceSpec
 from .results import DensityResult
+from .specfun import c_coeffs
 from .transforms import _tail_exponent, phat_prefix, phat_remainder
 from .zerodata import TailStats, aggregate_stats, montgomery_bound
 
@@ -77,10 +78,18 @@ class RSParams:
             raise ParameterError("K must be at least 1")
         if not (self.C > 0.0):
             raise ParameterError("frequency ceiling C must be positive")
+        _check_v_max(self.v_max)
         if 2.0 * math.pi / self.domega <= self.v_max:
             raise ParameterError(
                 f"2 pi / domega = {2.0 * math.pi / self.domega:.6g} must exceed "
                 f"v_max = {self.v_max:.6g}; shrink domega")
+
+
+def _check_v_max(v_max: float) -> None:
+    # a NaN v_max would disarm every later comparison against it
+    if not (math.isfinite(v_max) and v_max >= 0.0):
+        raise ParameterError(
+            f"v_max must be finite and non-negative, got {v_max!r}")
 
 
 @dataclass(frozen=True)
@@ -281,6 +290,7 @@ def choose_params(v_max: float, stats: TailStats, target: float,
     retained order whose summed per-term error estimates stay under a
     third of the target.
     """
+    _check_v_max(v_max)
     if not 1e-16 < target < 1e-2:
         raise ParameterError(
             f"target {target:.3g} outside the feasible window (1e-16, 1e-2): "
@@ -295,28 +305,38 @@ def choose_params(v_max: float, stats: TailStats, target: float,
         raise ParameterError(
             f"domega = {domega:g} leaves the aliasing bound above "
             f"{slack:.3g}; at most {domega_max:.6g} is admissible")
-    for K in range(2, len(stats.R) + 1):
-        params = RSParams(u=stats.u, K=K, domega=domega,
-                          C=_ceiling_for(stats, K), v_max=v_max,
-                          target=target)
-        if _series_error_budget(params, stats) < slack:
-            return params
-    raise ParameterError(
-        f"per-term error stays above {slack:.3g} even at K = "
-        f"{len(stats.R)}; raise the zero cutoff u or the moment depth")
+    budgets = _series_error_budgets(stats, domega)
+    under = np.flatnonzero(budgets[1:] < slack)
+    if under.size == 0:
+        raise ParameterError(
+            f"per-term error stays above {slack:.3g} even at K = "
+            f"{len(stats.R)}; raise the zero cutoff u or the moment depth")
+    K = int(under[0]) + 2
+    return RSParams(u=stats.u, K=K, domega=domega, C=_ceiling_for(stats, K),
+                    v_max=v_max, target=target)
 
 
-def _series_error_budget(params: RSParams, stats: TailStats) -> float:
-    # |kernel product| <= 1, so the per-term error is bounded by the
-    # tail factor's own estimate; 1/(pi m) weighting as in the sums
-    parts = []
-    m = 1
-    while m * params.domega < params.C:
-        tail = phat_remainder(m * params.domega, stats, params.K)
-        if tail.value != 0.0:
-            parts.append(tail.value * tail.error_estimate / m)
-        m += 1
-    return math.fsum(parts) / math.pi
+def _series_error_budgets(stats: TailStats, domega: float) -> np.ndarray:
+    # the summed per-term error estimate of every order K = 1..Kmax at
+    # once, as phat_remainder forms each term: |kernel product| <= 1, so
+    # a term's error is bounded by its tail factor's own estimate,
+    # weighted 1/(pi m) as in the sums. A frequency counts for K while
+    # its exponent stays under the cutoff, that is below K's ceiling.
+    T = stats.T
+    if not T > 0.0:
+        raise ParameterError("stats carry no usable convergence radius")
+    m = np.arange(1, int(math.ceil(T / stats.sigma_u / domega)) + 1)
+    tau = stats.sigma_u * (m * domega)
+    live = tau < T
+    m, tau = m[live], tau[live]
+    Kmax = len(stats.R)
+    cr = np.array(c_coeffs(Kmax).c) * np.array(stats.R)
+    powers = tau ** (2 * np.arange(1, Kmax + 2))[:, None]
+    exponents = np.cumsum(cr[:, None] * powers[:-1], axis=0)
+    errors = cr[:, None] * powers[1:] / (T * T - tau * tau)
+    parts = np.exp(-exponents) * errors / m
+    return np.where(exponents < _EXPONENT_CUTOFF, parts, 0.0).sum(axis=1) \
+        / math.pi
 
 
 def default_params(race: RaceSpec, stats: TailStats,

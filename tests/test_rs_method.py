@@ -278,6 +278,112 @@ def test_choose_params_automatic_step(run25):
         assert 2.0 * math.pi / params.domega > v_max
 
 
+PUBLISHED_RACES = {
+    "pi vs Li": prime_count_race, "mod 4": lambda: square_race(4),
+    "q5 1v2": lambda: two_way_race(5, 1, 2),
+    "q13 square": lambda: square_race(13),
+    "q8 1v3": lambda: two_way_race(8, 1, 3),
+    "q24 1v5": lambda: two_way_race(24, 1, 5),
+}
+
+
+def _search_order_by_order(v_max, stats, target, domega=None):
+    # the parameter search one order at a time: for each K, the ceiling
+    # by bisection and the error budget by one phat_remainder per
+    # lattice frequency below it
+    if not 1e-16 < target < 1e-2:
+        raise rs.ParameterError(f"target {target:.3g} outside the window")
+    slack = target / 3.0
+    need = v_max + stats.sigma0 * math.sqrt(2.0 * math.log(1.0 / slack))
+    domega_max = 2.0 * math.pi / need
+    if domega is None:
+        domega = domega_max
+    elif domega > domega_max:
+        raise rs.ParameterError(
+            f"domega = {domega:g} leaves the aliasing bound above "
+            f"{slack:.3g}; at most {domega_max:.6g} is admissible")
+    for K in range(2, len(stats.R) + 1):
+        params = rs.RSParams(u=stats.u, K=K, domega=domega,
+                             C=rs._ceiling_for(stats, K), v_max=v_max,
+                             target=target)
+        parts = []
+        m = 1
+        while m * params.domega < params.C:
+            tail = tr.phat_remainder(m * params.domega, stats, params.K)
+            if tail.value != 0.0:
+                parts.append(tail.value * tail.error_estimate / m)
+            m += 1
+        if math.fsum(parts) / math.pi < slack:
+            return params
+    raise rs.ParameterError(
+        f"per-term error stays above {slack:.3g} even at K = "
+        f"{len(stats.R)}; raise the zero cutoff u or the moment depth")
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except rs.ParameterError as e:
+        return str(e)
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.FrozenSpanWarning")
+@pytest.mark.parametrize("name", PUBLISHED_RACES)
+def test_choose_params_matches_order_by_order_search(name):
+    race = PUBLISHED_RACES[name]()
+    v_max = abs(race.offset)
+    outcomes = []
+    for u in (60.0, 100.0, 140.0, 1000.0):
+        stats = aggregate_stats(race, u)
+        for target in (1e-8, 1e-11, 1e-14):
+            for domega in (None, rs.default_domega(race, stats.sigma0)):
+                args = (v_max, stats, target, domega)
+                got = _outcome(rs.choose_params, *args)
+                assert got == _outcome(_search_order_by_order, *args), \
+                    (u, target, domega)
+                outcomes.append(isinstance(got, rs.RSParams))
+    # most of the grid yields parameters
+    assert sum(outcomes) > len(outcomes) // 2, outcomes
+
+
+def test_choose_params_refuses_when_orders_run_out(zeta_race, zeta_table):
+    # ten zeta zeros leave the per-term error above the slack at every
+    # order up to K = 8
+    g = zeta_table.gammas
+    stats = aggregate_stats(zeta_race, float(0.5 * (g[9] + g[10])))
+    domega = rs.default_domega(zeta_race, stats.sigma0)
+    message = ("per-term error stays above 3.33e-12 even at K = 8; "
+               "raise the zero cutoff u or the moment depth")
+    with pytest.raises(rs.ParameterError) as info:
+        rs.choose_params(1.0, stats, 1e-11, domega=domega)
+    assert str(info.value) == message
+    assert _outcome(_search_order_by_order, 1.0, stats, 1e-11, domega) \
+        == message
+
+
+@pytest.mark.parametrize("v_max", [float("nan"), float("inf"), -1.0])
+def test_v_max_validated(run25, v_max):
+    stats, params = run25
+    with pytest.raises(rs.ParameterError, match="v_max must be finite"):
+        rs.choose_params(v_max, stats, 1e-11)
+    with pytest.raises(rs.ParameterError, match="v_max must be finite"):
+        rs.choose_params(v_max, stats, 1e-11, domega=math.pi / 2)
+    with pytest.raises(rs.ParameterError, match="v_max must be finite"):
+        rs.RSParams(u=params.u, K=params.K, domega=params.domega,
+                    C=params.C, v_max=v_max)
+
+
+def test_threshold_past_wraparound_refused(zeta_race, run25):
+    # a NaN v_max once let v past 2 pi / domega reach montgomery_bound,
+    # which raised a bare ValueError; now the v_max guard refuses it
+    stats, _ = run25
+    params = rs.choose_params(1.0, stats, 1e-11)
+    v = 2.0 * math.pi / params.domega + 1.0
+    with pytest.raises(rs.ParameterError, match="exceeds the v_max"):
+        rs.compute_E(v, zeta_race, params, stats=stats)
+
+
 def test_choose_params_target_window(run25):
     stats, _ = run25
     with pytest.raises(rs.ParameterError):
