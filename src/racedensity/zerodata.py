@@ -343,12 +343,29 @@ def _full_power_sum(table: ZeroTable, k: int) -> list[float]:
     parts = table._power_sums.get(k)
     if parts is None:
         g = table.gammas
-        terms = ((0.25 + g * g) ** (-k)).tolist()
+        terms = _exact_bins((0.25 + g * g) ** (-k))
         parts = []
         while (rest := math.fsum(terms + [-p for p in parts])) != 0.0:
             parts.append(rest)
         table._power_sums[k] = parts
     return parts
+
+
+def _exact_bins(x: np.ndarray) -> list[float]:
+    # a few hundred doubles with the exact sum of x >= 0, so the
+    # expansion's fsum passes are short. Each x is q * 2**(e - 53) with an
+    # integer q < 2**53; the 26-bit halves of q, summed per exponent e,
+    # stay integers below 2**53 for fewer than 2**26 terms, and rescaled
+    # they keep every bit of x at or above 2**-1074, subnormals included
+    if x.size >= 2 ** 26:
+        return x.tolist()
+    m, e = np.frexp(x)
+    q = np.ldexp(m, 53).astype(np.int64)
+    e0 = int(e.min())
+    hi = np.bincount(e - e0, weights=q >> 26)
+    lo = np.bincount(e - e0, weights=q & (2 ** 26 - 1))
+    scale = np.arange(hi.size) + e0
+    return np.ldexp(hi, scale - 27).tolist() + np.ldexp(lo, scale - 53).tolist()
 
 
 @dataclass(frozen=True)

@@ -364,24 +364,11 @@ def test_choose_params_refuses_when_orders_run_out(zeta_race, zeta_table):
 
 @pytest.mark.parametrize("v_max", [float("nan"), float("inf"), -1.0])
 def test_v_max_validated(run25, v_max):
-    stats, params = run25
+    stats, _ = run25
     with pytest.raises(rs.ParameterError, match="v_max must be finite"):
         rs.choose_params(v_max, stats, 1e-11)
     with pytest.raises(rs.ParameterError, match="v_max must be finite"):
         rs.choose_params(v_max, stats, 1e-11, domega=math.pi / 2)
-    with pytest.raises(rs.ParameterError, match="v_max must be finite"):
-        rs.RSParams(u=params.u, K=params.K, domega=params.domega,
-                    C=params.C, v_max=v_max)
-
-
-def test_threshold_past_wraparound_refused(zeta_race, run25):
-    # a NaN v_max once let v past 2 pi / domega reach montgomery_bound,
-    # which raised a bare ValueError; now the v_max guard refuses it
-    stats, _ = run25
-    params = rs.choose_params(1.0, stats, 1e-11)
-    v = 2.0 * math.pi / params.domega + 1.0
-    with pytest.raises(rs.ParameterError, match="exceeds the v_max"):
-        rs.compute_E(v, zeta_race, params, stats=stats)
 
 
 def test_choose_params_target_window(run25):
@@ -408,6 +395,9 @@ def test_threshold_beyond_validated_range(zeta_race, run25):
         rs.compute_E(3.5, zeta_race, params, stats=stats)
     with pytest.raises(rs.ParameterError):
         rs.density_grid([0.0, 3.5], zeta_race, params, stats=stats)
+    with pytest.raises(rs.ParameterError, match="exceeds the v_max"):
+        rs.compute_E(2.0 * math.pi / params.domega + 1.0, zeta_race, params,
+                     stats=stats)
 
 
 def test_invalid_params_rejected():
@@ -417,6 +407,9 @@ def test_invalid_params_rejected():
         rs.RSParams(u=35.0, K=0, domega=1.0, C=40.0, v_max=2.0)
     with pytest.raises(rs.ParameterError):
         rs.RSParams(u=35.0, K=7, domega=1.0, C=-1.0, v_max=2.0)
+    for v_max in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(rs.ParameterError, match="v_max must be finite"):
+            rs.RSParams(u=35.0, K=7, domega=1.0, C=40.0, v_max=v_max)
 
 
 def test_stats_params_mismatch_refused(zeta_race, run25):

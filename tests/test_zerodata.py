@@ -9,6 +9,7 @@ and frozen before the module was written.
 import math
 import os
 import warnings
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -267,6 +268,21 @@ def test_tail_bk_bit_exact_against_plain_sum(key):
             for u in us:
                 assert tail_bk(t, u, k, method) \
                     == _plain_tail_bk(t, u, k, method), (u, k, method)
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+def test_tail_bk_bit_exact_with_subnormal_terms():
+    # at k = 37 the top zeta terms fall below the smallest normal double;
+    # the exponent bins behind the full sum must still keep every bit,
+    # and zero terms must add nothing
+    t = bundled_table("zeta")
+    g = t.gammas
+    x = (0.25 + g * g) ** (-37)
+    assert x.min() < sys.float_info.min
+    for u in (0.0, 30.0, 1000.0, t.last_zero):
+        assert tail_bk(t, u, 37) == _plain_tail_bk(t, u, 37, "auto"), u
+    x = np.concatenate([x, [0.0, 5e-324]])
+    assert math.fsum(zd._exact_bins(x) + (-x).tolist()) == 0.0
 
 
 def _file_race(path, gammas, b1_total):
