@@ -8,8 +8,8 @@ and frozen before the module was written.
 
 import math
 import os
-import warnings
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
