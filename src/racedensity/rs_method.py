@@ -14,9 +14,14 @@ The exceedance sum reads
     E(v) = 1/2 - v*domega/(2 pi) - (1/pi) sum_m phat(m*domega) sin(m v domega)/m
 and the density sum
     P0(v) = (domega/pi) (1/2 + sum_m phat(m*domega) cos(m v domega)),
-both truncated at the frequency ceiling C where the tail factor's
-exponent passes 46 (value below 1e-20) or the remainder's convergence
-radius ends, whichever comes first.
+both truncated at the frequency ceiling C. It sits half a step below
+the first lattice point whose tail-factor exponent reaches 46 (value
+below 1e-20), or at the end of the remainder's convergence radius when
+no lattice point inside it gets that far. The tail factor
+exp(-sum_{k<=K} c_k R_k tau^(2k)), tau = sigma_u*omega, and its
+per-term error are formed for all lattice points and all orders K at
+once, by one array expression that serves both the samples and the
+parameter choice.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from .race import RaceSpec
 from .results import DensityResult
 from .specfun import c_coeffs
-from .transforms import _tail_exponent, phat_prefix, phat_remainder
+from .transforms import ConvergenceError, phat_prefix
 from .zerodata import TailStats, aggregate_stats, montgomery_bound
 
 __all__ = [
@@ -76,8 +81,9 @@ class RSParams:
             raise ParameterError("domega must be positive and finite")
         if self.K < 1:
             raise ParameterError("K must be at least 1")
-        if not (self.C > 0.0):
-            raise ParameterError("frequency ceiling C must be positive")
+        if not (self.C > 0.0 and math.isfinite(self.C)):
+            raise ParameterError(
+                "frequency ceiling C must be positive and finite")
         _check_v_max(self.v_max)
         if 2.0 * math.pi / self.domega <= self.v_max:
             raise ParameterError(
@@ -132,19 +138,29 @@ def phat_samples(race: RaceSpec, params: RSParams,
     phat_prefix call.
     """
     stats = _stats_for(race, params, stats)
-    m_max = int(math.ceil(params.C / params.domega))
-    omegas = [w for w in (m * params.domega for m in range(1, m_max + 1))
-              if w < params.C]
-    tails = [phat_remainder(w, stats, params.K) for w in omegas]
-    live = [i for i, tail in enumerate(tails) if tail.value != 0.0]
-    prefixes = np.zeros(len(omegas))
-    prefixes[live] = phat_prefix([omegas[i] for i in live], race, params.u)
+    if not stats.T > 0.0:
+        raise ConvergenceError(
+            "tail statistics carry no usable convergence radius; "
+            "raise the cutoff u")
+    m = np.arange(1, int(math.ceil(params.C / params.domega)) + 1)
+    m = m[m * params.domega < params.C]
+    omegas = m * params.domega
+    tau = stats.sigma_u * omegas
+    inside = tau < stats.T
+    exponents, errors = _tail_series(stats, tau[inside])
+    tails, tail_errors = np.zeros(len(m)), np.zeros(len(m))
+    tails[inside] = np.exp(-exponents[params.K - 1])
+    tail_errors[inside] = errors[params.K - 1]
+    live = tails != 0.0
+    prefixes = np.zeros(len(m))
+    prefixes[live] = phat_prefix(omegas[live], race, params.u)
     # d(exp(-x)) = -exp(-x) dx: the tail's exponent error transfers
     # multiplicatively
     return tuple(
-        PhatSample(m, w, p, t.value, abs(p) * t.value * t.error_estimate)
-        for m, (w, p, t) in enumerate(
-            zip(omegas, prefixes.tolist(), tails), start=1))
+        PhatSample(i, w, p, t, abs(p) * t * e)
+        for i, w, p, t, e in zip(m.tolist(), omegas.tolist(),
+                                 prefixes.tolist(), tails.tolist(),
+                                 tail_errors.tolist()))
 
 
 def _check_aliasing(v: float, params: RSParams, stats: TailStats,
@@ -190,6 +206,9 @@ def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
     # checks run once, the aliasing bound at the largest |v|, where it is
     # worst, so every v shares one error estimate.
     stats = _stats_for(race, params, stats)
+    bad = [v for v in vs if not math.isfinite(v)]
+    if bad:
+        raise ParameterError(f"thresholds must be finite, got {bad[0]!r}")
     reach = max(map(abs, vs), default=0.0)
     if reach > params.v_max:
         raise ParameterError(
@@ -262,33 +281,16 @@ def default_domega(race: RaceSpec, sigma0: float) -> float:
     return 1.0 / (2.0 * sigma0)
 
 
-def _ceiling_for(stats: TailStats, K: int) -> float:
-    # smallest omega whose tail-factor exponent reaches the cutoff,
-    # capped at the convergence radius where samples vanish anyway
-    T = stats.T
-    if not T > 0.0:
-        raise ParameterError("stats carry no usable convergence radius")
-    if _tail_exponent(T * (1.0 - 1e-12), stats, K) < _EXPONENT_CUTOFF:
-        return T / stats.sigma_u
-    # the midpoint rounds onto lo or hi once they are adjacent floats
-    lo, hi = 0.0, T
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if _tail_exponent(mid, stats, K) < _EXPONENT_CUTOFF:
-            lo = mid
-        else:
-            hi = mid
-    return hi / stats.sigma_u
-
-
 def choose_params(v_max: float, stats: TailStats, target: float,
                   domega: float = None) -> RSParams:
     """Smallest-cost parameters meeting the accuracy target.
 
     The step is the largest one whose wrap-around bound stays under a
-    third of the target (or the caller's explicit step, validated); the
-    ceiling is where tail factors drop below 1e-20; K is the smallest
-    retained order whose summed per-term error estimates stay under a
-    third of the target.
+    third of the target (or the caller's explicit step, validated); K
+    is the smallest retained order whose summed per-term error
+    estimates stay under a third of the target; the ceiling falls half
+    a step before the first lattice point whose order-K tail factor is
+    below 1e-20.
     """
     _check_v_max(v_max)
     if not 1e-16 < target < 1e-2:
@@ -305,38 +307,48 @@ def choose_params(v_max: float, stats: TailStats, target: float,
         raise ParameterError(
             f"domega = {domega:g} leaves the aliasing bound above "
             f"{slack:.3g}; at most {domega_max:.6g} is admissible")
-    budgets = _series_error_budgets(stats, domega)
+    # the summed per-term error estimate of every order K = 1..Kmax at
+    # once: |kernel product| <= 1, so a term's error is bounded by its
+    # tail factor's own estimate, weighted 1/(pi m) as in the sums. A
+    # lattice point counts for K while its exponent stays under the
+    # cutoff, that is below K's ceiling.
+    T = stats.T
+    if not T > 0.0:
+        raise ParameterError("stats carry no usable convergence radius")
+    m = np.arange(1, int(math.ceil(T / stats.sigma_u / domega)) + 1)
+    tau = stats.sigma_u * (m * domega)
+    m, tau = m[tau < T], tau[tau < T]
+    exponents, errors = _tail_series(stats, tau)
+    kept = exponents < _EXPONENT_CUTOFF
+    budgets = np.where(kept, np.exp(-exponents) * errors / m, 0.0) \
+        .sum(axis=1) / math.pi
     under = np.flatnonzero(budgets[1:] < slack)
     if under.size == 0:
         raise ParameterError(
             f"per-term error stays above {slack:.3g} even at K = "
             f"{len(stats.R)}; raise the zero cutoff u or the moment depth")
     K = int(under[0]) + 2
-    return RSParams(u=stats.u, K=K, domega=domega, C=_ceiling_for(stats, K),
-                    v_max=v_max, target=target)
+    # the ceiling sits half a step below the first lattice point whose
+    # exponent reaches the cutoff, so the sums keep exactly the points
+    # before it; with no such point it is the radius end
+    past = np.flatnonzero(~kept[K - 1])
+    C = (past[0] + 0.5) * domega if past.size else T / stats.sigma_u
+    return RSParams(u=stats.u, K=K, domega=domega, C=float(C), v_max=v_max,
+                    target=target)
 
 
-def _series_error_budgets(stats: TailStats, domega: float) -> np.ndarray:
-    # the summed per-term error estimate of every order K = 1..Kmax at
-    # once, as phat_remainder forms each term: |kernel product| <= 1, so
-    # a term's error is bounded by its tail factor's own estimate,
-    # weighted 1/(pi m) as in the sums. A frequency counts for K while
-    # its exponent stays under the cutoff, that is below K's ceiling.
-    T = stats.T
-    if not T > 0.0:
-        raise ParameterError("stats carry no usable convergence radius")
-    m = np.arange(1, int(math.ceil(T / stats.sigma_u / domega)) + 1)
-    tau = stats.sigma_u * (m * domega)
-    live = tau < T
-    m, tau = m[live], tau[live]
+def _tail_series(stats: TailStats, tau: np.ndarray):
+    # for every order K = 1..Kmax (rows) at each tau = sigma_u*omega
+    # inside the radius T (columns): the tail factor's exponent
+    # sum_{k<=K} c_k R_k tau^(2k), and its per-term error estimate
+    # c_K R_K tau^(2K+2) / (T^2 - tau^2), the omitted terms taken as a
+    # geometric series in (tau/T)^2 from the last retained one
     Kmax = len(stats.R)
     cr = np.array(c_coeffs(Kmax).c) * np.array(stats.R)
     powers = tau ** (2 * np.arange(1, Kmax + 2))[:, None]
     exponents = np.cumsum(cr[:, None] * powers[:-1], axis=0)
-    errors = cr[:, None] * powers[1:] / (T * T - tau * tau)
-    parts = np.exp(-exponents) * errors / m
-    return np.where(exponents < _EXPONENT_CUTOFF, parts, 0.0).sum(axis=1) \
-        / math.pi
+    errors = cr[:, None] * powers[1:] / (stats.T * stats.T - tau * tau)
+    return exponents, errors
 
 
 def default_params(race: RaceSpec, stats: TailStats,

@@ -5,10 +5,12 @@ cutoff u. Below the cutoff every zero is treated explicitly: on the
 Fourier side as a product of J0 kernel factors, on the Laplace side as
 a sum of log I0 terms. Above the cutoff only aggregate tail moments
 survive, and the two remainders are power series in tau = sigma_u*omega
-or t = sqrt(2 B1)*s. The Fourier tail factor and the raw Laplace series
-sum_k (-1)^(k-1) c_k R_k t^(2k) converge only inside the radius T
-carried by the tail statistics; the accelerated remainder below
-reaches (j2/j1) T.
+or t = sqrt(2 B1)*s. This module holds the Fourier side's explicit
+product (phat_prefix); its tail factor exp(-sum_k c_k R_k tau^(2k)) is
+formed in rs_method, as one array over the lattice frequencies. That
+factor and the raw Laplace series sum_k (-1)^(k-1) c_k R_k t^(2k)
+converge only inside the radius T carried by the tail statistics; the
+accelerated remainder below reaches (j2/j1) T.
 
 The raw remainder series loses accuracy quickly as t approaches T. The
 accelerated form fixes that: the series implied by the smooth density
@@ -46,7 +48,6 @@ __all__ = [
     "AccuracyWarning",
     "AsymptoticL",
     "ConvergenceError",
-    "FourierTail",
     "LDerivs",
     "l0_asymptotic",
     "l0_full",
@@ -55,7 +56,6 @@ __all__ = [
     "model_log_exceedance",
     "model_saddle",
     "phat_prefix",
-    "phat_remainder",
     "sigma_accelerated",
 ]
 
@@ -124,48 +124,6 @@ def _radius_error(what: float, wall: float, u: float, label: str = "") -> Conver
 
 
 # ----------------------------------------------------------------- Fourier side
-
-@dataclass(frozen=True)
-class FourierTail:
-    """One evaluation of the characteristic function's tail factor."""
-
-    value: float
-    error_estimate: float
-    beyond_radius: bool
-
-
-def phat_remainder(omega: float, stats: TailStats, K: int) -> FourierTail:
-    """Tail factor of the characteristic function at frequency omega.
-
-    exp(-sum_{k<=K} c_k R_k tau^{2k}) with tau = sigma_u*omega. Past the
-    radius (tau >= T) the true factor is a product of kernel values each
-    below 0.41 in magnitude, negligible against everything else in a
-    Poisson sum, so the value is clamped to exactly 0 and flagged.
-    """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    if K > len(stats.R):
-        raise ValueError(
-            f"stats carry moment ratios to order {len(stats.R)}; need Kmax >= {K}")
-    tau = stats.sigma_u * abs(float(omega))
-    if tau == 0.0:
-        return FourierTail(1.0, 0.0, False)
-    T = stats.T
-    if not T > 0.0:
-        raise ConvergenceError(_NO_RADIUS)
-    if tau >= T:
-        return FourierTail(0.0, 0.0, True)
-    err = c_coeffs(K).c[K - 1] * stats.R[K - 1] * tau ** (2 * K + 2) \
-        / (T * T - tau * tau)
-    return FourierTail(math.exp(-_tail_exponent(tau, stats, K)), err, False)
-
-
-def _tail_exponent(tau: float, stats: TailStats, K: int) -> float:
-    # sum_{k<=K} c_k R_k tau^{2k}, the exponent of the tail factor
-    c = c_coeffs(K).c
-    return math.fsum(c[k - 1] * stats.R[k - 1] * tau ** (2 * k)
-                     for k in range(1, K + 1))
-
 
 def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
     """Products of explicit-zero kernel factors J0(2*alpha*w/sqrt(1/4+g^2)),

@@ -18,6 +18,7 @@ from racedensity import zerodata as zd
 from racedensity.race import (
     prime_count_race, race_from_config, square_race, two_way_race,
 )
+from racedensity.specfun import c_coeffs
 from racedensity.zerodata import aggregate_stats, bundled_table, montgomery_bound
 
 REFINED_E1 = 2.629967324e-7
@@ -33,19 +34,42 @@ def zeta_table():
     return bundled_table("zeta")
 
 
+def tail_oracle(omega, stats, K):
+    # the tail factor's exponent sum_{k<=K} c_k R_k tau^(2k) and its
+    # per-term error estimate c_K R_K tau^(2K+2) / (T^2 - tau^2) at one
+    # frequency inside the radius, tau = sigma_u*omega, summed by fsum
+    c = c_coeffs(K).c
+    tau = stats.sigma_u * omega
+    exponent = math.fsum(c[k - 1] * stats.R[k - 1] * tau ** (2 * k)
+                         for k in range(1, K + 1))
+    error = c[K - 1] * stats.R[K - 1] * tau ** (2 * K + 2) \
+        / (stats.T * stats.T - tau * tau)
+    return exponent, error
+
+
+def ceiling_oracle(stats, K, domega):
+    # half a step below the first lattice point whose tail exponent
+    # reaches 46, or the radius end when none inside it does
+    m = 1
+    while stats.sigma_u * (m * domega) < stats.T:
+        if tail_oracle(m * domega, stats, K)[0] >= 46.0:
+            return (m - 0.5) * domega
+        m += 1
+    return stats.T / stats.sigma_u
+
+
 @pytest.fixture(scope="module")
 def run25(zeta_race, zeta_table):
     # 25 explicit zeros, order-7 tail: the workhorse configuration
     u = float(zeta_table.gammas[24])
     stats = aggregate_stats(zeta_race, u, Kmax=8)
-    params = rs.RSParams(u=u, K=7, domega=math.pi / 2,
-                         C=rs._ceiling_for(stats, 7), v_max=3.0)
+    params = forced_params(stats, 7, math.pi / 2)
     return stats, params
 
 
 def forced_params(stats, K, domega, v_max=3.0):
     return rs.RSParams(u=stats.u, K=K, domega=domega,
-                       C=rs._ceiling_for(stats, K), v_max=v_max)
+                       C=ceiling_oracle(stats, K, domega), v_max=v_max)
 
 
 # ------------------------------------------------------------- published runs
@@ -289,8 +313,8 @@ PUBLISHED_RACES = {
 
 def _search_order_by_order(v_max, stats, target, domega=None):
     # the parameter search one order at a time: for each K, the ceiling
-    # by bisection and the error budget by one phat_remainder per
-    # lattice frequency below it
+    # and the error budget from one scalar tail_oracle per lattice
+    # frequency below it
     if not 1e-16 < target < 1e-2:
         raise rs.ParameterError(f"target {target:.3g} outside the window")
     slack = target / 3.0
@@ -304,14 +328,15 @@ def _search_order_by_order(v_max, stats, target, domega=None):
             f"{slack:.3g}; at most {domega_max:.6g} is admissible")
     for K in range(2, len(stats.R) + 1):
         params = rs.RSParams(u=stats.u, K=K, domega=domega,
-                             C=rs._ceiling_for(stats, K), v_max=v_max,
-                             target=target)
+                             C=ceiling_oracle(stats, K, domega),
+                             v_max=v_max, target=target)
         parts = []
         m = 1
-        while m * params.domega < params.C:
-            tail = tr.phat_remainder(m * params.domega, stats, params.K)
-            if tail.value != 0.0:
-                parts.append(tail.value * tail.error_estimate / m)
+        while m * domega < params.C \
+                and stats.sigma_u * (m * domega) < stats.T:
+            exponent, error = tail_oracle(m * domega, stats, K)
+            if math.exp(-exponent) != 0.0:
+                parts.append(math.exp(-exponent) * error / m)
             m += 1
         if math.fsum(parts) / math.pi < slack:
             return params
@@ -398,6 +423,17 @@ def test_threshold_beyond_validated_range(zeta_race, run25):
     with pytest.raises(rs.ParameterError, match="exceeds the v_max"):
         rs.compute_E(2.0 * math.pi / params.domega + 1.0, zeta_race, params,
                      stats=stats)
+    # a NaN is not the largest |v| of anything, so it must be caught
+    # before the reach is taken
+    nan = float("nan")
+    for call in (lambda: rs.compute_E(nan, zeta_race, params, stats=stats),
+                 lambda: rs.compute_P(nan, zeta_race, params, stats=stats),
+                 lambda: rs.density_grid([0.5, nan], zeta_race, params,
+                                         stats=stats),
+                 lambda: rs.density_grid([nan, 0.5], zeta_race, params,
+                                         stats=stats)):
+        with pytest.raises(rs.ParameterError, match="must be finite"):
+            call()
 
 
 def test_invalid_params_rejected():
@@ -405,8 +441,9 @@ def test_invalid_params_rejected():
         rs.RSParams(u=35.0, K=7, domega=4.0, C=40.0, v_max=2.0)
     with pytest.raises(rs.ParameterError):
         rs.RSParams(u=35.0, K=0, domega=1.0, C=40.0, v_max=2.0)
-    with pytest.raises(rs.ParameterError):
-        rs.RSParams(u=35.0, K=7, domega=1.0, C=-1.0, v_max=2.0)
+    for C in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(rs.ParameterError):
+            rs.RSParams(u=35.0, K=7, domega=1.0, C=C, v_max=2.0)
     for v_max in (float("nan"), float("inf"), -1.0):
         with pytest.raises(rs.ParameterError, match="v_max must be finite"):
             rs.RSParams(u=35.0, K=7, domega=1.0, C=40.0, v_max=v_max)
@@ -417,6 +454,38 @@ def test_stats_params_mismatch_refused(zeta_race, run25):
     other = aggregate_stats(zeta_race, 35.0, Kmax=8)
     with pytest.raises(rs.ParameterError):
         rs.compute_E(1.0, zeta_race, params, stats=other)
+
+
+def test_no_convergence_radius_refused(zeta_race):
+    # below the first zero the tail statistics carry a NaN radius; a
+    # lattice mask like tau < T would drop every sample and return a
+    # value built from no terms at all
+    stats = aggregate_stats(zeta_race, 1.0)
+    assert math.isnan(stats.T)
+    params = rs.RSParams(u=1.0, K=4, domega=1.0, C=30.0, v_max=1.0)
+    with pytest.raises(tr.ConvergenceError,
+                       match="no usable convergence radius"):
+        rs.compute_E(1.0, zeta_race, params, stats=stats)
+    with pytest.raises(rs.ParameterError,
+                       match="no usable convergence radius"):
+        rs.choose_params(1.0, stats, 1e-11)
+
+
+def test_public_names_pinned():
+    # each module's public API in full; a name joins or leaves only by
+    # an edit here
+    assert rs.__all__ == [
+        "ParameterError", "RSParams", "PhatSample", "choose_params",
+        "compute_E", "compute_P", "default_domega", "default_params",
+        "density_grid", "phat_samples", "race_result"]
+    assert tr.__all__ == [
+        "AccuracyWarning", "AsymptoticL", "ConvergenceError", "LDerivs",
+        "l0_asymptotic", "l0_full", "model_constants", "model_log_density",
+        "model_log_exceedance", "model_saddle", "phat_prefix",
+        "sigma_accelerated"]
+    for mod in (rs, tr):
+        for name in mod.__all__:
+            assert getattr(mod, name).__module__ == mod.__name__, name
 
 
 def test_no_public_function_takes_tables():

@@ -21,7 +21,7 @@ from scipy.special import j0 as scipy_j0
 
 from racedensity import transforms as tr
 from racedensity.race import prime_count_race, square_race, two_way_race
-from racedensity.rs_method import default_params, phat_samples
+from racedensity.rs_method import RSParams, default_params, phat_samples
 from racedensity.specfun import base_constants, c_coeffs, j0_lowbias
 from racedensity.zerodata import (
     ZeroDataError, aggregate_stats, bundled_table, resolve_table,
@@ -59,35 +59,40 @@ def five_point(f, x0, h):
 
 # ---------------------------------------------------------------- Fourier side
 
-def test_tail_factor_at_zero_frequency(stats35):
-    out = tr.phat_remainder(0.0, stats35, 7)
-    assert out.value == 1.0
-    assert out.error_estimate == 0.0
-    assert not out.beyond_radius
+def lattice_samples(race, stats, K, domega, C=None):
+    # phat_samples at m*domega below C, the radius end by default
+    if C is None:
+        C = stats.T / stats.sigma_u
+    params = RSParams(u=stats.u, K=K, domega=domega, C=C, v_max=0.0)
+    return phat_samples(race, params, stats)
 
 
-def test_tail_factor_single_term_is_gaussian(stats35):
+def test_tail_factor_single_term_is_gaussian(zeta_race, stats35):
     # K = 1 keeps only the variance term: exp(-(sigma_u w)^2 / 2)
     w = 1.7
-    out = tr.phat_remainder(w, stats35, 1)
-    assert out.value == pytest.approx(
+    out = lattice_samples(zeta_race, stats35, 1, w)[0]
+    assert out.omega == w
+    assert out.tail == pytest.approx(
         math.exp(-((stats35.sigma_u * w) ** 2) / 2.0), rel=1e-15)
 
 
-def test_tail_factor_matches_printed_run(stats35):
+def test_tail_factor_matches_printed_run(zeta_race, stats35):
     # four-digit tail factors of a published sample evaluation
     # (cutoff 35, seven series terms, frequencies pi/2 and 3 pi/2)
-    assert tr.phat_remainder(math.pi / 2, stats35, 7).value == pytest.approx(
-        0.9703, abs=5e-5)
-    assert tr.phat_remainder(3 * math.pi / 2, stats35, 7).value == pytest.approx(
-        0.7618, abs=5e-5)
+    samples = lattice_samples(zeta_race, stats35, 7, math.pi / 2)
+    assert samples[0].tail == pytest.approx(0.9703, abs=5e-5)
+    assert samples[2].tail == pytest.approx(0.7618, abs=5e-5)
 
 
-def test_tail_factor_beyond_radius_clamps(stats35):
-    w = 1.1 * stats35.T / stats35.sigma_u
-    out = tr.phat_remainder(w, stats35, 8)
-    assert out.value == 0.0
-    assert out.beyond_radius
+def test_tail_factor_beyond_radius_clamps(zeta_race, stats35):
+    # every lattice point at or past T/sigma_u is an exact zero, with no
+    # kernel product formed and no error charged
+    end = stats35.T / stats35.sigma_u
+    samples = lattice_samples(zeta_race, stats35, 8, end / 9.5, C=1.99 * end)
+    assert len(samples) == 18
+    assert all(s.tail > 0.0 for s in samples[:9])
+    for s in samples[9:]:
+        assert (s.tail, s.prefix, s.error, s.phat) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_tail_factor_truncation_estimate_is_honest(zeta_race):
@@ -95,17 +100,18 @@ def test_tail_factor_truncation_estimate_is_honest(zeta_race):
     # error estimate should bracket to within a small factor
     stats = aggregate_stats(zeta_race, 35.0, Kmax=16)
     for w in (15.0, 20.0, 25.0):
-        low = tr.phat_remainder(w, stats, 8)
-        high = tr.phat_remainder(w, stats, 16)
-        true = abs(math.log(low.value) - math.log(high.value))
-        assert 0.2 * low.error_estimate <= true <= 3.0 * low.error_estimate
+        low = lattice_samples(zeta_race, stats, 8, w, C=1.5 * w)[0]
+        high = lattice_samples(zeta_race, stats, 16, w, C=1.5 * w)[0]
+        estimate = low.error / (abs(low.prefix) * low.tail)
+        true = abs(math.log(low.tail) - math.log(high.tail))
+        assert 0.2 * estimate <= true <= 3.0 * estimate
 
 
-def test_tail_factor_order_validation(stats35):
+def test_tail_factor_order_validation(zeta_race, stats35):
     with pytest.raises(ValueError):
-        tr.phat_remainder(1.0, stats35, 0)
+        RSParams(u=35.0, K=0, domega=1.0, C=40.0, v_max=0.0)
     with pytest.raises(ValueError):
-        tr.phat_remainder(1.0, stats35, len(stats35.R) + 1)
+        lattice_samples(zeta_race, stats35, len(stats35.R) + 1, 1.0)
 
 
 def test_explicit_product_at_zero_frequency(zeta_race):
@@ -150,13 +156,12 @@ def test_explicit_product_log_route_matches_direct(zeta_race):
 def test_split_point_independence(zeta_race, stats35):
     # moving the explicit/tail cutoff must not move the product
     stats100 = aggregate_stats(zeta_race, 100.0)
-    ws = [math.pi / 2, math.pi, 2 * math.pi]
-    prefix35 = tr.phat_prefix(ws, zeta_race, 35.0)
-    prefix100 = tr.phat_prefix(ws, zeta_race, 100.0)
-    for w, p35, p100 in zip(ws, prefix35, prefix100):
-        full35 = p35 * tr.phat_remainder(w, stats35, 8).value
-        full100 = p100 * tr.phat_remainder(w, stats100, 8).value
-        assert full35 == pytest.approx(full100, rel=1e-10)
+    samples35, samples100 = (
+        lattice_samples(zeta_race, stats, 8, math.pi / 2, C=2.25 * math.pi)
+        for stats in (stats35, stats100))
+    for m in (1, 2, 4):
+        assert samples35[m - 1].phat == pytest.approx(
+            samples100[m - 1].phat, rel=1e-10)
 
 
 @pytest.mark.parametrize("race, u", [
