@@ -34,7 +34,7 @@ import numpy as np
 from .race import RaceSpec
 from .results import DensityResult
 from .specfun import c_coeffs
-from .transforms import ConvergenceError, phat_prefix
+from .transforms import _NO_RADIUS, ConvergenceError, phat_prefix
 from .zerodata import TailStats, aggregate_stats, montgomery_bound
 
 __all__ = [
@@ -139,9 +139,7 @@ def phat_samples(race: RaceSpec, params: RSParams,
     """
     stats = _stats_for(race, params, stats)
     if not stats.T > 0.0:
-        raise ConvergenceError(
-            "tail statistics carry no usable convergence radius; "
-            "raise the cutoff u")
+        raise ConvergenceError(_NO_RADIUS)
     m = np.arange(1, int(math.ceil(params.C / params.domega)) + 1)
     m = m[m * params.domega < params.C]
     omegas = m * params.domega
@@ -290,7 +288,8 @@ def choose_params(v_max: float, stats: TailStats, target: float,
     is the smallest retained order whose summed per-term error
     estimates stay under a third of the target; the ceiling falls half
     a step before the first lattice point whose order-K tail factor is
-    below 1e-20.
+    below 1e-20. Stats with no usable convergence radius raise the
+    ConvergenceError that phat_samples raises.
     """
     _check_v_max(v_max)
     if not 1e-16 < target < 1e-2:
@@ -314,7 +313,7 @@ def choose_params(v_max: float, stats: TailStats, target: float,
     # cutoff, that is below K's ceiling.
     T = stats.T
     if not T > 0.0:
-        raise ParameterError("stats carry no usable convergence radius")
+        raise ConvergenceError(_NO_RADIUS)
     m = np.arange(1, int(math.ceil(T / stats.sigma_u / domega)) + 1)
     tau = stats.sigma_u * (m * domega)
     m, tau = m[tau < T], tau[tau < T]

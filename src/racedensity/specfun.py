@@ -1,16 +1,20 @@
 """Special-function kernel shared by every computation route.
 
-Pure functions only. Three families matter downstream:
+Pure functions only, on numpy alone. Three families matter downstream:
 
-* J0 and its positive zeros, which set where the two-sided characteristic
-  function of a single zero's contribution vanishes;
+* J0, in extended precision over the whole real line, and its first two
+  positive zeros, which set where the two-sided characteristic function
+  of a single zero's contribution vanishes;
 * log I0 and its derivatives through fifth order, over a float or a
   whole array of arguments, which drive the cumulant function;
 * the coefficients c_k of log I0(w) = sum_{k>=1} (-1)^{k-1} c_k w^{2k} / 2^k,
-  shared between the Fourier remainder and the density expansions.
+  shared between the Fourier remainder and the density expansions, each
+  rounded once from an exact rational.
 
-I0 and I1 themselves overflow near w = 713 and never appear: the kernel
-works with log I0 and the ratio I1/I0 only.
+I0 and I1 themselves overflow near w = 713: the kernel works with log I0
+and the ratio I1/I0, and forms the series of I0 and I1 only below
+w = 18, where they stay under 1e7. The one quadrature, of the
+base constants A0 and A1, imports scipy.integrate when first asked for.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import i0e, i1e, j0 as _sp_j0, j1 as _sp_j1
 
 __all__ = [
     "CoeffTable",
@@ -30,15 +33,18 @@ __all__ = [
     "j0_lowbias",
     "log_i0_derivs",
     "c_coeffs",
-    "j0_zeros",
     "arctan_integral",
     "base_constants",
 ]
 
 
 # ---------------------------------------------------------------------------
-# J0 and its zeros
+# J0
 # ---------------------------------------------------------------------------
+
+# the first two positive zeros of J0, each the double nearest the zero
+J0_ZERO1 = 2.404825557695773
+J0_ZERO2 = 5.520078110286311
 
 # Ascending-series coefficients (-1)^n / (n!)^2 in extended precision.
 # 27 terms leave the cutover argument (q = 9) with a relative remainder
@@ -49,17 +55,50 @@ for _n in range(1, 27):
     _J0_COEFFS[_n] = -_J0_COEFFS[_n - 1] / np.longdouble(_n * _n)
 del _n
 
+# Past the cutover J0(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi) with
+# chi = z - pi/4. P - 1 and z Q + 1/8 are polynomials in y = 72/z^2 - 1,
+# fitted as Chebyshev series against mpmath to 2e-18 absolute and stored
+# in powers of y by scripts/fit_j0_tail.py; rows P - 1 and zQ + 1/8, the
+# shorter zero-padded at the top.
+_J0_TAIL = np.zeros((2, 19))
+_J0_TAIL[0, :17] = (
+    -0.0009562782475594555, -0.0009371922699207918, 1.801462057593961e-05,
+    -9.64007018091677e-07, 9.16995319304267e-08, -1.2683259845092585e-08,
+    2.284051994422095e-09, -5.006101471246117e-10, 1.2774187349591975e-10,
+    -3.648637801573743e-11, 1.1475139795926316e-11, -4.502188177190623e-12,
+    1.814268718946277e-12, -1.3227502316580562e-13, -3.963959151107006e-14,
+    -3.1286868105045177e-13, 1.6536109866084696e-13)
+_J0_TAIL[1] = (
+    0.0009773662668481934, 0.0009408434207776135, -3.361025567239429e-05,
+    2.5441146427159604e-06, -3.0484939137770443e-07, 4.988661781092704e-08,
+    -1.0228708858280206e-08, 2.4877639605130347e-09, -6.917016086642071e-10,
+    2.1496995238048484e-10, -7.31547925288768e-11, 2.4944850483863288e-11,
+    -9.0522285380615e-12, 6.384602605880932e-12, -3.408166265579127e-12,
+    -8.946915932769674e-13, 7.768613942417971e-13, 8.330611788699921e-13,
+    -4.957507961980704e-13)
+# pi/4 as the double nearest it plus the rest, and 2/pi in extended
+# precision
+_PI4_HI = math.pi / 4.0
+_PI4_LO = 3.061616997868383e-17
+_TWO_OVER_PI = np.longdouble("0.63661977236758134307553505349005744813784")
+
 
 def j0_lowbias(z) -> np.ndarray:
     """J0 over an array, with per-value bias far below an ulp.
 
-    The cephes routine is accurate to a few ulp pointwise but sits a few
-    1e-17 low on average; a product of hundreds of kernel factors turns
-    that harmless pointwise bias into a one-sided relative drift
-    proportional to the product length. For |z| <= 6 this evaluates the
-    ascending series by Horner in 80-bit arithmetic instead, which is
-    unbiased at the 1e-18 level; larger arguments (only reached by
-    lattice terms that are negligible anyway) fall back to cephes.
+    A product of hundreds of kernel factors turns a harmless pointwise
+    bias into a one-sided relative drift proportional to the product
+    length; the cephes routine, for one, sits a few 1e-17 low on
+    average. So the whole kernel is extended precision, with no library
+    fallback. For |z| <= 6 it evaluates the ascending series by Horner
+    in 80-bit arithmetic, which is unbiased at the 1e-18 level. Past 6
+    it takes the Hankel form, with fitted polynomials for P and zQ
+    (largest error 2e-18). Its phase chi = z - pi/4 is carried as the
+    double nearest it plus a remainder, which corrects the double cos
+    and sin of the first part to first order, and the O(1) part of the
+    sum stays in 80 bits. Against mpmath on [6, 1e3] the tail's largest
+    error is 1.8e-17 absolute and its mean 1e-19 (cephes: 1.3e-15 and
+    5e-18).
 
     transforms.phat_prefix calls it for the near zone of each product
     only, the factors with z above 0.7; the far zone goes through the
@@ -69,38 +108,45 @@ def j0_lowbias(z) -> np.ndarray:
     re-rounding every factor to double.
     """
     zl = np.atleast_1d(np.asarray(z, dtype=np.longdouble))
-    small = np.abs(zl) <= _J0_SERIES_CUT
-    q = 0.25 * zl * zl
+    # q = z^2/4; 0.25 * (z * z) has the bits of 0.25 * z * z
+    q = zl * zl
+    q *= 0.25
+    big = q > 0.25 * _J0_SERIES_CUT ** 2
+    if not big.any():
+        return _j0_series(q)
+    q[big] = 0.0
+    out = _j0_series(q)
+    out[big] = _j0_tail(np.abs(zl[big]))
+    return out
+
+
+def _j0_series(q: np.ndarray) -> np.ndarray:
+    # sum_n (-1)^n q^n / (n!)^2 by Horner, in place as in _horner
     acc = np.full_like(q, _J0_COEFFS[-1])
     for c in _J0_COEFFS[-2::-1]:
-        acc = acc * q + c
-    if bool(np.all(small)):
-        return acc
-    out = np.where(small, acc, 0.0)
-    out[~small] = _sp_j0(zl[~small].astype(float))
-    return out
+        acc *= q
+        acc += c
+    return acc
 
 
-def j0_zeros(L: int) -> list[float]:
-    """First L positive zeros of J0, each to about 1e-13 absolute.
-
-    Seed with the large-index asymptotic form b + 1/(8b), b = (l - 1/4)pi,
-    then polish by Newton using J0' = -J1. The seed is within ~6e-3 of the
-    true zero even at l = 1 and the gaps approach pi from below, so four
-    Newton steps converge and cannot jump to a neighbouring zero.
-    """
-    if L < 1:
-        raise ValueError("need at least one zero")
-    out = []
-    for l in range(1, L + 1):
-        b = (l - 0.25) * math.pi
-        x = b + 1.0 / (8.0 * b)
-        for _ in range(4):
-            f = _sp_j0(x)
-            fp = -_sp_j1(x)
-            x -= f / fp
-        out.append(float(x))
-    return out
+def _j0_tail(z: np.ndarray) -> np.ndarray:
+    # z in extended precision, every value above 6
+    zd = z.astype(float)
+    p1, zq1 = _horner(_J0_TAIL, 72.0 / (zd * zd) - 1.0)
+    # chi = s + lo: s the double difference, lo its exact rounding error
+    # (zd > pi/4) plus the low parts of z and of pi/4, all far below an
+    # ulp of s, so cos and sin of chi take lo to first order
+    s = zd - _PI4_HI
+    lo = (z - zd).astype(float) + ((zd - s) - _PI4_HI - _PI4_LO)
+    cos_s, sin_s = np.cos(s), np.sin(s)
+    sin_lo = sin_s * lo
+    # P cos chi - Q sin chi = cos chi + (p1 cos chi + (-Q) sin chi): the
+    # bracket is under 0.021 in size, so double carries it; only cos chi
+    # and the sums need extended precision
+    bracket = (p1 * (cos_s - sin_lo)
+               + (0.125 - zq1) / zd * (sin_s + cos_s * lo))
+    return np.sqrt(_TWO_OVER_PI / z) * (
+        np.subtract(cos_s, sin_lo, dtype=np.longdouble) + bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +178,17 @@ _ODE_LO = 1.0
 _ODE_HI = 18.0
 
 
-def _log_series(b: list[Fraction]) -> tuple[Fraction, ...]:
-    # f_1..f_n of log(1 + sum_{n>=1} b_n x^n), given b_0 = 1, b_1..b_n,
-    # as exact rationals
-    nmax = len(b) - 1
-    f = [Fraction(0)] * (nmax + 1)
-    for n in range(1, nmax + 1):
-        acc = b[n]
-        for jj in range(1, n):
-            acc -= Fraction(jj, n) * f[jj] * b[n - jj]
-        f[n] = acc
-    return tuple(f[1:])
+def _log_series(num: list[int], p: int, r: int) -> tuple[Fraction, ...]:
+    # f_1..f_n of log(1 + sum_{n>=1} b_n x^n) with b_n = num[n] / (n!^p r^n),
+    # as exact rationals. With f_n = G_n / (n n!^p r^n), the recurrence
+    # n f_n = n b_n - sum_{j<n} j f_j b_(n-j) keeps G in the integers:
+    # G_n = n num[n] - sum_j C(n, j)^p num[n-j] G_j
+    g = [0] * len(num)
+    for n in range(1, len(num)):
+        g[n] = n * num[n] - sum(math.comb(n, j) ** p * num[n - j] * g[j]
+                                for j in range(1, n))
+    return tuple(Fraction(g[n], n * math.factorial(n) ** p * r ** n)
+                 for n in range(1, len(num)))
 
 
 @lru_cache(maxsize=1)
@@ -152,11 +198,15 @@ def _log_coeff_fracs() -> tuple[Fraction, ...]:
     # large-w derivatives carry no composition error. Depth 24 is past the
     # optimal truncation point for w >= 20 and still shrinking at w = 18,
     # which is what lets _ODE_HI sit as low as 18.
-    nmax = 24
-    b = [Fraction(1)]
-    for n in range(1, nmax + 1):
-        b.append(b[-1] * Fraction((2 * n - 1) ** 2, 8 * n))
-    return _log_series(b)
+    num = [1]
+    for n in range(1, 25):
+        num.append(num[-1] * (2 * n - 1) ** 2)
+    return _log_series(num, 1, 8)
+
+
+# the depth of the c_k family: c_coeffs and _log_j0_coeffs slice one
+# cached set of exact a_k this long
+_C_TERMS = 30
 
 
 @lru_cache(maxsize=None)
@@ -166,8 +216,7 @@ def _log_j0_fracs(n: int) -> tuple[Fraction, ...]:
     They come from the ascending series J0 = sum_m (-1)^m (z^2/4)^m / (m!)^2
     and equal -2^k c_k of the log-I0 family; every a_k is negative.
     """
-    b = [Fraction((-1) ** m, math.factorial(m) ** 2) for m in range(n + 1)]
-    return _log_series(b)
+    return _log_series([(-1) ** m for m in range(n + 1)], 2, 1)
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +227,7 @@ def _log_j0_coeffs(n: int) -> np.ndarray:
     with localcontext() as ctx:
         ctx.prec = 40
         out = np.array([np.longdouble(str(Decimal(a.numerator) / a.denominator))
-                        for a in _log_j0_fracs(n)])
+                        for a in _log_j0_fracs(_C_TERMS)[:n]])
     out.setflags(write=False)
     return out
 
@@ -194,38 +243,71 @@ def _asymptotic_coeffs() -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _series_coeffs() -> tuple[tuple[int, np.ndarray], ...]:
+def _series_coeffs() -> tuple[np.ndarray, np.ndarray]:
     # per order m: the lowest surviving power p0 of w, and the coefficients
     # of (w^2)^j above it, in the m-th derivative of
-    # sum_{k<=25} (-1)^(k-1) c_k w^(2k) / 2^k
+    # sum_{k<=25} (-1)^(k-1) c_k w^(2k) / 2^k; rows zero-padded at the top
     c = c_coeffs(25).c
-    rows = []
+    p0 = np.empty(6, dtype=int)
+    rows = np.zeros((6, 25))
     for m in range(6):
         kmin = max(1, (m + 1) // 2)
-        rows.append((2 * kmin - m, np.array([
+        p0[m] = 2 * kmin - m
+        rows[m, :26 - kmin] = [
             (-1) ** (k - 1) * c[k - 1] * 0.5 ** k * math.perm(2 * k, m)
-            for k in range(kmin, 26)])))
-    return tuple(rows)
+            for k in range(kmin, 26)]
+    return p0, rows
+
+
+# I0(w) - 1 = q sum_k q^k / ((k+1)!)^2 and I1(w) = (w/2) sum_k q^k / (k! (k+1)!)
+# with q = w^2/4, each coefficient rounded once; 40 terms cover w = 18
+# with room to spare (_ratio_terms picks how many an array needs)
+_RATIO_COEFFS = np.array([
+    [1 / math.factorial(k + 1) ** 2 for k in range(40)],
+    [1 / (math.factorial(k) * math.factorial(k + 1)) for k in range(40)]])
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    acc = np.full_like(x, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
+    # every row of coeffs (lowest power first) at every x: shape (rows, n).
+    # In place: the same roundings as acc * x + c, without a fresh
+    # temporary per step, which past about 128 kB costs a page-faulting
+    # allocation each (a (6, 15000) Horner ran 8x slower with them)
+    acc = np.repeat(coeffs[:, -1:], x.size, axis=1)
+    for c in coeffs[:, -2::-1].T:
+        acc *= x
+        acc += c[:, None]
     return acc
 
 
 def _derivs_series(w: np.ndarray, max_order: int) -> np.ndarray:
+    p0, coeffs = _series_coeffs()
     ww = w * w
-    return np.array([w ** p0 * _horner(coeffs, ww)
-                     for p0, coeffs in _series_coeffs()[: max_order + 1]])
+    lead = np.array([np.ones_like(w), w, ww])[p0[: max_order + 1]]
+    return lead * _horner(coeffs[: max_order + 1], ww)
+
+
+def _ratio_terms(w_max: float) -> int:
+    # terms of _RATIO_COEFFS that carry the sums at w_max to well below
+    # an ulp: every term is positive and past k ~ w/2 each is smaller
+    # than the one before, so stop where a term falls under 2^-60 of
+    # the sum so far
+    q = 0.25 * w_max * w_max
+    term = total = 1.0
+    k = 0
+    while term > 2.0 ** -60 * total:
+        k += 1
+        term *= q / (k * k)
+        total += term
+    return k + 1
 
 
 def _derivs_ratio(w: np.ndarray, max_order: int) -> np.ndarray:
-    # the exponentially scaled pair gives r = I1/I0 and log I0 without
-    # ever forming I0 or I1
-    e0 = i0e(w)
-    r = i1e(w) / e0
+    # r = I1/I0 and log I0 from the positive ascending series: no
+    # cancellation, and below w = 18 no overflow either
+    q = 0.25 * w * w
+    s = _horner(_RATIO_COEFFS[:, : _ratio_terms(float(w.max()))], q)
+    i0m1 = q * s[0]
+    r = 0.5 * w * s[1] / (1.0 + i0m1)
     iw = 1.0 / w
     g2 = 1.0 - r * r - r * iw
     g3 = -(2.0 * r + iw) * g2 + r * iw * iw
@@ -233,12 +315,12 @@ def _derivs_ratio(w: np.ndarray, max_order: int) -> np.ndarray:
           - (2.0 * r + iw) * g3 - 2.0 * r * iw ** 3)
     g5 = (-6.0 * g2 * g3 + 3.0 * g3 * iw * iw - 6.0 * g2 * iw ** 3
           - (2.0 * r + iw) * g4 + 6.0 * r * iw ** 4)
-    return np.array([np.log(e0) + w, r, g2, g3, g4, g5][: max_order + 1])
+    return np.array([np.log1p(i0m1), r, g2, g3, g4, g5][: max_order + 1])
 
 
 def _derivs_asymptotic(w: np.ndarray, max_order: int) -> np.ndarray:
     x = 1.0 / w
-    coeffs = _asymptotic_coeffs()
+    tails = _horner(_asymptotic_coeffs()[: max_order + 1], x)
     rows = []
     for m in range(max_order + 1):
         # the m-th derivative of the leading part w - log(2 pi w)/2
@@ -248,7 +330,7 @@ def _derivs_asymptotic(w: np.ndarray, max_order: int) -> np.ndarray:
             lead = 1.0 - 0.5 * x
         else:
             lead = 0.5 * (-1) ** m * math.factorial(m - 1) * x ** m
-        rows.append(lead + x ** (m + 1) * _horner(coeffs[m], x))
+        rows.append(lead + x ** (m + 1) * tails[m])
     return np.array(rows)
 
 
@@ -259,8 +341,8 @@ def log_i0_derivs(w, max_order: int = 5) -> list[float] | np.ndarray:
     gives a list of max_order + 1 floats; an array of n values gives an
     array of shape (max_order + 1, n) whose row m is the m-th
     derivative. A float and the same value inside an array give
-    identical numbers. Safe for w up to ~1e6 and beyond: only the ratio
-    I1/I0 and log I0 itself ever appear, never I0 or I1 bare.
+    identical numbers. Safe for w up to ~1e6 and beyond: past w = 18
+    only the ratio I1/I0 and log I0 itself appear, never I0 or I1.
     """
     if not isinstance(max_order, int) or not 0 <= max_order <= 5:
         raise ValueError(f"max_order must be an integer in 0..5, got {max_order!r}")
@@ -289,51 +371,28 @@ def log_i0_derivs(w, max_order: int = 5) -> list[float] | np.ndarray:
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Coefficients c_1..c_K of the log-Bessel expansions together with the
-    J0 zeros j_1..j_L used to build the tail of the family."""
+    """Coefficients c_1..c_K of the log-Bessel expansions."""
     c: tuple[float, ...]
-    j: tuple[float, ...]
     K: int
-    L: int
 
 
-# k <= 5 have exact closed forms; evaluating these instead of the zero sum
-# avoids the slow convergence the sum has at small k.
-_C_EXACT = (
-    Fraction(1, 2),
-    Fraction(1, 16),
-    Fraction(1, 72),
-    Fraction(11, 3072),
-    Fraction(19, 19200),
-)
+@lru_cache(maxsize=1)
+def _c_all() -> tuple[float, ...]:
+    return tuple(float(-a / 2 ** k)
+                 for k, a in enumerate(_log_j0_fracs(_C_TERMS), start=1))
 
 
 @lru_cache(maxsize=None)
 def c_coeffs(K: int) -> CoeffTable:
-    """c_1..c_K with c_k = (2^k / k) sum_l j_l^(-2k) for k > 5.
+    """c_1..c_K, each the double nearest c_k = -a_k / 2^k.
 
-    The zero sum is truncated once a term contributes relatively less than
-    1e-18; at k = 6 that happens after ~24 zeros and sooner for larger k.
+    The a_k are the exact rationals of _log_j0_fracs. They also equal
+    (2^k / k) sum_l j_l^(-2k) over the zeros j_l of J0, the form the
+    tests check them against.
     """
-    if not isinstance(K, int) or not 1 <= K <= 30:
-        raise ValueError(f"K must be an integer in 1..30, got {K!r}")
-    L = 40
-    jz = j0_zeros(L)
-    cs = []
-    for k in range(1, K + 1):
-        if k <= 5:
-            cs.append(float(_C_EXACT[k - 1]))
-            continue
-        s = 0.0
-        for jl in jz:
-            t = jl ** (-2 * k)
-            s += t
-            if t < 1e-18 * s:
-                break
-        else:
-            raise ValueError(f"zero list exhausted before convergence at k={k}")
-        cs.append(2.0 ** k / k * s)
-    return CoeffTable(c=tuple(cs), j=tuple(jz), K=K, L=L)
+    if not isinstance(K, int) or not 1 <= K <= _C_TERMS:
+        raise ValueError(f"K must be an integer in 1..{_C_TERMS}, got {K!r}")
+    return CoeffTable(c=_c_all()[:K], K=K)
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .race import RaceSpec
-from .specfun import _log_j0_coeffs, arctan_integral, base_constants, c_coeffs
-from .specfun import j0_lowbias, j0_zeros, log_i0_derivs
+from .specfun import J0_ZERO1, J0_ZERO2, _log_j0_coeffs, arctan_integral
+from .specfun import base_constants, c_coeffs, j0_lowbias, log_i0_derivs
 from .zerodata import TailStats, ZeroDataError, resolve_table
 
 __all__ = [
@@ -59,11 +58,10 @@ __all__ = [
     "sigma_accelerated",
 ]
 
-_J1, _J2 = j0_zeros(2)
-_J1SQ = _J1 * _J1
+_J1SQ = J0_ZERO1 * J0_ZERO1
 
 # the accelerated remainder converges out to the second Bessel ring
-_EXT_RADIUS = _J2 / _J1
+_EXT_RADIUS = J0_ZERO2 / J0_ZERO1
 
 # below this |t|/T the closed forms are abandoned for the defining
 # series, which is better conditioned near the origin (the closed
@@ -147,8 +145,8 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
     a prefix of each character's zeros, so the near factors form a
     ragged block. Consecutive rows are grouped into blocks of at most
     _NEAR_BLOCK factors over all characters (a longer row is a block of
-    its own). Each block is flattened into one j0_lowbias call per
-    character, and reduced row by row with segment reductions. A row
+    its own). Each block is flattened into one j0_lowbias call over
+    all characters, and reduced row by row with segment reductions. A row
     takes the log route below when a factor under 1e-3 appears in any
     of its characters.
 
@@ -215,17 +213,21 @@ def _near_block(out, far, near, lo, hi) -> None:
     # redone as sign-tracked log sums, rows with a zero factor become 0
     small = np.zeros(hi - lo, dtype=bool)
     zero = np.zeros(hi - lo, dtype=bool)
-    blocks = []
+    # factor j of a character's block belongs to row r and is its zero
+    # j - first[r]; one j0_lowbias call takes every character's factors
+    parts = []
     for t, den, split in near:
         n = split[lo:hi]
         first = np.cumsum(n) - n
-        total = int(first[-1] + n[-1])
-        if not total:
+        idx = np.arange(int(first[-1] + n[-1])) - np.repeat(first, n)
+        parts.append((n, first, np.repeat(t[lo:hi], n) / den[idx]))
+    values = j0_lowbias(np.concatenate([z for _, _, z in parts]))
+    blocks = []
+    for n, first, z in parts:
+        f, values = values[:z.size], values[z.size:]
+        if not f.size:
             continue
-        # factor j of the block belongs to row r and is its zero
-        # j - first[r]; segment reductions take each row's share
-        idx = np.arange(total) - np.repeat(first, n)
-        f = j0_lowbias(np.repeat(t[lo:hi], n) / den[idx])
+        # segment reductions take each row's share
         mag = np.abs(f)
         rows = np.flatnonzero(n)
         least = np.minimum.reduceat(mag, first[rows])

@@ -24,15 +24,13 @@ import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 
 import numpy as np
 
 from .race import RaceEntry, RaceSpec
-from .specfun import j0_zeros
+from .specfun import J0_ZERO1
 
 _TWO_PI = 2.0 * math.pi
-_J1 = j0_zeros(1)[0]
 
 class ZeroDataError(ValueError):
     pass
@@ -132,7 +130,7 @@ class ZeroTable:
         cum = 2.0 * np.cumsum(half_jump)
         top = g >= g[-1] / 10.0
         resid = cum[top] - _span_main(self, g[top]) - half_jump[top]
-        return float(np.median(resid)), int(np.count_nonzero(top))
+        return _median(resid), int(np.count_nonzero(top))
 
 
 _HEADER_KEYS = {"key", "qstar", "parity", "weight", "count", "max_gamma",
@@ -199,9 +197,10 @@ def load_zeros(path: str, qstar: int | None = None,
         b1_total=b1)
 
 
-# found once: importlib.resources took about 18 of the 21 us of a warm
-# bundled_table lookup
-_PACKAGE_DATA = str(resources.files(__package__).joinpath("data"))
+# found once, next to this file: importlib.resources took about 18 of
+# the 21 us of a warm bundled_table lookup, and importing it costs more
+_PACKAGE_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "data")
 
 
 def _data_dir() -> str:
@@ -381,6 +380,14 @@ def _span_main(table: ZeroTable, t: np.ndarray) -> np.ndarray:
     return table.weight * (lt * lt / (2.0 * math.pi) + a_chi * lt / math.pi)
 
 
+def _median(x: np.ndarray) -> float:
+    # np.median's bits without its import of numpy.ma: the middle value,
+    # or the mean of the middle two
+    s = np.sort(x)
+    mid = s.size // 2
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2.0)
+
+
 def _span(table: ZeroTable, u: float) -> float:
     head = table.gammas[table.gammas <= u]
     return 2.0 * math.fsum(1.0 / np.sqrt(0.25 + head * head))
@@ -475,7 +482,7 @@ def _t_single(y: float, r2: float) -> float:
     # pinches the transform's log expansion
     if not (y + 1.0 / 3.0 > 0.0 and r2 > 0.0):
         return float("nan")
-    return _J1 * math.sqrt((y + 1.0 / 3.0) / (6.0 * (y + 1.0) * r2))
+    return J0_ZERO1 * math.sqrt((y + 1.0 / 3.0) / (6.0 * (y + 1.0) * r2))
 
 
 def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8) -> TailStats:

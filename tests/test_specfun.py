@@ -3,9 +3,10 @@
 Reference values marked "oracle" were computed once with mpmath at 30
 significant digits (Bessel values, Catalan, the arctan integral by
 adaptive quadrature, log I0 derivatives by direct high-precision
-differentiation) and are frozen here. The array test of the log I0
-kernel computes its references with mpmath (a dev dependency) at 40
-digits as it runs.
+differentiation) and are frozen here. The array tests of the J0 tail
+and of the log I0 kernel compute their references with mpmath (a dev
+dependency) at 30 to 40 digits as they run; the J0 zeros come from
+scipy.special.jn_zeros.
 """
 
 import math
@@ -16,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import j0 as scipy_j0
+from scipy.special import jn_zeros
+from scipy.special import zeta as hurwitz_zeta
 
 from racedensity import specfun as sf
 from racedensity import transforms as tr
@@ -29,6 +32,14 @@ def log_i0(w):
 # J0 and its zeros
 # ---------------------------------------------------------------------------
 
+def _mp(x):
+    # the exact value of a double or long double as an mpmath number
+    import mpmath
+
+    n, d = x.as_integer_ratio()
+    return mpmath.mpf(n) / d
+
+
 def test_j0_at_zero_is_one():
     assert sf.j0_lowbias(0.0)[0] == 1.0
 
@@ -39,7 +50,7 @@ def test_j0_at_two_oracle():
 
 
 def test_j0_vanishes_at_first_zero():
-    j1 = sf.j0_zeros(1)[0]
+    j1 = sf.J0_ZERO1
     assert abs(float(sf.j0_lowbias(j1)[0])) < 1e-12
 
 
@@ -69,8 +80,8 @@ def test_j0_lowbias_near_root_absolute_accuracy():
 
 
 def test_j0_lowbias_fallback_joins_smoothly():
-    # beyond the series cutover the library routine takes over; both
-    # branches must agree at library accuracy around the seam
+    # beyond the series cutover the Hankel form takes over; both
+    # branches must agree with the library routine around the seam
     for z in (5.99, 6.01, 8.0, 25.0):
         a = float(sf.j0_lowbias(np.array([z]))[0])
         assert a == pytest.approx(scipy_j0(z), rel=4e-15, abs=1e-16)
@@ -83,34 +94,48 @@ def test_j0_lowbias_matches_scalar_routine_coarsely():
         assert float(v) == pytest.approx(scipy_j0(float(z)), abs=5e-16)
 
 
+def test_j0_lowbias_tail_against_mpmath():
+    # the Hankel form on [6, 1e3], at long double arguments: within
+    # 2e-16 absolute, and unbiased, since a product of hundreds of
+    # factors turns a mean error into a relative drift (measured: 1.8e-17
+    # at worst, mean 1e-19; cephes reaches 1.3e-15)
+    import mpmath
+
+    rng = np.random.default_rng(20261018)
+    z = np.concatenate([np.linspace(6.0, 30.0, 241)[1:],
+                        rng.uniform(6.0, 1e3, 400)]).astype(np.longdouble)
+    z *= 1.0 + np.longdouble(2.0) ** -60 * rng.uniform(-1.0, 1.0, z.size)
+    got = sf.j0_lowbias(z)
+    assert got.dtype == np.longdouble
+    with mpmath.workdps(30):
+        err = np.array([float(_mp(g) - mpmath.besselj(0, _mp(x)))
+                        for x, g in zip(z, got)])
+    assert np.max(np.abs(err)) < 2e-16
+    assert abs(np.mean(err)) < 1e-17
+
+
+def test_j0_lowbias_even_and_vanishes_at_jn_zeros():
+    # at the first 60 zeros (scipy's, good to about 1e-15) J0 is below
+    # its slope times that error, and it changes sign at each of them
+    z = jn_zeros(0, 60)
+    at = sf.j0_lowbias(z).astype(float)
+    assert np.max(np.abs(at)) < 1e-15
+    mid = sf.j0_lowbias(np.concatenate([[0.0], (z[1:] + z[:-1]) / 2.0]))
+    assert np.all(np.diff(np.sign(mid.astype(float))) != 0.0)
+    assert np.array_equal(sf.j0_lowbias(-z), sf.j0_lowbias(z))
+
+
 def test_j0_zeros_first_two():
-    z = sf.j0_zeros(2)
-    # the first zero is 2.4048..., not the misprinted 2.2048 sometimes seen;
-    # 2.2048 is inconsistent with both the second zero and sum(1/j_l^2) = 1/4
-    assert z[0] == pytest.approx(2.40482555769577277, abs=1e-12)
-    assert z[1] == pytest.approx(5.52007811028631065, abs=1e-12)
+    # the constants are the doubles nearest the zeros; scipy's may sit
+    # one ulp away. The first zero is 2.4048..., not the misprinted
+    # 2.2048 sometimes seen; 2.2048 is inconsistent with both the second
+    # zero and sum(1/j_l^2) = 1/4
+    z = (sf.J0_ZERO1, sf.J0_ZERO2)
+    assert z == (float("2.40482555769577276862"),
+                 float("5.52007811028631064960"))
+    for mine, scipy_zero in zip(z, jn_zeros(0, 2)):
+        assert abs(mine - scipy_zero) <= math.ulp(mine)
     assert round(z[1], 4) == 5.5201
-
-
-def test_j0_zero_gaps_increase_toward_pi():
-    z = sf.j0_zeros(60)
-    gaps = np.diff(z)
-    assert np.all(np.diff(gaps) > 0)
-    assert np.all(gaps[1:] > 3.13)
-    assert np.all(gaps < math.pi)
-    assert gaps[-1] == pytest.approx(math.pi, abs=1e-3)
-
-
-def test_j0_zero_reciprocal_square_sum():
-    # sum over all zeros of 1/j_l^2 equals 1/4; complete the truncated sum
-    # with the Euler-Maclaurin tail of j_l ~ (l - 1/4) pi + 1/(8 (l-1/4) pi)
-    from scipy.special import polygamma
-    L = 200
-    z = np.array(sf.j0_zeros(L))
-    head = np.sum(1.0 / z ** 2)
-    x = L + 0.75
-    tail = polygamma(1, x) / math.pi ** 2 - polygamma(3, x) / (24 * math.pi ** 4)
-    assert head + tail == pytest.approx(0.25, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +217,10 @@ _DERIV_ORACLE = {
 # divergent asymptotic series. Measured against mpmath at 40 digits on
 # 1606 points over (0, 1e5) including w = 1 and 18 and 1e-12 w either
 # side of them, the worst cases per order m = 0..5 are 8.3e-16, 1.7e-15,
-# 1.4e-12, 1.9e-11, 1.8e-10 and 1.2e-9, orders 2..5 all at w = 18 itself
-# (5.1e-10 for m = 5 on the ratio side, at w = 17.6).
+# 1.4e-12, 1.9e-11, 1.8e-10 and 1.2e-9, orders 2..5 all at w = 18 itself.
+# On the ratio side, with r from the ascending series, 300 points of
+# (1, 18) give at most 2.2e-16, 6.9e-16, 7.2e-13, 1.2e-11, 1.3e-10 and
+# 1.1e-9, orders 2..5 at w = 16.75.
 _DERIV_RTOL = [1e-12, 1e-12, 5e-11, 1e-9, 1e-9, 1e-8]
 
 
@@ -229,6 +256,22 @@ def test_log_i0_derivs_array_against_mpmath():
         for m in range(6):
             assert got[m, i] == pytest.approx(want[m], rel=_DERIV_RTOL[m],
                                               abs=1e-18), (w, m)
+
+
+def test_log_i0_and_ratio_against_mpmath():
+    # log I0 and I1/I0 on [1, 18], the ascending-series regime, within
+    # 1e-15 relative
+    import mpmath
+
+    ws = np.concatenate([np.linspace(1.0, 18.0, 171),
+                         np.random.default_rng(7).uniform(1.0, 18.0, 200)])
+    got = sf.log_i0_derivs(ws, 1)
+    with mpmath.workdps(40):
+        for i, w in enumerate(ws):
+            i0 = mpmath.besseli(0, w)
+            want = (float(mpmath.log(i0)), float(mpmath.besseli(1, w) / i0))
+            for m in range(2):
+                assert got[m, i] == pytest.approx(want[m], rel=1e-15), (w, m)
 
 
 def test_log_i0_derivs_float_matches_array():
@@ -318,18 +361,31 @@ def test_c_first_five_exact():
     assert ct.K == 5
 
 
+def _zero_sum_c(k, L=1000):
+    # c_k = (2^k / k) sum_l j_l^(-2k) over the zeros of J0: L of scipy's
+    # zeros, and past them j_l ~ b + 1/(8b) with b = (l - 1/4) pi, so
+    # j^(-2k) ~ b^(-2k) - (k/4) b^(-2k-2), summed by Hurwitz zeta
+    z = jn_zeros(0, L)
+    tail = (hurwitz_zeta(2 * k, L + 0.75) / math.pi ** (2 * k)
+            - k / 4 * hurwitz_zeta(2 * k + 2, L + 0.75) / math.pi ** (2 * k + 2))
+    return 2.0 ** k / k * (math.fsum(z ** (-2.0 * k)) + tail)
+
+
 def test_c1_recovered_from_zero_sum():
-    from scipy.special import polygamma
-    z = np.array(sf.j0_zeros(200))
-    x = 200 + 0.75
-    s = np.sum(1.0 / z ** 2) + polygamma(1, x) / math.pi ** 2 \
-        - polygamma(3, x) / (24 * math.pi ** 4)
-    assert 2.0 * s == pytest.approx(0.5, abs=1e-12)
+    assert sf.c_coeffs(1).c[0] == 0.5
+    assert _zero_sum_c(1) == pytest.approx(0.5, rel=1e-14)
+
+
+def test_c_coeffs_match_zero_sum():
+    # the exact rationals against the zero-sum definition of the family
+    c = sf.c_coeffs(30).c
+    for k in range(1, 31):
+        assert c[k - 1] == pytest.approx(_zero_sum_c(k), rel=1e-14), k
 
 
 def test_c6_inside_bracket():
     ct = sf.c_coeffs(6)
-    j1 = ct.j[0]
+    j1 = jn_zeros(0, 1)[0]
     lo = (1 / 6) * (2 / j1 ** 2) ** 6
     hi = lo * (1 + 1.16 * 0.19 ** 6)
     assert lo < ct.c[5] < hi
@@ -342,7 +398,7 @@ def test_c_ratio_decreases_to_limit():
     ct = sf.c_coeffs(25)
     ratios = [ct.c[k] / ct.c[k + 1] for k in range(ct.K - 1)]
     assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
-    j1 = ct.j[0]
+    j1 = jn_zeros(0, 1)[0]
     lim = j1 ** 2 / 2
     assert all(r > lim for r in ratios)
     assert ratios[-1] == pytest.approx(25.0 / 24.0 * lim, rel=1e-9)
@@ -374,17 +430,20 @@ def test_log_j0_series_identity():
 
 
 def test_log_j0_exact_coefficients_match_c_family():
-    # a_k of log J0(z) = sum a_k (z^2/4)^k are -2^k c_k: exactly against
-    # the closed forms for k <= 5, and against the zero-sum values of
-    # c_coeffs beyond (measured: 2.4e-15 relative at worst)
-    a = sf._log_j0_fracs(tr._FAR_TERMS)
+    # a_k of log J0(z) = sum a_k (z^2/4)^k are -2^k c_k: the first five
+    # against their closed forms, and every c_k of c_coeffs(30) is the
+    # double nearest -a_k / 2^k
+    a = sf._log_j0_fracs(30)
     assert all(x < 0 for x in a)
-    for k, c in enumerate(sf._C_EXACT, start=1):
+    closed = (Fraction(1, 2), Fraction(1, 16), Fraction(1, 72),
+              Fraction(11, 3072), Fraction(19, 19200))
+    for k, c in enumerate(closed, start=1):
         assert a[k - 1] == -(2 ** k) * c
-    c = sf.c_coeffs(tr._FAR_TERMS).c
-    for k in range(6, tr._FAR_TERMS + 1):
-        assert float(a[k - 1]) == pytest.approx(-(2.0 ** k) * c[k - 1],
-                                                rel=1e-14)
+    c = sf.c_coeffs(30).c
+    for k in range(1, 31):
+        exact = -a[k - 1] / 2 ** k
+        assert c[k - 1] == float(exact)
+        assert abs(Fraction(c[k - 1]) - exact) <= Fraction(math.ulp(c[k - 1])) / 2
 
 
 def test_log_j0_coefficients_rounded_once():

@@ -15,13 +15,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import jn_zeros
 
 from racedensity import transforms as tr
 from racedensity import zerodata as zd
 from racedensity.race import (
     prime_count_race, race_from_config, square_race, two_way_race,
 )
-from racedensity.specfun import j0_zeros
 from racedensity.zerodata import (
     CountCheck, FrozenSpanWarning, ThinTailWarning, ZeroDataError, ZeroTable,
     aggregate_stats, available_tables, bundled_table, load_zeros,
@@ -130,7 +130,7 @@ def test_convergence_radius_reference_points():
 
 
 def test_single_series_radius_identity():
-    j1 = j0_zeros(1)[0]
+    j1 = jn_zeros(0, 1)[0]
     st_ = aggregate_stats(square_race(7), 50.0)
     p = st_.per_char[0]
     want = j1 * math.sqrt((p.y + 1 / 3) / (6 * (p.y + 1) * p.r2))
