@@ -108,7 +108,7 @@ def j0_lowbias(z) -> np.ndarray:
     re-rounding every factor to double.
     """
     zl = np.atleast_1d(np.asarray(z, dtype=np.longdouble))
-    # q = z^2/4; 0.25 * (z * z) has the bits of 0.25 * z * z
+    # q = z^2/4; scaling by 0.25 is exact, so it can come last, in place
     q = zl * zl
     q *= 0.25
     big = q > 0.25 * _J0_SERIES_CUT ** 2
