@@ -13,8 +13,8 @@ Pure functions only, on numpy alone. Three families matter downstream:
 
 I0 and I1 themselves overflow near w = 713: the kernel works with log I0
 and the ratio I1/I0, and forms the series of I0 and I1 only below
-w = 18, where they stay under 1e7. The one quadrature, of the
-base constants A0 and A1, imports scipy.integrate when first asked for.
+w = 18, where they stay under 1e7. The base constants A0 and A1, two
+fixed integrals of log I0, are stored as numbers.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ del _n
 # Past the cutover J0(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi) with
 # chi = z - pi/4. P - 1 and z Q + 1/8 are polynomials in y = 72/z^2 - 1,
 # fitted as Chebyshev series against mpmath to 2e-18 absolute and stored
-# in powers of y by scripts/fit_j0_tail.py; rows P - 1 and zQ + 1/8, the
-# shorter zero-padded at the top.
-_J0_TAIL = np.zeros((2, 19))
+# in powers of y by scripts/fit_j0_tail.py; rows P - 1 and zQ + 1/8,
+# zero-padded at the top to the 20 terms that _estrin takes.
+_J0_TAIL = np.zeros((2, 20))
 _J0_TAIL[0, :17] = (
     -0.0009562782475594555, -0.0009371922699207918, 1.801462057593961e-05,
     -9.64007018091677e-07, 9.16995319304267e-08, -1.2683259845092585e-08,
@@ -68,7 +68,7 @@ _J0_TAIL[0, :17] = (
     -3.648637801573743e-11, 1.1475139795926316e-11, -4.502188177190623e-12,
     1.814268718946277e-12, -1.3227502316580562e-13, -3.963959151107006e-14,
     -3.1286868105045177e-13, 1.6536109866084696e-13)
-_J0_TAIL[1] = (
+_J0_TAIL[1, :19] = (
     0.0009773662668481934, 0.0009408434207776135, -3.361025567239429e-05,
     2.5441146427159604e-06, -3.0484939137770443e-07, 4.988661781092704e-08,
     -1.0228708858280206e-08, 2.4877639605130347e-09, -6.917016086642071e-10,
@@ -93,16 +93,16 @@ def j0_lowbias(z) -> np.ndarray:
     fallback. For |z| <= 6 it evaluates the ascending series by Horner
     in 80-bit arithmetic, which is unbiased at the 1e-18 level. Past 6
     it takes the Hankel form, with fitted polynomials for P and zQ
-    (largest error 2e-18). Its phase chi = z - pi/4 is carried as the
-    double nearest it plus a remainder, which corrects the double cos
-    and sin of the first part to first order, and the O(1) part of the
-    sum stays in 80 bits. Against mpmath on [6, 1e3] the tail's largest
-    error is 1.8e-17 absolute and its mean 1e-19 (cephes: 1.3e-15 and
-    5e-18).
+    (largest error 2e-18), summed by _estrin. Its phase chi = z - pi/4
+    is carried as the double nearest it plus a remainder, which corrects
+    the double cos and sin of the first part to first order, and the
+    O(1) part of the sum stays in 80 bits. Against mpmath at 6000 random
+    points of [6, 1e3] the tail's largest error is 3.4e-17 absolute and
+    its mean 2e-21 (cephes: 1.3e-15 and 5e-18).
 
     transforms.phat_prefix calls it for the near zone of each product
-    only, the factors with z above 0.7; the far zone goes through the
-    log-J0 power series of _log_j0_coeffs instead.
+    only, the factors with z above transforms._FAR_Z; the far zone goes
+    through the log-J0 power series of _log_j0_coeffs instead.
 
     Returns extended precision so callers can keep multiplying without
     re-rounding every factor to double.
@@ -132,7 +132,7 @@ def _j0_series(q: np.ndarray) -> np.ndarray:
 def _j0_tail(z: np.ndarray) -> np.ndarray:
     # z in extended precision, every value above 6
     zd = z.astype(float)
-    p1, zq1 = _horner(_J0_TAIL, 72.0 / (zd * zd) - 1.0)
+    p1, zq1 = _estrin(_J0_TAIL, 72.0 / (zd * zd) - 1.0)
     # chi = s + lo: s the double difference, lo its exact rounding error
     # (zd > pi/4) plus the low parts of z and of pi/4, all far below an
     # ulp of s, so cos and sin of chi take lo to first order
@@ -204,8 +204,8 @@ def _log_coeff_fracs() -> tuple[Fraction, ...]:
     return _log_series(num, 1, 8)
 
 
-# the depth of the c_k family: c_coeffs and _log_j0_coeffs slice one
-# cached set of exact a_k this long
+# the depth of the c_k family: c_coeffs slices one cached set of exact
+# a_k this long
 _C_TERMS = 30
 
 
@@ -223,11 +223,12 @@ def _log_j0_fracs(n: int) -> tuple[Fraction, ...]:
 def _log_j0_coeffs(n: int) -> np.ndarray:
     # a_1..a_n of _log_j0_fracs in extended precision, each rounded from
     # 40 significant digits of its exact value; read-only, as every
-    # caller shares it
+    # caller shares it. Any n is built, not just the _C_TERMS that
+    # c_coeffs keeps
     with localcontext() as ctx:
         ctx.prec = 40
         out = np.array([np.longdouble(str(Decimal(a.numerator) / a.denominator))
-                        for a in _log_j0_fracs(_C_TERMS)[:n]])
+                        for a in _log_j0_fracs(max(n, _C_TERMS))[:n]])
     out.setflags(write=False)
     return out
 
@@ -276,6 +277,26 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     for c in coeffs[:, -2::-1].T:
         acc *= x
         acc += c[:, None]
+    return acc
+
+
+def _estrin(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # as _horner, for a multiple of four coefficients per row, in fewer
+    # array operations: terms pair up as c_2j + c_2j+1 x, the pairs pair
+    # up again in x^2, and Horner in x^4 sums the rest. On small arrays
+    # each operation costs a fixed few microseconds; for _J0_TAIL this
+    # takes 15 of them, a Horner pass 36
+    b = np.multiply.outer(coeffs[:, 1::2], x)
+    b += coeffs[:, 0::2, None]
+    x2 = x * x
+    b[:, 1::2] *= x2
+    b[:, 0::2] += b[:, 1::2]
+    quads = b[:, 0::2]
+    x2 *= x2
+    acc = quads[:, -1].copy()
+    for c in quads[:, -2::-1].transpose(1, 0, 2):
+        acc *= x2
+        acc += c
     return acc
 
 
@@ -457,69 +478,26 @@ class BaseConstants:
     X: float
 
 
-@lru_cache(maxsize=1)
-def _a0_a1() -> tuple[float, float]:
-    from scipy.integrate import quad
-
-    def near(x: float) -> float:
-        # log I0(x)/x^2 -> 1/4 as x -> 0; evaluate the limit branch to keep
-        # the quadrature smooth near the left endpoint
-        return log_i0_derivs(x, 0)[0] / (x * x) if x > 1e-8 else 0.25
-
-    # On (1, inf) subtract the exact asymptote first: with
-    # h(x) = log I0(x) - x + (1/2) log(2 pi x), which decays like 1/(8x),
-    #   int (log I0 - x)/x^2        = -(log 2pi + 1)/2 + int h/x^2
-    #   int log x (log I0 - x)/x^2  = -(log 2pi + 2)/2 + int log x h/x^2
-    # using int_1^inf x^-2 = 1, int log x x^-2 = 1, int (log x)^2 x^-2 = 2.
-    # Leaving the log-growing asymptote in makes the adaptive extrapolation
-    # struggle at the 1e-13 tolerances we ask for.
-    def far(x: float) -> float:
-        return (log_i0_derivs(x, 0)[0] - x
-                + 0.5 * math.log(2.0 * math.pi * x)) / (x * x)
-
-    l2pi = math.log(2.0 * math.pi)
-    pieces = []
-    # the log x weight on (0, 1) goes through the QAWS rule, which treats
-    # the endpoint singularity exactly instead of by extrapolation; the
-    # unweighted tail pieces split at the ratio/asymptotic switch so its
-    # representation jump never lands inside a panel
-    for g, segs, wgt in (
-        (near, ((0.0, 1.0),), None),
-        (far, ((1.0, _ODE_HI), (_ODE_HI, math.inf)), None),
-        (near, ((0.0, 1.0),), "log"),
-        (lambda x: far(x) * math.log(x),
-         ((1.0, _ODE_HI), (_ODE_HI, math.inf)), None),
-    ):
-        tot = 0.0
-        for lo, hi in segs:
-            if wgt == "log":
-                # 1e-12, not tighter: asking QAWS for 1e-13 here pushes it
-                # into its roundoff guard and it returns a worse answer
-                val, err = quad(g, lo, hi, weight="alg-loga", wvar=(0.0, 0.0),
-                                epsabs=1e-12, epsrel=1e-12, limit=300)
-            else:
-                val, err = quad(g, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=300)
-            if err > 1e-9:
-                raise ArithmeticError(
-                    f"base-constant quadrature failed to converge (residual {err:.2e})")
-            tot += val
-        pieces.append(tot)
-    a0 = 1.0 + pieces[0] + pieces[1] - 0.5 * (l2pi + 1.0)
-    a1 = pieces[2] + pieces[3] - 0.5 * (l2pi + 2.0)
-    return a0, a1
+# A0 = 1 + int_0^1 log I0(x)/x^2 dx + int_1^inf h(x)/x^2 dx - (log 2pi + 1)/2
+# A1 = int_0^1 log x log I0(x)/x^2 dx + int_1^inf log x h(x)/x^2 dx
+#      - (log 2pi + 2)/2
+# with h(x) = log I0(x) - x + log(2 pi x)/2: the base integrals of log I0
+# with the large-x asymptote taken out. Each is the double nearest its
+# value by mpmath quadrature at 40 digits (-0.0893265223435510001907...
+# and -2.12633596439189918380...), which the tests recompute.
+_A0 = -0.089326522343551
+_A1 = -2.1263359643918993
 
 
 def base_constants(qstar: int) -> BaseConstants:
     """A0, A1 and their conductor combinations A and X.
 
-    A0 and A1 are fixed quadratures of log I0; A shifts A0 by log(q*/pi),
+    A0 and A1 are fixed integrals of log I0; A shifts A0 by log(q*/pi),
     and X collects the cross terms that the large-deviation model needs.
     """
     if not isinstance(qstar, int) or qstar < 1:
         raise ValueError(f"qstar must be a positive integer, got {qstar!r}")
-    a0, a1 = _a0_a1()
     lq = math.log(qstar / math.pi)
-    a = a0 + lq
     l2 = math.log(2.0)
-    x = ((l2 + a0) * lq - 0.5 * l2 * l2 - 1.0 + a0 - a1) / math.pi
-    return BaseConstants(A0=a0, A1=a1, A=a, X=x)
+    x = ((l2 + _A0) * lq - 0.5 * l2 * l2 - 1.0 + _A0 - _A1) / math.pi
+    return BaseConstants(A0=_A0, A1=_A1, A=_A0 + lq, X=x)

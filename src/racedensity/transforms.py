@@ -74,10 +74,19 @@ _CORR_TERMS = 8
 
 # phat_prefix sums the kernel factors with z <= _FAR_Z from the log-J0
 # series, truncated after _FAR_TERMS terms. Its terms fall like
-# (z/j1)^(2k)/k, and the dropped part is below 7e-29 per factor at
-# z = _FAR_Z, so below 1e-21 for rows of up to ten million far zeros.
-_FAR_Z = 0.7
-_FAR_TERMS = 24
+# (z/j1)^(2k)/k, so a higher split trades long-double J0 calls, one per
+# near factor, for rows of the power-sum table, one per term. At 1.4 a
+# u = 2999 solve makes 42% of the J0 calls it makes at 0.7 and runs
+# about 40% faster; 1.2 with 44 terms and 1.6 with 74 were no faster.
+# At z = _FAR_Z the dropped part is 4.3e-29 per factor, below 7e-29, so
+# below 1e-21 for rows of up to ten million far zeros; every other far
+# factor drops less.
+_FAR_Z = 1.4
+_FAR_TERMS = 56
+# phat_prefix builds the far power sums in blocks of this many zeros, so
+# that one block of the (_FAR_TERMS, zeros) table, 0.46 MB, is alive at
+# a time
+_FAR_BLOCK = 512
 
 # phat_prefix evaluates the near factors in blocks of consecutive rows
 # holding at most this many factors over all characters. Unblocked, the
@@ -135,11 +144,12 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
     Every row splits at z = _FAR_Z, where z = t/sqrt(1/4+g^2) with
     t = 2*alpha*w falls as g grows. The far zeros (z at or below the
     split, the high ordinates) enter through log J0(z) = sum_k a_k
-    (z^2/4)^k, which for row w is sum_k a_k (t^2/4)^k S_k with S_k the
-    sum of (1/4+g^2)^(-k) over the far zeros: a suffix of one power-sum
-    table per character, built once per call. No frequency-by-zero block
-    is ever formed. Both zones take the same t, so a factor has one
-    argument whichever zone it falls in.
+    (z^2/4)^k, cut after _FAR_TERMS terms, which for row w is sum_k a_k
+    (t^2/4)^k S_k with S_k the sum of (1/4+g^2)^(-k) over the far zeros:
+    a suffix of one power-sum table per character, built and freed
+    character by character. No frequency-by-zero block is ever formed.
+    Both zones take the same t, so a factor has one argument whichever
+    zone it falls in.
 
     The near zeros enter as explicit j0_lowbias factors. Each row keeps
     a prefix of each character's zeros, so the near factors form a
@@ -165,7 +175,6 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
     if u < 0.0:
         raise ValueError("cutoff u must be nonnegative")
     ws = np.asarray(omegas, dtype=float).ravel()
-    a = _log_j0_coeffs(_FAR_TERMS)
     far = np.zeros(ws.size, dtype=np.longdouble)
     near = []
     for entry, g in zip(race.characters, _explicit_zeros(race, u)):
@@ -179,22 +188,7 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
         # zeros before split[i] have z above _FAR_Z in row i
         split = np.searchsorted(den, np.abs(t).astype(float) / _FAR_Z)
         near.append((t, den, split))
-        # S[k-1, j - lo] = sum over zeros from j on of den2^(-k), filled
-        # in place; column g.size - lo is the empty sum, 0
-        lo = int(split.min(initial=g.size))
-        inv2 = 1.0 / den2[lo:]
-        S = np.zeros((_FAR_TERMS, inv2.size + 1), dtype=np.longdouble)
-        np.cumprod(np.broadcast_to(inv2, (_FAR_TERMS, inv2.size)), axis=0,
-                   out=S[:, :-1])
-        suffix = S[:, :-1][:, ::-1]
-        np.cumsum(suffix, axis=1, out=suffix)
-        # row i: sum_k a_k q_i^k S_k[split_i], by Horner in q
-        terms = a[:, None] * S[:, split - lo]
-        q = 0.25 * np.square(t)
-        acc = terms[-1]
-        for row in terms[-2::-1]:
-            acc = acc * q + row
-        far += acc * q
+        far += _far_logs(t, den2, split)
     out = np.exp(far)
     sizes = sum(split for _, _, split in near)
     ends = np.cumsum(sizes)
@@ -205,6 +199,36 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
         _near_block(out, far, near, start, stop)
         start = stop
     return out.astype(float)
+
+
+def _far_logs(t, den2, split) -> np.ndarray:
+    # row i: the log of the product of J0(t[i] / den) over the zeros
+    # from split[i] on, sum_k a_k q_i^k S_k[split_i] with q = t^2/4 and
+    # S_k[j] the sum over zeros from j on of den2^(-k). S is built from
+    # the last zero back, one block of _FAR_BLOCK zeros at a time, each
+    # block's last column starting from the sum carried over from the
+    # block after it: the additions of one sequential suffix sum, with
+    # one block of the table alive at a time
+    terms = np.zeros((_FAR_TERMS, t.size), dtype=np.longdouble)
+    carry = 0.0
+    for stop in range(den2.size, int(split.min(initial=den2.size)),
+                      -_FAR_BLOCK):
+        start = max(0, stop - _FAR_BLOCK)
+        S = np.cumprod(np.broadcast_to(
+            1.0 / den2[start:stop], (_FAR_TERMS, stop - start)), axis=0)
+        S[:, -1] += carry
+        suffix = S[:, ::-1]
+        np.cumsum(suffix, axis=1, out=suffix)
+        carry = S[:, 0].copy()
+        rows = (split >= start) & (split < stop)
+        terms[:, rows] = S[:, split[rows] - start]
+    terms *= _log_j0_coeffs(_FAR_TERMS)[:, None]
+    # by Horner in q
+    q = 0.25 * np.square(t)
+    acc = terms[-1]
+    for row in terms[-2::-1]:
+        acc = acc * q + row
+    return acc * q
 
 
 def _near_block(out, far, near, lo, hi) -> None:

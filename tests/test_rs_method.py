@@ -501,9 +501,10 @@ def test_public_names_pinned():
 
 
 def test_solve_imports_numpy_only():
-    # a fresh process that solves a race and evaluates the cumulant
-    # function imports neither scipy (about 0.3 s of every cold start)
-    # nor numpy.ma (which np.median pulls in, 40 ms)
+    # a fresh process that solves a race, evaluates the cumulant
+    # function and the large-deviation model imports neither scipy
+    # (about 0.3 s of every cold start, 0.7 s with scipy.integrate) nor
+    # numpy.ma (which np.median pulls in, 40 ms)
     code = textwrap.dedent("""
         import sys
         sys.path.insert(0, sys.argv[1])
@@ -514,6 +515,8 @@ def test_solve_imports_numpy_only():
         rs.race_result(race, stats=aggregate_stats(race, 100.0))
         race = two_way_race(5, 1, 2)
         tr.l0_full(10.0, race, aggregate_stats(race, 100.0))
+        tr.model_saddle(race, 3.0)
+        tr.l0_asymptotic(50.0, race)
         print(" ".join(m for m in ("scipy", "numpy.ma") if m in sys.modules))
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(rs.__file__)))

@@ -450,8 +450,9 @@ def test_log_j0_coefficients_rounded_once():
     # each extended-precision coefficient sits within half an ulp of its
     # exact rational
     half_ulp = Fraction(1, 2 ** 64)
-    for exact, ld in zip(sf._log_j0_fracs(tr._FAR_TERMS),
-                         sf._log_j0_coeffs(tr._FAR_TERMS)):
+    coeffs = sf._log_j0_coeffs(tr._FAR_TERMS)
+    assert len(coeffs) == tr._FAR_TERMS
+    for exact, ld in zip(sf._log_j0_fracs(tr._FAR_TERMS), coeffs):
         assert abs(Fraction(*ld.as_integer_ratio()) - exact) \
             <= half_ulp * abs(exact)
 
@@ -459,15 +460,24 @@ def test_log_j0_coefficients_rounded_once():
 def test_log_j0_truncation_bound():
     # the terms phat_prefix drops past _FAR_TERMS, at the far zone's edge
     # z = _FAR_Z, add up to less than the 7e-29 per factor its comment
-    # states; past k = K + 40 the terms shrink by more than 10x a step
-    # from below 1e-40 of that, so they cannot change it
+    # states. The ratio of consecutive terms, a_(k+1) q / a_k, rises
+    # with k towards (z/j1)^2: a_k = -(4^k/k) sum_l j_l^(-2k), and the
+    # power-sum ratio is a mean of the j_l^(-2) weighted by j_l^(-2k).
+    # So past the exact window the rest is at most a geometric series
+    # with ratio r, checked here against every ratio inside the window
     K = tr._FAR_TERMS
     q = Fraction(tr._FAR_Z) ** 2 / 4
-    a = sf._log_j0_fracs(K + 40)
-    dropped = sum(-a[k - 1] * q ** k for k in range(K + 1, K + 41))
+    n = 100
+    a = sf._log_j0_fracs(K + n)
+    terms = [-a[k - 1] * q ** k for k in range(K + 1, K + n + 1)]
+    dropped = sum(terms)
     assert dropped < Fraction(7, 10 ** 29)
-    assert -a[-1] * q ** (K + 40) < dropped * Fraction(1, 10 ** 40)
-    assert a[-1] / a[-2] * q < Fraction(1, 10)
+    # 2.4048 < j1, so r bounds the limit (z/j1)^2
+    r = 4 * q / Fraction(24048, 10000) ** 2
+    ratios = [b / a for a, b in zip(terms, terms[1:])]
+    assert all(x < y for x, y in zip(ratios, ratios[1:]))
+    assert ratios[-1] < r < 1
+    assert terms[-1] * r / (1 - r) < dropped * Fraction(1, 10 ** 40)
     # ten million far factors stay below 1e-21
     assert dropped * 10 ** 7 < Fraction(1, 10 ** 21)
 
@@ -539,11 +549,37 @@ def test_base_constants_pins():
 
 
 def test_base_constants_regression():
-    # frozen from this implementation's quadrature (certified residual
-    # < 1e-9); guards against silent integrand changes
+    # frozen from the scipy quadrature that computed A0 and A1 before
+    # they were stored as numbers (certified residual < 1e-9)
     bc = sf.base_constants(1)
     assert bc.A0 == pytest.approx(-0.0893265223437, abs=1e-10)
     assert bc.A1 == pytest.approx(-2.1263359643917, abs=1e-10)
+
+
+def test_base_constants_against_mpmath():
+    # A0 and A1 are the doubles nearest their defining integrals,
+    # recomputed here by mpmath quadrature at 30 digits
+    import mpmath
+
+    with mpmath.workdps(30):
+        def log_i0(x):
+            return mpmath.log(mpmath.besseli(0, x))
+
+        def h(x):
+            # log I0 with its large-x asymptote x - log(2 pi x)/2 removed
+            return log_i0(x) - x + mpmath.log(2 * mpmath.pi * x) / 2
+
+        l2pi = mpmath.log(2 * mpmath.pi)
+        a0 = (1 + mpmath.quad(lambda x: log_i0(x) / x ** 2, [0, 1])
+              + mpmath.quad(lambda x: h(x) / x ** 2, [1, mpmath.inf])
+              - (l2pi + 1) / 2)
+        a1 = (mpmath.quad(lambda x: mpmath.log(x) * log_i0(x) / x ** 2, [0, 1])
+              + mpmath.quad(lambda x: mpmath.log(x) * h(x) / x ** 2,
+                            [1, mpmath.inf])
+              - (l2pi + 2) / 2)
+    bc = sf.base_constants(1)
+    assert bc.A0 == float(a0)
+    assert bc.A1 == float(a1)
 
 
 def test_base_constants_conductor_shift():

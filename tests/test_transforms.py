@@ -22,7 +22,8 @@ from scipy.special import j0 as scipy_j0
 from racedensity import transforms as tr
 from racedensity.race import prime_count_race, square_race, two_way_race
 from racedensity.rs_method import RSParams, default_params, phat_samples
-from racedensity.specfun import base_constants, c_coeffs, j0_lowbias
+from racedensity.specfun import _log_j0_fracs, base_constants, c_coeffs
+from racedensity.specfun import j0_lowbias
 from racedensity.zerodata import (
     ZeroDataError, aggregate_stats, bundled_table, resolve_table,
 )
@@ -175,11 +176,13 @@ def test_explicit_product_frequencies_independent(race, u, monkeypatch):
     # per frequency gives; the last frequency puts the first kernel
     # factor within 1e-3 of a zero of J0, so its product takes the
     # log-sum route and the others the direct one. At u = 2999 the
-    # leading spread of frequencies fills several blocks of near
-    # factors, so the log-sum row lands in a later block
+    # leading spread of frequencies reaches 2000, where the near factors
+    # of its rows (z above _FAR_Z, so g below about 1.43 w) fill
+    # several blocks, and the log-sum row lands in a later block
     entry = race.characters[0]
     g1 = float(resolve_table(entry).gammas[0])
-    ws = np.linspace(20.0, 1000.0, 40).tolist() + [
+    top = 2000.0 if u > 2000.0 else 1000.0
+    ws = np.linspace(20.0, top, 40).tolist() + [
         0.0, 0.1, 0.7, 1.9, 2.5, 4.0,
         J1 * math.sqrt(0.25 + g1 * g1) / (2.0 * entry.alpha) + 3e-4]
     calls = []
@@ -330,6 +333,45 @@ def test_prefix_matches_explicit_product(race, u):
     small = np.abs(want) < 1e-3
     assert np.all(np.abs(got - want)[~small] <= 4e-16 * np.abs(want[~small]))
     assert np.all(np.abs(got - want)[small] <= 1e-18)
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.parametrize("race", [prime_count_race(), two_way_race(4, 1, 3)])
+def test_far_zone_truncation_over_actual_zeros(race):
+    # what the far zone's log-J0 series drops past _FAR_TERMS, summed in
+    # rationals over the far zeros of the largest live frequency of a
+    # default solve at u = 2999 (2201 zeros for zeta, 2792 for mod 4;
+    # measured 1.2e-28 and 1.6e-28). Each 1/(1/4 + g^2) is rounded up
+    # to a multiple of 2^-128, and past the exact window of 20 terms
+    # the rest is a geometric series whose ratio (z/j1)^2 is bounded
+    # with the row's largest z, so the sum is an upper bound
+    u = 2999.0
+    stats = aggregate_stats(race, u)
+    params = default_params(race, stats, v_max=abs(race.offset))
+    w = max(s.omega for s in phat_samples(race, params, stats)
+            if s.tail != 0.0)
+    K, n, P = tr._FAR_TERMS, 20, 128
+    a = _log_j0_fracs(K + n)
+    total = Fraction(0)
+    for entry in race.characters:
+        g = resolve_table(entry).gammas
+        g = g[g <= u]
+        t = np.longdouble(2.0 * entry.alpha) * np.longdouble(w)
+        q = Fraction(*t.as_integer_ratio()) ** 2 / 4
+        # the far zeros as phat_prefix picks them: den >= |t| / _FAR_Z
+        gl = g.astype(np.longdouble)
+        far = g[np.sqrt(0.25 + gl * gl) >= float(abs(t)) / tr._FAR_Z]
+        inv = [-(-2 ** P // (Fraction(1, 4) + Fraction(x) ** 2))
+               for x in far.tolist()]
+        powers = [d ** K for d in inv]
+        terms = []
+        for k in range(K + 1, K + n + 1):
+            powers = [p * d for p, d in zip(powers, inv)]
+            terms.append(-a[k - 1] * q ** k * Fraction(sum(powers), 2 ** (P * k)))
+        r = 4 * q * Fraction(max(inv), 2 ** P) / Fraction(24048, 10000) ** 2
+        assert r < 1
+        total += sum(terms) + terms[-1] * r / (1 - r)
+    assert total < Fraction(1, 10 ** 24)
 
 
 # ------------------------------------------------------------ raw tail series
