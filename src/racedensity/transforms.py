@@ -75,9 +75,10 @@ _CORR_TERMS = 8
 # phat_prefix sums the kernel factors with z <= _FAR_Z from the log-J0
 # series, truncated after _FAR_TERMS terms. Its terms fall like
 # (z/j1)^(2k)/k, so a higher split trades long-double J0 calls, one per
-# near factor, for rows of the power-sum table, one per term. At 1.4 a
-# u = 2999 solve makes 42% of the J0 calls it makes at 0.7 and runs
-# about 40% faster; 1.2 with 44 terms and 1.6 with 74 were no faster.
+# near factor, for rows of the power-sum table, one per term. At 1.4
+# the solves at u = 1500 to 2999 of the deep_cutoff benchmark make 42%
+# of the J0 calls they make at 0.7, in 38% less time; 1.2 with 44 terms
+# and 1.6 with 74 were no faster than 1.4.
 # At z = _FAR_Z the dropped part is 4.3e-29 per factor, below 7e-29, so
 # below 1e-21 for rows of up to ten million far zeros; every other far
 # factor drops less.
@@ -146,8 +147,9 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
     split, the high ordinates) enter through log J0(z) = sum_k a_k
     (z^2/4)^k, cut after _FAR_TERMS terms, which for row w is sum_k a_k
     (t^2/4)^k S_k with S_k the sum of (1/4+g^2)^(-k) over the far zeros:
-    a suffix of one power-sum table per character, built and freed
-    character by character. No frequency-by-zero block is ever formed.
+    a suffix of one power-sum table per character, built a block of
+    _FAR_BLOCK zeros at a time. No frequency-by-zero block is ever
+    formed.
     Both zones take the same t, so a factor has one argument whichever
     zone it falls in.
 
@@ -211,9 +213,9 @@ def _far_logs(t, den2, split) -> np.ndarray:
     # one block of the table alive at a time
     terms = np.zeros((_FAR_TERMS, t.size), dtype=np.longdouble)
     carry = 0.0
-    for stop in range(den2.size, int(split.min(initial=den2.size)),
-                      -_FAR_BLOCK):
-        start = max(0, stop - _FAR_BLOCK)
+    lo = int(split.min(initial=den2.size))
+    for stop in range(den2.size, lo, -_FAR_BLOCK):
+        start = max(lo, stop - _FAR_BLOCK)
         S = np.cumprod(np.broadcast_to(
             1.0 / den2[start:stop], (_FAR_TERMS, stop - start)), axis=0)
         S[:, -1] += carry
