@@ -475,7 +475,7 @@ def test_log_j0_truncation_bound():
     assert dropped < Fraction(7, 10 ** 29)
     # 2.4048 < j1, so r bounds the limit (z/j1)^2
     r = 4 * q / Fraction(24048, 10000) ** 2
-    ratios = [b / a for a, b in zip(terms, terms[1:])]
+    ratios = [y / x for x, y in zip(terms, terms[1:])]
     assert all(x < y for x, y in zip(ratios, ratios[1:]))
     assert ratios[-1] < r < 1
     assert terms[-1] * r / (1 - r) < dropped * Fraction(1, 10 ** 40)

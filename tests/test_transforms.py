@@ -361,7 +361,7 @@ def test_far_zone_truncation_over_actual_zeros(race):
         # the far zeros as phat_prefix picks them: den >= |t| / _FAR_Z
         gl = g.astype(np.longdouble)
         far = g[np.sqrt(0.25 + gl * gl) >= float(abs(t)) / tr._FAR_Z]
-        inv = [-(-2 ** P // (Fraction(1, 4) + Fraction(x) ** 2))
+        inv = [math.ceil(2 ** P / (Fraction(1, 4) + Fraction(x) ** 2))
                for x in far.tolist()]
         powers = [d ** K for d in inv]
         terms = []
