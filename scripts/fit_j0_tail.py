@@ -13,9 +13,8 @@ interpolating series is a near-minimax fit. Every coefficient that
 reaches TOL (absolute, on functions of size 1) is kept. The truncated
 series are then rewritten exactly in powers of y, a change of basis
 that loses nothing here (the sums of the absolute coefficients agree to
-2%), and each coefficient is rounded once to a double; a polynomial in
-powers (specfun._estrin) takes fewer array operations than Clenshaw's
-recurrence.
+2%), and each coefficient is rounded once to a double; a Horner pass
+over powers takes fewer array operations than Clenshaw's recurrence.
 
 Run from the root of a checkout:
 

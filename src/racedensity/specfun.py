@@ -58,9 +58,9 @@ del _n
 # Past the cutover J0(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi) with
 # chi = z - pi/4. P - 1 and z Q + 1/8 are polynomials in y = 72/z^2 - 1,
 # fitted as Chebyshev series against mpmath to 2e-18 absolute and stored
-# in powers of y by scripts/fit_j0_tail.py; rows P - 1 and zQ + 1/8,
-# zero-padded at the top to the 20 terms that _estrin takes.
-_J0_TAIL = np.zeros((2, 20))
+# in powers of y by scripts/fit_j0_tail.py; rows P - 1 and zQ + 1/8, the
+# shorter zero-padded at the top.
+_J0_TAIL = np.zeros((2, 19))
 _J0_TAIL[0, :17] = (
     -0.0009562782475594555, -0.0009371922699207918, 1.801462057593961e-05,
     -9.64007018091677e-07, 9.16995319304267e-08, -1.2683259845092585e-08,
@@ -68,7 +68,7 @@ _J0_TAIL[0, :17] = (
     -3.648637801573743e-11, 1.1475139795926316e-11, -4.502188177190623e-12,
     1.814268718946277e-12, -1.3227502316580562e-13, -3.963959151107006e-14,
     -3.1286868105045177e-13, 1.6536109866084696e-13)
-_J0_TAIL[1, :19] = (
+_J0_TAIL[1] = (
     0.0009773662668481934, 0.0009408434207776135, -3.361025567239429e-05,
     2.5441146427159604e-06, -3.0484939137770443e-07, 4.988661781092704e-08,
     -1.0228708858280206e-08, 2.4877639605130347e-09, -6.917016086642071e-10,
@@ -93,12 +93,12 @@ def j0_lowbias(z) -> np.ndarray:
     fallback. For |z| <= 6 it evaluates the ascending series by Horner
     in 80-bit arithmetic, which is unbiased at the 1e-18 level. Past 6
     it takes the Hankel form, with fitted polynomials for P and zQ
-    (largest error 2e-18), summed by _estrin. Its phase chi = z - pi/4
-    is carried as the double nearest it plus a remainder, which corrects
-    the double cos and sin of the first part to first order, and the
-    O(1) part of the sum stays in 80 bits. Against mpmath at 6000 random
-    points of [6, 1e3] the tail's largest error is 3.4e-17 absolute and
-    its mean 2e-21 (cephes: 1.3e-15 and 5e-18).
+    (largest error 2e-18). Its phase chi = z - pi/4 is carried as the
+    double nearest it plus a remainder, which corrects the double cos
+    and sin of the first part to first order, and the O(1) part of the
+    sum stays in 80 bits. Against mpmath on [6, 1e3] the tail's largest
+    error is 1.8e-17 absolute and its mean 1e-19 (cephes: 1.3e-15 and
+    5e-18).
 
     transforms.phat_prefix calls it for the near zone of each product
     only, the factors with z above transforms._FAR_Z; the far zone goes
@@ -132,7 +132,7 @@ def _j0_series(q: np.ndarray) -> np.ndarray:
 def _j0_tail(z: np.ndarray) -> np.ndarray:
     # z in extended precision, every value above 6
     zd = z.astype(float)
-    p1, zq1 = _estrin(_J0_TAIL, 72.0 / (zd * zd) - 1.0)
+    p1, zq1 = _horner(_J0_TAIL, 72.0 / (zd * zd) - 1.0)
     # chi = s + lo: s the double difference, lo its exact rounding error
     # (zd > pi/4) plus the low parts of z and of pi/4, all far below an
     # ulp of s, so cos and sin of chi take lo to first order
@@ -223,12 +223,11 @@ def _log_j0_fracs(n: int) -> tuple[Fraction, ...]:
 def _log_j0_coeffs(n: int) -> np.ndarray:
     # a_1..a_n of _log_j0_fracs in extended precision, each rounded from
     # 40 significant digits of its exact value; read-only, as every
-    # caller shares it. Any n is built, not just the _C_TERMS that
-    # c_coeffs keeps
+    # caller shares it
     with localcontext() as ctx:
         ctx.prec = 40
         out = np.array([np.longdouble(str(Decimal(a.numerator) / a.denominator))
-                        for a in _log_j0_fracs(max(n, _C_TERMS))[:n]])
+                        for a in _log_j0_fracs(n)])
     out.setflags(write=False)
     return out
 
@@ -277,26 +276,6 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     for c in coeffs[:, -2::-1].T:
         acc *= x
         acc += c[:, None]
-    return acc
-
-
-def _estrin(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # as _horner, for a multiple of four coefficients per row, in fewer
-    # array operations: terms pair up as c_2j + c_2j+1 x, the pairs pair
-    # up again in x^2, and Horner in x^4 sums the rest. On small arrays
-    # each operation costs a fixed few microseconds; for _J0_TAIL this
-    # takes 15 of them, a Horner pass 36
-    b = np.multiply.outer(coeffs[:, 1::2], x)
-    b += coeffs[:, 0::2, None]
-    x2 = x * x
-    b[:, 1::2] *= x2
-    b[:, 0::2] += b[:, 1::2]
-    quads = b[:, 0::2]
-    x2 *= x2
-    acc = quads[:, -1].copy()
-    for c in quads[:, -2::-1].transpose(1, 0, 2):
-        acc *= x2
-        acc += c
     return acc
 
 

@@ -84,10 +84,6 @@ _CORR_TERMS = 8
 # factor drops less.
 _FAR_Z = 1.4
 _FAR_TERMS = 56
-# phat_prefix builds the far power sums in blocks of this many zeros, so
-# that one block of the (_FAR_TERMS, zeros) table, 0.46 MB, is alive at
-# a time
-_FAR_BLOCK = 512
 
 # phat_prefix evaluates the near factors in blocks of consecutive rows
 # holding at most this many factors over all characters. Unblocked, the
@@ -147,11 +143,10 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
     split, the high ordinates) enter through log J0(z) = sum_k a_k
     (z^2/4)^k, cut after _FAR_TERMS terms, which for row w is sum_k a_k
     (t^2/4)^k S_k with S_k the sum of (1/4+g^2)^(-k) over the far zeros:
-    a suffix of one power-sum table per character, built a block of
-    _FAR_BLOCK zeros at a time. No frequency-by-zero block is ever
-    formed.
-    Both zones take the same t, so a factor has one argument whichever
-    zone it falls in.
+    a suffix of one power-sum table per character, built once per call
+    and freed before the near factors are evaluated. No
+    frequency-by-zero block is ever formed. Both zones take the same t,
+    so a factor has one argument whichever zone it falls in.
 
     The near zeros enter as explicit j0_lowbias factors. Each row keeps
     a prefix of each character's zeros, so the near factors form a
@@ -206,25 +201,16 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
 def _far_logs(t, den2, split) -> np.ndarray:
     # row i: the log of the product of J0(t[i] / den) over the zeros
     # from split[i] on, sum_k a_k q_i^k S_k[split_i] with q = t^2/4 and
-    # S_k[j] the sum over zeros from j on of den2^(-k). S is built from
-    # the last zero back, one block of _FAR_BLOCK zeros at a time, each
-    # block's last column starting from the sum carried over from the
-    # block after it: the additions of one sequential suffix sum, with
-    # one block of the table alive at a time
-    terms = np.zeros((_FAR_TERMS, t.size), dtype=np.longdouble)
-    carry = 0.0
+    # S_k[j] the sum over zeros from j on of den2^(-k). S is filled in
+    # place; column den2.size - lo is the empty sum, 0
     lo = int(split.min(initial=den2.size))
-    for stop in range(den2.size, lo, -_FAR_BLOCK):
-        start = max(lo, stop - _FAR_BLOCK)
-        S = np.cumprod(np.broadcast_to(
-            1.0 / den2[start:stop], (_FAR_TERMS, stop - start)), axis=0)
-        S[:, -1] += carry
-        suffix = S[:, ::-1]
-        np.cumsum(suffix, axis=1, out=suffix)
-        carry = S[:, 0].copy()
-        rows = (split >= start) & (split < stop)
-        terms[:, rows] = S[:, split[rows] - start]
-    terms *= _log_j0_coeffs(_FAR_TERMS)[:, None]
+    inv2 = 1.0 / den2[lo:]
+    S = np.zeros((_FAR_TERMS, inv2.size + 1), dtype=np.longdouble)
+    np.cumprod(np.broadcast_to(inv2, (_FAR_TERMS, inv2.size)), axis=0,
+               out=S[:, :-1])
+    suffix = S[:, :-1][:, ::-1]
+    np.cumsum(suffix, axis=1, out=suffix)
+    terms = _log_j0_coeffs(_FAR_TERMS)[:, None] * S[:, split - lo]
     # by Horner in q
     q = 0.25 * np.square(t)
     acc = terms[-1]
