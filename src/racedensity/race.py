@@ -20,6 +20,21 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
+__all__ = [
+    "Character",
+    "RaceEntry",
+    "RaceError",
+    "RaceSpec",
+    "SUPPORTED_MODULI",
+    "alpha_coeffs",
+    "characters",
+    "prime_count_race",
+    "race_from_config",
+    "square_race",
+    "square_root_count",
+    "two_way_race",
+]
+
 SUPPORTED_MODULI = (1, 4, 5, 7, 8, 13, 24)
 
 # unit group generators (g, order) for each supported modulus; every unit
@@ -78,10 +93,6 @@ class Character:
 
     def value(self, n: int) -> complex:
         return self.values[n % self.q]
-
-    @property
-    def is_real(self) -> bool:
-        return self.order <= 2
 
 
 def _conductor(q: int, values: tuple[complex, ...]) -> int:
@@ -178,17 +189,6 @@ def _label_for(q: int, s: tuple[int, ...], gens) -> str:
     raise RaceError(f"no labeling for q={q}")
 
 
-def character_values(q: int, n: int) -> tuple[complex, ...]:
-    """chi(n) for every nontrivial character mod q, in the fixed label
-    order of characters(q)."""
-    if q not in SUPPORTED_MODULI:
-        raise RaceError(
-            f"modulus {q} not supported; supported: {SUPPORTED_MODULI}")
-    if math.gcd(n, q) != 1:
-        raise RaceError(f"n={n} is not coprime to q={q}")
-    return tuple(c.value(n) for c in characters(q))
-
-
 def alpha_coeffs(q: int, a: int, b: int) -> tuple[tuple[Character, float], ...]:
     """alpha per nontrivial character for the two-way race between residue
     classes a and b: alpha = |chi(a) - chi(b)|/2, in [0, 1]."""
@@ -256,11 +256,14 @@ class RaceSpec:
 
 
 def _entries_from_alphas(q, coeffs) -> tuple[RaceEntry, ...]:
-    # merge conjugate pairs onto their shared table, drop alpha = 0
+    # merge conjugate pairs onto their shared table, drop alpha = 0. A
+    # true zero can come out of the complex character values as a few
+    # 1e-15, differently for the two members of a pair; the smallest
+    # genuine alpha is sin(pi/12) = 0.2588
     by_table: dict[str, list] = {}
     order: list[str] = []
     for c, al in coeffs:
-        if al < 1e-15:
+        if al < 1e-12:
             continue
         if not c.table_key:
             raise RaceError(f"no bundled zero table for character {c.label}")
@@ -359,14 +362,22 @@ def race_from_config(path: str) -> RaceSpec:
     def bad(key, msg):
         return RaceError(f"{path}:{lines.get(key, 0)}: {msg}")
 
+    def number(key, text, kind):
+        try:
+            return kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise bad(key, f"{key} must be {what}, got {text!r}") from None
+
+    def override(pre, label, kind, default):
+        text = overrides[pre].get(label)
+        return default if text is None else number(f"{pre}.{label}", text,
+                                                    kind)
+
     try:
-        q_raw = kv.pop("q")
+        q = number("q", kv.pop("q"), int)
     except KeyError:
         raise RaceError(f"{path}: missing required key 'q'") from None
-    try:
-        q = int(q_raw)
-    except ValueError:
-        raise bad("q", f"q must be an integer, got {q_raw!r}") from None
     kind = kv.pop("kind", "two-way")
     residues: tuple[int, ...] = ()
     if "residues" in kv:
@@ -376,10 +387,7 @@ def race_from_config(path: str) -> RaceSpec:
             raise bad("residues", "residues must be comma-separated integers")
     offset = None
     if "offset" in kv:
-        try:
-            offset = float(kv.pop("offset"))
-        except ValueError:
-            raise bad("offset", "offset must be a number")
+        offset = number("offset", kv.pop("offset"), float)
 
     overrides = {"table": {}, "alpha": {}, "qstar": {}, "weight": {}}
     for k in list(kv):
@@ -403,9 +411,9 @@ def race_from_config(path: str) -> RaceSpec:
         entries = []
         for e in spec.characters:
             tab = overrides["table"].get(e.label, e.table)
-            al = float(overrides["alpha"].get(e.label, e.alpha))
-            qs = int(overrides["qstar"].get(e.label, e.qstar))
-            wt = int(overrides["weight"].get(e.label, e.weight))
+            al = override("alpha", e.label, float, e.alpha)
+            qs = override("qstar", e.label, int, e.qstar)
+            wt = override("weight", e.label, int, e.weight)
             entries.append(RaceEntry(e.label, qs, al, tab, wt))
         off = spec.offset if offset is None else offset
         return RaceSpec(q=spec.q, kind=spec.kind, contestants=spec.contestants,
@@ -426,12 +434,12 @@ def race_from_config(path: str) -> RaceSpec:
         if not os.path.exists(tab):
             raise RaceError(f"{path}: zero table for {lb} not found: {tab}")
         try:
-            al = float(overrides["alpha"][lb])
-            qs = int(overrides["qstar"][lb])
+            al = number(f"alpha.{lb}", overrides["alpha"][lb], float)
+            qs = number(f"qstar.{lb}", overrides["qstar"][lb], int)
         except KeyError as missing:
             raise RaceError(
                 f"{path}: character {lb} missing {missing} entry") from None
-        wt = int(overrides["weight"].get(lb, 1))
+        wt = override("weight", lb, int, 1)
         entries.append(RaceEntry(lb, qs, al, tab, wt))
     return RaceSpec(q=q, kind="two-way" if kind == "custom" else kind,
                     contestants=residues, characters=tuple(entries),

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+__all__ = ["DensityResult"]
+
 
 @dataclass(frozen=True)
 class DensityResult:

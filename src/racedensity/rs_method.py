@@ -34,7 +34,7 @@ import numpy as np
 from .race import RaceSpec
 from .results import DensityResult
 from .specfun import c_coeffs
-from .transforms import _NO_RADIUS, ConvergenceError, phat_prefix
+from .transforms import ConvergenceError, phat_prefix
 from .zerodata import TailStats, aggregate_stats, montgomery_bound
 
 __all__ = [
@@ -54,6 +54,9 @@ __all__ = [
 # tail-factor exponent past which a lattice term is dropped: values
 # below e^-46 ~ 1e-20 cannot move a result read at 1e-16
 _EXPONENT_CUTOFF = 46.0
+
+_NO_RADIUS = \
+    "tail statistics carry no usable convergence radius; raise the cutoff u"
 
 
 class ParameterError(ValueError):
@@ -343,7 +346,7 @@ def _tail_series(stats: TailStats, tau: np.ndarray):
     # c_K R_K tau^(2K+2) / (T^2 - tau^2), the omitted terms taken as a
     # geometric series in (tau/T)^2 from the last retained one
     Kmax = len(stats.R)
-    cr = np.array(c_coeffs(Kmax).c) * np.array(stats.R)
+    cr = np.array(c_coeffs(Kmax)) * np.array(stats.R)
     powers = tau ** (2 * np.arange(1, Kmax + 2))[:, None]
     exponents = np.cumsum(cr[:, None] * powers[:-1], axis=0)
     errors = cr[:, None] * powers[1:] / (stats.T * stats.T - tau * tau)

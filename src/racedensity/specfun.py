@@ -28,7 +28,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "CoeffTable",
     "BaseConstants",
     "j0_lowbias",
     "log_i0_derivs",
@@ -247,7 +246,7 @@ def _series_coeffs() -> tuple[np.ndarray, np.ndarray]:
     # per order m: the lowest surviving power p0 of w, and the coefficients
     # of (w^2)^j above it, in the m-th derivative of
     # sum_{k<=25} (-1)^(k-1) c_k w^(2k) / 2^k; rows zero-padded at the top
-    c = c_coeffs(25).c
+    c = c_coeffs(25)
     p0 = np.empty(6, dtype=int)
     rows = np.zeros((6, 25))
     for m in range(6):
@@ -369,13 +368,6 @@ def log_i0_derivs(w, max_order: int = 5) -> list[float] | np.ndarray:
 # the c_k coefficient family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoeffTable:
-    """Coefficients c_1..c_K of the log-Bessel expansions."""
-    c: tuple[float, ...]
-    K: int
-
-
 @lru_cache(maxsize=1)
 def _c_all() -> tuple[float, ...]:
     return tuple(float(-a / 2 ** k)
@@ -383,7 +375,7 @@ def _c_all() -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=None)
-def c_coeffs(K: int) -> CoeffTable:
+def c_coeffs(K: int) -> tuple[float, ...]:
     """c_1..c_K, each the double nearest c_k = -a_k / 2^k.
 
     The a_k are the exact rationals of _log_j0_fracs. They also equal
@@ -392,7 +384,7 @@ def c_coeffs(K: int) -> CoeffTable:
     """
     if not isinstance(K, int) or not 1 <= K <= _C_TERMS:
         raise ValueError(f"K must be an integer in 1..{_C_TERMS}, got {K!r}")
-    return CoeffTable(c=_c_all()[:K], K=K)
+    return _c_all()[:K]
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ __all__ = [
     "model_log_exceedance",
     "model_saddle",
     "phat_prefix",
-    "sigma_accelerated",
 ]
 
 _J1SQ = J0_ZERO1 * J0_ZERO1
@@ -107,10 +106,6 @@ class ConvergenceError(ValueError):
 
 class AccuracyWarning(UserWarning):
     """A truncated tail term is large enough to threaten the target accuracy."""
-
-
-_NO_RADIUS = \
-    "tail statistics carry no usable convergence radius; raise the cutoff u"
 
 
 def _radius_error(what: float, wall: float, u: float, label: str = "") -> ConvergenceError:
@@ -366,7 +361,7 @@ def _sigma_corr(t: float, rk, y: float, T: float, order: int):
         raise ValueError(
             f"per-character moment ratios reach order {len(rk)}; "
             f"the correction series needs {_CORR_TERMS} (use Kmax >= 8)")
-    c = c_coeffs(_CORR_TERMS).c
+    c = c_coeffs(_CORR_TERMS)
     parts = []
     last = 0.0
     for k in range(1, _CORR_TERMS + 1):
@@ -384,14 +379,6 @@ def _sigma_corr(t: float, rk, y: float, T: float, order: int):
     return math.fsum(parts), last
 
 
-def _per_char_ratios(pc) -> tuple:
-    # table sums cover all `weight` conjugate series at once, so the
-    # single-series ratios pick up a weight^{k-1} rescaling
-    b1 = pc.b[0]
-    return tuple(pc.weight ** (k - 1) * pc.b[k - 1] / b1 ** k
-                 for k in range(1, len(pc.b) + 1))
-
-
 def _warn_if_truncated(value: float, last: float, t: float, T: float,
                        label: str) -> None:
     # the final retained correction term bounds what truncation dropped;
@@ -405,44 +392,10 @@ def _warn_if_truncated(value: float, last: float, t: float, T: float,
             f"full accuracy", AccuracyWarning, stacklevel=3)
 
 
-def _check_disk(t: float, T: float, u: float, label: str,
-                no_radius: str = _NO_RADIUS) -> None:
-    # a usable radius, and |t| inside the extended disk (j2/j1) T
-    if not T > 0.0:
-        raise ConvergenceError(no_radius)
-    if abs(t) >= _EXT_RADIUS * T:
-        raise _radius_error(abs(t), _EXT_RADIUS * T, u, label)
-
-
 def _accelerated(t: float, y: float, T: float, rk, order: int):
     value_model = _sigma_model(t, y, T, order)
     value_corr, last = _sigma_corr(t, rk, y, T, order)
     return value_model + value_corr, last
-
-
-def sigma_accelerated(t: float, stats: TailStats, order: int = 0) -> float:
-    """Accelerated remainder for a single series: model part plus correction.
-
-    Valid on the extended disk |t| < (j2/j1) T; past the raw radius T
-    the retained-term check below is what monitors accuracy. Multi-
-    character races sum per-character results (each with its own t,
-    radius and ratios); that summation lives in l0_full.
-    """
-    if not 0 <= order <= 5:
-        raise ValueError("order must lie in 0..5")
-    if len(stats.per_char) != 1 or stats.per_char[0].weight != 1:
-        raise ValueError(
-            "the accelerated remainder is defined one series at a time; "
-            "multi-character races go through l0_full, which sums per-series results")
-    pc = stats.per_char[0]
-    t = float(t)
-    T = pc.T_single
-    _check_disk(t, T, stats.u, pc.label)
-    # for a single weight-1 series the race-normalized ratios R_k and
-    # the per-series ratios coincide (alpha cancels)
-    value, last = _accelerated(t, pc.y, T, stats.R, order)
-    _warn_if_truncated(value, last, t, T, pc.label)
-    return value
 
 
 # ----------------------------------------------------------- full cumulant side
@@ -513,13 +466,16 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
         dtds = entry.alpha * math.sqrt(2.0 * b1_chi)
         t_chi = dtds * s
         T = pc.T_single
-        _check_disk(t_chi, T, u, entry.label,
-                    f"{entry.label}: no usable convergence radius at u = "
-                    f"{u:g}; raise the cutoff")
-        rk = _per_char_ratios(pc)
+        # a usable radius, and |t| inside the extended disk (j2/j1) T
+        if not T > 0.0:
+            raise ConvergenceError(
+                f"{entry.label}: no usable convergence radius at u = {u:g}; "
+                "raise the cutoff")
+        if abs(t_chi) >= _EXT_RADIUS * T:
+            raise _radius_error(abs(t_chi), _EXT_RADIUS * T, u, entry.label)
         p = float(pc.weight)
         for m in range(6):
-            val, last = _accelerated(t_chi, pc.y, T, rk, m)
+            val, last = _accelerated(t_chi, pc.y, T, pc.r, m)
             buckets[m].append(np.array([p * val]))
             if m == 0:
                 _warn_if_truncated(val, last, t_chi, T, entry.label)

@@ -30,6 +30,21 @@ import numpy as np
 from .race import RaceEntry, RaceSpec
 from .specfun import J0_ZERO1
 
+__all__ = [
+    "CharTailStats",
+    "FrozenSpanWarning",
+    "TailStats",
+    "ThinTailWarning",
+    "ZeroDataError",
+    "ZeroTable",
+    "aggregate_stats",
+    "available_tables",
+    "bundled_table",
+    "load_zeros",
+    "montgomery_bound",
+    "resolve_table",
+]
+
 _TWO_PI = 2.0 * math.pi
 
 class ZeroDataError(ValueError):
@@ -101,10 +116,6 @@ class ZeroTable:
         return int(np.searchsorted(self.gammas, u, side="right"))
 
     @property
-    def first_zero(self) -> float:
-        return float(self.gammas[0])
-
-    @property
     def last_zero(self) -> float:
         return float(self.gammas[-1])
 
@@ -124,7 +135,18 @@ class ZeroTable:
 
     @cached_property
     def span_fit(self) -> tuple[float, int]:
-        """delta and n_used of span_and_delta, fixed by the table alone."""
+        """(delta, n_used): the constant term of the explicit span
+        S(u) = 2 sum over gamma <= u of (1/4 + gamma^2)^(-1/2) in its
+        large-u expansion, and the ordinates behind the estimate.
+
+        delta is the median residual over the table's top decade (the
+        median rides out both the jump discontinuities and the slow
+        main-term drift). Sampling the running sum right at a zero lands
+        just after a jump, which sits half a jump above the phase-averaged
+        residual; the long-run counting offset itself is folded into the
+        constant by partial summation. Subtracting half of each sample's
+        own jump removes that bias, and brings the estimate within a few
+        1e-5 of the level the residual actually oscillates about."""
         g = self.gammas
         half_jump = 1.0 / np.sqrt(0.25 + g * g)
         cum = 2.0 * np.cumsum(half_jump)
@@ -133,15 +155,11 @@ class ZeroTable:
         return _median(resid), int(np.count_nonzero(top))
 
 
-_HEADER_KEYS = {"key", "qstar", "parity", "weight", "count", "max_gamma",
-                "b1_total", "chi", "method"}
-
-
 def load_zeros(path: str, qstar: int | None = None,
                label: str | None = None) -> ZeroTable:
     """Read a zero table file: '#' header lines with 'name: value'
     fields, then one ordinate per line, ascending."""
-    head: dict[str, str] = {}
+    head: dict[str, tuple[str, int]] = {}   # name -> (value, line)
     vals: list[float] = []
     prev = 0.0
     try:
@@ -157,8 +175,7 @@ def load_zeros(path: str, qstar: int | None = None,
                 body = line[1:].strip()
                 if ":" in body:
                     k, v = body.split(":", 1)
-                    if k.strip() in _HEADER_KEYS:
-                        head[k.strip()] = v.strip()
+                    head[k.strip()] = (v.strip(), i)
                 continue
             try:
                 x = float(line)
@@ -173,28 +190,42 @@ def load_zeros(path: str, qstar: int | None = None,
                     f"{path}:{i}: ordinate {x!r} not above previous {prev!r}")
             prev = x
             vals.append(x)
+
+    def number(key, kind, default=None):
+        if key not in head:
+            return default
+        text, line = head[key]
+        try:
+            return kind(text)
+        except ValueError:
+            raise ZeroDataError(
+                f"{path}:{line}: header {key} must be "
+                f"{'an integer' if kind is int else 'a number'}, "
+                f"got {text!r}") from None
+
     if not vals:
         raise ZeroDataError(f"{path}: no ordinates found")
-    if "count" in head and int(head["count"]) != len(vals):
+    count = number("count", int)
+    if count is not None and count != len(vals):
         raise ZeroDataError(
-            f"{path}: header says {head['count']} ordinates, file has "
-            f"{len(vals)}")
-    if "max_gamma" in head and vals[-1] > float(head["max_gamma"]) + 1e-9:
+            f"{path}: header says {count} ordinates, file has {len(vals)}")
+    max_gamma = number("max_gamma", float)
+    if max_gamma is not None and vals[-1] > max_gamma + 1e-9:
         raise ZeroDataError(
             f"{path}: last ordinate {vals[-1]!r} above the header's "
-            f"search ceiling {head['max_gamma']}")
+            f"search ceiling {head['max_gamma'][0]}")
     if qstar is None:
-        if "qstar" not in head:
+        qstar = number("qstar", int)
+        if qstar is None:
             raise ZeroDataError(
                 f"{path}: no qstar header and none supplied")
-        qstar = int(head["qstar"])
     if label is None:
-        label = head.get("key") or os.path.splitext(os.path.basename(path))[0]
-    b1 = float(head["b1_total"]) if "b1_total" in head else None
+        label = (number("key", str)
+                 or os.path.splitext(os.path.basename(path))[0])
     return ZeroTable(
         gammas=np.array(vals), qstar=qstar, label=label, source=path,
-        weight=int(head.get("weight", 1)), parity=int(head.get("parity", 0)),
-        b1_total=b1)
+        weight=number("weight", int, 1), parity=number("parity", int, 0),
+        b1_total=number("b1_total", float))
 
 
 # found once, next to this file, with no import of importlib.resources,
@@ -234,88 +265,22 @@ def bundled_table(key: str) -> ZeroTable:
     return _table_cache[path]
 
 
-@dataclass(frozen=True)
-class CountCheck:
-    n_points: int
-    mean_residual: float
-    expected_mean: float
-    max_abs_residual: float
-    flagged: bool
-
-
-def validate_counting(table: ZeroTable, u_lo: float = 0.0,
-                      u_hi: float | None = None) -> CountCheck:
-    """Compare N(u) against its smooth approximation at the midpoints
-    between consecutive ordinates. The residual mean has a known target
-    (7/8 for the prime-count series; weight*(-1/8 + parity/4) for
-    Dirichlet series); drifting off it by more than 0.5 flags the table
-    as corrupted (missing or spurious zeros)."""
-    g = table.gammas
-    if u_hi is None:
-        u_hi = float(g[-1])
-    mids = 0.5 * (g[:-1] + g[1:])
-    sel = (mids >= u_lo) & (mids <= u_hi)
-    mids = mids[sel]
-    if mids.size == 0:
-        raise ZeroDataError(
-            f"{table.label}: no midpoints inside [{u_lo}, {u_hi}]")
-    counts = np.arange(1, g.size, dtype=float)[sel]
-    res = counts - table.smooth_count(mids)
-    if table.qstar == 1:
-        expected = 7.0 / 8.0
-    else:
-        expected = table.weight * (-1.0 / 8.0 + table.parity / 4.0)
-    mean = float(np.mean(res))
-    return CountCheck(
-        n_points=int(mids.size), mean_residual=mean, expected_mean=expected,
-        max_abs_residual=float(np.max(np.abs(res))),
-        flagged=abs(mean - expected) > 0.5)
-
-
-def tail_bk(table: ZeroTable, u: float, k: int, method: str = "auto") -> float:
+def _tail_bk(table: ZeroTable, u: float, k: int) -> float:
     """b_k(u), the inverse-power sum over ordinates above u.
 
-    method='auto': for k = 1 with a known full-spectrum total, subtract
-    the head sum from it; otherwise sum the tabulated tail and attach the
-    analytic continuation at the end of the table. method='closed' forces
-    the subtraction path, method='tail' forces the explicit path.
-
-    Past the last tabulated ordinate only the analytic term remains; its
-    own relative accuracy decays like k/u, so thin tails trigger a
-    warning rather than silently degrading.
+    For k = 1 with a known full-spectrum total, the head sum is
+    subtracted from it; otherwise the tabulated tail is summed and the
+    analytic continuation attached at the end of the table. Past the
+    last tabulated ordinate only the analytic term remains; its own
+    relative accuracy decays like k/u, which is why aggregate_stats
+    warns about thin tails rather than silently degrading.
     """
-    value = _tail_bk(table, u, k, method)
-    _warn_if_thin(table, u, f"b_{k} leans", k)
-    return value
-
-
-def _warn_if_thin(table: ZeroTable, u: float, what: str, k: int) -> None:
-    # stacklevel 3 names the caller of the public function
-    n_above = len(table) - table.count(u)
-    if n_above < 100:
-        warnings.warn(
-            f"{table.label}: only {n_above} tabulated zeros above "
-            f"u={u:g}; {what} on the analytic tail "
-            f"(relative error of order {k / max(u, table.last_zero):.1e} * 10)",
-            ThinTailWarning, stacklevel=3)
-
-
-def _tail_bk(table: ZeroTable, u: float, k: int, method: str = "auto") -> float:
-    if k < 1 or k != int(k):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
     if not (math.isfinite(u) and u >= 0.0):
         raise ValueError(f"u must be finite and >= 0, got {u!r}")
     g = table.gammas
     U = float(g[-1])
-    if method == "closed":
-        if k != 1:
-            raise ValueError("closed form only available for k = 1")
-        if table.b1_total is None:
-            raise ZeroDataError(
-                f"{table.label}: no full-spectrum b_1 recorded")
     n_head = table.count(u)
-    if k == 1 and method in ("auto", "closed") and table.b1_total is not None \
-            and u < U:
+    if k == 1 and table.b1_total is not None and u < U:
         head_g = g[:n_head]
         return table.b1_total - math.fsum(1.0 / (0.25 + head_g * head_g))
     # fsum rounds the exact sum once, so the full sum less the head terms
@@ -367,13 +332,6 @@ def _exact_bins(x: np.ndarray) -> list[float]:
     return np.ldexp(hi, scale - 27).tolist() + np.ldexp(lo, scale - 53).tolist()
 
 
-@dataclass(frozen=True)
-class SpanDelta:
-    S: float        # explicit span 2 * sum over gamma <= u of (1/4+g^2)^(-1/2)
-    delta: float    # constant term of the span's large-u expansion
-    n_used: int     # ordinates behind the delta estimate
-
-
 def _span_main(table: ZeroTable, t: np.ndarray) -> np.ndarray:
     lt = np.log(t)
     a_chi = math.log(table.qstar / _TWO_PI)
@@ -393,25 +351,6 @@ def _span(table: ZeroTable, u: float) -> float:
     return 2.0 * math.fsum(1.0 / np.sqrt(0.25 + head * head))
 
 
-def span_and_delta(table: ZeroTable, u: float) -> SpanDelta:
-    """S(u) plus an estimate of the constant in its smooth expansion,
-    taken as the median residual over the table's top decade (the median
-    rides out both the jump discontinuities and the slow main-term
-    drift).
-
-    Sampling the running sum right at a zero lands just after a jump,
-    which sits half a jump above the phase-averaged residual; the
-    long-run counting offset itself is folded into the constant by
-    partial summation. Subtracting half of each sample's own jump
-    removes that bias, and brings the estimate within a few 1e-5 of the
-    level the residual actually oscillates about."""
-    if u > table.last_zero:
-        raise ZeroDataError(
-            f"{table.label}: S({u:g}) needs zeros beyond the table end "
-            f"{table.last_zero:g}")
-    return SpanDelta(_span(table, u), *table.span_fit)
-
-
 @dataclass(frozen=True)
 class CharTailStats:
     label: str
@@ -423,7 +362,7 @@ class CharTailStats:
     S: float
     y: float
     delta: float
-    r2: float                # single-series b_2/b_1^2
+    r: tuple[float, ...]     # single-series ratios r_k, k = 1..Kmax
     T_single: float          # convergence radius as a lone series
     T_effective: float       # radius inside this race's normalization
 
@@ -443,10 +382,6 @@ class TailStats:
     T: float
     per_char: tuple[CharTailStats, ...]
 
-    @property
-    def b1(self) -> float:
-        return self.B[0]
-
 
 # (resolved path, qstar, label) -> (st_mtime_ns, st_size, table)
 _file_cache: dict[tuple[str, int, str], tuple[int, int, ZeroTable]] = {}
@@ -458,22 +393,33 @@ def resolve_table(entry: RaceEntry,
     a path separator or ends in .txt, else the bundled table of that key.
     A file is read again only once its modification time or size has
     changed, so its cached full_sums and span_fit survive between calls.
-    tables, when given, maps entry labels to tables that win over both."""
+    tables, when given, maps entry labels to tables that win over both.
+    The entry and its table must agree on how many series the table
+    holds (their weight)."""
     if tables and entry.label in tables:
-        return tables[entry.label]
-    if not (os.sep in entry.table or entry.table.endswith(".txt")):
-        return bundled_table(entry.table)
-    try:
-        st = os.stat(entry.table)
-    except OSError as e:
-        raise ZeroDataError(f"{entry.table}: {e.strerror or e}") from None
-    key = (os.path.realpath(entry.table), entry.qstar, entry.label)
-    hit = _file_cache.get(key)
-    if hit is None or hit[:2] != (st.st_mtime_ns, st.st_size):
-        hit = (st.st_mtime_ns, st.st_size,
-               load_zeros(entry.table, qstar=entry.qstar, label=entry.label))
-        _file_cache[key] = hit
-    return hit[2]
+        table = tables[entry.label]
+    elif not (os.sep in entry.table or entry.table.endswith(".txt")):
+        table = bundled_table(entry.table)
+    else:
+        try:
+            st = os.stat(entry.table)
+        except OSError as e:
+            raise ZeroDataError(f"{entry.table}: {e.strerror or e}") from None
+        key = (os.path.realpath(entry.table), entry.qstar, entry.label)
+        hit = _file_cache.get(key)
+        if hit is None or hit[:2] != (st.st_mtime_ns, st.st_size):
+            hit = (st.st_mtime_ns, st.st_size,
+                   load_zeros(entry.table, qstar=entry.qstar,
+                              label=entry.label))
+            _file_cache[key] = hit
+        table = hit[2]
+    if table.weight != entry.weight:
+        raise ZeroDataError(
+            f"{entry.label}: the race gives weight {entry.weight}, its table "
+            f"{table.source} holds weight {table.weight}; make them agree "
+            "(weight.<label> in the race config, or the table's weight "
+            "header)")
+    return table
 
 
 def _t_single(y: float, r2: float) -> float:
@@ -499,7 +445,13 @@ def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8) -> TailStats:
     for e in race.characters:
         t = resolve_table(e)
         b = tuple(_tail_bk(t, u, k) for k in range(1, Kmax + 1))
-        _warn_if_thin(t, u, f"b_1..b_{Kmax} lean", Kmax)
+        n_above = len(t) - t.count(u)
+        if n_above < 100:
+            warnings.warn(
+                f"{t.label}: only {n_above} tabulated zeros above u={u:g}; "
+                f"b_1..b_{Kmax} lean on the analytic tail (relative error "
+                f"of order {Kmax / max(u, t.last_zero):.1e} * 10)",
+                ThinTailWarning, stacklevel=2)
         if u > t.last_zero:
             warnings.warn(
                 f"{e.label}: span frozen at table end {t.last_zero:g} < "
@@ -516,10 +468,12 @@ def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8) -> TailStats:
     per = []
     for e, t, b in rows:
         y = math.log(t.qstar * u / _TWO_PI) if u > 0.0 else float("-inf")
-        # single-series ratios: the merged table's b_k is weight times the
-        # per-member value, so r_k picks up weight^(k-1)
-        r2 = t.weight * b[1] / (b[0] * b[0])
-        t_single = _t_single(y, r2)
+        # single-series ratios r_k = b_k / b_1^k: the merged table's b_k
+        # is weight times the per-member value, so r_k picks up
+        # weight^(k-1)
+        r = tuple(t.weight ** (k - 1) * b[k - 1] / b[0] ** k
+                  for k in range(1, Kmax + 1))
+        t_single = _t_single(y, r[1])
         # effective radius per character: alpha^2 b_1(chi) of the limiting
         # series against the race's own B_1
         t_eff = t_single * math.sqrt(B[0] / (e.alpha ** 2 * (b[0] / t.weight))) \
@@ -527,7 +481,7 @@ def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8) -> TailStats:
         per.append(CharTailStats(
             label=e.label, qstar=t.qstar, weight=t.weight, alpha=e.alpha,
             b=b, n_zeros=t.count(u), S=_span(t, u), y=y,
-            delta=t.span_fit[0], r2=r2, T_single=t_single,
+            delta=t.span_fit[0], r=r, T_single=t_single,
             T_effective=t_eff))
     t_vals = [p.T_effective for p in per]
     T = float("nan") if any(math.isnan(t) for t in t_vals) else min(t_vals)
@@ -539,38 +493,18 @@ def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8) -> TailStats:
         n_zeros=sum(p.n_zeros for p in per), T=T, per_char=tuple(per))
 
 
-def moment_ratios(stats: TailStats) -> tuple[float, float, float, float]:
-    """Even-moment ratios of the limiting distribution against a Gaussian
-    of the same variance, through the eighth moment. Departures from 1
-    measure how far the race density is from its normal approximation."""
-    r2, r3, r4 = stats.R[1], stats.R[2], stats.R[3]
-    return (
-        1.0,
-        1.0 - r2 / 2.0,
-        1.0 - 3.0 * r2 / 2.0 + 2.0 * r3 / 3.0,
-        1.0 - 3.0 * r2 + 3.0 * r2 * r2 / 4.0 + 8.0 * r3 / 3.0
-        - 11.0 * r4 / 8.0,
-    )
-
-
-def montgomery_bound(v: float, stats) -> float:
+def montgomery_bound(v: float, stats: TailStats) -> float:
     """Upper bound on log E(v) from exponential-moment inequalities.
 
     Always applies the full-spectrum Gaussian bound -v^2/(2 sigma_0^2);
-    any supplied truncation with explicit span S(u) <= v sharpens it to
-    -(v - S)^2 / (2 sigma_u^2). The tightest applicable bound wins.
+    a truncation whose explicit span S(u) is at most v sharpens it to
+    -(v - S)^2 / (2 sigma_u^2). The tighter bound wins.
     """
     if not v >= 0.0:
         raise ValueError(f"v must be >= 0, got {v!r}")
     if v == 0.0:
         return 0.0
-    if isinstance(stats, TailStats):
-        stats = (stats,)
-    best = math.inf
-    for st in stats:
-        best = min(best, -v * v / (2.0 * st.sigma0 * st.sigma0))
-        if st.u > 0.0 and v >= st.S and st.sigma_u > 0.0:
-            best = min(best, -(v - st.S) ** 2 / (2.0 * st.sigma_u ** 2))
-    if not math.isfinite(best):
-        raise ValueError("no stats supplied")
+    best = -v * v / (2.0 * stats.sigma0 * stats.sigma0)
+    if stats.u > 0.0 and v >= stats.S and stats.sigma_u > 0.0:
+        best = min(best, -(v - stats.S) ** 2 / (2.0 * stats.sigma_u ** 2))
     return best

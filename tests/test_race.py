@@ -8,13 +8,18 @@ from hypothesis import given, strategies as st
 
 from racedensity.race import (
     RaceEntry, RaceError, RaceSpec, SUPPORTED_MODULI, alpha_coeffs,
-    character_values, characters, prime_count_race, race_from_config,
-    square_race, square_root_count, two_way_race,
+    characters, prime_count_race, race_from_config, square_race,
+    square_root_count, two_way_race,
 )
 
 
 def _phi(q):
     return sum(1 for n in range(1, q + 1) if math.gcd(n, q) == 1)
+
+
+def character_values(q, n):
+    # chi(n) for every nontrivial character mod q, in label order
+    return tuple(c.value(n) for c in characters(q))
 
 
 def test_q4_character_value():
@@ -197,8 +202,6 @@ def test_bad_inputs_rejected():
     with pytest.raises(RaceError, match="not supported"):
         characters(6)
     with pytest.raises(RaceError, match="coprime"):
-        character_values(8, 6)
-    with pytest.raises(RaceError, match="coprime"):
         two_way_race(13, 1, 13)
     with pytest.raises(RaceError, match="coincide"):
         two_way_race(5, 2, 7)
@@ -251,10 +254,21 @@ def test_config_custom_modulus(tmp_path):
 
 
 def test_config_errors(tmp_path):
+    import racedensity
+    mod3 = os.path.join(os.path.dirname(racedensity.__file__), "data",
+                        "mod3.txt")
+    custom = f"q = 3\noffset = 1\ntable.a = {mod3}\nqstar.a = 3\n"
     cases = [
         ("kind = two-way\n", "missing required key 'q'"),
         ("q = 5\nq = 5\n", ":2: duplicate"),
         ("q = five\n", "q must be an integer"),
+        (custom + "alpha.a = x\n", ":5: alpha.a must be a number, got 'x'"),
+        (custom + "alpha.a = 1\nweight.a = two\n",
+         ":6: weight.a must be an integer, got 'two'"),
+        ("q = 5\nresidues = 1, 2\nqstar.mod5_quad = 5.0\n",
+         ":3: qstar.mod5_quad must be an integer, got '5.0'"),
+        ("q = 5\nresidues = 1, 2\noffset = one\n",
+         ":3: offset must be a number, got 'one'"),
         ("q = 5\nbroken line\n", ":2: expected key = value"),
         ("q = 5\nkind = two-way\nresidues = 1\n", "exactly 2"),
         ("q = 5\nwhatever = 3\n", "unrecognized"),

@@ -6,6 +6,7 @@ results of independent calculations; partial-sum rows reproduce a
 published worked example line by line.
 """
 
+import importlib
 import inspect
 import math
 import os
@@ -16,6 +17,8 @@ import textwrap
 import numpy as np
 import pytest
 
+from racedensity import race as rc
+from racedensity import results as rr
 from racedensity import rs_method as rs
 from racedensity import specfun as sf
 from racedensity import transforms as tr
@@ -43,7 +46,7 @@ def tail_oracle(omega, stats, K):
     # the tail factor's exponent sum_{k<=K} c_k R_k tau^(2k) and its
     # per-term error estimate c_K R_K tau^(2K+2) / (T^2 - tau^2) at one
     # frequency inside the radius, tau = sigma_u*omega, summed by fsum
-    c = c_coeffs(K).c
+    c = c_coeffs(K)
     tau = stats.sigma_u * omega
     exponent = math.fsum(c[k - 1] * stats.R[k - 1] * tau ** (2 * k)
                          for k in range(1, K + 1))
@@ -490,14 +493,38 @@ def test_public_names_pinned():
     assert tr.__all__ == [
         "AccuracyWarning", "AsymptoticL", "ConvergenceError", "LDerivs",
         "l0_asymptotic", "l0_full", "model_constants", "model_log_density",
-        "model_log_exceedance", "model_saddle", "phat_prefix",
-        "sigma_accelerated"]
+        "model_log_exceedance", "model_saddle", "phat_prefix"]
     assert sf.__all__ == [
-        "CoeffTable", "BaseConstants", "j0_lowbias", "log_i0_derivs",
-        "c_coeffs", "arctan_integral", "base_constants"]
-    for mod in (rs, tr, sf):
+        "BaseConstants", "j0_lowbias", "log_i0_derivs", "c_coeffs",
+        "arctan_integral", "base_constants"]
+    assert zd.__all__ == [
+        "CharTailStats", "FrozenSpanWarning", "TailStats", "ThinTailWarning",
+        "ZeroDataError", "ZeroTable", "aggregate_stats", "available_tables",
+        "bundled_table", "load_zeros", "montgomery_bound", "resolve_table"]
+    assert rc.__all__ == [
+        "Character", "RaceEntry", "RaceError", "RaceSpec",
+        "SUPPORTED_MODULI", "alpha_coeffs", "characters", "prime_count_race",
+        "race_from_config", "square_race", "square_root_count",
+        "two_way_race"]
+    assert rr.__all__ == ["DensityResult"]
+    for mod in (rs, tr, sf, zd, rc, rr):
         for name in mod.__all__:
-            assert getattr(mod, name).__module__ == mod.__name__, name
+            # constants such as SUPPORTED_MODULI carry no __module__
+            if not name.isupper():
+                assert getattr(mod, name).__module__ == mod.__name__, name
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is 3.11+")
+def test_declared_scripts_import():
+    # a console script whose module does not exist installs as a broken
+    # command; every [project.scripts] entry must name a callable
+    import tomllib
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    for name, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
 
 
 def test_solve_imports_numpy_only():

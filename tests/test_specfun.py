@@ -357,8 +357,7 @@ def test_log_i0_bounds_dense_sample():
 
 def test_c_first_five_exact():
     ct = sf.c_coeffs(5)
-    assert ct.c == (1 / 2, 1 / 16, 1 / 72, 11 / 3072, 19 / 19200)
-    assert ct.K == 5
+    assert ct == (1 / 2, 1 / 16, 1 / 72, 11 / 3072, 19 / 19200)
 
 
 def _zero_sum_c(k, L=1000):
@@ -372,13 +371,13 @@ def _zero_sum_c(k, L=1000):
 
 
 def test_c1_recovered_from_zero_sum():
-    assert sf.c_coeffs(1).c[0] == 0.5
+    assert sf.c_coeffs(1)[0] == 0.5
     assert _zero_sum_c(1) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_c_coeffs_match_zero_sum():
     # the exact rationals against the zero-sum definition of the family
-    c = sf.c_coeffs(30).c
+    c = sf.c_coeffs(30)
     for k in range(1, 31):
         assert c[k - 1] == pytest.approx(_zero_sum_c(k), rel=1e-14), k
 
@@ -388,7 +387,7 @@ def test_c6_inside_bracket():
     j1 = jn_zeros(0, 1)[0]
     lo = (1 / 6) * (2 / j1 ** 2) ** 6
     hi = lo * (1 + 1.16 * 0.19 ** 6)
-    assert lo < ct.c[5] < hi
+    assert lo < ct[5] < hi
 
 
 def test_c_ratio_decreases_to_limit():
@@ -396,13 +395,13 @@ def test_c_ratio_decreases_to_limit():
     # c_k/c_{k+1} = (k+1)/k * j1^2/2 * (1 + O(0.19^k)) fall monotonically
     # toward j1^2/2 from above
     ct = sf.c_coeffs(25)
-    ratios = [ct.c[k] / ct.c[k + 1] for k in range(ct.K - 1)]
+    ratios = [ct[k] / ct[k + 1] for k in range(len(ct) - 1)]
     assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
     j1 = jn_zeros(0, 1)[0]
     lim = j1 ** 2 / 2
     assert all(r > lim for r in ratios)
     assert ratios[-1] == pytest.approx(25.0 / 24.0 * lim, rel=1e-9)
-    assert all(c > 0 for c in ct.c)
+    assert all(c > 0 for c in ct)
 
 
 def test_c_coeffs_range_check():
@@ -413,9 +412,10 @@ def test_c_coeffs_range_check():
 
 
 def test_coeff_table_immutable():
+    # every caller shares one cached tuple
     ct = sf.c_coeffs(5)
-    with pytest.raises(Exception):
-        ct.K = 7
+    with pytest.raises(TypeError):
+        ct[0] = 1.0
 
 
 def test_log_j0_series_identity():
@@ -424,7 +424,7 @@ def test_log_j0_series_identity():
     ct = sf.c_coeffs(25)
     for w in (0.5, 1.0, 1.5):
         direct = math.log(scipy_j0(w))
-        series = -sum(ct.c[k - 1] * w ** (2 * k) / 2 ** k
+        series = -sum(ct[k - 1] * w ** (2 * k) / 2 ** k
                       for k in range(1, 26))
         assert direct == pytest.approx(series, abs=1e-10)
 
@@ -439,7 +439,7 @@ def test_log_j0_exact_coefficients_match_c_family():
               Fraction(11, 3072), Fraction(19, 19200))
     for k, c in enumerate(closed, start=1):
         assert a[k - 1] == -(2 ** k) * c
-    c = sf.c_coeffs(30).c
+    c = sf.c_coeffs(30)
     for k in range(1, 31):
         exact = -a[k - 1] / 2 ** k
         assert c[k - 1] == float(exact)
@@ -487,7 +487,7 @@ def test_log_i0_series_identity():
     ct = sf.c_coeffs(25)
     for w in (0.125, 0.5, 0.9, 1.0):
         direct = log_i0(w)
-        series = sum((-1) ** (k - 1) * ct.c[k - 1] * w ** (2 * k) / 2 ** k
+        series = sum((-1) ** (k - 1) * ct[k - 1] * w ** (2 * k) / 2 ** k
                      for k in range(1, 26))
         assert direct == pytest.approx(series, abs=1e-12)
 

@@ -394,7 +394,7 @@ def l_remainder(s, stats, K=8, order=0):
     t = stats.sigma_u * s
     if abs(t) >= stats.T:
         raise tr._radius_error(abs(t), stats.T, stats.u)
-    c = c_coeffs(K).c
+    c = c_coeffs(K)
     parts = []
     for k in range(max(1, (order + 1) // 2), K + 1):
         p = 2 * k
@@ -453,27 +453,32 @@ def test_raw_series_validation(stats500):
 
 # ------------------------------------------------------ accelerated remainder
 
+def accelerated(t, stats, order=0):
+    # the accelerated remainder of a lone weight-1 series, whose
+    # race-normalized ratios R_k are its own ratios r_k (alpha cancels)
+    pc = stats.per_char[0]
+    return tr._accelerated(t, pc.y, pc.T_single, stats.R, order)[0]
+
+
 def test_accelerated_matches_raw_series(zeta_race):
     # inside the radius the accelerated form and a deep raw series are
     # two routes to the same function
     stats = aggregate_stats(zeta_race, 500.0, Kmax=25)
     for s in (1.0, 20.0, 80.0):
         t = stats.sigma_u * s
-        assert tr.sigma_accelerated(t, stats, 0) == pytest.approx(
+        assert accelerated(t, stats) == pytest.approx(
             l_remainder(s, stats, K=25), rel=1e-9)
     # halfway to the radius the eight correction terms leave ~1e-7
     s = 300.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", tr.AccuracyWarning)
-        got = tr.sigma_accelerated(stats.sigma_u * s, stats, 0)
+    got = accelerated(stats.sigma_u * s, stats)
     assert got == pytest.approx(l_remainder(s, stats, K=25), rel=1e-6)
 
 
 def test_accelerated_origin_normalization(stats500):
     # in the normalized variable the remainder starts as t^2/2 exactly
     for order in (0, 1, 3, 5):
-        assert tr.sigma_accelerated(0.0, stats500, order) == 0.0
-    assert tr.sigma_accelerated(0.0, stats500, 2) == pytest.approx(1.0, abs=1e-13)
+        assert accelerated(0.0, stats500, order) == 0.0
+    assert accelerated(0.0, stats500, 2) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_accelerated_branch_agreement(stats500, monkeypatch):
@@ -492,13 +497,10 @@ def test_accelerated_derivative_chain(stats500):
     pc = stats500.per_char[0]
     t0 = 0.5 * pc.T_single
     h = 1e-3 * pc.T_single
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", tr.AccuracyWarning)
-        for order in range(1, 6):
-            fd = five_point(
-                lambda x: tr.sigma_accelerated(x, stats500, order - 1), t0, h)
-            got = tr.sigma_accelerated(t0, stats500, order)
-            assert got == pytest.approx(fd, rel=1e-6)
+    for order in range(1, 6):
+        fd = five_point(lambda x: accelerated(x, stats500, order - 1), t0, h)
+        got = accelerated(t0, stats500, order)
+        assert got == pytest.approx(fd, rel=1e-6)
 
 
 def test_accelerated_correction_leading_coefficient(stats500):
@@ -511,49 +513,40 @@ def test_accelerated_correction_leading_coefficient(stats500):
     assert corr / t ** 2 == pytest.approx(0.5 - 2.0 / J1 ** 2, rel=1e-6)
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
-def test_accelerated_rejects_combined_races():
-    two_entry = aggregate_stats(two_way_race(5, 1, 2), 250.0)
-    with pytest.raises(ValueError):
-        tr.sigma_accelerated(0.1, two_entry, 0)
-    paired = aggregate_stats(two_way_race(5, 1, 4), 250.0)
-    with pytest.raises(ValueError):
-        tr.sigma_accelerated(0.1, paired, 0)
-
-
-def test_accelerated_outside_radius(stats500):
+def test_accelerated_outside_radius(zeta_race, stats500):
     # the wall sits at the second Bessel ring, (j2/j1) T: just inside it
     # a value still comes back (flagged as inaccurate), just outside it
-    # the error names the cutoff that would bring the point inside
+    # the error names the cutoff that would bring the point inside. For
+    # the zeta race the tail variable is t = sigma_u * s
     pc = stats500.per_char[0]
-    wall = J2 / J1 * pc.T_single
+    wall = J2 / J1 * pc.T_single / stats500.sigma_u
     with pytest.warns(tr.AccuracyWarning):
-        inside = tr.sigma_accelerated(0.99 * wall, stats500, 0)
-    assert math.isfinite(inside) and inside > 0.0
+        inside = tr.l0_full(0.99 * wall, zeta_race, stats500)
+    assert all(math.isfinite(v) for v in inside.values)
     with pytest.raises(tr.ConvergenceError) as exc:
-        tr.sigma_accelerated(1.01 * wall, stats500, 0)
+        tr.l0_full(1.01 * wall, zeta_race, stats500)
     assert 500.0 < exc.value.min_u < 560.0
 
 
-def test_accelerated_warns_near_radius(stats500):
+def test_accelerated_warns_near_radius(zeta_race, stats500):
     # against the brute-force tail sum (test_cumulant_matches_brute_force_tail)
     # the remainder is good to <= 1.4e-9 up to 0.7 T and off by >= 3e-7
     # from T on; the final-term ratio crosses its 1e-7 threshold between
     # 0.8 T and 0.9 T, too close to 0.9 T to pin there
-    pc = stats500.per_char[0]
+    s_at_T = stats500.per_char[0].T_single / stats500.sigma_u
     with warnings.catch_warnings():
         warnings.simplefilter("error", tr.AccuracyWarning)
-        tr.sigma_accelerated(0.3 * pc.T_single, stats500, 0)
-        tr.sigma_accelerated(0.7 * pc.T_single, stats500, 0)
+        tr.l0_full(0.3 * s_at_T, zeta_race, stats500)
+        tr.l0_full(0.7 * s_at_T, zeta_race, stats500)
     for ratio in (1.0, 1.5, 2.0):
         with pytest.warns(tr.AccuracyWarning):
-            tr.sigma_accelerated(ratio * pc.T_single, stats500, 0)
+            tr.l0_full(ratio * s_at_T, zeta_race, stats500)
 
 
 def test_accelerated_needs_eight_ratios(zeta_race):
     shallow = aggregate_stats(zeta_race, 500.0, Kmax=4)
-    with pytest.raises(ValueError):
-        tr.sigma_accelerated(0.1, shallow, 0)
+    with pytest.raises(ValueError, match="Kmax >= 8"):
+        tr.l0_full(1.0, zeta_race, shallow)
 
 
 # ------------------------------------------------------------- full cumulant
@@ -638,7 +631,7 @@ def test_cumulant_insufficient_cutoff_raises(zeta_race):
 def test_cumulant_warns_near_wall(zeta_race):
     # at u = 4765.3 the saddle sits at t/T = 2.19, where the final
     # correction term is 4.8e-3 of the remainder; at u = 14000 it is
-    # 1.5e-8, under the 1e-7 threshold that sigma_accelerated also uses
+    # 1.5e-8, under the 1e-7 threshold
     s = 12527.41
     with pytest.warns(tr.AccuracyWarning, match="zeta"):
         tr.l0_full(s, zeta_race, aggregate_stats(zeta_race, 4765.3))

@@ -20,21 +20,42 @@ from scipy.special import jn_zeros
 from racedensity import transforms as tr
 from racedensity import zerodata as zd
 from racedensity.race import (
-    prime_count_race, race_from_config, square_race, two_way_race,
+    SUPPORTED_MODULI, prime_count_race, race_from_config, square_race,
+    square_root_count, two_way_race,
 )
 from racedensity.zerodata import (
-    CountCheck, FrozenSpanWarning, ThinTailWarning, ZeroDataError, ZeroTable,
+    FrozenSpanWarning, ThinTailWarning, ZeroDataError, ZeroTable,
     aggregate_stats, available_tables, bundled_table, load_zeros,
-    moment_ratios, montgomery_bound, span_and_delta, tail_bk,
-    validate_counting,
+    montgomery_bound,
 )
+from racedensity.zerodata import _span, _tail_bk
 
 EULER_GAMMA = 0.5772156649015329
 
 
+def counting_mean(table, u_lo=0.0, u_hi=None):
+    """N(u) less its smooth approximation, averaged over the midpoints
+    between consecutive ordinates inside [u_lo, u_hi], and the mean it
+    should have: 7/8 for the prime-count series, weight*(-1/8 + parity/4)
+    for Dirichlet series. Missing or spurious zeros move the mean off its
+    target by more than 0.5."""
+    g = table.gammas
+    if u_hi is None:
+        u_hi = float(g[-1])
+    mids = 0.5 * (g[:-1] + g[1:])
+    sel = (mids >= u_lo) & (mids <= u_hi)
+    assert sel.any()
+    res = np.arange(1, g.size)[sel] - table.smooth_count(mids[sel])
+    if table.qstar == 1:
+        expected = 7.0 / 8.0
+    else:
+        expected = table.weight * (-1.0 / 8.0 + table.parity / 4.0)
+    return float(np.mean(res)), expected
+
+
 def test_bundled_zeta_basics():
     t = bundled_table("zeta")
-    assert t.first_zero == pytest.approx(14.134725141734695, abs=1e-9)
+    assert t.gammas[0] == pytest.approx(14.134725141734695, abs=1e-9)
     assert t.count(100.0) == 29
     assert len(t) >= 16000
     assert t.qstar == 1 and t.weight == 1
@@ -48,11 +69,8 @@ def test_all_tables_load_and_validate():
     keys = available_tables()
     assert len(keys) >= 18
     for k in keys:
-        t = bundled_table(k)
-        cc = validate_counting(t)
-        assert isinstance(cc, CountCheck)
-        assert not cc.flagged, (k, cc)
-        assert abs(cc.mean_residual - cc.expected_mean) < 0.1, (k, cc)
+        mean, expected = counting_mean(bundled_table(k))
+        assert abs(mean - expected) < 0.1, (k, mean, expected)
 
 
 def test_every_table_key_is_bundled():
@@ -63,11 +81,30 @@ def test_every_table_key_is_bundled():
         assert len(bundled_table(key)) > 0, key
 
 
+def test_two_way_races_carry_only_real_characters():
+    # a character with alpha = 0 drops out of a race; rounding in the
+    # complex character values must not leave it in with a weight-1 entry
+    # on its pair's weight-2 table. The smallest genuine alpha is
+    # sin(pi/12) = 0.2588
+    n_races = 0
+    for q in SUPPORTED_MODULI[1:]:
+        units = [n for n in range(1, q) if math.gcd(n, q) == 1]
+        for a in units:
+            for b in units:
+                if a == b or square_root_count(q, a) < square_root_count(q, b):
+                    continue
+                n_races += 1
+                for e in two_way_race(q, a, b).characters:
+                    assert e.alpha >= 0.25, (q, a, b, e)
+                    assert e.weight == bundled_table(e.table).weight, (q, a, b, e)
+    assert n_races == 184
+
+
 def test_b1_closed_form():
     # the full inverse-square sum over all nontrivial zeros of the
     # conductor-1 function: 1 + gamma_E/2 - log(4 pi)/2
     want = 1.0 + EULER_GAMMA / 2 - math.log(4 * math.pi) / 2
-    got = tail_bk(bundled_table("zeta"), 0.0, 1)
+    got = _tail_bk(bundled_table("zeta"), 0.0, 1)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -78,9 +115,8 @@ def test_b1_header_matches_explicit_sum():
     # across the bundled tables
     for k in available_tables():
         t = bundled_table(k)
-        closed = tail_bk(t, 0.0, 1, method="closed")
-        explicit = tail_bk(t, 0.0, 1, method="tail")
-        assert abs(explicit - closed) < 2.5 * t.weight / t.last_zero ** 2, k
+        explicit = _plain_tail_bk(t, 0.0, 1, "tail")
+        assert abs(explicit - t.b1_total) < 2.5 * t.weight / t.last_zero ** 2, k
 
 
 SIGMA_BETA = [
@@ -133,7 +169,7 @@ def test_single_series_radius_identity():
     j1 = jn_zeros(0, 1)[0]
     st_ = aggregate_stats(square_race(7), 50.0)
     p = st_.per_char[0]
-    want = j1 * math.sqrt((p.y + 1 / 3) / (6 * (p.y + 1) * p.r2))
+    want = j1 * math.sqrt((p.y + 1 / 3) / (6 * (p.y + 1) * p.r[1]))
     assert st_.T == pytest.approx(want, rel=1e-13)
     assert p.T_effective == pytest.approx(p.T_single, rel=1e-13)
 
@@ -155,34 +191,30 @@ def test_span_constants():
     for key, want, tol in [("zeta", 0.50309, 2e-5), ("mod4", -0.0836, 1e-4),
                            ("mod7_quad", -0.1224, 3e-4),
                            ("mod13_quad", -0.2103, 3e-4)]:
-        sd = span_and_delta(bundled_table(key), 50.0)
-        assert sd.delta == pytest.approx(want, abs=tol), key
-        assert sd.n_used > 100
+        delta, n_used = bundled_table(key).span_fit
+        assert delta == pytest.approx(want, abs=tol), key
+        assert n_used > 100
 
 
 def test_span_values():
     z = bundled_table("zeta")
-    assert span_and_delta(z, 1.0).S == 0.0
-    s100 = span_and_delta(z, 100.0).S
+    assert _span(z, 1.0) == 0.0
     want = 2 * sum(1 / math.sqrt(0.25 + g * g) for g in z.gammas[:29])
-    assert s100 == pytest.approx(want, rel=1e-14)
-    with pytest.raises(ZeroDataError, match="beyond the table end"):
-        span_and_delta(z, 2e4)
+    assert _span(z, 100.0) == pytest.approx(want, rel=1e-14)
 
 
 def test_counting_zeta_window():
-    cc = validate_counting(bundled_table("zeta"), 50.0, 1000.0)
-    assert cc.expected_mean == 0.875
-    assert abs(cc.mean_residual - 0.875) < 0.2
-    assert not cc.flagged
+    mean, expected = counting_mean(bundled_table("zeta"), 50.0, 1000.0)
+    assert expected == 0.875
+    assert abs(mean - 0.875) < 0.2
 
 
 def test_counting_flags_deleted_zero():
     z = bundled_table("zeta")
     g = np.delete(z.gammas, 3000)
     t = ZeroTable(gammas=g, qstar=1, label="gap", source="synthetic")
-    cc = validate_counting(t, float(g[3100]), float(g[4100]))
-    assert cc.flagged
+    mean, expected = counting_mean(t, float(g[3100]), float(g[4100]))
+    assert abs(mean - expected) > 0.5
 
 
 def test_missing_block_rejected_at_construction():
@@ -212,10 +244,8 @@ def test_tail_formula_against_brute_truncation():
         g = z.gammas[z.gammas <= u]
         trunc = ZeroTable(gammas=g, qstar=1, label="trunc", source="x")
         for k in range(1, 9):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ThinTailWarning)
-                pure = tail_bk(trunc, u, k)
-            true = tail_bk(z, u, k)
+            pure = _tail_bk(trunc, u, k)
+            true = _tail_bk(z, u, k)
             rel = abs(pure - true) / true
             assert rel < 10.0 * k / u, (u, k, rel)
 
@@ -223,8 +253,8 @@ def test_tail_formula_against_brute_truncation():
 def test_tail_head_consistency():
     z = bundled_table("zeta")
     for k in (2, 3):
-        full = tail_bk(z, 0.0, k)
-        at_u = tail_bk(z, 100.0, k)
+        full = _tail_bk(z, 0.0, k)
+        at_u = _tail_bk(z, 100.0, k)
         head = math.fsum((0.25 + g * g) ** -k for g in z.gammas[:29])
         assert full - head == pytest.approx(at_u, rel=1e-12)
 
@@ -247,10 +277,9 @@ def _plain_tail_bk(table, u, k, method):
         / (2.0 * m * math.pi * ueff ** m)
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("key", available_tables())
 def test_tail_bk_bit_exact_against_plain_sum(key):
-    # whichever side of u tail_bk sums, fsum's single rounding of the
+    # whichever side of u _tail_bk sums, fsum's single rounding of the
     # exact sum must give the very bits of the plain tail sum
     t = bundled_table(key)
     g = t.gammas
@@ -264,13 +293,10 @@ def test_tail_bk_bit_exact_against_plain_sum(key):
     # the head {gamma <= u} is the shorter side for some u, not for others
     assert {2 * t.count(u) < n for u in us} == {True, False}
     for k in range(1, 11):
-        for method in ("auto", "tail"):
-            for u in us:
-                assert tail_bk(t, u, k, method) \
-                    == _plain_tail_bk(t, u, k, method), (u, k, method)
+        for u in us:
+            assert _tail_bk(t, u, k) == _plain_tail_bk(t, u, k, "auto"), (u, k)
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 def test_tail_bk_bit_exact_with_subnormal_terms():
     # at k = 37 the top zeta terms fall below the smallest normal double;
     # the exponent bins behind the full sum must still keep every bit,
@@ -280,7 +306,7 @@ def test_tail_bk_bit_exact_with_subnormal_terms():
     x = (0.25 + g * g) ** (-37)
     assert x.min() < sys.float_info.min
     for u in (0.0, 30.0, 1000.0, t.last_zero):
-        assert tail_bk(t, u, 37) == _plain_tail_bk(t, u, 37, "auto"), u
+        assert _tail_bk(t, u, 37) == _plain_tail_bk(t, u, 37, "auto"), u
     x = np.concatenate([x, [0.0, 5e-324]])
     assert math.fsum(zd._exact_bins(x) + (-x).tolist()) == 0.0
 
@@ -332,9 +358,8 @@ def test_rewritten_table_gets_fresh_power_sums(tmp_path):
 def test_tail_warns_when_thin():
     t = bundled_table("mod5_quad")
     with pytest.warns(ThinTailWarning):
-        tail_bk(t, t.last_zero - 1.0, 2)
-    with pytest.warns(ThinTailWarning):
-        beyond = tail_bk(t, 500.0, 2)
+        aggregate_stats(square_race(5), t.last_zero - 1.0)
+    beyond = _tail_bk(t, 500.0, 2)
     # past the table the value is the continuation formula alone
     y = math.log(5 * 500.0 / (2 * math.pi))
     want = (y + 1 / 3) / (6 * math.pi * 500.0 ** 3)
@@ -362,22 +387,28 @@ def test_span_warns_when_frozen():
         with pytest.warns(FrozenSpanWarning, match="mod5_j1"):
             stats = aggregate_stats(race, 300.0)
     table = bundled_table("mod5_j1")
-    assert stats.per_char[0].S == span_and_delta(table, table.last_zero).S
+    assert stats.per_char[0].S == _span(table, table.last_zero)
     assert issubclass(ThinTailWarning, UserWarning)
     assert issubclass(FrozenSpanWarning, UserWarning)
 
 
-def test_closed_method_constraints():
-    z = bundled_table("zeta")
-    with pytest.raises(ValueError, match="k = 1"):
-        tail_bk(z, 10.0, 2, method="closed")
-    t = ZeroTable(gammas=z.gammas[:200], qstar=1, label="nohdr", source="x")
-    with pytest.raises(ZeroDataError, match="no full-spectrum"):
-        tail_bk(t, 10.0, 1, method="closed")
-    with pytest.raises(ValueError, match="positive integer"):
-        tail_bk(z, 10.0, 0)
-    with pytest.raises(ValueError, match="finite"):
-        tail_bk(z, -1.0, 1)
+def test_negative_cutoff_rejected():
+    for u in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            aggregate_stats(prime_count_race(), u)
+
+
+def moment_ratios(stats):
+    # even moments of the limiting distribution against those of a
+    # Gaussian of the same variance, orders 2, 4, 6 and 8
+    r2, r3, r4 = stats.R[1], stats.R[2], stats.R[3]
+    return (
+        1.0,
+        1.0 - r2 / 2.0,
+        1.0 - 3.0 * r2 / 2.0 + 2.0 * r3 / 3.0,
+        1.0 - 3.0 * r2 + 3.0 * r2 * r2 / 4.0 + 8.0 * r3 / 3.0
+        - 11.0 * r4 / 8.0,
+    )
 
 
 def test_moment_ratios_zeta():
@@ -414,7 +445,7 @@ def test_montgomery_bound_sharpens_with_span():
     pc = prime_count_race()
     st_u = aggregate_stats(pc, u)
     assert st_u.S == pytest.approx(1.0, abs=0.05)
-    bound = montgomery_bound(3.0, [aggregate_stats(pc, 0.0), st_u])
+    bound = montgomery_bound(3.0, st_u)
     assert bound == pytest.approx(-142.64, abs=1.5)
     assert bound < -140.0
 
@@ -472,7 +503,7 @@ def test_file_path_table(tmp_path):
     t = load_zeros(str(p))
     st_ = aggregate_stats(race, 20.0)
     assert st_.n_zeros == 1
-    assert st_.B[0] == pytest.approx(tail_bk(t, 20.0, 1), rel=1e-14)
+    assert st_.B[0] == pytest.approx(_tail_bk(t, 20.0, 1), rel=1e-14)
 
 
 def test_aggregate_matches_manual_weighting():
@@ -480,7 +511,7 @@ def test_aggregate_matches_manual_weighting():
     st_ = aggregate_stats(sp, 35.0)
     for k in (1, 3, 6):
         manual = math.fsum(
-            e.alpha ** (2 * k) * tail_bk(bundled_table(e.table), 35.0, k)
+            e.alpha ** (2 * k) * _tail_bk(bundled_table(e.table), 35.0, k)
             for e in sp.characters)
         assert st_.B[k - 1] == pytest.approx(manual, rel=1e-13)
 
@@ -489,11 +520,9 @@ def test_aggregate_matches_manual_weighting():
 @settings(max_examples=40, deadline=None)
 def test_tail_bk_monotone(u, du):
     t = bundled_table("mod5_quad")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ThinTailWarning)
-        b2a = tail_bk(t, u, 2)
-        b2b = tail_bk(t, u + du, 2)
-        b3a = tail_bk(t, u, 3)
+    b2a = _tail_bk(t, u, 2)
+    b2b = _tail_bk(t, u + du, 2)
+    b3a = _tail_bk(t, u, 3)
     assert b2b <= b2a * (1 + 1e-12)
     assert b3a <= b2a * (1 + 1e-12)
 
@@ -519,6 +548,10 @@ def test_load_zeros_errors(tmp_path):
         ("# qstar: 1\n# count: 5\n14.1\n", "header says 5"),
         ("14.1\n15.0\n", "no qstar"),
         ("# qstar: 1\n", "no ordinates"),
+        ("# qstar: four\n14.1\n",
+         "tiny.txt:1: header qstar must be an integer, got 'four'"),
+        ("# qstar: 1\n\n# b1_total: n/a\n14.1\n",
+         "tiny.txt:3: header b1_total must be a number"),
     ]
     for text, match in cases:
         p = tmp_path / "tiny.txt"
@@ -527,6 +560,23 @@ def test_load_zeros_errors(tmp_path):
             load_zeros(str(p))
     with pytest.raises(ZeroDataError):
         load_zeros(str(tmp_path / "absent.txt"))
+
+
+def test_entry_and_table_weights_must_agree(tmp_path):
+    # a config weight of 2 on a file without a weight header would give
+    # one series two weights: the tail sums would use 1, the model 2
+    table = tmp_path / "mod4.txt"
+    table.write_text("".join(
+        line for line in open(bundled_table("mod4").source)
+        if not line.startswith("# weight")))
+    cfg = tmp_path / "race.cfg"
+    cfg.write_text(f"q = 9\nkind = custom\noffset = 1\ntable.a = {table}\n"
+                   "qstar.a = 4\nalpha.a = 1\nweight.a = 2\n")
+    race = race_from_config(str(cfg))
+    with pytest.raises(ZeroDataError, match="weight 2.*weight 1"):
+        aggregate_stats(race, 100.0)
+    with pytest.raises(ZeroDataError, match="weight 2.*weight 1"):
+        tr.model_constants(race)
 
 
 def test_data_dir_override(tmp_path, monkeypatch):
