@@ -370,14 +370,13 @@ def race_from_config(path: str) -> RaceSpec:
             raise bad(key, f"{key} must be {what}, got {text!r}") from None
 
     def override(pre, label, kind, default):
-        text = overrides[pre].get(label)
-        return default if text is None else number(f"{pre}.{label}", text,
-                                                    kind)
+        if label not in overrides[pre]:
+            return default
+        return number(f"{pre}.{label}", overrides[pre][label], kind)
 
-    try:
-        q = number("q", kv.pop("q"), int)
-    except KeyError:
-        raise RaceError(f"{path}: missing required key 'q'") from None
+    if "q" not in kv:
+        raise RaceError(f"{path}: missing required key 'q'")
+    q = number("q", kv.pop("q"), int)
     kind = kv.pop("kind", "two-way")
     residues: tuple[int, ...] = ()
     if "residues" in kv:

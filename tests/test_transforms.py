@@ -522,7 +522,7 @@ def test_accelerated_outside_radius(zeta_race, stats500):
     wall = J2 / J1 * pc.T_single / stats500.sigma_u
     with pytest.warns(tr.AccuracyWarning):
         inside = tr.l0_full(0.99 * wall, zeta_race, stats500)
-    assert all(math.isfinite(v) for v in inside.values)
+    assert all(math.isfinite(v) for v in inside.values) and inside.value > 0.0
     with pytest.raises(tr.ConvergenceError) as exc:
         tr.l0_full(1.01 * wall, zeta_race, stats500)
     assert 500.0 < exc.value.min_u < 560.0
