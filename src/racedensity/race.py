@@ -341,7 +341,8 @@ def race_from_config(path: str) -> RaceSpec:
     table.<label> = zero file path, alpha.<label> = coefficient,
     qstar.<label>, weight.<label>. For supported moduli the characters
     are constructed and entries only override; for other q every
-    character must be given explicitly.
+    character must be given explicitly. A label that names no character
+    of the race raises RaceError.
     """
     kv: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -373,6 +374,15 @@ def race_from_config(path: str) -> RaceSpec:
         if label not in overrides[pre]:
             return default
         return number(f"{pre}.{label}", overrides[pre][label], kind)
+
+    def known_labels(valid, prefixes):
+        for pre in prefixes:
+            for label in overrides[pre]:
+                if label not in valid:
+                    raise bad(f"{pre}.{label}",
+                              f"{pre}.{label}: {label!r} is not a character "
+                              f"of this race; its labels are "
+                              f"{', '.join(valid)}")
 
     if "q" not in kv:
         raise RaceError(f"{path}: missing required key 'q'")
@@ -407,6 +417,7 @@ def race_from_config(path: str) -> RaceSpec:
             spec = square_race(q)
         else:
             raise bad("kind", f"unknown kind {kind!r}")
+        known_labels([e.label for e in spec.characters], overrides)
         entries = []
         for e in spec.characters:
             tab = overrides["table"].get(e.label, e.table)
@@ -424,6 +435,7 @@ def race_from_config(path: str) -> RaceSpec:
         raise RaceError(
             f"{path}: q={q} is outside the bundled set, so every character "
             "needs table.<label> (plus alpha.<label>, qstar.<label>)")
+    known_labels(labels, ("alpha", "qstar", "weight"))
     if offset is None:
         raise RaceError(
             f"{path}: offset required in config for q={q} races")

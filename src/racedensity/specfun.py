@@ -113,8 +113,9 @@ def j0_lowbias(z) -> np.ndarray:
     big = q > 0.25 * _J0_SERIES_CUT ** 2
     if not big.any():
         return _j0_series(q)
-    q[big] = 0.0
-    out = _j0_series(q)
+    out = np.empty_like(q)
+    small = ~big
+    out[small] = _j0_series(q[small])
     out[big] = _j0_tail(np.abs(zl[big]))
     return out
 

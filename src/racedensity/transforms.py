@@ -41,7 +41,7 @@ import numpy as np
 from .race import RaceSpec
 from .specfun import J0_ZERO1, J0_ZERO2, _log_j0_coeffs, arctan_integral
 from .specfun import base_constants, c_coeffs, j0_lowbias, log_i0_derivs
-from .zerodata import TailStats, ZeroDataError, resolve_table
+from .zerodata import TailStats, ZeroDataError, _exact_sum, resolve_table
 
 __all__ = [
     "AccuracyWarning",
@@ -443,6 +443,11 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
     error estimate collects the final correction terms, which bound
     what truncating the correction series discards; a series whose
     final term exceeds 1e-7 of its remainder raises AccuracyWarning.
+
+    Each order's terms, zeros and remainders together, are summed by
+    zerodata._exact_sum and so rounded once: math.fsum below
+    zerodata._BINNED_FROM terms, exponent bins from there on, with the
+    same bits either way.
     """
     s = float(s)
     if s < 0.0:
@@ -481,7 +486,7 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
                 _warn_if_truncated(val, last, t_chi, T, entry.label)
                 err_parts.append(abs(p * last))
             p *= dtds
-    values = tuple(math.fsum(np.concatenate(b)) for b in buckets)
+    values = tuple(_exact_sum(np.concatenate(b)) for b in buckets)
     if s > 0.0 and not values[2] > 0.0:
         raise ArithmeticError(
             f"second derivative came out nonpositive ({values[2]:g}) at s = {s:g}; "

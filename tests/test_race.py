@@ -273,6 +273,21 @@ def test_config_errors(tmp_path):
         ("q = 5\nkind = two-way\nresidues = 1\n", "exactly 2"),
         ("q = 5\nwhatever = 3\n", "unrecognized"),
         ("q = 3\nkind = two-way\nresidues = 1, 2\n", "table.<label>"),
+        # a label that names no character is refused, not ignored
+        ("q = 5\nresidues = 1, 2\nalpha.mod5_qaud = 0.5\n",
+         ":3: alpha.mod5_qaud: 'mod5_qaud' is not a character of this "
+         "race; its labels are mod5_j1, mod5_quad"),
+        ("q = 5\nresidues = 1, 2\ntable.nonesuch = /nope.txt\n",
+         ":3: table.nonesuch: 'nonesuch'"),
+        ("q = 4\nkind = square-vs-nonsquare\nqstar.x = 4\n",
+         ":3: qstar.x: 'x' is not a character"),
+        ("q = 1\nkind = prime-count\nweight.zeta2 = 2\n",
+         ":3: weight.zeta2: 'zeta2' is not a character"),
+        (custom + "alpha.a = 1\nalpha.b = 1\n",
+         ":6: alpha.b: 'b' is not a character of this race; its labels "
+         "are a"),
+        (custom + "alpha.a = 1\nqstar.b = 3\n", ":6: qstar.b: 'b'"),
+        (custom + "alpha.a = 1\nweight.b = 2\n", ":6: weight.b: 'b'"),
     ]
     for i, (text, match) in enumerate(cases):
         p = tmp_path / f"cfg{i}"

@@ -87,6 +87,29 @@ def test_j0_lowbias_fallback_joins_smoothly():
         assert a == pytest.approx(scipy_j0(z), rel=4e-15, abs=1e-16)
 
 
+def test_j0_lowbias_series_only_where_used(monkeypatch):
+    # the series runs on the z <= 6 values alone, and a mixed array gives
+    # the bits of its two parts evaluated apart
+    rng = np.random.default_rng(6)
+    z = np.concatenate([rng.uniform(0.0, 50.0, 2000),
+                        [0.0, 6.0, np.nextafter(6.0, 7.0), 50.0]])
+    mixed = sf.j0_lowbias(z)
+    small = z <= 6.0
+    assert 0 < small.sum() < z.size
+    assert np.array_equal(mixed[small], sf.j0_lowbias(z[small]))
+    assert np.array_equal(mixed[~small], sf.j0_lowbias(z[~small]))
+    seen = []
+    series = sf._j0_series
+
+    def spy(q):
+        seen.append(q.copy())
+        return series(q)
+    monkeypatch.setattr(sf, "_j0_series", spy)
+    assert np.array_equal(sf.j0_lowbias(z), mixed)
+    assert sum(q.size for q in seen) == small.sum()
+    assert max(q.max() for q in seen) == 9.0
+
+
 def test_j0_lowbias_matches_scalar_routine_coarsely():
     zs = np.linspace(0.01, 5.99, 211)
     vals = sf.j0_lowbias(zs)

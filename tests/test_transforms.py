@@ -746,6 +746,31 @@ def test_cumulant_combined_race_variance():
     assert tr.l0_full(5.0, race, stats).value > 0.0
 
 
+def _l0_outcome(s, race, stats):
+    # the result's repr (every value to the bit), or the refusal
+    try:
+        return repr(tr.l0_full(s, race, stats))
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.filterwarnings("ignore::racedensity.transforms.AccuracyWarning")
+@pytest.mark.parametrize("race, u, ss", [
+    (prime_count_race(), 2000.0, (0.0, 1.0, 100.0, 12527.41)),
+    (prime_count_race(), 14000.0, (0.0, 1.0, 100.0, 12527.41)),
+    (two_way_race(5, 1, 2), 250.0, (0.0, 1.0, 7.5, 20.0)),
+])
+def test_cumulant_sums_as_plain_fsum(race, u, ss, monkeypatch):
+    # the order sums, binned past zerodata._BINNED_FROM terms, give the
+    # bits of math.fsum over the same arrays
+    stats = aggregate_stats(race, u)
+    got = [_l0_outcome(s, race, stats) for s in ss]
+    monkeypatch.setattr(tr, "_exact_sum", math.fsum)
+    assert [_l0_outcome(s, race, stats) for s in ss] == got
+    assert any("LDerivs" in g for g in got)
+
+
 def test_cumulant_validation(zeta_race, stats2000):
     with pytest.raises(ValueError):
         tr.l0_full(-1.0, zeta_race, stats2000)

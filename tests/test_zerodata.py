@@ -300,15 +300,84 @@ def test_tail_bk_bit_exact_against_plain_sum(key):
 def test_tail_bk_bit_exact_with_subnormal_terms():
     # at k = 37 the top zeta terms fall below the smallest normal double;
     # the exponent bins behind the full sum must still keep every bit,
-    # and zero terms must add nothing
+    # of either sign, and zero terms must add nothing
     t = bundled_table("zeta")
     g = t.gammas
     x = (0.25 + g * g) ** (-37)
     assert x.min() < sys.float_info.min
-    for u in (0.0, 30.0, 1000.0, t.last_zero):
+    # u = g[3000]: a head sum long enough to be binned, with its terms
+    # negated against the full-sum expansion
+    assert 3000 >= zd._BINNED_FROM
+    for u in (0.0, 30.0, 1000.0, float(g[3000]), t.last_zero):
         assert _tail_bk(t, u, 37) == _plain_tail_bk(t, u, 37, "auto"), u
     x = np.concatenate([x, [0.0, 5e-324]])
     assert math.fsum(zd._exact_bins(x) + (-x).tolist()) == 0.0
+    signs = np.random.default_rng(37).choice([-1.0, 1.0], x.size)
+    x = np.concatenate([signs * x, [-0.0, -5e-324, 3 * 5e-324]])
+    assert math.fsum(zd._exact_bins(x) + (-x).tolist()) == 0.0
+    assert zd._exact_sum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+def _signed_terms(rng, n):
+    # signed doubles with exponents across 1e-300..1e300, with zeros and
+    # small multiples of the smallest subnormal mixed in
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    pick = rng.random(n)
+    x[pick < 0.05] = 0.0
+    tiny = pick > 0.95
+    x[tiny] = rng.integers(-40, 41, int(tiny.sum())) * 5e-324
+    return x
+
+
+@pytest.mark.parametrize("n", sorted({1, 100, zd._BINNED_FROM - 1,
+                                      zd._BINNED_FROM, 4095, 4096, 20000}))
+def test_exact_sum_is_fsum(n):
+    # math.fsum over a list is the oracle, bit for bit, on both sides of
+    # the size switch
+    rng = np.random.default_rng(n)
+    x = _signed_terms(rng, n)
+    narrow = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n) \
+        * 2.0 ** rng.integers(-60, 1, n)
+    for y in (x, narrow, narrow[::-1].copy(), np.abs(narrow)):
+        assert zd._exact_sum(y).hex() == math.fsum(y.tolist()).hex()
+    # exact cancellation: every term meets its negation somewhere
+    half = _signed_terms(rng, (n + 1) // 2)
+    both = rng.permutation(np.concatenate([half, -half]))
+    assert zd._exact_sum(both).hex() == math.fsum(both.tolist()).hex()
+    assert zd._exact_sum(both) == 0.0
+
+
+@pytest.mark.parametrize("n", [3, zd._BINNED_FROM + 5])
+def test_exact_sum_nonfinite_as_fsum(n):
+    # inf, nan and overflowing partial sums give fsum's value or raise
+    # fsum's exception
+    cases = ([math.inf], [-math.inf], [math.nan], [math.inf, -math.inf],
+             [1e308, 1e308], [1e308, 1e308, -1e308], [math.inf, 1e308])
+    for extra in cases:
+        x = np.concatenate([np.full(n - len(extra), 0.5), extra])
+        try:
+            want = math.fsum(x.tolist())
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                zd._exact_sum(x)
+            continue
+        got = zd._exact_sum(x)
+        assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want)
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.FrozenSpanWarning")
+@pytest.mark.parametrize("race", [prime_count_race(), two_way_race(5, 1, 2)])
+def test_aggregate_stats_as_with_plain_fsum(race, monkeypatch):
+    # every field, bit for bit, as with _exact_sum replaced by math.fsum
+    # over the arrays (fresh tables, so no cached sum is shared)
+    us = (0.0, 30.0, 1000.0, 13000.0)
+    with monkeypatch.context() as m:
+        m.setattr(zd, "_table_cache", {})
+        m.setattr(zd, "_exact_sum", math.fsum)
+        want = [repr(aggregate_stats(race, u)) for u in us]
+    monkeypatch.setattr(zd, "_table_cache", {})
+    assert [repr(aggregate_stats(race, u)) for u in us] == want
 
 
 def _file_race(path, gammas, b1_total):
