@@ -134,11 +134,11 @@ def phat_samples(race: RaceSpec, params: RSParams,
 
     The expensive, threshold-independent part of both Poisson sums;
     evaluate once and reuse across v. Frequencies past the tail
-    factor's convergence radius come back as exact zeros (each carries
-    at least one kernel factor beyond its first root, making the true
-    value smaller than anything retained here); their kernel products
-    are never formed, and those of the other frequencies come from one
-    phat_prefix call.
+    factor's convergence radius T/sigma_u come back as exact zeros and
+    their kernel products are never formed. The error estimate has no
+    part for what they drop yet, and it is not small: at q24 1v5,
+    u = 4.352, a dropped |phat| reaches 9.6e-7. The kernel products of
+    the other frequencies come from one phat_prefix call.
     """
     stats = _stats_for(race, params, stats)
     if not stats.T > 0.0:
@@ -186,8 +186,9 @@ def _check_aliasing(v: float, params: RSParams, stats: TailStats,
 
 def _truncation_bound(params: RSParams, stats: TailStats) -> float:
     # terms dropped past C have tail factor below e^-46; count how many
-    # lattice points sit between C and the radius end, where they stop
-    # existing altogether
+    # lattice points sit between C and the radius end T/sigma_u. The
+    # points past the radius end are dropped too, and nothing here
+    # bounds them
     if not stats.T > 0.0:
         return 0.0
     omega_end = stats.T / stats.sigma_u

@@ -148,9 +148,7 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
     ragged block. Consecutive rows are grouped into blocks of at most
     _NEAR_BLOCK factors over all characters (a longer row is a block of
     its own). Each block is flattened into one j0_lowbias call over
-    all characters, and reduced row by row with segment reductions. A row
-    takes the log route below when a factor under 1e-3 appears in any
-    of its characters.
+    all characters, and reduced row by row with segment reductions.
 
     Both parts stay unbiased in extended precision. The lattice sums
     downstream cancel to a few parts in 1e6 of their largest term, so a
@@ -159,9 +157,15 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
     j0_lowbias, which has no per-factor bias, and multiply in 80-bit
     arithmetic. The far sum adds positive power sums with coefficients
     that are all negative, so it has no cancellation and no per-factor
-    rounding to accumulate. When a near factor drops below 1e-3 in
-    magnitude the product is re-done as a sign-tracked sum of logs, the
-    far log sum included, to dodge underflow in long products.
+    rounding to accumulate.
+
+    The products cannot underflow on the way. Every near factor has z
+    above _FAR_Z, so |J0(z)| < 0.57, and exp(far) is at most 1; each
+    partial product of a row is therefore at least as large in
+    magnitude as the row's final value. A row whose value is a normal
+    double never passes below the smallest long-double normal
+    (3.4e-4932). A row below the double range rounds to a signed zero,
+    as a sum of logs would give it too, and a zero factor gives 0.
     """
     u = float(u)
     if u < 0.0:
@@ -188,7 +192,7 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
     while start < ws.size:
         stop = max(start + 1, int(np.searchsorted(
             ends, ends[start] - sizes[start] + _NEAR_BLOCK, side="right")))
-        _near_block(out, far, near, start, stop)
+        _near_block(out, near, start, stop)
         start = stop
     return out.astype(float)
 
@@ -214,14 +218,11 @@ def _far_logs(t, den2, split) -> np.ndarray:
     return acc * q
 
 
-def _near_block(out, far, near, lo, hi) -> None:
+def _near_block(out, near, lo, hi) -> None:
     # multiplies the near factors of rows lo..hi-1 into out, which holds
-    # exp(far); rows with a factor below 1e-3 in any character are
-    # redone as sign-tracked log sums, rows with a zero factor become 0
-    small = np.zeros(hi - lo, dtype=bool)
-    zero = np.zeros(hi - lo, dtype=bool)
-    # factor j of a character's block belongs to row r and is its zero
-    # j - first[r]; one j0_lowbias call takes every character's factors
+    # exp(far). Factor j of a character's block belongs to row r and is
+    # its zero j - first[r]; one j0_lowbias call takes every character's
+    # factors, and a segment reduction takes each row's share
     parts = []
     for t, den, split in near:
         n = split[lo:hi]
@@ -229,30 +230,10 @@ def _near_block(out, far, near, lo, hi) -> None:
         idx = np.arange(int(first[-1] + n[-1])) - np.repeat(first, n)
         parts.append((n, first, np.repeat(t[lo:hi], n) / den[idx]))
     values = j0_lowbias(np.concatenate([z for _, _, z in parts]))
-    blocks = []
     for n, first, z in parts:
         f, values = values[:z.size], values[z.size:]
-        if not f.size:
-            continue
-        # segment reductions take each row's share
-        mag = np.abs(f)
         rows = np.flatnonzero(n)
-        least = np.minimum.reduceat(mag, first[rows])
-        zero[rows] |= least == 0.0
-        small[rows] |= least.astype(float) < 1e-3
         out[lo + rows] *= np.multiply.reduceat(f, first[rows])
-        blocks.append((n, first, f, mag))
-    # the log sums run one row and character at a time: a segment
-    # reduction of np.add is not pairwise and would round differently
-    for r in np.flatnonzero(small & ~zero):
-        total = far[lo + r]
-        neg = 0
-        for n, first, f, mag in blocks:
-            seg = slice(first[r], first[r] + n[r])
-            total += np.sum(np.log(mag[seg]))
-            neg += int(np.sum(f[seg] < 0.0))
-        out[lo + r] = (-1.0 if neg % 2 else 1.0) * np.exp(total)
-    out[lo + np.flatnonzero(zero)] = 0.0
 
 
 def _explicit_zeros(race: RaceSpec, u: float) -> list:

@@ -384,7 +384,6 @@ class CharTailStats:
     n_zeros: int
     S: float
     y: float
-    delta: float
     r: tuple[float, ...]     # single-series ratios r_k, k = 1..Kmax
     T_single: float          # convergence radius as a lone series
     T_effective: float       # radius inside this race's normalization
@@ -504,8 +503,7 @@ def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8) -> TailStats:
         per.append(CharTailStats(
             label=e.label, qstar=t.qstar, weight=t.weight, alpha=e.alpha,
             b=b, n_zeros=t.count(u), S=_span(t, u), y=y,
-            delta=t.span_fit[0], r=r, T_single=t_single,
-            T_effective=t_eff))
+            r=r, T_single=t_single, T_effective=t_eff))
     t_vals = [p.T_effective for p in per]
     T = float("nan") if any(math.isnan(t) for t in t_vals) else min(t_vals)
     return TailStats(

@@ -134,10 +134,9 @@ def test_explicit_product_needs_zero_coverage(zeta_race):
         tr.phat_prefix([1.0], zeta_race, 20000.0)
 
 
-def test_explicit_product_log_route_matches_direct(zeta_race):
-    # a frequency pinning the first factor within 1e-3 of a kernel zero
-    # forces the log-sum route; an independent plain product must agree,
-    # sign included
+def test_explicit_product_next_to_j0_root_matches_direct(zeta_race):
+    # a frequency pinning the first factor within 1e-3 of a kernel zero;
+    # an independent plain product must agree, sign included
     table = bundled_table("zeta")
     g1 = float(table.gammas[0])
     w = J1 * math.sqrt(0.25 + g1 * g1) / 2.0 + 3e-4
@@ -174,11 +173,10 @@ def test_split_point_independence(zeta_race, stats35):
 def test_explicit_product_frequencies_independent(race, u, monkeypatch):
     # one call over many frequencies gives, bit for bit, what one call
     # per frequency gives; the last frequency puts the first kernel
-    # factor within 1e-3 of a zero of J0, so its product takes the
-    # log-sum route and the others the direct one. At u = 2999 the
-    # leading spread of frequencies reaches 2000, where the near factors
-    # of its rows (z above _FAR_Z, so g below about 1.43 w) fill
-    # several blocks, and the log-sum row lands in a later block
+    # factor within 1e-3 of a zero of J0. At u = 2999 the leading spread
+    # of frequencies reaches 2000, where the near factors of its rows
+    # (z above _FAR_Z, so g below about 1.43 w) fill several blocks, and
+    # the near-root row lands in a later block
     entry = race.characters[0]
     g1 = float(resolve_table(entry).gammas[0])
     top = 2000.0 if u > 2000.0 else 1000.0
@@ -199,13 +197,13 @@ def test_explicit_product_frequencies_independent(race, u, monkeypatch):
     assert tr.phat_prefix([], race, u).size == 0
 
 
-def test_log_route_spans_characters():
+def test_product_sign_spans_characters():
     # q8 1v3 at u = 140: the frequency puts the first mod 4 factor 3e-4
     # below a zero of J0, while every mod8_even factor stays above 0.24
-    # in magnitude. The whole row, both characters, must take the
-    # log-sum route: an odd number of negative factors over the two,
-    # and the explicit product's value (measured equal bit for bit;
-    # the bound is test_prefix_matches_explicit_product's)
+    # in magnitude. The row's sign counts the negative factors of both
+    # characters, an odd number, and its value is the explicit
+    # product's (measured equal bit for bit; the bound is
+    # test_prefix_matches_explicit_product's)
     race = two_way_race(8, 1, 3)
     u = 140.0
     g1 = float(resolve_table(race.characters[0]).gammas[0])
@@ -231,11 +229,10 @@ def test_log_route_spans_characters():
 _LONG_ROWS = [
     (3.0, 2e-16),      # every zero far; measured 6.2e-17
     (20.0, 2e-16),     # 12 near zeros; 6.2e-17
-    (None, 5e-15),     # 9 near, one factor 3e-4 past j1: the log-sum
-                       # route; 2.8e-15
-    (100.0, 5e-15),    # 129 near; 2.7e-15
-    (250.0, 5e-15),    # 426 near; 2.7e-15 (2.9e-15 explicit)
-    (400.0, 5e-13),    # all 530 near, 44 of them past z = 6; 1.8e-13
+    (None, 5e-15),     # 9 near, one factor 3e-4 past j1; 4.5e-15
+    (100.0, 5e-15),    # 129 near; 2.4e-17
+    (250.0, 5e-15),    # 426 near; 9.2e-16
+    (400.0, 5e-13),    # all 530 near, 44 of them past z = 6; 3.8e-16
 ]
 
 
@@ -245,8 +242,8 @@ def test_long_product_matches_30_digit_oracle(zeta_race):
     g = g[g <= 850.0]
     assert g.size > 500
     g1 = float(g[0])
-    log_route = J1 * math.sqrt(0.25 + g1 * g1) / 2.0 + 3e-4
-    ws = [log_route if w is None else w for w, _ in _LONG_ROWS]
+    near_root = J1 * math.sqrt(0.25 + g1 * g1) / 2.0 + 3e-4
+    ws = [near_root if w is None else w for w, _ in _LONG_ROWS]
     got = tr.phat_prefix(ws, zeta_race, 850.0)
     with mpmath.workdps(30):
         for w, (_, tol), value in zip(ws, _LONG_ROWS, got):
@@ -285,6 +282,23 @@ def test_prefix_with_irrational_alpha_rounds_correctly():
                 for alpha, g in chars for x in g)
             err = float(abs(value - want))
             assert err <= 0.5 * np.spacing(abs(value)) + 1e-18 * abs(value), w
+
+
+def test_long_product_does_not_underflow(zeta_race):
+    # zeta at u = 2999, 2468 zeros. The product at w = 400 is about
+    # 3.3e-302 and must equal a sign-tracked sum of logs of the same
+    # factors; at w = 800 and 1500 the true values, about 1e-674 and
+    # 1e-1275, lie below the double range and must come back as zeros
+    g = bundled_table("zeta").gammas
+    g = g[g <= 2999.0].astype(np.longdouble)
+    got = tr.phat_prefix([400.0, 800.0, 1500.0], zeta_race, 2999.0)
+    assert np.all(np.isfinite(got))
+    f = j0_lowbias(2.0 * 400.0 / np.sqrt(0.25 + g * g))
+    sign = (-1.0) ** int(np.sum(f < 0.0))
+    want = sign * float(np.exp(np.sum(np.log(np.abs(f)))))
+    assert 1e-302 < abs(want) < 1e-301
+    assert abs(got[0] - want) <= 1e-12 * abs(want)
+    assert abs(got[1]) == 0.0 and abs(got[2]) == 0.0
 
 
 def _explicit_product(ws, race, u):
