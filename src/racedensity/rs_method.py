@@ -14,12 +14,12 @@ The exceedance sum reads
     E(v) = 1/2 - v*domega/(2 pi) - (1/pi) sum_m phat(m*domega) sin(m v domega)/m
 and the density sum
     P0(v) = (domega/pi) (1/2 + sum_m phat(m*domega) cos(m v domega)),
-both truncated at the frequency ceiling C. It sits half a step below
-the first lattice point whose tail-factor exponent reaches 46 (value
-below 1e-20), or at the end of the remainder's convergence radius when
-no lattice point inside it gets that far. The tail factor
-exp(-sum_{k<=K} c_k R_k tau^(2k)), tau = sigma_u*omega, and its
-per-term error are formed for all lattice points and all orders K at
+both truncated where the lattice stops: at the first lattice point
+whose tail-factor exponent reaches 46 (value below 1e-20), or at the end
+of the remainder's convergence radius T/sigma_u when no lattice point
+inside it gets that far. The zero cutoff is the tail statistics' u. The
+tail factor exp(-sum_{k<=K} c_k R_k tau^(2k)), tau = sigma_u*omega, and
+its per-term error are formed for all lattice points and all orders K at
 once, by one array expression that serves both the samples and the
 parameter choice.
 """
@@ -35,7 +35,7 @@ from .race import RaceSpec
 from .results import DensityResult
 from .specfun import c_coeffs
 from .transforms import ConvergenceError, phat_prefix
-from .zerodata import TailStats, aggregate_stats, montgomery_bound
+from .zerodata import TailStats, montgomery_bound
 
 __all__ = [
     "ParameterError",
@@ -65,17 +65,18 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class RSParams:
-    """Parameter set for one Poisson-summation run.
+    """The choices of one Poisson-summation run: the tail order K, the
+    frequency step and the largest threshold it serves. The zero cutoff
+    and the point where the lattice stops come from the tail statistics
+    the run is given.
 
     target, when set, arms the aliasing check in compute_E/compute_P:
     a wrap-around bound above it refuses the evaluation instead of
     silently degrading.
     """
 
-    u: float
     K: int
     domega: float
-    C: float
     v_max: float
     target: float | None = None
 
@@ -84,9 +85,6 @@ class RSParams:
             raise ParameterError("domega must be positive and finite")
         if self.K < 1:
             raise ParameterError("K must be at least 1")
-        if not (self.C > 0.0 and math.isfinite(self.C)):
-            raise ParameterError(
-                "frequency ceiling C must be positive and finite")
         _check_v_max(self.v_max)
         if 2.0 * math.pi / self.domega <= self.v_max:
             raise ParameterError(
@@ -116,52 +114,62 @@ class PhatSample:
         return self.prefix * self.tail
 
 
-def _stats_for(race: RaceSpec, params: RSParams, stats) -> TailStats:
-    if stats is not None:
-        if stats.u != params.u:
-            raise ParameterError(
-                f"stats were aggregated at u = {stats.u:g}, params ask {params.u:g}")
-        if len(stats.R) < params.K:
-            raise ParameterError(
-                f"stats carry {len(stats.R)} moment ratios, K = {params.K} needed")
-        return stats
-    return aggregate_stats(race, params.u, Kmax=max(params.K, 2))
+def _check_order(params: RSParams, stats: TailStats) -> None:
+    if len(stats.R) < params.K:
+        raise ParameterError(
+            f"stats carry {len(stats.R)} moment ratios, K = {params.K} needed")
+
+
+def _tail_lattice(stats: TailStats, domega: float):
+    # the lattice points m = 1, 2, ... inside the radius T/sigma_u, the
+    # tail series of every order there, and per order the points the
+    # sums keep: those before the first point whose exponent reaches the
+    # cutoff. The exponents grow with tau, so each order keeps a prefix,
+    # the whole radius when no point inside it reaches the cutoff. Every
+    # order's exponent is at least its first term c_1 R_1 tau^2, so the
+    # points from one step past where that term reaches the cutoff are
+    # never built
+    T = stats.T
+    if not T > 0.0:
+        raise ConvergenceError(_NO_RADIUS)
+    tau_end = min(T, math.sqrt(_EXPONENT_CUTOFF
+                               / (c_coeffs(1)[0] * stats.R[0])))
+    m = np.arange(1, int(math.ceil(tau_end / stats.sigma_u / domega)) + 2)
+    tau = stats.sigma_u * (m * domega)
+    m, tau = m[tau < T], tau[tau < T]
+    exponents, errors = _tail_series(stats, tau)
+    return m, exponents, errors, exponents < _EXPONENT_CUTOFF
 
 
 def phat_samples(race: RaceSpec, params: RSParams,
-                 stats: TailStats = None) -> tuple[PhatSample, ...]:
-    """Characteristic-function values at m*domega for 0 < m*domega < C.
+                 stats: TailStats) -> tuple[PhatSample, ...]:
+    """Characteristic-function values at the lattice points m*domega,
+    m = 1..n, that the sums keep.
 
     The expensive, threshold-independent part of both Poisson sums;
-    evaluate once and reuse across v. Frequencies past the tail
-    factor's convergence radius T/sigma_u come back as exact zeros and
-    their kernel products are never formed. The error estimate has no
-    part for what they drop yet, and it is not small: at q24 1v5,
-    u = 4.352, a dropped |phat| reaches 9.6e-7. The kernel products of
-    the other frequencies come from one phat_prefix call.
+    evaluate once and reuse across v. The lattice stops before the
+    first point whose order-K tail factor is below 1e-20, or at the
+    tail factor's convergence radius T/sigma_u when no point inside it
+    gets that far; no sample lies at or past the radius. The error
+    estimate has no part for the points past the radius yet, and it is
+    not small: at q24 1v5, u = 4.352, a dropped |phat| reaches 9.6e-7.
+    The kernel products come from one phat_prefix call at the cutoff
+    stats.u.
     """
-    stats = _stats_for(race, params, stats)
-    if not stats.T > 0.0:
-        raise ConvergenceError(_NO_RADIUS)
-    m = np.arange(1, int(math.ceil(params.C / params.domega)) + 1)
-    m = m[m * params.domega < params.C]
+    _check_order(params, stats)
+    m, exponents, errors, kept = _tail_lattice(stats, params.domega)
+    n = int(np.count_nonzero(kept[params.K - 1]))
+    m = m[:n]
     omegas = m * params.domega
-    tau = stats.sigma_u * omegas
-    inside = tau < stats.T
-    exponents, errors = _tail_series(stats, tau[inside])
-    tails, tail_errors = np.zeros(len(m)), np.zeros(len(m))
-    tails[inside] = np.exp(-exponents[params.K - 1])
-    tail_errors[inside] = errors[params.K - 1]
-    live = tails != 0.0
-    prefixes = np.zeros(len(m))
-    prefixes[live] = phat_prefix(omegas[live], race, params.u)
+    tails = np.exp(-exponents[params.K - 1, :n])
+    prefixes = phat_prefix(omegas, race, stats.u)
     # d(exp(-x)) = -exp(-x) dx: the tail's exponent error transfers
     # multiplicatively
     return tuple(
         PhatSample(i, w, p, t, abs(p) * t * e)
         for i, w, p, t, e in zip(m.tolist(), omegas.tolist(),
                                  prefixes.tolist(), tails.tolist(),
-                                 tail_errors.tolist()))
+                                 errors[params.K - 1, :n].tolist()))
 
 
 def _check_aliasing(v: float, params: RSParams, stats: TailStats,
@@ -184,22 +192,16 @@ def _check_aliasing(v: float, params: RSParams, stats: TailStats,
     return bound
 
 
-def _truncation_bound(params: RSParams, stats: TailStats) -> float:
-    # terms dropped past C have tail factor below e^-46; count how many
-    # lattice points sit between C and the radius end T/sigma_u. The
-    # points past the radius end are dropped too, and nothing here
-    # bounds them
-    if not stats.T > 0.0:
+def _truncation_bound(n: int, params: RSParams, stats: TailStats) -> float:
+    # the sums keep m = 1..n. When point n+1 lies inside the radius, the
+    # lattice stopped at the exponent cutoff, and every point from there
+    # to the radius end T/sigma_u has tail factor below e^-46. The points
+    # past the radius end are dropped too, and nothing here bounds them
+    if not stats.sigma_u * ((n + 1) * params.domega) < stats.T:
         return 0.0
-    omega_end = stats.T / stats.sigma_u
-    if omega_end <= params.C:
-        return 0.0
-    m_lo = int(math.floor(params.C / params.domega)) + 1
-    m_hi = int(math.ceil(omega_end / params.domega))
-    if m_hi < m_lo:
-        return 0.0
+    m_hi = int(math.ceil(stats.T / stats.sigma_u / params.domega))
     return math.exp(-_EXPONENT_CUTOFF) / math.pi * math.fsum(
-        1.0 / m for m in range(m_lo, m_hi + 1))
+        1.0 / m for m in range(n + 1, m_hi + 1))
 
 
 def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
@@ -207,7 +209,7 @@ def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
     # E (density=False) or P0 at each v from one set of samples. The
     # checks run once, the aliasing bound at the largest |v|, where it is
     # worst, so every v shares one error estimate.
-    stats = _stats_for(race, params, stats)
+    _check_order(params, stats)
     bad = [v for v in vs if not math.isfinite(v)]
     if bad:
         raise ParameterError(f"thresholds must be finite, got {bad[0]!r}")
@@ -219,55 +221,62 @@ def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
     alias = _check_aliasing(reach, params, stats, density)
     if samples is None:
         samples = phat_samples(race, params, stats)
-    live = [s for s in samples if s.tail != 0.0]
+    elif samples and not (samples[-1].m == len(samples) and samples[-1].omega
+                          == samples[-1].m * params.domega):
+        raise ParameterError(
+            f"samples are not the lattice m = 1..n at domega = "
+            f"{params.domega:g}; rebuild them with these params: "
+            f"phat_samples(race, params, stats)")
+    n = len(samples)
     w = params.domega
     # s.prefix * s.tail is s.phat, spelled out to save a call per term
     if density:
         values = [w / math.pi * (0.5 + math.fsum(
-            [s.prefix * s.tail * math.cos(s.m * v * w) for s in live]))
+            [s.prefix * s.tail * math.cos(s.m * v * w) for s in samples]))
             for v in vs]
-        err = (alias + w / math.pi * math.fsum([s.error for s in live])
-               + w * _truncation_bound(params, stats))
+        err = (alias + w / math.pi * math.fsum([s.error for s in samples])
+               + w * _truncation_bound(n, params, stats))
     else:
         values = [0.5 - v * w / (2.0 * math.pi) - math.fsum(
-            [s.prefix * s.tail * math.sin(s.m * v * w) / s.m for s in live])
+            [s.prefix * s.tail * math.sin(s.m * v * w) / s.m for s in samples])
             / math.pi for v in vs]
-        err = (alias + math.fsum([s.error / s.m for s in live]) / math.pi
-               + _truncation_bound(params, stats))
-    return values, err, len(live), stats
+        err = (alias + math.fsum([s.error / s.m for s in samples]) / math.pi
+               + _truncation_bound(n, params, stats))
+    return values, err, n
 
 
 def _lattice_result(v, race, params, stats, samples, density):
-    (value,), err, n_terms, stats = _lattice(
+    (value,), err, n_terms = _lattice(
         [float(v)], race, params, stats, samples, density)
     log = math.log(value) if value > 0.0 else float("-inf")
     return DensityResult(
         v=float(v), log_p=log if density else math.nan,
         log_e=math.nan if density else log, method="fourier",
-        params={"u": params.u, "K": params.K, "domega": params.domega,
-                "C": params.C, "n_terms": n_terms, "n_zeros": stats.n_zeros},
+        params={"u": stats.u, "K": params.K, "domega": params.domega,
+                "n_terms": n_terms, "n_zeros": stats.n_zeros},
         error_estimate=err)
 
 
 def compute_E(v: float, race: RaceSpec, params: RSParams,
-              stats: TailStats = None, samples=None) -> DensityResult:
+              stats: TailStats, samples=None) -> DensityResult:
     """Exceedance probability E(v) by the Poisson lattice sum.
 
     The error estimate adds the aliasing bound, the summed per-term
-    tail-factor error estimates, and the bound on terms dropped past
-    the frequency ceiling.
+    tail-factor error estimates, and the bound on the terms the lattice
+    drops inside the radius. samples, when given, must come from
+    phat_samples at these params' step.
     """
     return _lattice_result(v, race, params, stats, samples, False)
 
 
 def compute_P(v: float, race: RaceSpec, params: RSParams,
-              stats: TailStats = None, samples=None) -> DensityResult:
+              stats: TailStats, samples=None) -> DensityResult:
     """Density P0(v) by the Poisson lattice sum. Even in v by construction."""
     return _lattice_result(v, race, params, stats, samples, True)
 
 
 def density_grid(vs, race: RaceSpec, params: RSParams,
-                 stats: TailStats = None) -> np.ndarray:
+                 stats: TailStats) -> np.ndarray:
     """P0 on an array of thresholds, sharing one set of lattice samples."""
     vs = np.asarray(vs, dtype=float).ravel().tolist()
     return np.array(_lattice(vs, race, params, stats, None, True)[0])
@@ -290,10 +299,10 @@ def choose_params(v_max: float, stats: TailStats, target: float,
     The step is the largest one whose wrap-around bound stays under a
     third of the target (or the caller's explicit step, validated); K
     is the smallest retained order whose summed per-term error
-    estimates stay under a third of the target; the ceiling falls half
-    a step before the first lattice point whose order-K tail factor is
-    below 1e-20. Stats with no usable convergence radius raise the
-    ConvergenceError that phat_samples raises.
+    estimates stay under a third of the target, summed over the lattice
+    points that phat_samples keeps at that order. Stats with no usable
+    convergence radius raise the ConvergenceError that phat_samples
+    raises.
     """
     _check_v_max(v_max)
     if not 1e-16 < target < 1e-2:
@@ -313,16 +322,8 @@ def choose_params(v_max: float, stats: TailStats, target: float,
     # the summed per-term error estimate of every order K = 1..Kmax at
     # once: |kernel product| <= 1, so a term's error is bounded by its
     # tail factor's own estimate, weighted 1/(pi m) as in the sums. A
-    # lattice point counts for K while its exponent stays under the
-    # cutoff, that is below K's ceiling.
-    T = stats.T
-    if not T > 0.0:
-        raise ConvergenceError(_NO_RADIUS)
-    m = np.arange(1, int(math.ceil(T / stats.sigma_u / domega)) + 1)
-    tau = stats.sigma_u * (m * domega)
-    m, tau = m[tau < T], tau[tau < T]
-    exponents, errors = _tail_series(stats, tau)
-    kept = exponents < _EXPONENT_CUTOFF
+    # lattice point counts for K where the sums keep it.
+    m, exponents, errors, kept = _tail_lattice(stats, domega)
     budgets = np.where(kept, np.exp(-exponents) * errors / m, 0.0) \
         .sum(axis=1) / math.pi
     under = np.flatnonzero(budgets[1:] < slack)
@@ -330,13 +331,7 @@ def choose_params(v_max: float, stats: TailStats, target: float,
         raise ParameterError(
             f"per-term error stays above {slack:.3g} even at K = "
             f"{len(stats.R)}; raise the zero cutoff u or the moment depth")
-    K = int(under[0]) + 2
-    # the ceiling sits half a step below the first lattice point whose
-    # exponent reaches the cutoff, so the sums keep exactly the points
-    # before it; with no such point it is the radius end
-    past = np.flatnonzero(~kept[K - 1])
-    C = (past[0] + 0.5) * domega if past.size else T / stats.sigma_u
-    return RSParams(u=stats.u, K=K, domega=domega, C=float(C), v_max=v_max,
+    return RSParams(K=int(under[0]) + 2, domega=domega, v_max=v_max,
                     target=target)
 
 
@@ -355,18 +350,17 @@ def _tail_series(stats: TailStats, tau: np.ndarray):
 
 
 def default_params(race: RaceSpec, stats: TailStats,
-                   target: float = 1e-11, v_max: float = None) -> RSParams:
+                   v_max: float, target: float = 1e-11) -> RSParams:
     """choose_params with the per-race default frequency step."""
-    if v_max is None:
-        v_max = max(1.0, abs(race.offset))
     step = default_domega(race, stats.sigma0)
     return choose_params(v_max, stats, target, domega=step)
 
 
-def race_result(race: RaceSpec, params: RSParams = None,
-                stats: TailStats = None,
+def race_result(race: RaceSpec, stats: TailStats, params: RSParams = None,
                 target: float = 1e-11) -> DensityResult:
-    """Chance of the trailing contestant leading: E at the race offset."""
+    """Chance of the trailing contestant leading: E at the race offset,
+    from the tail statistics at the run's zero cutoff, with params or
+    else the defaults that meet target there."""
     offset = race.offset
     if offset == 0.0:
         raise ParameterError(
@@ -374,7 +368,5 @@ def race_result(race: RaceSpec, params: RSParams = None,
             f"number for an unbiased race is 1/2 by symmetry")
     v = abs(offset)
     if params is None:
-        if stats is None:
-            raise ParameterError("race_result needs params or stats")
         params = default_params(race, stats, target=target, v_max=v)
     return compute_E(v, race, params, stats=stats)

@@ -594,29 +594,23 @@ def _model_w(mc: ModelConstants, v: float) -> float:
     return math.sqrt(w2)
 
 
-def model_saddle(race_or_constants, v: float) -> float:
+def model_saddle(race: RaceSpec, v: float) -> float:
     """Model solution s of d1 = v; useful as a starting point for solvers."""
-    mc = _as_constants(race_or_constants)
+    mc = model_constants(race)
     W = _model_w(mc, v)
     return math.exp(W - mc.A - mc.Y)
 
 
-def model_log_density(race_or_constants, v: float) -> float:
+def model_log_density(race: RaceSpec, v: float) -> float:
     """Double-exponential model of log P0(v) for large v."""
-    mc = _as_constants(race_or_constants)
+    mc = model_constants(race)
     W = _model_w(mc, v)
     return -(mc.alpha_sum / mc.q) * (W - 1.0) * math.exp(W - mc.Y - mc.A0)
 
 
-def model_log_exceedance(race_or_constants, v: float) -> float:
+def model_log_exceedance(race: RaceSpec, v: float) -> float:
     """Model of log E(v): the density model less the log of the saddle."""
-    mc = _as_constants(race_or_constants)
+    mc = model_constants(race)
     W = _model_w(mc, v)
     log_s = W - mc.A - mc.Y
     return -(mc.alpha_sum / mc.q) * (W - 1.0) * math.exp(W - mc.Y - mc.A0) - log_s
-
-
-def _as_constants(race_or_constants) -> ModelConstants:
-    if isinstance(race_or_constants, ModelConstants):
-        return race_or_constants
-    return model_constants(race_or_constants)

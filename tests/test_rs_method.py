@@ -6,6 +6,7 @@ results of independent calculations; partial-sum rows reproduce a
 published worked example line by line.
 """
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -56,8 +57,9 @@ def tail_oracle(omega, stats, K):
 
 
 def ceiling_oracle(stats, K, domega):
-    # half a step below the first lattice point whose tail exponent
-    # reaches 46, or the radius end when none inside it does
+    # where the lattice stops: half a step below the first lattice point
+    # whose tail exponent reaches 46, or the radius end when none inside
+    # it does
     m = 1
     while stats.sigma_u * (m * domega) < stats.T:
         if tail_oracle(m * domega, stats, K)[0] >= 46.0:
@@ -76,8 +78,7 @@ def run25(zeta_race, zeta_table):
 
 
 def forced_params(stats, K, domega, v_max=3.0):
-    return rs.RSParams(u=stats.u, K=K, domega=domega,
-                       C=ceiling_oracle(stats, K, domega), v_max=v_max)
+    return rs.RSParams(K=K, domega=domega, v_max=v_max)
 
 
 # ------------------------------------------------------------- published runs
@@ -133,14 +134,52 @@ def test_step_independence(zeta_race, run25):
     assert max(values) - min(values) < 1e-14
 
 
-def test_frequency_ceiling_insensitive(zeta_race, run25):
-    # terms past the 1e-20 ceiling are already invisible
+@pytest.mark.parametrize("K, domega", [(7, math.pi / 2), (7, math.pi / 3),
+                                        (3, math.pi / 2), (1, 0.4)])
+def test_samples_stop_at_ceiling(zeta_race, run25, K, domega):
+    # the samples are exactly the lattice points below the ceiling
+    stats, _ = run25
+    samples = rs.phat_samples(zeta_race, forced_params(stats, K, domega),
+                              stats)
+    C = ceiling_oracle(stats, K, domega)
+    below = [m * domega for m in range(1, int(C / domega) + 2)
+             if m * domega < C]
+    assert [s.omega for s in samples] == below
+    assert [s.m for s in samples] == list(range(1, len(below) + 1))
+
+
+def test_dropped_terms_within_truncation_bound(zeta_race, run25):
+    # the terms past the ceiling, summed here from the kernel product and
+    # the scalar tail factor, up to the radius end, stay under the bound
+    # that compute_E charges for them
     stats, params = run25
-    full = rs.RSParams(u=params.u, K=7, domega=params.domega,
-                       C=stats.T / stats.sigma_u, v_max=3.0)
-    a = rs.compute_E(1.0, zeta_race, params, stats=stats).e
-    b = rs.compute_E(1.0, zeta_race, full, stats=stats).e
-    assert abs(a - b) < 1e-19
+    n = len(rs.phat_samples(zeta_race, params, stats))
+    end = stats.T / stats.sigma_u
+    ms = [m for m in range(n + 1, int(end / params.domega) + 2)
+          if m * params.domega < end]
+    assert len(ms) > 10
+    omegas = [m * params.domega for m in ms]
+    prefixes = tr.phat_prefix(omegas, zeta_race, stats.u)
+    for v in (0.5, 1.0, 3.0):
+        dropped = math.fsum(
+            abs(p * math.exp(-tail_oracle(w, stats, params.K)[0])
+                * math.sin(m * v * params.domega)) / (math.pi * m)
+            for m, w, p in zip(ms, omegas, prefixes))
+        assert dropped <= rs._truncation_bound(n, params, stats)
+    assert rs._truncation_bound(n, params, stats) < 1e-19
+
+
+def test_hand_params_match_chosen(zeta_race):
+    # parameters written by hand hold no ceiling that could disagree with
+    # the tail statistics: 100 zeta zeros, order 6, step pi/2, as chosen
+    stats = aggregate_stats(zeta_race, 100.0)
+    hand = rs.RSParams(K=6, domega=math.pi / 2, v_max=1.0, target=1e-11)
+    chosen = rs.choose_params(1.0, stats, 1e-11, domega=math.pi / 2)
+    assert chosen == hand
+    result = rs.compute_E(1.0, zeta_race, hand, stats=stats)
+    assert result.e == rs.compute_E(1.0, zeta_race, chosen, stats=stats).e
+    assert result.e == pytest.approx(REFINED_E1, abs=1e-15)
+    assert abs(result.e - REFINED_E1) < result.error_estimate + 1e-15
 
 
 # ------------------------------------------------------------------ race runs
@@ -335,13 +374,11 @@ def _search_order_by_order(v_max, stats, target, domega=None):
             f"domega = {domega:g} leaves the aliasing bound above "
             f"{slack:.3g}; at most {domega_max:.6g} is admissible")
     for K in range(2, len(stats.R) + 1):
-        params = rs.RSParams(u=stats.u, K=K, domega=domega,
-                             C=ceiling_oracle(stats, K, domega),
-                             v_max=v_max, target=target)
+        params = rs.RSParams(K=K, domega=domega, v_max=v_max, target=target)
+        C = ceiling_oracle(stats, K, domega)
         parts = []
         m = 1
-        while m * domega < params.C \
-                and stats.sigma_u * (m * domega) < stats.T:
+        while m * domega < C and stats.sigma_u * (m * domega) < stats.T:
             exponent, error = tail_oracle(m * domega, stats, K)
             if math.exp(-exponent) != 0.0:
                 parts.append(math.exp(-exponent) * error / m)
@@ -414,8 +451,7 @@ def test_choose_params_target_window(run25):
 
 def test_aliasing_guard_names_required_step(zeta_race, run25):
     stats, _ = run25
-    params = rs.RSParams(u=stats.u, K=7, domega=2.5,
-                         C=stats.T / stats.sigma_u, v_max=2.0, target=1e-11)
+    params = rs.RSParams(K=7, domega=2.5, v_max=2.0, target=1e-11)
     with pytest.raises(rs.ParameterError, match="domega must be at most"):
         rs.compute_E(2.0, zeta_race, params, stats=stats)
     with pytest.raises(rs.ParameterError, match="domega must be at most"):
@@ -444,24 +480,53 @@ def test_threshold_beyond_validated_range(zeta_race, run25):
             call()
 
 
+def test_explicit_step_above_admissible_refused(run25):
+    # the refusal names the largest step whose aliasing bound stays under
+    # a third of the target, worked out here from the exceedance bound
+    stats, _ = run25
+    slack = 1e-11 / 3.0
+    most = 2.0 * math.pi / (
+        1.0 + stats.sigma0 * math.sqrt(2.0 * math.log(1.0 / slack)))
+    with pytest.raises(rs.ParameterError) as info:
+        rs.choose_params(1.0, stats, 1e-11, domega=1.01 * most)
+    assert f"at most {most:.6g} is admissible" in str(info.value)
+    assert rs.choose_params(1.0, stats, 1e-11, domega=most).domega == most
+
+
+def test_samples_of_another_step_refused(zeta_race):
+    # samples built at pi/2 read with params at pi/3 would sum the wrong
+    # frequencies under a small error estimate
+    stats = aggregate_stats(zeta_race, 100.0)
+    samples = rs.phat_samples(
+        zeta_race, rs.RSParams(K=6, domega=math.pi / 2, v_max=1.0), stats)
+    params = rs.RSParams(K=6, domega=math.pi / 3, v_max=1.0)
+    for compute in (rs.compute_E, rs.compute_P):
+        with pytest.raises(rs.ParameterError,
+                           match="rebuild them with these params"):
+            compute(1.0, zeta_race, params, stats=stats, samples=samples)
+    # a shortened tuple is not the lattice's prefix either
+    with pytest.raises(rs.ParameterError, match="rebuild them"):
+        rs.compute_E(1.0, zeta_race,
+                     rs.RSParams(K=6, domega=math.pi / 2, v_max=1.0),
+                     stats=stats, samples=samples[1:])
+
+
 def test_invalid_params_rejected():
     with pytest.raises(rs.ParameterError):
-        rs.RSParams(u=35.0, K=7, domega=4.0, C=40.0, v_max=2.0)
+        rs.RSParams(K=7, domega=4.0, v_max=2.0)
     with pytest.raises(rs.ParameterError):
-        rs.RSParams(u=35.0, K=0, domega=1.0, C=40.0, v_max=2.0)
-    for C in (-1.0, float("inf"), float("nan")):
+        rs.RSParams(K=0, domega=1.0, v_max=2.0)
+    for domega in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(rs.ParameterError):
-            rs.RSParams(u=35.0, K=7, domega=1.0, C=C, v_max=2.0)
+            rs.RSParams(K=7, domega=domega, v_max=2.0)
     for v_max in (float("nan"), float("inf"), -1.0):
         with pytest.raises(rs.ParameterError, match="v_max must be finite"):
-            rs.RSParams(u=35.0, K=7, domega=1.0, C=40.0, v_max=v_max)
+            rs.RSParams(K=7, domega=1.0, v_max=v_max)
 
 
-def test_stats_params_mismatch_refused(zeta_race, run25):
-    stats, params = run25
-    other = aggregate_stats(zeta_race, 35.0, Kmax=8)
-    with pytest.raises(rs.ParameterError):
-        rs.compute_E(1.0, zeta_race, params, stats=other)
+def test_params_hold_only_the_runs_choices():
+    assert [f.name for f in dataclasses.fields(rs.RSParams)] == [
+        "K", "domega", "v_max", "target"]
 
 
 def test_no_convergence_radius_refused(zeta_race):
@@ -471,7 +536,7 @@ def test_no_convergence_radius_refused(zeta_race):
     stats = aggregate_stats(zeta_race, 1.0)
     assert math.isnan(stats.T)
     # both refusals are one type with one message, which names the fix
-    params = rs.RSParams(u=1.0, K=4, domega=1.0, C=30.0, v_max=1.0)
+    params = rs.RSParams(K=4, domega=1.0, v_max=1.0)
     refusals = []
     for call in (lambda: rs.compute_E(1.0, zeta_race, params, stats=stats),
                  lambda: rs.choose_params(1.0, stats, 1e-11)):

@@ -60,12 +60,9 @@ def five_point(f, x0, h):
 
 # ---------------------------------------------------------------- Fourier side
 
-def lattice_samples(race, stats, K, domega, C=None):
-    # phat_samples at m*domega below C, the radius end by default
-    if C is None:
-        C = stats.T / stats.sigma_u
-    params = RSParams(u=stats.u, K=K, domega=domega, C=C, v_max=0.0)
-    return phat_samples(race, params, stats)
+def lattice_samples(race, stats, K, domega):
+    # phat_samples at order K and step domega
+    return phat_samples(race, RSParams(K=K, domega=domega, v_max=0.0), stats)
 
 
 def test_tail_factor_single_term_is_gaussian(zeta_race, stats35):
@@ -86,14 +83,14 @@ def test_tail_factor_matches_printed_run(zeta_race, stats35):
 
 
 def test_tail_factor_beyond_radius_clamps(zeta_race, stats35):
-    # every lattice point at or past T/sigma_u is an exact zero, with no
-    # kernel product formed and no error charged
+    # no sample lies at or past T/sigma_u, where the tail series diverges
     end = stats35.T / stats35.sigma_u
-    samples = lattice_samples(zeta_race, stats35, 8, end / 9.5, C=1.99 * end)
-    assert len(samples) == 18
-    assert all(s.tail > 0.0 for s in samples[:9])
-    for s in samples[9:]:
-        assert (s.tail, s.prefix, s.error, s.phat) == (0.0, 0.0, 0.0, 0.0)
+    for domega in (end / 9.5, end / 9.0, end / 0.5):
+        samples = lattice_samples(zeta_race, stats35, 8, domega)
+        assert all(s.omega < end for s in samples)
+    assert len(lattice_samples(zeta_race, stats35, 8, end / 9.5)) == 9
+    assert len(lattice_samples(zeta_race, stats35, 8, end / 9.0)) == 8
+    assert lattice_samples(zeta_race, stats35, 8, end / 0.5) == ()
 
 
 def test_tail_factor_truncation_estimate_is_honest(zeta_race):
@@ -101,8 +98,8 @@ def test_tail_factor_truncation_estimate_is_honest(zeta_race):
     # error estimate should bracket to within a small factor
     stats = aggregate_stats(zeta_race, 35.0, Kmax=16)
     for w in (15.0, 20.0, 25.0):
-        low = lattice_samples(zeta_race, stats, 8, w, C=1.5 * w)[0]
-        high = lattice_samples(zeta_race, stats, 16, w, C=1.5 * w)[0]
+        low = lattice_samples(zeta_race, stats, 8, w)[0]
+        high = lattice_samples(zeta_race, stats, 16, w)[0]
         estimate = low.error / (abs(low.prefix) * low.tail)
         true = abs(math.log(low.tail) - math.log(high.tail))
         assert 0.2 * estimate <= true <= 3.0 * estimate
@@ -110,7 +107,7 @@ def test_tail_factor_truncation_estimate_is_honest(zeta_race):
 
 def test_tail_factor_order_validation(zeta_race, stats35):
     with pytest.raises(ValueError):
-        RSParams(u=35.0, K=0, domega=1.0, C=40.0, v_max=0.0)
+        RSParams(K=0, domega=1.0, v_max=0.0)
     with pytest.raises(ValueError):
         lattice_samples(zeta_race, stats35, len(stats35.R) + 1, 1.0)
 
@@ -157,7 +154,7 @@ def test_split_point_independence(zeta_race, stats35):
     # moving the explicit/tail cutoff must not move the product
     stats100 = aggregate_stats(zeta_race, 100.0)
     samples35, samples100 = (
-        lattice_samples(zeta_race, stats, 8, math.pi / 2, C=2.25 * math.pi)
+        lattice_samples(zeta_race, stats, 8, math.pi / 2)
         for stats in (stats35, stats100))
     for m in (1, 2, 4):
         assert samples35[m - 1].phat == pytest.approx(
@@ -230,9 +227,9 @@ _LONG_ROWS = [
     (3.0, 2e-16),      # every zero far; measured 6.2e-17
     (20.0, 2e-16),     # 12 near zeros; 6.2e-17
     (None, 5e-15),     # 9 near, one factor 3e-4 past j1; 4.5e-15
-    (100.0, 5e-15),    # 129 near; 2.4e-17
+    (100.0, 2e-16),    # 129 near; 2.4e-17
     (250.0, 5e-15),    # 426 near; 9.2e-16
-    (400.0, 5e-13),    # all 530 near, 44 of them past z = 6; 3.8e-16
+    (400.0, 2e-15),    # all 530 near, 44 of them past z = 6; 3.8e-16
 ]
 
 
@@ -267,7 +264,7 @@ def test_prefix_with_irrational_alpha_rounds_correctly():
     u = 106.873
     stats = aggregate_stats(race, u)
     params = default_params(race, stats, v_max=abs(race.offset))
-    ws = [s.omega for s in phat_samples(race, params, stats) if s.tail != 0.0]
+    ws = [s.omega for s in phat_samples(race, params, stats)]
     got = tr.phat_prefix(ws, race, u)
     rows = [(w, v) for w, v in zip(ws, got) if abs(v) >= 1e-3]
     assert len(rows) == 7
@@ -341,7 +338,7 @@ def test_prefix_matches_explicit_product(race, u):
     # u = 60 to 2999: 1.7e-16 and 1.4e-20 at worst)
     stats = aggregate_stats(race, u)
     params = default_params(race, stats, v_max=abs(race.offset))
-    ws = [s.omega for s in phat_samples(race, params, stats) if s.tail != 0.0]
+    ws = [s.omega for s in phat_samples(race, params, stats)]
     got = tr.phat_prefix(ws, race, u)
     want = _explicit_product(ws, race, u)
     small = np.abs(want) < 1e-3
@@ -362,8 +359,7 @@ def test_far_zone_truncation_over_actual_zeros(race):
     u = 2999.0
     stats = aggregate_stats(race, u)
     params = default_params(race, stats, v_max=abs(race.offset))
-    w = max(s.omega for s in phat_samples(race, params, stats)
-            if s.tail != 0.0)
+    w = phat_samples(race, params, stats)[-1].omega
     K, n, P = tr._FAR_TERMS, 20, 128
     a = _log_j0_fracs(K + n)
     total = Fraction(0)
