@@ -15,8 +15,11 @@ s = 0, 1, 10, 100, 1000 and 12527.41.
 
 For each operation it compares value, error_estimate, K, domega,
 n_terms, n_zeros, the result's repr and the refusal text, floats by
-float.hex. Prints every row that differs and a count, and exits 1 when
-any row differs.
+float.hex. Prints every row that differs, then one line per workload
+(the published rows count as one more) with the rows whose value moved,
+the largest |dvalue| and the largest |dvalue| / error_estimate, the
+estimate taken from this checkout's row. Ends with a count, and exits 1
+when any row differs.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -111,6 +115,38 @@ def _show(a, b) -> str:
     return f"...{a[i:i + 70]!r} -> ...{b[i:i + 70]!r}"
 
 
+def _floats(v) -> list:
+    # a row's value, one float or a list of them, back from float.hex
+    if v is None:
+        return []
+    return [float.fromhex(x) for x in (v if isinstance(v, list) else [v])]
+
+
+def summary(ref_rows, new_rows) -> list:
+    """One line per workload on how far the values moved."""
+    groups = {}
+    for a, b in zip(ref_rows, new_rows):
+        group = groups.setdefault(a["op"].split()[0], [0, 0, 0.0, None])
+        group[0] += 1
+        if a.get("value") == b.get("value"):
+            continue
+        group[1] += 1
+        old, new = _floats(a.get("value")), _floats(b.get("value"))
+        if not old or len(old) != len(new):
+            continue
+        delta = max(abs(x - y) for x, y in zip(old, new))
+        group[2] = max(group[2], delta)
+        est = b.get("error_estimate")
+        if est is not None:
+            est = float.fromhex(est)
+            ratio = delta / est if est > 0.0 else math.inf
+            group[3] = ratio if group[3] is None else max(group[3], ratio)
+    return [f"{name}: {moved} of {rows} rows moved value, largest |dvalue| "
+            f"{delta:.3g}, largest |dvalue|/error_estimate "
+            f"{'n/a' if ratio is None else f'{ratio:.3g}'}"
+            for name, (rows, moved, delta, ratio) in groups.items()]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("ref", nargs="?", help="git revision to compare against")
@@ -137,6 +173,8 @@ def main() -> int:
             print(a["op"])
             for k in keys:
                 print(f"  {k}: " + _show(a.get(k), b.get(k)))
+    for line in summary(ref_rows, new_rows):
+        print(line)
     refusals = sum("refusal" in r for r in new_rows)
     print(f"{differ} of {len(new_rows)} rows differ ({refusals} refusals) "
           f"against {args.ref}, seeds {' '.join(map(str, args.seeds))}")

@@ -22,6 +22,11 @@ tail factor exp(-sum_{k<=K} c_k R_k tau^(2k)), tau = sigma_u*omega, and
 its per-term error are formed for all lattice points and all orders K at
 once, by one array expression that serves both the samples and the
 parameter choice.
+
+One rule sets every frequency step: the largest one whose aliasing
+bound, in its Gaussian form, is at most a given level: a third of the
+target in choose_params, e^-46 in race_result, the target itself in
+the step that an aliasing refusal names.
 """
 
 from __future__ import annotations
@@ -44,8 +49,6 @@ __all__ = [
     "choose_params",
     "compute_E",
     "compute_P",
-    "default_domega",
-    "default_params",
     "density_grid",
     "phat_samples",
     "race_result",
@@ -172,6 +175,17 @@ def phat_samples(race: RaceSpec, params: RSParams,
                                  errors[params.K - 1, :n].tolist()))
 
 
+def _largest_step(v: float, stats: TailStats, bound: float,
+                  density: bool) -> float:
+    # the largest step whose wrap-around point w = 2 pi / domega - v has
+    # exp(-w^2 / (2 sigma0^2)) at most bound, montgomery_bound's Gaussian
+    # form. P0's bound is that one deviation earlier, over sigma0
+    s = stats.sigma0
+    if density:
+        v, bound = v + s, bound * s
+    return 2.0 * math.pi / (v + s * math.sqrt(2.0 * math.log(1.0 / bound)))
+
+
 def _check_aliasing(v: float, params: RSParams, stats: TailStats,
                     density: bool) -> float:
     # the wrap-around error is below E(2 pi / domega - |v|); the density
@@ -184,24 +198,25 @@ def _check_aliasing(v: float, params: RSParams, stats: TailStats,
     else:
         bound = math.exp(montgomery_bound(w, stats))
     if params.target is not None and bound > params.target:
-        need = abs(v) + stats.sigma0 * math.sqrt(
-            2.0 * math.log(1.0 / params.target))
+        # the step for all of v_max, shaved so that 6 digits never round up
+        step = _largest_step(params.v_max, stats, params.target, density)
         raise ParameterError(
             f"aliasing bound {bound:.3g} exceeds target {params.target:.3g}; "
-            f"domega must be at most {2.0 * math.pi / need:.6g}")
+            f"domega must be at most {step * (1.0 - 1e-5):.6g}")
     return bound
 
 
 def _truncation_bound(n: int, params: RSParams, stats: TailStats) -> float:
     # the sums keep m = 1..n. When point n+1 lies inside the radius, the
     # lattice stopped at the exponent cutoff, and every point from there
-    # to the radius end T/sigma_u has tail factor below e^-46. The points
-    # past the radius end are dropped too, and nothing here bounds them
+    # to the radius end T/sigma_u has tail factor below e^-46; as 1/x is
+    # convex, their 1/m sum to at most log((m_hi + 1/2) / (n + 1/2)). The
+    # points past the radius end are dropped too, unbounded here
     if not stats.sigma_u * ((n + 1) * params.domega) < stats.T:
         return 0.0
-    m_hi = int(math.ceil(stats.T / stats.sigma_u / params.domega))
-    return math.exp(-_EXPONENT_CUTOFF) / math.pi * math.fsum(
-        1.0 / m for m in range(n + 1, m_hi + 1))
+    m_hi = math.ceil(stats.T / stats.sigma_u / params.domega)
+    return math.exp(-_EXPONENT_CUTOFF) / math.pi * math.log(
+        (m_hi + 0.5) / (n + 0.5))
 
 
 def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
@@ -282,27 +297,16 @@ def density_grid(vs, race: RaceSpec, params: RSParams,
     return np.array(_lattice(vs, race, params, stats, None, True)[0])
 
 
-def default_domega(race: RaceSpec, sigma0: float) -> float:
-    """Frequency step defaults: pi/2 for the prime-count distribution,
-    0.8 for modulus 8, half the reciprocal deviation for other races."""
-    if race.q == 1:
-        return math.pi / 2.0
-    if race.q == 8:
-        return 0.8
-    return 1.0 / (2.0 * sigma0)
-
-
 def choose_params(v_max: float, stats: TailStats, target: float,
                   domega: float = None) -> RSParams:
     """Smallest-cost parameters meeting the accuracy target.
 
-    The step is the largest one whose wrap-around bound stays under a
-    third of the target (or the caller's explicit step, validated); K
-    is the smallest retained order whose summed per-term error
-    estimates stay under a third of the target, summed over the lattice
-    points that phat_samples keeps at that order. Stats with no usable
-    convergence radius raise the ConvergenceError that phat_samples
-    raises.
+    The step is the largest one whose Gaussian-form aliasing bound stays
+    under a third of the target (or the caller's explicit step,
+    validated); K is the smallest retained order whose summed per-term
+    error estimates stay under a third of the target, summed over the
+    lattice points that phat_samples keeps at that order. Stats with no
+    usable convergence radius raise phat_samples' ConvergenceError.
     """
     _check_v_max(v_max)
     if not 1e-16 < target < 1e-2:
@@ -311,8 +315,7 @@ def choose_params(v_max: float, stats: TailStats, target: float,
             f"the lattice sum reads differences of order-one quantities, so "
             f"double precision floors its accuracy near 1e-16")
     slack = target / 3.0
-    need = v_max + stats.sigma0 * math.sqrt(2.0 * math.log(1.0 / slack))
-    domega_max = 2.0 * math.pi / need
+    domega_max = _largest_step(v_max, stats, slack, False)
     if domega is None:
         domega = domega_max
     elif domega > domega_max:
@@ -349,24 +352,18 @@ def _tail_series(stats: TailStats, tau: np.ndarray):
     return exponents, errors
 
 
-def default_params(race: RaceSpec, stats: TailStats,
-                   v_max: float, target: float = 1e-11) -> RSParams:
-    """choose_params with the per-race default frequency step."""
-    step = default_domega(race, stats.sigma0)
-    return choose_params(v_max, stats, target, domega=step)
-
-
-def race_result(race: RaceSpec, stats: TailStats, params: RSParams = None,
+def race_result(race: RaceSpec, stats: TailStats,
                 target: float = 1e-11) -> DensityResult:
     """Chance of the trailing contestant leading: E at the race offset,
-    from the tail statistics at the run's zero cutoff, with params or
-    else the defaults that meet target there."""
+    from the tail statistics at the run's zero cutoff, at the largest
+    step whose aliasing bound is e^-46, where the lattice drops its terms,
+    and choose_params' order K for target there."""
     offset = race.offset
     if offset == 0.0:
         raise ParameterError(
             f"race {race.name or race.q} carries no offset; the headline "
             f"number for an unbiased race is 1/2 by symmetry")
     v = abs(offset)
-    if params is None:
-        params = default_params(race, stats, target=target, v_max=v)
+    step = _largest_step(v, stats, math.exp(-_EXPONENT_CUTOFF), False)
+    params = choose_params(v, stats, target, domega=step)
     return compute_E(v, race, params, stats=stats)

@@ -169,6 +169,21 @@ def test_dropped_terms_within_truncation_bound(zeta_race, run25):
     assert rs._truncation_bound(n, params, stats) < 1e-19
 
 
+def test_truncation_bound_closed_form_covers_sum():
+    # the closed form log((m_hi + 1/2) / (n + 1/2)) stays above the sum
+    # of 1/m over the dropped points m = n+1..m_hi that it replaces,
+    # from the first point on (n = 0) to long lattices. With sigma_u =
+    # domega = 1 and T = m_hi - 1/2, the radius end rounds up to m_hi
+    params = rs.RSParams(K=1, domega=1.0, v_max=1.0)
+    base = aggregate_stats(prime_count_race(), 100.0)
+    scale = math.exp(-46.0) / math.pi
+    for n in (0, 1, 2, 5, 17, 100, 1000):
+        for m_hi in (n + 2, n + 3, 2 * n + 7, 10 * n + 50, 100 * n + 1000):
+            stats = dataclasses.replace(base, sigma_u=1.0, T=m_hi - 0.5)
+            exact = scale * math.fsum(1.0 / m for m in range(n + 1, m_hi + 1))
+            assert rs._truncation_bound(n, params, stats) >= exact, (n, m_hi)
+
+
 def test_hand_params_match_chosen(zeta_race):
     # parameters written by hand hold no ceiling that could disagree with
     # the tail statistics: 100 zeta zeros, order 6, step pi/2, as chosen
@@ -189,9 +204,8 @@ def test_mod4_race_value():
     table = bundled_table("mod4")
     u = float(table.gammas[49])
     stats = aggregate_stats(race, u, Kmax=8)
-    params = forced_params(stats, 5, rs.default_domega(race, stats.sigma0),
-                           v_max=1.0)
-    result = rs.race_result(race, params=params, stats=stats)
+    params = forced_params(stats, 5, 1.27, v_max=1.0)
+    result = rs.compute_E(1.0, race, params, stats=stats)
     # fifteen published digits; the last two ride on the zero data
     assert result.e == pytest.approx(0.004072076720775, abs=1e-13)
     assert result.e == pytest.approx(0.0040721, abs=5e-8)
@@ -237,9 +251,8 @@ def test_q5_inter_residue_race():
     race = two_way_race(5, 1, 2)
     stats = aggregate_stats(race, 7.0, Kmax=8)
     assert [p.n_zeros for p in stats.per_char] == [2, 1]
-    params = forced_params(stats, 5, rs.default_domega(race, stats.sigma0),
-                           v_max=1.0)
-    result = rs.race_result(race, params=params, stats=stats)
+    params = forced_params(stats, 5, 0.83, v_max=1.0)
+    result = rs.compute_E(1.0, race, params, stats=stats)
     assert result.e == pytest.approx(0.0478254, abs=5e-8)
 
 
@@ -249,18 +262,15 @@ def test_q13_square_race():
     u = 0.5 * (float(table.gammas[2]) + float(table.gammas[3]))
     stats = aggregate_stats(race, u, Kmax=8)
     assert stats.n_zeros == 3
-    params = forced_params(stats, 5, rs.default_domega(race, stats.sigma0),
-                           v_max=1.0)
-    result = rs.race_result(race, params=params, stats=stats)
+    params = forced_params(stats, 5, 0.79, v_max=1.0)
+    result = rs.compute_E(1.0, race, params, stats=stats)
     assert result.e == pytest.approx(0.0556810, abs=5e-8)
 
 
 def test_q8_race_runs_at_its_offset():
-    # the 1-vs-3 race needs the exceedance two deviations out and the
-    # modulus-8 default step
+    # the 1-vs-3 race needs the exceedance two deviations out
     race = two_way_race(8, 1, 3)
     assert race.offset == 2.0
-    assert rs.default_domega(race, 0.5) == 0.8
     stats = aggregate_stats(race, 60.0, Kmax=8)
     result = rs.race_result(race, stats=stats, target=1e-9)
     assert result.v == 2.0
@@ -356,6 +366,25 @@ PUBLISHED_RACES = {
     "q8 1v3": lambda: two_way_race(8, 1, 3),
     "q24 1v5": lambda: two_way_race(24, 1, 5),
 }
+# a hand-written step per race, near half the reciprocal deviation
+STEPS = {"pi vs Li": math.pi / 2, "mod 4": 1.27, "q5 1v2": 0.83,
+         "q13 square": 0.79, "q8 1v3": 0.8, "q24 1v5": 0.5}
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.parametrize("name", PUBLISHED_RACES)
+def test_race_result_step_meets_lattice_cutoff(name):
+    # race_result's step puts the wrap-around point where the aliasing
+    # bound is e^-46, the level below which the lattice drops its terms,
+    # up to the rounding of forming 2 pi / domega - v (a few ulps of the
+    # exponent)
+    race = PUBLISHED_RACES[name]()
+    v = abs(race.offset)
+    for u in (60.0, 100.0, 140.0):
+        stats = aggregate_stats(race, u)
+        w = 2.0 * math.pi / rs.race_result(race, stats).params["domega"] - v
+        assert math.exp(montgomery_bound(w, stats)) \
+            <= math.exp(-46.0) * (1.0 + 1e-12), u
 
 
 def _search_order_by_order(v_max, stats, target, domega=None):
@@ -407,7 +436,7 @@ def test_choose_params_matches_order_by_order_search(name):
     for u in (60.0, 100.0, 140.0, 1000.0):
         stats = aggregate_stats(race, u)
         for target in (1e-8, 1e-11, 1e-14):
-            for domega in (None, rs.default_domega(race, stats.sigma0)):
+            for domega in (None, STEPS[name]):
                 args = (v_max, stats, target, domega)
                 got = _outcome(rs.choose_params, *args)
                 assert got == _outcome(_search_order_by_order, *args), \
@@ -422,7 +451,7 @@ def test_choose_params_refuses_when_orders_run_out(zeta_race, zeta_table):
     # order up to K = 8
     g = zeta_table.gammas
     stats = aggregate_stats(zeta_race, float(0.5 * (g[9] + g[10])))
-    domega = rs.default_domega(zeta_race, stats.sigma0)
+    domega = math.pi / 2
     message = ("per-term error stays above 3.33e-12 even at K = 8; "
                "raise the zero cutoff u or the moment depth")
     with pytest.raises(rs.ParameterError) as info:
@@ -478,6 +507,27 @@ def test_threshold_beyond_validated_range(zeta_race, run25):
                                          stats=stats)):
         with pytest.raises(rs.ParameterError, match="must be finite"):
             call()
+
+
+@pytest.mark.parametrize("name", ["pi vs Li", "q24 1v5"])
+@pytest.mark.parametrize("compute", [rs.compute_E, rs.compute_P])
+def test_refused_step_passes_when_fed_back(name, compute):
+    # at u = 100, choose_params(3, ...) sizes its step for E, so P0 at 2.9
+    # refuses it, and E refuses a step of 2. Each refusal names a step
+    # that, fed back as printed, serves every |v| up to v_max. At q24 1v5
+    # the Gaussian form is the bound itself, so the step must not round up
+    race = PUBLISHED_RACES[name]()
+    stats = aggregate_stats(race, 100.0)
+    params = rs.choose_params(3.0, stats, 1e-11)
+    if compute is rs.compute_E:
+        params = dataclasses.replace(params, domega=2.0)
+    with pytest.raises(rs.ParameterError, match="domega must be at most") \
+            as info:
+        compute(2.9, race, params, stats=stats)
+    step = float(str(info.value).split("at most ")[1].split()[0])
+    fed = dataclasses.replace(params, domega=step)
+    for v in (2.9, 3.0):
+        assert compute(v, race, fed, stats=stats).error_estimate < 1e-11
 
 
 def test_explicit_step_above_admissible_refused(run25):
@@ -553,8 +603,8 @@ def test_public_names_pinned():
     # an edit here
     assert rs.__all__ == [
         "ParameterError", "RSParams", "PhatSample", "choose_params",
-        "compute_E", "compute_P", "default_domega", "default_params",
-        "density_grid", "phat_samples", "race_result"]
+        "compute_E", "compute_P", "density_grid", "phat_samples",
+        "race_result"]
     assert tr.__all__ == [
         "AccuracyWarning", "AsymptoticL", "ConvergenceError", "LDerivs",
         "l0_asymptotic", "l0_full", "model_constants", "model_log_density",

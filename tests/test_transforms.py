@@ -21,7 +21,9 @@ from scipy.special import j0 as scipy_j0
 
 from racedensity import transforms as tr
 from racedensity.race import prime_count_race, square_race, two_way_race
-from racedensity.rs_method import RSParams, default_params, phat_samples
+from racedensity.rs_method import (
+    RSParams, choose_params, phat_samples, race_result,
+)
 from racedensity.specfun import _log_j0_fracs, base_constants, c_coeffs
 from racedensity.specfun import j0_lowbias
 from racedensity.zerodata import (
@@ -253,17 +255,19 @@ def test_long_product_matches_30_digit_oracle(zeta_race):
 
 def test_prefix_with_irrational_alpha_rounds_correctly():
     # q5 1v2 weights its conjugate pair by alpha = 1/sqrt(2), so t =
-    # 2*alpha*w is not a double. At every live frequency of a default
-    # solve at u = 106.873 with |prefix| >= 1e-3 (7 rows), the result
-    # lies within half an ulp of a 40-digit product, plus 1e-18 relative
-    # for the extended-precision product's own error. Measured: every
-    # row within half an ulp. With t rounded to double first, 4 of the
-    # 7 rows lay up to 3.3e-16 relative beyond it (4.0e-16 in all)
+    # 2*alpha*w is not a double. At every live frequency of a solve at
+    # step 1/(2 sigma0), u = 106.873, with |prefix| >= 1e-3 (7 rows),
+    # the result lies within half an ulp of a 40-digit product, plus
+    # 1e-18 relative for the extended-precision product's own error.
+    # Measured: every row within half an ulp. With t rounded to double
+    # first, 4 of the 7 rows lay up to 3.3e-16 relative beyond it
+    # (4.0e-16 in all)
     mpmath = pytest.importorskip("mpmath")
     race = two_way_race(5, 1, 2)
     u = 106.873
     stats = aggregate_stats(race, u)
-    params = default_params(race, stats, v_max=abs(race.offset))
+    params = choose_params(abs(race.offset), stats, 1e-11,
+                           domega=1.0 / (2.0 * stats.sigma0))
     ws = [s.omega for s in phat_samples(race, params, stats)]
     got = tr.phat_prefix(ws, race, u)
     rows = [(w, v) for w, v in zip(ws, got) if abs(v) >= 1e-3]
@@ -325,6 +329,13 @@ def _explicit_product(ws, race, u):
     return np.array(out)
 
 
+def _solve_params(race, stats):
+    # the parameters of race_result's solve: its step, and choose_params'
+    # order at that step
+    step = race_result(race, stats).params["domega"]
+    return choose_params(abs(race.offset), stats, 1e-11, domega=step)
+
+
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("race, u", [
     (prime_count_race(), 2999.0),
@@ -332,12 +343,13 @@ def _explicit_product(ws, race, u):
     (two_way_race(24, 1, 5), 140.0),
 ])
 def test_prefix_matches_explicit_product(race, u):
-    # at every live frequency of a default solve, the split product
+    # at every live frequency of a race_result solve, the split product
     # agrees with the explicit one to 4e-16 relative, or 1e-18 absolute
     # where it is below 1e-3 (measured over the six published races at
-    # u = 60 to 2999: 1.7e-16 and 1.4e-20 at worst)
+    # u = 60 to 2999: 3.1e-16 and 3.8e-19 at worst, both at q5 1v2, where
+    # this oracle rounds 2*alpha*w to a double; 0 and 3.1e-33 elsewhere)
     stats = aggregate_stats(race, u)
-    params = default_params(race, stats, v_max=abs(race.offset))
+    params = _solve_params(race, stats)
     ws = [s.omega for s in phat_samples(race, params, stats)]
     got = tr.phat_prefix(ws, race, u)
     want = _explicit_product(ws, race, u)
@@ -351,14 +363,14 @@ def test_prefix_matches_explicit_product(race, u):
 def test_far_zone_truncation_over_actual_zeros(race):
     # what the far zone's log-J0 series drops past _FAR_TERMS, summed in
     # rationals over the far zeros of the largest live frequency of a
-    # default solve at u = 2999 (2201 zeros for zeta, 2792 for mod 4;
-    # measured 1.2e-28 and 1.6e-28). Each 1/(1/4 + g^2) is rounded up
+    # race_result solve at u = 2999 (2201 zeros for zeta, 2791 for mod 4;
+    # measured 1.1e-28 and 1.7e-28). Each 1/(1/4 + g^2) is rounded up
     # to a multiple of 2^-128, and past the exact window of 20 terms
     # the rest is a geometric series whose ratio (z/j1)^2 is bounded
     # with the row's largest z, so the sum is an upper bound
     u = 2999.0
     stats = aggregate_stats(race, u)
-    params = default_params(race, stats, v_max=abs(race.offset))
+    params = _solve_params(race, stats)
     w = phat_samples(race, params, stats)[-1].omega
     K, n, P = tr._FAR_TERMS, 20, 128
     a = _log_j0_fracs(K + n)
