@@ -186,6 +186,12 @@ def _largest_step(v: float, stats: TailStats, bound: float,
     return 2.0 * math.pi / (v + s * math.sqrt(2.0 * math.log(1.0 / bound)))
 
 
+def _step_text(step: float) -> str:
+    # six digits of a step shaved by 1e-5, so that rounding never names
+    # a step above it: a step a refusal names is accepted when fed back
+    return f"{step * (1.0 - 1e-5):.6g}"
+
+
 def _check_aliasing(v: float, params: RSParams, stats: TailStats,
                     density: bool) -> float:
     # the wrap-around error is below E(2 pi / domega - |v|); the density
@@ -198,11 +204,11 @@ def _check_aliasing(v: float, params: RSParams, stats: TailStats,
     else:
         bound = math.exp(montgomery_bound(w, stats))
     if params.target is not None and bound > params.target:
-        # the step for all of v_max, shaved so that 6 digits never round up
+        # the step for all of v_max
         step = _largest_step(params.v_max, stats, params.target, density)
         raise ParameterError(
             f"aliasing bound {bound:.3g} exceeds target {params.target:.3g}; "
-            f"domega must be at most {step * (1.0 - 1e-5):.6g}")
+            f"domega must be at most {_step_text(step)}")
     return bound
 
 
@@ -321,7 +327,7 @@ def choose_params(v_max: float, stats: TailStats, target: float,
     elif domega > domega_max:
         raise ParameterError(
             f"domega = {domega:g} leaves the aliasing bound above "
-            f"{slack:.3g}; at most {domega_max:.6g} is admissible")
+            f"{slack:.3g}; at most {_step_text(domega_max)} is admissible")
     # the summed per-term error estimate of every order K = 1..Kmax at
     # once: |kernel product| <= 1, so a term's error is bounded by its
     # tail factor's own estimate, weighted 1/(pi m) as in the sums. A

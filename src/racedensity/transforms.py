@@ -18,7 +18,11 @@ of zeros is summed exactly into arctan / log / inverse-tangent-integral
 closed forms, and only the small difference between the true moments
 and the smooth-density model is kept as a correction series, truncated
 at eight terms. That correction is what makes saddle points at s in the
-thousands reachable with a few thousand explicit zeros.
+thousands reachable with a few thousand explicit zeros. One call,
+_remainder, gives the accelerated remainder with all five of its
+t-derivatives: near the origin as one fixed-length even series, model
+and correction together, and further out from the closed forms, whose
+derivatives of order two and up follow one rule.
 
 Subtracting the smooth model also moves the wall. The raw series
 diverges at |t| = T because the smooth j1-ring singularity sits there;
@@ -70,6 +74,20 @@ _SERIES_CUTOVER = 0.3
 # the correction series is always truncated here; its terms fall off
 # geometrically so more would add nothing above double precision
 _CORR_TERMS = 8
+
+# the series branch keeps k = 1.._SERIES_TERMS: at t/T = _SERIES_CUTOVER
+# the order-5 terms past it sum to below 2^-60 of that order's value for
+# every y from -0.9 up
+_SERIES_TERMS = 24
+
+_K = np.arange(1.0, _SERIES_TERMS + 1.0)
+# row m: the m-th derivative of (-1)^(k-1) t^(2k) is _FALLING[m] t^_POWERS[m],
+# with (2k)!/(2k-m)! zero where 2k < m (and that power clipped to 0)
+_FALLING = np.array([[(-1) ** (k - 1) * math.perm(2 * k, m)
+                      for k in range(1, _SERIES_TERMS + 1)] for m in range(6)],
+                    dtype=float)
+_POWERS = np.maximum(2 * np.arange(1, _SERIES_TERMS + 1)
+                     - np.arange(6)[:, None], 0)
 
 # phat_prefix sums the kernel factors with z <= _FAR_Z from the log-J0
 # series, truncated after _FAR_TERMS terms. Its terms fall like
@@ -256,108 +274,80 @@ def _explicit_zeros(race: RaceSpec, u: float) -> list:
 
 # ----------------------------------------------------------------- Laplace side
 
-def _model_series_coef(k: int, y: float) -> float:
-    # coefficient of x^{2k} in (y-1)g(x) + h(x); both defining series
-    # alternate with these magnitudes
-    return (y - 1.0) / (k * (2.0 * k - 1.0)) + 2.0 / (2.0 * k - 1.0) ** 2
+def _model_derivs(x: float, y: float) -> list:
+    """F(x) = (y-1) g(x) + h(x) and its first five derivatives at x > 0,
+    in closed form, with g(x) = 2x arctan x - log(1+x^2) and h(x) = 2x Ti(x).
 
-
-def _ti(x: float) -> float:
-    # inverse tangent integral on [0, inf): the polynomial fit covers
-    # [0, 1], beyond which Ti(x) = Ti(1/x) + (pi/2) log x
-    if x <= 1.0:
-        return arctan_integral(x)
-    return arctan_integral(1.0 / x) + 0.5 * math.pi * math.log(x)
-
-
-def _sigma_model(t: float, y: float, T: float, order: int) -> float:
-    """Order-th t-derivative of the smooth-density part of the remainder.
-
-    The part is 2T^2/((y+1) j1^2) * [(y-1) g(x) + h(x)] at x = t/T with
-    g(x) = 2x arctan x - log(1+x^2) and h(x) = 2x Ti(x). The leading
-    prefactor 2 makes the x^2 coefficient equal 2/j1^2, the full weight
-    of the first Bessel ring in the smoothed kernel sum; with half that
-    weight the correction series would keep the other half and gain
-    nothing over the raw series (checked against brute-force tail sums
-    over the zero tables). The closed forms hold for every real x; near
-    the origin the defining series is better conditioned (the closed
-    forms subtract almost-equal terms there) and is used instead.
+    F' = 2y arctan x + 2 Ti(x) and F'' = 2y/(1+x^2) + 2 arctan(x)/x. The
+    higher orders differentiate F'' with D^n 1/(1+x^2) = (-1)^n n!
+    Im (x-i)^-(n+1), and arctan(x)/x by Leibniz's rule.
     """
-    x = t / T
-    ax = abs(x)
-    pref = 2.0 * T ** (2 - order) / ((y + 1.0) * _J1SQ)
-    odd_flip = -1.0 if (x < 0.0 and order % 2 == 1) else 1.0
-    if ax < _SERIES_CUTOVER:
-        # the series handles ax == 0 as written: only a p == order term
-        # survives (0**0 == 1), which is exactly the nonzero constant an
-        # even-order derivative keeps at the origin
-        parts = []
-        acc = 0.0
-        k = max(1, (order + 1) // 2)
-        while k < 400000:
-            p = 2 * k
-            if p >= order:
-                term = ((-1.0) ** (k - 1) * _model_series_coef(k, y)
-                        * math.perm(p, order) * ax ** (p - order))
-                parts.append(term)
-                acc += term
-                if abs(term) < 1e-17 * (abs(acc) + 1e-300) and p > order + 2:
-                    break
-            k += 1
-        return odd_flip * pref * math.fsum(parts)
-    at = math.atan(ax)
-    q = 1.0 + ax * ax
-    if order == 0:
-        g = 2.0 * ax * at - math.log1p(ax * ax)
-        h = 2.0 * ax * _ti(ax)
-    elif order == 1:
-        g = 2.0 * at
-        h = 2.0 * _ti(ax) + 2.0 * at
-    elif order == 2:
-        g = 2.0 / q
-        h = 2.0 * at / ax + 2.0 / q
-    elif order == 3:
-        g = -4.0 * ax / (q * q)
-        h = 2.0 / (ax * q) - 2.0 * at / (ax * ax) - 4.0 * ax / (q * q)
-    elif order == 4:
-        g = (12.0 * ax * ax - 4.0) / q ** 3
-        h = (-4.0 / (ax * ax * q) + 4.0 * at / ax ** 3
-             - 8.0 / (q * q) + 16.0 * ax * ax / q ** 3)
-    else:
-        g = 48.0 * ax * (1.0 - ax * ax) / q ** 4
-        h = (8.0 * (1.0 + 2.0 * ax * ax) / (ax ** 3 * q * q)
-             + 4.0 / (ax ** 3 * q) - 12.0 * at / ax ** 4
-             + 64.0 * ax / q ** 3 - 96.0 * ax ** 3 / q ** 4)
-    return odd_flip * pref * ((y - 1.0) * g + h)
+    at = math.atan(x)
+    # D^n 1/(1+x^2), D^n arctan x and D^n 1/x, n = 0..3
+    z = 1.0 / complex(x, -1.0)
+    rat = [(-1) ** n * math.factorial(n) * (z ** (n + 1)).imag
+           for n in range(4)]
+    datan = [at] + rat[:3]
+    dinv = [(-1) ** j * math.factorial(j) / x ** (j + 1) for j in range(4)]
+    # the inverse tangent integral: arctan_integral covers [0, 1], beyond
+    # which Ti(x) = Ti(1/x) + (pi/2) log x
+    ti = (arctan_integral(x) if x <= 1.0 else
+          arctan_integral(1.0 / x) + 0.5 * math.pi * math.log(x))
+    out = [(y - 1.0) * (2.0 * x * at - math.log1p(x * x)) + 2.0 * x * ti,
+           2.0 * y * at + 2.0 * ti]
+    for n in range(4):
+        out.append(2.0 * y * rat[n] + 2.0 * math.fsum(
+            math.comb(n, j) * datan[j] * dinv[n - j] for j in range(n + 1)))
+    return out
 
 
-def _sigma_corr(t: float, rk, y: float, T: float, order: int):
-    """Order-th t-derivative of the moment-vs-model correction series.
+def _even_series(coefs: np.ndarray, t: float) -> list:
+    # orders 0..5 in t of sum_k (-1)^(k-1) coefs[k-1] t^(2k). The powers
+    # come from Python's float pow, the C library's, which misrounds t^p
+    # in 2 of 3000 random cases where numpy's power misrounds 153
+    n = coefs.size
+    powers = np.array([t ** p for p in range(2 * n + 1)])
+    terms = coefs * _FALLING[:, :n] * powers[_POWERS[:, :n]]
+    return [math.fsum(row) for row in terms.tolist()]
 
-    Returns (value, last_term): the eight-term alternating sum of
-    (c_k r_k - a_k) t^{2k} differentiated term-wise, and the final
-    retained term for the caller's accuracy check.
+
+def _remainder(t: float, y: float, T: float, r) -> tuple[list, float]:
+    """The accelerated remainder of one series and its first five
+    t-derivatives at 0 <= t, with the final correction term.
+
+    The remainder is the smooth-density model pref * F(t/T), pref =
+    2T^2/((y+1) j1^2), plus the correction sum over k <= 8 of (-1)^(k-1)
+    (c_k r_k - a_k) t^(2k). The model's t^(2k) coefficient is (-1)^(k-1)
+    a_k, a_k = 2 (y + 1/(2k-1)) / (k (2k-1) (y+1) j1^2 T^(2k-2)). The
+    prefactor 2 in pref makes the t^2 coefficient of the model 2/j1^2,
+    the full weight of the first Bessel ring in the smoothed kernel sum;
+    with half that weight the correction series would keep the other
+    half and gain nothing over the raw series (checked against
+    brute-force tail sums over the zero tables).
+
+    Below t = _SERIES_CUTOVER T model and correction are summed as one
+    even series in t, c_k r_k for k <= 8 and a_k after, cut after
+    _SERIES_TERMS terms; the closed forms of F subtract almost-equal
+    terms there. From the cutover on F comes from _model_derivs. The
+    final correction term, at order 0, bounds what truncating the
+    correction series discards.
     """
-    if len(rk) < _CORR_TERMS:
+    if len(r) < _CORR_TERMS:
         raise ValueError(
-            f"per-character moment ratios reach order {len(rk)}; "
+            f"per-character moment ratios reach order {len(r)}; "
             f"the correction series needs {_CORR_TERMS} (use Kmax >= 8)")
-    c = c_coeffs(_CORR_TERMS)
-    parts = []
-    last = 0.0
-    for k in range(1, _CORR_TERMS + 1):
-        p = 2 * k
-        if p < order:
-            continue
-        # twice the model's series coefficient, mirroring the ring
-        # weight in _sigma_model, so the difference below carries only
-        # the second and later Bessel rings plus discreteness
-        a_k = (2.0 * (y + 1.0 / (2.0 * k - 1.0))
-               / (k * (2.0 * k - 1.0) * (y + 1.0) * _J1SQ * T ** (p - 2)))
-        e_k = c[k - 1] * rk[k - 1] - a_k
-        last = (-1.0) ** (k - 1) * e_k * math.perm(p, order) * t ** (p - order)
-        parts.append(last)
-    return math.fsum(parts), last
+    model = (2.0 * (y + 1.0 / (2.0 * _K - 1.0))
+             / (_K * (2.0 * _K - 1.0) * (y + 1.0) * _J1SQ
+                * np.array([T ** (2 * j) for j in range(_SERIES_TERMS)])))
+    raw = np.array(c_coeffs(_CORR_TERMS)) * np.asarray(r[:_CORR_TERMS])
+    corr = raw - model[:_CORR_TERMS]
+    last = (-1) ** (_CORR_TERMS - 1) * corr[-1] * t ** (2 * _CORR_TERMS)
+    if t < _SERIES_CUTOVER * T:
+        series = np.concatenate([raw, model[_CORR_TERMS:]])
+        return _even_series(series, t), last
+    pairs = zip(_model_derivs(t / T, y), _even_series(corr, t))
+    return [2.0 * T ** (2 - m) / ((y + 1.0) * _J1SQ) * f + c
+            for m, (f, c) in enumerate(pairs)], last
 
 
 def _warn_if_truncated(value: float, last: float, t: float, T: float,
@@ -371,12 +361,6 @@ def _warn_if_truncated(value: float, last: float, t: float, T: float,
             f"{label}: final correction term is {abs(last) / scale:.2e} of the "
             f"remainder (t/T = {abs(t) / T:.3f}); raise the zero cutoff for "
             f"full accuracy", AccuracyWarning, stacklevel=3)
-
-
-def _accelerated(t: float, y: float, T: float, rk, order: int):
-    value_model = _sigma_model(t, y, T, order)
-    value_corr, last = _sigma_corr(t, rk, y, T, order)
-    return value_model + value_corr, last
 
 
 # ----------------------------------------------------------- full cumulant side
@@ -420,10 +404,11 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
 
     Explicit zeros below stats.u enter through log I0 with the chain
     rule; each character's tail enters through the accelerated
-    remainder in its own variable t_chi = alpha*sqrt(2 b1_chi)*s. The
-    error estimate collects the final correction terms, which bound
-    what truncating the correction series discards; a series whose
-    final term exceeds 1e-7 of its remainder raises AccuracyWarning.
+    remainder in its own variable t_chi = alpha*sqrt(2 b1_chi)*s, all
+    six orders from one _remainder call per character. The error
+    estimate collects the final correction terms, which bound what
+    truncating the correction series discards; a series whose final
+    term exceeds 1e-7 of its remainder raises AccuracyWarning.
 
     Each order's terms, zeros and remainders together, are summed by
     zerodata._exact_sum and so rounded once: math.fsum below
@@ -459,13 +444,12 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
                 "raise the cutoff")
         if abs(t_chi) >= _EXT_RADIUS * T:
             raise _radius_error(abs(t_chi), _EXT_RADIUS * T, u, entry.label)
+        vals, last = _remainder(t_chi, pc.y, T, pc.r)
+        _warn_if_truncated(vals[0], last, t_chi, T, entry.label)
         p = float(pc.weight)
+        err_parts.append(abs(p * last))
         for m in range(6):
-            val, last = _accelerated(t_chi, pc.y, T, pc.r, m)
-            buckets[m].append(np.array([p * val]))
-            if m == 0:
-                _warn_if_truncated(val, last, t_chi, T, entry.label)
-                err_parts.append(abs(p * last))
+            buckets[m].append(np.array([p * vals[m]]))
             p *= dtds
     values = tuple(_exact_sum(np.concatenate(b)) for b in buckets)
     if s > 0.0 and not values[2] > 0.0:

@@ -11,6 +11,7 @@ import importlib
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -539,8 +540,21 @@ def test_explicit_step_above_admissible_refused(run25):
         1.0 + stats.sigma0 * math.sqrt(2.0 * math.log(1.0 / slack)))
     with pytest.raises(rs.ParameterError) as info:
         rs.choose_params(1.0, stats, 1e-11, domega=1.01 * most)
-    assert f"at most {most:.6g} is admissible" in str(info.value)
+    shaved = most * (1.0 - 1e-5)
+    assert f"at most {shaved:.6g} is admissible" in str(info.value)
     assert rs.choose_params(1.0, stats, 1e-11, domega=most).domega == most
+
+
+def test_explicit_step_refusal_names_an_admissible_step(zeta_race):
+    # six digits of the admissible step 2.2807568 round up to 2.28076,
+    # which would be refused again; the named step must be accepted.
+    # Twelve moments, as eight meet no target this tight at u = 60
+    stats = aggregate_stats(zeta_race, 60.0, Kmax=12)
+    with pytest.raises(rs.ParameterError) as info:
+        rs.choose_params(1.0, stats, 1e-14, domega=5.0)
+    named = float(re.search(r"at most (\S+) is admissible",
+                            str(info.value)).group(1))
+    assert rs.choose_params(1.0, stats, 1e-14, domega=named).domega == named
 
 
 def test_samples_of_another_step_refused(zeta_race):

@@ -305,15 +305,17 @@ def test_long_product_does_not_underflow(zeta_race):
 def _explicit_product(ws, race, u):
     # the whole product of j0_lowbias factors over every zero, in
     # extended precision, with the log-sum route below 1e-3: the prefix
-    # algorithm before the far zone went through the log-J0 series
+    # algorithm before the far zone went through the log-J0 series. As
+    # in phat_prefix, t = 2*alpha*w is formed in extended precision
     dens = []
     for entry in race.characters:
         g = resolve_table(entry).gammas
         gl = g[g <= u].astype(np.longdouble)
-        dens.append((entry.alpha, np.sqrt(0.25 + gl * gl)))
+        dens.append((np.longdouble(2.0 * entry.alpha),
+                     np.sqrt(0.25 + gl * gl)))
     out = []
     for w in ws:
-        fs = [j0_lowbias(2.0 * alpha * w / den) for alpha, den in dens]
+        fs = [j0_lowbias(two_alpha * w / den) for two_alpha, den in dens]
         fs = [f for f in fs if f.size]
         if any(np.any(f == 0.0) for f in fs):
             out.append(0.0)
@@ -341,13 +343,14 @@ def _solve_params(race, stats):
     (prime_count_race(), 2999.0),
     (two_way_race(4, 1, 3), 2999.0),
     (two_way_race(24, 1, 5), 140.0),
+    (two_way_race(5, 1, 2), 140.0),
 ])
 def test_prefix_matches_explicit_product(race, u):
     # at every live frequency of a race_result solve, the split product
     # agrees with the explicit one to 4e-16 relative, or 1e-18 absolute
     # where it is below 1e-3 (measured over the six published races at
-    # u = 60 to 2999: 3.1e-16 and 3.8e-19 at worst, both at q5 1v2, where
-    # this oracle rounds 2*alpha*w to a double; 0 and 3.1e-33 elsewhere)
+    # u = 60 to 2999: equal wherever it is above 1e-3, and 3.1e-33 at
+    # worst below it)
     stats = aggregate_stats(race, u)
     params = _solve_params(race, stats)
     ws = [s.omega for s in phat_samples(race, params, stats)]
@@ -479,7 +482,7 @@ def accelerated(t, stats, order=0):
     # the accelerated remainder of a lone weight-1 series, whose
     # race-normalized ratios R_k are its own ratios r_k (alpha cancels)
     pc = stats.per_char[0]
-    return tr._accelerated(t, pc.y, pc.T_single, stats.R, order)[0]
+    return tr._remainder(t, pc.y, pc.T_single, stats.R)[0][order]
 
 
 def test_accelerated_matches_raw_series(zeta_race):
@@ -505,14 +508,18 @@ def test_accelerated_origin_normalization(stats500):
 
 def test_accelerated_branch_agreement(stats500, monkeypatch):
     # the defining series and the closed forms must agree where either
-    # could be selected
+    # could be selected; at the cutover the series' fixed term count
+    # leaves its largest tail, at order 5
     pc = stats500.per_char[0]
-    t = 0.4 * pc.T_single
-    closed = [tr._sigma_model(t, pc.y, pc.T_single, m) for m in range(5)]
-    monkeypatch.setattr(tr, "_SERIES_CUTOVER", 0.5)
-    series = [tr._sigma_model(t, pc.y, pc.T_single, m) for m in range(5)]
+    t = 0.3 * pc.T_single
+    assert t >= tr._SERIES_CUTOVER * pc.T_single
+    closed = tr._remainder(t, pc.y, pc.T_single, stats500.R)[0]
+    monkeypatch.setattr(tr, "_SERIES_CUTOVER", 0.31)
+    series = tr._remainder(t, pc.y, pc.T_single, stats500.R)[0]
+    # relative alone: approx's default absolute tolerance of 1e-12 would
+    # let the order-5 value, 6.4e-5, move by 1.6e-8 of itself
     for a, b in zip(closed, series):
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
 
 def test_accelerated_derivative_chain(stats500):
@@ -526,13 +533,37 @@ def test_accelerated_derivative_chain(stats500):
 
 
 def test_accelerated_correction_leading_coefficient(stats500):
-    # the t^2 coefficient of the correction is 1/2 - 2/j1^2
+    # the t^2 coefficient of the correction, the remainder less the
+    # smooth-density model 2T^2/((y+1) j1^2) F(t/T), is 1/2 - 2/j1^2
     # (= 0.154169861938710): the raw variance term less the full
     # first-ring weight 2/j1^2 that the smooth-density model carries
     pc = stats500.per_char[0]
+    T, y = pc.T_single, pc.y
     t = 1e-8
-    corr, _ = tr._sigma_corr(t, stats500.R, pc.y, pc.T_single, 0)
-    assert corr / t ** 2 == pytest.approx(0.5 - 2.0 / J1 ** 2, rel=1e-6)
+    value = tr._remainder(t, y, T, stats500.R)[0][0]
+    model = 2.0 * T * T / ((y + 1.0) * J1 ** 2) * tr._model_derivs(t / T, y)[0]
+    assert (value - model) / t ** 2 == pytest.approx(0.5 - 2.0 / J1 ** 2,
+                                                      rel=1e-6)
+
+
+@pytest.mark.parametrize("u", [500.0, 14000.0])
+def test_model_closed_forms_match_oracle(zeta_race, u):
+    # F(x) = (y-1)(2x arctan x - log(1+x^2)) + 2x Ti(x) and its first
+    # five derivatives from the closed forms, against 40-digit numerical
+    # derivatives with Ti(x) = Im Li2(ix), from the cutover to the wall
+    # at (j2/j1) T; measured 1.5e-15 at worst, at x = 0.3, order 4
+    mpmath = pytest.importorskip("mpmath")
+    y = aggregate_stats(zeta_race, u).per_char[0].y
+    with mpmath.workdps(40):
+        def F(x):
+            return ((y - 1) * (2 * x * mpmath.atan(x) - mpmath.log1p(x * x))
+                    + 2 * x * mpmath.im(mpmath.polylog(2, 1j * x)))
+        for x in (0.3, 0.87, 1.5, 2.29):
+            got = tr._model_derivs(x, y)
+            for m, want in enumerate(mpmath.diffs(F, mpmath.mpf(x), 5)):
+                want = float(want)
+                assert abs(got[m] - want) <= 1e-14 * max(1.0, abs(want)), \
+                    (x, m)
 
 
 def test_accelerated_outside_radius(zeta_race, stats500):
