@@ -11,14 +11,17 @@ each seed, once, in order, as bench/run.py would. Both sides build their
 operations with this checkout's bench/workloads.py (imported, never
 changed), each against its own src/. They also run aggregate_stats and
 l0_full of the six published races at u = 500, 2000 and 2999 and
-s = 0, 1, 10, 100, 1000 and 12527.41.
+s = 0, 1, 10, 100, 1000 and 12527.41, and phat_prefix of each race at
+w = 2, 4, ..., 40 and u = 140, 500, 2000 and 2999, so that a change to
+the J0 kernel shows its moves in the prefix itself.
 
 For each operation it compares value, error_estimate, K, domega,
 n_terms, n_zeros, the result's repr and the refusal text, floats by
 float.hex. Prints every row that differs, then one line per workload
-(the published rows count as one more) with the rows whose value moved,
-the largest |dvalue| and the largest |dvalue| / error_estimate, the
-estimate taken from this checkout's row. Ends with a count, and exits 1
+(the published rows and the prefix rows count as one more each) with the
+rows whose value moved, the largest |dvalue|, the largest |dvalue| /
+|value| and the largest |dvalue| / error_estimate, the estimate taken
+from this checkout's row. Ends with a count, and exits 1
 when any row differs.
 """
 
@@ -40,6 +43,11 @@ WORKLOADS = ("races", "deep_cutoff", "cumulant", "threshold_sweep")
 PUBLISHED_U = (500.0, 2000.0, 2999.0)
 PUBLISHED_S = (0.0, 1.0, 10.0, 100.0, 1000.0, 12527.41)
 FIELDS = ("value", "error_estimate", "K", "domega", "n_terms", "n_zeros")
+# 140, the races workload's largest cutoff, is within every bundled
+# table; past a table's end phat_prefix refuses, and the refusal is
+# compared like any other
+PREFIX_U = (140.0,) + PUBLISHED_U
+PREFIX_OMEGAS = tuple(2.0 * k for k in range(1, 21))
 
 
 def _hex(v):
@@ -88,6 +96,10 @@ def dump(tree: str, seeds) -> None:
                     f"published {rname} l0_full u={u:g} s={s:g}",
                     workloads.summarize, lambda s=s: tr.l0_full(
                         s, race, zd.aggregate_stats(race, u)))))
+        for u in PREFIX_U:
+            print(json.dumps(_row(
+                f"prefix {rname} phat_prefix u={u:g}", workloads.summarize,
+                lambda: tr.phat_prefix(PREFIX_OMEGAS, race, u))))
 
 
 def _rows(tree: str, seeds) -> list:
@@ -126,7 +138,7 @@ def summary(ref_rows, new_rows) -> list:
     """One line per workload on how far the values moved."""
     groups = {}
     for a, b in zip(ref_rows, new_rows):
-        group = groups.setdefault(a["op"].split()[0], [0, 0, 0.0, None])
+        group = groups.setdefault(a["op"].split()[0], [0, 0, 0.0, 0.0, None])
         group[0] += 1
         if a.get("value") == b.get("value"):
             continue
@@ -136,15 +148,19 @@ def summary(ref_rows, new_rows) -> list:
             continue
         delta = max(abs(x - y) for x, y in zip(old, new))
         group[2] = max(group[2], delta)
+        group[3] = max(group[3], max(
+            (abs(x - y) / abs(x) if x else math.inf
+             for x, y in zip(old, new) if x != y), default=0.0))
         est = b.get("error_estimate")
         if est is not None:
             est = float.fromhex(est)
             ratio = delta / est if est > 0.0 else math.inf
-            group[3] = ratio if group[3] is None else max(group[3], ratio)
+            group[4] = ratio if group[4] is None else max(group[4], ratio)
     return [f"{name}: {moved} of {rows} rows moved value, largest |dvalue| "
-            f"{delta:.3g}, largest |dvalue|/error_estimate "
+            f"{delta:.3g}, largest |dvalue|/|value| {rel:.3g}, largest "
+            f"|dvalue|/error_estimate "
             f"{'n/a' if ratio is None else f'{ratio:.3g}'}"
-            for name, (rows, moved, delta, ratio) in groups.items()]
+            for name, (rows, moved, delta, rel, ratio) in groups.items()]
 
 
 def main() -> int:

@@ -94,8 +94,10 @@ _POWERS = np.maximum(2 * np.arange(1, _SERIES_TERMS + 1)
 # (z/j1)^(2k)/k, so a higher split trades long-double J0 calls, one per
 # near factor, for rows of the power-sum table, one per term. At 1.4
 # the solves at u = 1500 to 2999 of the deep_cutoff benchmark make 42%
-# of the J0 calls they make at 0.7 and take 42% less time; 1.2 with 44
-# terms and 1.6 with 74 were no faster than 1.4.
+# of the J0 calls they make at 0.7. With the piecewise Taylor J0, 20
+# interleaved passes of that benchmark at seed 7 in one process took a
+# median 75.9 ms at 1.4 (56 terms), 77.5 ms at 1.2 (44), 79.3 ms at 1.6
+# (74) and 82.2 ms at 1.0 (35), on a 2-core VM.
 # At z = _FAR_Z the dropped part is 4.3e-29 per factor, below 7e-29, so
 # below 1e-21 for rows of up to ten million far zeros; every other far
 # factor drops less.

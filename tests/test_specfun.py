@@ -87,9 +87,9 @@ def test_j0_lowbias_fallback_joins_smoothly():
         assert a == pytest.approx(scipy_j0(z), rel=4e-15, abs=1e-16)
 
 
-def test_j0_lowbias_series_only_where_used(monkeypatch):
-    # the series runs on the z <= 6 values alone, and a mixed array gives
-    # the bits of its two parts evaluated apart
+def test_j0_lowbias_near_kernel_only_where_used(monkeypatch):
+    # the near kernel runs on the z <= 6 values alone, and a mixed array
+    # gives the bits of its two parts evaluated apart
     rng = np.random.default_rng(6)
     z = np.concatenate([rng.uniform(0.0, 50.0, 2000),
                         [0.0, 6.0, np.nextafter(6.0, 7.0), 50.0]])
@@ -99,15 +99,72 @@ def test_j0_lowbias_series_only_where_used(monkeypatch):
     assert np.array_equal(mixed[small], sf.j0_lowbias(z[small]))
     assert np.array_equal(mixed[~small], sf.j0_lowbias(z[~small]))
     seen = []
-    series = sf._j0_series
+    near = sf._j0_near
 
-    def spy(q):
-        seen.append(q.copy())
-        return series(q)
-    monkeypatch.setattr(sf, "_j0_series", spy)
+    def spy(zl, zd):
+        seen.append(zl.copy())
+        return near(zl, zd)
+    monkeypatch.setattr(sf, "_j0_near", spy)
     assert np.array_equal(sf.j0_lowbias(z), mixed)
-    assert sum(q.size for q in seen) == small.sum()
-    assert max(q.max() for q in seen) == 9.0
+    assert sum(zl.size for zl in seen) == small.sum()
+    assert max(zl.max() for zl in seen) == 6.0
+
+
+def test_j0_near_kernel_accuracy_and_bias():
+    # 1e5 long double arguments on [0, 6] against mpmath: the largest
+    # error and the mean signed error, which a product of hundreds of
+    # factors turns into a relative drift. The 27-term ascending series
+    # gave 1.8e-18 and 2.2e-20 here; the kernel gives 5.7e-20 and 3e-22
+    import mpmath
+
+    rng = np.random.default_rng(20261019)
+    z = rng.uniform(0.0, 6.0, 100_000).astype(np.longdouble)
+    z *= 1.0 + np.longdouble(2.0) ** -60 * rng.uniform(-1.0, 1.0, z.size)
+    z = np.minimum(z, 6.0)
+    got = sf.j0_lowbias(z)
+    assert got.dtype == np.longdouble
+    with mpmath.workdps(30):
+        err = np.array([float(_mp(g) - mpmath.besselj(0, _mp(x)))
+                        for x, g in zip(z, got)])
+    assert np.max(np.abs(err)) < 2e-19
+    assert abs(np.mean(err)) < 5e-21
+
+
+def test_j0_near_kernel_seams():
+    # at each midpoint between centres, one long double ulp either side
+    # and two double ulps either side (the centre is chosen from the
+    # double nearest z, and these outer points lie on either side of
+    # every switch), J0 moves by no more than its slope allows plus 1e-19
+    from scipy.special import j1 as scipy_j1
+
+    centres = sf._j0_near_coeffs()[0]
+    for m in (centres[1:] + centres[:-1]) / 2:
+        step = 2.0 * np.spacing(float(m))
+        pts = np.array([float(m) - step, np.nextafter(m, np.longdouble(0.0)),
+                        m, np.nextafter(m, np.longdouble(7.0)),
+                        float(m) + step], dtype=np.longdouble)
+        vals = sf.j0_lowbias(pts)
+        slope = abs(scipy_j1(float(m)))
+        dz = np.diff(pts)
+        assert np.all(dz > 0.0)
+        assert np.all(np.abs(np.diff(vals)) <= slope * dz + 1e-19)
+
+
+def test_j0_near_coefficients_against_mpmath_taylor():
+    # the recurrence's coefficients, and the c = 0 row's, against
+    # mpmath's Taylor expansion of J0 at 40 digits about the same
+    # extended-precision centre
+    import mpmath
+
+    centres, rows, hi = sf._j0_near_coeffs()
+    assert rows.shape == (11, 53)
+    assert np.array_equal(hi, rows[3:].astype(float))
+    with mpmath.workdps(40):
+        for k in (0, 1, 26, 52):
+            want = mpmath.taylor(lambda x: mpmath.besselj(0, x),
+                                 _mp(centres[k]), 10)
+            for got, w in zip(rows[:, k], want):
+                assert abs(_mp(got) - w) <= 6e-20 * abs(w)
 
 
 def test_j0_lowbias_matches_scalar_routine_coarsely():
@@ -535,12 +592,19 @@ def test_arctan_integral_oracle(x, want):
     assert sf.arctan_integral(x) == pytest.approx(want, abs=1e-14)
 
 
-def test_arctan_integral_regime_continuity():
-    # integrand at 0.9 is atan(0.9)/0.9 ~ 0.814, so the two probe points
-    # differ by ~1.6e-12 through the function's own slope alone
-    a = sf.arctan_integral(0.9 - 1e-12)
-    b = sf.arctan_integral(0.9 + 1e-12)
-    assert a == pytest.approx(b, abs=2.5e-12)
+def test_arctan_integral_against_polylog():
+    # Ti2(x) = Im Li2(ix), from mpmath at 40 digits, over (0, 1] and at
+    # subnormal, tiny and endpoint arguments
+    import mpmath
+
+    rng = np.random.default_rng(20261019)
+    xs = np.concatenate([rng.uniform(0.0, 1.0, 400),
+                         [5e-324, 1e-300, 1e-8, 0.9, 1.0]])
+    with mpmath.workdps(40):
+        for x in xs:
+            want = mpmath.polylog(2, 1j * mpmath.mpf(float(x))).imag
+            got = sf.arctan_integral(float(x))
+            assert abs(got - want) <= 2e-15 * want
 
 
 def test_arctan_integral_domain():
