@@ -21,8 +21,10 @@ float.hex. Prints every row that differs, then one line per workload
 (the published rows and the prefix rows count as one more each) with the
 rows whose value moved, the largest |dvalue|, the largest |dvalue| /
 |value| and the largest |dvalue| / error_estimate, the estimate taken
-from this checkout's row. Ends with a count, and exits 1
-when any row differs.
+from this checkout's row; then the rows whose error_estimate or n_terms
+moved and the largest |d error_estimate| / error_estimate, taken from
+REF's row. A change that moves counts and estimates but no value shows
+it there. Ends with a count, and exits 1 when any row differs.
 """
 
 from __future__ import annotations
@@ -134,12 +136,25 @@ def _floats(v) -> list:
     return [float.fromhex(x) for x in (v if isinstance(v, list) else [v])]
 
 
+def _estimate_move(a, b) -> float:
+    # |d error_estimate| / error_estimate of REF's row, 0 where either
+    # row has none
+    old, new = _floats(a.get("error_estimate")), _floats(b.get("error_estimate"))
+    if not (old and new) or old == new:
+        return 0.0
+    return abs(new[0] - old[0]) / abs(old[0]) if old[0] else math.inf
+
+
 def summary(ref_rows, new_rows) -> list:
-    """One line per workload on how far the values moved."""
+    """One line per workload on how far the values and estimates moved."""
     groups = {}
     for a, b in zip(ref_rows, new_rows):
-        group = groups.setdefault(a["op"].split()[0], [0, 0, 0.0, 0.0, None])
+        group = groups.setdefault(a["op"].split()[0],
+                                  [0, 0, 0.0, 0.0, None, 0, 0.0])
         group[0] += 1
+        if any(a.get(f) != b.get(f) for f in ("error_estimate", "n_terms")):
+            group[5] += 1
+            group[6] = max(group[6], _estimate_move(a, b))
         if a.get("value") == b.get("value"):
             continue
         group[1] += 1
@@ -159,8 +174,11 @@ def summary(ref_rows, new_rows) -> list:
     return [f"{name}: {moved} of {rows} rows moved value, largest |dvalue| "
             f"{delta:.3g}, largest |dvalue|/|value| {rel:.3g}, largest "
             f"|dvalue|/error_estimate "
-            f"{'n/a' if ratio is None else f'{ratio:.3g}'}"
-            for name, (rows, moved, delta, rel, ratio) in groups.items()]
+            f"{'n/a' if ratio is None else f'{ratio:.3g}'}; {est_moved} "
+            f"moved error_estimate or n_terms, largest relative estimate "
+            f"move {est_rel:.3g}"
+            for name, (rows, moved, delta, rel, ratio, est_moved, est_rel)
+            in groups.items()]
 
 
 def main() -> int:

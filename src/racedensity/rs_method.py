@@ -15,13 +15,18 @@ The exceedance sum reads
 and the density sum
     P0(v) = (domega/pi) (1/2 + sum_m phat(m*domega) cos(m v domega)),
 both truncated where the lattice stops: at the first lattice point
-whose tail-factor exponent reaches 46 (value below 1e-20), or at the end
-of the remainder's convergence radius T/sigma_u when no lattice point
-inside it gets that far. The zero cutoff is the tail statistics' u. The
-tail factor exp(-sum_{k<=K} c_k R_k tau^(2k)), tau = sigma_u*omega, and
-its per-term error are formed for all lattice points and all orders K at
-once, by one array expression that serves both the samples and the
-parameter choice.
+where a bound on |phat| that never rises with omega falls to e^-46
+(below 1e-20), or at the end of the remainder's convergence radius
+T/sigma_u when no lattice point inside it gets that far. The bound is
+the tail factor times a bound on the explicit-zero product
+(transforms._prefix_log_bound), whose J0 factors decay like a Gaussian
+in omega long before the tail factor does. The zero cutoff is the tail
+statistics' u. The tail factor exp(-sum_{k<=K} c_k R_k tau^(2k)),
+tau = sigma_u*omega, and its per-term error are formed for all lattice
+points and all orders K at once, by one array expression that serves
+both the samples and the parameter choice; the parameter choice sums
+over the points where the tail factor alone is above e^-46, a superset
+of the points the samples keep.
 
 One rule sets every frequency step: the largest one whose aliasing
 bound, in its Gaussian form, is at most a given level: a third of the
@@ -39,7 +44,7 @@ import numpy as np
 from .race import RaceSpec
 from .results import DensityResult
 from .specfun import c_coeffs
-from .transforms import ConvergenceError, phat_prefix
+from .transforms import ConvergenceError, _prefix_log_bound, phat_prefix
 from .zerodata import TailStats, montgomery_bound
 
 __all__ = [
@@ -54,9 +59,19 @@ __all__ = [
     "race_result",
 ]
 
-# tail-factor exponent past which a lattice term is dropped: values
-# below e^-46 ~ 1e-20 cannot move a result read at 1e-16
+# the lattice stops where a bound on |phat| falls to e^-46 ~ 1e-20, a
+# size that cannot move a result read at 1e-16. The bound is the tail
+# factor times transforms._prefix_log_bound's bound on the kernel
+# product; choose_params budgets over the points where the tail factor
+# alone is above it, a superset
 _EXPONENT_CUTOFF = 46.0
+
+# how far below -46 the double-precision log bound must be for the
+# lattice to stop. The bound and the tail exponent are sums of terms of
+# one sign, each term off by a few ulps (a zero within rounding of the
+# kernel split by a few more), so the computed sum is within 1e-8 of its
+# size for fewer than a million zeros: under 1e-6 at 46
+_BOUND_MARGIN = 1e-6
 
 _NO_RADIUS = \
     "tail statistics carry no usable convergence radius; raise the cutoff u"
@@ -125,13 +140,13 @@ def _check_order(params: RSParams, stats: TailStats) -> None:
 
 def _tail_lattice(stats: TailStats, domega: float):
     # the lattice points m = 1, 2, ... inside the radius T/sigma_u, the
-    # tail series of every order there, and per order the points the
-    # sums keep: those before the first point whose exponent reaches the
-    # cutoff. The exponents grow with tau, so each order keeps a prefix,
-    # the whole radius when no point inside it reaches the cutoff. Every
-    # order's exponent is at least its first term c_1 R_1 tau^2, so the
-    # points from one step past where that term reaches the cutoff are
-    # never built
+    # tail series of every order there, and per order the points before
+    # the first one whose exponent reaches the cutoff, of which
+    # phat_samples keeps a prefix. The exponents grow with tau, so each
+    # order marks a prefix, the whole radius when no point inside it
+    # reaches the cutoff. Every order's exponent is at least its first
+    # term c_1 R_1 tau^2, so the points from one step past where that
+    # term reaches the cutoff are never built
     T = stats.T
     if not T > 0.0:
         raise ConvergenceError(_NO_RADIUS)
@@ -151,9 +166,14 @@ def phat_samples(race: RaceSpec, params: RSParams,
 
     The expensive, threshold-independent part of both Poisson sums;
     evaluate once and reuse across v. The lattice stops before the
-    first point whose order-K tail factor is below 1e-20, or at the
-    tail factor's convergence radius T/sigma_u when no point inside it
-    gets that far; no sample lies at or past the radius. The error
+    first point where a bound on |phat| is at most e^-46 (less
+    _BOUND_MARGIN in the log, for rounding): the order-K tail factor
+    times the bound of transforms._prefix_log_bound on the kernel
+    product. The bound never rises with omega, so every point dropped
+    inside the radius is at most e^-46 too. Where no point gets that
+    far, it stops at the tail factor's convergence radius T/sigma_u; no
+    sample lies at or past the radius, and a DensityResult's
+    params["n_terms"] counts the samples kept. The error
     estimate has no part for the points past the radius yet, and it is
     not small: at q24 1v5, u = 4.352, a dropped |phat| reaches 9.6e-7.
     The kernel products come from one phat_prefix call at the cutoff
@@ -162,8 +182,15 @@ def phat_samples(race: RaceSpec, params: RSParams,
     _check_order(params, stats)
     m, exponents, errors, kept = _tail_lattice(stats, params.domega)
     n = int(np.count_nonzero(kept[params.K - 1]))
-    m = m[:n]
-    omegas = m * params.domega
+    omegas = m[:n] * params.domega
+    # the bound on log|phat| never rises, so no point past the first one
+    # it puts below the cutoff is larger
+    small = np.flatnonzero(
+        _prefix_log_bound(omegas, race, stats.u) - exponents[params.K - 1, :n]
+        <= -(_EXPONENT_CUTOFF + _BOUND_MARGIN))
+    if small.size:
+        n = int(small[0])
+    m, omegas = m[:n], omegas[:n]
     tails = np.exp(-exponents[params.K - 1, :n])
     prefixes = phat_prefix(omegas, race, stats.u)
     # d(exp(-x)) = -exp(-x) dx: the tail's exponent error transfers
@@ -212,15 +239,22 @@ def _check_aliasing(v: float, params: RSParams, stats: TailStats,
     return bound
 
 
-def _truncation_bound(n: int, params: RSParams, stats: TailStats) -> float:
+def _truncation_bound(n: int, params: RSParams, stats: TailStats,
+                      density: bool) -> float:
     # the sums keep m = 1..n. When point n+1 lies inside the radius, the
-    # lattice stopped at the exponent cutoff, and every point from there
-    # to the radius end T/sigma_u has tail factor below e^-46; as 1/x is
-    # convex, their 1/m sum to at most log((m_hi + 1/2) / (n + 1/2)). The
-    # points past the radius end are dropped too, unbounded here
+    # lattice stopped where the bound on |phat| fell to e^-46, and as the
+    # bound never rises, every point from there to the radius end
+    # T/sigma_u, m_hi - n of them at most, has |phat| at most e^-46.
+    # E weights them by 1/(pi m), and as 1/x is convex their 1/m sum to
+    # at most log((m_hi + 1/2) / (n + 1/2)); P0 weights each by
+    # domega/pi. The points past the radius end are dropped too,
+    # unbounded here
     if not stats.sigma_u * ((n + 1) * params.domega) < stats.T:
         return 0.0
     m_hi = math.ceil(stats.T / stats.sigma_u / params.domega)
+    if density:
+        return math.exp(-_EXPONENT_CUTOFF) / math.pi * params.domega \
+            * (m_hi - n)
     return math.exp(-_EXPONENT_CUTOFF) / math.pi * math.log(
         (m_hi + 0.5) / (n + 0.5))
 
@@ -256,13 +290,13 @@ def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
             [s.prefix * s.tail * math.cos(s.m * v * w) for s in samples]))
             for v in vs]
         err = (alias + w / math.pi * math.fsum([s.error for s in samples])
-               + w * _truncation_bound(n, params, stats))
+               + _truncation_bound(n, params, stats, True))
     else:
         values = [0.5 - v * w / (2.0 * math.pi) - math.fsum(
             [s.prefix * s.tail * math.sin(s.m * v * w) / s.m for s in samples])
             / math.pi for v in vs]
         err = (alias + math.fsum([s.error / s.m for s in samples]) / math.pi
-               + _truncation_bound(n, params, stats))
+               + _truncation_bound(n, params, stats, False))
     return values, err, n
 
 
@@ -285,7 +319,9 @@ def compute_E(v: float, race: RaceSpec, params: RSParams,
     The error estimate adds the aliasing bound, the summed per-term
     tail-factor error estimates, and the bound on the terms the lattice
     drops inside the radius. samples, when given, must come from
-    phat_samples at these params' step.
+    phat_samples at these params' step. The result's params["n_terms"]
+    counts the lattice points summed: those phat_samples keeps, after
+    its bound on |phat| has cut the lattice.
     """
     return _lattice_result(v, race, params, stats, samples, False)
 
@@ -311,8 +347,11 @@ def choose_params(v_max: float, stats: TailStats, target: float,
     under a third of the target (or the caller's explicit step,
     validated); K is the smallest retained order whose summed per-term
     error estimates stay under a third of the target, summed over the
-    lattice points that phat_samples keeps at that order. Stats with no
-    usable convergence radius raise phat_samples' ConvergenceError.
+    lattice points inside the radius whose order-K tail factor alone is
+    above e^-46. phat_samples keeps a prefix of those points, cut
+    further where its bound on the kernel product falls, so the budget
+    covers every point it keeps. Stats with no usable convergence radius
+    raise phat_samples' ConvergenceError.
     """
     _check_v_max(v_max)
     if not 1e-16 < target < 1e-2:
@@ -331,7 +370,8 @@ def choose_params(v_max: float, stats: TailStats, target: float,
     # the summed per-term error estimate of every order K = 1..Kmax at
     # once: |kernel product| <= 1, so a term's error is bounded by its
     # tail factor's own estimate, weighted 1/(pi m) as in the sums. A
-    # lattice point counts for K where the sums keep it.
+    # lattice point counts for K where its order-K tail factor is above
+    # e^-46, whether or not the kernel bound drops it from the samples.
     m, exponents, errors, kept = _tail_lattice(stats, domega)
     budgets = np.where(kept, np.exp(-exponents) * errors / m, 0.0) \
         .sum(axis=1) / math.pi

@@ -6,7 +6,8 @@ Fourier side as a product of J0 kernel factors, on the Laplace side as
 a sum of log I0 terms. Above the cutoff only aggregate tail moments
 survive, and the two remainders are power series in tau = sigma_u*omega
 or t = sqrt(2 B1)*s. This module holds the Fourier side's explicit
-product (phat_prefix); its tail factor exp(-sum_k c_k R_k tau^(2k)) is
+product (phat_prefix) and a closed-form bound on it that never rises
+with the frequency (_prefix_log_bound); its tail factor exp(-sum_k c_k R_k tau^(2k)) is
 formed in rs_method, as one array over the lattice frequencies. That
 factor and the raw Laplace series sum_k (-1)^(k-1) c_k R_k t^(2k)
 converge only inside the radius T carried by the tail statistics; the
@@ -103,6 +104,11 @@ _POWERS = np.maximum(2 * np.arange(1, _SERIES_TERMS + 1)
 # factor drops less.
 _FAR_Z = 1.4
 _FAR_TERMS = 56
+
+# log J0(_FAR_Z), rounded toward zero: no factor with z at or above
+# _FAR_Z is larger in size, as J0 falls monotonically to its first
+# minimum, -0.4028 at 3.8317, and every later extremum is smaller in size
+_LOG_J0_FAR_Z = -0.5676515275271513
 
 # phat_prefix evaluates the near factors in blocks of consecutive rows
 # holding at most this many factors over all characters. Unblocked, the
@@ -215,6 +221,30 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
         _near_block(out, near, start, stop)
         start = stop
     return out.astype(float)
+
+
+def _prefix_log_bound(omegas, race: RaceSpec, u: float) -> np.ndarray:
+    # an upper bound on log|phat_prefix(w)| at each w, summed over the
+    # characters, that never rises as |w| grows. Each factor with z above
+    # _FAR_Z gives at most _LOG_J0_FAR_Z; each factor with z at or below
+    # it gives at most -z^2/4, as log J0 = sum_k a_k (z^2/4)^k has a_1 = -1
+    # and every a_k < 0. Both parts fall as z grows, and a zero only moves
+    # from the far part (at least -_FAR_Z^2/4 = -0.49) to the near one.
+    # Summed in double precision: a few ulps per term, and a z within
+    # rounding of _FAR_Z may take the wrong side of the split;
+    # rs_method._BOUND_MARGIN covers both where the lattice stops
+    ws = np.abs(np.asarray(omegas, dtype=float).ravel())
+    out = np.zeros(ws.size)
+    for entry, g in zip(race.characters, _explicit_zeros(race, u)):
+        den2 = 0.25 + g * g
+        t = 2.0 * entry.alpha * ws
+        # zeros before split[i] have z above _FAR_Z in row i; S1[j] sums
+        # 1/den2 over the zeros from j on, S1[g.size] = 0
+        split = np.searchsorted(np.sqrt(den2), t / _FAR_Z)
+        S1 = np.zeros(g.size + 1)
+        S1[:-1] = np.cumsum((1.0 / den2)[::-1])[::-1]
+        out += split * _LOG_J0_FAR_Z - 0.25 * t * t * S1[split]
+    return out
 
 
 def _far_logs(t, den2, split) -> np.ndarray:

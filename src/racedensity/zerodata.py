@@ -128,7 +128,7 @@ class ZeroTable:
         return _tail_bk(self, 0.0, 1), _tail_bk(self, 0.0, 2)
 
     @cached_property
-    def _power_sums(self) -> dict[int, np.ndarray]:
+    def _power_sums(self) -> dict[int, list[float]]:
         # k -> doubles whose exact sum is that of (1/4 + gamma^2)^(-k)
         # over every ordinate, filled in by _full_power_sum on first use
         return {}
@@ -288,11 +288,15 @@ def _tail_bk(table: ZeroTable, u: float, k: int) -> float:
         head_g = g[:n_head]
         return table.b1_total - _exact_sum(1.0 / (0.25 + head_g * head_g))
     # the sum is rounded once, so the full sum less the head terms gives
-    # the same bits as the tail terms; sum whichever side is shorter
+    # the same bits as the tail terms; sum whichever side is shorter. A
+    # short head joins the expansion as a list, as fsum takes it
     if 2 * n_head < len(g):
         head_g = g[:n_head]
-        tabulated = _exact_sum(np.concatenate((
-            _full_power_sum(table, k), -(0.25 + head_g * head_g) ** (-k))))
+        heads = -(0.25 + head_g * head_g) ** (-k)
+        parts = _full_power_sum(table, k)
+        tabulated = (math.fsum(parts + heads.tolist())
+                     if n_head < _BINNED_FROM
+                     else _exact_sum(np.concatenate((parts, heads))))
     else:
         tail_g = g[n_head:]
         tabulated = _exact_sum((0.25 + tail_g * tail_g) ** (-k))
@@ -303,7 +307,7 @@ def _tail_bk(table: ZeroTable, u: float, k: int) -> float:
     return tabulated + tail
 
 
-def _full_power_sum(table: ZeroTable, k: int) -> np.ndarray:
+def _full_power_sum(table: ZeroTable, k: int) -> list[float]:
     # the table's sum of (1/4 + gamma^2)^(-k), exact as an expansion: each
     # part is the correctly rounded remainder the ones before it leave,
     # down to a zero remainder (at most four for k <= 8 on the bundled
@@ -315,7 +319,7 @@ def _full_power_sum(table: ZeroTable, k: int) -> np.ndarray:
         parts = []
         while (rest := math.fsum(terms + [-p for p in parts])) != 0.0:
             parts.append(rest)
-        parts = table._power_sums[k] = np.array(parts)
+        table._power_sums[k] = parts
     return parts
 
 

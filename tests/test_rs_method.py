@@ -69,6 +69,36 @@ def ceiling_oracle(stats, K, domega):
     return stats.T / stats.sigma_u
 
 
+def prefix_bound_oracle(race, u, omega):
+    # transforms._prefix_log_bound at one frequency, zero by zero: log J0
+    # at the split for a factor with z above it, -z^2/4 for the others
+    parts = []
+    for entry in race.characters:
+        t = 2.0 * entry.alpha * abs(omega)
+        for g in zd.resolve_table(entry).gammas.tolist():
+            if g > u:
+                break
+            den = math.sqrt(0.25 + g * g)
+            parts.append(tr._LOG_J0_FAR_Z if den < t / tr._FAR_Z
+                         else -0.25 * (t / den) ** 2)
+    return math.fsum(parts)
+
+
+def stop_oracle(race, stats, K, domega):
+    # the lattice frequencies below the tail-factor ceiling, and the
+    # prefix of them the samples keep: those before the first one where
+    # the bound on log|phat|, kernel bound less tail exponent, is at
+    # most -46 (less the rounding margin)
+    C = ceiling_oracle(stats, K, domega)
+    below = [m * domega for m in range(1, int(C / domega) + 2)
+             if m * domega < C]
+    for i, w in enumerate(below):
+        if prefix_bound_oracle(race, stats.u, w) \
+                - tail_oracle(w, stats, K)[0] <= -(46.0 + rs._BOUND_MARGIN):
+            return below, below[:i]
+    return below, below
+
+
 @pytest.fixture(scope="module")
 def run25(zeta_race, zeta_table):
     # 25 explicit zeros, order-7 tail: the workhorse configuration
@@ -81,6 +111,14 @@ def run25(zeta_race, zeta_table):
 def forced_params(stats, K, domega, v_max=3.0):
     return rs.RSParams(K=K, domega=domega, v_max=v_max)
 
+
+PUBLISHED_RACES = {
+    "pi vs Li": prime_count_race, "mod 4": lambda: square_race(4),
+    "q5 1v2": lambda: two_way_race(5, 1, 2),
+    "q13 square": lambda: square_race(13),
+    "q8 1v3": lambda: two_way_race(8, 1, 3),
+    "q24 1v5": lambda: two_way_race(24, 1, 5),
+}
 
 # ------------------------------------------------------------- published runs
 
@@ -138,41 +176,82 @@ def test_step_independence(zeta_race, run25):
 @pytest.mark.parametrize("K, domega", [(7, math.pi / 2), (7, math.pi / 3),
                                         (3, math.pi / 2), (1, 0.4)])
 def test_samples_stop_at_ceiling(zeta_race, run25, K, domega):
-    # the samples are exactly the lattice points below the ceiling
+    # the samples are the lattice points below the tail-factor ceiling,
+    # cut at the first one whose bound on |phat| is at most e^-46. With
+    # 25 zeros the kernel bound takes at least 14 off the log, so the
+    # cut comes before the ceiling
     stats, _ = run25
     samples = rs.phat_samples(zeta_race, forced_params(stats, K, domega),
                               stats)
-    C = ceiling_oracle(stats, K, domega)
-    below = [m * domega for m in range(1, int(C / domega) + 2)
-             if m * domega < C]
-    assert [s.omega for s in samples] == below
-    assert [s.m for s in samples] == list(range(1, len(below) + 1))
+    below, kept = stop_oracle(zeta_race, stats, K, domega)
+    assert len(kept) < len(below)
+    assert [s.omega for s in samples] == kept
+    assert [s.m for s in samples] == list(range(1, len(kept) + 1))
 
 
-def test_dropped_terms_within_truncation_bound(zeta_race, run25):
-    # the terms past the ceiling, summed here from the kernel product and
-    # the scalar tail factor, up to the radius end, stay under the bound
-    # that compute_E charges for them
-    stats, params = run25
-    n = len(rs.phat_samples(zeta_race, params, stats))
-    end = stats.T / stats.sigma_u
-    ms = [m for m in range(n + 1, int(end / params.domega) + 2)
-          if m * params.domega < end]
-    assert len(ms) > 10
-    omegas = [m * params.domega for m in ms]
-    prefixes = tr.phat_prefix(omegas, zeta_race, stats.u)
-    for v in (0.5, 1.0, 3.0):
-        dropped = math.fsum(
-            abs(p * math.exp(-tail_oracle(w, stats, params.K)[0])
-                * math.sin(m * v * params.domega)) / (math.pi * m)
-            for m, w, p in zip(ms, omegas, prefixes))
-        assert dropped <= rs._truncation_bound(n, params, stats)
-    assert rs._truncation_bound(n, params, stats) < 1e-19
+def _solve_params(race, stats):
+    # race_result's step and order, with v_max at the race offset
+    v = abs(race.offset)
+    params = rs.race_result(race, stats).params
+    return rs.RSParams(K=params["K"], domega=params["domega"], v_max=v)
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.parametrize("name, u", [("pi vs Li", 2999.0), ("mod 4", 2999.0),
+                                     ("q24 1v5", 140.0)])
+def test_samples_stop_at_kernel_bound(name, u):
+    # in a race_result solve the samples stop where the oracle's bound
+    # does, well before the tail-factor ceiling at large cutoffs
+    race = PUBLISHED_RACES[name]()
+    stats = aggregate_stats(race, u)
+    params = _solve_params(race, stats)
+    samples = rs.phat_samples(race, params, stats)
+    below, kept = stop_oracle(race, stats, params.K, params.domega)
+    assert [s.omega for s in samples] == kept
+    assert rs.race_result(race, stats).params["n_terms"] == len(kept)
+    if u > 1000.0:
+        assert 4 * len(kept) < len(below)
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+def test_dropped_terms_within_truncation_bound():
+    # the terms the lattice drops inside the radius, summed here from the
+    # kernel product and the scalar tail factor with E's and P0's
+    # weights, stay under the bounds that compute_E and compute_P charge
+    # for them: the six published races at u = 60 and 140, zeta and mod 4
+    # at u = 2999, each at race_result's step and order
+    cases = [(name, u) for u in (60.0, 140.0) for name in PUBLISHED_RACES] \
+        + [("pi vs Li", 2999.0), ("mod 4", 2999.0)]
+    with_drops = 0
+    for name, u in cases:
+        race = PUBLISHED_RACES[name]()
+        stats = aggregate_stats(race, u)
+        params = _solve_params(race, stats)
+        n = len(rs.phat_samples(race, params, stats))
+        end = stats.T / stats.sigma_u
+        w = params.domega
+        ms = [m for m in range(n + 1, int(end / w) + 2) if m * w < end]
+        omegas = [m * w for m in ms]
+        phats = [abs(p) * math.exp(-tail_oracle(o, stats, params.K)[0])
+                 for o, p in zip(omegas, tr.phat_prefix(omegas, race, u))]
+        bound_e = rs._truncation_bound(n, params, stats, False)
+        bound_p = rs._truncation_bound(n, params, stats, True)
+        for v in (0.5, 1.0, 3.0):
+            dropped_e = math.fsum(p * abs(math.sin(m * v * w)) / (math.pi * m)
+                                  for m, p in zip(ms, phats))
+            dropped_p = math.fsum(w / math.pi * p * abs(math.cos(m * v * w))
+                                  for m, p in zip(ms, phats))
+            assert dropped_e <= bound_e, (name, u, v)
+            assert dropped_p <= bound_p, (name, u, v)
+        assert bound_e < 1e-19 and bound_p < 1e-16, (name, u)
+        with_drops += len(ms) > 10
+    # every case but pi vs Li at u = 60 drops more than ten points
+    assert with_drops >= len(cases) - 1
 
 
 def test_truncation_bound_closed_form_covers_sum():
-    # the closed form log((m_hi + 1/2) / (n + 1/2)) stays above the sum
-    # of 1/m over the dropped points m = n+1..m_hi that it replaces,
+    # the closed forms stay above the sums over the dropped points
+    # m = n+1..m_hi that they replace, of 1/m for E and of domega for P0,
     # from the first point on (n = 0) to long lattices. With sigma_u =
     # domega = 1 and T = m_hi - 1/2, the radius end rounds up to m_hi
     params = rs.RSParams(K=1, domega=1.0, v_max=1.0)
@@ -181,8 +260,13 @@ def test_truncation_bound_closed_form_covers_sum():
     for n in (0, 1, 2, 5, 17, 100, 1000):
         for m_hi in (n + 2, n + 3, 2 * n + 7, 10 * n + 50, 100 * n + 1000):
             stats = dataclasses.replace(base, sigma_u=1.0, T=m_hi - 0.5)
-            exact = scale * math.fsum(1.0 / m for m in range(n + 1, m_hi + 1))
-            assert rs._truncation_bound(n, params, stats) >= exact, (n, m_hi)
+            dropped = range(n + 1, m_hi + 1)
+            exact_e = scale * math.fsum(1.0 / m for m in dropped)
+            exact_p = scale * math.fsum(params.domega for _ in dropped)
+            assert rs._truncation_bound(n, params, stats, False) >= exact_e, \
+                (n, m_hi)
+            assert rs._truncation_bound(n, params, stats, True) >= exact_p, \
+                (n, m_hi)
 
 
 def test_hand_params_match_chosen(zeta_race):
@@ -360,13 +444,6 @@ def test_choose_params_automatic_step(run25):
         assert 2.0 * math.pi / params.domega > v_max
 
 
-PUBLISHED_RACES = {
-    "pi vs Li": prime_count_race, "mod 4": lambda: square_race(4),
-    "q5 1v2": lambda: two_way_race(5, 1, 2),
-    "q13 square": lambda: square_race(13),
-    "q8 1v3": lambda: two_way_race(8, 1, 3),
-    "q24 1v5": lambda: two_way_race(24, 1, 5),
-}
 # a hand-written step per race, near half the reciprocal deviation
 STEPS = {"pi vs Li": math.pi / 2, "mod 4": 1.27, "q5 1v2": 0.83,
          "q13 square": 0.79, "q8 1v3": 0.8, "q24 1v5": 0.5}

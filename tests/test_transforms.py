@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import i0e, jn_zeros
 from scipy.special import j0 as scipy_j0
 
+from racedensity import rs_method as rs
 from racedensity import transforms as tr
 from racedensity.race import prime_count_race, square_race, two_way_race
 from racedensity.rs_method import (
@@ -365,16 +366,18 @@ def test_prefix_matches_explicit_product(race, u):
 @pytest.mark.parametrize("race", [prime_count_race(), two_way_race(4, 1, 3)])
 def test_far_zone_truncation_over_actual_zeros(race):
     # what the far zone's log-J0 series drops past _FAR_TERMS, summed in
-    # rationals over the far zeros of the largest live frequency of a
-    # race_result solve at u = 2999 (2201 zeros for zeta, 2791 for mod 4;
-    # measured 1.1e-28 and 1.7e-28). Each 1/(1/4 + g^2) is rounded up
+    # rationals over the far zeros of the largest lattice frequency whose
+    # tail factor alone is above e^-46 in a race_result solve at u = 2999
+    # (2201 zeros for zeta, 2791 for mod 4; measured 1.1e-28 and
+    # 1.7e-28). Each 1/(1/4 + g^2) is rounded up
     # to a multiple of 2^-128, and past the exact window of 20 terms
     # the rest is a geometric series whose ratio (z/j1)^2 is bounded
     # with the row's largest z, so the sum is an upper bound
     u = 2999.0
     stats = aggregate_stats(race, u)
     params = _solve_params(race, stats)
-    w = phat_samples(race, params, stats)[-1].omega
+    m, _, _, above = rs._tail_lattice(stats, params.domega)
+    w = float(m[np.count_nonzero(above[params.K - 1]) - 1] * params.domega)
     K, n, P = tr._FAR_TERMS, 20, 128
     a = _log_j0_fracs(K + n)
     total = Fraction(0)
@@ -397,6 +400,49 @@ def test_far_zone_truncation_over_actual_zeros(race):
         assert r < 1
         total += sum(terms) + terms[-1] * r / (1 - r)
     assert total < Fraction(1, 10 ** 24)
+
+
+PUBLISHED_RACES = [prime_count_race(), square_race(4), two_way_race(5, 1, 2),
+                   square_race(13), two_way_race(8, 1, 3),
+                   two_way_race(24, 1, 5)]
+BOUND_CASES = [(race, u) for u in (60.0, 140.0) for race in PUBLISHED_RACES] \
+    + [(prime_count_race(), 2999.0), (square_race(4), 2999.0)]
+BOUND_IDS = [f"{race.name}-{u:g}" for race, u in BOUND_CASES]
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.parametrize("race, u", BOUND_CASES, ids=BOUND_IDS)
+def test_prefix_log_bound_covers_prefix(race, u):
+    # on 400 frequencies across the radius the bound lies above
+    # log|phat_prefix| and never rises; rows whose product underflows to
+    # 0 have no log to compare
+    stats = aggregate_stats(race, u)
+    ws = np.linspace(0.0, stats.T / stats.sigma_u, 401)[1:]
+    bound = tr._prefix_log_bound(ws, race, u)
+    assert np.all(np.diff(bound) <= 0.0)
+    prefix = np.abs(tr.phat_prefix(ws, race, u))
+    live = prefix > 0.0
+    assert live.sum() > 20
+    assert np.all(np.log(prefix[live]) <= bound[live])
+
+
+def test_log_j0_at_split_rounded_toward_zero():
+    # the stored log J0(_FAR_Z) lies at or above the true value, close by
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = mpmath.log(mpmath.besselj(0, mpmath.mpf(tr._FAR_Z)))
+        assert tr._LOG_J0_FAR_Z >= want
+        assert tr._LOG_J0_FAR_Z - want < 1e-6
+
+
+def test_j0_past_split_at_most_its_value_there():
+    # sup |J0| over z >= _FAR_Z is J0(_FAR_Z): on a grid of step 0.02,
+    # 300 points to each period, out to 200, past which the envelope
+    # sqrt(2 / (pi z)) is below 0.06, no value is larger
+    mpmath = pytest.importorskip("mpmath")
+    top = mpmath.besselj(0, tr._FAR_Z)
+    grid = np.arange(tr._FAR_Z, 200.0, 0.02).tolist()
+    assert max(abs(mpmath.besselj(0, z)) for z in grid) <= top
 
 
 # ------------------------------------------------------------ raw tail series
