@@ -40,11 +40,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .race import RaceSpec
-from .specfun import J0_ZERO1, J0_ZERO2, _log_j0_coeffs, arctan_integral
+from .specfun import J0_ZERO1, J0_ZERO2, _log_j0_coeffs, _log_j0_fracs
+from .specfun import arctan_integral
 from .specfun import base_constants, c_coeffs, j0_lowbias, log_i0_derivs
 from .zerodata import TailStats, ZeroDataError, _exact_sum, resolve_table
 
@@ -91,19 +94,31 @@ _POWERS = np.maximum(2 * np.arange(1, _SERIES_TERMS + 1)
                      - np.arange(6)[:, None], 0)
 
 # phat_prefix sums the kernel factors with z <= _FAR_Z from the log-J0
-# series, truncated after _FAR_TERMS terms. Its terms fall like
+# series, truncated after at most _FAR_TERMS terms. Its terms fall like
 # (z/j1)^(2k)/k, so a higher split trades long-double J0 calls, one per
-# near factor, for rows of the power-sum table, one per term. At 1.4
+# near factor, for power sums, up to one per term and far zero. At 1.4
 # the solves at u = 1500 to 2999 of the deep_cutoff benchmark make 42%
-# of the J0 calls they make at 0.7. With the piecewise Taylor J0, 20
-# interleaved passes of that benchmark at seed 7 in one process took a
-# median 75.9 ms at 1.4 (56 terms), 77.5 ms at 1.2 (44), 79.3 ms at 1.6
-# (74) and 82.2 ms at 1.0 (35), on a 2-core VM.
-# At z = _FAR_Z the dropped part is 4.3e-29 per factor, below 7e-29, so
-# below 1e-21 for rows of up to ten million far zeros; every other far
-# factor drops less.
+# of the J0 calls they make at 0.7. With the depth per zero and the
+# lattice stopped at the kernel bound, passes at seed 7 (the median of
+# ten processes of five passes each, splits interleaved, on a 2-core VM)
+# took deep_cutoff 30.2 ms at 1.4 (56 terms), 29.4 ms at 1.2 (44),
+# 28.7 ms at 1.6 (74) and 30.0 ms at 1.0 (35), within their spread, and
+# races 51.2 ms at 1.4 against 56.8 to 58.4 ms at the others.
+# At z = _FAR_Z the dropped part is 4.3e-29 per factor, below _FAR_DROP,
+# so below 1e-21 for rows of up to ten million far zeros; a factor with
+# a smaller z keeps only the terms that hold its dropped part below
+# _FAR_DROP (_far_thresholds).
 _FAR_Z = 1.4
 _FAR_TERMS = 56
+_FAR_DROP = 7e-29
+
+# the far zone's segments double from this many zeros. Timed against the
+# far zone that built all _FAR_TERMS powers of every far zero, over the
+# calls of one pass at seed 5: at 64 the races solves (17 to 155 zeros)
+# took 1.06 to 1.16 times as long, as those past 64 zeros need a second
+# segment, at 128 0.92 and at 256 0.86 to 0.94; deep_cutoff took 0.37
+# to 0.44 times as long at all three
+_FAR_SEGMENT = 128
 
 # log J0(_FAR_Z), rounded toward zero: no factor with z at or above
 # _FAR_Z is larger in size, as J0 falls monotonically to its first
@@ -162,12 +177,23 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
     Every row splits at z = _FAR_Z, where z = t/sqrt(1/4+g^2) with
     t = 2*alpha*w falls as g grows. The far zeros (z at or below the
     split, the high ordinates) enter through log J0(z) = sum_k a_k
-    (z^2/4)^k, cut after _FAR_TERMS terms, which for row w is sum_k a_k
-    (t^2/4)^k S_k with S_k the sum of (1/4+g^2)^(-k) over the far zeros:
-    a suffix of one power-sum table per character, built once per call
-    and freed before the near factors are evaluated. No
-    frequency-by-zero block is ever formed. Both zones take the same t,
-    so a factor has one argument whichever zone it falls in.
+    (z^2/4)^k, which for row w is sum_k a_k (t^2/4)^k S_k with S_k the
+    sum of (1/4+g^2)^(-k) over the far zeros. Each far zero keeps only
+    the orders its row needs there: the fewest whose dropped tail is at
+    most _FAR_DROP per factor, _FAR_TERMS at z = _FAR_Z and a handful
+    for the highest zeros of a low frequency. The zeros fall into
+    segments on a grid that doubles from _FAR_SEGMENT zeros and depends
+    on their number alone; a row takes in each segment the depth of the
+    segment's first zero. Per character, each segment's power sums are
+    built once per call, to the deepest order any row takes there, and
+    freed before the near factors are evaluated. No frequency-by-zero
+    block is ever formed. Both zones take the same t, so a factor has
+    one argument whichever zone it falls in.
+
+    A row's value depends on its own frequency alone, not on the others
+    in the call: the depths follow that row's z, and every sum is grouped
+    by the grid and added in a fixed order. So each row equals, bit for
+    bit, what phat_prefix([w]) gives for its w.
 
     The near zeros enter as explicit j0_lowbias factors. Each row keeps
     a prefix of each character's zeros, so the near factors form a
@@ -247,25 +273,91 @@ def _prefix_log_bound(omegas, race: RaceSpec, u: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
+def _far_thresholds() -> np.ndarray:
+    # q_K for K = 1.._FAR_TERMS-1, rising: at q = z^2/4 <= q_K the series
+    # cut after K terms drops at most _FAR_DROP, by the bound
+    # |a_(K+1)| q^(K+1) / (1 - r), r = (_FAR_Z/2.4048)^2, as the term
+    # ratios rise towards (z/j1)^2 < r. Each is the double below the
+    # largest that meets the bound in exact arithmetic, so at least an
+    # ulp under it: more than q/den2 in extended precision can be off,
+    # and a q within rounding of q_K takes the deeper order
+    r = Fraction(_FAR_Z) ** 2 / Fraction("2.4048") ** 2
+    bound = Fraction(str(_FAR_DROP)) * (1 - r)
+    out = []
+    for k, a in enumerate(_log_j0_fracs(_FAR_TERMS)[1:], start=2):
+        q = math.exp((math.log(bound) - math.log(-a)) / k)
+        while -a * Fraction(q) ** k > bound:
+            q = math.nextafter(q, 0.0)
+        out.append(math.nextafter(q, 0.0))
+    out = np.array(out)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _far_grid(n: int) -> np.ndarray:
+    # the first zero of each far-zone segment, doubling from _FAR_SEGMENT,
+    # then n
+    cuts, cut = [0], _FAR_SEGMENT
+    while cut < n:
+        cuts.append(cut)
+        cut *= 2
+    out = np.array(cuts + [n])
+    out.setflags(write=False)
+    return out
+
+
 def _far_logs(t, den2, split) -> np.ndarray:
     # row i: the log of the product of J0(t[i] / den) over the zeros
-    # from split[i] on, sum_k a_k q_i^k S_k[split_i] with q = t^2/4 and
-    # S_k[j] the sum over zeros from j on of den2^(-k). S is filled in
-    # place; column den2.size - lo is the empty sum, 0
-    lo = int(split.min(initial=den2.size))
-    inv2 = 1.0 / den2[lo:]
-    S = np.zeros((_FAR_TERMS, inv2.size + 1), dtype=np.longdouble)
-    np.cumprod(np.broadcast_to(inv2, (_FAR_TERMS, inv2.size)), axis=0,
-               out=S[:, :-1])
-    suffix = S[:, :-1][:, ::-1]
-    np.cumsum(suffix, axis=1, out=suffix)
-    terms = _log_j0_coeffs(_FAR_TERMS)[:, None] * S[:, split - lo]
-    # by Horner in q
+    # from split[i] on, sum_k a_k q_i^k W_k with q = t^2/4 and W_k the sum
+    # of den2^(-k) over the zeros that need order k in row i. The zeros
+    # fall into the segments of _far_grid(n), and row i takes orders
+    # 1..dep[i, s] in segment s, by the largest q_i / den2 there. Every
+    # sum is grouped by that grid, so a row's value does not depend on
+    # the other rows of the call
+    n = den2.size
+    lo = int(split.min(initial=n))
+    if lo == n:
+        return np.zeros(t.size, dtype=np.longdouble)
     q = 0.25 * np.square(t)
-    acc = terms[-1]
-    for row in terms[-2::-1]:
-        acc = acc * q + row
-    return acc * q
+    grid = _far_grid(n)
+    S = grid.size - 1
+    # start[i]: the segment holding row i's split
+    start = np.searchsorted(grid[1:], split, side="right")
+    dep = 1 + np.searchsorted(_far_thresholds(), q[:, None] / den2[grid[:-1]])
+    dep[np.arange(S) < start[:, None]] = 0
+    reach = dep.max(axis=0)
+    K = int(reach.max())
+    orders = np.arange(K)[:, None]
+    # C[k, j - lo]: the sum of den2^(-k-1) from zero j to the end of its
+    # segment, over the segments that hold a split; T[k, s]: the total of
+    # segment s, past the lowest. Each built for the orders rows take
+    bottom, top = int(start.min()), int(start[start < S].max())
+    C = np.zeros((K, grid[top + 1] - lo), dtype=np.longdouble)
+    T = np.zeros((K, S), dtype=np.longdouble)
+    for s in range(bottom, S):
+        a, b = max(int(grid[s]), lo), int(grid[s + 1])
+        block = C[:reach[s], a - lo:b - lo] if s <= top else \
+            np.empty((reach[s], b - a), dtype=np.longdouble)
+        np.multiply.accumulate(np.broadcast_to(1.0 / den2[a:b], block.shape),
+                               axis=0, out=block)
+        if s > bottom:
+            T[:reach[s], s] = block.sum(axis=1)
+        if s <= top:
+            block = block[:, ::-1]
+            np.add.accumulate(block, axis=1, out=block)
+    # a row's own segment from its split, then the totals of the later
+    # segments it reaches, from the top down
+    W = np.where(dep[np.arange(t.size), np.minimum(start, S - 1)] > orders,
+                 C[:, np.minimum(split - lo, C.shape[1] - 1)], 0.0)
+    for s in range(S - 1, bottom, -1):
+        W += np.where((dep[:, s] > orders) & (start < s), T[:, s, None], 0.0)
+    # every term a_k q^k W_k is negative, so the sum over orders cancels
+    # nothing; accumulate adds them in order whatever the number of rows
+    terms = np.multiply.accumulate(np.broadcast_to(q, (K, q.size)), axis=0)
+    terms *= _log_j0_coeffs(_FAR_TERMS)[:K, None] * W
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def _near_block(out, near, lo, hi) -> None:

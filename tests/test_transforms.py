@@ -9,6 +9,7 @@ internal consistency obligation (split-point independence,
 finite-difference derivative chains, series-vs-closed-form agreement).
 """
 
+import bisect
 import math
 import warnings
 from fractions import Fraction
@@ -197,6 +198,23 @@ def test_explicit_product_frequencies_independent(race, u, monkeypatch):
     assert tr.phat_prefix([], race, u).size == 0
 
 
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.parametrize("race", [prime_count_race(), two_way_race(4, 1, 3)])
+def test_prefix_rows_independent_over_deep_lattice(race):
+    # the far zone's depths follow each row's own frequency, so every row
+    # of one call over a deep solve's whole tail lattice (before the
+    # kernel bound cuts it) is, bit for bit, what a call for that row
+    # alone gives
+    u = 2999.0
+    stats = aggregate_stats(race, u)
+    step = race_result(race, stats).params["domega"]
+    ws = rs._tail_lattice(stats, step)[0] * step
+    together = tr.phat_prefix(ws, race, u)
+    alone = np.array([tr.phat_prefix([w], race, u)[0] for w in ws])
+    assert ws.size > 100
+    assert np.array_equal(together, alone)
+
+
 def test_product_sign_spans_characters():
     # q8 1v3 at u = 140: the frequency puts the first mod 4 factor 3e-4
     # below a zero of J0, while every mod8_even factor stays above 0.24
@@ -363,23 +381,30 @@ def test_prefix_matches_explicit_product(race, u):
 
 
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
-@pytest.mark.parametrize("race", [prime_count_race(), two_way_race(4, 1, 3)])
-def test_far_zone_truncation_over_actual_zeros(race):
-    # what the far zone's log-J0 series drops past _FAR_TERMS, summed in
-    # rationals over the far zeros of the largest lattice frequency whose
-    # tail factor alone is above e^-46 in a race_result solve at u = 2999
-    # (2201 zeros for zeta, 2791 for mod 4; measured 1.1e-28 and
-    # 1.7e-28). Each 1/(1/4 + g^2) is rounded up
-    # to a multiple of 2^-128, and past the exact window of 20 terms
-    # the rest is a geometric series whose ratio (z/j1)^2 is bounded
-    # with the row's largest z, so the sum is an upper bound
-    u = 2999.0
+@pytest.mark.parametrize("race, u", [
+    (prime_count_race(), 2999.0),
+    (two_way_race(4, 1, 3), 2999.0),
+    (two_way_race(24, 1, 5), 140.0),
+], ids=["race0", "race1", "race2"])
+def test_far_zone_truncation_over_actual_zeros(race, u):
+    # what the far zone's log-J0 series drops, each far zero past its own
+    # depth, summed in rationals over the far zeros of the largest
+    # lattice frequency whose tail factor alone is above e^-46 in a
+    # race_result solve (measured 3.2e-26 for zeta and 3.9e-26 for mod 4
+    # at u = 2999, 5.7e-27 for q24 1v5 at u = 140). A zero's depth is
+    # what the rule gives at its own z^2/4; phat_prefix keeps at least
+    # that many orders, as each segment takes the depth of its first
+    # zero. Each 1/(1/4 + g^2) is rounded up to a multiple of 2^-128, and
+    # past the exact window of 20 terms the rest is a geometric series
+    # whose ratio (z/j1)^2 is bounded with the row's largest z, so the
+    # sum is an upper bound
     stats = aggregate_stats(race, u)
     params = _solve_params(race, stats)
     m, _, _, above = rs._tail_lattice(stats, params.domega)
     w = float(m[np.count_nonzero(above[params.K - 1]) - 1] * params.domega)
-    K, n, P = tr._FAR_TERMS, 20, 128
-    a = _log_j0_fracs(K + n)
+    n, P = 20, 128
+    a = _log_j0_fracs(tr._FAR_TERMS + n)
+    thresholds = [Fraction(x) for x in tr._far_thresholds()]
     total = Fraction(0)
     for entry in race.characters:
         g = resolve_table(entry).gammas
@@ -391,14 +416,20 @@ def test_far_zone_truncation_over_actual_zeros(race):
         far = g[np.sqrt(0.25 + gl * gl) >= float(abs(t)) / tr._FAR_Z]
         inv = [math.ceil(2 ** P / (Fraction(1, 4) + Fraction(x) ** 2))
                for x in far.tolist()]
-        powers = [d ** K for d in inv]
-        terms = []
-        for k in range(K + 1, K + n + 1):
-            powers = [p * d for p, d in zip(powers, inv)]
-            terms.append(-a[k - 1] * q ** k * Fraction(sum(powers), 2 ** (P * k)))
+        # the depth from the rounded-down z^2/4, compared exactly
+        depth = [1 + bisect.bisect_left(thresholds, q * (d - 1) / 2 ** P)
+                 for d in inv]
         r = 4 * q * Fraction(max(inv), 2 ** P) / Fraction(24048, 10000) ** 2
         assert r < 1
-        total += sum(terms) + terms[-1] * r / (1 - r)
+        for K in set(depth):
+            group = [d for d, k in zip(inv, depth) if k == K]
+            powers = [d ** K for d in group]
+            terms = []
+            for k in range(K + 1, K + n + 1):
+                powers = [p * d for p, d in zip(powers, group)]
+                terms.append(-a[k - 1] * q ** k
+                             * Fraction(sum(powers), 2 ** (P * k)))
+            total += sum(terms) + terms[-1] * r / (1 - r)
     assert total < Fraction(1, 10 ** 24)
 
 
