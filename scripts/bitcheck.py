@@ -14,7 +14,9 @@ l0_full of the six published races at u = 500, 2000 and 2999 and
 s = 0, 1, 10, 100, 1000 and 12527.41, and phat_prefix of each race at
 w = 2, 4, ..., 70 and u = 140, 500, 2000 and 2999, so that a change to
 the J0 kernel or the far zone shows its moves in the prefix itself; zeta
-solves at u = 140 to 2999 reach w = 69.8.
+solves at u = 140 to 2999 reach w = 69.8. A tree whose phat_prefix takes
+no cutoff u gives the same rows at every u. Each race is also solved by
+race_result at u = 4.352, 60, 100, 140, 200, 500, 2000 and 2999.
 
 For each operation it compares value, error_estimate, K, domega,
 n_terms, n_zeros, the result's repr and the refusal text, floats by
@@ -25,12 +27,15 @@ rows whose value moved, the largest |dvalue|, the largest |dvalue| /
 from this checkout's row; then the rows whose error_estimate or n_terms
 moved and the largest |d error_estimate| / error_estimate, taken from
 REF's row. A change that moves counts and estimates but no value shows
-it there. Ends with a count, and exits 1 when any row differs.
+it there. Then one line per race: the spread (largest less smallest) of
+E over the cutoffs where race_result answers, on each tree. Ends with a
+count, and exits 1 when any row differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import io
 import json
 import math
@@ -51,6 +56,7 @@ FIELDS = ("value", "error_estimate", "K", "domega", "n_terms", "n_zeros")
 # compared like any other
 PREFIX_U = (140.0,) + PUBLISHED_U
 PREFIX_OMEGAS = tuple(2.0 * k for k in range(1, 36))
+SPREAD_U = (4.352, 60.0, 100.0, 140.0, 200.0) + PUBLISHED_U
 
 
 def _hex(v):
@@ -77,6 +83,7 @@ def dump(tree: str, seeds) -> None:
     """Print one JSON line per operation, run against tree/src."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(ROOT, "bench")]
     import workloads
+    from racedensity import rs_method as rs
     from racedensity import transforms as tr
     from racedensity import zerodata as zd
 
@@ -99,10 +106,16 @@ def dump(tree: str, seeds) -> None:
                     f"published {rname} l0_full u={u:g} s={s:g}",
                     workloads.summarize, lambda s=s: tr.l0_full(
                         s, race, zd.aggregate_stats(race, u)))))
+        takes_u = "u" in inspect.signature(tr.phat_prefix).parameters
         for u in PREFIX_U:
+            cutoff = (u,) if takes_u else ()
             print(json.dumps(_row(
                 f"prefix {rname} phat_prefix u={u:g}", workloads.summarize,
-                lambda: tr.phat_prefix(PREFIX_OMEGAS, race, u))))
+                lambda: tr.phat_prefix(PREFIX_OMEGAS, race, *cutoff))))
+        for u in SPREAD_U:
+            print(json.dumps(_row(
+                f"spread {rname} race_result u={u:g}", workloads.summarize,
+                lambda: rs.race_result(race, zd.aggregate_stats(race, u)))))
 
 
 def _rows(tree: str, seeds) -> list:
@@ -182,6 +195,17 @@ def summary(ref_rows, new_rows) -> list:
             in groups.items()]
 
 
+def spreads(rows) -> dict:
+    """Per race, the spread of E over the cutoffs where race_result
+    answers, and how many answered."""
+    values = {}
+    for row in rows:
+        kind, race = row["op"].split()[:2]
+        if kind == "spread" and "value" in row:
+            values.setdefault(race, []).append(float.fromhex(row["value"]))
+    return {race: (max(v) - min(v), len(v)) for race, v in values.items()}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("ref", nargs="?", help="git revision to compare against")
@@ -210,6 +234,11 @@ def main() -> int:
                 print(f"  {k}: " + _show(a.get(k), b.get(k)))
     for line in summary(ref_rows, new_rows):
         print(line)
+    old, new = spreads(ref_rows), spreads(new_rows)
+    for race in dict.fromkeys([*old, *new]):
+        (a, na), (b, nb) = old.get(race, (0.0, 0)), new.get(race, (0.0, 0))
+        print(f"E spread over cutoffs, {race}: {a:.3g} over {na} at "
+              f"{args.ref}, {b:.3g} over {nb} here")
     refusals = sum("refusal" in r for r in new_rows)
     print(f"{differ} of {len(new_rows)} rows differ ({refusals} refusals) "
           f"against {args.ref}, seeds {' '.join(map(str, args.seeds))}")

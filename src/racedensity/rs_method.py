@@ -1,32 +1,27 @@
 """Fourier route: Poisson summation of the characteristic function.
 
-The density's Fourier transform is a product of explicit-zero kernel
-factors and the controlled tail factor from transforms. Poisson
-summation turns the inversion integral into a lattice sum over
-frequencies m*domega; the wrap-around (aliasing) error is a sum of
-exceedance masses at 2*pi/domega - v and beyond, which the Gaussian
-exceedance bound controls, so the step can be taken far larger than a
-quadrature view would suggest. Each lattice term is independent of the
-others; they are precomputed once per parameter set and reduced in a
-fixed ascending order so results are bit-reproducible.
+The density's Fourier transform is a product of one J0 kernel factor
+per zero (transforms.phat_prefix). Poisson summation turns the inversion
+integral into a lattice sum over frequencies m*domega; the wrap-around
+(aliasing) error is a sum of exceedance masses at 2*pi/domega - v and
+beyond, which the Gaussian exceedance bound controls, so the step can be
+taken far larger than a quadrature view would suggest. Each lattice term
+is independent of the others; they are precomputed once per parameter
+set and reduced in a fixed ascending order so results are
+bit-reproducible.
 
 The exceedance sum reads
     E(v) = 1/2 - v*domega/(2 pi) - (1/pi) sum_m phat(m*domega) sin(m v domega)/m
 and the density sum
     P0(v) = (domega/pi) (1/2 + sum_m phat(m*domega) cos(m v domega)),
-both truncated where the lattice stops: at the first lattice point
+both truncated where the lattice stops: before the first lattice point
 where a bound on |phat| that never rises with omega falls to e^-46
-(below 1e-20), or at the end of the remainder's convergence radius
-T/sigma_u when no lattice point inside it gets that far. The bound is
-the tail factor times a bound on the explicit-zero product
-(transforms._prefix_log_bound), whose J0 factors decay like a Gaussian
-in omega long before the tail factor does. The zero cutoff is the tail
-statistics' u. The tail factor exp(-sum_{k<=K} c_k R_k tau^(2k)),
-tau = sigma_u*omega, and its per-term error are formed for all lattice
-points and all orders K at once, by one array expression that serves
-both the samples and the parameter choice; the parameter choice sums
-over the points where the tail factor alone is above e^-46, a superset
-of the points the samples keep.
+(below 1e-20), transforms._prefix_log_bound. Every zero enters each
+sample, explicitly or through the log-J0 series past the row's split,
+so no zero cutoff, series order or convergence radius enters the
+lattice; the tail statistics serve the step and the aliasing check.
+The error estimate adds the aliasing bound, the per-sample bound on what
+the series drops, and a bound on every lattice point past the stop.
 
 One rule sets every frequency step: the largest one whose aliasing
 bound, in its Gaussian form, is at most a given level: a third of the
@@ -43,8 +38,8 @@ import numpy as np
 
 from .race import RaceSpec
 from .results import DensityResult
-from .specfun import c_coeffs
-from .transforms import ConvergenceError, _prefix_log_bound, phat_prefix
+from .transforms import _FAR_TERMS, _near_envelope, _phat_rows
+from .transforms import _prefix_log_bound, _reach_error
 from .zerodata import TailStats, montgomery_bound
 
 __all__ = [
@@ -60,21 +55,19 @@ __all__ = [
 ]
 
 # the lattice stops where a bound on |phat| falls to e^-46 ~ 1e-20, a
-# size that cannot move a result read at 1e-16. The bound is the tail
-# factor times transforms._prefix_log_bound's bound on the kernel
-# product; choose_params budgets over the points where the tail factor
-# alone is above it, a superset
+# size that cannot move a result read at 1e-16
 _EXPONENT_CUTOFF = 46.0
 
 # how far below -46 the double-precision log bound must be for the
-# lattice to stop. The bound and the tail exponent are sums of terms of
-# one sign, each term off by a few ulps (a zero within rounding of the
-# kernel split by a few more), so the computed sum is within 1e-8 of its
-# size for fewer than a million zeros: under 1e-6 at 46
+# lattice to stop. The bound is a sum of terms of one sign, each term off
+# by a few ulps (a zero within rounding of the kernel split by a few
+# more), so the computed sum is within 1e-8 of its size for fewer than a
+# million zeros: under 1e-6 at 46
 _BOUND_MARGIN = 1e-6
 
-_NO_RADIUS = \
-    "tail statistics carry no usable convergence radius; raise the cutoff u"
+# the dropped lattice points are bounded point by point out to this many
+# times the kept count, then by the near factors' envelope
+_STOP_REACH = 10
 
 
 class ParameterError(ValueError):
@@ -83,17 +76,16 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class RSParams:
-    """The choices of one Poisson-summation run: the tail order K, the
-    frequency step and the largest threshold it serves. The zero cutoff
-    and the point where the lattice stops come from the tail statistics
-    the run is given.
+    """The choices of one Poisson-summation run: the frequency step and
+    the largest threshold it serves. Where the lattice stops follows from
+    the zeros; the tail statistics the run is given set the aliasing
+    check.
 
     target, when set, arms the aliasing check in compute_E/compute_P:
     a wrap-around bound above it refuses the evaluation instead of
     silently degrading.
     """
 
-    K: int
     domega: float
     v_max: float
     target: float | None = None
@@ -101,13 +93,16 @@ class RSParams:
     def __post_init__(self):
         if not (self.domega > 0.0 and math.isfinite(self.domega)):
             raise ParameterError("domega must be positive and finite")
-        if self.K < 1:
-            raise ParameterError("K must be at least 1")
         _check_v_max(self.v_max)
         if 2.0 * math.pi / self.domega <= self.v_max:
             raise ParameterError(
                 f"2 pi / domega = {2.0 * math.pi / self.domega:.6g} must exceed "
                 f"v_max = {self.v_max:.6g}; shrink domega")
+
+    @property
+    def K(self) -> int:
+        """The log-J0 series order, 56; only the benchmark reads it."""
+        return _FAR_TERMS
 
 
 def _check_v_max(v_max: float) -> None:
@@ -123,40 +118,36 @@ class PhatSample:
 
     m: int
     omega: float
-    prefix: float
-    tail: float
-    error: float   # absolute error estimate for prefix*tail
+    phat: float
+    error: float   # bound on what the series cut moves phat by
 
     @property
-    def phat(self) -> float:
-        return self.prefix * self.tail
+    def tail(self) -> float:
+        """1.0, as every zero is in phat; only the benchmark reads it."""
+        return 1.0
 
 
-def _check_order(params: RSParams, stats: TailStats) -> None:
-    if len(stats.R) < params.K:
-        raise ParameterError(
-            f"stats carry {len(stats.R)} moment ratios, K = {params.K} needed")
+class _Samples(tuple):
+    # phat_samples' records, with _truncation_bound's for the points past
+    dropped: tuple[float, float]
 
 
-def _tail_lattice(stats: TailStats, domega: float):
-    # the lattice points m = 1, 2, ... inside the radius T/sigma_u, the
-    # tail series of every order there, and per order the points before
-    # the first one whose exponent reaches the cutoff, of which
-    # phat_samples keeps a prefix. The exponents grow with tau, so each
-    # order marks a prefix, the whole radius when no point inside it
-    # reaches the cutoff. Every order's exponent is at least its first
-    # term c_1 R_1 tau^2, so the points from one step past where that
-    # term reaches the cutoff are never built
-    T = stats.T
-    if not T > 0.0:
-        raise ConvergenceError(_NO_RADIUS)
-    tau_end = min(T, math.sqrt(_EXPONENT_CUTOFF
-                               / (c_coeffs(1)[0] * stats.R[0])))
-    m = np.arange(1, int(math.ceil(tau_end / stats.sigma_u / domega)) + 2)
-    tau = stats.sigma_u * (m * domega)
-    m, tau = m[tau < T], tau[tau < T]
-    exponents, errors = _tail_series(stats, tau)
-    return m, exponents, errors, exponents < _EXPONENT_CUTOFF
+def _lattice_end(race: RaceSpec, domega: float, sigma0: float) -> int:
+    # the lattice points before the first whose bound on log|phat| is at
+    # most -46, searched from twice where exp(-sigma0^2 w^2 / 2) reaches
+    # e^-46 on, doubling; a point past a table's reach there refuses
+    lo, hi = 1, int(2.0 * math.sqrt(2.0 * _EXPONENT_CUTOFF)
+                    / (sigma0 * domega)) + 1
+    while True:
+        m = np.arange(lo, hi + 1)
+        bound = _prefix_log_bound(m * domega, race)
+        small = bound <= -(_EXPONENT_CUTOFF + _BOUND_MARGIN)
+        first = int(np.argmax(small | np.isinf(bound)))
+        if small[first]:
+            return lo - 1 + first
+        if np.isinf(bound[first]):
+            raise _reach_error(race, float(m[first] * domega))
+        lo, hi = hi + 1, 2 * hi
 
 
 def phat_samples(race: RaceSpec, params: RSParams,
@@ -165,41 +156,23 @@ def phat_samples(race: RaceSpec, params: RSParams,
     m = 1..n, that the sums keep.
 
     The expensive, threshold-independent part of both Poisson sums;
-    evaluate once and reuse across v. The lattice stops before the
-    first point where a bound on |phat| is at most e^-46 (less
-    _BOUND_MARGIN in the log, for rounding): the order-K tail factor
-    times the bound of transforms._prefix_log_bound on the kernel
-    product. The bound never rises with omega, so every point dropped
-    inside the radius is at most e^-46 too. Where no point gets that
-    far, it stops at the tail factor's convergence radius T/sigma_u; no
-    sample lies at or past the radius, and a DensityResult's
-    params["n_terms"] counts the samples kept. The error
-    estimate has no part for the points past the radius yet, and it is
-    not small: at q24 1v5, u = 4.352, a dropped |phat| reaches 9.6e-7.
-    The kernel products come from one phat_prefix call at the cutoff
-    stats.u.
+    evaluate once and reuse across v. The lattice stops before the first
+    point where transforms._prefix_log_bound puts |phat| at or below
+    e^-46 (less _BOUND_MARGIN in the log, for rounding); _truncation_bound
+    bounds every point past it. Each sample's error bounds what cutting
+    the log-J0 series after 56 orders moves it by. stats.sigma0 only
+    seeds the search for the stop: the samples do not depend on stats.u.
     """
-    _check_order(params, stats)
-    m, exponents, errors, kept = _tail_lattice(stats, params.domega)
-    n = int(np.count_nonzero(kept[params.K - 1]))
-    omegas = m[:n] * params.domega
-    # the bound on log|phat| never rises, so no point past the first one
-    # it puts below the cutoff is larger
-    small = np.flatnonzero(
-        _prefix_log_bound(omegas, race, stats.u) - exponents[params.K - 1, :n]
-        <= -(_EXPONENT_CUTOFF + _BOUND_MARGIN))
-    if small.size:
-        n = int(small[0])
-    m, omegas = m[:n], omegas[:n]
-    tails = np.exp(-exponents[params.K - 1, :n])
-    prefixes = phat_prefix(omegas, race, stats.u)
-    # d(exp(-x)) = -exp(-x) dx: the tail's exponent error transfers
-    # multiplicatively
-    return tuple(
-        PhatSample(i, w, p, t, abs(p) * t * e)
-        for i, w, p, t, e in zip(m.tolist(), omegas.tolist(),
-                                 prefixes.tolist(), tails.tolist(),
-                                 errors[params.K - 1, :n].tolist()))
+    n = _lattice_end(race, params.domega, stats.sigma0)
+    omegas = np.arange(1, n + 1) * params.domega
+    values, drops = _phat_rows(omegas, race)
+    # |phat| (1 - exp(-drop)) <= |phat| drop
+    samples = _Samples(
+        PhatSample(i, w, p, abs(p) * d)
+        for i, w, p, d in zip(range(1, n + 1), omegas.tolist(),
+                              values.tolist(), drops.tolist()))
+    samples.dropped = _truncation_bound(n, race, params.domega)
+    return samples
 
 
 def _largest_step(v: float, stats: TailStats, bound: float,
@@ -239,24 +212,32 @@ def _check_aliasing(v: float, params: RSParams, stats: TailStats,
     return bound
 
 
-def _truncation_bound(n: int, params: RSParams, stats: TailStats,
-                      density: bool) -> float:
-    # the sums keep m = 1..n. When point n+1 lies inside the radius, the
-    # lattice stopped where the bound on |phat| fell to e^-46, and as the
-    # bound never rises, every point from there to the radius end
-    # T/sigma_u, m_hi - n of them at most, has |phat| at most e^-46.
-    # E weights them by 1/(pi m), and as 1/x is convex their 1/m sum to
-    # at most log((m_hi + 1/2) / (n + 1/2)); P0 weights each by
-    # domega/pi. The points past the radius end are dropped too,
-    # unbounded here
-    if not stats.sigma_u * ((n + 1) * params.domega) < stats.T:
-        return 0.0
-    m_hi = math.ceil(stats.T / stats.sigma_u / params.domega)
-    if density:
-        return math.exp(-_EXPONENT_CUTOFF) / math.pi * params.domega \
-            * (m_hi - n)
-    return math.exp(-_EXPONENT_CUTOFF) / math.pi * math.log(
-        (m_hi + 0.5) / (n + 0.5))
+def _tail_sums(last: int, N: int) -> tuple[float, float]:
+    # bounds on sum_{m > last} (last/m)^(N/2) / m and on sum_{m > last}
+    # (last/m)^(N/2): as the terms fall, each sum is below its integral
+    # from last on, 2/N and last/(N/2 - 1); the second diverges for N <= 2
+    if N <= 2:
+        return math.inf, math.inf
+    return 2.0 / N, last / (0.5 * N - 1.0)
+
+
+def _truncation_bound(n: int, race: RaceSpec,
+                      domega: float) -> tuple[float, float]:
+    # bounds on what the sums drop past m = n: sum_{m > n} |phat(m domega)|
+    # weighted 1/(pi m) for E and domega/pi for P0. Out to _STOP_REACH n
+    # points each |phat| is at most exp(_prefix_log_bound), as far as the
+    # tables reach; past the last such point L, the near factors' envelope
+    # at L gives |phat| <= exp(log) (L/m)^(N/2)
+    m = np.arange(n + 1, _STOP_REACH * max(n, 1) + 1)
+    bound = _prefix_log_bound(m * domega, race)
+    m = m[np.isfinite(bound)]
+    heads = np.exp(bound[:m.size])
+    last = n + m.size
+    N, log = _near_envelope(last * domega, race)
+    tail_e, tail_p = _tail_sums(last, N)
+    scale = math.exp(log)
+    return ((math.fsum((heads / m).tolist()) + scale * tail_e) / math.pi,
+            domega / math.pi * (math.fsum(heads.tolist()) + scale * tail_p))
 
 
 def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
@@ -264,7 +245,6 @@ def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
     # E (density=False) or P0 at each v from one set of samples. The
     # checks run once, the aliasing bound at the largest |v|, where it is
     # worst, so every v shares one error estimate.
-    _check_order(params, stats)
     bad = [v for v in vs if not math.isfinite(v)]
     if bad:
         raise ParameterError(f"thresholds must be finite, got {bad[0]!r}")
@@ -284,19 +264,20 @@ def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
             f"phat_samples(race, params, stats)")
     n = len(samples)
     w = params.domega
-    # s.prefix * s.tail is s.phat, spelled out to save a call per term
+    dropped = getattr(samples, "dropped", None) \
+        or _truncation_bound(n, race, w)
     if density:
         values = [w / math.pi * (0.5 + math.fsum(
-            [s.prefix * s.tail * math.cos(s.m * v * w) for s in samples]))
+            [s.phat * math.cos(s.m * v * w) for s in samples]))
             for v in vs]
         err = (alias + w / math.pi * math.fsum([s.error for s in samples])
-               + _truncation_bound(n, params, stats, True))
+               + dropped[1])
     else:
         values = [0.5 - v * w / (2.0 * math.pi) - math.fsum(
-            [s.prefix * s.tail * math.sin(s.m * v * w) / s.m for s in samples])
+            [s.phat * math.sin(s.m * v * w) / s.m for s in samples])
             / math.pi for v in vs]
         err = (alias + math.fsum([s.error / s.m for s in samples]) / math.pi
-               + _truncation_bound(n, params, stats, False))
+               + dropped[0])
     return values, err, n
 
 
@@ -316,12 +297,13 @@ def compute_E(v: float, race: RaceSpec, params: RSParams,
               stats: TailStats, samples=None) -> DensityResult:
     """Exceedance probability E(v) by the Poisson lattice sum.
 
-    The error estimate adds the aliasing bound, the summed per-term
-    tail-factor error estimates, and the bound on the terms the lattice
-    drops inside the radius. samples, when given, must come from
+    The error estimate adds the aliasing bound, the samples' bounds on
+    what the series cut moves them by, and the bound on every lattice
+    point past the stop. samples, when given, must come from
     phat_samples at these params' step. The result's params["n_terms"]
     counts the lattice points summed: those phat_samples keeps, after
-    its bound on |phat| has cut the lattice.
+    its bound on |phat| has cut the lattice. params["K"] is the fixed
+    series order, 56; the value does not depend on stats.u.
     """
     return _lattice_result(v, race, params, stats, samples, False)
 
@@ -341,17 +323,13 @@ def density_grid(vs, race: RaceSpec, params: RSParams,
 
 def choose_params(v_max: float, stats: TailStats, target: float,
                   domega: float = None) -> RSParams:
-    """Smallest-cost parameters meeting the accuracy target.
+    """Parameters meeting the accuracy target: the largest step whose
+    Gaussian-form aliasing bound stays under a third of the target, or
+    the caller's explicit step, validated against it.
 
-    The step is the largest one whose Gaussian-form aliasing bound stays
-    under a third of the target (or the caller's explicit step,
-    validated); K is the smallest retained order whose summed per-term
-    error estimates stay under a third of the target, summed over the
-    lattice points inside the radius whose order-K tail factor alone is
-    above e^-46. phat_samples keeps a prefix of those points, cut
-    further where its bound on the kernel product falls, so the budget
-    covers every point it keeps. Stats with no usable convergence radius
-    raise phat_samples' ConvergenceError.
+    Nothing else is chosen: the series cut (a sample's error, under
+    5e-29 of it in the published races) and the lattice stop (e^-46) lie
+    far below any target in the window.
     """
     _check_v_max(v_max)
     if not 1e-16 < target < 1e-2:
@@ -367,43 +345,15 @@ def choose_params(v_max: float, stats: TailStats, target: float,
         raise ParameterError(
             f"domega = {domega:g} leaves the aliasing bound above "
             f"{slack:.3g}; at most {_step_text(domega_max)} is admissible")
-    # the summed per-term error estimate of every order K = 1..Kmax at
-    # once: |kernel product| <= 1, so a term's error is bounded by its
-    # tail factor's own estimate, weighted 1/(pi m) as in the sums. A
-    # lattice point counts for K where its order-K tail factor is above
-    # e^-46, whether or not the kernel bound drops it from the samples.
-    m, exponents, errors, kept = _tail_lattice(stats, domega)
-    budgets = np.where(kept, np.exp(-exponents) * errors / m, 0.0) \
-        .sum(axis=1) / math.pi
-    under = np.flatnonzero(budgets[1:] < slack)
-    if under.size == 0:
-        raise ParameterError(
-            f"per-term error stays above {slack:.3g} even at K = "
-            f"{len(stats.R)}; raise the zero cutoff u or the moment depth")
-    return RSParams(K=int(under[0]) + 2, domega=domega, v_max=v_max,
-                    target=target)
-
-
-def _tail_series(stats: TailStats, tau: np.ndarray):
-    # for every order K = 1..Kmax (rows) at each tau = sigma_u*omega
-    # inside the radius T (columns): the tail factor's exponent
-    # sum_{k<=K} c_k R_k tau^(2k), and its per-term error estimate
-    # c_K R_K tau^(2K+2) / (T^2 - tau^2), the omitted terms taken as a
-    # geometric series in (tau/T)^2 from the last retained one
-    Kmax = len(stats.R)
-    cr = np.array(c_coeffs(Kmax)) * np.array(stats.R)
-    powers = tau ** (2 * np.arange(1, Kmax + 2))[:, None]
-    exponents = np.cumsum(cr[:, None] * powers[:-1], axis=0)
-    errors = cr[:, None] * powers[1:] / (stats.T * stats.T - tau * tau)
-    return exponents, errors
+    return RSParams(domega=domega, v_max=v_max, target=target)
 
 
 def race_result(race: RaceSpec, stats: TailStats,
                 target: float = 1e-11) -> DensityResult:
     """Chance of the trailing contestant leading: E at the race offset,
-    from the tail statistics at the run's zero cutoff, at the largest
-    step whose aliasing bound is e^-46, where the lattice drops its terms,
-    and choose_params' order K for target there."""
+    at the largest step whose aliasing bound is e^-46, the level where
+    the lattice drops its terms. The value does not depend on the cutoff
+    stats.u, which enters the aliasing check and the result's record."""
     offset = race.offset
     if offset == 0.0:
         raise ParameterError(

@@ -1,16 +1,17 @@
 """Transform-layer building blocks shared by the density methods.
 
-Both computational routes split the distribution at a zero-height
-cutoff u. Below the cutoff every zero is treated explicitly: on the
-Fourier side as a product of J0 kernel factors, on the Laplace side as
-a sum of log I0 terms. Above the cutoff only aggregate tail moments
-survive, and the two remainders are power series in tau = sigma_u*omega
-or t = sqrt(2 B1)*s. This module holds the Fourier side's explicit
-product (phat_prefix) and a closed-form bound on it that never rises
-with the frequency (_prefix_log_bound); its tail factor exp(-sum_k c_k R_k tau^(2k)) is
-formed in rs_method, as one array over the lattice frequencies. That
-factor and the raw Laplace series sum_k (-1)^(k-1) c_k R_k t^(2k)
-converge only inside the radius T carried by the tail statistics; the
+The Fourier side needs no cutoff. phat_prefix gives the characteristic
+function as a product of one J0 kernel factor per zero: the factors of
+the low zeros explicitly, and every zero past each frequency's own
+split, to the table end and beyond it, through one log-J0 series over
+the tables' suffix sums. _prefix_log_bound bounds that product in closed
+form, never rising with the frequency, for rs_method's lattice stop.
+
+The Laplace side splits the distribution at a zero-height cutoff u.
+Below it every zero enters explicitly, as a log I0 term; above it only
+aggregate tail moments survive, and the remainder is a power series in
+t = sqrt(2 B1)*s. The raw series sum_k (-1)^(k-1) c_k R_k t^(2k)
+converges only inside the radius T carried by the tail statistics; the
 accelerated remainder below reaches (j2/j1) T.
 
 The raw remainder series loses accuracy quickly as t approaches T. The
@@ -40,16 +41,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .race import RaceSpec
-from .specfun import J0_ZERO1, J0_ZERO2, _log_j0_coeffs, _log_j0_fracs
+from .specfun import J0_ZERO1, J0_ZERO2, _log_j0_coeffs
 from .specfun import arctan_integral
 from .specfun import base_constants, c_coeffs, j0_lowbias, log_i0_derivs
 from .zerodata import TailStats, ZeroDataError, _exact_sum, resolve_table
+from .zerodata import _SUFFIX_ORDERS
 
 __all__ = [
     "AccuracyWarning",
@@ -94,31 +94,20 @@ _POWERS = np.maximum(2 * np.arange(1, _SERIES_TERMS + 1)
                      - np.arange(6)[:, None], 0)
 
 # phat_prefix sums the kernel factors with z <= _FAR_Z from the log-J0
-# series, truncated after at most _FAR_TERMS terms. Its terms fall like
-# (z/j1)^(2k)/k, so a higher split trades long-double J0 calls, one per
-# near factor, for power sums, up to one per term and far zero. At 1.4
-# the solves at u = 1500 to 2999 of the deep_cutoff benchmark make 42%
-# of the J0 calls they make at 0.7. With the depth per zero and the
-# lattice stopped at the kernel bound, passes at seed 7 (the median of
-# ten processes of five passes each, splits interleaved, on a 2-core VM)
-# took deep_cutoff 30.2 ms at 1.4 (56 terms), 29.4 ms at 1.2 (44),
-# 28.7 ms at 1.6 (74) and 30.0 ms at 1.0 (35), within their spread, and
-# races 51.2 ms at 1.4 against 56.8 to 58.4 ms at the others.
-# At z = _FAR_Z the dropped part is 4.3e-29 per factor, below _FAR_DROP,
-# so below 1e-21 for rows of up to ten million far zeros; a factor with
-# a smaller z keeps only the terms that hold its dropped part below
-# _FAR_DROP (_far_thresholds).
+# series, cut after _FAR_TERMS orders; its terms fall like (z/j1)^(2k)/k,
+# so a higher split trades near-zone J0 calls for orders. When the far
+# zone summed each far zero's powers per call, deep_cutoff passes took
+# 28.7 to 30.2 ms at splits 1.0 to 1.6, and races 51.2 ms at 1.4 against
+# 56.8 to 58.4 ms at the others (seed 7, 2-core VM). The split stays at
+# 1.4 until it is timed over the suffix sums. At z = _FAR_Z the series
+# drops 4.3e-29 per factor.
 _FAR_Z = 1.4
-_FAR_TERMS = 56
-_FAR_DROP = 7e-29
+_FAR_TERMS = _SUFFIX_ORDERS - 1
 
-# the far zone's segments double from this many zeros. Timed against the
-# far zone that built all _FAR_TERMS powers of every far zero, over the
-# calls of one pass at seed 5: at 64 the races solves (17 to 155 zeros)
-# took 1.06 to 1.16 times as long, as those past 64 zeros need a second
-# segment, at 128 0.92 and at 256 0.86 to 0.94; deep_cutoff took 0.37
-# to 0.44 times as long at all three
-_FAR_SEGMENT = 128
+# the ratio of consecutive log-J0 terms rises towards (z/j1)^2 < this
+# for every far factor (2.4048 < j1), so |a_57| q^57 W_57 / (1 - r) bounds
+# what the series drops over a row's far factors
+_FAR_RATIO = (_FAR_Z / 2.4048) ** 2
 
 # log J0(_FAR_Z), rounded toward zero: no factor with z at or above
 # _FAR_Z is larger in size, as J0 falls monotonically to its first
@@ -127,7 +116,7 @@ _LOG_J0_FAR_Z = -0.5676515275271513
 
 # phat_prefix evaluates the near factors in blocks of consecutive rows
 # holding at most this many factors over all characters. Unblocked, the
-# near factors of one mod 4 solve at u = 2999 form a single block of
+# near factors of one mod 4 solve at u = 2999 formed a single block of
 # 87,911, and the deep_cutoff benchmark's peak RSS rose from 60.1 MB to
 # 65.7 MB; with blocks of 2^14 factors it read 60.4 MB.
 _NEAR_BLOCK = 1 << 14
@@ -165,42 +154,33 @@ def _radius_error(what: float, wall: float, u: float, label: str = "") -> Conver
 
 # ----------------------------------------------------------------- Fourier side
 
-def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
-    """Products of explicit-zero kernel factors J0(2*alpha*w/sqrt(1/4+g^2)),
-    one for each frequency w in omegas.
+def phat_prefix(omegas, race: RaceSpec) -> np.ndarray:
+    """The characteristic function at each frequency w in omegas: the
+    product of the kernel factors J0(2*alpha*w/sqrt(1/4+g^2)) over every
+    zero of every character, tabulated or past its table's end.
 
-    Each product runs over every table zero at or below u. Merged
-    conjugate-pair tables already list both members' ordinates, so no
-    multiplicity factor appears. The tables are resolved and checked for
-    coverage once per call, so pass every frequency of a solve at once.
+    Merged conjugate-pair tables already list both members' ordinates,
+    so no multiplicity factor appears. Pass every frequency of a solve
+    at once: the tables are resolved once per call.
 
     Every row splits at z = _FAR_Z, where z = t/sqrt(1/4+g^2) with
-    t = 2*alpha*w falls as g grows. The far zeros (z at or below the
-    split, the high ordinates) enter through log J0(z) = sum_k a_k
-    (z^2/4)^k, which for row w is sum_k a_k (t^2/4)^k S_k with S_k the
-    sum of (1/4+g^2)^(-k) over the far zeros. Each far zero keeps only
-    the orders its row needs there: the fewest whose dropped tail is at
-    most _FAR_DROP per factor, _FAR_TERMS at z = _FAR_Z and a handful
-    for the highest zeros of a low frequency. The zeros fall into
-    segments on a grid that doubles from _FAR_SEGMENT zeros and depends
-    on their number alone; a row takes in each segment the depth of the
-    segment's first zero. Per character, each segment's power sums are
-    built once per call, to the deepest order any row takes there, and
-    freed before the near factors are evaluated. No frequency-by-zero
-    block is ever formed. Both zones take the same t, so a factor has
-    one argument whichever zone it falls in.
+    t = 2*alpha*w falls as g grows. The near zeros (z above the split,
+    the low ordinates) enter as explicit j0_lowbias factors. Every zero
+    past them, to the table end and beyond it, enters through log J0(z) =
+    sum_k a_k (z^2/4)^k, which for row w is sum_k a_k (t^2/4)^k W_k with
+    W_k the table's suffix sum of (1/4+g^2)^(-k) from the split on
+    (zerodata._SuffixSums), cut after _FAR_TERMS orders. No cutoff u
+    enters, so a row depends on its own frequency alone: each row equals,
+    bit for bit, what phat_prefix([w]) gives for its w. A row whose split
+    reaches its table's end raises ZeroDataError, which names the table
+    and the frequency; past the last zero the series would meet factors
+    with z above _FAR_Z.
 
-    A row's value depends on its own frequency alone, not on the others
-    in the call: the depths follow that row's z, and every sum is grouped
-    by the grid and added in a fixed order. So each row equals, bit for
-    bit, what phat_prefix([w]) gives for its w.
-
-    The near zeros enter as explicit j0_lowbias factors. Each row keeps
-    a prefix of each character's zeros, so the near factors form a
-    ragged block. Consecutive rows are grouped into blocks of at most
-    _NEAR_BLOCK factors over all characters (a longer row is a block of
-    its own). Each block is flattened into one j0_lowbias call over
-    all characters, and reduced row by row with segment reductions.
+    The near factors of each row are a prefix of each character's zeros,
+    so they form a ragged block. Consecutive rows are grouped into blocks
+    of at most _NEAR_BLOCK factors over all characters (a longer row is a
+    block of its own). Each block is flattened into one j0_lowbias call
+    over all characters, and reduced row by row with segment reductions.
 
     Both parts stay unbiased in extended precision. The lattice sums
     downstream cancel to a few parts in 1e6 of their largest term, so a
@@ -219,24 +199,41 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
     (3.4e-4932). A row below the double range rounds to a signed zero,
     as a sum of logs would give it too, and a zero factor gives 0.
     """
-    u = float(u)
-    if u < 0.0:
-        raise ValueError("cutoff u must be nonnegative")
+    return _phat_rows(omegas, race)[0]
+
+
+def _phat_rows(omegas, race: RaceSpec):
+    # phat_prefix's rows, and per row a bound on what cutting the series
+    # after _FAR_TERMS orders drops from the log: every dropped term is
+    # negative and the term ratios stay below _FAR_RATIO, so that is at
+    # most |a_57| q^57 W_57 / (1 - _FAR_RATIO)
     ws = np.asarray(omegas, dtype=float).ravel()
     far = np.zeros(ws.size, dtype=np.longdouble)
+    drop = np.zeros(ws.size, dtype=np.longdouble)
+    coeffs = _log_j0_coeffs(_SUFFIX_ORDERS)[:, None]
     near = []
-    for entry, g in zip(race.characters, _explicit_zeros(race, u)):
-        gl = g.astype(np.longdouble)
-        den2 = 0.25 + gl * gl
-        den = np.sqrt(den2)
+    for entry in race.characters:
+        table = resolve_table(entry)
+        sums = table._suffix_sums
         # every factor of row i is J0(t[i] / den), in both zones, with
         # t = 2*alpha*w formed in extended precision: rounded to double,
         # one argument error would be shared by every factor of a row
         t = np.longdouble(2.0 * entry.alpha) * ws
-        # zeros before split[i] have z above _FAR_Z in row i
-        split = np.searchsorted(den, np.abs(t).astype(float) / _FAR_Z)
-        near.append((t, den, split))
-        far += _far_logs(t, den2, split)
+        # zeros before split[i] have z above _FAR_Z in row i, the split
+        # taken as _prefix_log_bound and _reach_error take it
+        split = sums.split(2.0 * entry.alpha * np.abs(ws) / _FAR_Z)
+        if split.size and split.max() == len(table):
+            raise _reach_error(race, ws[split == len(table)][0])
+        # a_k q^k W_k for every order, q = t^2/4; the terms are all
+        # negative, and accumulate adds them in order whatever the number
+        # of rows
+        q = 0.25 * np.square(t)
+        terms = np.multiply.accumulate(
+            np.broadcast_to(q, (_SUFFIX_ORDERS, q.size)), axis=0)
+        terms *= coeffs * sums.columns(split)
+        near.append((t, sums.den, split))
+        far += np.add.accumulate(terms[:-1], axis=0)[-1]
+        drop -= terms[-1]
     out = np.exp(far)
     sizes = sum(split for _, _, split in near)
     ends = np.cumsum(sizes)
@@ -246,118 +243,66 @@ def phat_prefix(omegas, race: RaceSpec, u: float) -> np.ndarray:
             ends, ends[start] - sizes[start] + _NEAR_BLOCK, side="right")))
         _near_block(out, near, start, stop)
         start = stop
-    return out.astype(float)
+    return out.astype(float), (drop / (1.0 - _FAR_RATIO)).astype(float)
 
 
-def _prefix_log_bound(omegas, race: RaceSpec, u: float) -> np.ndarray:
+def _reach_error(race: RaceSpec, w: float) -> ZeroDataError:
+    # the refusal of a row whose split passes a table's last zero, naming
+    # the first such table and the frequency
+    for entry in race.characters:
+        table = resolve_table(entry)
+        x = 2.0 * entry.alpha * abs(w) / _FAR_Z
+        if table._suffix_sums.split(x) == len(table):
+            break
+    return ZeroDataError(
+        f"{entry.label}: zero table ends at {table.last_zero:.6g}, but the "
+        f"frequency w = {w:.6g} treats the zeros up to about {x:.6g} "
+        f"explicitly")
+
+
+def _prefix_log_bound(omegas, race: RaceSpec) -> np.ndarray:
     # an upper bound on log|phat_prefix(w)| at each w, summed over the
-    # characters, that never rises as |w| grows. Each factor with z above
-    # _FAR_Z gives at most _LOG_J0_FAR_Z; each factor with z at or below
-    # it gives at most -z^2/4, as log J0 = sum_k a_k (z^2/4)^k has a_1 = -1
-    # and every a_k < 0. Both parts fall as z grows, and a zero only moves
-    # from the far part (at least -_FAR_Z^2/4 = -0.49) to the near one.
-    # Summed in double precision: a few ulps per term, and a z within
-    # rounding of _FAR_Z may take the wrong side of the split;
-    # rs_method._BOUND_MARGIN covers both where the lattice stops
+    # characters, that never rises as |w| grows while every table covers
+    # the row: +inf (no bound) from the first w whose split reaches a
+    # table's end. Each factor with z above _FAR_Z gives at most
+    # _LOG_J0_FAR_Z; each factor with z at or below it gives at most
+    # -z^2/4, as log J0 = sum_k a_k (z^2/4)^k has a_1 = -1 and every
+    # a_k < 0, and those sum to -(t^2/4) W_1 from the split on. Both
+    # parts fall as z grows, and a zero only moves from the far part (at
+    # least -_FAR_Z^2/4 = -0.49) to the near one. Summed in double
+    # precision: a few ulps per term, and a z within rounding of _FAR_Z
+    # may take the wrong side of the split; rs_method._BOUND_MARGIN
+    # covers both where the lattice stops
     ws = np.abs(np.asarray(omegas, dtype=float).ravel())
     out = np.zeros(ws.size)
-    for entry, g in zip(race.characters, _explicit_zeros(race, u)):
-        den2 = 0.25 + g * g
+    for entry in race.characters:
+        table = resolve_table(entry)
+        sums = table._suffix_sums
         t = 2.0 * entry.alpha * ws
-        # zeros before split[i] have z above _FAR_Z in row i; S1[j] sums
-        # 1/den2 over the zeros from j on, S1[g.size] = 0
-        split = np.searchsorted(np.sqrt(den2), t / _FAR_Z)
-        S1 = np.zeros(g.size + 1)
-        S1[:-1] = np.cumsum((1.0 / den2)[::-1])[::-1]
-        out += split * _LOG_J0_FAR_Z - 0.25 * t * t * S1[split]
+        split = sums.split(t / _FAR_Z)
+        end = split == len(table)
+        split[end] = 0
+        out += np.where(end, np.inf, split * _LOG_J0_FAR_Z
+                        - 0.25 * t * t * sums.w1(split))
     return out
 
 
-@lru_cache(maxsize=1)
-def _far_thresholds() -> np.ndarray:
-    # q_K for K = 1.._FAR_TERMS-1, rising: at q = z^2/4 <= q_K the series
-    # cut after K terms drops at most _FAR_DROP, by the bound
-    # |a_(K+1)| q^(K+1) / (1 - r), r = (_FAR_Z/2.4048)^2, as the term
-    # ratios rise towards (z/j1)^2 < r. Each is the double below the
-    # largest that meets the bound in exact arithmetic, so at least an
-    # ulp under it: more than q/den2 in extended precision can be off,
-    # and a q within rounding of q_K takes the deeper order
-    r = Fraction(_FAR_Z) ** 2 / Fraction("2.4048") ** 2
-    bound = Fraction(str(_FAR_DROP)) * (1 - r)
-    out = []
-    for k, a in enumerate(_log_j0_fracs(_FAR_TERMS)[1:], start=2):
-        q = math.exp((math.log(bound) - math.log(-a)) / k)
-        while -a * Fraction(q) ** k > bound:
-            q = math.nextafter(q, 0.0)
-        out.append(math.nextafter(q, 0.0))
-    out = np.array(out)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=64)
-def _far_grid(n: int) -> np.ndarray:
-    # the first zero of each far-zone segment, doubling from _FAR_SEGMENT,
-    # then n
-    cuts, cut = [0], _FAR_SEGMENT
-    while cut < n:
-        cuts.append(cut)
-        cut *= 2
-    out = np.array(cuts + [n])
-    out.setflags(write=False)
-    return out
-
-
-def _far_logs(t, den2, split) -> np.ndarray:
-    # row i: the log of the product of J0(t[i] / den) over the zeros
-    # from split[i] on, sum_k a_k q_i^k W_k with q = t^2/4 and W_k the sum
-    # of den2^(-k) over the zeros that need order k in row i. The zeros
-    # fall into the segments of _far_grid(n), and row i takes orders
-    # 1..dep[i, s] in segment s, by the largest q_i / den2 there. Every
-    # sum is grouped by that grid, so a row's value does not depend on
-    # the other rows of the call
-    n = den2.size
-    lo = int(split.min(initial=n))
-    if lo == n:
-        return np.zeros(t.size, dtype=np.longdouble)
-    q = 0.25 * np.square(t)
-    grid = _far_grid(n)
-    S = grid.size - 1
-    # start[i]: the segment holding row i's split
-    start = np.searchsorted(grid[1:], split, side="right")
-    dep = 1 + np.searchsorted(_far_thresholds(), q[:, None] / den2[grid[:-1]])
-    dep[np.arange(S) < start[:, None]] = 0
-    reach = dep.max(axis=0)
-    K = int(reach.max())
-    orders = np.arange(K)[:, None]
-    # C[k, j - lo]: the sum of den2^(-k-1) from zero j to the end of its
-    # segment, over the segments that hold a split; T[k, s]: the total of
-    # segment s, past the lowest. Each built for the orders rows take
-    bottom, top = int(start.min()), int(start[start < S].max())
-    C = np.zeros((K, grid[top + 1] - lo), dtype=np.longdouble)
-    T = np.zeros((K, S), dtype=np.longdouble)
-    for s in range(bottom, S):
-        a, b = max(int(grid[s]), lo), int(grid[s + 1])
-        block = C[:reach[s], a - lo:b - lo] if s <= top else \
-            np.empty((reach[s], b - a), dtype=np.longdouble)
-        np.multiply.accumulate(np.broadcast_to(1.0 / den2[a:b], block.shape),
-                               axis=0, out=block)
-        if s > bottom:
-            T[:reach[s], s] = block.sum(axis=1)
-        if s <= top:
-            block = block[:, ::-1]
-            np.add.accumulate(block, axis=1, out=block)
-    # a row's own segment from its split, then the totals of the later
-    # segments it reaches, from the top down
-    W = np.where(dep[np.arange(t.size), np.minimum(start, S - 1)] > orders,
-                 C[:, np.minimum(split - lo, C.shape[1] - 1)], 0.0)
-    for s in range(S - 1, bottom, -1):
-        W += np.where((dep[:, s] > orders) & (start < s), T[:, s, None], 0.0)
-    # every term a_k q^k W_k is negative, so the sum over orders cancels
-    # nothing; accumulate adds them in order whatever the number of rows
-    terms = np.multiply.accumulate(np.broadcast_to(q, (K, q.size)), axis=0)
-    terms *= _log_j0_coeffs(_FAR_TERMS)[:K, None] * W
-    return np.add.accumulate(terms, axis=0)[-1]
+def _near_envelope(omega: float, race: RaceSpec) -> tuple[int, float]:
+    # the zeros whose factors are near at omega, N over all characters,
+    # and the log of the product of sqrt(2/(pi z)) over them. As
+    # x M0(x)^2 rises to 2/pi, |J0(x)| <= sqrt(2/(pi x)) for x > 0, and
+    # these zeros stay near at every larger frequency, where z grows in
+    # proportion; every other factor is at most 1 in size. So for
+    # w >= omega, |phat(w)| <= exp(log) (omega/w)^(N/2)
+    count, log = 0, 0.0
+    for entry in race.characters:
+        table = resolve_table(entry)
+        t = 2.0 * entry.alpha * abs(omega)
+        g = table.gammas[:int(table._suffix_sums.split(t / _FAR_Z))]
+        count += g.size
+        log += 0.5 * float(np.sum(np.log(
+            2.0 * np.sqrt(0.25 + g * g) / (math.pi * t))))
+    return count, log
 
 
 def _near_block(out, near, lo, hi) -> None:
@@ -379,9 +324,9 @@ def _near_block(out, near, lo, hi) -> None:
 
 
 def _explicit_zeros(race: RaceSpec, u: float) -> list:
-    # each character's table ordinates at or below u, in race order; a
-    # cutoff a few mean gaps past the final listed zero cannot hide a
-    # missing zero, anything further out could
+    # l0_full's explicit zeros: each character's table ordinates at or
+    # below u, in race order; a cutoff a few mean gaps past the final
+    # listed zero cannot hide a missing zero, anything further out could
     out = []
     for entry in race.characters:
         table = resolve_table(entry)

@@ -9,7 +9,9 @@ those lists, evaluates the inverse-power sums
 with an analytic continuation past the end of each table, and aggregates
 them across the characters of a race into the moment data (B_k, R_k,
 sigma_u, convergence radius T, explicit span S) that the Fourier and
-cumulant (saddle-point) layers consume.
+cumulant (saddle-point) layers consume. For the Fourier route's log-J0
+series each table also carries, built on first use, the same sums from
+every zero on (_SuffixSums).
 
 Tables for conjugate character pairs are merged: one file holds both
 members' ordinates ascending, with weight = 2 recorded in the header.
@@ -132,6 +134,12 @@ class ZeroTable:
         # k -> doubles whose exact sum is that of (1/4 + gamma^2)^(-k)
         # over every ordinate, filled in by _full_power_sum on first use
         return {}
+
+    @cached_property
+    def _suffix_sums(self) -> _SuffixSums:
+        # the Fourier route's sums over the zeros from each one on, built
+        # on first use rather than at load
+        return _SuffixSums(self)
 
     @cached_property
     def span_fit(self) -> tuple[float, int]:
@@ -300,11 +308,102 @@ def _tail_bk(table: ZeroTable, u: float, k: int) -> float:
     else:
         tail_g = g[n_head:]
         tabulated = _exact_sum((0.25 + tail_g * tail_g) ** (-k))
-    ueff = max(u, U)
+    return tabulated + _past_table(table, max(u, U), k)
+
+
+def _past_table(table: ZeroTable, ueff, k: int):
+    # b_k's analytic continuation past ueff, at or beyond the table end:
+    # the smooth zero density's integral of gamma^(-2k); ueff may be long
     y = math.log(table.qstar * ueff / _TWO_PI)
     m = 2 * k - 1
-    tail = table.weight * (y + 1.0 / m) / (2.0 * m * math.pi * ueff ** m)
-    return tabulated + tail
+    return table.weight * (y + 1.0 / m) / (2.0 * m * math.pi * ueff ** m)
+
+
+# the Fourier route's log-J0 series takes 56 orders and the 57th bounds
+# what it drops; the suffix sums are formed per chunk of 256 zeros
+_SUFFIX_ORDERS = 57
+_SUFFIX_CHUNK = 256
+
+
+class _SuffixSums:
+    """W_k(i) = sum over j >= i of (1/4 + gamma_j^2)^(-k), k = 1..57, over
+    the tabulated zeros from the i-th on, plus b_k's analytic
+    continuation past the table end (_past_table); W_1 is b1_total less
+    the head sum where the table carries b1_total, as _tail_bk takes it.
+    Summed in extended precision a chunk at a time: construction keeps
+    the per-order totals from each chunk on, and W_1 in double (w1), the
+    columns of every order and sqrt(1/4 + gamma^2) (den) are built only
+    up to the highest index a caller reaches. A chunk's values follow
+    from its own zeros and the totals at its ends, so their bits do not
+    depend on which calls came before. No 57-by-n array is ever formed.
+    """
+
+    def __init__(self, table: ZeroTable):
+        self._table = table
+        chunks = -(-len(table) // _SUFFIX_CHUNK)
+        # _tops[:, s]: the sums from the first zero of chunk s on
+        self._tops = np.empty((_SUFFIX_ORDERS, chunks + 1), dtype=np.longdouble)
+        self._tops[:, chunks] = [
+            _past_table(table, np.longdouble(table.last_zero), k)
+            for k in range(1, _SUFFIX_ORDERS + 1)]
+        heads = np.zeros(chunks + 1, dtype=np.longdouble)
+        for s in range(chunks - 1, -1, -1):
+            totals = self._powers(1.0 / self._den2(s)).sum(axis=1)
+            self._tops[:, s] = self._tops[:, s + 1] + totals
+            heads[s + 1] = totals[0]
+        # W_1 at the first zero of each chunk
+        self._starts = self._tops[0] if table.b1_total is None \
+            else np.longdouble(table.b1_total) - np.cumsum(heads)
+        self._w1 = np.empty(0)
+        self._cols = np.empty((_SUFFIX_ORDERS, 0), dtype=np.longdouble)
+        self.den = np.empty(0, dtype=np.longdouble)
+
+    def _den2(self, s: int) -> np.ndarray:
+        g = self._table.gammas[s * _SUFFIX_CHUNK:(s + 1) * _SUFFIX_CHUNK]
+        return 0.25 + np.square(g.astype(np.longdouble))
+
+    @staticmethod
+    def _powers(inv: np.ndarray) -> np.ndarray:
+        # inv^k, orders k = 1..57 down the rows
+        return np.multiply.accumulate(
+            np.broadcast_to(inv, (_SUFFIX_ORDERS, inv.size)), axis=0)
+
+    def _w1_chunk(self, s: int, den2: np.ndarray) -> np.ndarray:
+        # extended W_1 at the zeros of chunk s
+        return self._starts[s] - np.concatenate(
+            ([0.0], np.cumsum(1.0 / den2[:-1])))
+
+    def split(self, x) -> np.ndarray:
+        """How many zeros have sqrt(1/4 + gamma^2) below each x."""
+        x = np.asarray(x, dtype=float)
+        return np.searchsorted(self._table.gammas,
+                               np.sqrt(np.maximum(x * x - 0.25, 0.0)))
+
+    def w1(self, i: np.ndarray) -> np.ndarray:
+        """W_1(i[r]) in double, every index below the zero count."""
+        while self._w1.size <= int(i.max(initial=-1)):
+            s = self._w1.size // _SUFFIX_CHUNK
+            self._w1 = np.concatenate(
+                (self._w1, self._w1_chunk(s, self._den2(s)).astype(float)))
+        return self._w1[i]
+
+    def columns(self, i: np.ndarray) -> np.ndarray:
+        """W_k(i[r]) for k = 1..57 (rows) at each index (columns), every
+        index below the zero count; den then reaches past every index."""
+        top = int(i.max(initial=-1))
+        while (c := self._cols.shape[1]) <= top:
+            s, j = divmod(c, _SUFFIX_CHUNK)
+            den2 = self._den2(s)
+            stop = min(top + 1 - c, den2.size - j)
+            # summed from the chunk's last zero down, in place, then added
+            # to the totals past the chunk
+            p = self._powers(1.0 / den2[j:])
+            np.add.accumulate(p[:, ::-1], axis=1, out=p[:, ::-1])
+            col = p[:, :stop] + self._tops[:, s + 1, None]
+            col[0] = self._w1_chunk(s, den2)[j:j + stop]
+            self._cols = np.concatenate((self._cols, col), axis=1)
+            self.den = np.concatenate((self.den, np.sqrt(den2[j:j + stop])))
+        return self._cols[:, i]
 
 
 def _full_power_sum(table: ZeroTable, k: int) -> list[float]:

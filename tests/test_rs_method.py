@@ -28,7 +28,6 @@ from racedensity import zerodata as zd
 from racedensity.race import (
     prime_count_race, race_from_config, square_race, two_way_race,
 )
-from racedensity.specfun import c_coeffs
 from racedensity.zerodata import aggregate_stats, bundled_table, montgomery_bound
 
 REFINED_E1 = 2.629967324e-7
@@ -44,72 +43,53 @@ def zeta_table():
     return bundled_table("zeta")
 
 
-def tail_oracle(omega, stats, K):
-    # the tail factor's exponent sum_{k<=K} c_k R_k tau^(2k) and its
-    # per-term error estimate c_K R_K tau^(2K+2) / (T^2 - tau^2) at one
-    # frequency inside the radius, tau = sigma_u*omega, summed by fsum
-    c = c_coeffs(K)
-    tau = stats.sigma_u * omega
-    exponent = math.fsum(c[k - 1] * stats.R[k - 1] * tau ** (2 * k)
-                         for k in range(1, K + 1))
-    error = c[K - 1] * stats.R[K - 1] * tau ** (2 * K + 2) \
-        / (stats.T * stats.T - tau * tau)
-    return exponent, error
-
-
-def ceiling_oracle(stats, K, domega):
-    # where the lattice stops: half a step below the first lattice point
-    # whose tail exponent reaches 46, or the radius end when none inside
-    # it does
-    m = 1
-    while stats.sigma_u * (m * domega) < stats.T:
-        if tail_oracle(m * domega, stats, K)[0] >= 46.0:
-            return (m - 0.5) * domega
-        m += 1
-    return stats.T / stats.sigma_u
-
-
-def prefix_bound_oracle(race, u, omega):
-    # transforms._prefix_log_bound at one frequency, zero by zero: log J0
-    # at the split for a factor with z above it, -z^2/4 for the others
+def prefix_bound_oracle(race, omega):
+    # transforms._prefix_log_bound at one frequency, zero by zero over
+    # every tabulated zero: log J0 at the split for a factor with z above
+    # it, -z^2/4 for the others; past the table end, -t^2/4 times what
+    # b1_total leaves of b_1 after the tabulated zeros
     parts = []
     for entry in race.characters:
+        table = zd.resolve_table(entry)
         t = 2.0 * entry.alpha * abs(omega)
-        for g in zd.resolve_table(entry).gammas.tolist():
-            if g > u:
-                break
-            den = math.sqrt(0.25 + g * g)
-            parts.append(tr._LOG_J0_FAR_Z if den < t / tr._FAR_Z
-                         else -0.25 * (t / den) ** 2)
+        den2 = 0.25 + table.gammas * table.gammas
+        parts += np.where(np.sqrt(den2) < t / tr._FAR_Z, tr._LOG_J0_FAR_Z,
+                          -0.25 * t * t / den2).tolist()
+        parts.append(-0.25 * t * t * (
+            table.b1_total - math.fsum((1.0 / den2).tolist())))
     return math.fsum(parts)
 
 
-def stop_oracle(race, stats, K, domega):
-    # the lattice frequencies below the tail-factor ceiling, and the
-    # prefix of them the samples keep: those before the first one where
-    # the bound on log|phat|, kernel bound less tail exponent, is at
-    # most -46 (less the rounding margin)
-    C = ceiling_oracle(stats, K, domega)
-    below = [m * domega for m in range(1, int(C / domega) + 2)
-             if m * domega < C]
-    for i, w in enumerate(below):
-        if prefix_bound_oracle(race, stats.u, w) \
-                - tail_oracle(w, stats, K)[0] <= -(46.0 + rs._BOUND_MARGIN):
-            return below, below[:i]
-    return below, below
+def stop_oracle(race, domega):
+    # the lattice frequencies the samples keep: those before the first
+    # one where the bound on log|phat| is at most -46 (less the rounding
+    # margin)
+    kept = []
+    while prefix_bound_oracle(race, (len(kept) + 1) * domega) \
+            > -(46.0 + rs._BOUND_MARGIN):
+        kept.append((len(kept) + 1) * domega)
+    return kept
+
+
+def reach(race):
+    # the largest frequency every table covers: past it a row's split
+    # would pass a table's last zero
+    return min(tr._FAR_Z * math.sqrt(0.25 + zd.resolve_table(e).last_zero ** 2)
+               / (2.0 * e.alpha) for e in race.characters)
 
 
 @pytest.fixture(scope="module")
 def run25(zeta_race, zeta_table):
-    # 25 explicit zeros, order-7 tail: the workhorse configuration
+    # 25 explicit zeros in the tail statistics, step pi/2: the workhorse
+    # configuration
     u = float(zeta_table.gammas[24])
     stats = aggregate_stats(zeta_race, u, Kmax=8)
-    params = forced_params(stats, 7, math.pi / 2)
+    params = forced_params(stats, math.pi / 2)
     return stats, params
 
 
-def forced_params(stats, K, domega, v_max=3.0):
-    return rs.RSParams(K=K, domega=domega, v_max=v_max)
+def forced_params(stats, domega, v_max=3.0):
+    return rs.RSParams(domega=domega, v_max=v_max)
 
 
 PUBLISHED_RACES = {
@@ -123,10 +103,12 @@ PUBLISHED_RACES = {
 # ------------------------------------------------------------- published runs
 
 def test_worked_example_partial_sums(zeta_race):
-    # five explicit zeros, order 7, step pi/2: the printed running sums
-    # for E(1), eleven decimals each
+    # the printed running sums for E(1) at step pi/2, eleven decimals
+    # each. They were printed from five explicit zeros and an order-7
+    # tail series; every sample now holds every zero, and each running
+    # sum still lands within 2e-11 of the printed one
     stats = aggregate_stats(zeta_race, 35.0, Kmax=7)
-    params = forced_params(stats, 7, math.pi / 2)
+    params = forced_params(stats, math.pi / 2)
     samples = rs.phat_samples(zeta_race, params, stats)
     printed = {
         1: -0.05066067594, 3: 0.01256921934, 5: -0.00215114117,
@@ -146,9 +128,12 @@ def test_worked_example_partial_sums(zeta_race):
     result = rs.compute_E(1.0, zeta_race, params, stats=stats)
     assert result.e == pytest.approx(partial, rel=1e-12)
     assert result.e == pytest.approx(2.6300e-7, abs=5e-11)
-    # the estimate must cover the truncation-driven distance from the
-    # refined value while staying at the claimed 1e-11 level
-    assert abs(result.e - REFINED_E1) < result.error_estimate < 1e-11
+    # no order or cutoff is truncated any more, so the value is the
+    # refined one to the 1e-15 that test_refined_value_and_cutoff_
+    # independence reads it at (the printed ten digits lie 3.3e-16 off),
+    # and the estimate stays at the claimed 1e-11 level
+    assert result.e == pytest.approx(REFINED_E1, abs=1e-15)
+    assert result.error_estimate < 1e-11
 
 
 def test_refined_value_and_cutoff_independence(zeta_race, zeta_table):
@@ -157,7 +142,7 @@ def test_refined_value_and_cutoff_independence(zeta_race, zeta_table):
         for n, K in ((10, 10), (25, 7), (50, 5), (100, 4)):
             u = float(zeta_table.gammas[n - 1])
             stats = aggregate_stats(zeta_race, u, Kmax=max(K, 2))
-            params = forced_params(stats, K, domega)
+            params = forced_params(stats, domega)
             values.append(rs.compute_E(1.0, zeta_race, params, stats=stats).e)
     assert max(values) - min(values) < 1e-15
     for v in values:
@@ -168,32 +153,30 @@ def test_refined_value_and_cutoff_independence(zeta_race, zeta_table):
 def test_step_independence(zeta_race, run25):
     stats, _ = run25
     values = [
-        rs.compute_E(1.0, zeta_race, forced_params(stats, 7, w), stats=stats).e
+        rs.compute_E(1.0, zeta_race, forced_params(stats, w), stats=stats).e
         for w in (math.pi / 2, math.pi / 3, 0.4)]
     assert max(values) - min(values) < 1e-14
 
 
-@pytest.mark.parametrize("K, domega", [(7, math.pi / 2), (7, math.pi / 3),
+@pytest.mark.parametrize("n, domega", [(7, math.pi / 2), (7, math.pi / 3),
                                         (3, math.pi / 2), (1, 0.4)])
-def test_samples_stop_at_ceiling(zeta_race, run25, K, domega):
-    # the samples are the lattice points below the tail-factor ceiling,
-    # cut at the first one whose bound on |phat| is at most e^-46. With
-    # 25 zeros the kernel bound takes at least 14 off the log, so the
-    # cut comes before the ceiling
-    stats, _ = run25
-    samples = rs.phat_samples(zeta_race, forced_params(stats, K, domega),
-                              stats)
-    below, kept = stop_oracle(zeta_race, stats, K, domega)
-    assert len(kept) < len(below)
+def test_samples_stop_at_ceiling(zeta_race, zeta_table, n, domega):
+    # the samples are the lattice points before the first one whose bound
+    # on |phat| is at most e^-46, over every zero, whatever the cutoff of
+    # the tail statistics: here n zeros lie below it
+    g = zeta_table.gammas
+    stats = aggregate_stats(zeta_race, float(0.5 * (g[n - 1] + g[n])))
+    samples = rs.phat_samples(zeta_race, forced_params(stats, domega), stats)
+    kept = stop_oracle(zeta_race, domega)
     assert [s.omega for s in samples] == kept
     assert [s.m for s in samples] == list(range(1, len(kept) + 1))
 
 
 def _solve_params(race, stats):
-    # race_result's step and order, with v_max at the race offset
+    # race_result's step, with v_max at the race offset
     v = abs(race.offset)
     params = rs.race_result(race, stats).params
-    return rs.RSParams(K=params["K"], domega=params["domega"], v_max=v)
+    return rs.RSParams(domega=params["domega"], v_max=v)
 
 
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
@@ -201,41 +184,34 @@ def _solve_params(race, stats):
                                      ("q24 1v5", 140.0)])
 def test_samples_stop_at_kernel_bound(name, u):
     # in a race_result solve the samples stop where the oracle's bound
-    # does, well before the tail-factor ceiling at large cutoffs
+    # does
     race = PUBLISHED_RACES[name]()
     stats = aggregate_stats(race, u)
     params = _solve_params(race, stats)
     samples = rs.phat_samples(race, params, stats)
-    below, kept = stop_oracle(race, stats, params.K, params.domega)
+    kept = stop_oracle(race, params.domega)
     assert [s.omega for s in samples] == kept
     assert rs.race_result(race, stats).params["n_terms"] == len(kept)
-    if u > 1000.0:
-        assert 4 * len(kept) < len(below)
 
 
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 def test_dropped_terms_within_truncation_bound():
-    # the terms the lattice drops inside the radius, summed here from the
-    # kernel product and the scalar tail factor with E's and P0's
-    # weights, stay under the bounds that compute_E and compute_P charge
-    # for them: the six published races at u = 60 and 140, zeta and mod 4
-    # at u = 2999, each at race_result's step and order
+    # the terms the lattice drops, |phat| summed here from phat_prefix
+    # over every point past the stop that the tables cover, with E's and
+    # P0's weights, stay under the bounds that compute_E and compute_P
+    # charge for all of them: the six published races at u = 60 and
+    # 140, zeta and mod 4 at u = 2999, each at race_result's step
     cases = [(name, u) for u in (60.0, 140.0) for name in PUBLISHED_RACES] \
         + [("pi vs Li", 2999.0), ("mod 4", 2999.0)]
-    with_drops = 0
     for name, u in cases:
         race = PUBLISHED_RACES[name]()
         stats = aggregate_stats(race, u)
         params = _solve_params(race, stats)
         n = len(rs.phat_samples(race, params, stats))
-        end = stats.T / stats.sigma_u
         w = params.domega
-        ms = [m for m in range(n + 1, int(end / w) + 2) if m * w < end]
-        omegas = [m * w for m in ms]
-        phats = [abs(p) * math.exp(-tail_oracle(o, stats, params.K)[0])
-                 for o, p in zip(omegas, tr.phat_prefix(omegas, race, u))]
-        bound_e = rs._truncation_bound(n, params, stats, False)
-        bound_p = rs._truncation_bound(n, params, stats, True)
+        ms = list(range(n + 1, min(int(reach(race) / w), 30 * n)))
+        phats = np.abs(tr.phat_prefix([m * w for m in ms], race)).tolist()
+        bound_e, bound_p = rs._truncation_bound(n, race, w)
         for v in (0.5, 1.0, 3.0):
             dropped_e = math.fsum(p * abs(math.sin(m * v * w)) / (math.pi * m)
                                   for m, p in zip(ms, phats))
@@ -244,36 +220,33 @@ def test_dropped_terms_within_truncation_bound():
             assert dropped_e <= bound_e, (name, u, v)
             assert dropped_p <= bound_p, (name, u, v)
         assert bound_e < 1e-19 and bound_p < 1e-16, (name, u)
-        with_drops += len(ms) > 10
-    # every case but pi vs Li at u = 60 drops more than ten points
-    assert with_drops >= len(cases) - 1
+        assert len(ms) > 5 * n, (name, u)
 
 
 def test_truncation_bound_closed_form_covers_sum():
-    # the closed forms stay above the sums over the dropped points
-    # m = n+1..m_hi that they replace, of 1/m for E and of domega for P0,
-    # from the first point on (n = 0) to long lattices. With sigma_u =
-    # domega = 1 and T = m_hi - 1/2, the radius end rounds up to m_hi
-    params = rs.RSParams(K=1, domega=1.0, v_max=1.0)
-    base = aggregate_stats(prime_count_race(), 100.0)
-    scale = math.exp(-46.0) / math.pi
-    for n in (0, 1, 2, 5, 17, 100, 1000):
-        for m_hi in (n + 2, n + 3, 2 * n + 7, 10 * n + 50, 100 * n + 1000):
-            stats = dataclasses.replace(base, sigma_u=1.0, T=m_hi - 0.5)
-            dropped = range(n + 1, m_hi + 1)
-            exact_e = scale * math.fsum(1.0 / m for m in dropped)
-            exact_p = scale * math.fsum(params.domega for _ in dropped)
-            assert rs._truncation_bound(n, params, stats, False) >= exact_e, \
-                (n, m_hi)
-            assert rs._truncation_bound(n, params, stats, True) >= exact_p, \
-                (n, m_hi)
+    # the closed forms past the last bounded point L stay above the sums
+    # they replace, of (L/m)^(N/2) / m for E and of (L/m)^(N/2) for P0
+    # over m > L: checked against the sums to 2^20 points past L plus
+    # the integral from there on, which is below the rest of the sum
+    for last in (1, 2, 5, 17, 100, 1000):
+        for N in (3, 4, 5, 10, 81, 400):
+            m = np.arange(last + 1, last + 2 ** 20 + 1, dtype=float)
+            terms = (last / m) ** (0.5 * N)
+            end = m[-1] + 1.0
+            rest = (last / end) ** (0.5 * N)
+            exact_e = math.fsum((terms / m).tolist()) + rest * 2.0 / N
+            exact_p = math.fsum(terms.tolist()) + rest * end / (0.5 * N - 1.0)
+            tail_e, tail_p = rs._tail_sums(last, N)
+            assert exact_e <= tail_e, (last, N)
+            assert exact_p <= tail_p, (last, N)
+    assert rs._tail_sums(5, 2) == (math.inf, math.inf)
 
 
 def test_hand_params_match_chosen(zeta_race):
     # parameters written by hand hold no ceiling that could disagree with
-    # the tail statistics: 100 zeta zeros, order 6, step pi/2, as chosen
+    # the tail statistics: 100 zeta zeros, step pi/2, as chosen
     stats = aggregate_stats(zeta_race, 100.0)
-    hand = rs.RSParams(K=6, domega=math.pi / 2, v_max=1.0, target=1e-11)
+    hand = rs.RSParams(domega=math.pi / 2, v_max=1.0, target=1e-11)
     chosen = rs.choose_params(1.0, stats, 1e-11, domega=math.pi / 2)
     assert chosen == hand
     result = rs.compute_E(1.0, zeta_race, hand, stats=stats)
@@ -289,7 +262,7 @@ def test_mod4_race_value():
     table = bundled_table("mod4")
     u = float(table.gammas[49])
     stats = aggregate_stats(race, u, Kmax=8)
-    params = forced_params(stats, 5, 1.27, v_max=1.0)
+    params = forced_params(stats, 1.27, v_max=1.0)
     result = rs.compute_E(1.0, race, params, stats=stats)
     # fifteen published digits; the last two ride on the zero data
     assert result.e == pytest.approx(0.004072076720775, abs=1e-13)
@@ -336,7 +309,7 @@ def test_q5_inter_residue_race():
     race = two_way_race(5, 1, 2)
     stats = aggregate_stats(race, 7.0, Kmax=8)
     assert [p.n_zeros for p in stats.per_char] == [2, 1]
-    params = forced_params(stats, 5, 0.83, v_max=1.0)
+    params = forced_params(stats, 0.83, v_max=1.0)
     result = rs.compute_E(1.0, race, params, stats=stats)
     assert result.e == pytest.approx(0.0478254, abs=5e-8)
 
@@ -347,7 +320,7 @@ def test_q13_square_race():
     u = 0.5 * (float(table.gammas[2]) + float(table.gammas[3]))
     stats = aggregate_stats(race, u, Kmax=8)
     assert stats.n_zeros == 3
-    params = forced_params(stats, 5, 0.79, v_max=1.0)
+    params = forced_params(stats, 0.79, v_max=1.0)
     result = rs.compute_E(1.0, race, params, stats=stats)
     assert result.e == pytest.approx(0.0556810, abs=5e-8)
 
@@ -465,10 +438,11 @@ def test_race_result_step_meets_lattice_cutoff(name):
             <= math.exp(-46.0) * (1.0 + 1e-12), u
 
 
-def _search_order_by_order(v_max, stats, target, domega=None):
-    # the parameter search one order at a time: for each K, the ceiling
-    # and the error budget from one scalar tail_oracle per lattice
-    # frequency below it
+def _search_by_hand(v_max, stats, target, domega=None):
+    # the parameter search written out: the step from the Gaussian
+    # exceedance bound at a third of the target, or the caller's step
+    # checked against it. The order search it once held is gone with the
+    # tail factor: every sample holds every zero
     if not 1e-16 < target < 1e-2:
         raise rs.ParameterError(f"target {target:.3g} outside the window")
     slack = target / 3.0
@@ -479,22 +453,9 @@ def _search_order_by_order(v_max, stats, target, domega=None):
     elif domega > domega_max:
         raise rs.ParameterError(
             f"domega = {domega:g} leaves the aliasing bound above "
-            f"{slack:.3g}; at most {domega_max:.6g} is admissible")
-    for K in range(2, len(stats.R) + 1):
-        params = rs.RSParams(K=K, domega=domega, v_max=v_max, target=target)
-        C = ceiling_oracle(stats, K, domega)
-        parts = []
-        m = 1
-        while m * domega < C and stats.sigma_u * (m * domega) < stats.T:
-            exponent, error = tail_oracle(m * domega, stats, K)
-            if math.exp(-exponent) != 0.0:
-                parts.append(math.exp(-exponent) * error / m)
-            m += 1
-        if math.fsum(parts) / math.pi < slack:
-            return params
-    raise rs.ParameterError(
-        f"per-term error stays above {slack:.3g} even at K = "
-        f"{len(stats.R)}; raise the zero cutoff u or the moment depth")
+            f"{slack:.3g}; at most {domega_max * (1.0 - 1e-5):.6g} is "
+            f"admissible")
+    return rs.RSParams(domega=domega, v_max=v_max, target=target)
 
 
 def _outcome(search, *args):
@@ -508,6 +469,8 @@ def _outcome(search, *args):
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.FrozenSpanWarning")
 @pytest.mark.parametrize("name", PUBLISHED_RACES)
 def test_choose_params_matches_order_by_order_search(name):
+    # choose_params against the search by hand, over cutoffs, targets
+    # and steps; with no order left to search, the step is all it picks
     race = PUBLISHED_RACES[name]()
     v_max = abs(race.offset)
     outcomes = []
@@ -517,26 +480,11 @@ def test_choose_params_matches_order_by_order_search(name):
             for domega in (None, STEPS[name]):
                 args = (v_max, stats, target, domega)
                 got = _outcome(rs.choose_params, *args)
-                assert got == _outcome(_search_order_by_order, *args), \
+                assert got == _outcome(_search_by_hand, *args), \
                     (u, target, domega)
                 outcomes.append(isinstance(got, rs.RSParams))
     # most of the grid yields parameters
     assert sum(outcomes) > len(outcomes) // 2, outcomes
-
-
-def test_choose_params_refuses_when_orders_run_out(zeta_race, zeta_table):
-    # ten zeta zeros leave the per-term error above the slack at every
-    # order up to K = 8
-    g = zeta_table.gammas
-    stats = aggregate_stats(zeta_race, float(0.5 * (g[9] + g[10])))
-    domega = math.pi / 2
-    message = ("per-term error stays above 3.33e-12 even at K = 8; "
-               "raise the zero cutoff u or the moment depth")
-    with pytest.raises(rs.ParameterError) as info:
-        rs.choose_params(1.0, stats, 1e-11, domega=domega)
-    assert str(info.value) == message
-    assert _outcome(_search_order_by_order, 1.0, stats, 1e-11, domega) \
-        == message
 
 
 @pytest.mark.parametrize("v_max", [float("nan"), float("inf"), -1.0])
@@ -558,7 +506,7 @@ def test_choose_params_target_window(run25):
 
 def test_aliasing_guard_names_required_step(zeta_race, run25):
     stats, _ = run25
-    params = rs.RSParams(K=7, domega=2.5, v_max=2.0, target=1e-11)
+    params = rs.RSParams(domega=2.5, v_max=2.0, target=1e-11)
     with pytest.raises(rs.ParameterError, match="domega must be at most"):
         rs.compute_E(2.0, zeta_race, params, stats=stats)
     with pytest.raises(rs.ParameterError, match="domega must be at most"):
@@ -639,8 +587,8 @@ def test_samples_of_another_step_refused(zeta_race):
     # frequencies under a small error estimate
     stats = aggregate_stats(zeta_race, 100.0)
     samples = rs.phat_samples(
-        zeta_race, rs.RSParams(K=6, domega=math.pi / 2, v_max=1.0), stats)
-    params = rs.RSParams(K=6, domega=math.pi / 3, v_max=1.0)
+        zeta_race, rs.RSParams(domega=math.pi / 2, v_max=1.0), stats)
+    params = rs.RSParams(domega=math.pi / 3, v_max=1.0)
     for compute in (rs.compute_E, rs.compute_P):
         with pytest.raises(rs.ParameterError,
                            match="rebuild them with these params"):
@@ -648,45 +596,90 @@ def test_samples_of_another_step_refused(zeta_race):
     # a shortened tuple is not the lattice's prefix either
     with pytest.raises(rs.ParameterError, match="rebuild them"):
         rs.compute_E(1.0, zeta_race,
-                     rs.RSParams(K=6, domega=math.pi / 2, v_max=1.0),
+                     rs.RSParams(domega=math.pi / 2, v_max=1.0),
                      stats=stats, samples=samples[1:])
 
 
 def test_invalid_params_rejected():
     with pytest.raises(rs.ParameterError):
-        rs.RSParams(K=7, domega=4.0, v_max=2.0)
-    with pytest.raises(rs.ParameterError):
-        rs.RSParams(K=0, domega=1.0, v_max=2.0)
+        rs.RSParams(domega=4.0, v_max=2.0)
     for domega in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(rs.ParameterError):
-            rs.RSParams(K=7, domega=domega, v_max=2.0)
+            rs.RSParams(domega=domega, v_max=2.0)
     for v_max in (float("nan"), float("inf"), -1.0):
         with pytest.raises(rs.ParameterError, match="v_max must be finite"):
-            rs.RSParams(K=7, domega=1.0, v_max=v_max)
+            rs.RSParams(domega=1.0, v_max=v_max)
 
 
 def test_params_hold_only_the_runs_choices():
+    # the series order is no choice: K reads the fixed 56 and cannot be set
     assert [f.name for f in dataclasses.fields(rs.RSParams)] == [
-        "K", "domega", "v_max", "target"]
+        "domega", "v_max", "target"]
+    params = rs.RSParams(domega=1.0, v_max=1.0)
+    assert params.K == tr._FAR_TERMS == 56
+    with pytest.raises(TypeError):
+        rs.RSParams(K=7, domega=1.0, v_max=1.0)
 
 
 def test_no_convergence_radius_refused(zeta_race):
-    # below the first zero the tail statistics carry a NaN radius; a
-    # lattice mask like tau < T would drop every sample and return a
-    # value built from no terms at all
+    # below the first zero the tail statistics carry a NaN radius. No
+    # solve reads it any more: compute_E, choose_params and race_result
+    # answer there, with the bits they give at u = 100
     stats = aggregate_stats(zeta_race, 1.0)
     assert math.isnan(stats.T)
-    # both refusals are one type with one message, which names the fix
-    params = rs.RSParams(K=4, domega=1.0, v_max=1.0)
-    refusals = []
-    for call in (lambda: rs.compute_E(1.0, zeta_race, params, stats=stats),
-                 lambda: rs.choose_params(1.0, stats, 1e-11)):
-        with pytest.raises(tr.ConvergenceError) as info:
-            call()
-        refusals.append((type(info.value), str(info.value)))
-    assert refusals == [(tr.ConvergenceError,
-                         "tail statistics carry no usable convergence "
-                         "radius; raise the cutoff u")] * 2
+    deep = aggregate_stats(zeta_race, 100.0)
+    params = rs.RSParams(domega=1.0, v_max=1.0)
+    for got, want in (
+            (rs.compute_E(1.0, zeta_race, params, stats=stats),
+             rs.compute_E(1.0, zeta_race, params, stats=deep)),
+            (rs.race_result(zeta_race, stats), rs.race_result(zeta_race, deep))):
+        assert got.e == want.e
+        assert got.e == pytest.approx(REFINED_E1, abs=1e-15)
+    assert rs.choose_params(1.0, stats, 1e-11) \
+        == rs.choose_params(1.0, deep, 1e-11)
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.FrozenSpanWarning")
+@pytest.mark.parametrize("name", PUBLISHED_RACES)
+def test_race_result_independent_of_cutoff(name):
+    # every zero enters each sample whatever the cutoff, so the published
+    # value comes out bit for bit the same at u = 4.352, 60, 200 and 2999,
+    # past some tables' ends too. An order-K tail series past u, with the
+    # lattice clipped at its radius, put q24 1v5 at u = 4.352 (two zeros)
+    # 2.25e-8 off, with an estimate of 4.9e-9
+    race = PUBLISHED_RACES[name]()
+    results = [rs.race_result(race, aggregate_stats(race, u))
+               for u in (4.352, 60.0, 200.0, 2999.0)]
+    assert len({r.e for r in results}) == 1
+    assert len({r.params["n_terms"] for r in results}) == 1
+    for r in results:
+        assert r.error_estimate < 1e-19
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+def test_solve_past_table_end_refused(tmp_path):
+    # a truncated copy of the zeta table: a lattice that needs its rows
+    # split past the last listed zero is refused with the table and the
+    # frequency named, by phat_prefix and by a solve alike
+    table = bundled_table("zeta")
+    path = tmp_path / "zeta20.txt"
+    path.write_text(f"# qstar: 1\n# b1_total: {table.b1_total!r}\n"
+                    + "".join(f"{g!r}\n" for g in table.gammas[:20].tolist()))
+    cfg = tmp_path / "race.cfg"
+    cfg.write_text(f"q = 9\nkind = custom\noffset = 1\n"
+                   f"table.short = {path}\nqstar.short = 1\nalpha.short = 1\n")
+    race = race_from_config(str(cfg))
+    end = float(table.gammas[19])
+    w = tr._FAR_Z * end / 2.0 + 1.0
+    assert tr.phat_prefix([w - 2.0], race).size == 1
+    with pytest.raises(zd.ZeroDataError,
+                       match=rf"short: zero table ends at {end:.6g}, but the "
+                             rf"frequency w = {w:.6g} treats"):
+        tr.phat_prefix([1.0, w], race)
+    stats = aggregate_stats(race, 20.0)
+    with pytest.raises(zd.ZeroDataError, match="short: zero table ends at"):
+        rs.race_result(race, stats)
 
 
 def test_public_names_pinned():

@@ -538,35 +538,30 @@ def test_log_j0_coefficients_rounded_once():
 
 
 def test_log_j0_truncation_bound():
-    # for every order K the far zone may stop at, the terms it drops add
-    # up to at most _FAR_DROP per factor: at each threshold q_K of the
-    # depth rule for K < _FAR_TERMS, and at the far zone's edge
-    # q = _FAR_Z^2/4 for _FAR_TERMS, which the rule must give there. The
-    # ratio of consecutive terms, a_(k+1) q / a_k, rises with k towards
-    # 4q/j1^2: a_k = -(4^k/k) sum_l j_l^(-2k), and the power-sum ratio is
-    # a mean of the j_l^(-2) weighted by j_l^(-2k). So past the exact
-    # window the rest is at most a geometric series with ratio r, checked
-    # here against every ratio inside the window
-    edge = Fraction(tr._FAR_Z) ** 2 / 4
-    thresholds = tr._far_thresholds()
-    assert len(thresholds) == tr._FAR_TERMS - 1
-    qs = [Fraction(x) for x in thresholds] + [edge]
-    assert all(x < y for x, y in zip(qs, qs[1:]))
-    depth = 1 + np.searchsorted(thresholds, [float(x) for x in qs])
-    assert depth.tolist() == list(range(1, tr._FAR_TERMS + 1))
+    # the 56 orders the far zone keeps drop at most 7e-29 per factor
+    # at its edge q = _FAR_Z^2/4, where a far factor's drop is largest.
+    # The ratio of consecutive terms, a_(k+1) q / a_k, rises with k
+    # towards 4q/j1^2: a_k = -(4^k/k) sum_l j_l^(-2k), and the power-sum
+    # ratio is a mean of the j_l^(-2) weighted by j_l^(-2k). So past the
+    # exact window the rest is at most a geometric series with ratio r,
+    # checked here against every ratio inside the window; r is the
+    # _FAR_RATIO each row's drop bound divides by
+    q = Fraction(tr._FAR_Z) ** 2 / 4
     n = 40
     a = sf._log_j0_fracs(tr._FAR_TERMS + n)
     ratios = [y / x for x, y in zip(a, a[1:])]
     assert all(x < y for x, y in zip(ratios, ratios[1:]))
-    drop = Fraction(str(tr._FAR_DROP))
-    for K, q in enumerate(qs, start=1):
-        terms = [-a[k - 1] * q ** k for k in range(K + 1, K + n + 1)]
-        # 2.4048 < j1, so r bounds the limit 4q/j1^2
-        r = 4 * q / Fraction(24048, 10000) ** 2
-        assert ratios[-1] * q < r < 1
-        dropped = sum(terms) + terms[-1] * r / (1 - r)
-        assert dropped <= drop, K
-    # at the edge: 4.3e-29, and ten million far factors stay below 1e-21
+    terms = [-a[k - 1] * q ** k
+             for k in range(tr._FAR_TERMS + 1, tr._FAR_TERMS + n + 1)]
+    # 2.4048 < j1, so r bounds the limit 4q/j1^2
+    r = 4 * q / Fraction(24048, 10000) ** 2
+    assert ratios[-1] * q < r < 1
+    assert float(r) == pytest.approx(tr._FAR_RATIO, rel=1e-15)
+    dropped = sum(terms) + terms[-1] * r / (1 - r)
+    assert dropped <= Fraction(7, 10 ** 29)
+    # the first dropped term over 1 - r, each row's bound, covers it
+    assert dropped <= terms[0] / (1 - r)
+    # 4.3e-29, and ten million far factors stay below 1e-21
     assert dropped < Fraction(44, 10 ** 30)
     assert dropped * 10 ** 7 < Fraction(1, 10 ** 21)
 

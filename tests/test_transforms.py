@@ -22,7 +22,9 @@ from scipy.special import j0 as scipy_j0
 
 from racedensity import rs_method as rs
 from racedensity import transforms as tr
-from racedensity.race import prime_count_race, square_race, two_way_race
+from racedensity.race import (
+    prime_count_race, race_from_config, square_race, two_way_race,
+)
 from racedensity.rs_method import (
     RSParams, choose_params, phat_samples, race_result,
 )
@@ -64,92 +66,126 @@ def five_point(f, x0, h):
 
 # ---------------------------------------------------------------- Fourier side
 
-def lattice_samples(race, stats, K, domega):
-    # phat_samples at order K and step domega
-    return phat_samples(race, RSParams(K=K, domega=domega, v_max=0.0), stats)
+def lattice_samples(race, stats, domega):
+    # phat_samples at step domega
+    return phat_samples(race, RSParams(domega=domega, v_max=0.0), stats)
+
+
+def head_product(w, race, u):
+    # the explicit product of j0_lowbias factors over the zeros at or
+    # below u, in extended precision
+    value = np.longdouble(1.0)
+    for entry in race.characters:
+        g = resolve_table(entry).gammas
+        g = g[g <= u].astype(np.longdouble)
+        value *= np.prod(j0_lowbias(2.0 * entry.alpha * w / np.sqrt(0.25 + g * g)))
+    return float(value)
 
 
 def test_tail_factor_single_term_is_gaussian(zeta_race, stats35):
-    # K = 1 keeps only the variance term: exp(-(sigma_u w)^2 / 2)
+    # every zero above u = 35 enters through the log-J0 series, whose
+    # first order is the Gaussian variance term -(sigma_u w)^2 / 2; what
+    # the later orders add is negative and, as the term ratios stay below
+    # (z/j1)^2 <= (1.4/2.4048)^2, at most the second-order term
+    # q^2 b_2 / 4 (q = w^2, b_2 = stats.B[1]) over 1 - that ratio
     w = 1.7
-    out = lattice_samples(zeta_race, stats35, 1, w)[0]
-    assert out.omega == w
-    assert out.tail == pytest.approx(
-        math.exp(-((stats35.sigma_u * w) ** 2) / 2.0), rel=1e-15)
+    out = lattice_samples(zeta_race, stats35, w)[0]
+    assert out.omega == w and out.tail == 1.0
+    tail = math.log(out.phat / head_product(w, zeta_race, 35.0))
+    gauss = -((stats35.sigma_u * w) ** 2) / 2.0
+    second = w ** 4 * stats35.B[1] / 4.0
+    assert gauss - second / (1.0 - (1.4 / 2.4048) ** 2) < tail - 1e-15
+    assert tail < gauss - 0.99 * second
 
 
 def test_tail_factor_matches_printed_run(zeta_race, stats35):
-    # four-digit tail factors of a published sample evaluation
-    # (cutoff 35, seven series terms, frequencies pi/2 and 3 pi/2)
-    samples = lattice_samples(zeta_race, stats35, 7, math.pi / 2)
-    assert samples[0].tail == pytest.approx(0.9703, abs=5e-5)
-    assert samples[2].tail == pytest.approx(0.7618, abs=5e-5)
-
-
-def test_tail_factor_beyond_radius_clamps(zeta_race, stats35):
-    # no sample lies at or past T/sigma_u, where the tail series diverges
-    end = stats35.T / stats35.sigma_u
-    for domega in (end / 9.5, end / 9.0, end / 0.5):
-        samples = lattice_samples(zeta_race, stats35, 8, domega)
-        assert all(s.omega < end for s in samples)
-    assert len(lattice_samples(zeta_race, stats35, 8, end / 9.5)) == 9
-    assert len(lattice_samples(zeta_race, stats35, 8, end / 9.0)) == 8
-    assert lattice_samples(zeta_race, stats35, 8, end / 0.5) == ()
+    # four-digit tail factors of a published sample evaluation (cutoff
+    # 35, seven series terms, frequencies pi/2 and 3 pi/2): the samples
+    # over the explicit product of the five zeros below 35
+    samples = lattice_samples(zeta_race, stats35, math.pi / 2)
+    for m, printed in ((1, 0.9703), (3, 0.7618)):
+        w = m * math.pi / 2
+        assert samples[m - 1].phat / head_product(w, zeta_race, 35.0) \
+            == pytest.approx(printed, abs=5e-5)
 
 
 def test_tail_factor_truncation_estimate_is_honest(zeta_race):
-    # doubling the retained order moves the exponent by an amount the
-    # error estimate should bracket to within a small factor
-    stats = aggregate_stats(zeta_race, 35.0, Kmax=16)
+    # a row's bound on what cutting the series after 56 orders drops from
+    # its log brackets what orders 57-120 actually add over the row's far
+    # tabulated zeros, to within a small factor
+    table = bundled_table("zeta")
+    a = [float(x) for x in _log_j0_fracs(120)]
+    den2 = 0.25 + table.gammas.astype(np.longdouble) ** 2
     for w in (15.0, 20.0, 25.0):
-        low = lattice_samples(zeta_race, stats, 8, w)[0]
-        high = lattice_samples(zeta_race, stats, 16, w)[0]
-        estimate = low.error / (abs(low.prefix) * low.tail)
-        true = abs(math.log(low.tail) - math.log(high.tail))
-        assert 0.2 * estimate <= true <= 3.0 * estimate
+        _, (estimate,) = tr._phat_rows([w], zeta_race)
+        x = (w * w) / den2
+        x = x[np.sqrt(den2) >= 2.0 * w / tr._FAR_Z]
+        true = float(sum(-a[k - 1] * np.sum(x ** k) for k in range(57, 121)))
+        assert 0.2 * estimate <= true <= estimate
 
 
 def test_tail_factor_order_validation(zeta_race, stats35):
-    with pytest.raises(ValueError):
+    # no order to validate: the series keeps 56, and RSParams takes none
+    assert RSParams(domega=1.0, v_max=0.0).K == tr._FAR_TERMS == 56
+    with pytest.raises(TypeError):
         RSParams(K=0, domega=1.0, v_max=0.0)
-    with pytest.raises(ValueError):
-        lattice_samples(zeta_race, stats35, len(stats35.R) + 1, 1.0)
 
 
 def test_explicit_product_at_zero_frequency(zeta_race):
-    assert tr.phat_prefix([0.0], zeta_race, 35.0).tolist() == [1.0]
+    assert tr.phat_prefix([0.0], zeta_race).tolist() == [1.0]
 
 
 def test_explicit_product_matches_printed_run(zeta_race):
-    # the first kernel factor alone, then the five-factor product
-    assert tr.phat_prefix([math.pi / 2], zeta_race, 15.0)[0] == pytest.approx(
+    # the printed five-factor products times the printed tail factors of
+    # the same run, 0.9735 * 0.9703 and 0.7822 * 0.7618, each product
+    # within the rounding of its printed factors
+    assert tr.phat_prefix([math.pi / 2], zeta_race)[0] == pytest.approx(
+        0.9735 * 0.9703, abs=5e-5 * (0.9735 + 0.9703))
+    assert tr.phat_prefix([3 * math.pi / 2], zeta_race)[0] == pytest.approx(
+        0.7822 * 0.7618, abs=5e-5 * (0.7822 + 0.7618))
+    assert head_product(math.pi / 2, zeta_race, 15.0) == pytest.approx(
         0.9877, abs=5e-5)
-    assert tr.phat_prefix([math.pi / 2], zeta_race, 35.0)[0] == pytest.approx(
-        0.9735, abs=5e-5)
-    assert tr.phat_prefix([3 * math.pi / 2], zeta_race, 35.0)[0] == pytest.approx(
-        0.7822, abs=5e-5)
 
 
 def test_explicit_product_needs_zero_coverage(zeta_race):
-    with pytest.raises(ZeroDataError):
-        tr.phat_prefix([1.0], zeta_race, 20000.0)
+    # at w = 11000 the split passes zeta's last zero, 14999.8
+    with pytest.raises(ZeroDataError, match="w = 11000"):
+        tr.phat_prefix([1.0, 11000.0], zeta_race)
+
+
+def past_table_log(w, entry, table, terms=12):
+    # log J0 summed over the zeros past the table end as the log-J0
+    # series sum_k a_k q^k b_k, q = (alpha w)^2: b_1 is what b1_total
+    # leaves after the tabulated zeros (in extended precision), b_k for
+    # k >= 2 the smooth zero density's integral of gamma^(-2k) from the
+    # last zero on
+    a = [float(x) for x in _log_j0_fracs(terms)]
+    g = table.gammas.astype(np.longdouble)
+    q = (entry.alpha * w) ** 2
+    U = table.last_zero
+    y = math.log(table.qstar * U / (2.0 * math.pi))
+    b = [float(np.longdouble(table.b1_total) - np.sum(1.0 / (0.25 + g * g)))]
+    b += [table.weight * (y + 1.0 / (2 * k - 1))
+          / (2.0 * math.pi * (2 * k - 1) * U ** (2 * k - 1))
+          for k in range(2, terms + 1)]
+    return math.fsum(a[k] * q ** (k + 1) * b[k] for k in range(terms))
 
 
 def test_explicit_product_next_to_j0_root_matches_direct(zeta_race):
     # a frequency pinning the first factor within 1e-3 of a kernel zero;
-    # an independent plain product must agree, sign included
+    # an independent plain product over every tabulated zero, times the
+    # series past the table end, must agree, sign included
     table = bundled_table("zeta")
     g1 = float(table.gammas[0])
     w = J1 * math.sqrt(0.25 + g1 * g1) / 2.0 + 3e-4
-    g = table.gammas[table.gammas <= 1000.0]
-    factors = np.asarray(
-        [float(scipy_j0(2.0 * w / math.sqrt(0.25 + x * x))) for x in g])
+    factors = np.asarray(scipy_j0(2.0 * w / np.sqrt(0.25 + table.gammas ** 2)))
     assert float(np.min(np.abs(factors))) < 1e-3
     assert int(np.sum(factors < 0)) % 2 == 1
     direct = 1.0
-    for v in factors:
-        direct *= float(v)
-    (got,) = tr.phat_prefix([w], zeta_race, 1000.0)
+    for v in factors.tolist():
+        direct *= v
+    direct *= math.exp(past_table_log(w, zeta_race.characters[0], table))
+    (got,) = tr.phat_prefix([w], zeta_race)
     assert got < 0.0
     assert got == pytest.approx(direct, rel=1e-10)
 
@@ -158,11 +194,10 @@ def test_split_point_independence(zeta_race, stats35):
     # moving the explicit/tail cutoff must not move the product
     stats100 = aggregate_stats(zeta_race, 100.0)
     samples35, samples100 = (
-        lattice_samples(zeta_race, stats, 8, math.pi / 2)
+        lattice_samples(zeta_race, stats, math.pi / 2)
         for stats in (stats35, stats100))
     for m in (1, 2, 4):
-        assert samples35[m - 1].phat == pytest.approx(
-            samples100[m - 1].phat, rel=1e-10)
+        assert samples35[m - 1].phat == samples100[m - 1].phat
 
 
 @pytest.mark.parametrize("race, u", [
@@ -173,15 +208,15 @@ def test_split_point_independence(zeta_race, stats35):
 ])
 def test_explicit_product_frequencies_independent(race, u, monkeypatch):
     # one call over many frequencies gives, bit for bit, what one call
-    # per frequency gives; the last frequency puts the first kernel
-    # factor within 1e-3 of a zero of J0. At u = 2999 the leading spread
-    # of frequencies reaches 2000, where the near factors of its rows
-    # (z above _FAR_Z, so g below about 1.43 w) fill several blocks, and
-    # the near-root row lands in a later block
+    # per frequency gives; the rows' splits reach the zeros up to about
+    # height u, and the last frequency puts the first kernel factor
+    # within 1e-3 of a zero of J0. At u = 2999 the near factors of the
+    # rows fill several blocks, and the near-root row lands in a later
+    # block
     entry = race.characters[0]
     g1 = float(resolve_table(entry).gammas[0])
-    top = 2000.0 if u > 2000.0 else 1000.0
-    ws = np.linspace(20.0, top, 40).tolist() + [
+    top = tr._FAR_Z * u / 2.0
+    ws = np.linspace(top / 40.0, top, 40).tolist() + [
         0.0, 0.1, 0.7, 1.9, 2.5, 4.0,
         J1 * math.sqrt(0.25 + g1 * g1) / (2.0 * entry.alpha) + 3e-4]
     calls = []
@@ -191,37 +226,36 @@ def test_explicit_product_frequencies_independent(race, u, monkeypatch):
         return j0_lowbias(z)
 
     monkeypatch.setattr(tr, "j0_lowbias", counted)
-    together = tr.phat_prefix(ws, race, u).tolist()
+    together = tr.phat_prefix(ws, race).tolist()
     if u > 2000.0:
         assert len(calls) >= 3
-    assert together == [tr.phat_prefix([w], race, u)[0] for w in ws]
-    assert tr.phat_prefix([], race, u).size == 0
+    assert together == [tr.phat_prefix([w], race)[0] for w in ws]
+    assert tr.phat_prefix([], race).size == 0
 
 
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("race", [prime_count_race(), two_way_race(4, 1, 3)])
 def test_prefix_rows_independent_over_deep_lattice(race):
-    # the far zone's depths follow each row's own frequency, so every row
-    # of one call over a deep solve's whole tail lattice (before the
-    # kernel bound cuts it) is, bit for bit, what a call for that row
-    # alone gives
-    u = 2999.0
-    stats = aggregate_stats(race, u)
-    step = race_result(race, stats).params["domega"]
-    ws = rs._tail_lattice(stats, step)[0] * step
-    together = tr.phat_prefix(ws, race, u)
-    alone = np.array([tr.phat_prefix([w], race, u)[0] for w in ws])
+    # every row of one call over the lattice of a race_result solve, out
+    # to ten times the points it keeps (the points the bound on the
+    # dropped terms reads), is, bit for bit, what a call for that row
+    # alone gives: the suffix sums a row reads follow its own split
+    stats = aggregate_stats(race, 2999.0)
+    result = race_result(race, stats)
+    step = result.params["domega"]
+    ws = np.arange(1, 10 * result.params["n_terms"] + 1) * step
+    together = tr.phat_prefix(ws, race)
+    alone = np.array([tr.phat_prefix([w], race)[0] for w in ws])
     assert ws.size > 100
     assert np.array_equal(together, alone)
 
 
 def test_product_sign_spans_characters():
-    # q8 1v3 at u = 140: the frequency puts the first mod 4 factor 3e-4
-    # below a zero of J0, while every mod8_even factor stays above 0.24
-    # in magnitude. The row's sign counts the negative factors of both
+    # q8 1v3: the frequency puts the first mod 4 factor 3e-4 below a zero
+    # of J0, while every mod8_even factor below 140 stays above 0.24 in
+    # magnitude. The row's sign counts the negative factors of both
     # characters, an odd number, and its value is the explicit
-    # product's (measured equal bit for bit; the bound is
-    # test_prefix_matches_explicit_product's)
+    # product's (the bound is test_prefix_matches_explicit_product's)
     race = two_way_race(8, 1, 3)
     u = 140.0
     g1 = float(resolve_table(race.characters[0]).gammas[0])
@@ -233,117 +267,156 @@ def test_product_sign_spans_characters():
         f = j0_lowbias(2.0 * entry.alpha * w / np.sqrt(0.25 + g * g))
         least.append(float(np.min(np.abs(f))))
     assert least[0] < 1e-3 < least[1]
-    (got,) = tr.phat_prefix([w], race, u)
-    (want,) = _explicit_product([w], race, u)
+    (got,) = tr.phat_prefix([w], race)
+    (want,) = _explicit_product([w], race)
     assert got < 0.0
     assert abs(got - want) <= 4e-16 * abs(want)
 
 
-# (frequency, relative tolerance) at u = 850, 530 zeros. The tolerances
-# are the errors measured against the 30-digit product, rounded up; the
-# explicit product over every zero lands on the same values. Rows with
-# no factor near a root of J0 and no factor past z = 6 are good to an
-# ulp; the others carry the conditioning of their near-root factors.
+def truncated_race(tmp_path, race, u):
+    # race over copies of its tables cut at height u, each copy keeping
+    # its table's b1_total and weight: its characteristic function is
+    # the explicit product over the zeros at or below u times the series
+    # over the smooth zero density past u
+    lines = ["q = 9", "kind = custom", f"offset = {race.offset!r}"]
+    for i, entry in enumerate(race.characters):
+        table = resolve_table(entry)
+        path = tmp_path / f"{entry.table}_cut.txt"
+        path.write_text(
+            f"# b1_total: {table.b1_total!r}\n# weight: {table.weight}\n"
+            + "".join(f"{g!r}\n" for g in
+                      table.gammas[table.gammas <= u].tolist()))
+        lines += [f"table.c{i} = {path}", f"qstar.c{i} = {table.qstar}",
+                  f"alpha.c{i} = {entry.alpha!r}",
+                  f"weight.c{i} = {table.weight}"]
+    cfg = tmp_path / "cut.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    return race_from_config(str(cfg))
+
+
+def mp_product(mpmath, w, race, terms=80):
+    # the characteristic function at w in mpmath's working precision:
+    # the product of J0 over every tabulated zero, times the exponential
+    # of the log-J0 series past each table's end, as past_table_log forms
+    # it (b_1 from b1_total, b_k from the smooth density)
+    a = _log_j0_fracs(terms)
+    total = mpmath.mpf(1)
+    for entry in race.characters:
+        table = resolve_table(entry)
+        alpha = mpmath.mpf(entry.alpha)
+        g = [mpmath.mpf(x) for x in table.gammas.tolist()]
+        total *= mpmath.fprod(
+            mpmath.besselj(0, 2 * alpha * mpmath.mpf(w) / mpmath.sqrt(0.25 + x * x))
+            for x in g)
+        q = (alpha * mpmath.mpf(w)) ** 2
+        U = g[-1]
+        y = mpmath.log(table.qstar * U / (2 * mpmath.pi))
+        b = [mpmath.mpf(table.b1_total) - mpmath.fsum(1 / (0.25 + x * x) for x in g)]
+        b += [table.weight * (y + mpmath.mpf(1) / (2 * k - 1))
+              / (2 * mpmath.pi * (2 * k - 1) * U ** (2 * k - 1))
+              for k in range(2, terms + 1)]
+        total *= mpmath.exp(mpmath.fsum(
+            mpmath.mpf(a[k].numerator) / a[k].denominator * q ** (k + 1) * b[k]
+            for k in range(terms)))
+    return total
+
+
+# (frequency, relative tolerance) over the zeta zeros up to 850, 530 of
+# them, and the series past them. The tolerances are the errors measured
+# against the 30-digit product, rounded up. Rows with no factor near a
+# root of J0 and no factor past z = 6 are good to an ulp; the others
+# carry the conditioning of their near-root factors.
 _LONG_ROWS = [
-    (3.0, 2e-16),      # every zero far; measured 6.2e-17
-    (20.0, 2e-16),     # 12 near zeros; 6.2e-17
-    (None, 5e-15),     # 9 near, one factor 3e-4 past j1; 4.5e-15
-    (100.0, 2e-16),    # 129 near; 2.4e-17
-    (250.0, 5e-15),    # 426 near; 9.2e-16
-    (400.0, 2e-15),    # all 530 near, 44 of them past z = 6; 3.8e-16
+    (3.0, 2e-16),      # every zero far; measured 4.0e-17
+    (20.0, 2e-16),     # 3 near zeros; 3.7e-18
+    (None, 5e-15),     # 2 near, one factor 3e-4 past j1; 3.3e-15
+    (100.0, 2e-16),    # 49 near, 5 of them past z = 6; 7.8e-17
+    (250.0, 5e-15),    # 173 near, 22 past z = 6; 5.0e-16
+    (350.0, 2e-15),    # 269 near, 37 past z = 6; 1.1e-15
 ]
 
 
-def test_long_product_matches_30_digit_oracle(zeta_race):
+def test_long_product_matches_30_digit_oracle(zeta_race, tmp_path):
     mpmath = pytest.importorskip("mpmath")
-    g = bundled_table("zeta").gammas
-    g = g[g <= 850.0]
-    assert g.size > 500
-    g1 = float(g[0])
+    race = truncated_race(tmp_path, zeta_race, 850.0)
+    assert len(resolve_table(race.characters[0])) > 500
+    g1 = float(bundled_table("zeta").gammas[0])
     near_root = J1 * math.sqrt(0.25 + g1 * g1) / 2.0 + 3e-4
     ws = [near_root if w is None else w for w, _ in _LONG_ROWS]
-    got = tr.phat_prefix(ws, zeta_race, 850.0)
+    got = tr.phat_prefix(ws, race)
     with mpmath.workdps(30):
         for w, (_, tol), value in zip(ws, _LONG_ROWS, got):
-            want = mpmath.fprod(
-                mpmath.besselj(0, 2 * mpmath.mpf(w)
-                               / mpmath.sqrt(0.25 + mpmath.mpf(x) ** 2))
-                for x in g.tolist())
+            want = mp_product(mpmath, w, race)
             assert abs(value - want) <= tol * abs(want), w
 
 
-def test_prefix_with_irrational_alpha_rounds_correctly():
+def test_prefix_with_irrational_alpha_rounds_correctly(tmp_path):
     # q5 1v2 weights its conjugate pair by alpha = 1/sqrt(2), so t =
-    # 2*alpha*w is not a double. At every live frequency of a solve at
-    # step 1/(2 sigma0), u = 106.873, with |prefix| >= 1e-3 (7 rows),
-    # the result lies within half an ulp of a 40-digit product, plus
-    # 1e-18 relative for the extended-precision product's own error.
-    # Measured: every row within half an ulp. With t rounded to double
-    # first, 4 of the 7 rows lay up to 3.3e-16 relative beyond it
-    # (4.0e-16 in all)
+    # 2*alpha*w is not a double. Over its tables cut at u = 106.873, at
+    # every live frequency of a solve at step 1/(2 sigma0) with
+    # |phat| >= 1e-3 (6 rows), the result lies within half an ulp of a
+    # 40-digit product, plus 1e-18 relative for the extended-precision
+    # product's own error. With t rounded to double first, rows lay up to
+    # 3.3e-16 relative beyond it
     mpmath = pytest.importorskip("mpmath")
-    race = two_way_race(5, 1, 2)
-    u = 106.873
-    stats = aggregate_stats(race, u)
-    params = choose_params(abs(race.offset), stats, 1e-11,
+    full = two_way_race(5, 1, 2)
+    race = truncated_race(tmp_path, full, 106.873)
+    stats = aggregate_stats(full, 106.873)
+    params = choose_params(abs(full.offset), stats, 1e-11,
                            domega=1.0 / (2.0 * stats.sigma0))
-    ws = [s.omega for s in phat_samples(race, params, stats)]
-    got = tr.phat_prefix(ws, race, u)
+    ws = [s.omega for s in phat_samples(full, params, stats)]
+    got = tr.phat_prefix(ws, race)
     rows = [(w, v) for w, v in zip(ws, got) if abs(v) >= 1e-3]
-    assert len(rows) == 7
+    assert len(rows) == 6
     with mpmath.workdps(40):
-        chars = [(mpmath.mpf(e.alpha),
-                  [mpmath.mpf(x) for x in resolve_table(e).gammas if x <= u])
-                 for e in race.characters]
         for w, value in rows:
-            want = mpmath.fprod(
-                mpmath.besselj(0, 2 * alpha * mpmath.mpf(w)
-                               / mpmath.sqrt(0.25 + x * x))
-                for alpha, g in chars for x in g)
-            err = float(abs(value - want))
+            err = float(abs(value - mp_product(mpmath, w, race)))
             assert err <= 0.5 * np.spacing(abs(value)) + 1e-18 * abs(value), w
 
 
 def test_long_product_does_not_underflow(zeta_race):
-    # zeta at u = 2999, 2468 zeros. The product at w = 400 is about
-    # 3.3e-302 and must equal a sign-tracked sum of logs of the same
-    # factors; at w = 800 and 1500 the true values, about 1e-674 and
-    # 1e-1275, lie below the double range and must come back as zeros
-    g = bundled_table("zeta").gammas
-    g = g[g <= 2999.0].astype(np.longdouble)
-    got = tr.phat_prefix([400.0, 800.0, 1500.0], zeta_race, 2999.0)
+    # zeta, 16,182 zeros. The product at w = 372 is about 2e-302 and must
+    # equal a sign-tracked sum of logs of the same factors and the series
+    # past the table; at w = 800 and 1500 the true values lie below the
+    # double range and must come back as zeros
+    table = bundled_table("zeta")
+    g = table.gammas.astype(np.longdouble)
+    w = 372.0
+    got = tr.phat_prefix([w, 800.0, 1500.0], zeta_race)
     assert np.all(np.isfinite(got))
-    f = j0_lowbias(2.0 * 400.0 / np.sqrt(0.25 + g * g))
+    f = j0_lowbias(2.0 * w / np.sqrt(0.25 + g * g))
     sign = (-1.0) ** int(np.sum(f < 0.0))
-    want = sign * float(np.exp(np.sum(np.log(np.abs(f)))))
+    want = sign * float(np.exp(np.sum(np.log(np.abs(f)))
+                               + past_table_log(w, zeta_race.characters[0], table)))
     assert 1e-302 < abs(want) < 1e-301
     assert abs(got[0] - want) <= 1e-12 * abs(want)
     assert abs(got[1]) == 0.0 and abs(got[2]) == 0.0
 
 
-def _explicit_product(ws, race, u):
-    # the whole product of j0_lowbias factors over every zero, in
-    # extended precision, with the log-sum route below 1e-3: the prefix
-    # algorithm before the far zone went through the log-J0 series. As
-    # in phat_prefix, t = 2*alpha*w is formed in extended precision
+def _explicit_product(ws, race):
+    # the whole product of j0_lowbias factors over every tabulated zero,
+    # in extended precision, with the log-sum route below 1e-3, times the
+    # series past each table's end (past_table_log). As in phat_prefix,
+    # t = 2*alpha*w is formed in extended precision
     dens = []
     for entry in race.characters:
-        g = resolve_table(entry).gammas
-        gl = g[g <= u].astype(np.longdouble)
-        dens.append((np.longdouble(2.0 * entry.alpha),
+        table = resolve_table(entry)
+        gl = table.gammas.astype(np.longdouble)
+        dens.append((entry, table, np.longdouble(2.0 * entry.alpha),
                      np.sqrt(0.25 + gl * gl)))
     out = []
     for w in ws:
-        fs = [j0_lowbias(two_alpha * w / den) for two_alpha, den in dens]
-        fs = [f for f in fs if f.size]
+        fs = [j0_lowbias(two_alpha * w / den) for _, _, two_alpha, den in dens]
+        past = math.fsum(past_table_log(w, entry, table)
+                         for entry, table, _, _ in dens)
         if any(np.any(f == 0.0) for f in fs):
             out.append(0.0)
-        elif fs and min(float(np.min(np.abs(f))) for f in fs) < 1e-3:
-            total = sum(np.sum(np.log(np.abs(f))) for f in fs)
+        elif min(float(np.min(np.abs(f))) for f in fs) < 1e-3:
+            total = sum(np.sum(np.log(np.abs(f))) for f in fs) + past
             neg = sum(int(np.sum(f < 0.0)) for f in fs)
             out.append(float((-1.0) ** neg * np.exp(total)))
         else:
-            value = np.longdouble(1.0)
+            value = np.exp(np.longdouble(past))
             for f in fs:
                 value *= np.prod(f)
             out.append(float(value))
@@ -351,8 +424,7 @@ def _explicit_product(ws, race, u):
 
 
 def _solve_params(race, stats):
-    # the parameters of race_result's solve: its step, and choose_params'
-    # order at that step
+    # the parameters of race_result's solve: its step
     step = race_result(race, stats).params["domega"]
     return choose_params(abs(race.offset), stats, 1e-11, domega=step)
 
@@ -367,14 +439,12 @@ def _solve_params(race, stats):
 def test_prefix_matches_explicit_product(race, u):
     # at every live frequency of a race_result solve, the split product
     # agrees with the explicit one to 4e-16 relative, or 1e-18 absolute
-    # where it is below 1e-3 (measured over the six published races at
-    # u = 60 to 2999: equal wherever it is above 1e-3, and 3.1e-33 at
-    # worst below it)
+    # where it is below 1e-3
     stats = aggregate_stats(race, u)
     params = _solve_params(race, stats)
     ws = [s.omega for s in phat_samples(race, params, stats)]
-    got = tr.phat_prefix(ws, race, u)
-    want = _explicit_product(ws, race, u)
+    got = tr.phat_prefix(ws, race)
+    want = _explicit_product(ws, race)
     small = np.abs(want) < 1e-3
     assert np.all(np.abs(got - want)[~small] <= 4e-16 * np.abs(want[~small]))
     assert np.all(np.abs(got - want)[small] <= 1e-18)
@@ -387,28 +457,25 @@ def test_prefix_matches_explicit_product(race, u):
     (two_way_race(24, 1, 5), 140.0),
 ], ids=["race0", "race1", "race2"])
 def test_far_zone_truncation_over_actual_zeros(race, u):
-    # what the far zone's log-J0 series drops, each far zero past its own
-    # depth, summed in rationals over the far zeros of the largest
-    # lattice frequency whose tail factor alone is above e^-46 in a
-    # race_result solve (measured 3.2e-26 for zeta and 3.9e-26 for mod 4
-    # at u = 2999, 5.7e-27 for q24 1v5 at u = 140). A zero's depth is
-    # what the rule gives at its own z^2/4; phat_prefix keeps at least
-    # that many orders, as each segment takes the depth of its first
-    # zero. Each 1/(1/4 + g^2) is rounded up to a multiple of 2^-128, and
-    # past the exact window of 20 terms the rest is a geometric series
-    # whose ratio (z/j1)^2 is bounded with the row's largest z, so the
-    # sum is an upper bound
+    # what the 56-order series drops over the far zeros of the largest
+    # kept frequency of a race_result solve, in rationals. Each
+    # 1/(1/4 + g^2) is rounded up to a multiple of 2^-128. The zeros with
+    # z^2/4 >= 0.1225 (z >= 0.7) take 20 exact terms, past which the
+    # rest is a geometric series whose ratio (z/j1)^2 is below
+    # (1.4/2.4048)^2; every other zero, tabulated or past the table,
+    # drops at most |a_57| 0.1225^56 z^2/4 / (1 - r), and those z^2/4 sum
+    # to at most q b1_total. The sum lies below 1e-24 and below the
+    # row's own bound
     stats = aggregate_stats(race, u)
-    params = _solve_params(race, stats)
-    m, _, _, above = rs._tail_lattice(stats, params.domega)
-    w = float(m[np.count_nonzero(above[params.K - 1]) - 1] * params.domega)
+    w = phat_samples(race, _solve_params(race, stats), stats)[-1].omega
     n, P = 20, 128
     a = _log_j0_fracs(tr._FAR_TERMS + n)
-    thresholds = [Fraction(x) for x in tr._far_thresholds()]
+    xc = Fraction(1225, 10000)
+    r = Fraction(14, 10) ** 2 / Fraction(24048, 10000) ** 2
     total = Fraction(0)
     for entry in race.characters:
-        g = resolve_table(entry).gammas
-        g = g[g <= u]
+        table = resolve_table(entry)
+        g = table.gammas
         t = np.longdouble(2.0 * entry.alpha) * np.longdouble(w)
         q = Fraction(*t.as_integer_ratio()) ** 2 / 4
         # the far zeros as phat_prefix picks them: den >= |t| / _FAR_Z
@@ -416,21 +483,19 @@ def test_far_zone_truncation_over_actual_zeros(race, u):
         far = g[np.sqrt(0.25 + gl * gl) >= float(abs(t)) / tr._FAR_Z]
         inv = [math.ceil(2 ** P / (Fraction(1, 4) + Fraction(x) ** 2))
                for x in far.tolist()]
-        # the depth from the rounded-down z^2/4, compared exactly
-        depth = [1 + bisect.bisect_left(thresholds, q * (d - 1) / 2 ** P)
-                 for d in inv]
-        r = 4 * q * Fraction(max(inv), 2 ** P) / Fraction(24048, 10000) ** 2
-        assert r < 1
-        for K in set(depth):
-            group = [d for d, k in zip(inv, depth) if k == K]
-            powers = [d ** K for d in group]
-            terms = []
-            for k in range(K + 1, K + n + 1):
-                powers = [p * d for p, d in zip(powers, group)]
-                terms.append(-a[k - 1] * q ** k
-                             * Fraction(sum(powers), 2 ** (P * k)))
-            total += sum(terms) + terms[-1] * r / (1 - r)
+        group = [d for d in inv if q * d >= xc * 2 ** P]
+        assert group
+        powers = [d ** tr._FAR_TERMS for d in group]
+        terms = []
+        for k in range(tr._FAR_TERMS + 1, tr._FAR_TERMS + n + 1):
+            powers = [p * d for p, d in zip(powers, group)]
+            terms.append(-a[k - 1] * q ** k * Fraction(sum(powers), 2 ** (P * k)))
+        total += sum(terms) + terms[-1] * r / (1 - r)
+        total += -a[tr._FAR_TERMS] * xc ** tr._FAR_TERMS * q \
+            * Fraction(table.b1_total) / (1 - r)
     assert total < Fraction(1, 10 ** 24)
+    _, (bound,) = tr._phat_rows([w], race)
+    assert total <= Fraction(bound)
 
 
 PUBLISHED_RACES = [prime_count_race(), square_race(4), two_way_race(5, 1, 2),
@@ -444,17 +509,23 @@ BOUND_IDS = [f"{race.name}-{u:g}" for race, u in BOUND_CASES]
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("race, u", BOUND_CASES, ids=BOUND_IDS)
 def test_prefix_log_bound_covers_prefix(race, u):
-    # on 400 frequencies across the radius the bound lies above
+    # on 400 frequencies out to T/sigma_u of the tail statistics at u, or
+    # to the largest frequency every table covers, the bound lies above
     # log|phat_prefix| and never rises; rows whose product underflows to
-    # 0 have no log to compare
+    # 0 have no log to compare. One frequency past the tables' reach has
+    # no bound (+inf)
     stats = aggregate_stats(race, u)
-    ws = np.linspace(0.0, stats.T / stats.sigma_u, 401)[1:]
-    bound = tr._prefix_log_bound(ws, race, u)
+    reach = min(tr._FAR_Z * math.sqrt(0.25 + resolve_table(e).last_zero ** 2)
+                / (2.0 * e.alpha) for e in race.characters)
+    ws = np.linspace(0.0, min(stats.T / stats.sigma_u, reach * (1 - 1e-9)),
+                     401)[1:]
+    bound = tr._prefix_log_bound(ws, race)
     assert np.all(np.diff(bound) <= 0.0)
-    prefix = np.abs(tr.phat_prefix(ws, race, u))
+    prefix = np.abs(tr.phat_prefix(ws, race))
     live = prefix > 0.0
     assert live.sum() > 20
     assert np.all(np.log(prefix[live]) <= bound[live])
+    assert tr._prefix_log_bound([reach * (1 + 1e-9)], race).tolist() == [math.inf]
 
 
 def test_log_j0_at_split_rounded_toward_zero():
