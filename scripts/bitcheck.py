@@ -11,7 +11,10 @@ each seed, once, in order, as bench/run.py would. Both sides build their
 operations with this checkout's bench/workloads.py (imported, never
 changed), each against its own src/. They also run aggregate_stats and
 l0_full of the six published races at u = 500, 2000 and 2999 and
-s = 0, 1, 10, 100, 1000 and 12527.41, and phat_prefix of each race at
+s = 0, 1, 10, 100, 1000 and 12527.41; aggregate_stats of each race at
+u = 60, 140, 12000 and 14000 (the races and cumulant workloads' ranges)
+and at zeta's 129th ordinate (a head that just passes the first
+checkpoint of the exact prefix sums); and phat_prefix of each race at
 w = 2, 4, ..., 70 and u = 140, 500, 2000 and 2999, so that a change to
 the J0 kernel or the far zone shows its moves in the prefix itself; zeta
 solves at u = 140 to 2999 reach w = 69.8. A tree whose phat_prefix takes
@@ -50,6 +53,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("races", "deep_cutoff", "cumulant", "threshold_sweep")
 PUBLISHED_U = (500.0, 2000.0, 2999.0)
 PUBLISHED_S = (0.0, 1.0, 10.0, 100.0, 1000.0, 12527.41)
+# aggregate_stats alone; zeta's 129th ordinate joins them in dump()
+STATS_U = (60.0, 140.0, 12000.0, 14000.0)
 FIELDS = ("value", "error_estimate", "K", "domega", "n_terms", "n_zeros")
 # 140, the races workload's largest cutoff, is within every bundled
 # table; past a table's end phat_prefix refuses, and the refusal is
@@ -96,7 +101,12 @@ def dump(tree: str, seeds) -> None:
                 row = _row(name, workloads.summarize,
                            lambda op=op: op.run(state))
                 print(json.dumps(row))
+    stats_u = STATS_U + (float(zd.bundled_table("zeta").gammas[128]),)
     for rname, race in workloads._races().items():
+        for u in stats_u:
+            print(json.dumps(_row(
+                f"published {rname} aggregate_stats u={u!r}",
+                workloads.summarize, lambda: zd.aggregate_stats(race, u))))
         for u in PUBLISHED_U:
             print(json.dumps(_row(
                 f"published {rname} aggregate_stats u={u:g}",

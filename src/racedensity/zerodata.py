@@ -9,9 +9,11 @@ those lists, evaluates the inverse-power sums
 with an analytic continuation past the end of each table, and aggregates
 them across the characters of a race into the moment data (B_k, R_k,
 sigma_u, convergence radius T, explicit span S) that the Fourier and
-cumulant (saddle-point) layers consume. For the Fourier route's log-J0
-series each table also carries, built on first use, the same sums from
-every zero on (_SuffixSums).
+cumulant (saddle-point) layers consume. Each table carries two indexes of
+these sums, built on first use and only as far as a call reaches: exact
+prefix sums at every 128th zero, from which b_k(u) and S(u) come rounded
+once (_PrefixSums), and, for the Fourier route's log-J0 series, the sums
+from every zero on in extended precision (_SuffixSums).
 
 Tables for conjugate character pairs are merged: one file holds both
 members' ordinates ascending, with weight = 2 recorded in the header.
@@ -67,7 +69,8 @@ class FrozenSpanWarning(UserWarning):
 class ZeroTable:
     """An ascending list of zero ordinates for one L-function (weight 1)
     or a merged conjugate pair (weight 2), plus the exact full-spectrum
-    value of b_1 when known."""
+    value of b_1 when known. Loading builds no sums; the indexes behind
+    b_k, S and the Fourier route are built on first use."""
     gammas: np.ndarray
     qstar: int
     label: str
@@ -130,10 +133,9 @@ class ZeroTable:
         return _tail_bk(self, 0.0, 1), _tail_bk(self, 0.0, 2)
 
     @cached_property
-    def _power_sums(self) -> dict[int, list[float]]:
-        # k -> doubles whose exact sum is that of (1/4 + gamma^2)^(-k)
-        # over every ordinate, filled in by _full_power_sum on first use
-        return {}
+    def _prefix_sums(self) -> _PrefixSums:
+        # the exact sums behind b_k and S, extended as calls reach them
+        return _PrefixSums(self.gammas)
 
     @cached_property
     def _suffix_sums(self) -> _SuffixSums:
@@ -256,59 +258,74 @@ def available_tables() -> tuple[str, ...]:
                         if f.endswith(".txt")))
 
 
-_table_cache: dict[str, ZeroTable] = {}
+# (absolute data directory, key) -> table, so that a warm call does no
+# path work
+_table_cache: dict[tuple[str, str], ZeroTable] = {}
 
 
 def bundled_table(key: str) -> ZeroTable:
     """Load a packaged zero table by key (e.g. 'zeta', 'mod4',
-    'mod13_j5'), honoring the RACE_DENSITY_DATA directory override."""
-    path = os.path.join(_data_dir(), key + ".txt")
-    path = os.path.abspath(path)
-    if path not in _table_cache:
+    'mod13_j5'), honoring the RACE_DENSITY_DATA directory override; a
+    relative override is taken from the working directory of each call."""
+    d = _data_dir()
+    if not os.path.isabs(d):
+        d = os.path.abspath(d)
+    table = _table_cache.get((d, key))
+    if table is None:
+        path = os.path.abspath(os.path.join(d, key + ".txt"))
         if not os.path.exists(path):
             raise ZeroDataError(
                 f"no bundled zero table {key!r}; available: "
                 f"{', '.join(available_tables())}")
-        _table_cache[path] = load_zeros(path, label=key)
-    return _table_cache[path]
+        table = _table_cache[d, key] = load_zeros(path, label=key)
+    return table
 
 
 def _tail_bk(table: ZeroTable, u: float, k: int) -> float:
-    """b_k(u), the inverse-power sum over ordinates above u.
+    """b_k(u), the inverse-power sum over ordinates above u: the
+    tabulated ones, then the analytic continuation past the table end.
+    Past the last tabulated ordinate only the analytic term remains; its
+    own relative accuracy decays like k/u, which is why aggregate_stats
+    warns about thin tails rather than silently degrading."""
+    return _tail_sums(table, u, (k,), table.count(u))[0][0]
 
-    For k = 1 with a known full-spectrum total, the head sum is
-    subtracted from it; otherwise the tabulated tail is summed and the
-    analytic continuation attached at the end of the table. Past the
-    last tabulated ordinate only the analytic term remains; its own
-    relative accuracy decays like k/u, which is why aggregate_stats
-    warns about thin tails rather than silently degrading.
 
-    Every sum over ordinates goes through _exact_sum, which rounds the
-    exact sum once: math.fsum below _BINNED_FROM terms, exponent bins
-    from there on, with the same bits either way.
+def _span(table: ZeroTable, u: float) -> float:
+    """S(u) = 2 sum over gamma <= u of (1/4 + gamma^2)^(-1/2), the
+    explicit span."""
+    return _tail_sums(table, u, (), table.count(u))[1]
+
+
+def _tail_sums(table: ZeroTable, u: float, ks,
+               n_head: int) -> tuple[tuple[float, ...], float]:
+    """b_k(u) for each k in ks, and S(u), with n_head = table.count(u).
+
+    Both come from the exact sums over the n_head ordinates at or below
+    u, the head (_PrefixSums), each rounded once by math.fsum. S is twice
+    the head's sum. b_k's tabulated part is the table's total less the
+    head; for k = 1 with a known full-spectrum total, it is that total
+    less the rounded head sum. Every value has the bits of math.fsum over
+    the plain terms.
     """
     if not (math.isfinite(u) and u >= 0.0):
         raise ValueError(f"u must be finite and >= 0, got {u!r}")
-    g = table.gammas
-    U = float(g[-1])
-    n_head = table.count(u)
-    if k == 1 and table.b1_total is not None and u < U:
-        head_g = g[:n_head]
-        return table.b1_total - _exact_sum(1.0 / (0.25 + head_g * head_g))
-    # the sum is rounded once, so the full sum less the head terms gives
-    # the same bits as the tail terms; sum whichever side is shorter. A
-    # short head joins the expansion as a list, as fsum takes it
-    if 2 * n_head < len(g):
-        head_g = g[:n_head]
-        heads = -(0.25 + head_g * head_g) ** (-k)
-        parts = _full_power_sum(table, k)
-        tabulated = (math.fsum(parts + heads.tolist())
-                     if n_head < _BINNED_FROM
-                     else _exact_sum(np.concatenate((parts, heads))))
-    else:
-        tail_g = g[n_head:]
-        tabulated = _exact_sum((0.25 + tail_g * tail_g) ** (-k))
-    return tabulated + _past_table(table, max(u, U), k)
+    sums = table._prefix_sums
+    if n_head == len(table):
+        # nothing tabulated above u
+        span, = sums.heads((0.5,), n_head)
+        b = tuple(_past_table(table, u, k) for k in ks)
+        return b, 2.0 * math.fsum(span)
+    span, *heads = sums.heads((0.5, *ks), n_head)
+    b = []
+    for k, head in zip(ks, heads):
+        if k == 1 and table.b1_total is not None:
+            b.append(table.b1_total - math.fsum(head))
+        else:
+            # fsum rounds to nearest even, so minus the rounded head less
+            # the total is the rounded total less the head
+            b.append(-math.fsum(head + [-p for p in sums.total(k)])
+                     + _past_table(table, table.last_zero, k))
+    return tuple(b), 2.0 * math.fsum(span)
 
 
 def _past_table(table: ZeroTable, ueff, k: int):
@@ -406,29 +423,14 @@ class _SuffixSums:
         return self._cols[:, i]
 
 
-def _full_power_sum(table: ZeroTable, k: int) -> list[float]:
-    # the table's sum of (1/4 + gamma^2)^(-k), exact as an expansion: each
-    # part is the correctly rounded remainder the ones before it leave,
-    # down to a zero remainder (at most four for k <= 8 on the bundled
-    # tables, five for k <= 10)
-    parts = table._power_sums.get(k)
-    if parts is None:
-        g = table.gammas
-        terms = _exact_bins((0.25 + g * g) ** (-k))
-        parts = []
-        while (rest := math.fsum(terms + [-p for p in parts])) != 0.0:
-            parts.append(rest)
-        table._power_sums[k] = parts
-    return parts
-
-
-# From this many terms on, _exact_sum bins by exponent instead of running
-# math.fsum over a list; below it, binning's fixed cost of some 20-30 us
-# loses. Median of 400 calls on a 2-core Xeon VM over zeta's
-# 1/(1/4 + gamma^2), its square root and 8th power, and l0_full's order-0
-# and order-3 terms at s = 100 (fsum against binned, in us): 45-46 against
-# 51-65 at 1000 terms, 79-99 against 48-90 at 2000, 192-210 against
-# 106-134 at 4096 and 647-713 against 270-302 at 13728.
+# From this many terms on, _exact_sum (l0_full's order sums) bins by
+# exponent instead of running math.fsum over a list; below it, binning's
+# fixed cost of some 30 us loses. Median of 7 runs of 200 calls on a
+# 2-core Xeon VM over zeta's 1/(1/4 + gamma^2), its square root and 8th
+# power (fsum against binned, in us): 35-47 against 32-71 at 1000 terms, 85-97
+# against 61-76 at 2000, 182-194 against 66-86 at 4096 and 569-612
+# against 112-156 at 13728. _PrefixSums bins every table total and block
+# whatever its length: it runs fsum over the result several times.
 _BINNED_FROM = 2048
 
 
@@ -439,23 +441,121 @@ def _exact_sum(x: np.ndarray) -> float:
 
 def _exact_bins(x: np.ndarray) -> list[float]:
     # a few hundred doubles with the exact sum of x, so that one fsum over
-    # them is short. Each x is q * 2**(e - 53) with an integer
-    # |q| < 2**53; the 26-bit halves of q (q >> 26 keeps the sign, the low
-    # half is >= 0), summed per exponent e, stay integers below 2**53 for
+    # them is short
+    return _exact_rows(x[None, :])[0]
+
+
+def _exact_rows(x: np.ndarray) -> list[list[float]]:
+    # per row of x, doubles with the row's exact sum, two per run of terms
+    # with one exponent: a sorted row, as a zero table gives, has one run
+    # per exponent. Each x is q * 2**(e - 53) with an integer
+    # |q| < 2**53; the 26-bit halves of q (q >> 26 keeps the sign, the
+    # low half is >= 0), summed over a run, stay integers below 2**53 for
     # fewer than 2**26 terms, and rescaled they keep every bit of x at or
-    # above 2**-1074, subnormals included. n * max|x| < 2**1022 keeps every
-    # partial sum finite, here and in fsum; past it, or for inf and nan,
-    # x itself is returned, so fsum raises or propagates as it would
+    # above 2**-1074, subnormals included. size * max|x| < 2**1022 keeps
+    # every partial sum finite, here and in fsum; past it, or for inf and
+    # nan, the rows themselves are returned, so fsum raises or propagates
+    # as it would
     if not (0 < x.size < 2 ** 26
             and np.abs(x).max() < 2.0 ** 1022 / x.size):
         return x.tolist()
-    m, e = np.frexp(x)
+    m, e = np.frexp(x.ravel())
     q = np.ldexp(m, 53).astype(np.int64)
-    e0 = int(e.min())
-    hi = np.bincount(e - e0, weights=q >> 26)
-    lo = np.bincount(e - e0, weights=q & (2 ** 26 - 1))
-    scale = np.arange(hi.size) + e0
-    return np.ldexp(hi, scale - 27).tolist() + np.ldexp(lo, scale - 53).tolist()
+    # where a run starts: a new exponent, or a new row
+    start = np.empty(e.size, dtype=bool)
+    start[0] = True
+    np.not_equal(e[1:], e[:-1], out=start[1:])
+    start[::x.shape[1]] = True
+    at = np.flatnonzero(start)
+    scale = e[at]
+    halves = np.stack((
+        np.ldexp(np.add.reduceat(q >> 26, at).astype(float), scale - 27),
+        np.ldexp(np.add.reduceat(q & (2 ** 26 - 1), at).astype(float),
+                 scale - 53)), axis=1).ravel().tolist()
+    ends = (2 * np.searchsorted(at, np.arange(1, len(x) + 1) * x.shape[1])).tolist()
+    return [halves[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+# _PrefixSums keeps an exact prefix sum at every this many zeros
+_CHECKPOINT = 128
+
+
+class _PrefixSums:
+    """Exact sums of (1/4 + gamma^2)^(-k) over a table's leading zeros, for
+    each order k asked for; order 1/2 stands for the span's terms
+    1/sqrt(1/4 + gamma^2).
+
+    Per order it holds the exact expansion (_expansion) of the sum over
+    the first 128c zeros, c = 0, 1, ..., built only up to the highest
+    checkpoint a call reaches, and that of the full-table total, built on
+    first use. A sum over the first n zeros is then a checkpoint's parts
+    and at most 127 terms, which one math.fsum rounds once, to the bits
+    of math.fsum over all n terms. Each checkpoint follows from the one
+    before and its own 128 terms, so no value depends on which calls came
+    first, and no orders-by-n array is ever formed.
+    """
+
+    def __init__(self, gammas: np.ndarray):
+        self._g = gammas
+        self._marks: dict[float, list[list[float]]] = {}
+        self._totals: dict[float, list[float]] = {}
+
+    def heads(self, orders, n: int) -> list[list[float]]:
+        """Per order, doubles whose exact sum is that of its terms over
+        the first n zeros."""
+        c = n // _CHECKPOINT
+        self._extend(orders, c)
+        rows = _terms(self._g[c * _CHECKPOINT:n], orders).tolist()
+        return [self._marks[k][c] + row for k, row in zip(orders, rows)]
+
+    def total(self, k: float) -> list[float]:
+        """The expansion of order k's sum over every zero."""
+        parts = self._totals.get(k)
+        if parts is None:
+            parts = _expansion(_exact_bins(_terms(self._g, (k,))[0]))
+            self._totals[k] = parts
+        return parts
+
+    def _extend(self, orders, c: int) -> None:
+        # checkpoints up to c for every order, from the exact sums of
+        # whole blocks, up to 16 blocks of terms at a time
+        short = [k for k in orders if len(self._marks.setdefault(k, [[]])) <= c]
+        if not short:
+            return
+        for lo in range(min(len(self._marks[k]) for k in short) - 1, c, 16):
+            hi = min(lo + 16, c)
+            g = self._g[lo * _CHECKPOINT:hi * _CHECKPOINT]
+            blocks = _exact_rows(_terms(g, short).reshape(-1, _CHECKPOINT))
+            for i, k in enumerate(short):
+                marks = self._marks[k]
+                for b in range(max(lo, len(marks) - 1), hi):
+                    marks.append(_expansion(
+                        marks[b] + blocks[i * (hi - lo) + b - lo]))
+
+
+def _terms(g: np.ndarray, orders) -> np.ndarray:
+    # (1/4 + g^2)^(-k) down the rows, one per order k: k = 1 by division,
+    # as numpy's power takes an exponent of -1, and 1/2 as 1/sqrt; the
+    # other orders by one broadcast power, which gives the bits of one
+    # power per order (the tests check both)
+    den = 0.25 + g * g
+    rows = den ** -np.array(orders, dtype=float)[:, None]
+    for i, k in enumerate(orders):
+        if k == 1:
+            rows[i] = 1.0 / den
+        elif k == 0.5:
+            rows[i] = 1.0 / np.sqrt(den)
+    return rows
+
+
+def _expansion(x: list[float]) -> list[float]:
+    # doubles whose exact sum is that of x: each the correctly rounded
+    # remainder the ones before it leave, down to a zero remainder (at
+    # most four for k <= 8 on the bundled tables, five for k <= 10)
+    parts = []
+    while (rest := math.fsum(x + [-p for p in parts])) != 0.0:
+        parts.append(rest)
+    return parts
 
 
 def _span_main(table: ZeroTable, t: np.ndarray) -> np.ndarray:
@@ -470,11 +570,6 @@ def _median(x: np.ndarray) -> float:
     s = np.sort(x)
     mid = s.size // 2
     return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2.0)
-
-
-def _span(table: ZeroTable, u: float) -> float:
-    head = table.gammas[table.gammas <= u]
-    return 2.0 * _exact_sum(1.0 / np.sqrt(0.25 + head * head))
 
 
 @dataclass(frozen=True)
@@ -569,8 +664,9 @@ def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8) -> TailStats:
     rows = []
     for e in race.characters:
         t = resolve_table(e)
-        b = tuple(_tail_bk(t, u, k) for k in range(1, Kmax + 1))
-        n_above = len(t) - t.count(u)
+        n_head = t.count(u)
+        b, S = _tail_sums(t, u, range(1, Kmax + 1), n_head)
+        n_above = len(t) - n_head
         if n_above < 100:
             warnings.warn(
                 f"{t.label}: only {n_above} tabulated zeros above u={u:g}; "
@@ -581,17 +677,17 @@ def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8) -> TailStats:
             warnings.warn(
                 f"{e.label}: span frozen at table end {t.last_zero:g} < "
                 f"u={u:g}", FrozenSpanWarning, stacklevel=2)
-        rows.append((e, t, b))
+        rows.append((e, t, b, n_head, S))
     B = tuple(
-        math.fsum(e.alpha ** (2 * k) * b[k - 1] for e, _, b in rows)
+        math.fsum(e.alpha ** (2 * k) * b[k - 1] for e, _, b, *_ in rows)
         for k in range(1, Kmax + 1))
     if B[0] <= 0.0:
         raise ZeroDataError(f"race {race.name or race.q}: b_1 sum is zero")
     R = tuple(bk / B[0] ** k for k, bk in enumerate(B, start=1))
-    B1_0 = math.fsum(e.alpha ** 2 * t.full_sums[0] for e, t, _ in rows)
-    B2_0 = math.fsum(e.alpha ** 4 * t.full_sums[1] for e, t, _ in rows)
+    B1_0 = math.fsum(e.alpha ** 2 * t.full_sums[0] for e, t, *_ in rows)
+    B2_0 = math.fsum(e.alpha ** 4 * t.full_sums[1] for e, t, *_ in rows)
     per = []
-    for e, t, b in rows:
+    for e, t, b, n_head, S in rows:
         y = math.log(t.qstar * u / _TWO_PI) if u > 0.0 else float("-inf")
         # single-series ratios r_k = b_k / b_1^k: the merged table's b_k
         # is weight times the per-member value, so r_k picks up
@@ -605,7 +701,7 @@ def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8) -> TailStats:
             if e.alpha > 0 else float("inf")
         per.append(CharTailStats(
             label=e.label, qstar=t.qstar, weight=t.weight, alpha=e.alpha,
-            b=b, n_zeros=t.count(u), S=_span(t, u), y=y,
+            b=b, n_zeros=n_head, S=S, y=y,
             r=r, T_single=t_single, T_effective=t_eff))
     t_vals = [p.T_effective for p in per]
     T = float("nan") if any(math.isnan(t) for t in t_vals) else min(t_vals)

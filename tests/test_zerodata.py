@@ -10,7 +10,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,9 +24,9 @@ from racedensity.race import (
     square_root_count, two_way_race,
 )
 from racedensity.zerodata import (
-    FrozenSpanWarning, ThinTailWarning, ZeroDataError, ZeroTable,
-    aggregate_stats, available_tables, bundled_table, load_zeros,
-    montgomery_bound,
+    CharTailStats, FrozenSpanWarning, TailStats, ThinTailWarning,
+    ZeroDataError, ZeroTable, aggregate_stats, available_tables,
+    bundled_table, load_zeros, montgomery_bound,
 )
 from racedensity.zerodata import _span, _tail_bk
 
@@ -196,11 +196,18 @@ def test_span_constants():
         assert n_used > 100
 
 
+def _plain_span(table, u):
+    # twice one fsum of 1/sqrt(1/4 + gamma^2) over the ordinates <= u
+    return 2.0 * math.fsum(1.0 / math.sqrt(0.25 + g * g)
+                           for g in table.gammas[table.gammas <= u].tolist())
+
+
 def test_span_values():
     z = bundled_table("zeta")
     assert _span(z, 1.0) == 0.0
     want = 2 * sum(1 / math.sqrt(0.25 + g * g) for g in z.gammas[:29])
     assert _span(z, 100.0) == pytest.approx(want, rel=1e-14)
+    assert _span(z, 100.0) == _plain_span(z, 100.0)
 
 
 def test_counting_zeta_window():
@@ -277,10 +284,23 @@ def _plain_tail_bk(table, u, k, method):
         / (2.0 * m * math.pi * ueff ** m)
 
 
+def _checkpoint_edges(table):
+    # cutoffs whose heads hold 0, 127, 128, 129, 255, 256, n - 1 and n
+    # ordinates (those the table has), and one past the table end
+    g = table.gammas
+    n = len(g)
+    counts = sorted({h for h in (0, 127, 128, 129, 255, 256, n - 1, n)
+                     if h <= n})
+    us = [0.0 if h == 0 else float(g[h - 1]) for h in counts]
+    assert [table.count(u) for u in us] == counts
+    return us + [table.last_zero + 1.0]
+
+
 @pytest.mark.parametrize("key", available_tables())
 def test_tail_bk_bit_exact_against_plain_sum(key):
-    # whichever side of u _tail_bk sums, fsum's single rounding of the
-    # exact sum must give the very bits of the plain tail sum
+    # b_k from the exact prefix sums and S from the same must give the
+    # very bits of one fsum over the plain terms, on both sides of every
+    # checkpoint a head can reach
     t = bundled_table(key)
     g = t.gammas
     rng = np.random.default_rng(sum(map(ord, key)))
@@ -289,12 +309,35 @@ def test_tail_bk_bit_exact_against_plain_sum(key):
           + rng.uniform(0.0, 1.05 * t.last_zero, 8).tolist()
           + [float(g[n // 2 - 1]), float(g[n // 2]),
              float(0.5 * (g[n // 2 - 1] + g[n // 2])),
-             t.last_zero, t.last_zero + 1.0])
-    # the head {gamma <= u} is the shorter side for some u, not for others
+             t.last_zero, t.last_zero + 1.0]
+          + _checkpoint_edges(t))
+    # heads both shorter and longer than half the table
     assert {2 * t.count(u) < n for u in us} == {True, False}
     for k in range(1, 11):
         for u in us:
             assert _tail_bk(t, u, k) == _plain_tail_bk(t, u, k, "auto"), (u, k)
+    for u in us:
+        assert _span(t, u) == _plain_span(t, u), u
+    # b_1 from the table's own total, as for a table with no b1_total
+    t = replace(t, b1_total=None)
+    for u in us:
+        assert _tail_bk(t, u, 1) == _plain_tail_bk(t, u, 1, "auto"), u
+
+
+@pytest.mark.parametrize("key", available_tables())
+def test_terms_have_the_bits_of_one_power_per_order(key):
+    # the prefix sums form every order's terms at once; each row must hold
+    # the bits of numpy's power for that order alone, as the plain sums
+    # take them (for k = 1 that is a reciprocal, which a broadcast power
+    # does not give), whole or in unaligned slices
+    g = bundled_table(key).gammas
+    den = 0.25 + g * g
+    orders = (0.5,) + tuple(range(1, 11))
+    want = [1.0 / np.sqrt(den)] + [den ** -k for k in range(1, 11)]
+    for lo, hi in ((0, len(g)), (5, 133), (len(g) - 130, len(g) - 1)):
+        rows = zd._terms(g[lo:hi], orders)
+        for k, row, w in zip(orders, rows, want):
+            assert np.array_equal(row, w[lo:hi]), (k, lo)
 
 
 def test_tail_bk_bit_exact_with_subnormal_terms():
@@ -305,10 +348,11 @@ def test_tail_bk_bit_exact_with_subnormal_terms():
     g = t.gammas
     x = (0.25 + g * g) ** (-37)
     assert x.min() < sys.float_info.min
-    # u = g[3000]: a head sum long enough to be binned, with its terms
-    # negated against the full-sum expansion
+    # u = g[3000]: a head long enough that one plain sum of it would be
+    # binned, here 23 checkpoints and 57 terms negated against the total
     assert 3000 >= zd._BINNED_FROM
-    for u in (0.0, 30.0, 1000.0, float(g[3000]), t.last_zero):
+    for u in (0.0, 30.0, 1000.0, float(g[3000]), t.last_zero,
+              *_checkpoint_edges(t)):
         assert _tail_bk(t, u, 37) == _plain_tail_bk(t, u, 37, "auto"), u
     x = np.concatenate([x, [0.0, 5e-324]])
     assert math.fsum(zd._exact_bins(x) + (-x).tolist()) == 0.0
@@ -365,6 +409,38 @@ def test_exact_sum_nonfinite_as_fsum(n):
         assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want)
 
 
+def _plain_tail_sums(table, u, ks, n_head):
+    # the oracle of zerodata._tail_sums: one fsum over the plain terms
+    assert n_head == int(np.count_nonzero(table.gammas <= u))
+    return (tuple(_plain_tail_bk(table, u, k, "auto") for k in ks),
+            _plain_span(table, u))
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.FrozenSpanWarning")
+@pytest.mark.parametrize("race", [
+    prime_count_race(), square_race(4), two_way_race(5, 1, 2), square_race(13),
+    two_way_race(8, 1, 3), two_way_race(24, 1, 5)], ids=lambda r: r.name)
+def test_aggregate_stats_of_published_races_as_plain_sums(race, monkeypatch):
+    # every field, bit for bit, as with the tail sums and spans taken as
+    # plain fsums, at cutoffs from below the first checkpoint to past
+    # every table's end but zeta's
+    us = (4.352, 60.0, 140.0, 1500.0, 2999.0, 12000.0, 14000.0)
+    with monkeypatch.context() as m:
+        m.setattr(zd, "_tail_sums", _plain_tail_sums)
+        want = [aggregate_stats(race, u) for u in us]
+    for u, w in zip(us, want):
+        got = aggregate_stats(race, u)
+        for f in fields(TailStats):
+            if f.name != "per_char":
+                assert repr(getattr(got, f.name)) \
+                    == repr(getattr(w, f.name)), (u, f.name)
+        for a, b in zip(got.per_char, w.per_char, strict=True):
+            for f in fields(CharTailStats):
+                assert repr(getattr(a, f.name)) \
+                    == repr(getattr(b, f.name)), (u, a.label, f.name)
+
+
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.FrozenSpanWarning")
 @pytest.mark.parametrize("race", [prime_count_race(), two_way_race(5, 1, 2)])
@@ -388,24 +464,41 @@ def _file_race(path, gammas, b1_total):
         replace(race.characters[0], table=str(path)),))
 
 
-def test_power_sums_built_once_per_table(tmp_path):
-    # the full-table sums behind b_k are built on a table's first use and
-    # kept on it: a second aggregate_stats builds none
+def _index_state(table):
+    # the prefix-sum index as built so far: per order the expansion
+    # objects at each checkpoint, and the totals
+    sums = table._prefix_sums
+    return ({k: list(marks) for k, marks in sums._marks.items()},
+            dict(sums._totals))
+
+
+def test_prefix_sums_built_as_far_as_calls_reach(tmp_path, monkeypatch):
+    # loading builds no sums; a call builds checkpoints only up to its
+    # cutoff's, with the totals behind b_2..b_8 (b_1 comes from the
+    # recorded total); a second call at a lower cutoff builds nothing
     z = bundled_table("zeta")
+    monkeypatch.setattr(zd, "_table_cache", {})
+    assert "_prefix_sums" not in vars(bundled_table("zeta"))
     race = _file_race(tmp_path / "zeta.txt", z.gammas, z.b1_total)
+    assert "_prefix_sums" not in vars(load_zeros(str(tmp_path / "zeta.txt")))
     t = zd.resolve_table(race.characters[0])
-    assert t._power_sums == {}
-    first = aggregate_stats(race, 100.0)
-    built = dict(t._power_sums)
-    # b_1 comes from the recorded total
-    assert sorted(built) == list(range(2, 9))
-    second = aggregate_stats(race, 200.0)
+    assert "_prefix_sums" not in vars(t)
+    first = aggregate_stats(race, 2000.0)
+    marks, totals = _index_state(t)
+    assert sorted(marks, key=float) == [0.5] + list(range(1, 9))
+    assert {len(m) for m in marks.values()} == {t.count(2000.0) // 128 + 1}
+    assert sorted(totals) == list(range(2, 9))
+    second = aggregate_stats(race, 500.0)
     assert zd.resolve_table(race.characters[0]) is t
-    assert t._power_sums.keys() == built.keys()
-    assert all(t._power_sums[k] is parts for k, parts in built.items())
-    for st_, u in ((first, 100.0), (second, 200.0)):
+    after = _index_state(t)
+    assert after[0].keys() == marks.keys() and after[1].keys() == totals.keys()
+    assert all(a is b for k in marks for a, b in zip(after[0][k], marks[k],
+                                                     strict=True))
+    assert all(after[1][k] is totals[k] for k in totals)
+    for st_, u in ((first, 2000.0), (second, 500.0)):
         assert st_.per_char[0].b == tuple(
             _plain_tail_bk(t, u, k, "auto") for k in range(1, 9))
+        assert st_.per_char[0].S == _plain_span(t, u)
 
 
 def test_rewritten_table_gets_fresh_power_sums(tmp_path):
@@ -656,6 +749,40 @@ def test_data_dir_override(tmp_path, monkeypatch):
     assert len(t) == 3 and t.source.startswith(str(tmp_path))
     monkeypatch.delenv("RACE_DENSITY_DATA")
     assert len(bundled_table("zeta")) >= 16000
+
+
+def test_relative_data_override_follows_working_directory(tmp_path,
+                                                          monkeypatch):
+    # a relative RACE_DENSITY_DATA is read against the working directory
+    # of each call, even once a table has been loaded through it
+    z = bundled_table("zeta")
+    for name, n in (("a", 1000), ("b", 2000)):
+        d = tmp_path / name / "tables"
+        d.mkdir(parents=True)
+        (d / "zeta.txt").write_text(
+            "# qstar: 1\n" + "".join(f"{g!r}\n" for g in z.gammas[:n].tolist()))
+    monkeypatch.setattr(zd, "_table_cache", {})
+    monkeypatch.setenv("RACE_DENSITY_DATA", "tables")
+    monkeypatch.chdir(tmp_path / "a")
+    a = bundled_table("zeta")
+    assert len(a) == 1000
+    assert a.source == str(tmp_path / "a" / "tables" / "zeta.txt")
+    monkeypatch.chdir(tmp_path / "b")
+    assert len(bundled_table("zeta")) == 2000
+    monkeypatch.chdir(tmp_path / "a")
+    assert bundled_table("zeta") is a
+
+
+def test_warm_bundled_table_does_no_path_work(monkeypatch):
+    # a table already loaded comes back without joining, normalising or
+    # testing its path
+    z = bundled_table("zeta")
+
+    def refuse(*args):
+        raise AssertionError("path work on a warm call")
+    for name in ("join", "abspath", "exists"):
+        monkeypatch.setattr(os.path, name, refuse)
+    assert bundled_table("zeta") is z
 
 
 def test_unknown_bundled_key():
