@@ -16,8 +16,12 @@ of those tables' suffix sums (index_ms), the summed aggregate_stats time
 imported (heavy_modules). After the solves, a fresh copy of the zeta
 table, read from its file outside the clock, gives the time of one cold
 aggregate_stats at u = 2999 (deep_stats_ms): the first-use build of the
-tail sums at a deep cutoff, apart from stats_ms. Compare two checkouts by
-running each in turn, alternating which goes first.
+tail sums at a deep cutoff, apart from stats_ms. A second fresh copy, the
+same file under another label, gives the time of one cold l0_full at
+u = 14000, s = 10, with its aggregate_stats outside the clock
+(cold_l0_ms): it includes the first-use build of the suffix sums that
+its log-I0 series reads, which a warm call skips. Compare two checkouts
+by running each in turn, alternating which goes first.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ def main() -> None:
     sys.path.insert(0, os.path.join(os.getcwd(), "src"))
     from racedensity import rs_method as rs
     from racedensity import zerodata as zd
+    from racedensity.transforms import l0_full
     from racedensity.race import prime_count_race, square_race, two_way_race
     races = [prime_count_race(), square_race(4), two_way_race(5, 1, 2),
              square_race(13), two_way_race(8, 1, 3), two_way_race(24, 1, 5)]
@@ -71,9 +76,17 @@ def main() -> None:
     t0 = time.perf_counter()
     zd.aggregate_stats(deep, 2999.0)
     deep_stats_s = time.perf_counter() - t0
+    # the same file under another label is read afresh: one cold l0_full
+    fresh = replace(deep, characters=(replace(
+        deep.characters[0], label="zeta (cold copy)"),))
+    stats = zd.aggregate_stats(fresh, 14000.0)
+    t0 = time.perf_counter()
+    l0_full(10.0, fresh, stats)
+    cold_l0_s = time.perf_counter() - t0
     print(json.dumps({
         "seed": seed, "import_ms": 1e3 * import_s, "index_ms": 1e3 * index_s,
         "stats_ms": 1e3 * stats_s, "deep_stats_ms": 1e3 * deep_stats_s,
+        "cold_l0_ms": 1e3 * cold_l0_s,
         "solve_ms": 1e3 * solve_s,
         "heavy_modules": [m for m in HEAVY_MODULES if m in sys.modules]}))
 

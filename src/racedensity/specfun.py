@@ -9,7 +9,9 @@ Pure functions only, on numpy alone. Three families matter downstream:
   built on first use from Bessel's equation at 40 digits; past 6 the
   Hankel form;
 * log I0 and its derivatives through fifth order, over a float or a
-  whole array of arguments, which drive the cumulant function;
+  whole array of arguments: the cumulant function's terms for the zeros
+  it takes explicitly (the others come from the log-J0 coefficients'
+  series, a_k (-w^2/4)^k);
 * the coefficients c_k of log I0(w) = sum_{k>=1} (-1)^{k-1} c_k w^{2k} / 2^k,
   shared between the Fourier remainder and the density expansions, each
   rounded once from an exact rational.

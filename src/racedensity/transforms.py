@@ -8,7 +8,11 @@ the tables' suffix sums. _prefix_log_bound bounds that product in closed
 form, never rising with the frequency, for rs_method's lattice stop.
 
 The Laplace side splits the distribution at a zero-height cutoff u.
-Below it every zero enters explicitly, as a log I0 term; above it only
+Below it each zero contributes log I0(x), x = 2*alpha*s/sqrt(1/4+g^2):
+the low zeros, with x above the Fourier side's split, as explicit terms,
+and the rest, where a character has enough of them to pay, through the
+log-I0 series over the same suffix sums, which log I0(x) =
+sum_k a_k (-x^2/4)^k shares with log J0. Above u only
 aggregate tail moments survive, and the remainder is a power series in
 t = sqrt(2 B1)*s. The raw series sum_k (-1)^(k-1) c_k R_k t^(2k)
 converges only inside the radius T carried by the tail statistics; the
@@ -41,6 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -323,10 +328,11 @@ def _near_block(out, near, lo, hi) -> None:
         out[lo + rows] *= np.multiply.reduceat(f, first[rows])
 
 
-def _explicit_zeros(race: RaceSpec, u: float) -> list:
-    # l0_full's explicit zeros: each character's table ordinates at or
-    # below u, in race order; a cutoff a few mean gaps past the final
-    # listed zero cannot hide a missing zero, anything further out could
+def _zeros_below(race: RaceSpec, u: float) -> list:
+    # l0_full's zeros: each character's table and the count of its
+    # ordinates at or below u, in race order; a cutoff a few mean gaps
+    # past the final listed zero cannot hide a missing zero, anything
+    # further out could
     out = []
     for entry in race.characters:
         table = resolve_table(entry)
@@ -337,7 +343,7 @@ def _explicit_zeros(race: RaceSpec, u: float) -> list:
             raise ZeroDataError(
                 f"{entry.label}: zero table ends at {table.last_zero:.6g}, "
                 f"so zeros below u = {u:g} are missing")
-        out.append(table.gammas[table.gammas <= u])
+        out.append((table, table.count(u)))
     return out
 
 
@@ -434,6 +440,51 @@ def _warn_if_truncated(value: float, last: float, t: float, T: float,
 
 # ----------------------------------------------------------- full cumulant side
 
+# l0_full takes a character's zeros with x <= _FAR_Z below u from the
+# series only when they number at least this many. The series costs two
+# chunk tails of extended power sums, 270 to 370 us whatever the count,
+# and an explicit zero 0.3 us (zeta, s = 1, median of 5 runs of 50 on a
+# 2-core VM): 393 us explicit against 357 us at 768 zeros, 228 against
+# 271 at 384. q5 1v2 at u = 250 (343 and 170 zeros) stays explicit
+_SERIES_FROM = 768
+
+
+@lru_cache(maxsize=1)
+def _log_i0_rows() -> tuple[np.ndarray, np.ndarray]:
+    # row m, column k - 1 for k = 1.._FAR_TERMS: the m-th s-derivative of
+    # (-1)^k a_k s^(2k) is rows[m, k-1] s^powers[m, k-1], with a_k the
+    # log-J0 coefficients and (2k)!/(2k-m)! zero where 2k < m (and that
+    # power clipped to 0)
+    k = np.arange(1, _FAR_TERMS + 1)
+    rows = np.array([[(-1) ** j * math.perm(2 * j, m) for j in k.tolist()]
+                     for m in range(6)], dtype=np.longdouble)
+    rows *= _log_j0_coeffs(_SUFFIX_ORDERS)[:_FAR_TERMS]
+    return rows, np.maximum(2 * k - np.arange(6)[:, None], 0)
+
+
+def _log_i0_series(s: float, alpha: float, d: np.ndarray):
+    # orders 0..5 in s of the sum of log I0(2 alpha s / sqrt(1/4 + g^2))
+    # over the zeros whose power sums D_k, k = 1..57, are d: log I0(x) =
+    # sum_k a_k (-x^2/4)^k makes it sum_k (-1)^k a_k alpha^(2k) s^(2k) D_k,
+    # cut after _FAR_TERMS orders. In extended precision, s^(2k-m) formed
+    # directly, so s = 0 gives exact zeros in the value and the odd
+    # orders, and summed from the highest order down. Also the bound on
+    # what the cut drops from the value, as _phat_rows takes it: the terms
+    # alternate in sign, with ratios below _FAR_RATIO in size
+    rows, powers = _log_i0_rows()
+    # alpha^(2k) for k = 1..57 and s^p for p = 0..114, each by repeated
+    # multiplication
+    c = np.multiply.accumulate(
+        np.full(_SUFFIX_ORDERS, np.longdouble(alpha) ** 2)) * d
+    sp = np.ones(2 * _SUFFIX_ORDERS + 1, dtype=np.longdouble)
+    np.multiply.accumulate(np.full(2 * _SUFFIX_ORDERS, np.longdouble(s)),
+                           out=sp[1:])
+    terms = rows * c[:-1] * sp[powers]
+    drop = -_log_j0_coeffs(_SUFFIX_ORDERS)[-1] * c[-1] * sp[-1]
+    return (np.add.accumulate(terms[:, ::-1], axis=1)[:, -1],
+            float(drop / (1.0 - _FAR_RATIO)))
+
+
 @dataclass(frozen=True)
 class LDerivs:
     """The cumulant generating function and its first five s-derivatives."""
@@ -471,35 +522,60 @@ class LDerivs:
 def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
     """Cumulant generating function with derivatives 1..5 at real s >= 0.
 
-    Explicit zeros below stats.u enter through log I0 with the chain
-    rule; each character's tail enters through the accelerated
-    remainder in its own variable t_chi = alpha*sqrt(2 b1_chi)*s, all
-    six orders from one _remainder call per character. The error
-    estimate collects the final correction terms, which bound what
-    truncating the correction series discards; a series whose final
-    term exceeds 1e-7 of its remainder raises AccuracyWarning.
+    The zeros below stats.u enter through log I0 with the chain rule.
+    Each character's zeros with x = 2*alpha*s/sqrt(1/4+g^2) at or below
+    _FAR_Z, split as phat_prefix splits its rows, enter through the
+    log-I0 series over the suffix sums from the split to the cutoff
+    (_log_i0_series), when they number at least _SERIES_FROM; the rest
+    enter one log_i0_derivs term each. Each character's tail enters
+    through the accelerated remainder in its own variable t_chi =
+    alpha*sqrt(2 b1_chi)*s, all six orders from one _remainder call per
+    character. The error estimate collects the final correction terms,
+    which bound what truncating the correction series discards, and
+    what cutting each log-I0 series drops from the value; a remainder
+    whose final term exceeds 1e-7 of it raises AccuracyWarning.
 
-    Each order's terms, zeros and remainders together, are summed by
-    zerodata._exact_sum and so rounded once: math.fsum below
-    zerodata._BINNED_FROM terms, exponent bins from there on, with the
-    same bits either way.
+    Each order's terms, explicit zeros, series and remainders together,
+    are summed by zerodata._exact_sum and so rounded once: math.fsum
+    below zerodata._BINNED_FROM terms, exponent bins from there on, with
+    the same bits either way. A series is summed in extended precision
+    and enters as two doubles whose sum is its extended value.
     """
     s = float(s)
     if s < 0.0:
         raise ValueError("s must be nonnegative (the function is even)")
     u = stats.u
-    # per order, one array per character: its explicit zeros' terms and
-    # then its remainder
+    # per order, one array per character: its explicit zeros' terms, the
+    # sum over its series zeros and then its remainder
     buckets = [[] for _ in range(6)]
     err_parts = []
-    for entry, pc, g in zip(race.characters, stats.per_char,
-                            _explicit_zeros(race, u)):
+    for entry, pc, (table, n_u) in zip(race.characters, stats.per_char,
+                                       _zeros_below(race, u)):
+        # the zeros before the split have x above _FAR_Z, split as
+        # phat_prefix splits its rows; the rest enter through the series
+        # when there are at least _SERIES_FROM of them
+        split = n_u
+        if n_u >= _SERIES_FROM:
+            sums = table._suffix_sums
+            first = int(sums.split(2.0 * entry.alpha * s / _FAR_Z))
+            if n_u - first >= _SERIES_FROM:
+                split = first
+        g = table.gammas[:split]
         a = 2.0 * entry.alpha / np.sqrt(0.25 + g * g)
         d = log_i0_derivs(a * s, 5)
         p = np.ones_like(a)
         for m in range(6):
             buckets[m].append(p * d[m])
             p = p * a
+        if split < n_u:
+            series, drop = _log_i0_series(s, entry.alpha,
+                                          sums.at(split) - sums.at(n_u))
+            err_parts.append(drop)
+            # each order as two doubles whose sum is its extended value
+            hi = series.astype(float)
+            lo = (series - hi).astype(float)
+            for m in range(6):
+                buckets[m].append(np.array([hi[m], lo[m]]))
         # remainder, once per series; the merged table carries `weight`
         # identical conjugate series
         b1_chi = pc.b[0] / pc.weight

@@ -422,6 +422,22 @@ class _SuffixSums:
             self.den = np.concatenate((self.den, np.sqrt(den2[j:j + stop])))
         return self._cols[:, i]
 
+    def at(self, i: int) -> np.ndarray:
+        """W_k(i) for k = 1..57 at one index up to the zero count, below
+        it with the bits of columns([i]): the totals past i's chunk plus
+        that chunk's zeros from i on, summed in the same order. Builds
+        no column."""
+        if i == len(self._table):
+            out = self._tops[:, -1].copy()
+            out[0] = self._starts[-1]
+            return out
+        s, j = divmod(i, _SUFFIX_CHUNK)
+        den2 = self._den2(s)
+        p = self._powers(1.0 / den2[j:])
+        out = np.add.accumulate(p[:, ::-1], axis=1)[:, -1] + self._tops[:, s + 1]
+        out[0] = self._w1_chunk(s, den2)[j]
+        return out
+
 
 # From this many terms on, _exact_sum (l0_full's order sums) bins by
 # exponent instead of running math.fsum over a list; below it, binning's

@@ -12,6 +12,7 @@ finite-difference derivative chains, series-vs-closed-form agreement).
 import bisect
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from scipy.special import j0 as scipy_j0
 
 from racedensity import rs_method as rs
 from racedensity import transforms as tr
+from racedensity import zerodata as zd
 from racedensity.race import (
     prime_count_race, race_from_config, square_race, two_way_race,
 )
@@ -970,6 +972,163 @@ def test_cumulant_sums_as_plain_fsum(race, u, ss, monkeypatch):
     monkeypatch.setattr(tr, "_exact_sum", math.fsum)
     assert [_l0_outcome(s, race, stats) for s in ss] == got
     assert any("LDerivs" in g for g in got)
+
+
+def log_i0_oracle(gammas, alpha, s, prec=40):
+    """Orders 0..5 in s > 0 of the sum over gammas of log I0(x), x =
+    2 alpha s / sqrt(1/4 + g^2), in decimal arithmetic at prec digits.
+
+    I0 and I1 come from their ascending series, log I0 is ln I0 and
+    r = I1/I0 its first x-derivative; orders 2..5 follow from Bessel's
+    equation (g'' = 1 - r^2 - r/x and its derivatives), and the chain
+    rule gives each the factor (x/s)^m. The recurrences cancel about
+    5 log10(1/x) digits at small x, some 20 of the 40 at x = 1e-4.
+    """
+    out = [Decimal(0)] * 6
+    with localcontext() as ctx:
+        ctx.prec = prec
+        eps = Decimal(10) ** -(prec + 5)
+        two_alpha, dec_s = 2 * Decimal(alpha), Decimal(s)
+        for g in gammas:
+            c = two_alpha / (Decimal("0.25") + Decimal(g) ** 2).sqrt()
+            w = c * dec_s
+            q = w * w / 4
+            i0 = t0 = h1 = t1 = Decimal(1)
+            m = 0
+            while t0 > eps * i0:
+                m += 1
+                t0 = t0 * q / (m * m)
+                t1 = t1 * q / (m * (m + 1))
+                i0 += t0
+                h1 += t1
+            r = w / 2 * h1 / i0
+            iw = 1 / w
+            g2 = 1 - r * r - r * iw
+            g3 = -(2 * r + iw) * g2 + r * iw ** 2
+            g4 = (-2 * g2 * g2 + 2 * g2 * iw ** 2 - (2 * r + iw) * g3
+                  - 2 * r * iw ** 3)
+            g5 = (-6 * g2 * g3 + 3 * g3 * iw ** 2 - 6 * g2 * iw ** 3
+                  - (2 * r + iw) * g4 + 6 * r * iw ** 4)
+            p = Decimal(1)
+            for m, v in enumerate((i0.ln(), r, g2, g3, g4, g5)):
+                out[m] += p * v
+                p *= c
+    return out
+
+
+def series_bound(table, alpha, s, split, n_u):
+    """Per order m, a first-order bound on the rounding error of l0_full's
+    extended log-I0 series over the zeros split..n_u-1, in units of
+    u = 2^-64, summed over its terms k = 1..56, each C_k D_k with
+    C_k = |a_k| (2k)!/(2k-m)! alpha^(2k) s^(2k-m) and D_k = W_k(split) -
+    W_k(n_u):
+
+    * the term's arithmetic, (3k + 62) u of C_k D_k: alpha^(2k) and
+      s^(2k-m) by repeated multiplication, a few products, and the
+      partial sums of 56 terms;
+    * the suffix sums behind D_k, n_k u of C_k (W_k(split) + W_k(n_u)):
+      each W_k adds positive terms, at most 256 in a chunk and one per
+      chunk, powers of (1/4 + g^2)^-1 formed in k + 3 roundings, so
+      n_k = 256 + chunks + k + 4. Where the table carries b1_total, W_1
+      is b1_total less those sums, and 2 b1_total stands in for the W_1s.
+    """
+    sums = table._suffix_sums
+    lo, hi = sums.at(split), sums.at(n_u)
+    e = lo + hi
+    if table.b1_total is not None:
+        e[0] = 2.0 * table.b1_total
+    k = np.arange(1, 57)
+    n = 256 + len(table) // 256 + k + 5
+    a = np.array([abs(float(f)) for f in _log_j0_fracs(56)], dtype=np.longdouble)
+    out = []
+    for m in range(6):
+        c = (a * np.array([math.perm(2 * j, m) for j in k.tolist()])
+             * np.longdouble(alpha) ** (2 * k)
+             * np.longdouble(s) ** np.maximum(2 * k - m, 0))
+        out.append(float(np.sum(c * ((3 * k + 62) * (lo - hi)[:56]
+                                     + n * e[:56])) * 2.0 ** -64))
+    return out
+
+
+# s = 1.4 sqrt(1/4 + g^2) / 2 for zeta's 50th ordinate puts that zero at
+# x = 1.4 to within rounding, where the series converges slowest
+EDGE_S = 0.7 * math.sqrt(0.25 + float(bundled_table("zeta").gammas[49]) ** 2)
+
+
+@pytest.mark.parametrize("u, s", [
+    (14000.0, 1.0), (14000.0, 10.0), (14000.0, 100.0), (2000.0, EDGE_S),
+])
+def test_cumulant_series_matches_decimal_oracle(zeta_race, u, s, monkeypatch):
+    # l0_full against the exact sum of its explicit terms, its remainder
+    # and the oracle's sum over exactly the zeros its series takes: within
+    # the series' rounding bound and half an ulp for the order sum's one
+    # rounding. The per-zero log I0 terms the series replaced put d5
+    # 1.8e-14 off the oracle at s = 10 and 1.1e-14 at s = 100
+    table = bundled_table("zeta")
+    stats = aggregate_stats(zeta_race, u)
+    sums = table._suffix_sums
+    n_u = table.count(u)
+    split = int(sums.split(2.0 * s / tr._FAR_Z))
+    assert n_u - split >= tr._SERIES_FROM
+    if s == EDGE_S:
+        x = 2.0 * s / math.sqrt(0.25 + float(table.gammas[49]) ** 2)
+        assert abs(x - 1.4) <= 2.0 * math.ulp(1.4) and split in (49, 50)
+    oracle = log_i0_oracle(table.gammas[split:n_u].tolist(), 1.0, s)
+    bound = series_bound(table, 1.0, s, split, n_u)
+    summed = []
+    monkeypatch.setattr(tr, "_exact_sum",
+                        lambda x: summed.append(x) or math.fsum(x.tolist()))
+    out = tr.l0_full(s, zeta_race, stats)
+    for m in range(6):
+        # the explicit terms, the series as two doubles, the remainder
+        terms = summed[m].tolist()
+        assert len(terms) == split + 3
+        exact = (sum(map(Fraction, terms[:split] + terms[-1:]))
+                 + Fraction(oracle[m]))
+        assert abs(Fraction(out.values[m]) - exact) <= \
+            bound[m] + 0.5 * math.ulp(out.values[m]), m
+
+
+@pytest.mark.parametrize("key", ["mod5_j1", "mod5_quad"])
+@pytest.mark.parametrize("s", [2.5, 8.0, 19.0])
+def test_log_i0_series_on_conjugate_pair_tables(key, s):
+    # the series over q5 1v2's zeros with x <= 1.4 below u = 250, on both
+    # of its tables (mod5_j1 a conjugate pair at alpha = 1/sqrt 2), within
+    # its rounding bound of the oracle. l0_full takes them explicitly: too
+    # few to pay
+    race = two_way_race(5, 1, 2)
+    entry = next(e for e in race.characters if e.table == key)
+    table = bundled_table(key)
+    sums = table._suffix_sums
+    n_u = table.count(250.0)
+    split = int(sums.split(2.0 * entry.alpha * s / tr._FAR_Z))
+    assert split < n_u < tr._SERIES_FROM
+    series, drop = tr._log_i0_series(s, entry.alpha,
+                                     sums.at(split) - sums.at(n_u))
+    oracle = log_i0_oracle(table.gammas[split:n_u].tolist(), entry.alpha, s)
+    bound = series_bound(table, entry.alpha, s, split, n_u)
+    for m in range(6):
+        hi = float(series[m])
+        got = Fraction(hi) + Fraction(float(series[m] - hi))
+        assert abs(got - Fraction(oracle[m])) <= bound[m], m
+    # the cut's bound: the first dropped term over the split's zero, at
+    # x <= 1.4, is below 4.3e-29 of a log-J0 factor there
+    assert 0.0 < drop < 5e-29 * (n_u - split)
+
+
+def test_cumulant_series_sums_independent_and_columnless(zeta_race,
+                                                         monkeypatch):
+    # on a fresh table l0_full's series forms no column of the suffix
+    # sums, and gives the same bits after phat_prefix has built them
+    monkeypatch.setattr(zd, "_table_cache", {})
+    stats = aggregate_stats(zeta_race, 14000.0)
+    ss = (0.0, 1.0, 100.0, 1000.0)
+    before = [repr(tr.l0_full(s, zeta_race, stats)) for s in ss]
+    sums = bundled_table("zeta")._suffix_sums
+    assert sums._cols.shape == (57, 0)
+    tr.phat_prefix(np.linspace(0.5, 60.0, 40), zeta_race)
+    assert sums._cols.shape[1] > 0
+    assert [repr(tr.l0_full(s, zeta_race, stats)) for s in ss] == before
 
 
 def test_cumulant_validation(zeta_race, stats2000):

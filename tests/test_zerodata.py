@@ -444,16 +444,35 @@ def test_aggregate_stats_of_published_races_as_plain_sums(race, monkeypatch):
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.FrozenSpanWarning")
 @pytest.mark.parametrize("race", [prime_count_race(), two_way_race(5, 1, 2)])
-def test_aggregate_stats_as_with_plain_fsum(race, monkeypatch):
-    # every field, bit for bit, as with _exact_sum replaced by math.fsum
-    # over the arrays (fresh tables, so no cached sum is shared)
+def test_aggregate_stats_independent_of_call_order(race, monkeypatch):
+    # every field, bit for bit, whichever cutoff built the prefix sums'
+    # checkpoints first: fresh tables taken in ascending and then in
+    # descending order of cutoff
     us = (0.0, 30.0, 1000.0, 13000.0)
-    with monkeypatch.context() as m:
-        m.setattr(zd, "_table_cache", {})
-        m.setattr(zd, "_exact_sum", math.fsum)
-        want = [repr(aggregate_stats(race, u)) for u in us]
     monkeypatch.setattr(zd, "_table_cache", {})
-    assert [repr(aggregate_stats(race, u)) for u in us] == want
+    up = [repr(aggregate_stats(race, u)) for u in us]
+    monkeypatch.setattr(zd, "_table_cache", {})
+    down = [repr(aggregate_stats(race, u)) for u in reversed(us)]
+    assert down[::-1] == up
+
+
+def test_suffix_sums_at_one_index_as_columns(monkeypatch):
+    # W_k at one index equals the column that columns() builds for it,
+    # on a fresh table, at chunk edges and at the last zero; at the zero
+    # count it is the sum past the table end alone. A long double's
+    # equal value is its bits, padding aside
+    monkeypatch.setattr(zd, "_table_cache", {})
+    sums = bundled_table("zeta")._suffix_sums
+    n = len(bundled_table("zeta"))
+    idx = [0, 255, 256, 257, n - 1]
+    at = [sums.at(i) for i in idx]
+    assert sums._cols.shape[1] == 0
+    cols = sums.columns(np.array(idx))
+    for j, w in enumerate(at):
+        assert w.dtype == np.longdouble and np.array_equal(w, cols[:, j])
+    past = sums.at(n)
+    assert np.array_equal(past[1:], sums._tops[1:, -1])
+    assert past[0] == sums._starts[-1]
 
 
 def _file_race(path, gammas, b1_total):
