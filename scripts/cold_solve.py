@@ -7,21 +7,23 @@ Run from the root of a checkout:
     python3 scripts/cold_solve.py --seed S
 
 Each race is solved once at a cutoff drawn from [60, 140] with the seed,
-at target 1e-11. Tables are loaded, and their suffix sums built, before
-the solve clock starts. Prints one JSON line: the time to import the
-package and load the six races' tables (import_ms), the first-use build
-of those tables' suffix sums (index_ms), the summed aggregate_stats time
-(stats_ms), the time of all six solves, aggregate_stats included
-(solve_ms), and which of the heavy modules scipy and numpy.ma the solves
-imported (heavy_modules). After the solves, a fresh copy of the zeta
-table, read from its file outside the clock, gives the time of one cold
-aggregate_stats at u = 2999 (deep_stats_ms): the first-use build of the
-tail sums at a deep cutoff, apart from stats_ms. A second fresh copy, the
-same file under another label, gives the time of one cold l0_full at
-u = 14000, s = 10, with its aggregate_stats outside the clock
-(cold_l0_ms): it includes the first-use build of the suffix sums that
-its log-I0 series reads, which a warm call skips. Compare two checkouts
-by running each in turn, alternating which goes first.
+at target 1e-11. Tables are loaded, their suffix sums built and the J0
+kernel's Taylor coefficients built before the solve clock starts. Prints
+one JSON line: the time to import the package and load the six races'
+tables (import_ms), the first-use build of those tables' suffix sums
+(index_ms), the first-use build of the J0 coefficients (j0_build_ms),
+the summed aggregate_stats time (stats_ms), the time of all six solves,
+aggregate_stats included (solve_ms), and which of the heavy modules
+scipy and numpy.ma the solves imported (heavy_modules). After the
+solves, a fresh copy of the zeta table, read from its file outside the
+clock, gives the time of one cold aggregate_stats at u = 2999
+(deep_stats_ms): the first-use build of the tail sums at a deep cutoff,
+apart from stats_ms. A second fresh copy, the same file under another
+label, gives the time of one cold l0_full at u = 14000, s = 10, with its
+aggregate_stats outside the clock (cold_l0_ms): it includes the
+first-use build of the suffix sums that its log-I0 series reads, which
+a warm call skips. Compare two checkouts by running each in turn,
+alternating which goes first.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ def main() -> None:
     t0 = time.perf_counter()
     sys.path.insert(0, os.path.join(os.getcwd(), "src"))
     from racedensity import rs_method as rs
+    from racedensity import specfun
     from racedensity import zerodata as zd
     from racedensity.transforms import l0_full
     from racedensity.race import prime_count_race, square_race, two_way_race
@@ -58,6 +61,9 @@ def main() -> None:
         for entry in race.characters:
             zd.resolve_table(entry)._suffix_sums
     index_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    specfun._j0_near_coeffs()
+    j0_build_s = time.perf_counter() - t0
     rng = random.Random(seed)
     cutoffs = [60.0 + 80.0 * rng.random() for _ in races]
     stats_s = 0.0
@@ -85,6 +91,7 @@ def main() -> None:
     cold_l0_s = time.perf_counter() - t0
     print(json.dumps({
         "seed": seed, "import_ms": 1e3 * import_s, "index_ms": 1e3 * index_s,
+        "j0_build_ms": 1e3 * j0_build_s,
         "stats_ms": 1e3 * stats_s, "deep_stats_ms": 1e3 * deep_stats_s,
         "cold_l0_ms": 1e3 * cold_l0_s,
         "solve_ms": 1e3 * solve_s,

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Fit the Chebyshev series of J0's Hankel form for z > 6.
+"""Fit the Chebyshev series of J0's Hankel form past the near kernel's cut.
 
-For z > 6, J0(z) = sqrt(2/(pi z)) (P(z) cos chi - Q(z) sin chi) with
-chi = z - pi/4. P and z*Q are smooth functions of 1/z^2 that tend to 1
-and -1/8; this script expands P - 1 and z*Q + 1/8 as Chebyshev series
-in y = 72/z^2 - 1, which maps z in [6, inf) onto y in (-1, 1]. The
+Past specfun._J0_NEAR_CUT, the cut a below, J0(z) = sqrt(2/(pi z))
+(P(z) cos chi - Q(z) sin chi) with chi = z - pi/4. P and z*Q are smooth
+functions of 1/z^2 that tend to 1 and -1/8; this script expands P - 1
+and z*Q + 1/8 as Chebyshev series in y = 2a^2/z^2 - 1, which maps z in
+[a, inf) onto y in (-1, 1]. The
 values come from mpmath at 50 digits, through
     P = sqrt(pi z/2) (J0 cos chi + Y0 sin chi)
     Q = sqrt(pi z/2) (Y0 cos chi - J0 sin chi)
@@ -27,7 +28,13 @@ between each rounded polynomial and mpmath on a fine check grid.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import mpmath
+
+sys.path.insert(0, os.path.join(os.getcwd(), "src"))
+from racedensity.specfun import _J0_NEAR_CUT  # noqa: E402
 
 NODES = 64
 TOL = 2e-18
@@ -45,7 +52,7 @@ def _pq(z: mpmath.mpf) -> tuple[mpmath.mpf, mpmath.mpf]:
 
 
 def _z(y: mpmath.mpf) -> mpmath.mpf:
-    return mpmath.sqrt(72 / (y + 1))
+    return mpmath.sqrt(2 * mpmath.mpf(_J0_NEAR_CUT) ** 2 / (y + 1))
 
 
 def _chebyshev(part: int, vals, ys) -> list[mpmath.mpf]:

@@ -129,7 +129,15 @@ class PhatSample:
 
 class _Samples(tuple):
     # phat_samples' records, with _truncation_bound's for the points past
+    # and _error_sums' over the records: both independent of v
     dropped: tuple[float, float]
+    errors: tuple[float, float]
+
+
+def _error_sums(samples) -> tuple[float, float]:
+    # the samples' series-cut bounds, weighted 1/m for E and evenly for P0
+    return (math.fsum([s.error / s.m for s in samples]),
+            math.fsum([s.error for s in samples]))
 
 
 def _lattice_end(race: RaceSpec, domega: float, sigma0: float) -> int:
@@ -172,6 +180,7 @@ def phat_samples(race: RaceSpec, params: RSParams,
         for i, w, p, d in zip(range(1, n + 1), omegas.tolist(),
                               values.tolist(), drops.tolist()))
     samples.dropped = _truncation_bound(n, race, params.domega)
+    samples.errors = _error_sums(samples)
     return samples
 
 
@@ -266,18 +275,17 @@ def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
     w = params.domega
     dropped = getattr(samples, "dropped", None) \
         or _truncation_bound(n, race, w)
+    errors = getattr(samples, "errors", None) or _error_sums(samples)
     if density:
         values = [w / math.pi * (0.5 + math.fsum(
             [s.phat * math.cos(s.m * v * w) for s in samples]))
             for v in vs]
-        err = (alias + w / math.pi * math.fsum([s.error for s in samples])
-               + dropped[1])
+        err = alias + w / math.pi * errors[1] + dropped[1]
     else:
         values = [0.5 - v * w / (2.0 * math.pi) - math.fsum(
             [s.phat * math.sin(s.m * v * w) / s.m for s in samples])
             / math.pi for v in vs]
-        err = (alias + math.fsum([s.error / s.m for s in samples]) / math.pi
-               + dropped[0])
+        err = alias + errors[0] / math.pi + dropped[0]
     return values, err, n
 
 

@@ -4,9 +4,9 @@ Pure functions only, on numpy alone. Three families matter downstream:
 
 * J0, in extended precision over the whole real line, and its first two
   positive zeros, which set where the two-sided characteristic function
-  of a single zero's contribution vanishes. Up to 6 it is a Taylor
-  polynomial about the nearest of 53 centres, whose coefficients are
-  built on first use from Bessel's equation at 40 digits; past 6 the
+  of a single zero's contribution vanishes. Up to 32 it is a Taylor
+  polynomial about the nearest of 278 centres, whose coefficients are
+  built on first use from Bessel's equation at 40 digits; past 32 the
   Hankel form;
 * log I0 and its derivatives through fifth order, over a float or a
   whole array of arguments: the cumulant function's terms for the zeros
@@ -50,34 +50,40 @@ __all__ = [
 J0_ZERO1 = 2.404825557695773
 J0_ZERO2 = 5.520078110286311
 
-# |z| <= 6 takes a Taylor polynomial of degree 10 about the nearest of
-# the centres c_k = 6k/52, k = 0..52, so |z - c_k| <= 3/52 (see
-# _j0_near_coeffs); past 6 the Hankel form below
-_J0_NEAR_CUT = 6.0
+# |z| <= _J0_NEAR_CUT takes a Taylor polynomial of degree 10 about the
+# nearest of the centres c_k = 6k/52, k = 0..277, so |z - c_k| <= 3/52
+# (see _j0_near_coeffs); past it the Hankel form below. The six
+# published races reach z = 25.72 at their lattice stop (q13 square,
+# under choose_params(v_max = 3) at cutoffs 4.352 to 2999; 25.42 under
+# race_result, and 16.66 for mod 4, the largest in deep_cutoff), so
+# the cut at 32 keeps every factor of their solves on the polynomials
+_J0_NEAR_CUT = 32.0
+# _J0_PIECES centres to each _J0_SERIES_TO, the span of the ascending
+# series in _j0_near_coeffs; the last centre is the nearest the cut
+_J0_SERIES_TO = 6.0
 _J0_PIECES = 52
+_J0_CENTRES = round(_J0_NEAR_CUT * _J0_PIECES / _J0_SERIES_TO) + 1
 _J0_DEGREE = 10
+# the degree of the series that steps J0 and J1 from centre to centre
+# past _J0_SERIES_TO
+_J0_STEP_DEGREE = 18
 
-# Past the cutover J0(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi) with
-# chi = z - pi/4. P - 1 and z Q + 1/8 are polynomials in y = 72/z^2 - 1,
-# fitted as Chebyshev series against mpmath to 2e-18 absolute and stored
-# in powers of y by scripts/fit_j0_tail.py; rows P - 1 and zQ + 1/8, the
-# shorter zero-padded at the top.
-_J0_TAIL = np.zeros((2, 19))
-_J0_TAIL[0, :17] = (
-    -0.0009562782475594555, -0.0009371922699207918, 1.801462057593961e-05,
-    -9.64007018091677e-07, 9.16995319304267e-08, -1.2683259845092585e-08,
-    2.284051994422095e-09, -5.006101471246117e-10, 1.2774187349591975e-10,
-    -3.648637801573743e-11, 1.1475139795926316e-11, -4.502188177190623e-12,
-    1.814268718946277e-12, -1.3227502316580562e-13, -3.963959151107006e-14,
-    -3.1286868105045177e-13, 1.6536109866084696e-13)
+# Past the cut J0(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi) with
+# chi = z - pi/4. P - 1 and z Q + 1/8 are polynomials in
+# y = 2 cut^2/z^2 - 1, fitted on [cut, inf) as Chebyshev series against
+# mpmath to 2e-18 absolute and stored in powers of y by
+# scripts/fit_j0_tail.py; rows P - 1 and zQ + 1/8, the shorter
+# zero-padded at the top. From z = 32 on, six and seven terms reach
+# that tolerance, where z = 6 took 17 and 19
+_J0_TAIL_SCALE = 2.0 * _J0_NEAR_CUT ** 2
+_J0_TAIL = np.zeros((2, 7))
+_J0_TAIL[0, :6] = (
+    -3.430560255207278e-05, -3.4278995679921324e-05, 2.6541242081876686e-08,
+    -6.529659820914787e-11, 3.3064708827129346e-13, -2.823139062471128e-15)
 _J0_TAIL[1] = (
-    0.0009773662668481934, 0.0009408434207776135, -3.361025567239429e-05,
-    2.5441146427159604e-06, -3.0484939137770443e-07, 4.988661781092704e-08,
-    -1.0228708858280206e-08, 2.4877639605130347e-09, -6.917016086642071e-10,
-    2.1496995238048484e-10, -7.31547925288768e-11, 2.4944850483863288e-11,
-    -9.0522285380615e-12, 6.384602605880932e-12, -3.408166265579127e-12,
-    -8.946915932769674e-13, 7.768613942417971e-13, 8.330611788699921e-13,
-    -4.957507961980704e-13)
+    3.5708839861305465e-05, 3.5655091264529764e-05, -5.355153102003736e-08,
+    1.9573872072782335e-10, -1.3128885867722275e-12, 1.3933109697258357e-14,
+    -2.1316902514526859e-16)
 # pi/4 as the double nearest it plus the rest, and 2/pi in extended
 # precision
 _PI4_HI = math.pi / 4.0
@@ -92,17 +98,18 @@ def j0_lowbias(z) -> np.ndarray:
     bias into a one-sided relative drift proportional to the product
     length; the cephes routine, for one, sits a few 1e-17 low on
     average. So the whole kernel is extended precision, with no library
-    fallback. For |z| <= 6 it evaluates the Taylor polynomial of degree
-    10 about the nearest of the centres 6k/52 (_j0_near), which gives
-    exactly 1 at z = 0. Against mpmath at 1e5 long double arguments in
-    [0, 6] its largest error is 5.7e-20 absolute and its mean 3e-22.
-    Past 6 it takes the Hankel form, with fitted polynomials for P and zQ
-    (largest error 2e-18). Its phase chi = z - pi/4 is carried as the
-    double nearest it plus a remainder, which corrects the double cos
-    and sin of the first part to first order, and the O(1) part of the
-    sum stays in 80 bits. Against mpmath on [6, 1e3] the tail's largest
-    error is 1.8e-17 absolute and its mean 1e-19 (cephes: 1.3e-15 and
-    5e-18).
+    fallback. For |z| <= 32 it evaluates the Taylor polynomial of
+    degree 10 about the nearest of the centres 6k/52 (_j0_near), which
+    gives exactly 1 at z = 0. Against mpmath at 1e5 long double
+    arguments in [0, 32] its largest error is 5.4e-20 absolute and its
+    mean 1.2e-22. Every factor of the published races' solves falls
+    there. Past 32 it takes the Hankel form, with fitted polynomials for
+    P and zQ (largest error 1.2e-18). Its phase chi = z - pi/4 is
+    carried as the double nearest it plus a remainder, which corrects
+    the double cos and sin of the first part to first order, and the
+    O(1) part of the sum stays in 80 bits. Against mpmath on [32, 1e3]
+    the tail's largest error is 7.4e-18 absolute and its mean 2.4e-20
+    (cephes: 1.3e-15 and 1.5e-19).
 
     transforms.phat_prefix calls it for the near zone of each product
     only, the factors with z above transforms._FAR_Z; the far zone goes
@@ -114,8 +121,9 @@ def j0_lowbias(z) -> np.ndarray:
     zl = np.atleast_1d(np.asarray(z, dtype=np.longdouble))
     # the sign and the split are read off the double nearest z, a
     # fraction of the cost in 80 bits; a z within half a double ulp
-    # above 6 therefore takes the polynomial about 6, still to its full
-    # accuracy, and a NaN fails the test and takes the tail
+    # above the cut therefore takes the polynomial about the last
+    # centre, still to its full accuracy, and a NaN fails the test and
+    # takes the tail
     zd = zl.astype(float)
     if (zd < 0.0).any():
         zl, zd = np.abs(zl), np.abs(zd)
@@ -134,40 +142,62 @@ def _j0_near_coeffs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the centres c_k = 6k/52 in extended precision; the Taylor
     # coefficients a_n = J0^(n)(c_k)/n! about each, row n for n = 0..10,
     # in extended precision; and rows a_3..a_10 again in double, for
-    # the Horner steps that run in double. Each coefficient is rounded
-    # once from 40 digits at the centre's exact value. J0(c) and J1(c)
-    # come from their ascending series (40 terms leave under 1e-57 at
-    # c = 6). Bessel's equation of order 0 divided by z (DLMF 10.2.1),
-    # (c + x) y'' + y' + (c + x) y = 0, then gives term by term in x
+    # the Horner steps that run in double. Each coefficient is worked
+    # out at 40 digits about the centre's exact value and rounded once.
+    # Bessel's equation of order 0 divided by z (DLMF 10.2.1),
+    # (c + x) y'' + y' + (c + x) y = 0, gives term by term in x
     #   a_(n+2) = -((n+1)^2 a_(n+1) + c a_n + a_(n-1)) / (c (n+1)(n+2))
     # with a_0 = J0(c), a_1 = -J1(c) and a_(-1) = 0; at c = 0 it is
     # a_(n+2) = -a_n / (n+2)^2. The recurrence grows rounding errors
     # like (1/c)^n, under 1e10 at the smallest nonzero centre, which
-    # 40 digits absorb
-    centres = (np.arange(_J0_PIECES + 1, dtype=np.longdouble)
-               * _J0_NEAR_CUT / _J0_PIECES)
-    rows = np.empty((_J0_DEGREE + 1, centres.size), dtype=np.longdouble)
+    # 40 digits absorb. Up to c = 6, J0(c) and J1(c) come from their
+    # ascending series (40 terms leave under 1e-57 at c = 6). Past it
+    # those series cancel ever more, so each centre takes a_0 and a_1
+    # from the previous centre's series and its derivative at the step
+    # h = 6/52, carried to degree _J0_STEP_DEGREE: as |J0^(n)| <= 1,
+    # |a_n| <= 1/n!, and the terms past it move J0 by under 2e-35 and
+    # J1 by under 3e-33 a step. An error in (J0, J1) does not grow along
+    # Bessel's equation; after the 225 steps to the last centre, J0 and
+    # J1 are within 2.6e-32 of mpmath's, twelve digits below the
+    # extended-precision rounding
+    centres = (np.arange(_J0_CENTRES, dtype=np.longdouble)
+               * _J0_SERIES_TO / _J0_PIECES)
+    digits = []
     with localcontext() as ctx:
         ctx.prec = 40
-        for k, cl in enumerate(centres):
+        for cl in centres:
             num, den = cl.as_integer_ratio()
             c = Decimal(num) / den
-            q = c * c / 4
-            term, j0, j1 = Decimal(1), Decimal(0), Decimal(0)
-            for m in range(1, 41):
-                # term = (-q)^(m-1) / ((m-1)!)^2
-                j0 += term
-                j1 += term / m
-                term *= -q / (m * m)
-            a = [j0, -c / 2 * j1]
-            for n in range(_J0_DEGREE - 1):
-                if c:
-                    prev = a[n - 1] if n else 0
-                    a.append(-((n + 1) ** 2 * a[n + 1] + c * a[n] + prev)
-                             / (c * (n + 1) * (n + 2)))
-                else:
+            if c <= _J0_SERIES_TO:
+                q = c * c / 4
+                term, j0, j1 = Decimal(1), Decimal(0), Decimal(0)
+                for m in range(1, 41):
+                    # term = (-q)^(m-1) / ((m-1)!)^2
+                    j0 += term
+                    j1 += term / m
+                    term *= -q / (m * m)
+                a = [j0, -c / 2 * j1]
+            else:
+                h = c - prev
+                j0 = dj0 = Decimal(0)
+                for n in range(len(a) - 1, 0, -1):
+                    j0 = j0 * h + a[n]
+                    dj0 = dj0 * h + n * a[n]
+                a = [j0 * h + a[0], dj0]
+            degree = (_J0_STEP_DEGREE if c >= _J0_SERIES_TO
+                      else _J0_DEGREE)
+            if c:
+                inv = 1 / c
+                for n in range(degree - 1):
+                    a.append(-((n + 1) ** 2 * a[n + 1] + c * a[n]
+                               + (a[n - 1] if n else 0))
+                             * inv / ((n + 1) * (n + 2)))
+            else:
+                for n in range(degree - 1):
                     a.append(-a[n] / (n + 2) ** 2)
-            rows[:, k] = [np.longdouble(str(v)) for v in a]
+            digits.append([str(v) for v in a[:_J0_DEGREE + 1]])
+            prev = c
+    rows = np.ascontiguousarray(np.array(digits, dtype=np.longdouble).T)
     hi = rows[3:].astype(float)
     for arr in (centres, rows, hi):
         arr.setflags(write=False)
@@ -175,16 +205,16 @@ def _j0_near_coeffs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _j0_near(z: np.ndarray, zd: np.ndarray) -> np.ndarray:
-    # z in extended precision, every value in [0, 6], and zd the double
-    # nearest it. The offset x from the nearest centre is exact (z and
-    # the centre lie within a factor 2 of each other), and |x| <= 3/52,
-    # so the terms from a_3 x^3 on sum to under 3e-5 and double carries
-    # them to 4e-21 absolute; the last three Horner steps run in
-    # extended precision. Each step gathers its own coefficient row by
-    # the centre index, which measured faster than gathering all eleven
-    # at once
+    # z in extended precision, every value in [0, _J0_NEAR_CUT], and zd
+    # the double nearest it. The offset x from the nearest centre is
+    # exact (z and the centre lie within a factor 2 of each other), and
+    # |x| <= 3/52, so the terms from a_3 x^3 on sum to under 3e-5 and
+    # double carries them to 4e-21 absolute; the last three Horner steps
+    # run in extended precision. Each step gathers its own coefficient
+    # row by the centre index, which measured faster than gathering all
+    # eleven at once
     centres, rows, hi = _j0_near_coeffs()
-    idx = np.rint(zd * (_J0_PIECES / _J0_NEAR_CUT)).astype(np.intp)
+    idx = np.rint(zd * (_J0_PIECES / _J0_SERIES_TO)).astype(np.intp)
     x = centres[idx]
     np.subtract(z, x, out=x)
     xd = x.astype(float)
@@ -201,9 +231,9 @@ def _j0_near(z: np.ndarray, zd: np.ndarray) -> np.ndarray:
 
 
 def _j0_tail(z: np.ndarray) -> np.ndarray:
-    # z in extended precision, every value above 6
+    # z in extended precision, every value above _J0_NEAR_CUT
     zd = z.astype(float)
-    p1, zq1 = _horner(_J0_TAIL, 72.0 / (zd * zd) - 1.0)
+    p1, zq1 = _horner(_J0_TAIL, _J0_TAIL_SCALE / (zd * zd) - 1.0)
     # chi = s + lo: s the double difference, lo its exact rounding error
     # (zd > pi/4) plus the low parts of z and of pi/4, all far below an
     # ulp of s, so cos and sin of chi take lo to first order
@@ -212,7 +242,7 @@ def _j0_tail(z: np.ndarray) -> np.ndarray:
     cos_s, sin_s = np.cos(s), np.sin(s)
     sin_lo = sin_s * lo
     # P cos chi - Q sin chi = cos chi + (p1 cos chi + (-Q) sin chi): the
-    # bracket is under 0.021 in size, so double carries it; only cos chi
+    # bracket is under 0.004 in size, so double carries it; only cos chi
     # and the sums need extended precision
     bracket = (p1 * (cos_s - sin_lo)
                + (0.125 - zq1) / zd * (sin_s + cos_s * lo))

@@ -600,6 +600,22 @@ def test_samples_of_another_step_refused(zeta_race):
                      stats=stats, samples=samples[1:])
 
 
+def test_plain_tuple_samples_read_as_phat_samples(zeta_race):
+    # phat_samples carries its v-independent sums; a plain tuple of the
+    # same records has them worked out per call, to the same bits
+    stats = aggregate_stats(zeta_race, 100.0)
+    params = rs.choose_params(3.0, stats, 1e-11)
+    samples = rs.phat_samples(zeta_race, params, stats)
+    for compute in (rs.compute_E, rs.compute_P):
+        for v in (0.0, 1.0, 2.0):
+            carried = compute(v, zeta_race, params, stats=stats,
+                              samples=samples)
+            plain = compute(v, zeta_race, params, stats=stats,
+                            samples=tuple(samples))
+            fresh = compute(v, zeta_race, params, stats=stats)
+            assert repr(carried) == repr(plain) == repr(fresh)
+
+
 def test_invalid_params_rejected():
     with pytest.raises(rs.ParameterError):
         rs.RSParams(domega=4.0, v_max=2.0)

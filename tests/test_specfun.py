@@ -80,21 +80,24 @@ def test_j0_lowbias_near_root_absolute_accuracy():
 
 
 def test_j0_lowbias_fallback_joins_smoothly():
-    # beyond the series cutover the Hankel form takes over; both
-    # branches must agree with the library routine around the seam
-    for z in (5.99, 6.01, 8.0, 25.0):
+    # beyond the near kernel's cut the Hankel form takes over; both
+    # branches must agree with the library routine around the seam, and
+    # the near kernel around z = 6, where its coefficients switch from
+    # the ascending series to the stepped ones
+    for z in (5.99, 6.01, 8.0, 25.0, 31.99, 32.01):
         a = float(sf.j0_lowbias(np.array([z]))[0])
         assert a == pytest.approx(scipy_j0(z), rel=4e-15, abs=1e-16)
 
 
 def test_j0_lowbias_near_kernel_only_where_used(monkeypatch):
-    # the near kernel runs on the z <= 6 values alone, and a mixed array
-    # gives the bits of its two parts evaluated apart
+    # the near kernel runs on the z <= cut values alone, and a mixed
+    # array gives the bits of its two parts evaluated apart
+    cut = sf._J0_NEAR_CUT
     rng = np.random.default_rng(6)
-    z = np.concatenate([rng.uniform(0.0, 50.0, 2000),
-                        [0.0, 6.0, np.nextafter(6.0, 7.0), 50.0]])
+    z = np.concatenate([rng.uniform(0.0, 2.0 * cut, 2000),
+                        [0.0, cut, np.nextafter(cut, np.inf), 2.0 * cut]])
     mixed = sf.j0_lowbias(z)
-    small = z <= 6.0
+    small = z <= cut
     assert 0 < small.sum() < z.size
     assert np.array_equal(mixed[small], sf.j0_lowbias(z[small]))
     assert np.array_equal(mixed[~small], sf.j0_lowbias(z[~small]))
@@ -107,20 +110,23 @@ def test_j0_lowbias_near_kernel_only_where_used(monkeypatch):
     monkeypatch.setattr(sf, "_j0_near", spy)
     assert np.array_equal(sf.j0_lowbias(z), mixed)
     assert sum(zl.size for zl in seen) == small.sum()
-    assert max(zl.max() for zl in seen) == 6.0
+    assert max(zl.max() for zl in seen) == cut
 
 
 def test_j0_near_kernel_accuracy_and_bias():
-    # 1e5 long double arguments on [0, 6] against mpmath: the largest
+    # 1e5 long double arguments on [0, cut] against mpmath: the largest
     # error and the mean signed error, which a product of hundreds of
-    # factors turns into a relative drift. The 27-term ascending series
-    # gave 1.8e-18 and 2.2e-20 here; the kernel gives 5.7e-20 and 3e-22
+    # factors turns into a relative drift. On [0, 6] the 27-term
+    # ascending series gave 1.8e-18 and 2.2e-20; on [0, 32] the kernel
+    # gives 5.4e-20 and 1.2e-22, where the Hankel form gave 1.8e-17 on
+    # [6, 30]
     import mpmath
 
+    cut = sf._J0_NEAR_CUT
     rng = np.random.default_rng(20261019)
-    z = rng.uniform(0.0, 6.0, 100_000).astype(np.longdouble)
+    z = rng.uniform(0.0, cut, 100_000).astype(np.longdouble)
     z *= 1.0 + np.longdouble(2.0) ** -60 * rng.uniform(-1.0, 1.0, z.size)
-    z = np.minimum(z, 6.0)
+    z = np.minimum(z, cut)
     got = sf.j0_lowbias(z)
     assert got.dtype == np.longdouble
     with mpmath.workdps(30):
@@ -141,7 +147,7 @@ def test_j0_near_kernel_seams():
     for m in (centres[1:] + centres[:-1]) / 2:
         step = 2.0 * np.spacing(float(m))
         pts = np.array([float(m) - step, np.nextafter(m, np.longdouble(0.0)),
-                        m, np.nextafter(m, np.longdouble(7.0)),
+                        m, np.nextafter(m, np.longdouble(np.inf)),
                         float(m) + step], dtype=np.longdouble)
         vals = sf.j0_lowbias(pts)
         slope = abs(scipy_j1(float(m)))
@@ -153,14 +159,19 @@ def test_j0_near_kernel_seams():
 def test_j0_near_coefficients_against_mpmath_taylor():
     # the recurrence's coefficients, and the c = 0 row's, against
     # mpmath's Taylor expansion of J0 at 40 digits about the same
-    # extended-precision centre
+    # extended-precision centre: from the ascending series up to 6
+    # (k <= 52) and stepped from centre to centre past it, out to the
+    # last centre, the one nearest the cut
     import mpmath
 
     centres, rows, hi = sf._j0_near_coeffs()
-    assert rows.shape == (11, 53)
+    last = centres.size - 1
+    assert rows.shape == (11, centres.size)
+    assert centres[52] == 6.0
+    assert last == round(sf._J0_NEAR_CUT / float(centres[1]))
     assert np.array_equal(hi, rows[3:].astype(float))
     with mpmath.workdps(40):
-        for k in (0, 1, 26, 52):
+        for k in (0, 1, 26, 52, 53, 54, 150, last - 1, last):
             want = mpmath.taylor(lambda x: mpmath.besselj(0, x),
                                  _mp(centres[k]), 10)
             for got, w in zip(rows[:, k], want):
@@ -175,15 +186,16 @@ def test_j0_lowbias_matches_scalar_routine_coarsely():
 
 
 def test_j0_lowbias_tail_against_mpmath():
-    # the Hankel form on [6, 1e3], at long double arguments: within
+    # the Hankel form on [cut, 1e3], at long double arguments: within
     # 2e-16 absolute, and unbiased, since a product of hundreds of
     # factors turns a mean error into a relative drift (measured on 6000
-    # points of [6, 1e3]: 1.8e-17 at worst, mean 1e-19; cephes 1.3e-15)
+    # points of [32, 1e3]: 7.4e-18 at worst, mean 2.4e-20; cephes 1.3e-15)
     import mpmath
 
+    cut = sf._J0_NEAR_CUT
     rng = np.random.default_rng(20261018)
-    z = np.concatenate([np.linspace(6.0, 30.0, 241)[1:],
-                        rng.uniform(6.0, 1e3, 400)]).astype(np.longdouble)
+    z = np.concatenate([np.linspace(cut, cut + 24.0, 241)[1:],
+                        rng.uniform(cut, 1e3, 400)]).astype(np.longdouble)
     z *= 1.0 + np.longdouble(2.0) ** -60 * rng.uniform(-1.0, 1.0, z.size)
     got = sf.j0_lowbias(z)
     assert got.dtype == np.longdouble
