@@ -22,8 +22,11 @@ no cutoff u gives the same rows at every u. Each race is also solved by
 race_result at u = 4.352, 60, 100, 140, 200, 500, 2000 and 2999.
 
 For each operation it compares value, error_estimate, K, domega,
-n_terms, n_zeros, the result's repr and the refusal text, floats by
-float.hex. Prints every row that differs, then one line per workload
+n_terms, n_zeros and the refusal text, and the result itself: each field
+of a dataclass result, nested dataclasses such as TailStats.per_char
+included, or else its repr; floats by float.hex. A field that only one
+tree's result has is not a difference: such fields are listed once, at
+the end. Prints every row that differs, then one line per workload
 (the published rows and the prefix rows count as one more each) with the
 rows whose value moved, the largest |dvalue|, the largest |dvalue| /
 |value| and the largest |dvalue| / error_estimate, the estimate taken
@@ -38,11 +41,13 @@ count, and exits 1 when any row differs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -69,7 +74,26 @@ def _hex(v):
         return v.hex()
     if isinstance(v, (list, tuple)):
         return [_hex(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _hex(x) for k, x in v.items()}
     return v
+
+
+def _fields(obj, prefix="field ") -> dict:
+    # a dataclass's fields, one key each, with nested dataclasses (alone
+    # or in a tuple) spelled out under name. or name[i].
+    out = {}
+    for f in dataclasses.fields(obj):
+        v, key = getattr(obj, f.name), prefix + f.name
+        if dataclasses.is_dataclass(v):
+            out.update(_fields(v, key + "."))
+        elif isinstance(v, tuple) and v and all(
+                map(dataclasses.is_dataclass, v)):
+            for i, x in enumerate(v):
+                out.update(_fields(x, f"{key}[{i}]."))
+        else:
+            out[key] = _hex(v)
+    return out
 
 
 def _row(name, summarize, run):
@@ -79,7 +103,11 @@ def _row(name, summarize, run):
     except Exception as exc:  # a refusal is an answer to compare
         return {"op": name, "refusal": f"{type(exc).__name__}: {exc}"}
     out = summarize(result)
-    row = {"op": name, "repr": repr(result)}
+    row = {"op": name}
+    if dataclasses.is_dataclass(result):
+        row.update(_fields(result))
+    else:
+        row["repr"] = repr(result)
     row.update((f, _hex(out[f])) for f in FIELDS)
     return row
 
@@ -235,13 +263,21 @@ def main() -> int:
         print("the two trees ran different operations")
         return 1
     differ = 0
+    one_sided = {}
     for a, b in zip(ref_rows, new_rows):
-        keys = [k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)]
+        for k in a.keys() ^ b.keys():
+            if k.startswith("field "):
+                side = args.ref if k in a else "here"
+                one_sided.setdefault(re.sub(r"\[\d+\]", "[]", k), side)
+        keys = [k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)
+                and not (k.startswith("field ") and (k in a) != (k in b))]
         if keys:
             differ += 1
             print(a["op"])
             for k in keys:
                 print(f"  {k}: " + _show(a.get(k), b.get(k)))
+    for key, side in sorted(one_sided.items()):
+        print(f"{key[6:]}: only at {side}")
     for line in summary(ref_rows, new_rows):
         print(line)
     old, new = spreads(ref_rows), spreads(new_rows)

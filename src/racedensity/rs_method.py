@@ -128,34 +128,60 @@ class PhatSample:
 
 
 class _Samples(tuple):
-    # phat_samples' records, with _truncation_bound's for the points past
-    # and _error_sums' over the records: both independent of v
+    # phat_samples' records, with _lattice_stop's bounds on the points
+    # past them and the sums of their series-cut bounds, weighted 1/m for
+    # E and evenly for P0: all independent of v
     dropped: tuple[float, float]
     errors: tuple[float, float]
 
 
-def _error_sums(samples) -> tuple[float, float]:
-    # the samples' series-cut bounds, weighted 1/m for E and evenly for P0
-    return (math.fsum([s.error / s.m for s in samples]),
-            math.fsum([s.error for s in samples]))
+def _lattice_stop(race: RaceSpec, domega: float,
+                  sigma0: float) -> tuple[int, tuple[float, float]]:
+    # n, the lattice points before the first whose bound on log|phat| is
+    # at most -46, searched from twice where exp(-sigma0^2 w^2 / 2)
+    # reaches e^-46 on, doubling; a point past a table's reach there
+    # refuses. And bounds on what the sums drop past m = n:
+    # sum_{m > n} |phat(m domega)| weighted 1/(pi m) for E and domega/pi
+    # for P0. Out to _STOP_REACH n points each |phat| is at most
+    # exp(_prefix_log_bound), as far as the tables reach; past the last
+    # such point L, the near factors' envelope at L gives
+    # |phat| <= exp(log) (L/m)^(N/2). One bound array serves both, so
+    # each point is bounded once
+    def grow(bound, size):
+        m = np.arange(bound.size + 1, size + 1)
+        return np.concatenate((bound, _prefix_log_bound(m * domega, race)))
 
-
-def _lattice_end(race: RaceSpec, domega: float, sigma0: float) -> int:
-    # the lattice points before the first whose bound on log|phat| is at
-    # most -46, searched from twice where exp(-sigma0^2 w^2 / 2) reaches
-    # e^-46 on, doubling; a point past a table's reach there refuses
-    lo, hi = 1, int(2.0 * math.sqrt(2.0 * _EXPONENT_CUTOFF)
-                    / (sigma0 * domega)) + 1
+    bound = grow(np.empty(0), int(2.0 * math.sqrt(2.0 * _EXPONENT_CUTOFF)
+                                  / (sigma0 * domega)) + 1)
     while True:
-        m = np.arange(lo, hi + 1)
-        bound = _prefix_log_bound(m * domega, race)
         small = bound <= -(_EXPONENT_CUTOFF + _BOUND_MARGIN)
-        first = int(np.argmax(small | np.isinf(bound)))
-        if small[first]:
-            return lo - 1 + first
-        if np.isinf(bound[first]):
-            raise _reach_error(race, float(m[first] * domega))
-        lo, hi = hi + 1, 2 * hi
+        n = int(np.argmax(small | np.isinf(bound)))
+        if small[n]:
+            break
+        if np.isinf(bound[n]):
+            raise _reach_error(race, float((n + 1) * domega))
+        bound = grow(bound, 2 * bound.size)
+    reach = _STOP_REACH * max(n, 1)
+    if bound.size < reach:
+        bound = grow(bound, reach)
+    bound = bound[n:reach]
+    m = np.arange(n + 1, reach + 1)[np.isfinite(bound)]
+    heads = np.exp(bound[:m.size])
+    last = n + m.size
+    N, log = _near_envelope(last * domega, race)
+    tail_e, tail_p = _envelope_sums(last, N)
+    scale = math.exp(log)
+    return n, ((math.fsum((heads / m).tolist()) + scale * tail_e) / math.pi,
+               domega / math.pi * (math.fsum(heads.tolist()) + scale * tail_p))
+
+
+def _envelope_sums(last: int, N: int) -> tuple[float, float]:
+    # bounds on sum_{m > last} (last/m)^(N/2) / m and on sum_{m > last}
+    # (last/m)^(N/2): as the terms fall, each sum is below its integral
+    # from last on, 2/N and last/(N/2 - 1); the second diverges for N <= 2
+    if N <= 2:
+        return math.inf, math.inf
+    return 2.0 / N, last / (0.5 * N - 1.0)
 
 
 def phat_samples(race: RaceSpec, params: RSParams,
@@ -166,21 +192,26 @@ def phat_samples(race: RaceSpec, params: RSParams,
     The expensive, threshold-independent part of both Poisson sums;
     evaluate once and reuse across v. The lattice stops before the first
     point where transforms._prefix_log_bound puts |phat| at or below
-    e^-46 (less _BOUND_MARGIN in the log, for rounding); _truncation_bound
-    bounds every point past it. Each sample's error bounds what cutting
-    the log-J0 series after 56 orders moves it by. stats.sigma0 only
-    seeds the search for the stop: the samples do not depend on stats.u.
+    e^-46 (less _BOUND_MARGIN in the log, for rounding); the record
+    carries, as dropped, _lattice_stop's bounds on every point past it.
+    Each sample's error bounds what cutting the log-J0 series after 56
+    orders moves it by; the record carries their sums as errors.
+    stats.sigma0 only seeds the search for the stop: the samples do not
+    depend on stats.u.
     """
-    n = _lattice_end(race, params.domega, stats.sigma0)
-    omegas = np.arange(1, n + 1) * params.domega
+    n, dropped = _lattice_stop(race, params.domega, stats.sigma0)
+    m = np.arange(1, n + 1)
+    omegas = m * params.domega
     values, drops = _phat_rows(omegas, race)
     # |phat| (1 - exp(-drop)) <= |phat| drop
+    errors = np.abs(values) * drops
     samples = _Samples(
-        PhatSample(i, w, p, abs(p) * d)
-        for i, w, p, d in zip(range(1, n + 1), omegas.tolist(),
-                              values.tolist(), drops.tolist()))
-    samples.dropped = _truncation_bound(n, race, params.domega)
-    samples.errors = _error_sums(samples)
+        PhatSample(i, w, p, e)
+        for i, w, p, e in zip(m.tolist(), omegas.tolist(), values.tolist(),
+                              errors.tolist()))
+    samples.dropped = dropped
+    samples.errors = (math.fsum((errors / m).tolist()),
+                      math.fsum(errors.tolist()))
     return samples
 
 
@@ -221,34 +252,6 @@ def _check_aliasing(v: float, params: RSParams, stats: TailStats,
     return bound
 
 
-def _tail_sums(last: int, N: int) -> tuple[float, float]:
-    # bounds on sum_{m > last} (last/m)^(N/2) / m and on sum_{m > last}
-    # (last/m)^(N/2): as the terms fall, each sum is below its integral
-    # from last on, 2/N and last/(N/2 - 1); the second diverges for N <= 2
-    if N <= 2:
-        return math.inf, math.inf
-    return 2.0 / N, last / (0.5 * N - 1.0)
-
-
-def _truncation_bound(n: int, race: RaceSpec,
-                      domega: float) -> tuple[float, float]:
-    # bounds on what the sums drop past m = n: sum_{m > n} |phat(m domega)|
-    # weighted 1/(pi m) for E and domega/pi for P0. Out to _STOP_REACH n
-    # points each |phat| is at most exp(_prefix_log_bound), as far as the
-    # tables reach; past the last such point L, the near factors' envelope
-    # at L gives |phat| <= exp(log) (L/m)^(N/2)
-    m = np.arange(n + 1, _STOP_REACH * max(n, 1) + 1)
-    bound = _prefix_log_bound(m * domega, race)
-    m = m[np.isfinite(bound)]
-    heads = np.exp(bound[:m.size])
-    last = n + m.size
-    N, log = _near_envelope(last * domega, race)
-    tail_e, tail_p = _tail_sums(last, N)
-    scale = math.exp(log)
-    return ((math.fsum((heads / m).tolist()) + scale * tail_e) / math.pi,
-            domega / math.pi * (math.fsum(heads.tolist()) + scale * tail_p))
-
-
 def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
              density: bool):
     # E (density=False) or P0 at each v from one set of samples. The
@@ -265,28 +268,25 @@ def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
     alias = _check_aliasing(reach, params, stats, density)
     if samples is None:
         samples = phat_samples(race, params, stats)
-    elif samples and not (samples[-1].m == len(samples) and samples[-1].omega
-                          == samples[-1].m * params.domega):
+    elif not isinstance(samples, _Samples) or samples and not (
+            samples[-1].m == len(samples)
+            and samples[-1].omega == samples[-1].m * params.domega):
         raise ParameterError(
-            f"samples are not the lattice m = 1..n at domega = "
+            f"samples are not phat_samples' lattice m = 1..n at domega = "
             f"{params.domega:g}; rebuild them with these params: "
             f"phat_samples(race, params, stats)")
-    n = len(samples)
     w = params.domega
-    dropped = getattr(samples, "dropped", None) \
-        or _truncation_bound(n, race, w)
-    errors = getattr(samples, "errors", None) or _error_sums(samples)
     if density:
         values = [w / math.pi * (0.5 + math.fsum(
             [s.phat * math.cos(s.m * v * w) for s in samples]))
             for v in vs]
-        err = alias + w / math.pi * errors[1] + dropped[1]
+        err = alias + w / math.pi * samples.errors[1] + samples.dropped[1]
     else:
         values = [0.5 - v * w / (2.0 * math.pi) - math.fsum(
             [s.phat * math.sin(s.m * v * w) / s.m for s in samples])
             / math.pi for v in vs]
-        err = alias + errors[0] / math.pi + dropped[0]
-    return values, err, n
+        err = alias + samples.errors[0] / math.pi + samples.dropped[0]
+    return values, err, len(samples)
 
 
 def _lattice_result(v, race, params, stats, samples, density):

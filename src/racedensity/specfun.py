@@ -58,14 +58,13 @@ J0_ZERO2 = 5.520078110286311
 # race_result, and 16.66 for mod 4, the largest in deep_cutoff), so
 # the cut at 32 keeps every factor of their solves on the polynomials
 _J0_NEAR_CUT = 32.0
-# _J0_PIECES centres to each _J0_SERIES_TO, the span of the ascending
-# series in _j0_near_coeffs; the last centre is the nearest the cut
-_J0_SERIES_TO = 6.0
+# _J0_PIECES centres to each _J0_SPAN; the last centre is the nearest
+# the cut
+_J0_SPAN = 6.0
 _J0_PIECES = 52
-_J0_CENTRES = round(_J0_NEAR_CUT * _J0_PIECES / _J0_SERIES_TO) + 1
+_J0_CENTRES = round(_J0_NEAR_CUT * _J0_PIECES / _J0_SPAN) + 1
 _J0_DEGREE = 10
 # the degree of the series that steps J0 and J1 from centre to centre
-# past _J0_SERIES_TO
 _J0_STEP_DEGREE = 18
 
 # Past the cut J0(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi) with
@@ -147,36 +146,29 @@ def _j0_near_coeffs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Bessel's equation of order 0 divided by z (DLMF 10.2.1),
     # (c + x) y'' + y' + (c + x) y = 0, gives term by term in x
     #   a_(n+2) = -((n+1)^2 a_(n+1) + c a_n + a_(n-1)) / (c (n+1)(n+2))
-    # with a_0 = J0(c), a_1 = -J1(c) and a_(-1) = 0; at c = 0 it is
-    # a_(n+2) = -a_n / (n+2)^2. The recurrence grows rounding errors
-    # like (1/c)^n, under 1e10 at the smallest nonzero centre, which
-    # 40 digits absorb. Up to c = 6, J0(c) and J1(c) come from their
-    # ascending series (40 terms leave under 1e-57 at c = 6). Past it
-    # those series cancel ever more, so each centre takes a_0 and a_1
-    # from the previous centre's series and its derivative at the step
-    # h = 6/52, carried to degree _J0_STEP_DEGREE: as |J0^(n)| <= 1,
-    # |a_n| <= 1/n!, and the terms past it move J0 by under 2e-35 and
-    # J1 by under 3e-33 a step. An error in (J0, J1) does not grow along
-    # Bessel's equation; after the 225 steps to the last centre, J0 and
-    # J1 are within 2.6e-32 of mpmath's, twelve digits below the
-    # extended-precision rounding
+    # with a_0 = J0(c), a_1 = -J1(c) and a_(-1) = 0; at c = 0, where
+    # a_0 = 1 and a_1 = 0, it is a_(n+2) = -a_n / (n+2)^2. The recurrence
+    # grows rounding errors like (1/c)^n, under 1e10 at the smallest
+    # nonzero centre, which 40 digits absorb. Each centre past 0 takes
+    # a_0 and a_1 from the previous centre's series and its derivative
+    # at the step h = 6/52, carried to degree _J0_STEP_DEGREE: as
+    # |J0^(n)| <= 1, |a_n| <= 1/n!, and the terms past it move J0 by
+    # under 2e-35 and J1 by under 3e-33 a step. An error in (J0, J1)
+    # does not grow along Bessel's equation; over the 277 steps to the
+    # last centre, J0 and J1 stay within 2.9e-32 of mpmath's at every
+    # centre, twelve digits below the extended-precision rounding
     centres = (np.arange(_J0_CENTRES, dtype=np.longdouble)
-               * _J0_SERIES_TO / _J0_PIECES)
+               * _J0_SPAN / _J0_PIECES)
     digits = []
     with localcontext() as ctx:
         ctx.prec = 40
         for cl in centres:
             num, den = cl.as_integer_ratio()
             c = Decimal(num) / den
-            if c <= _J0_SERIES_TO:
-                q = c * c / 4
-                term, j0, j1 = Decimal(1), Decimal(0), Decimal(0)
-                for m in range(1, 41):
-                    # term = (-q)^(m-1) / ((m-1)!)^2
-                    j0 += term
-                    j1 += term / m
-                    term *= -q / (m * m)
-                a = [j0, -c / 2 * j1]
+            if not c:
+                a = [Decimal(1), Decimal(0)]
+                for n in range(_J0_STEP_DEGREE - 1):
+                    a.append(-a[n] / (n + 2) ** 2)
             else:
                 h = c - prev
                 j0 = dj0 = Decimal(0)
@@ -184,17 +176,11 @@ def _j0_near_coeffs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     j0 = j0 * h + a[n]
                     dj0 = dj0 * h + n * a[n]
                 a = [j0 * h + a[0], dj0]
-            degree = (_J0_STEP_DEGREE if c >= _J0_SERIES_TO
-                      else _J0_DEGREE)
-            if c:
                 inv = 1 / c
-                for n in range(degree - 1):
+                for n in range(_J0_STEP_DEGREE - 1):
                     a.append(-((n + 1) ** 2 * a[n + 1] + c * a[n]
                                + (a[n - 1] if n else 0))
                              * inv / ((n + 1) * (n + 2)))
-            else:
-                for n in range(degree - 1):
-                    a.append(-a[n] / (n + 2) ** 2)
             digits.append([str(v) for v in a[:_J0_DEGREE + 1]])
             prev = c
     rows = np.ascontiguousarray(np.array(digits, dtype=np.longdouble).T)
@@ -214,7 +200,7 @@ def _j0_near(z: np.ndarray, zd: np.ndarray) -> np.ndarray:
     # row by the centre index, which measured faster than gathering all
     # eleven at once
     centres, rows, hi = _j0_near_coeffs()
-    idx = np.rint(zd * (_J0_PIECES / _J0_SERIES_TO)).astype(np.intp)
+    idx = np.rint(zd * (_J0_PIECES / _J0_SPAN)).astype(np.intp)
     x = centres[idx]
     np.subtract(z, x, out=x)
     xd = x.astype(float)

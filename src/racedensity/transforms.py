@@ -13,10 +13,11 @@ the low zeros, with x above the Fourier side's split, as explicit terms,
 and the rest, where a character has enough of them to pay, through the
 log-I0 series over the same suffix sums, which log I0(x) =
 sum_k a_k (-x^2/4)^k shares with log J0. Above u only
-aggregate tail moments survive, and the remainder is a power series in
-t = sqrt(2 B1)*s. The raw series sum_k (-1)^(k-1) c_k R_k t^(2k)
-converges only inside the radius T carried by the tail statistics; the
-accelerated remainder below reaches (j2/j1) T.
+each character's tail moments survive, and its remainder is a power
+series in t = alpha*sqrt(2 b1)*s, b1 its own b_1(u). The raw series
+sum_k (-1)^(k-1) c_k r_k t^(2k) converges only inside the character's
+radius T (CharTailStats.T_single); the accelerated remainder below
+reaches (j2/j1) T.
 
 The raw remainder series loses accuracy quickly as t approaches T. The
 accelerated form fixes that: the series implied by the smooth density
@@ -54,7 +55,7 @@ from .specfun import J0_ZERO1, J0_ZERO2, _log_j0_coeffs
 from .specfun import arctan_integral
 from .specfun import base_constants, c_coeffs, j0_lowbias, log_i0_derivs
 from .zerodata import TailStats, ZeroDataError, _exact_sum, resolve_table
-from .zerodata import _SUFFIX_ORDERS
+from .zerodata import _SUFFIX_ORDERS, _TAIL_ORDERS as _CORR_TERMS
 
 __all__ = [
     "AccuracyWarning",
@@ -79,10 +80,6 @@ _EXT_RADIUS = J0_ZERO2 / J0_ZERO1
 # series, which is better conditioned near the origin (the closed
 # forms subtract almost-equal terms there)
 _SERIES_CUTOVER = 0.3
-
-# the correction series is always truncated here; its terms fall off
-# geometrically so more would add nothing above double precision
-_CORR_TERMS = 8
 
 # the series branch keeps k = 1.._SERIES_TERMS: at t/T = _SERIES_CUTOVER
 # the order-5 terms past it sum to below 2^-60 of that order's value for
@@ -407,10 +404,6 @@ def _remainder(t: float, y: float, T: float, r) -> tuple[list, float]:
     final correction term, at order 0, bounds what truncating the
     correction series discards.
     """
-    if len(r) < _CORR_TERMS:
-        raise ValueError(
-            f"per-character moment ratios reach order {len(r)}; "
-            f"the correction series needs {_CORR_TERMS} (use Kmax >= 8)")
     model = (2.0 * (y + 1.0 / (2.0 * _K - 1.0))
              / (_K * (2.0 * _K - 1.0) * (y + 1.0) * _J1SQ
                 * np.array([T ** (2 * j) for j in range(_SERIES_TERMS)])))

@@ -6,14 +6,16 @@ those lists, evaluates the inverse-power sums
 
     b_k(u) = sum over gamma > u of (1/4 + gamma^2)^(-k)
 
-with an analytic continuation past the end of each table, and aggregates
-them across the characters of a race into the moment data (B_k, R_k,
-sigma_u, convergence radius T, explicit span S) that the Fourier and
-cumulant (saddle-point) layers consume. Each table carries two indexes of
-these sums, built on first use and only as far as a call reaches: exact
-prefix sums at every 128th zero, from which b_k(u) and S(u) come rounded
-once (_PrefixSums), and, for the Fourier route's log-J0 series, the sums
-from every zero on in extended precision (_SuffixSums).
+with an analytic continuation past the end of each table, and gathers
+them over the characters of a race into what the routes read: per
+character, b_k for k = 1.._TAIL_ORDERS, the single-series ratios and
+radius, and the explicit span, for the cumulant layer's accelerated
+remainder; for the race, sigma_u, sigma_0 and the alpha-weighted span S,
+for the Fourier route's step and aliasing check. Each table carries two
+indexes of these sums, built on first use and only as far as a call
+reaches: exact prefix sums at every 128th zero, from which b_k(u) and
+S(u) come rounded once (_PrefixSums), and, for the Fourier route's log-J0
+series, the sums from every zero on in extended precision (_SuffixSums).
 
 Tables for conjugate character pairs are merged: one file holds both
 members' ordinates ascending, with weight = 2 recorded in the header.
@@ -128,9 +130,9 @@ class ZeroTable:
         return int(self.gammas.size)
 
     @cached_property
-    def full_sums(self) -> tuple[float, float]:
-        """b_1(0) and b_2(0), the inverse-power sums over every ordinate."""
-        return _tail_bk(self, 0.0, 1), _tail_bk(self, 0.0, 2)
+    def b1_full(self) -> float:
+        """b_1(0), the inverse-square sum over every ordinate."""
+        return _tail_bk(self, 0.0, 1)
 
     @cached_property
     def _prefix_sums(self) -> _PrefixSums:
@@ -588,34 +590,35 @@ def _median(x: np.ndarray) -> float:
     return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2.0)
 
 
+# each character carries b_k for k = 1.._TAIL_ORDERS: the accelerated
+# remainder's correction series (transforms._remainder) is always cut
+# there, as its terms fall off geometrically and more would add nothing
+# above double precision
+_TAIL_ORDERS = 8
+
+
 @dataclass(frozen=True)
 class CharTailStats:
     label: str
     qstar: int
     weight: int
     alpha: float
-    b: tuple[float, ...]     # table-level b_k(u), k = 1..Kmax
+    b: tuple[float, ...]     # table-level b_k(u), k = 1.._TAIL_ORDERS
     n_zeros: int
     S: float
     y: float
-    r: tuple[float, ...]     # single-series ratios r_k, k = 1..Kmax
+    r: tuple[float, ...]     # single-series ratios r_k, k = 1.._TAIL_ORDERS
     T_single: float          # convergence radius as a lone series
-    T_effective: float       # radius inside this race's normalization
 
 
 @dataclass(frozen=True)
 class TailStats:
     race: str
     u: float
-    Kmax: int
-    B: tuple[float, ...]     # B_k = sum over characters alpha^(2k) b_k
-    R: tuple[float, ...]     # R_k = B_k / B_1^k
-    sigma_u: float
-    sigma0: float
-    beta0: float             # R_2 evaluated at u = 0
+    sigma_u: float           # sqrt(2 B_1), B_1 = sum of alpha^2 b_1(u)
+    sigma0: float            # sigma_u at u = 0
     S: float                 # alpha-weighted explicit span
     n_zeros: int
-    T: float
     per_char: tuple[CharTailStats, ...]
 
 
@@ -628,7 +631,7 @@ def resolve_table(entry: RaceEntry,
     """The zero table an entry draws from: a file when entry.table holds
     a path separator or ends in .txt, else the bundled table of that key.
     A file is read again only once its modification time or size has
-    changed, so its cached full_sums and span_fit survive between calls.
+    changed, so its cached b1_full and span_fit survive between calls.
     tables, when given, maps entry labels to tables that win over both.
     The entry and its table must agree on how many series the table
     holds (their weight)."""
@@ -667,66 +670,50 @@ def _t_single(y: float, r2: float) -> float:
     return J0_ZERO1 * math.sqrt((y + 1.0 / 3.0) / (6.0 * (y + 1.0) * r2))
 
 
-def aggregate_stats(race: RaceSpec, u: float, Kmax: int = 8) -> TailStats:
-    """All tail statistics of a race at truncation height u.
+def aggregate_stats(race: RaceSpec, u: float) -> TailStats:
+    """The tail statistics of a race at truncation height u.
 
-    B_k sums alpha^(2k) b_k over the race's characters (merged tables
-    already cover conjugate pairs). The convergence radius T is the
-    smallest per-character radius after rescaling each one into the
-    race's own variance normalization.
+    Per character: b_k(u) for k = 1.._TAIL_ORDERS, the single-series
+    ratios r_k and radius, and the explicit span. For the race: sigma_u
+    = sqrt(2 B_1), with B_1 the sum of alpha^2 b_1(u) over the
+    characters (merged tables already cover conjugate pairs), sigma0 the
+    same from the tables' b_1(0), and the alpha-weighted span S.
     """
-    if Kmax < 2:
-        raise ValueError("Kmax must be at least 2")
-    rows = []
+    per = []
+    full = []
     for e in race.characters:
         t = resolve_table(e)
         n_head = t.count(u)
-        b, S = _tail_sums(t, u, range(1, Kmax + 1), n_head)
+        b, S = _tail_sums(t, u, range(1, _TAIL_ORDERS + 1), n_head)
         n_above = len(t) - n_head
         if n_above < 100:
             warnings.warn(
                 f"{t.label}: only {n_above} tabulated zeros above u={u:g}; "
-                f"b_1..b_{Kmax} lean on the analytic tail (relative error "
-                f"of order {Kmax / max(u, t.last_zero):.1e} * 10)",
-                ThinTailWarning, stacklevel=2)
+                f"b_1..b_{_TAIL_ORDERS} lean on the analytic tail (relative "
+                f"error of order {_TAIL_ORDERS / max(u, t.last_zero):.1e} "
+                "* 10)", ThinTailWarning, stacklevel=2)
         if u > t.last_zero:
             warnings.warn(
                 f"{e.label}: span frozen at table end {t.last_zero:g} < "
                 f"u={u:g}", FrozenSpanWarning, stacklevel=2)
-        rows.append((e, t, b, n_head, S))
-    B = tuple(
-        math.fsum(e.alpha ** (2 * k) * b[k - 1] for e, _, b, *_ in rows)
-        for k in range(1, Kmax + 1))
-    if B[0] <= 0.0:
-        raise ZeroDataError(f"race {race.name or race.q}: b_1 sum is zero")
-    R = tuple(bk / B[0] ** k for k, bk in enumerate(B, start=1))
-    B1_0 = math.fsum(e.alpha ** 2 * t.full_sums[0] for e, t, *_ in rows)
-    B2_0 = math.fsum(e.alpha ** 4 * t.full_sums[1] for e, t, *_ in rows)
-    per = []
-    for e, t, b, n_head, S in rows:
         y = math.log(t.qstar * u / _TWO_PI) if u > 0.0 else float("-inf")
         # single-series ratios r_k = b_k / b_1^k: the merged table's b_k
         # is weight times the per-member value, so r_k picks up
         # weight^(k-1)
         r = tuple(t.weight ** (k - 1) * b[k - 1] / b[0] ** k
-                  for k in range(1, Kmax + 1))
-        t_single = _t_single(y, r[1])
-        # effective radius per character: alpha^2 b_1(chi) of the limiting
-        # series against the race's own B_1
-        t_eff = t_single * math.sqrt(B[0] / (e.alpha ** 2 * (b[0] / t.weight))) \
-            if e.alpha > 0 else float("inf")
+                  for k in range(1, _TAIL_ORDERS + 1))
         per.append(CharTailStats(
             label=e.label, qstar=t.qstar, weight=t.weight, alpha=e.alpha,
-            b=b, n_zeros=n_head, S=S, y=y,
-            r=r, T_single=t_single, T_effective=t_eff))
-    t_vals = [p.T_effective for p in per]
-    T = float("nan") if any(math.isnan(t) for t in t_vals) else min(t_vals)
+            b=b, n_zeros=n_head, S=S, y=y, r=r, T_single=_t_single(y, r[1])))
+        full.append(e.alpha ** 2 * t.b1_full)
+    B1 = math.fsum(p.alpha ** 2 * p.b[0] for p in per)
+    if B1 <= 0.0:
+        raise ZeroDataError(f"race {race.name or race.q}: b_1 sum is zero")
     return TailStats(
-        race=race.name, u=float(u), Kmax=Kmax, B=B, R=R,
-        sigma_u=math.sqrt(2.0 * B[0]), sigma0=math.sqrt(2.0 * B1_0),
-        beta0=B2_0 / (B1_0 * B1_0),
+        race=race.name, u=float(u), sigma_u=math.sqrt(2.0 * B1),
+        sigma0=math.sqrt(2.0 * math.fsum(full)),
         S=math.fsum(p.alpha * p.S for p in per),
-        n_zeros=sum(p.n_zeros for p in per), T=T, per_char=tuple(per))
+        n_zeros=sum(p.n_zeros for p in per), per_char=tuple(per))
 
 
 def montgomery_bound(v: float, stats: TailStats) -> float:

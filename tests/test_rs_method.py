@@ -29,6 +29,7 @@ from racedensity.race import (
     prime_count_race, race_from_config, square_race, two_way_race,
 )
 from racedensity.zerodata import aggregate_stats, bundled_table, montgomery_bound
+from tail_moments import race_moments
 
 REFINED_E1 = 2.629967324e-7
 
@@ -83,7 +84,7 @@ def run25(zeta_race, zeta_table):
     # 25 explicit zeros in the tail statistics, step pi/2: the workhorse
     # configuration
     u = float(zeta_table.gammas[24])
-    stats = aggregate_stats(zeta_race, u, Kmax=8)
+    stats = aggregate_stats(zeta_race, u)
     params = forced_params(stats, math.pi / 2)
     return stats, params
 
@@ -107,7 +108,7 @@ def test_worked_example_partial_sums(zeta_race):
     # each. They were printed from five explicit zeros and an order-7
     # tail series; every sample now holds every zero, and each running
     # sum still lands within 2e-11 of the printed one
-    stats = aggregate_stats(zeta_race, 35.0, Kmax=7)
+    stats = aggregate_stats(zeta_race, 35.0)
     params = forced_params(stats, math.pi / 2)
     samples = rs.phat_samples(zeta_race, params, stats)
     printed = {
@@ -139,9 +140,9 @@ def test_worked_example_partial_sums(zeta_race):
 def test_refined_value_and_cutoff_independence(zeta_race, zeta_table):
     values = []
     for domega in (math.pi / 2, math.pi / 3):
-        for n, K in ((10, 10), (25, 7), (50, 5), (100, 4)):
+        for n in (10, 25, 50, 100):
             u = float(zeta_table.gammas[n - 1])
-            stats = aggregate_stats(zeta_race, u, Kmax=max(K, 2))
+            stats = aggregate_stats(zeta_race, u)
             params = forced_params(stats, domega)
             values.append(rs.compute_E(1.0, zeta_race, params, stats=stats).e)
     assert max(values) - min(values) < 1e-15
@@ -207,11 +208,12 @@ def test_dropped_terms_within_truncation_bound():
         race = PUBLISHED_RACES[name]()
         stats = aggregate_stats(race, u)
         params = _solve_params(race, stats)
-        n = len(rs.phat_samples(race, params, stats))
+        samples = rs.phat_samples(race, params, stats)
+        n = len(samples)
         w = params.domega
         ms = list(range(n + 1, min(int(reach(race) / w), 30 * n)))
         phats = np.abs(tr.phat_prefix([m * w for m in ms], race)).tolist()
-        bound_e, bound_p = rs._truncation_bound(n, race, w)
+        bound_e, bound_p = samples.dropped
         for v in (0.5, 1.0, 3.0):
             dropped_e = math.fsum(p * abs(math.sin(m * v * w)) / (math.pi * m)
                                   for m, p in zip(ms, phats))
@@ -236,10 +238,10 @@ def test_truncation_bound_closed_form_covers_sum():
             rest = (last / end) ** (0.5 * N)
             exact_e = math.fsum((terms / m).tolist()) + rest * 2.0 / N
             exact_p = math.fsum(terms.tolist()) + rest * end / (0.5 * N - 1.0)
-            tail_e, tail_p = rs._tail_sums(last, N)
+            tail_e, tail_p = rs._envelope_sums(last, N)
             assert exact_e <= tail_e, (last, N)
             assert exact_p <= tail_p, (last, N)
-    assert rs._tail_sums(5, 2) == (math.inf, math.inf)
+    assert rs._envelope_sums(5, 2) == (math.inf, math.inf)
 
 
 def test_hand_params_match_chosen(zeta_race):
@@ -261,7 +263,7 @@ def test_mod4_race_value():
     race = square_race(4)
     table = bundled_table("mod4")
     u = float(table.gammas[49])
-    stats = aggregate_stats(race, u, Kmax=8)
+    stats = aggregate_stats(race, u)
     params = forced_params(stats, 1.27, v_max=1.0)
     result = rs.compute_E(1.0, race, params, stats=stats)
     # fifteen published digits; the last two ride on the zero data
@@ -307,7 +309,7 @@ def test_q24_odd_conductor_races_solve():
 def test_q5_inter_residue_race():
     # one zero per component L-function suffices for seven decimals
     race = two_way_race(5, 1, 2)
-    stats = aggregate_stats(race, 7.0, Kmax=8)
+    stats = aggregate_stats(race, 7.0)
     assert [p.n_zeros for p in stats.per_char] == [2, 1]
     params = forced_params(stats, 0.83, v_max=1.0)
     result = rs.compute_E(1.0, race, params, stats=stats)
@@ -318,7 +320,7 @@ def test_q13_square_race():
     race = square_race(13)
     table = bundled_table("mod13_quad")
     u = 0.5 * (float(table.gammas[2]) + float(table.gammas[3]))
-    stats = aggregate_stats(race, u, Kmax=8)
+    stats = aggregate_stats(race, u)
     assert stats.n_zeros == 3
     params = forced_params(stats, 0.79, v_max=1.0)
     result = rs.compute_E(1.0, race, params, stats=stats)
@@ -329,7 +331,7 @@ def test_q8_race_runs_at_its_offset():
     # the 1-vs-3 race needs the exceedance two deviations out
     race = two_way_race(8, 1, 3)
     assert race.offset == 2.0
-    stats = aggregate_stats(race, 60.0, Kmax=8)
+    stats = aggregate_stats(race, 60.0)
     result = rs.race_result(race, stats=stats, target=1e-9)
     assert result.v == 2.0
     assert 0.0 < result.e < 0.5
@@ -339,7 +341,7 @@ def test_q8_race_runs_at_its_offset():
 def test_unbiased_race_refused():
     race = two_way_race(5, 2, 3)
     assert race.offset == 0.0
-    stats = aggregate_stats(race, 7.0, Kmax=8)
+    stats = aggregate_stats(race, 7.0)
     with pytest.raises(rs.ParameterError):
         rs.race_result(race, stats=stats)
 
@@ -370,7 +372,8 @@ def test_density_at_zero_matches_moment_expansion(zeta_race, run25):
     # the fourth-moment correction to the central density: within 2%
     stats, params = run25
     got = rs.compute_P(0.0, zeta_race, params, stats=stats).p
-    approx = (1.0 - 3.0 * stats.beta0 / 16.0) / (
+    beta0 = race_moments(zeta_race, stats).beta0
+    approx = (1.0 - 3.0 * beta0 / 16.0) / (
         stats.sigma0 * math.sqrt(2.0 * math.pi))
     assert got == pytest.approx(approx, rel=2e-2)
 
@@ -572,9 +575,8 @@ def test_explicit_step_above_admissible_refused(run25):
 
 def test_explicit_step_refusal_names_an_admissible_step(zeta_race):
     # six digits of the admissible step 2.2807568 round up to 2.28076,
-    # which would be refused again; the named step must be accepted.
-    # Twelve moments, as eight meet no target this tight at u = 60
-    stats = aggregate_stats(zeta_race, 60.0, Kmax=12)
+    # which would be refused again; the named step must be accepted
+    stats = aggregate_stats(zeta_race, 60.0)
     with pytest.raises(rs.ParameterError) as info:
         rs.choose_params(1.0, stats, 1e-14, domega=5.0)
     named = float(re.search(r"at most (\S+) is admissible",
@@ -600,9 +602,10 @@ def test_samples_of_another_step_refused(zeta_race):
                      stats=stats, samples=samples[1:])
 
 
-def test_plain_tuple_samples_read_as_phat_samples(zeta_race):
-    # phat_samples carries its v-independent sums; a plain tuple of the
-    # same records has them worked out per call, to the same bits
+def test_plain_tuple_samples_refused(zeta_race):
+    # phat_samples' record carries its v-independent sums, and reads as
+    # fresh samples do, to the same bits; a plain tuple of the same
+    # records carries none and is refused
     stats = aggregate_stats(zeta_race, 100.0)
     params = rs.choose_params(3.0, stats, 1e-11)
     samples = rs.phat_samples(zeta_race, params, stats)
@@ -610,10 +613,13 @@ def test_plain_tuple_samples_read_as_phat_samples(zeta_race):
         for v in (0.0, 1.0, 2.0):
             carried = compute(v, zeta_race, params, stats=stats,
                               samples=samples)
-            plain = compute(v, zeta_race, params, stats=stats,
-                            samples=tuple(samples))
             fresh = compute(v, zeta_race, params, stats=stats)
-            assert repr(carried) == repr(plain) == repr(fresh)
+            assert repr(carried) == repr(fresh)
+        refusal = "rebuild them with these params: " \
+            "phat_samples(race, params, stats)"
+        with pytest.raises(rs.ParameterError, match=re.escape(refusal)):
+            compute(1.0, zeta_race, params, stats=stats,
+                    samples=tuple(samples))
 
 
 def test_invalid_params_rejected():
@@ -642,7 +648,7 @@ def test_no_convergence_radius_refused(zeta_race):
     # solve reads it any more: compute_E, choose_params and race_result
     # answer there, with the bits they give at u = 100
     stats = aggregate_stats(zeta_race, 1.0)
-    assert math.isnan(stats.T)
+    assert math.isnan(stats.per_char[0].T_single)
     deep = aggregate_stats(zeta_race, 100.0)
     params = rs.RSParams(domega=1.0, v_max=1.0)
     for got, want in (

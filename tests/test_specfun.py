@@ -82,8 +82,7 @@ def test_j0_lowbias_near_root_absolute_accuracy():
 def test_j0_lowbias_fallback_joins_smoothly():
     # beyond the near kernel's cut the Hankel form takes over; both
     # branches must agree with the library routine around the seam, and
-    # the near kernel around z = 6, where its coefficients switch from
-    # the ascending series to the stepped ones
+    # the near kernel at points inside it
     for z in (5.99, 6.01, 8.0, 25.0, 31.99, 32.01):
         a = float(sf.j0_lowbias(np.array([z]))[0])
         assert a == pytest.approx(scipy_j0(z), rel=4e-15, abs=1e-16)
@@ -159,9 +158,8 @@ def test_j0_near_kernel_seams():
 def test_j0_near_coefficients_against_mpmath_taylor():
     # the recurrence's coefficients, and the c = 0 row's, against
     # mpmath's Taylor expansion of J0 at 40 digits about the same
-    # extended-precision centre: from the ascending series up to 6
-    # (k <= 52) and stepped from centre to centre past it, out to the
-    # last centre, the one nearest the cut
+    # extended-precision centre, stepped from centre to centre from
+    # c = 0 out to the last centre, the one nearest the cut
     import mpmath
 
     centres, rows, hi = sf._j0_near_coeffs()

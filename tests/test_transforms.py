@@ -35,6 +35,7 @@ from racedensity.specfun import j0_lowbias
 from racedensity.zerodata import (
     ZeroDataError, aggregate_stats, bundled_table, resolve_table,
 )
+from tail_moments import race_moments
 
 J1, J2 = (float(j) for j in jn_zeros(0, 2))
 EULER_GAMMA = 0.5772156649015329
@@ -89,13 +90,13 @@ def test_tail_factor_single_term_is_gaussian(zeta_race, stats35):
     # first order is the Gaussian variance term -(sigma_u w)^2 / 2; what
     # the later orders add is negative and, as the term ratios stay below
     # (z/j1)^2 <= (1.4/2.4048)^2, at most the second-order term
-    # q^2 b_2 / 4 (q = w^2, b_2 = stats.B[1]) over 1 - that ratio
+    # q^2 b_2 / 4 (q = w^2, b_2 = B_2) over 1 - that ratio
     w = 1.7
     out = lattice_samples(zeta_race, stats35, w)[0]
     assert out.omega == w and out.tail == 1.0
     tail = math.log(out.phat / head_product(w, zeta_race, 35.0))
     gauss = -((stats35.sigma_u * w) ** 2) / 2.0
-    second = w ** 4 * stats35.B[1] / 4.0
+    second = w ** 4 * race_moments(zeta_race, stats35).B[1] / 4.0
     assert gauss - second / (1.0 - (1.4 / 2.4048) ** 2) < tail - 1e-15
     assert tail < gauss - 0.99 * second
 
@@ -511,15 +512,16 @@ BOUND_IDS = [f"{race.name}-{u:g}" for race, u in BOUND_CASES]
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("race, u", BOUND_CASES, ids=BOUND_IDS)
 def test_prefix_log_bound_covers_prefix(race, u):
-    # on 400 frequencies out to T/sigma_u of the tail statistics at u, or
-    # to the largest frequency every table covers, the bound lies above
-    # log|phat_prefix| and never rises; rows whose product underflows to
-    # 0 have no log to compare. One frequency past the tables' reach has
-    # no bound (+inf)
+    # on 400 frequencies out to T/sigma_u, with T the race radius of the
+    # tail statistics at u, or to the largest frequency every table
+    # covers, the bound lies above log|phat_prefix| and never rises; rows
+    # whose product underflows to 0 have no log to compare. One frequency
+    # past the tables' reach has no bound (+inf)
     stats = aggregate_stats(race, u)
+    radius = race_moments(race, stats).T
     reach = min(tr._FAR_Z * math.sqrt(0.25 + resolve_table(e).last_zero ** 2)
                 / (2.0 * e.alpha) for e in race.characters)
-    ws = np.linspace(0.0, min(stats.T / stats.sigma_u, reach * (1 - 1e-9)),
+    ws = np.linspace(0.0, min(radius / stats.sigma_u, reach * (1 - 1e-9)),
                      401)[1:]
     bound = tr._prefix_log_bound(ws, race)
     assert np.all(np.diff(bound) <= 0.0)
@@ -557,25 +559,25 @@ def l_remainder(s, stats, K=8, order=0):
     sum_{k<=K} (-1)^{k-1} c_k R_k t^{2k} with t = sqrt(2 B1) s,
     differentiated term by term; valid only strictly inside |t| < T. The
     accelerated remainder replaces it in the package; here it is the
-    oracle the accelerated form must reproduce inside the radius.
+    oracle the accelerated form must reproduce inside the radius. The
+    zeta race's moments, built by tail_moments.race_moments.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    if K > len(stats.R):
-        raise ValueError(
-            f"stats carry moment ratios to order {len(stats.R)}; need Kmax >= {K}")
     if not 0 <= order <= 5:
         raise ValueError("order must lie in 0..5")
+    moments = race_moments(prime_count_race(), stats, K)
     t = stats.sigma_u * s
-    if abs(t) >= stats.T:
-        raise tr._radius_error(abs(t), stats.T, stats.u)
+    if abs(t) >= moments.T:
+        raise tr._radius_error(abs(t), moments.T, stats.u)
     c = c_coeffs(K)
     parts = []
     for k in range(max(1, (order + 1) // 2), K + 1):
         p = 2 * k
         if p < order:
             continue
-        coef = (-1.0) ** (k - 1) * c[k - 1] * stats.R[k - 1] * stats.sigma_u ** p
+        coef = ((-1.0) ** (k - 1) * c[k - 1] * moments.R[k - 1]
+                * stats.sigma_u ** p)
         parts.append(coef * math.perm(p, order) * s ** (p - order))
     return math.fsum(parts)
 
@@ -612,7 +614,7 @@ def test_raw_series_parity(stats500):
 
 
 def test_raw_series_outside_radius(stats35):
-    s_bad = 1.2 * stats35.T / stats35.sigma_u
+    s_bad = 1.2 * stats35.per_char[0].T_single / stats35.sigma_u
     with pytest.raises(tr.ConvergenceError) as exc:
         l_remainder(s_bad, stats35)
     # the suggested cutoff scales the current one by the overshoot
@@ -623,22 +625,22 @@ def test_raw_series_validation(stats500):
     with pytest.raises(ValueError):
         l_remainder(1.0, stats500, order=6)
     with pytest.raises(ValueError):
-        l_remainder(1.0, stats500, K=len(stats500.R) + 1)
+        l_remainder(1.0, stats500, K=0)
 
 
 # ------------------------------------------------------ accelerated remainder
 
 def accelerated(t, stats, order=0):
-    # the accelerated remainder of a lone weight-1 series, whose
-    # race-normalized ratios R_k are its own ratios r_k (alpha cancels)
+    # the accelerated remainder of a lone weight-1 series, from its own
+    # ratios r_k
     pc = stats.per_char[0]
-    return tr._remainder(t, pc.y, pc.T_single, stats.R)[0][order]
+    return tr._remainder(t, pc.y, pc.T_single, pc.r)[0][order]
 
 
-def test_accelerated_matches_raw_series(zeta_race):
+def test_accelerated_matches_raw_series(zeta_race, stats500):
     # inside the radius the accelerated form and a deep raw series are
     # two routes to the same function
-    stats = aggregate_stats(zeta_race, 500.0, Kmax=25)
+    stats = stats500
     for s in (1.0, 20.0, 80.0):
         t = stats.sigma_u * s
         assert accelerated(t, stats) == pytest.approx(
@@ -663,9 +665,9 @@ def test_accelerated_branch_agreement(stats500, monkeypatch):
     pc = stats500.per_char[0]
     t = 0.3 * pc.T_single
     assert t >= tr._SERIES_CUTOVER * pc.T_single
-    closed = tr._remainder(t, pc.y, pc.T_single, stats500.R)[0]
+    closed = tr._remainder(t, pc.y, pc.T_single, pc.r)[0]
     monkeypatch.setattr(tr, "_SERIES_CUTOVER", 0.31)
-    series = tr._remainder(t, pc.y, pc.T_single, stats500.R)[0]
+    series = tr._remainder(t, pc.y, pc.T_single, pc.r)[0]
     # relative alone: approx's default absolute tolerance of 1e-12 would
     # let the order-5 value, 6.4e-5, move by 1.6e-8 of itself
     for a, b in zip(closed, series):
@@ -690,7 +692,7 @@ def test_accelerated_correction_leading_coefficient(stats500):
     pc = stats500.per_char[0]
     T, y = pc.T_single, pc.y
     t = 1e-8
-    value = tr._remainder(t, y, T, stats500.R)[0][0]
+    value = tr._remainder(t, y, T, pc.r)[0][0]
     model = 2.0 * T * T / ((y + 1.0) * J1 ** 2) * tr._model_derivs(t / T, y)[0]
     assert (value - model) / t ** 2 == pytest.approx(0.5 - 2.0 / J1 ** 2,
                                                       rel=1e-6)
@@ -746,12 +748,6 @@ def test_accelerated_warns_near_radius(zeta_race, stats500):
             tr.l0_full(ratio * s_at_T, zeta_race, stats500)
 
 
-def test_accelerated_needs_eight_ratios(zeta_race):
-    shallow = aggregate_stats(zeta_race, 500.0, Kmax=4)
-    with pytest.raises(ValueError, match="Kmax >= 8"):
-        tr.l0_full(1.0, zeta_race, shallow)
-
-
 # ------------------------------------------------------------- full cumulant
 
 def test_cumulant_origin_matches_classical_variance(zeta_race, stats2000):
@@ -768,7 +764,8 @@ def test_cumulant_origin_matches_classical_variance(zeta_race, stats2000):
 def test_cumulant_origin_fourth_derivative(zeta_race, stats2000):
     # fourth cumulant of an arcsine-component sum: -(3/2) beta sigma^4
     out = tr.l0_full(0.0, zeta_race, stats2000)
-    expect = -1.5 * stats2000.beta0 * stats2000.sigma0 ** 4
+    beta0 = race_moments(zeta_race, stats2000).beta0
+    expect = -1.5 * beta0 * stats2000.sigma0 ** 4
     assert out.d4 == pytest.approx(expect, rel=1e-12)
 
 

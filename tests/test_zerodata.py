@@ -29,6 +29,7 @@ from racedensity.zerodata import (
     bundled_table, load_zeros, montgomery_bound,
 )
 from racedensity.zerodata import _span, _tail_bk
+from tail_moments import race_moments
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -140,19 +141,23 @@ SIGMA_BETA = [
 @pytest.mark.parametrize("build,want", SIGMA_BETA,
                          ids=[b().name for b, _ in SIGMA_BETA])
 def test_sigma0_and_beta(build, want):
-    st_ = aggregate_stats(build(), 0.0)
+    race = build()
+    st_ = aggregate_stats(race, 0.0)
+    moments = race_moments(race, st_)
     assert st_.sigma0 == pytest.approx(want[0], abs=6e-5)
-    assert st_.beta0 == pytest.approx(want[1], abs=6e-5)
+    assert moments.beta0 == pytest.approx(want[1], abs=6e-5)
     assert st_.sigma_u == pytest.approx(st_.sigma0, rel=1e-12)
-    assert st_.R[1] == pytest.approx(st_.beta0, rel=1e-12)
+    assert moments.R[1] == pytest.approx(moments.beta0, rel=1e-12)
 
 
 def test_aggregate_at_35():
-    st_ = aggregate_stats(prime_count_race(), 35.0)
+    race = prime_count_race()
+    st_ = aggregate_stats(race, 35.0)
+    moments = race_moments(race, st_)
     assert st_.n_zeros == 5
-    assert st_.B[0] == pytest.approx(0.0122355, abs=2e-7)
+    assert moments.B[0] == pytest.approx(0.0122355, abs=2e-7)
     assert st_.sigma_u == pytest.approx(0.156432, abs=2e-6)
-    assert st_.R[0] == pytest.approx(1.0, rel=1e-14)
+    assert moments.R[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_convergence_radius_reference_points():
@@ -162,7 +167,7 @@ def test_convergence_radius_reference_points():
         u = float(z.gammas[n - 1]) + 1e-9
         st_ = aggregate_stats(pc, u)
         assert st_.n_zeros == n
-        assert st_.T == pytest.approx(want, abs=0.02)
+        assert st_.per_char[0].T_single == pytest.approx(want, abs=0.02)
 
 
 def test_single_series_radius_identity():
@@ -170,17 +175,23 @@ def test_single_series_radius_identity():
     st_ = aggregate_stats(square_race(7), 50.0)
     p = st_.per_char[0]
     want = j1 * math.sqrt((p.y + 1 / 3) / (6 * (p.y + 1) * p.r[1]))
-    assert st_.T == pytest.approx(want, rel=1e-13)
-    assert p.T_effective == pytest.approx(p.T_single, rel=1e-13)
+    assert p.T_single == pytest.approx(want, rel=1e-13)
 
 
-def test_multi_series_radius_below_singles():
-    # scaling each series into the race normalization can only move its
-    # singularity, and the race radius is the worst of them
-    st_ = aggregate_stats(two_way_race(13, 1, 2), 50.0)
-    assert st_.T == pytest.approx(
-        min(p.T_effective for p in st_.per_char), rel=1e-14)
-    assert all(math.isfinite(p.T_effective) for p in st_.per_char)
+def test_tail_stats_hold_only_what_routes_read():
+    # the aliasing check and montgomery_bound read the race-level fields,
+    # l0_full's remainder per_char; the order count is fixed, not chosen
+    assert [f.name for f in fields(TailStats)] == [
+        "race", "u", "sigma_u", "sigma0", "S", "n_zeros", "per_char"]
+    assert [f.name for f in fields(CharTailStats)] == [
+        "label", "qstar", "weight", "alpha", "b", "n_zeros", "S", "y", "r",
+        "T_single"]
+    race = prime_count_race()
+    st_ = aggregate_stats(race, 100.0)
+    assert len(st_.per_char[0].b) == len(st_.per_char[0].r) \
+        == zd._TAIL_ORDERS == tr._CORR_TERMS == 8
+    with pytest.raises(TypeError):
+        aggregate_stats(race, 100.0, Kmax=8)
 
 
 def test_span_constants():
@@ -593,8 +604,8 @@ def moment_ratios(stats):
 
 
 def test_moment_ratios_zeta():
-    st_ = aggregate_stats(prime_count_race(), 0.0)
-    got = moment_ratios(st_)
+    race = prime_count_race()
+    got = moment_ratios(race_moments(race, aggregate_stats(race, 0.0)))
     want = (1.0, 0.9652, 0.9034, 0.8229)
     for g, w in zip(got, want):
         assert g == pytest.approx(w, abs=5e-4)
@@ -602,7 +613,8 @@ def test_moment_ratios_zeta():
 
 def test_moment_ratios_decreasing():
     for build in (prime_count_race, lambda: two_way_race(13, 1, 2)):
-        got = moment_ratios(aggregate_stats(build(), 0.0))
+        race = build()
+        got = moment_ratios(race_moments(race, aggregate_stats(race, 0.0)))
         assert sorted(got, reverse=True) == list(got)
         assert all(0.0 < g <= 1.0 for g in got)
 
@@ -641,10 +653,11 @@ def test_montgomery_monotone_in_v(v, dv):
 def test_normalized_ratio_floor():
     # R_k/R_2^(k-1) >= 1: the combined zero multiset's power sums are
     # log-convex no matter how the characters mix
+    race = two_way_race(5, 1, 2)
     for u in (29.0, 100.0, 200.0):
-        st_ = aggregate_stats(two_way_race(5, 1, 2), u)
+        R = race_moments(race, aggregate_stats(race, u)).R
         for k in range(2, 9):
-            assert st_.R[k - 1] / st_.R[1] ** (k - 1) >= 0.999, (u, k)
+            assert R[k - 1] / R[1] ** (k - 1) >= 0.999, (u, k)
 
 
 def test_multi_character_moment_bounds():
@@ -656,6 +669,7 @@ def test_multi_character_moment_bounds():
     phi_half = 2.0
     for u in (29.0, 100.0, 200.0):
         st_ = aggregate_stats(sp, u)
+        R = race_moments(sp, st_).R
         singles = []
         for p in st_.per_char:
             rk = [p.weight ** (k - 1) * p.b[k - 1] / p.b[0] ** k
@@ -665,10 +679,10 @@ def test_multi_character_moment_bounds():
         for k in range(3, 9):
             avg = sum(w * rk[k - 1] / rk[1] ** (k - 1)
                       for w, rk in singles) / wtot
-            lhs = st_.R[k - 1] / st_.R[1] ** (k - 1)
+            lhs = R[k - 1] / R[1] ** (k - 1)
             assert lhs <= avg * phi_half ** (k - 2), (u, k)
         avg_r2 = sum(w * rk[1] for w, rk in singles) / wtot
-        assert st_.R[1] <= avg_r2 / phi_half * 1.05, u
+        assert R[1] <= avg_r2 / phi_half * 1.05, u
 
 
 def test_file_path_table(tmp_path):
@@ -684,17 +698,25 @@ def test_file_path_table(tmp_path):
     t = load_zeros(str(p))
     st_ = aggregate_stats(race, 20.0)
     assert st_.n_zeros == 1
-    assert st_.B[0] == pytest.approx(_tail_bk(t, 20.0, 1), rel=1e-14)
+    b = st_.per_char[0].b
+    assert b == tuple(_tail_bk(t, 20.0, k) for k in range(1, 9))
+    # both tables give b_1 from the same b1_total; b_2 tells them apart
+    assert b[1] != _tail_bk(z, 20.0, 2)
 
 
 def test_aggregate_matches_manual_weighting():
+    # each character's b_k is its table's, and sigma_u^2 / 2 sums them
+    # weighted by alpha^2
     sp = two_way_race(5, 1, 2)
     st_ = aggregate_stats(sp, 35.0)
-    for k in (1, 3, 6):
-        manual = math.fsum(
-            e.alpha ** (2 * k) * _tail_bk(bundled_table(e.table), 35.0, k)
-            for e in sp.characters)
-        assert st_.B[k - 1] == pytest.approx(manual, rel=1e-13)
+    for e, p in zip(sp.characters, st_.per_char):
+        for k in (1, 3, 6):
+            manual = _tail_bk(bundled_table(e.table), 35.0, k)
+            assert p.b[k - 1] == pytest.approx(manual, rel=1e-13)
+    manual = math.fsum(
+        e.alpha ** 2 * _tail_bk(bundled_table(e.table), 35.0, 1)
+        for e in sp.characters)
+    assert st_.sigma_u ** 2 / 2.0 == pytest.approx(manual, rel=1e-13)
 
 
 @given(st.floats(0.0, 380.0), st.floats(0.5, 20.0))
