@@ -33,8 +33,11 @@ rows whose value moved, the largest |dvalue|, the largest |dvalue| /
 from this checkout's row; then the rows whose error_estimate or n_terms
 moved and the largest |d error_estimate| / error_estimate, taken from
 REF's row. A change that moves counts and estimates but no value shows
-it there. Then one line per race: the spread (largest less smallest) of
-E over the cutoffs where race_result answers, on each tree. Ends with a
+it there. Then one line per workload with its largest error_estimate on
+each tree and the -log10 of it, which is what bench/run.py reports as
+err_digits.min, so that a move of that metric shows without a benchmark
+run. Then one line per race: the spread (largest less smallest) of E
+over the cutoffs where race_result answers, on each tree. Ends with a
 count, and exits 1 when any row differs.
 """
 
@@ -233,6 +236,22 @@ def summary(ref_rows, new_rows) -> list:
             in groups.items()]
 
 
+def largest_estimates(rows) -> dict:
+    """Per workload, the largest error_estimate of its rows, refusals
+    aside: bench/run.py's err_digits.min is -log10 of it."""
+    out = {}
+    for row in rows:
+        name = row["op"].split()[0]
+        out[name] = max([out.get(name, 0.0),
+                         *_floats(row.get("error_estimate"))])
+    return out
+
+
+def _digits(est: float) -> str:
+    # bench/run.py's err_digits.min of a largest estimate
+    return f"{-math.log10(max(est, 1e-300)):.4f}"
+
+
 def spreads(rows) -> dict:
     """Per race, the spread of E over the cutoffs where race_result
     answers, and how many answered."""
@@ -280,6 +299,11 @@ def main() -> int:
         print(f"{key[6:]}: only at {side}")
     for line in summary(ref_rows, new_rows):
         print(line)
+    old, new = largest_estimates(ref_rows), largest_estimates(new_rows)
+    for name in dict.fromkeys([*old, *new]):
+        a, b = old.get(name, 0.0), new.get(name, 0.0)
+        print(f"largest error_estimate, {name}: {a:.3g} at {args.ref} "
+              f"({_digits(a)} digits), {b:.3g} here ({_digits(b)} digits)")
     old, new = spreads(ref_rows), spreads(new_rows)
     for race in dict.fromkeys([*old, *new]):
         (a, na), (b, nb) = old.get(race, (0.0, 0)), new.get(race, (0.0, 0))

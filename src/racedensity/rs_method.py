@@ -19,14 +19,18 @@ where a bound on |phat| that never rises with omega falls to e^-46
 (below 1e-20), transforms._prefix_log_bound. Every zero enters each
 sample, explicitly or through the log-J0 series past the row's split,
 so no zero cutoff, series order or convergence radius enters the
-lattice; the tail statistics serve the step and the aliasing check.
-The error estimate adds the aliasing bound, the per-sample bound on what
-the series drops, and a bound on every lattice point past the stop.
+lattice. The error estimate adds the aliasing bound, the per-sample
+bound on what the series drops, and a bound on every lattice point past
+the stop.
 
-One rule sets every frequency step: the largest one whose aliasing
-bound, in its Gaussian form, is at most a given level: a third of the
-target in choose_params, e^-46 in race_result, the target itself in
-the step that an aliasing refusal names.
+One Gaussian rule, exp(-w^2 / (2 sigma0^2)) with sigma0 the race's
+deviation over every zero, bounds the aliasing of E and, in its density
+form, of P0 (_alias_bound). Its inverse sets every frequency step: the
+largest one whose aliasing bound is at most a given level: a third of
+the target in choose_params, e^-46 in race_result, the target itself in
+the step that an aliasing refusal names. Of the TailStats the functions
+take, until the benchmark's call sites are revised, they read sigma0
+alone: its u and n_zeros only label a result's params.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .race import RaceSpec
 from .results import DensityResult
 from .transforms import _FAR_TERMS, _near_envelope, _phat_rows
 from .transforms import _prefix_log_bound, _reach_error
-from .zerodata import TailStats, montgomery_bound
+from .zerodata import TailStats
 
 __all__ = [
     "ParameterError",
@@ -78,8 +82,7 @@ class ParameterError(ValueError):
 class RSParams:
     """The choices of one Poisson-summation run: the frequency step and
     the largest threshold it serves. Where the lattice stops follows from
-    the zeros; the tail statistics the run is given set the aliasing
-    check.
+    the zeros; the aliasing check reads the race's sigma0 alone.
 
     target, when set, arms the aliasing check in compute_E/compute_P:
     a wrap-around bound above it refuses the evaluation instead of
@@ -128,9 +131,12 @@ class PhatSample:
 
 
 class _Samples(tuple):
-    # phat_samples' records, with _lattice_stop's bounds on the points
-    # past them and the sums of their series-cut bounds, weighted 1/m for
-    # E and evenly for P0: all independent of v
+    # phat_samples' records, with the race and step they were built for,
+    # _lattice_stop's bounds on the points past them and the sums of their
+    # series-cut bounds, weighted 1/m for E and evenly for P0: all
+    # independent of v
+    race: RaceSpec
+    domega: float
     dropped: tuple[float, float]
     errors: tuple[float, float]
 
@@ -195,7 +201,8 @@ def phat_samples(race: RaceSpec, params: RSParams,
     e^-46 (less _BOUND_MARGIN in the log, for rounding); the record
     carries, as dropped, _lattice_stop's bounds on every point past it.
     Each sample's error bounds what cutting the log-J0 series after 56
-    orders moves it by; the record carries their sums as errors.
+    orders moves it by; the record carries their sums as errors, and the
+    race and step it was built for.
     stats.sigma0 only seeds the search for the stop: the samples do not
     depend on stats.u.
     """
@@ -209,18 +216,30 @@ def phat_samples(race: RaceSpec, params: RSParams,
         PhatSample(i, w, p, e)
         for i, w, p, e in zip(m.tolist(), omegas.tolist(), values.tolist(),
                               errors.tolist()))
+    samples.race = race
+    samples.domega = params.domega
     samples.dropped = dropped
     samples.errors = (math.fsum((errors / m).tolist()),
                       math.fsum(errors.tolist()))
     return samples
 
 
-def _largest_step(v: float, stats: TailStats, bound: float,
+def _alias_bound(w: float, sigma0: float, density: bool) -> float:
+    # the wrap-around error at w >= 0 is below E(w) <= exp(-w^2 / (2
+    # sigma0^2)) (Rubinstein and Sarnak, "Chebyshev's bias", 1994); the
+    # density at w below the exceedance mass one deviation earlier spread
+    # over that deviation
+    if density:
+        w = max(w - sigma0, 0.0)
+    bound = math.exp(-w * w / (2.0 * sigma0 * sigma0))
+    return bound / sigma0 if density else bound
+
+
+def _largest_step(v: float, sigma0: float, bound: float,
                   density: bool) -> float:
     # the largest step whose wrap-around point w = 2 pi / domega - v has
-    # exp(-w^2 / (2 sigma0^2)) at most bound, montgomery_bound's Gaussian
-    # form. P0's bound is that one deviation earlier, over sigma0
-    s = stats.sigma0
+    # _alias_bound(w, sigma0, density) at most bound
+    s = sigma0
     if density:
         v, bound = v + s, bound * s
     return 2.0 * math.pi / (v + s * math.sqrt(2.0 * math.log(1.0 / bound)))
@@ -230,26 +249,6 @@ def _step_text(step: float) -> str:
     # six digits of a step shaved by 1e-5, so that rounding never names
     # a step above it: a step a refusal names is accepted when fed back
     return f"{step * (1.0 - 1e-5):.6g}"
-
-
-def _check_aliasing(v: float, params: RSParams, stats: TailStats,
-                    density: bool) -> float:
-    # the wrap-around error is below E(2 pi / domega - |v|); the density
-    # at w is below the exceedance mass one deviation earlier spread over
-    # that deviation
-    w = 2.0 * math.pi / params.domega - abs(v)
-    if density:
-        bound = math.exp(montgomery_bound(max(w - stats.sigma0, 0.0), stats)) \
-            / stats.sigma0
-    else:
-        bound = math.exp(montgomery_bound(w, stats))
-    if params.target is not None and bound > params.target:
-        # the step for all of v_max
-        step = _largest_step(params.v_max, stats, params.target, density)
-        raise ParameterError(
-            f"aliasing bound {bound:.3g} exceeds target {params.target:.3g}; "
-            f"domega must be at most {_step_text(step)}")
-    return bound
 
 
 def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
@@ -265,12 +264,20 @@ def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
         raise ParameterError(
             f"|v| = {reach:g} exceeds the v_max = {params.v_max:g} these "
             f"parameters were validated for")
-    alias = _check_aliasing(reach, params, stats, density)
+    alias = _alias_bound(2.0 * math.pi / params.domega - reach, stats.sigma0,
+                         density)
+    if params.target is not None and alias > params.target:
+        # the step for all of v_max
+        step = _largest_step(params.v_max, stats.sigma0, params.target,
+                             density)
+        raise ParameterError(
+            f"aliasing bound {alias:.3g} exceeds target {params.target:.3g}; "
+            f"domega must be at most {_step_text(step)}")
     if samples is None:
         samples = phat_samples(race, params, stats)
-    elif not isinstance(samples, _Samples) or samples and not (
-            samples[-1].m == len(samples)
-            and samples[-1].omega == samples[-1].m * params.domega):
+    elif not (isinstance(samples, _Samples)
+              and (samples.race is race or samples.race == race)
+              and samples.domega == params.domega):
         raise ParameterError(
             f"samples are not phat_samples' lattice m = 1..n at domega = "
             f"{params.domega:g}; rebuild them with these params: "
@@ -305,13 +312,14 @@ def compute_E(v: float, race: RaceSpec, params: RSParams,
               stats: TailStats, samples=None) -> DensityResult:
     """Exceedance probability E(v) by the Poisson lattice sum.
 
-    The error estimate adds the aliasing bound, the samples' bounds on
-    what the series cut moves them by, and the bound on every lattice
-    point past the stop. samples, when given, must come from
-    phat_samples at these params' step. The result's params["n_terms"]
-    counts the lattice points summed: those phat_samples keeps, after
-    its bound on |phat| has cut the lattice. params["K"] is the fixed
-    series order, 56; the value does not depend on stats.u.
+    The error estimate adds the aliasing bound, Gaussian in
+    stats.sigma0, the samples' bounds on what the series cut moves them
+    by, and the bound on every lattice point past the stop. samples,
+    when given, must come from phat_samples for this race at these
+    params' step. The result's params["n_terms"] counts the lattice
+    points summed: those phat_samples keeps, after its bound on |phat|
+    has cut the lattice. params["K"] is the fixed series order, 56;
+    stats.u and stats.n_zeros only label params["u"] and ["n_zeros"].
     """
     return _lattice_result(v, race, params, stats, samples, False)
 
@@ -346,7 +354,7 @@ def choose_params(v_max: float, stats: TailStats, target: float,
             f"the lattice sum reads differences of order-one quantities, so "
             f"double precision floors its accuracy near 1e-16")
     slack = target / 3.0
-    domega_max = _largest_step(v_max, stats, slack, False)
+    domega_max = _largest_step(v_max, stats.sigma0, slack, False)
     if domega is None:
         domega = domega_max
     elif domega > domega_max:
@@ -359,15 +367,16 @@ def choose_params(v_max: float, stats: TailStats, target: float,
 def race_result(race: RaceSpec, stats: TailStats,
                 target: float = 1e-11) -> DensityResult:
     """Chance of the trailing contestant leading: E at the race offset,
-    at the largest step whose aliasing bound is e^-46, the level where
-    the lattice drops its terms. The value does not depend on the cutoff
-    stats.u, which enters the aliasing check and the result's record."""
+    at the largest step whose aliasing bound, the Gaussian one in
+    stats.sigma0, is e^-46, the level where the lattice drops its terms.
+    The value and its estimate read stats.sigma0 alone; the cutoff
+    stats.u and stats.n_zeros only label the result's params."""
     offset = race.offset
     if offset == 0.0:
         raise ParameterError(
             f"race {race.name or race.q} carries no offset; the headline "
             f"number for an unbiased race is 1/2 by symmetry")
     v = abs(offset)
-    step = _largest_step(v, stats, math.exp(-_EXPONENT_CUTOFF), False)
+    step = _largest_step(v, stats.sigma0, math.exp(-_EXPONENT_CUTOFF), False)
     params = choose_params(v, stats, target, domega=step)
     return compute_E(v, race, params, stats=stats)

@@ -8,14 +8,16 @@ those lists, evaluates the inverse-power sums
 
 with an analytic continuation past the end of each table, and gathers
 them over the characters of a race into what the routes read: per
-character, b_k for k = 1.._TAIL_ORDERS, the single-series ratios and
-radius, and the explicit span, for the cumulant layer's accelerated
-remainder; for the race, sigma_u, sigma_0 and the alpha-weighted span S,
-for the Fourier route's step and aliasing check. Each table carries two
-indexes of these sums, built on first use and only as far as a call
-reaches: exact prefix sums at every 128th zero, from which b_k(u) and
-S(u) come rounded once (_PrefixSums), and, for the Fourier route's log-J0
-series, the sums from every zero on in extended precision (_SuffixSums).
+character, b_k for k = 1.._TAIL_ORDERS and the single-series ratios and
+radius, for the cumulant layer's accelerated remainder; for the race,
+sigma_0 = sqrt(2 sum of alpha^2 b_1(0)) from the full tables, the one
+number the Fourier route's step and aliasing check read. The cutoff u
+and the zero count below it only label a Fourier result. Each table
+carries two indexes of these sums, built on first use and only as far
+as a call reaches: exact prefix sums at every 128th zero, from which
+b_k(u) comes rounded once (_PrefixSums), and, for the Fourier route's
+log-J0 series, the sums from every zero on in extended precision
+(_SuffixSums).
 
 Tables for conjugate character pairs are merged: one file holds both
 members' ordinates ascending, with weight = 2 recorded in the header.
@@ -38,7 +40,6 @@ from .specfun import J0_ZERO1
 
 __all__ = [
     "CharTailStats",
-    "FrozenSpanWarning",
     "TailStats",
     "ThinTailWarning",
     "ZeroDataError",
@@ -47,7 +48,6 @@ __all__ = [
     "available_tables",
     "bundled_table",
     "load_zeros",
-    "montgomery_bound",
     "resolve_table",
 ]
 
@@ -62,17 +62,12 @@ class ThinTailWarning(UserWarning):
     on the analytic continuation past the table end."""
 
 
-class FrozenSpanWarning(UserWarning):
-    """The cutoff lies past the table end, so the explicit span S stops
-    growing at the last tabulated zero."""
-
-
 @dataclass(frozen=True)
 class ZeroTable:
     """An ascending list of zero ordinates for one L-function (weight 1)
     or a merged conjugate pair (weight 2), plus the exact full-spectrum
     value of b_1 when known. Loading builds no sums; the indexes behind
-    b_k, S and the Fourier route are built on first use."""
+    b_k and the Fourier route are built on first use."""
     gammas: np.ndarray
     qstar: int
     label: str
@@ -136,7 +131,7 @@ class ZeroTable:
 
     @cached_property
     def _prefix_sums(self) -> _PrefixSums:
-        # the exact sums behind b_k and S, extended as calls reach them
+        # the exact sums behind b_k, extended as calls reach them
         return _PrefixSums(self.gammas)
 
     @cached_property
@@ -289,35 +284,26 @@ def _tail_bk(table: ZeroTable, u: float, k: int) -> float:
     Past the last tabulated ordinate only the analytic term remains; its
     own relative accuracy decays like k/u, which is why aggregate_stats
     warns about thin tails rather than silently degrading."""
-    return _tail_sums(table, u, (k,), table.count(u))[0][0]
-
-
-def _span(table: ZeroTable, u: float) -> float:
-    """S(u) = 2 sum over gamma <= u of (1/4 + gamma^2)^(-1/2), the
-    explicit span."""
-    return _tail_sums(table, u, (), table.count(u))[1]
+    return _tail_sums(table, u, (k,), table.count(u))[0]
 
 
 def _tail_sums(table: ZeroTable, u: float, ks,
-               n_head: int) -> tuple[tuple[float, ...], float]:
-    """b_k(u) for each k in ks, and S(u), with n_head = table.count(u).
+               n_head: int) -> tuple[float, ...]:
+    """b_k(u) for each k in ks, with n_head = table.count(u).
 
-    Both come from the exact sums over the n_head ordinates at or below
-    u, the head (_PrefixSums), each rounded once by math.fsum. S is twice
-    the head's sum. b_k's tabulated part is the table's total less the
-    head; for k = 1 with a known full-spectrum total, it is that total
-    less the rounded head sum. Every value has the bits of math.fsum over
-    the plain terms.
+    Each comes from the exact sums over the n_head ordinates at or below
+    u, the head (_PrefixSums), rounded once by math.fsum: b_k's tabulated
+    part is the table's total less the head; for k = 1 with a known
+    full-spectrum total, it is that total less the rounded head sum.
+    Every value has the bits of math.fsum over the plain terms.
     """
     if not (math.isfinite(u) and u >= 0.0):
         raise ValueError(f"u must be finite and >= 0, got {u!r}")
-    sums = table._prefix_sums
     if n_head == len(table):
         # nothing tabulated above u
-        span, = sums.heads((0.5,), n_head)
-        b = tuple(_past_table(table, u, k) for k in ks)
-        return b, 2.0 * math.fsum(span)
-    span, *heads = sums.heads((0.5, *ks), n_head)
+        return tuple(_past_table(table, u, k) for k in ks)
+    sums = table._prefix_sums
+    heads = sums.heads(ks, n_head)
     b = []
     for k, head in zip(ks, heads):
         if k == 1 and table.b1_total is not None:
@@ -327,7 +313,7 @@ def _tail_sums(table: ZeroTable, u: float, ks,
             # the total is the rounded total less the head
             b.append(-math.fsum(head + [-p for p in sums.total(k)])
                      + _past_table(table, table.last_zero, k))
-    return tuple(b), 2.0 * math.fsum(span)
+    return tuple(b)
 
 
 def _past_table(table: ZeroTable, ueff, k: int):
@@ -500,8 +486,7 @@ _CHECKPOINT = 128
 
 class _PrefixSums:
     """Exact sums of (1/4 + gamma^2)^(-k) over a table's leading zeros, for
-    each order k asked for; order 1/2 stands for the span's terms
-    1/sqrt(1/4 + gamma^2).
+    each order k asked for.
 
     Per order it holds the exact expansion (_expansion) of the sum over
     the first 128c zeros, c = 0, 1, ..., built only up to the highest
@@ -515,8 +500,8 @@ class _PrefixSums:
 
     def __init__(self, gammas: np.ndarray):
         self._g = gammas
-        self._marks: dict[float, list[list[float]]] = {}
-        self._totals: dict[float, list[float]] = {}
+        self._marks: dict[int, list[list[float]]] = {}
+        self._totals: dict[int, list[float]] = {}
 
     def heads(self, orders, n: int) -> list[list[float]]:
         """Per order, doubles whose exact sum is that of its terms over
@@ -526,7 +511,7 @@ class _PrefixSums:
         rows = _terms(self._g[c * _CHECKPOINT:n], orders).tolist()
         return [self._marks[k][c] + row for k, row in zip(orders, rows)]
 
-    def total(self, k: float) -> list[float]:
+    def total(self, k: int) -> list[float]:
         """The expansion of order k's sum over every zero."""
         parts = self._totals.get(k)
         if parts is None:
@@ -553,16 +538,14 @@ class _PrefixSums:
 
 def _terms(g: np.ndarray, orders) -> np.ndarray:
     # (1/4 + g^2)^(-k) down the rows, one per order k: k = 1 by division,
-    # as numpy's power takes an exponent of -1, and 1/2 as 1/sqrt; the
-    # other orders by one broadcast power, which gives the bits of one
-    # power per order (the tests check both)
+    # as numpy's power takes an exponent of -1; the other orders by one
+    # broadcast power, which gives the bits of one power per order (the
+    # tests check both)
     den = 0.25 + g * g
     rows = den ** -np.array(orders, dtype=float)[:, None]
     for i, k in enumerate(orders):
         if k == 1:
             rows[i] = 1.0 / den
-        elif k == 0.5:
-            rows[i] = 1.0 / np.sqrt(den)
     return rows
 
 
@@ -605,7 +588,6 @@ class CharTailStats:
     alpha: float
     b: tuple[float, ...]     # table-level b_k(u), k = 1.._TAIL_ORDERS
     n_zeros: int
-    S: float
     y: float
     r: tuple[float, ...]     # single-series ratios r_k, k = 1.._TAIL_ORDERS
     T_single: float          # convergence radius as a lone series
@@ -615,9 +597,7 @@ class CharTailStats:
 class TailStats:
     race: str
     u: float
-    sigma_u: float           # sqrt(2 B_1), B_1 = sum of alpha^2 b_1(u)
-    sigma0: float            # sigma_u at u = 0
-    S: float                 # alpha-weighted explicit span
+    sigma0: float            # sqrt(2 sum of alpha^2 b_1(0))
     n_zeros: int
     per_char: tuple[CharTailStats, ...]
 
@@ -673,18 +653,17 @@ def _t_single(y: float, r2: float) -> float:
 def aggregate_stats(race: RaceSpec, u: float) -> TailStats:
     """The tail statistics of a race at truncation height u.
 
-    Per character: b_k(u) for k = 1.._TAIL_ORDERS, the single-series
-    ratios r_k and radius, and the explicit span. For the race: sigma_u
-    = sqrt(2 B_1), with B_1 the sum of alpha^2 b_1(u) over the
-    characters (merged tables already cover conjugate pairs), sigma0 the
-    same from the tables' b_1(0), and the alpha-weighted span S.
+    Per character: b_k(u) for k = 1.._TAIL_ORDERS and the single-series
+    ratios r_k and radius. For the race: sigma0 = sqrt(2 B), with B the
+    sum of alpha^2 b_1(0) over the characters' full tables (merged tables
+    already cover conjugate pairs), and the zeros at or below u.
     """
     per = []
     full = []
     for e in race.characters:
         t = resolve_table(e)
         n_head = t.count(u)
-        b, S = _tail_sums(t, u, range(1, _TAIL_ORDERS + 1), n_head)
+        b = _tail_sums(t, u, range(1, _TAIL_ORDERS + 1), n_head)
         n_above = len(t) - n_head
         if n_above < 100:
             warnings.warn(
@@ -692,10 +671,6 @@ def aggregate_stats(race: RaceSpec, u: float) -> TailStats:
                 f"b_1..b_{_TAIL_ORDERS} lean on the analytic tail (relative "
                 f"error of order {_TAIL_ORDERS / max(u, t.last_zero):.1e} "
                 "* 10)", ThinTailWarning, stacklevel=2)
-        if u > t.last_zero:
-            warnings.warn(
-                f"{e.label}: span frozen at table end {t.last_zero:g} < "
-                f"u={u:g}", FrozenSpanWarning, stacklevel=2)
         y = math.log(t.qstar * u / _TWO_PI) if u > 0.0 else float("-inf")
         # single-series ratios r_k = b_k / b_1^k: the merged table's b_k
         # is weight times the per-member value, so r_k picks up
@@ -704,30 +679,11 @@ def aggregate_stats(race: RaceSpec, u: float) -> TailStats:
                   for k in range(1, _TAIL_ORDERS + 1))
         per.append(CharTailStats(
             label=e.label, qstar=t.qstar, weight=t.weight, alpha=e.alpha,
-            b=b, n_zeros=n_head, S=S, y=y, r=r, T_single=_t_single(y, r[1])))
+            b=b, n_zeros=n_head, y=y, r=r, T_single=_t_single(y, r[1])))
         full.append(e.alpha ** 2 * t.b1_full)
-    B1 = math.fsum(p.alpha ** 2 * p.b[0] for p in per)
-    if B1 <= 0.0:
+    B = math.fsum(full)
+    if B <= 0.0:
         raise ZeroDataError(f"race {race.name or race.q}: b_1 sum is zero")
     return TailStats(
-        race=race.name, u=float(u), sigma_u=math.sqrt(2.0 * B1),
-        sigma0=math.sqrt(2.0 * math.fsum(full)),
-        S=math.fsum(p.alpha * p.S for p in per),
+        race=race.name, u=float(u), sigma0=math.sqrt(2.0 * B),
         n_zeros=sum(p.n_zeros for p in per), per_char=tuple(per))
-
-
-def montgomery_bound(v: float, stats: TailStats) -> float:
-    """Upper bound on log E(v) from exponential-moment inequalities.
-
-    Always applies the full-spectrum Gaussian bound -v^2/(2 sigma_0^2);
-    a truncation whose explicit span S(u) is at most v sharpens it to
-    -(v - S)^2 / (2 sigma_u^2). The tighter bound wins.
-    """
-    if not v >= 0.0:
-        raise ValueError(f"v must be >= 0, got {v!r}")
-    if v == 0.0:
-        return 0.0
-    best = -v * v / (2.0 * stats.sigma0 * stats.sigma0)
-    if stats.u > 0.0 and v >= stats.S and stats.sigma_u > 0.0:
-        best = min(best, -(v - stats.S) ** 2 / (2.0 * stats.sigma_u ** 2))
-    return best

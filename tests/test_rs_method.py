@@ -28,10 +28,15 @@ from racedensity import zerodata as zd
 from racedensity.race import (
     prime_count_race, race_from_config, square_race, two_way_race,
 )
-from racedensity.zerodata import aggregate_stats, bundled_table, montgomery_bound
-from tail_moments import race_moments
+from racedensity.zerodata import aggregate_stats, bundled_table
+from tail_moments import race_moments, span
 
 REFINED_E1 = 2.629967324e-7
+
+
+def gaussian_exceedance(v, sigma0):
+    # the Gaussian exceedance bound exp(-v^2 / (2 sigma0^2)) on E(v), v >= 0
+    return math.exp(-v * v / (2.0 * sigma0 * sigma0))
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +308,7 @@ def test_q24_odd_conductor_races_solve():
         stats = [aggregate_stats(race, u) for u in (100.0, 200.0)]
         lo, hi = (rs.race_result(race, stats=st) for st in stats)
         assert abs(lo.e - hi.e) <= lo.error_estimate + hi.error_estimate + 1e-15
-        assert 0.0 < hi.e < math.exp(montgomery_bound(hi.v, stats[1]))
+        assert 0.0 < hi.e < gaussian_exceedance(hi.v, stats[1].sigma0)
 
 
 def test_q5_inter_residue_race():
@@ -380,7 +385,7 @@ def test_density_at_zero_matches_moment_expansion(zeta_race, run25):
 
 def test_density_integrates_to_one(zeta_race, run25):
     stats, params = run25
-    half = stats.S + 6.0 * stats.sigma0
+    half = span(zeta_race, stats.u) + 6.0 * stats.sigma0
     vs = np.linspace(-half, half, 4001)
     density = rs.density_grid(vs, zeta_race, params, stats=stats)
     assert np.all(density > -1e-15)
@@ -437,8 +442,54 @@ def test_race_result_step_meets_lattice_cutoff(name):
     for u in (60.0, 100.0, 140.0):
         stats = aggregate_stats(race, u)
         w = 2.0 * math.pi / rs.race_result(race, stats).params["domega"] - v
-        assert math.exp(montgomery_bound(w, stats)) \
+        assert gaussian_exceedance(w, stats.sigma0) \
             <= math.exp(-46.0) * (1.0 + 1e-12), u
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["E", "P0"])
+def test_alias_bound_and_step_are_inverses(density):
+    # at the step _largest_step picks for a bound, the aliasing bound at
+    # the wrap-around point is that bound, up to the rounding of forming
+    # 2 pi / domega - v (a few ulps of an exponent up to 46), for the six
+    # published sigma0, thresholds from 0 to 3 and bounds 1e-20 to 1e-3
+    for build in PUBLISHED_RACES.values():
+        sigma0 = aggregate_stats(build(), 0.0).sigma0
+        for v in (0.0, 0.5, 1.0, 2.0, 3.0):
+            for b in 10.0 ** -np.arange(3.0, 21.0):
+                step = rs._largest_step(v, sigma0, b, density)
+                got = rs._alias_bound(2.0 * math.pi / step - v, sigma0,
+                                      density)
+                assert b * (1.0 - 1e-9) <= got <= b * (1.0 + 1e-12), \
+                    (sigma0, v, b)
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.parametrize("name", PUBLISHED_RACES)
+def test_fourier_value_reads_stats_through_sigma0_alone(name):
+    # tail statistics stripped of their cutoff, zero count and per
+    # character sums give the very bits of the real ones' value and
+    # estimate; only the result's u and n_zeros labels differ
+    race = PUBLISHED_RACES[name]()
+    stats = aggregate_stats(race, 100.0)
+    bare = dataclasses.replace(stats, u=7.0, per_char=(), n_zeros=0)
+    params = rs.choose_params(3.0, stats, 1e-11)
+    assert rs.choose_params(3.0, bare, 1e-11) == params
+    pairs = [(rs.race_result(race, bare), rs.race_result(race, stats))]
+    for compute in (rs.compute_E, rs.compute_P):
+        pairs.append((compute(1.0, race, params, stats=bare),
+                      compute(1.0, race, params, stats=stats)))
+    for got, want in pairs:
+        assert got.v == want.v
+        assert repr((got.log_e, got.log_p, got.error_estimate)) \
+            == repr((want.log_e, want.log_p, want.error_estimate))
+        assert (got.params["u"], got.params["n_zeros"]) == (7.0, 0)
+        assert {k: x for k, x in got.params.items()
+                if k not in ("u", "n_zeros")} \
+            == {k: x for k, x in want.params.items()
+                if k not in ("u", "n_zeros")}
+    vs = np.linspace(-2.0, 2.0, 9)
+    assert np.array_equal(rs.density_grid(vs, race, params, stats=bare),
+                          rs.density_grid(vs, race, params, stats=stats))
 
 
 def _search_by_hand(v_max, stats, target, domega=None):
@@ -469,7 +520,6 @@ def _outcome(search, *args):
 
 
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.FrozenSpanWarning")
 @pytest.mark.parametrize("name", PUBLISHED_RACES)
 def test_choose_params_matches_order_by_order_search(name):
     # choose_params against the search by hand, over cutoffs, targets
@@ -602,6 +652,33 @@ def test_samples_of_another_step_refused(zeta_race):
                      stats=stats, samples=samples[1:])
 
 
+def test_samples_of_another_race_refused(zeta_race):
+    # zeta's samples read for mod 4 would sum zeta's characteristic
+    # function and answer pi vs Li's E(1) = 2.63e-7 under mod 4's name: a
+    # record is tied to the race and the step it was built for. An equal
+    # race built afresh reads it as its own, and a step one ulp off
+    # refuses it
+    params = rs.RSParams(domega=math.pi / 2, v_max=1.0)
+    samples = rs.phat_samples(zeta_race, params,
+                              aggregate_stats(zeta_race, 100.0))
+    mod4 = square_race(4)
+    stats = aggregate_stats(mod4, 100.0)
+    for compute in (rs.compute_E, rs.compute_P):
+        with pytest.raises(rs.ParameterError,
+                           match="rebuild them with these params"):
+            compute(1.0, mod4, params, stats=stats, samples=samples)
+    zeta = prime_count_race()
+    assert zeta is not zeta_race
+    stats = aggregate_stats(zeta, 100.0)
+    carried = rs.compute_E(1.0, zeta, params, stats=stats, samples=samples)
+    assert repr(carried) == repr(rs.compute_E(1.0, zeta, params, stats=stats))
+    assert carried.e == pytest.approx(REFINED_E1, abs=1e-15)
+    near = dataclasses.replace(
+        params, domega=math.nextafter(params.domega, 0.0))
+    with pytest.raises(rs.ParameterError, match="rebuild them"):
+        rs.compute_E(1.0, zeta, near, stats=stats, samples=samples)
+
+
 def test_plain_tuple_samples_refused(zeta_race):
     # phat_samples' record carries its v-independent sums, and reads as
     # fresh samples do, to the same bits; a plain tuple of the same
@@ -662,7 +739,6 @@ def test_no_convergence_radius_refused(zeta_race):
 
 
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.FrozenSpanWarning")
 @pytest.mark.parametrize("name", PUBLISHED_RACES)
 def test_race_result_independent_of_cutoff(name):
     # every zero enters each sample whatever the cutoff, so the published
@@ -719,9 +795,9 @@ def test_public_names_pinned():
         "BaseConstants", "j0_lowbias", "log_i0_derivs", "c_coeffs",
         "arctan_integral", "base_constants"]
     assert zd.__all__ == [
-        "CharTailStats", "FrozenSpanWarning", "TailStats", "ThinTailWarning",
-        "ZeroDataError", "ZeroTable", "aggregate_stats", "available_tables",
-        "bundled_table", "load_zeros", "montgomery_bound", "resolve_table"]
+        "CharTailStats", "TailStats", "ThinTailWarning", "ZeroDataError",
+        "ZeroTable", "aggregate_stats", "available_tables", "bundled_table",
+        "load_zeros", "resolve_table"]
     assert rc.__all__ == [
         "Character", "RaceEntry", "RaceError", "RaceSpec",
         "SUPPORTED_MODULI", "alpha_coeffs", "characters", "prime_count_race",

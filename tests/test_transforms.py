@@ -35,7 +35,7 @@ from racedensity.specfun import j0_lowbias
 from racedensity.zerodata import (
     ZeroDataError, aggregate_stats, bundled_table, resolve_table,
 )
-from tail_moments import race_moments
+from tail_moments import race_moments, sigma_u
 
 J1, J2 = (float(j) for j in jn_zeros(0, 2))
 EULER_GAMMA = 0.5772156649015329
@@ -95,7 +95,7 @@ def test_tail_factor_single_term_is_gaussian(zeta_race, stats35):
     out = lattice_samples(zeta_race, stats35, w)[0]
     assert out.omega == w and out.tail == 1.0
     tail = math.log(out.phat / head_product(w, zeta_race, 35.0))
-    gauss = -((stats35.sigma_u * w) ** 2) / 2.0
+    gauss = -((sigma_u(zeta_race, stats35.u) * w) ** 2) / 2.0
     second = w ** 4 * race_moments(zeta_race, stats35).B[1] / 4.0
     assert gauss - second / (1.0 - (1.4 / 2.4048) ** 2) < tail - 1e-15
     assert tail < gauss - 0.99 * second
@@ -521,7 +521,7 @@ def test_prefix_log_bound_covers_prefix(race, u):
     radius = race_moments(race, stats).T
     reach = min(tr._FAR_Z * math.sqrt(0.25 + resolve_table(e).last_zero ** 2)
                 / (2.0 * e.alpha) for e in race.characters)
-    ws = np.linspace(0.0, min(radius / stats.sigma_u, reach * (1 - 1e-9)),
+    ws = np.linspace(0.0, min(radius / sigma_u(race, u), reach * (1 - 1e-9)),
                      401)[1:]
     bound = tr._prefix_log_bound(ws, race)
     assert np.all(np.diff(bound) <= 0.0)
@@ -566,8 +566,10 @@ def l_remainder(s, stats, K=8, order=0):
         raise ValueError("K must be at least 1")
     if not 0 <= order <= 5:
         raise ValueError("order must lie in 0..5")
-    moments = race_moments(prime_count_race(), stats, K)
-    t = stats.sigma_u * s
+    race = prime_count_race()
+    moments = race_moments(race, stats, K)
+    deviation = sigma_u(race, stats.u)
+    t = deviation * s
     if abs(t) >= moments.T:
         raise tr._radius_error(abs(t), moments.T, stats.u)
     c = c_coeffs(K)
@@ -577,25 +579,25 @@ def l_remainder(s, stats, K=8, order=0):
         if p < order:
             continue
         coef = ((-1.0) ** (k - 1) * c[k - 1] * moments.R[k - 1]
-                * stats.sigma_u ** p)
+                * deviation ** p)
         parts.append(coef * math.perm(p, order) * s ** (p - order))
     return math.fsum(parts)
 
 
-def test_raw_series_at_origin(stats500):
+def test_raw_series_at_origin(zeta_race, stats500):
     assert l_remainder(0.0, stats500) == 0.0
     for order in (1, 3, 5):
         assert l_remainder(0.0, stats500, order=order) == 0.0
     # the only surviving term of the second derivative at 0 is the
     # tail variance
     assert l_remainder(0.0, stats500, order=2) == pytest.approx(
-        stats500.sigma_u ** 2, rel=1e-15)
+        sigma_u(zeta_race, stats500.u) ** 2, rel=1e-15)
 
 
-def test_raw_series_single_term(stats500):
+def test_raw_series_single_term(zeta_race, stats500):
     s = 2.3
     assert l_remainder(s, stats500, K=1) == pytest.approx(
-        0.5 * (stats500.sigma_u * s) ** 2, rel=1e-15)
+        0.5 * (sigma_u(zeta_race, stats500.u) * s) ** 2, rel=1e-15)
 
 
 def test_raw_series_derivative_chain(stats500):
@@ -613,8 +615,8 @@ def test_raw_series_parity(stats500):
         l_remainder(3.0, stats500, order=2), rel=1e-15)
 
 
-def test_raw_series_outside_radius(stats35):
-    s_bad = 1.2 * stats35.per_char[0].T_single / stats35.sigma_u
+def test_raw_series_outside_radius(zeta_race, stats35):
+    s_bad = 1.2 * stats35.per_char[0].T_single / sigma_u(zeta_race, stats35.u)
     with pytest.raises(tr.ConvergenceError) as exc:
         l_remainder(s_bad, stats35)
     # the suggested cutoff scales the current one by the overshoot
@@ -641,13 +643,14 @@ def test_accelerated_matches_raw_series(zeta_race, stats500):
     # inside the radius the accelerated form and a deep raw series are
     # two routes to the same function
     stats = stats500
+    deviation = sigma_u(zeta_race, stats.u)
     for s in (1.0, 20.0, 80.0):
-        t = stats.sigma_u * s
+        t = deviation * s
         assert accelerated(t, stats) == pytest.approx(
             l_remainder(s, stats, K=25), rel=1e-9)
     # halfway to the radius the eight correction terms leave ~1e-7
     s = 300.0
-    got = accelerated(stats.sigma_u * s, stats)
+    got = accelerated(deviation * s, stats)
     assert got == pytest.approx(l_remainder(s, stats, K=25), rel=1e-6)
 
 
@@ -724,7 +727,7 @@ def test_accelerated_outside_radius(zeta_race, stats500):
     # the error names the cutoff that would bring the point inside. For
     # the zeta race the tail variable is t = sigma_u * s
     pc = stats500.per_char[0]
-    wall = J2 / J1 * pc.T_single / stats500.sigma_u
+    wall = J2 / J1 * pc.T_single / sigma_u(zeta_race, stats500.u)
     with pytest.warns(tr.AccuracyWarning):
         inside = tr.l0_full(0.99 * wall, zeta_race, stats500)
     assert all(math.isfinite(v) for v in inside.values) and inside.value > 0.0
@@ -738,7 +741,7 @@ def test_accelerated_warns_near_radius(zeta_race, stats500):
     # the remainder is good to <= 1.4e-9 up to 0.7 T and off by >= 3e-7
     # from T on; the final-term ratio crosses its 1e-7 threshold between
     # 0.8 T and 0.9 T, too close to 0.9 T to pin there
-    s_at_T = stats500.per_char[0].T_single / stats500.sigma_u
+    s_at_T = stats500.per_char[0].T_single / sigma_u(zeta_race, stats500.u)
     with warnings.catch_warnings():
         warnings.simplefilter("error", tr.AccuracyWarning)
         tr.l0_full(0.3 * s_at_T, zeta_race, stats500)

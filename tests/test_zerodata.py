@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jn_zeros
 
+from racedensity import rs_method as rs
 from racedensity import transforms as tr
 from racedensity import zerodata as zd
 from racedensity.race import (
@@ -24,12 +25,11 @@ from racedensity.race import (
     square_root_count, two_way_race,
 )
 from racedensity.zerodata import (
-    CharTailStats, FrozenSpanWarning, TailStats, ThinTailWarning,
-    ZeroDataError, ZeroTable, aggregate_stats, available_tables,
-    bundled_table, load_zeros, montgomery_bound,
+    CharTailStats, TailStats, ThinTailWarning, ZeroDataError, ZeroTable,
+    aggregate_stats, available_tables, bundled_table, load_zeros,
 )
-from racedensity.zerodata import _span, _tail_bk
-from tail_moments import race_moments
+from racedensity.zerodata import _tail_bk
+from tail_moments import race_moments, sigma_u
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -146,7 +146,7 @@ def test_sigma0_and_beta(build, want):
     moments = race_moments(race, st_)
     assert st_.sigma0 == pytest.approx(want[0], abs=6e-5)
     assert moments.beta0 == pytest.approx(want[1], abs=6e-5)
-    assert st_.sigma_u == pytest.approx(st_.sigma0, rel=1e-12)
+    assert sigma_u(race, 0.0) == pytest.approx(st_.sigma0, rel=1e-12)
     assert moments.R[1] == pytest.approx(moments.beta0, rel=1e-12)
 
 
@@ -156,7 +156,7 @@ def test_aggregate_at_35():
     moments = race_moments(race, st_)
     assert st_.n_zeros == 5
     assert moments.B[0] == pytest.approx(0.0122355, abs=2e-7)
-    assert st_.sigma_u == pytest.approx(0.156432, abs=2e-6)
+    assert sigma_u(race, 35.0) == pytest.approx(0.156432, abs=2e-6)
     assert moments.R[0] == pytest.approx(1.0, rel=1e-14)
 
 
@@ -179,12 +179,13 @@ def test_single_series_radius_identity():
 
 
 def test_tail_stats_hold_only_what_routes_read():
-    # the aliasing check and montgomery_bound read the race-level fields,
-    # l0_full's remainder per_char; the order count is fixed, not chosen
+    # the Fourier route's step and aliasing check read sigma0, u and
+    # n_zeros label its results, l0_full's remainder reads per_char; the
+    # order count is fixed, not chosen
     assert [f.name for f in fields(TailStats)] == [
-        "race", "u", "sigma_u", "sigma0", "S", "n_zeros", "per_char"]
+        "race", "u", "sigma0", "n_zeros", "per_char"]
     assert [f.name for f in fields(CharTailStats)] == [
-        "label", "qstar", "weight", "alpha", "b", "n_zeros", "S", "y", "r",
+        "label", "qstar", "weight", "alpha", "b", "n_zeros", "y", "r",
         "T_single"]
     race = prime_count_race()
     st_ = aggregate_stats(race, 100.0)
@@ -205,20 +206,6 @@ def test_span_constants():
         delta, n_used = bundled_table(key).span_fit
         assert delta == pytest.approx(want, abs=tol), key
         assert n_used > 100
-
-
-def _plain_span(table, u):
-    # twice one fsum of 1/sqrt(1/4 + gamma^2) over the ordinates <= u
-    return 2.0 * math.fsum(1.0 / math.sqrt(0.25 + g * g)
-                           for g in table.gammas[table.gammas <= u].tolist())
-
-
-def test_span_values():
-    z = bundled_table("zeta")
-    assert _span(z, 1.0) == 0.0
-    want = 2 * sum(1 / math.sqrt(0.25 + g * g) for g in z.gammas[:29])
-    assert _span(z, 100.0) == pytest.approx(want, rel=1e-14)
-    assert _span(z, 100.0) == _plain_span(z, 100.0)
 
 
 def test_counting_zeta_window():
@@ -309,9 +296,9 @@ def _checkpoint_edges(table):
 
 @pytest.mark.parametrize("key", available_tables())
 def test_tail_bk_bit_exact_against_plain_sum(key):
-    # b_k from the exact prefix sums and S from the same must give the
-    # very bits of one fsum over the plain terms, on both sides of every
-    # checkpoint a head can reach
+    # b_k from the exact prefix sums must give the very bits of one fsum
+    # over the plain terms, on both sides of every checkpoint a head can
+    # reach
     t = bundled_table(key)
     g = t.gammas
     rng = np.random.default_rng(sum(map(ord, key)))
@@ -327,8 +314,6 @@ def test_tail_bk_bit_exact_against_plain_sum(key):
     for k in range(1, 11):
         for u in us:
             assert _tail_bk(t, u, k) == _plain_tail_bk(t, u, k, "auto"), (u, k)
-    for u in us:
-        assert _span(t, u) == _plain_span(t, u), u
     # b_1 from the table's own total, as for a table with no b1_total
     t = replace(t, b1_total=None)
     for u in us:
@@ -343,8 +328,8 @@ def test_terms_have_the_bits_of_one_power_per_order(key):
     # does not give), whole or in unaligned slices
     g = bundled_table(key).gammas
     den = 0.25 + g * g
-    orders = (0.5,) + tuple(range(1, 11))
-    want = [1.0 / np.sqrt(den)] + [den ** -k for k in range(1, 11)]
+    orders = tuple(range(1, 11))
+    want = [den ** -k for k in orders]
     for lo, hi in ((0, len(g)), (5, 133), (len(g) - 130, len(g) - 1)):
         rows = zd._terms(g[lo:hi], orders)
         for k, row, w in zip(orders, rows, want):
@@ -423,18 +408,16 @@ def test_exact_sum_nonfinite_as_fsum(n):
 def _plain_tail_sums(table, u, ks, n_head):
     # the oracle of zerodata._tail_sums: one fsum over the plain terms
     assert n_head == int(np.count_nonzero(table.gammas <= u))
-    return (tuple(_plain_tail_bk(table, u, k, "auto") for k in ks),
-            _plain_span(table, u))
+    return tuple(_plain_tail_bk(table, u, k, "auto") for k in ks)
 
 
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.FrozenSpanWarning")
 @pytest.mark.parametrize("race", [
     prime_count_race(), square_race(4), two_way_race(5, 1, 2), square_race(13),
     two_way_race(8, 1, 3), two_way_race(24, 1, 5)], ids=lambda r: r.name)
 def test_aggregate_stats_of_published_races_as_plain_sums(race, monkeypatch):
-    # every field, bit for bit, as with the tail sums and spans taken as
-    # plain fsums, at cutoffs from below the first checkpoint to past
+    # every field, bit for bit, as with the tail sums taken as plain
+    # fsums, at cutoffs from below the first checkpoint to past
     # every table's end but zeta's
     us = (4.352, 60.0, 140.0, 1500.0, 2999.0, 12000.0, 14000.0)
     with monkeypatch.context() as m:
@@ -453,7 +436,6 @@ def test_aggregate_stats_of_published_races_as_plain_sums(race, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.FrozenSpanWarning")
 @pytest.mark.parametrize("race", [prime_count_race(), two_way_race(5, 1, 2)])
 def test_aggregate_stats_independent_of_call_order(race, monkeypatch):
     # every field, bit for bit, whichever cutoff built the prefix sums'
@@ -515,7 +497,7 @@ def test_prefix_sums_built_as_far_as_calls_reach(tmp_path, monkeypatch):
     assert "_prefix_sums" not in vars(t)
     first = aggregate_stats(race, 2000.0)
     marks, totals = _index_state(t)
-    assert sorted(marks, key=float) == [0.5] + list(range(1, 9))
+    assert sorted(marks) == list(range(1, 9))
     assert {len(m) for m in marks.values()} == {t.count(2000.0) // 128 + 1}
     assert sorted(totals) == list(range(2, 9))
     second = aggregate_stats(race, 500.0)
@@ -528,7 +510,6 @@ def test_prefix_sums_built_as_far_as_calls_reach(tmp_path, monkeypatch):
     for st_, u in ((first, 2000.0), (second, 500.0)):
         assert st_.per_char[0].b == tuple(
             _plain_tail_bk(t, u, k, "auto") for k in range(1, 9))
-        assert st_.per_char[0].S == _plain_span(t, u)
 
 
 def test_rewritten_table_gets_fresh_power_sums(tmp_path):
@@ -570,20 +551,6 @@ def test_aggregate_warns_once_per_thin_table():
     assert thin[0].filename == __file__
 
 
-def test_span_warns_when_frozen():
-    # mod5_j1 ends below 290: a cutoff past it freezes that character's
-    # span, and the typed warnings stay visible to UserWarning filters
-    race = two_way_race(5, 1, 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ThinTailWarning)
-        with pytest.warns(FrozenSpanWarning, match="mod5_j1"):
-            stats = aggregate_stats(race, 300.0)
-    table = bundled_table("mod5_j1")
-    assert stats.per_char[0].S == _span(table, table.last_zero)
-    assert issubclass(ThinTailWarning, UserWarning)
-    assert issubclass(FrozenSpanWarning, UserWarning)
-
-
 def test_negative_cutoff_rejected():
     for u in (-1.0, math.nan):
         with pytest.raises(ValueError, match="finite"):
@@ -620,34 +587,11 @@ def test_moment_ratios_decreasing():
 
 
 def test_montgomery_bound_zeta():
+    # the Gaussian exceedance bound exp(-v^2 / (2 sigma0^2)) that the
+    # Fourier route's aliasing check reads, at v = 3 for zeta
     st0 = aggregate_stats(prime_count_race(), 0.0)
-    assert montgomery_bound(3.0, st0) == pytest.approx(-97.421, abs=0.01)
-    assert montgomery_bound(0.0, st0) == 0.0
-    with pytest.raises(ValueError):
-        montgomery_bound(-1.0, st0)
-
-
-def test_montgomery_bound_sharpens_with_span():
-    # at the truncation height where the explicit span first reaches 1,
-    # the windowed bound for v = 3 lands near -142.3, far below the
-    # full-variance bound of -97.4
-    z = bundled_table("zeta")
-    cum = 2 * np.cumsum(1 / np.sqrt(0.25 + z.gammas ** 2))
-    i = int(np.searchsorted(cum, 1.0))
-    u = float(z.gammas[i]) + 1e-9
-    pc = prime_count_race()
-    st_u = aggregate_stats(pc, u)
-    assert st_u.S == pytest.approx(1.0, abs=0.05)
-    bound = montgomery_bound(3.0, st_u)
-    assert bound == pytest.approx(-142.64, abs=1.5)
-    assert bound < -140.0
-
-
-@given(st.floats(0.1, 12.0), st.floats(0.0, 3.0))
-@settings(max_examples=30, deadline=None)
-def test_montgomery_monotone_in_v(v, dv):
-    st0 = aggregate_stats(prime_count_race(), 0.0)
-    assert montgomery_bound(v + dv, st0) <= montgomery_bound(v, st0) + 1e-12
+    bound = rs._alias_bound(3.0, st0.sigma0, False)
+    assert math.log(bound) == pytest.approx(-97.421, abs=0.01)
 
 
 def test_normalized_ratio_floor():
@@ -705,8 +649,8 @@ def test_file_path_table(tmp_path):
 
 
 def test_aggregate_matches_manual_weighting():
-    # each character's b_k is its table's, and sigma_u^2 / 2 sums them
-    # weighted by alpha^2
+    # each character's b_k is its table's, and sigma0^2 / 2 sums the full
+    # tables' b_1 weighted by alpha^2
     sp = two_way_race(5, 1, 2)
     st_ = aggregate_stats(sp, 35.0)
     for e, p in zip(sp.characters, st_.per_char):
@@ -714,9 +658,9 @@ def test_aggregate_matches_manual_weighting():
             manual = _tail_bk(bundled_table(e.table), 35.0, k)
             assert p.b[k - 1] == pytest.approx(manual, rel=1e-13)
     manual = math.fsum(
-        e.alpha ** 2 * _tail_bk(bundled_table(e.table), 35.0, 1)
+        e.alpha ** 2 * _tail_bk(bundled_table(e.table), 0.0, 1)
         for e in sp.characters)
-    assert st_.sigma_u ** 2 / 2.0 == pytest.approx(manual, rel=1e-13)
+    assert st_.sigma0 ** 2 / 2.0 == pytest.approx(manual, rel=1e-13)
 
 
 @given(st.floats(0.0, 380.0), st.floats(0.5, 20.0))
