@@ -23,14 +23,18 @@ race_result at u = 4.352, 60, 100, 140, 200, 500, 2000 and 2999.
 
 For each operation it compares value, error_estimate, K, domega,
 n_terms, n_zeros and the refusal text, and the result itself: each field
-of a dataclass result, nested dataclasses such as TailStats.per_char
-included, or else its repr; floats by float.hex. A field that only one
-tree's result has is not a difference: such fields are listed once, at
-the end. Prints every row that differs, then one line per workload
-(the published rows and the prefix rows count as one more each) with the
-rows whose value moved, the largest |dvalue|, the largest |dvalue| /
-|value| and the largest |dvalue| / error_estimate, the estimate taken
-from this checkout's row; then the rows whose error_estimate or n_terms
+of a dataclass result, nested dataclasses such as TailStats.race
+included, or else its repr; floats by float.hex. A cached property of a
+dataclass result counts as a field, read after the operation: so
+TailStats.per_char is compared whether a tree stores it or builds it on
+first read, and a property that refuses records its refusal. A field
+that only one tree's result has is not a difference: such fields are
+listed at the end, each with the tree and the number of rows. Prints
+every row that differs, then one line per workload (the published rows
+and the prefix rows count as one more each) with the rows whose value
+moved, the largest |dvalue|, the largest |dvalue| / |value| and the
+largest |dvalue| / error_estimate, the estimate taken from this
+checkout's row; then the rows whose error_estimate or n_terms
 moved and the largest |d error_estimate| / error_estimate, taken from
 REF's row. A change that moves counts and estimates but no value shows
 it there. Then one line per workload with its largest error_estimate on
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import io
 import json
@@ -83,11 +88,20 @@ def _hex(v):
 
 
 def _fields(obj, prefix="field ") -> dict:
-    # a dataclass's fields, one key each, with nested dataclasses (alone
-    # or in a tuple) spelled out under name. or name[i].
+    # a dataclass's fields and cached properties, one key each, with
+    # nested dataclasses (alone or in a tuple) spelled out under name. or
+    # name[i]., and a property's refusal as its value
     out = {}
-    for f in dataclasses.fields(obj):
-        v, key = getattr(obj, f.name), prefix + f.name
+    names = [f.name for f in dataclasses.fields(obj)] + [
+        name for name, attr in vars(type(obj)).items()
+        if isinstance(attr, functools.cached_property)]
+    for name in names:
+        key = prefix + name
+        try:
+            v = getattr(obj, name)
+        except Exception as exc:  # a refusal is an answer to compare
+            out[key] = f"refusal: {type(exc).__name__}: {exc}"
+            continue
         if dataclasses.is_dataclass(v):
             out.update(_fields(v, key + "."))
         elif isinstance(v, tuple) and v and all(
@@ -287,7 +301,8 @@ def main() -> int:
         for k in a.keys() ^ b.keys():
             if k.startswith("field "):
                 side = args.ref if k in a else "here"
-                one_sided.setdefault(re.sub(r"\[\d+\]", "[]", k), side)
+                key = (re.sub(r"\[\d+\]", "[]", k), side)
+                one_sided.setdefault(key, set()).add(a["op"])
         keys = [k for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)
                 and not (k.startswith("field ") and (k in a) != (k in b))]
         if keys:
@@ -295,8 +310,8 @@ def main() -> int:
             print(a["op"])
             for k in keys:
                 print(f"  {k}: " + _show(a.get(k), b.get(k)))
-    for key, side in sorted(one_sided.items()):
-        print(f"{key[6:]}: only at {side}")
+    for (key, side), rows in sorted(one_sided.items()):
+        print(f"{key[6:]}: only at {side}, in {len(rows)} rows")
     for line in summary(ref_rows, new_rows):
         print(line)
     old, new = largest_estimates(ref_rows), largest_estimates(new_rows)

@@ -16,14 +16,16 @@ the summed aggregate_stats time (stats_ms), the time of all six solves,
 aggregate_stats included (solve_ms), and which of the heavy modules
 scipy and numpy.ma the solves imported (heavy_modules). After the
 solves, a fresh copy of the zeta table, read from its file outside the
-clock, gives the time of one cold aggregate_stats at u = 2999
-(deep_stats_ms): the first-use build of the tail sums at a deep cutoff,
-apart from stats_ms. A second fresh copy, the same file under another
-label, gives the time of one cold l0_full at u = 14000, s = 10, with its
-aggregate_stats outside the clock (cold_l0_ms): it includes the
-first-use build of the suffix sums that its log-I0 series reads, which
-a warm call skips. Compare two checkouts by running each in turn,
-alternating which goes first.
+clock, gives the time of one cold aggregate_stats at u = 2999 with the
+first read of its per_char (deep_stats_ms): the first-use build of the
+tail sums at a deep cutoff, apart from stats_ms, which a solve's
+aggregate_stats no longer reaches. A second fresh copy, the same file
+under another label, gives the time of one cold l0_full at u = 14000,
+s = 10, with its aggregate_stats and the first read of its per_char
+outside the clock (cold_l0_ms): it includes the first-use build of the
+suffix sums that its log-I0 series reads, which a warm call skips.
+Compare two checkouts by running each in turn, alternating which goes
+first.
 """
 
 from __future__ import annotations
@@ -80,12 +82,13 @@ def main() -> None:
         zeta.characters[0], table=zd.resolve_table(zeta.characters[0]).source),))
     zd.resolve_table(deep.characters[0])
     t0 = time.perf_counter()
-    zd.aggregate_stats(deep, 2999.0)
+    zd.aggregate_stats(deep, 2999.0).per_char
     deep_stats_s = time.perf_counter() - t0
     # the same file under another label is read afresh: one cold l0_full
     fresh = replace(deep, characters=(replace(
         deep.characters[0], label="zeta (cold copy)"),))
     stats = zd.aggregate_stats(fresh, 14000.0)
+    stats.per_char
     t0 = time.perf_counter()
     l0_full(10.0, fresh, stats)
     cold_l0_s = time.perf_counter() - t0

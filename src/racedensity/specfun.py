@@ -34,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "BaseConstants",
+    "ExtendedPrecisionError",
     "j0_lowbias",
     "log_i0_derivs",
     "c_coeffs",
@@ -45,6 +46,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # J0
 # ---------------------------------------------------------------------------
+
+class ExtendedPrecisionError(ArithmeticError):
+    """numpy's long double is not x87's 80-bit format here."""
+
+
+# read once per process, so that no solve pays for the check
+_LONG_DOUBLE_NMANT = int(np.finfo(np.longdouble).nmant)
+
+
+def _require_extended() -> None:
+    if _LONG_DOUBLE_NMANT < 63:
+        raise ExtendedPrecisionError(
+            "the J0 kernel and the suffix sums need a long double with x87's "
+            f"64-bit significand (nmant >= 63), not nmant = {_LONG_DOUBLE_NMANT}")
+
 
 # the first two positive zeros of J0, each the double nearest the zero
 J0_ZERO1 = 2.404825557695773
@@ -115,8 +131,10 @@ def j0_lowbias(z) -> np.ndarray:
     through the log-J0 power series of _log_j0_coeffs instead.
 
     Returns extended precision so callers can keep multiplying without
-    re-rounding every factor to double.
+    re-rounding every factor to double. Refuses with
+    ExtendedPrecisionError where numpy's long double is not x87's.
     """
+    _require_extended()
     zl = np.atleast_1d(np.asarray(z, dtype=np.longdouble))
     # the sign and the split are read off the double nearest z, a
     # fraction of the cost in 80 bits; a z within half a double ulp
@@ -366,11 +384,10 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _derivs_series(w: np.ndarray, max_order: int) -> np.ndarray:
+def _derivs_series(w: np.ndarray) -> np.ndarray:
     p0, coeffs = _series_coeffs()
     ww = w * w
-    lead = np.array([np.ones_like(w), w, ww])[p0[: max_order + 1]]
-    return lead * _horner(coeffs[: max_order + 1], ww)
+    return np.array([np.ones_like(w), w, ww])[p0] * _horner(coeffs, ww)
 
 
 def _ratio_terms(w_max: float) -> int:
@@ -388,7 +405,7 @@ def _ratio_terms(w_max: float) -> int:
     return k + 1
 
 
-def _derivs_ratio(w: np.ndarray, max_order: int) -> np.ndarray:
+def _derivs_ratio(w: np.ndarray) -> np.ndarray:
     # r = I1/I0 and log I0 from the positive ascending series: no
     # cancellation, and below w = 18 no overflow either
     q = 0.25 * w * w
@@ -402,37 +419,27 @@ def _derivs_ratio(w: np.ndarray, max_order: int) -> np.ndarray:
           - (2.0 * r + iw) * g3 - 2.0 * r * iw ** 3)
     g5 = (-6.0 * g2 * g3 + 3.0 * g3 * iw * iw - 6.0 * g2 * iw ** 3
           - (2.0 * r + iw) * g4 + 6.0 * r * iw ** 4)
-    return np.array([np.log1p(i0m1), r, g2, g3, g4, g5][: max_order + 1])
+    return np.array([np.log1p(i0m1), r, g2, g3, g4, g5])
 
 
-def _derivs_asymptotic(w: np.ndarray, max_order: int) -> np.ndarray:
+def _derivs_asymptotic(w: np.ndarray) -> np.ndarray:
     x = 1.0 / w
-    tails = _horner(_asymptotic_coeffs()[: max_order + 1], x)
-    rows = []
-    for m in range(max_order + 1):
-        # the m-th derivative of the leading part w - log(2 pi w)/2
-        if m == 0:
-            lead = w - 0.5 * np.log(2.0 * math.pi * w)
-        elif m == 1:
-            lead = 1.0 - 0.5 * x
-        else:
-            lead = 0.5 * (-1) ** m * math.factorial(m - 1) * x ** m
-        rows.append(lead + x ** (m + 1) * tails[m])
-    return np.array(rows)
+    # the m-th derivatives of the leading part w - log(2 pi w)/2
+    lead = [w - 0.5 * np.log(2.0 * math.pi * w), 1.0 - 0.5 * x] + [
+        0.5 * (-1) ** m * math.factorial(m - 1) * x ** m for m in range(2, 6)]
+    tails = _horner(_asymptotic_coeffs(), x)
+    return np.array([lead[m] + x ** (m + 1) * tails[m] for m in range(6)])
 
 
-def log_i0_derivs(w, max_order: int = 5) -> list[float] | np.ndarray:
-    """d^m/dw^m log I0(w) for m = 0..max_order (max_order <= 5).
+def log_i0_derivs(w) -> list[float] | np.ndarray:
+    """d^m/dw^m log I0(w) for m = 0..5.
 
     w is a float or a 1-D array, every value finite and >= 0. A float
-    gives a list of max_order + 1 floats; an array of n values gives an
-    array of shape (max_order + 1, n) whose row m is the m-th
-    derivative. A float and the same value inside an array give
-    identical numbers. Safe for w up to ~1e6 and beyond: past w = 18
+    gives a list of 6 floats; an array of n values gives an array of
+    shape (6, n) whose row m is the m-th derivative. A float and the
+    same value inside an array give identical numbers. Safe for w up to ~1e6 and beyond: past w = 18
     only the ratio I1/I0 and log I0 itself appear, never I0 or I1.
     """
-    if not isinstance(max_order, int) or not 0 <= max_order <= 5:
-        raise ValueError(f"max_order must be an integer in 0..5, got {max_order!r}")
     x = np.asarray(w, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -442,13 +449,13 @@ def log_i0_derivs(w, max_order: int = 5) -> list[float] | np.ndarray:
     bad = ~(np.isfinite(x) & (x >= 0.0))
     if bad.any():
         raise ValueError(f"log_i0_derivs needs finite w >= 0, got {float(x[bad][0])!r}")
-    out = np.empty((max_order + 1, x.size))
+    out = np.empty((6, x.size))
     lo = x <= _ODE_LO
     hi = x >= _ODE_HI
     for sel, regime in ((lo, _derivs_series), (~(lo | hi), _derivs_ratio),
                         (hi, _derivs_asymptotic)):
         if sel.any():
-            out[:, sel] = regime(x[sel], max_order)
+            out[:, sel] = regime(x[sel])
     return out[:, 0].tolist() if scalar else out
 
 

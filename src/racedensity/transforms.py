@@ -325,25 +325,6 @@ def _near_block(out, near, lo, hi) -> None:
         out[lo + rows] *= np.multiply.reduceat(f, first[rows])
 
 
-def _zeros_below(race: RaceSpec, u: float) -> list:
-    # l0_full's zeros: each character's table and the count of its
-    # ordinates at or below u, in race order; a cutoff a few mean gaps
-    # past the final listed zero cannot hide a missing zero, anything
-    # further out could
-    out = []
-    for entry in race.characters:
-        table = resolve_table(entry)
-        y_end = math.log(max(table.qstar * table.last_zero / (2.0 * math.pi),
-                             2.0))
-        gap = 2.0 * math.pi / (table.weight * y_end)
-        if not u <= table.last_zero + 3.0 * gap:
-            raise ZeroDataError(
-                f"{entry.label}: zero table ends at {table.last_zero:.6g}, "
-                f"so zeros below u = {u:g} are missing")
-        out.append((table, table.count(u)))
-    return out
-
-
 # ----------------------------------------------------------------- Laplace side
 
 def _model_derivs(x: float, y: float) -> list:
@@ -434,11 +415,12 @@ def _warn_if_truncated(value: float, last: float, t: float, T: float,
 # ----------------------------------------------------------- full cumulant side
 
 # l0_full takes a character's zeros with x <= _FAR_Z below u from the
-# series only when they number at least this many. The series costs two
-# chunk tails of extended power sums, 270 to 370 us whatever the count,
-# and an explicit zero 0.3 us (zeta, s = 1, median of 5 runs of 50 on a
-# 2-core VM): 393 us explicit against 357 us at 768 zeros, 228 against
-# 271 at 384. q5 1v2 at u = 250 (343 and 170 zeros) stays explicit
+# series only when they number at least this many. The series sums the
+# powers of at most two part chunks, and an explicit zero costs 0.4 us: a
+# zeta call at s = 1 took 438 us explicit against 142 us by the series
+# at 768 zeros, 295 against 187 at 384 (best of 5 alternated runs of
+# 7 x 100, 2-core VM). A lower count would pay, but would move the bits
+# of q5 1v2's values at u = 250, whose 343 and 170 zeros stay explicit
 _SERIES_FROM = 768
 
 
@@ -518,15 +500,17 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
     The zeros below stats.u enter through log I0 with the chain rule.
     Each character's zeros with x = 2*alpha*s/sqrt(1/4+g^2) at or below
     _FAR_Z, split as phat_prefix splits its rows, enter through the
-    log-I0 series over the suffix sums from the split to the cutoff
-    (_log_i0_series), when they number at least _SERIES_FROM; the rest
-    enter one log_i0_derivs term each. Each character's tail enters
-    through the accelerated remainder in its own variable t_chi =
-    alpha*sqrt(2 b1_chi)*s, all six orders from one _remainder call per
-    character. The error estimate collects the final correction terms,
-    which bound what truncating the correction series discards, and
-    what cutting each log-I0 series drops from the value; a remainder
-    whose final term exceeds 1e-7 of it raises AccuracyWarning.
+    log-I0 series over their own power sums (_SuffixSums.between,
+    _log_i0_series), when they number at least _SERIES_FROM; the rest
+    enter one log_i0_derivs term each. Each character's tail, from
+    stats.per_char (built by the first call on a record, which refuses
+    a cutoff past a table's coverage), enters through the accelerated
+    remainder in its own variable t_chi = alpha*sqrt(2 b1_chi)*s, all
+    six orders from one _remainder call per character. The error
+    estimate collects the final correction terms, which bound what
+    truncating the correction series discards, and what cutting each
+    log-I0 series drops from the value; a remainder whose final term
+    exceeds 1e-7 of it raises AccuracyWarning.
 
     Each order's terms, explicit zeros, series and remainders together,
     are summed by zerodata._exact_sum and so rounded once: math.fsum
@@ -542,12 +526,12 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
     # sum over its series zeros and then its remainder
     buckets = [[] for _ in range(6)]
     err_parts = []
-    for entry, pc, (table, n_u) in zip(race.characters, stats.per_char,
-                                       _zeros_below(race, u)):
+    for entry, pc in zip(race.characters, stats.per_char):
+        table = resolve_table(entry)
         # the zeros before the split have x above _FAR_Z, split as
         # phat_prefix splits its rows; the rest enter through the series
         # when there are at least _SERIES_FROM of them
-        split = n_u
+        n_u = split = pc.n_zeros
         if n_u >= _SERIES_FROM:
             sums = table._suffix_sums
             first = int(sums.split(2.0 * entry.alpha * s / _FAR_Z))
@@ -555,24 +539,23 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
                 split = first
         g = table.gammas[:split]
         a = 2.0 * entry.alpha / np.sqrt(0.25 + g * g)
-        d = log_i0_derivs(a * s, 5)
+        d = log_i0_derivs(a * s)
         p = np.ones_like(a)
         for m in range(6):
             buckets[m].append(p * d[m])
             p = p * a
         if split < n_u:
             series, drop = _log_i0_series(s, entry.alpha,
-                                          sums.at(split) - sums.at(n_u))
+                                          sums.between(split, n_u))
             err_parts.append(drop)
             # each order as two doubles whose sum is its extended value
             hi = series.astype(float)
             lo = (series - hi).astype(float)
             for m in range(6):
                 buckets[m].append(np.array([hi[m], lo[m]]))
-        # remainder, once per series; the merged table carries `weight`
-        # identical conjugate series
-        b1_chi = pc.b[0] / pc.weight
-        dtds = entry.alpha * math.sqrt(2.0 * b1_chi)
+        # remainder, once per series: the merged table carries `weight`
+        # identical conjugate series, each with b1_chi = b_1 / weight
+        dtds = entry.alpha * math.sqrt(2.0 * pc.b[0] / entry.weight)
         t_chi = dtds * s
         T = pc.T_single
         # a usable radius, and |t| inside the extended disk (j2/j1) T
@@ -584,7 +567,7 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
             raise _radius_error(abs(t_chi), _EXT_RADIUS * T, u, entry.label)
         vals, last = _remainder(t_chi, pc.y, T, pc.r)
         _warn_if_truncated(vals[0], last, t_chi, T, entry.label)
-        p = float(pc.weight)
+        p = float(entry.weight)
         err_parts.append(abs(p * last))
         for m in range(6):
             buckets[m].append(np.array([p * vals[m]]))

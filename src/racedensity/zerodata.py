@@ -7,17 +7,15 @@ those lists, evaluates the inverse-power sums
     b_k(u) = sum over gamma > u of (1/4 + gamma^2)^(-k)
 
 with an analytic continuation past the end of each table, and gathers
-them over the characters of a race into what the routes read: per
-character, b_k for k = 1.._TAIL_ORDERS and the single-series ratios and
-radius, for the cumulant layer's accelerated remainder; for the race,
-sigma_0 = sqrt(2 sum of alpha^2 b_1(0)) from the full tables, the one
-number the Fourier route's step and aliasing check read. The cutoff u
-and the zero count below it only label a Fourier result. Each table
-carries two indexes of these sums, built on first use and only as far
-as a call reaches: exact prefix sums at every 128th zero, from which
-b_k(u) comes rounded once (_PrefixSums), and, for the Fourier route's
-log-J0 series, the sums from every zero on in extended precision
-(_SuffixSums).
+them over the characters of a race into TailStats: sigma_0 = sqrt(2 sum
+of alpha^2 b_1(0)) from the full tables, all the Fourier route reads,
+with the cutoff u and the zero count below it; and, built on first read
+for l0_full alone, each character's b_k(u), k = 1.._TAIL_ORDERS, with
+its single-series ratios and radius. Each table carries two indexes of
+these sums, built on first use and only as far as a call reaches: exact
+prefix sums at every 128th zero, from which b_k(u) comes rounded once
+(_PrefixSums), and the sums from every zero on in extended precision
+(_SuffixSums), for the log-J0 and log-I0 series.
 
 Tables for conjugate character pairs are merged: one file holds both
 members' ordinates ascending, with weight = 2 recorded in the header.
@@ -31,12 +29,12 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .race import RaceEntry, RaceSpec
-from .specfun import J0_ZERO1
+from .specfun import J0_ZERO1, _require_extended
 
 __all__ = [
     "CharTailStats",
@@ -136,8 +134,7 @@ class ZeroTable:
 
     @cached_property
     def _suffix_sums(self) -> _SuffixSums:
-        # the Fourier route's sums over the zeros from each one on, built
-        # on first use rather than at load
+        # the log-J0 and log-I0 series' sums, built on first use
         return _SuffixSums(self)
 
     @cached_property
@@ -282,7 +279,7 @@ def _tail_bk(table: ZeroTable, u: float, k: int) -> float:
     """b_k(u), the inverse-power sum over ordinates above u: the
     tabulated ones, then the analytic continuation past the table end.
     Past the last tabulated ordinate only the analytic term remains; its
-    own relative accuracy decays like k/u, which is why aggregate_stats
+    own relative accuracy decays like k/u, which is why _char_tail
     warns about thin tails rather than silently degrading."""
     return _tail_sums(table, u, (k,), table.count(u))[0]
 
@@ -297,8 +294,6 @@ def _tail_sums(table: ZeroTable, u: float, ks,
     full-spectrum total, it is that total less the rounded head sum.
     Every value has the bits of math.fsum over the plain terms.
     """
-    if not (math.isfinite(u) and u >= 0.0):
-        raise ValueError(f"u must be finite and >= 0, got {u!r}")
     if n_head == len(table):
         # nothing tabulated above u
         return tuple(_past_table(table, u, k) for k in ks)
@@ -336,29 +331,30 @@ class _SuffixSums:
     continuation past the table end (_past_table); W_1 is b1_total less
     the head sum where the table carries b1_total, as _tail_bk takes it.
     Summed in extended precision a chunk at a time: construction keeps
-    the per-order totals from each chunk on, and W_1 in double (w1), the
-    columns of every order and sqrt(1/4 + gamma^2) (den) are built only
-    up to the highest index a caller reaches. A chunk's values follow
-    from its own zeros and the totals at its ends, so their bits do not
-    depend on which calls came before. No 57-by-n array is ever formed.
+    the per-order totals of and from each chunk, and W_1 in double (w1),
+    the columns of every order and sqrt(1/4 + gamma^2) (den) are built
+    only up to the highest index a caller reaches. A chunk's values
+    follow from its own zeros and the totals at its ends, so their bits
+    do not depend on which calls came before. No 57-by-n array is ever
+    formed. Refuses, as j0_lowbias does, a long double not x87's.
     """
 
     def __init__(self, table: ZeroTable):
+        _require_extended()
         self._table = table
-        chunks = -(-len(table) // _SUFFIX_CHUNK)
-        # _tops[:, s]: the sums from the first zero of chunk s on
-        self._tops = np.empty((_SUFFIX_ORDERS, chunks + 1), dtype=np.longdouble)
-        self._tops[:, chunks] = [
-            _past_table(table, np.longdouble(table.last_zero), k)
-            for k in range(1, _SUFFIX_ORDERS + 1)]
-        heads = np.zeros(chunks + 1, dtype=np.longdouble)
-        for s in range(chunks - 1, -1, -1):
-            totals = self._powers(1.0 / self._den2(s)).sum(axis=1)
-            self._tops[:, s] = self._tops[:, s + 1] + totals
-            heads[s + 1] = totals[0]
+        # _chunks[:, s]: the sums over chunk s; _tops[:, s]: those from
+        # chunk s on, the analytic continuation past the table end last
+        self._chunks = np.stack([self._powers(1.0 / self._den2(s)).sum(axis=1)
+                                 for s in range(-(-len(table) // _SUFFIX_CHUNK))],
+                                axis=1)
+        past = [[_past_table(table, np.longdouble(table.last_zero), k)]
+                for k in range(1, _SUFFIX_ORDERS + 1)]
+        self._tops = np.add.accumulate(np.hstack((self._chunks, past))[:, ::-1],
+                                       axis=1)[:, ::-1]
         # W_1 at the first zero of each chunk
         self._starts = self._tops[0] if table.b1_total is None \
-            else np.longdouble(table.b1_total) - np.cumsum(heads)
+            else np.longdouble(table.b1_total) - np.cumsum(np.concatenate(
+                ([0.0], self._chunks[0])))
         self._w1 = np.empty(0)
         self._cols = np.empty((_SUFFIX_ORDERS, 0), dtype=np.longdouble)
         self.den = np.empty(0, dtype=np.longdouble)
@@ -410,21 +406,23 @@ class _SuffixSums:
             self.den = np.concatenate((self.den, np.sqrt(den2[j:j + stop])))
         return self._cols[:, i]
 
-    def at(self, i: int) -> np.ndarray:
-        """W_k(i) for k = 1..57 at one index up to the zero count, below
-        it with the bits of columns([i]): the totals past i's chunk plus
-        that chunk's zeros from i on, summed in the same order. Builds
-        no column."""
-        if i == len(self._table):
-            out = self._tops[:, -1].copy()
-            out[0] = self._starts[-1]
-            return out
-        s, j = divmod(i, _SUFFIX_CHUNK)
-        den2 = self._den2(s)
-        p = self._powers(1.0 / den2[j:])
-        out = np.add.accumulate(p[:, ::-1], axis=1)[:, -1] + self._tops[:, s + 1]
-        out[0] = self._w1_chunk(s, den2)[j]
-        return out
+    def between(self, i: int, j: int) -> np.ndarray:
+        """D_k = W_k(i) - W_k(j) for k = 1..57, 0 <= i < j <= zero count,
+        from the zeros i..j-1 alone, so no order cancels against a larger
+        total: the part chunks at either end summed as a whole chunk is,
+        and the whole chunks' totals between. No term passes through more
+        than 256 + chunks additions. Builds no column."""
+        # [i, a) and [b, j) are the part chunks, [a, b) the whole ones
+        a = min(-(-i // _SUFFIX_CHUNK) * _SUFFIX_CHUNK, j)
+        b = max(j // _SUFFIX_CHUNK * _SUFFIX_CHUNK, a)
+        whole = self._chunks[:, a // _SUFFIX_CHUNK:b // _SUFFIX_CHUNK]
+        return self._part(b, j) + whole.sum(axis=1) + self._part(i, a)
+
+    def _part(self, i: int, j: int) -> np.ndarray:
+        # the sums over zeros i..j-1, all in one chunk
+        s = i // _SUFFIX_CHUNK
+        den2 = self._den2(s)[i - s * _SUFFIX_CHUNK:j - s * _SUFFIX_CHUNK]
+        return self._powers(1.0 / den2).sum(axis=1)
 
 
 # From this many terms on, _exact_sum (l0_full's order sums) bins by
@@ -582,12 +580,9 @@ _TAIL_ORDERS = 8
 
 @dataclass(frozen=True)
 class CharTailStats:
-    label: str
-    qstar: int
-    weight: int
-    alpha: float
+    # one character's tail; its RaceEntry holds label, alpha and weight
     b: tuple[float, ...]     # table-level b_k(u), k = 1.._TAIL_ORDERS
-    n_zeros: int
+    n_zeros: int             # the table's ordinates at or below u
     y: float
     r: tuple[float, ...]     # single-series ratios r_k, k = 1.._TAIL_ORDERS
     T_single: float          # convergence radius as a lone series
@@ -595,11 +590,18 @@ class CharTailStats:
 
 @dataclass(frozen=True)
 class TailStats:
-    race: str
+    """A race at a cutoff u: sigma0, which both routes read, and the zero
+    count that labels a Fourier result with u. per_char, which only
+    l0_full reads, is built on first read."""
+    race: RaceSpec
     u: float
     sigma0: float            # sqrt(2 sum of alpha^2 b_1(0))
     n_zeros: int
-    per_char: tuple[CharTailStats, ...]
+
+    @cached_property
+    def per_char(self) -> tuple[CharTailStats, ...]:
+        """Each character's tail at u, in race order (_char_tail)."""
+        return tuple(map(partial(_char_tail, u=self.u), self.race.characters))
 
 
 # (resolved path, qstar, label) -> (st_mtime_ns, st_size, table)
@@ -650,40 +652,47 @@ def _t_single(y: float, r2: float) -> float:
     return J0_ZERO1 * math.sqrt((y + 1.0 / 3.0) / (6.0 * (y + 1.0) * r2))
 
 
-def aggregate_stats(race: RaceSpec, u: float) -> TailStats:
-    """The tail statistics of a race at truncation height u.
+def _char_tail(entry: RaceEntry, u: float) -> CharTailStats:
+    """One character's tail at u: b_k(u) for k = 1.._TAIL_ORDERS, the
+    single-series ratios r_k and radius, and the table's zeros at or
+    below u. Refuses a u more than three mean gaps past the table's last
+    zero, which could hide a missing zero; warns where fewer than 100
+    tabulated zeros lie above u."""
+    t = resolve_table(entry)
+    y_end = math.log(max(t.qstar * t.last_zero / _TWO_PI, 2.0))
+    if not u <= t.last_zero + 3.0 * _TWO_PI / (t.weight * y_end):
+        raise ZeroDataError(
+            f"{entry.label}: zero table ends at {t.last_zero:.6g}, "
+            f"so zeros below u = {u:g} are missing")
+    n_head = t.count(u)
+    b = _tail_sums(t, u, range(1, _TAIL_ORDERS + 1), n_head)
+    if (n_above := len(t) - n_head) < 100:
+        # the line that called l0_full: map and partial add no frame
+        warnings.warn(
+            f"{t.label}: only {n_above} tabulated zeros above u={u:g}; "
+            f"b_1..b_{_TAIL_ORDERS} lean on the analytic tail (relative "
+            f"error of order {_TAIL_ORDERS / max(u, t.last_zero):.1e} "
+            "* 10)", ThinTailWarning, stacklevel=5)
+    y = math.log(t.qstar * u / _TWO_PI) if u > 0.0 else float("-inf")
+    # single-series ratios r_k = b_k / b_1^k: the merged table's b_k is
+    # weight times the per-member value, so r_k picks up weight^(k-1)
+    r = tuple(t.weight ** (k - 1) * b[k - 1] / b[0] ** k
+              for k in range(1, _TAIL_ORDERS + 1))
+    return CharTailStats(b=b, n_zeros=n_head, y=y, r=r,
+                         T_single=_t_single(y, r[1]))
 
-    Per character: b_k(u) for k = 1.._TAIL_ORDERS and the single-series
-    ratios r_k and radius. For the race: sigma0 = sqrt(2 B), with B the
-    sum of alpha^2 b_1(0) over the characters' full tables (merged tables
-    already cover conjugate pairs), and the zeros at or below u.
-    """
-    per = []
-    full = []
-    for e in race.characters:
-        t = resolve_table(e)
-        n_head = t.count(u)
-        b = _tail_sums(t, u, range(1, _TAIL_ORDERS + 1), n_head)
-        n_above = len(t) - n_head
-        if n_above < 100:
-            warnings.warn(
-                f"{t.label}: only {n_above} tabulated zeros above u={u:g}; "
-                f"b_1..b_{_TAIL_ORDERS} lean on the analytic tail (relative "
-                f"error of order {_TAIL_ORDERS / max(u, t.last_zero):.1e} "
-                "* 10)", ThinTailWarning, stacklevel=2)
-        y = math.log(t.qstar * u / _TWO_PI) if u > 0.0 else float("-inf")
-        # single-series ratios r_k = b_k / b_1^k: the merged table's b_k
-        # is weight times the per-member value, so r_k picks up
-        # weight^(k-1)
-        r = tuple(t.weight ** (k - 1) * b[k - 1] / b[0] ** k
-                  for k in range(1, _TAIL_ORDERS + 1))
-        per.append(CharTailStats(
-            label=e.label, qstar=t.qstar, weight=t.weight, alpha=e.alpha,
-            b=b, n_zeros=n_head, y=y, r=r, T_single=_t_single(y, r[1])))
-        full.append(e.alpha ** 2 * t.b1_full)
-    B = math.fsum(full)
+
+def aggregate_stats(race: RaceSpec, u: float) -> TailStats:
+    """The tail statistics of a race at truncation height u: sigma0 =
+    sqrt(2 B), B the sum of alpha^2 b_1(0) over the characters' full
+    tables (merged tables already cover conjugate pairs), and the zeros
+    at or below u. No tail order is formed until per_char is read."""
+    if not (math.isfinite(u) and u >= 0.0):
+        raise ValueError(f"u must be finite and >= 0, got {u!r}")
+    tables = [resolve_table(e) for e in race.characters]
+    B = math.fsum(e.alpha ** 2 * t.b1_full
+                  for e, t in zip(race.characters, tables))
     if B <= 0.0:
         raise ZeroDataError(f"race {race.name or race.q}: b_1 sum is zero")
-    return TailStats(
-        race=race.name, u=float(u), sigma0=math.sqrt(2.0 * B),
-        n_zeros=sum(p.n_zeros for p in per), per_char=tuple(per))
+    return TailStats(race=race, u=float(u), sigma0=math.sqrt(2.0 * B),
+                     n_zeros=sum(t.count(u) for t in tables))

@@ -1,13 +1,14 @@
 """Race-level tail moments, built in the tests from per-table sums.
 
-The package's tail statistics carry what its routes read: per character
-b_k(u), the single-series ratios and radius; for the race, sigma0. The
-race moments of the Rubinstein-Sarnak tail series, B_k = sum over
-characters alpha^(2k) b_k and R_k = B_k / B_1^k, its fourth-cumulant
-ratio beta0 = R_2 at u = 0, its convergence radius T, its deviation over
-the zeros above u, sigma_u = sqrt(2 B_1), and the alpha-weighted explicit
-span S(u) are built here from zerodata._tail_bk, the tables and the
-per-character statistics, for the checks that still read them.
+The package's tail statistics carry what its routes read: for the race,
+sigma0; per character, read by l0_full alone and built on first read,
+b_k(u), the single-series ratios and radius. The race moments of the
+Rubinstein-Sarnak tail series, B_k = sum over characters alpha^(2k) b_k
+and R_k = B_k / B_1^k, its fourth-cumulant ratio beta0 = R_2 at u = 0,
+its convergence radius T, its deviation over the zeros above u,
+sigma_u = sqrt(2 B_1), and the alpha-weighted explicit span S(u) are
+built here from zerodata._tail_bk, the tables and the per-character
+statistics, for the checks that still read them.
 """
 
 import math
@@ -57,8 +58,8 @@ def race_moments(race, stats, K=8):
     race's B_1, NaN where any character has no radius."""
     Bk = tuple(_B(race, stats.u, k) for k in range(1, K + 1))
     radii = [p.T_single
-             * math.sqrt(Bk[0] / (p.alpha ** 2 * (p.b[0] / p.weight)))
-             for p in stats.per_char]
+             * math.sqrt(Bk[0] / (e.alpha ** 2 * (p.b[0] / e.weight)))
+             for e, p in zip(race.characters, stats.per_char, strict=True)]
     full = _B(race, 0.0, 1)
     return RaceMoments(
         B=Bk, R=tuple(b / Bk[0] ** k for k, b in enumerate(Bk, start=1)),

@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -466,12 +467,13 @@ def test_alias_bound_and_step_are_inverses(density):
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("name", PUBLISHED_RACES)
 def test_fourier_value_reads_stats_through_sigma0_alone(name):
-    # tail statistics stripped of their cutoff, zero count and per
-    # character sums give the very bits of the real ones' value and
-    # estimate; only the result's u and n_zeros labels differ
+    # tail statistics with another cutoff and zero count give the very
+    # bits of the real ones' value and estimate; only the result's u and
+    # n_zeros labels differ. No Fourier function builds the per
+    # character tails, which only l0_full reads
     race = PUBLISHED_RACES[name]()
     stats = aggregate_stats(race, 100.0)
-    bare = dataclasses.replace(stats, u=7.0, per_char=(), n_zeros=0)
+    bare = dataclasses.replace(stats, u=7.0, n_zeros=0)
     params = rs.choose_params(3.0, stats, 1e-11)
     assert rs.choose_params(3.0, bare, 1e-11) == params
     pairs = [(rs.race_result(race, bare), rs.race_result(race, stats))]
@@ -490,6 +492,27 @@ def test_fourier_value_reads_stats_through_sigma0_alone(name):
     vs = np.linspace(-2.0, 2.0, 9)
     assert np.array_equal(rs.density_grid(vs, race, params, stats=bare),
                           rs.density_grid(vs, race, params, stats=stats))
+    assert "per_char" not in vars(stats) and "per_char" not in vars(bare)
+
+
+def test_fourier_solve_near_table_end_warns_of_nothing():
+    # mod 4's table ends at 2999.83, so at u = 2990 its tails lean on the
+    # analytic continuation; a Fourier solve reads none of them and
+    # warns of nothing, while l0_full, which reads them, warns
+    race = square_race(4)
+    stats = aggregate_stats(race, 2990.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = rs.choose_params(3.0, stats, 1e-11)
+        samples = rs.phat_samples(race, params, stats)
+        rs.compute_E(1.0, race, params, stats=stats, samples=samples)
+        rs.compute_P(1.0, race, params, stats=stats, samples=samples)
+        rs.density_grid(np.array([0.5, 1.0]), race, params, stats=stats)
+        result = rs.race_result(race, stats)
+    assert result.e == pytest.approx(0.004072076720775, abs=1e-13)
+    assert "per_char" not in vars(stats)
+    with pytest.warns(zd.ThinTailWarning, match="mod4"):
+        tr.l0_full(1.0, race, stats)
 
 
 def _search_by_hand(v_max, stats, target, domega=None):
@@ -792,8 +815,8 @@ def test_public_names_pinned():
         "l0_asymptotic", "l0_full", "model_constants", "model_log_density",
         "model_log_exceedance", "model_saddle", "phat_prefix"]
     assert sf.__all__ == [
-        "BaseConstants", "j0_lowbias", "log_i0_derivs", "c_coeffs",
-        "arctan_integral", "base_constants"]
+        "BaseConstants", "ExtendedPrecisionError", "j0_lowbias",
+        "log_i0_derivs", "c_coeffs", "arctan_integral", "base_constants"]
     assert zd.__all__ == [
         "CharTailStats", "TailStats", "ThinTailWarning", "ZeroDataError",
         "ZeroTable", "aggregate_stats", "available_tables", "bundled_table",

@@ -25,7 +25,7 @@ from racedensity import transforms as tr
 
 
 def log_i0(w):
-    return sf.log_i0_derivs(w, 0)[0]
+    return sf.log_i0_derivs(w)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_j0_zeros_first_two():
 
 def test_i0_i1_at_zero():
     # I0(0) = 1, I1(0) = 0
-    assert sf.log_i0_derivs(0.0, 1) == [0.0, 0.0]
+    assert sf.log_i0_derivs(0.0)[:2] == [0.0, 0.0]
 
 
 def test_i0_at_ten_oracle():
@@ -249,7 +249,7 @@ def test_i0_i1_both_regimes_oracle():
     # w = 10 pin above sits in the ratio regime
     for w, i0, i1 in ((19.5, 26760525.339838766, 26065069.2644571657),
                       (20.5, 70922869.8343170066, 69170831.6791843729)):
-        d = sf.log_i0_derivs(w, 1)
+        d = sf.log_i0_derivs(w)
         assert d[0] == pytest.approx(math.log(i0), abs=1e-13)
         assert d[1] == pytest.approx(i1 / i0, rel=1e-13)
 
@@ -269,7 +269,7 @@ def test_i_rejects_negative():
     # one bad element spoils a whole array
     for bad in (-1e-300, math.nan):
         with pytest.raises(ValueError):
-            sf.log_i0_derivs(np.array([0.5, 3.0, bad, 40.0]), 5)
+            sf.log_i0_derivs(np.array([0.5, 3.0, bad, 40.0]))
     with pytest.raises(ValueError):
         sf.log_i0_derivs(np.ones((2, 2)))
 
@@ -280,7 +280,7 @@ def test_i0_overflow_policy():
     lg = log_i0(800.0)
     assert lg == pytest.approx(800.0 - 0.5 * math.log(2 * math.pi * 800.0)
                                + math.log(1 + 1 / 6400), rel=1e-6)
-    assert np.all(np.isfinite(sf.log_i0_derivs(np.array([700.0, 720.0, 1e5]), 5)))
+    assert np.all(np.isfinite(sf.log_i0_derivs(np.array([700.0, 720.0, 1e5]))))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,7 @@ _DERIV_RTOL = [1e-12, 1e-12, 5e-11, 1e-9, 1e-9, 1e-8]
 
 @pytest.mark.parametrize("w", sorted(_DERIV_ORACLE))
 def test_log_i0_derivs_oracle(w):
-    got = sf.log_i0_derivs(w, 5)
+    got = sf.log_i0_derivs(w)
     want = _DERIV_ORACLE[w]
     for m in range(6):
         assert got[m] == pytest.approx(want[m], rel=_DERIV_RTOL[m], abs=1e-18)
@@ -339,7 +339,7 @@ def test_log_i0_derivs_array_against_mpmath():
     ws = np.array([1e-6, 0.05, 0.3, 0.77, 1.0 - 1e-12, 1.0, 1.0 + 1e-12,
                    1.5, 3.3, 7.85, 12.9, 17.6, 18.0 * (1.0 - 1e-12), 18.0,
                    18.0 * (1.0 + 1e-12), 18.1, 25.0, 60.0, 333.0, 2500.0, 1e5])
-    got = sf.log_i0_derivs(ws, 5)
+    got = sf.log_i0_derivs(ws)
     assert got.shape == (6, ws.size)
     for i, w in enumerate(ws):
         want = _mpmath_log_i0_derivs(w)
@@ -355,7 +355,7 @@ def test_log_i0_and_ratio_against_mpmath():
 
     ws = np.concatenate([np.linspace(1.0, 18.0, 171),
                          np.random.default_rng(7).uniform(1.0, 18.0, 200)])
-    got = sf.log_i0_derivs(ws, 1)
+    got = sf.log_i0_derivs(ws)
     with mpmath.workdps(40):
         for i, w in enumerate(ws):
             i0 = mpmath.besseli(0, w)
@@ -366,28 +366,26 @@ def test_log_i0_and_ratio_against_mpmath():
 
 def test_log_i0_derivs_float_matches_array():
     ws = [0.0, 0.5, 1.0, 1.0 + 1e-12, 9.0, 18.0, 250.0]
-    arr = sf.log_i0_derivs(np.array(ws), 5)
+    arr = sf.log_i0_derivs(np.array(ws))
     for i, w in enumerate(ws):
-        d = sf.log_i0_derivs(w, 5)
+        d = sf.log_i0_derivs(w)
         assert all(type(v) is float for v in d)
         assert d == arr[:, i].tolist()
-    # a lower order returns the leading rows of the full result
-    assert np.array_equal(sf.log_i0_derivs(np.array(ws), 2), arr[:3])
 
 
 @pytest.mark.parametrize("w", [0.1, 1.0, 10.0, 100.0])
 def test_log_i0_derivs_match_finite_differences(w):
     h = 1e-5
     for m in range(1, 6):
-        lo = sf.log_i0_derivs(w - h, m - 1)[m - 1]
-        hi = sf.log_i0_derivs(w + h, m - 1)[m - 1]
+        lo = sf.log_i0_derivs(w - h)[m - 1]
+        hi = sf.log_i0_derivs(w + h)[m - 1]
         fd = (hi - lo) / (2 * h)
-        val = sf.log_i0_derivs(w, m)[m]
+        val = sf.log_i0_derivs(w)[m]
         assert val == pytest.approx(fd, rel=1e-6)
 
 
 def test_log_i0_derivs_at_zero():
-    d = sf.log_i0_derivs(0.0, 5)
+    d = sf.log_i0_derivs(0.0)
     assert d[0] == 0.0
     assert d[1] == 0.0
     assert d[2] == pytest.approx(0.5, abs=1e-15)
@@ -402,24 +400,17 @@ def test_log_i0_derivs_regime_boundaries_are_continuous():
     # branch's own accuracy before calling a mismatch a regime jump
     for w0 in (sf._ODE_LO, sf._ODE_HI):
         gap = 2e-12 * w0
-        a = sf.log_i0_derivs(w0 * (1 - 1e-12), 5)
-        b = sf.log_i0_derivs(w0 * (1 + 1e-12), 5)
+        a = sf.log_i0_derivs(w0 * (1 - 1e-12))
+        b = sf.log_i0_derivs(w0 * (1 + 1e-12))
         for m in range(6):
             slope = abs(a[m + 1]) if m < 5 else abs(a[m])
             tol = 2 * _DERIV_RTOL[m] * abs(a[m]) + 2 * slope * gap + 1e-15
             assert abs(a[m] - b[m]) < tol
 
 
-def test_log_i0_derivs_rejects_bad_order():
-    with pytest.raises(ValueError):
-        sf.log_i0_derivs(1.0, 6)
-    with pytest.raises(ValueError):
-        sf.log_i0_derivs(1.0, -1)
-
-
 def test_log_i0_derivs_huge_argument():
     # r -> 1 - 1/(2w), second derivative -> 1/(2w^2); stays finite at 1e6
-    d = sf.log_i0_derivs(1e6, 5)
+    d = sf.log_i0_derivs(1e6)
     assert d[1] == pytest.approx(1.0 - 0.5e-6 - 0.125e-12, rel=1e-12)
     assert d[2] == pytest.approx(0.5e-12, rel=1e-6)
 
@@ -429,7 +420,7 @@ def test_log_i0_derivs_huge_argument():
 def test_log_i0_bounds_property(w):
     val = log_i0(w)
     assert 0.0 < val < min(w * w / 4.0, w)
-    d = sf.log_i0_derivs(w, 2)
+    d = sf.log_i0_derivs(w)
     assert 0.0 < d[1] < min(w / 2.0, 1.0)
     assert 0.0 < d[2] < 0.5
 
@@ -437,7 +428,7 @@ def test_log_i0_bounds_property(w):
 def test_log_i0_bounds_dense_sample():
     rng = np.random.default_rng(20260816)
     ws = rng.uniform(1e-9, 1e3, size=10_000)
-    val = sf.log_i0_derivs(ws, 0)[0]
+    val = sf.log_i0_derivs(ws)[0]
     assert np.all((0.0 < val) & (val < np.minimum(ws * ws / 4.0, ws)))
 
 

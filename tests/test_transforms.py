@@ -22,6 +22,7 @@ from scipy.special import i0e, jn_zeros
 from scipy.special import j0 as scipy_j0
 
 from racedensity import rs_method as rs
+from racedensity import specfun as sf
 from racedensity import transforms as tr
 from racedensity import zerodata as zd
 from racedensity.race import (
@@ -915,7 +916,7 @@ def test_cumulant_matches_brute_force_tail(race_fn, key, u, fixed_rel):
         b1_total = table.b1_total
     stats = aggregate_stats(race, u)
     pc = stats.per_char[0]
-    dtds = entry.alpha * math.sqrt(2.0 * pc.b[0] / pc.weight)
+    dtds = entry.alpha * math.sqrt(2.0 * pc.b[0] / entry.weight)
     for ratio in ORACLE_RATIOS:
         s = ratio * pc.T_single / dtds
         head, tail = brute_force_l0(s, entry, table, u, b1_total)
@@ -1021,22 +1022,22 @@ def series_bound(table, alpha, s, split, n_u):
     extended log-I0 series over the zeros split..n_u-1, in units of
     u = 2^-64, summed over its terms k = 1..56, each C_k D_k with
     C_k = |a_k| (2k)!/(2k-m)! alpha^(2k) s^(2k-m) and D_k = W_k(split) -
-    W_k(n_u):
+    W_k(n_u), the sum over those zeros alone (_SuffixSums.between):
 
     * the term's arithmetic, (3k + 62) u of C_k D_k: alpha^(2k) and
       s^(2k-m) by repeated multiplication, a few products, and the
       partial sums of 56 terms;
-    * the suffix sums behind D_k, n_k u of C_k (W_k(split) + W_k(n_u)):
-      each W_k adds positive terms, at most 256 in a chunk and one per
-      chunk, powers of (1/4 + g^2)^-1 formed in k + 3 roundings, so
-      n_k = 256 + chunks + k + 4. Where the table carries b1_total, W_1
-      is b1_total less those sums, and 2 b1_total stands in for the W_1s.
+    * the power sums behind D_k, n_k u of C_k D_k: D_k adds positive
+      terms, each a power of (1/4 + g^2)^-1 formed in k + 2 roundings,
+      and none of them passes through more than 256 + chunks additions
+      (at most 255 in its chunk and one per whole chunk, then the two
+      that join the three parts), so n_k = 256 + chunks + k + 5 covers
+      both with room to spare.
+
+    Each part is relative to D_k itself, so D_1 carries no error of
+    order b1_total however small it is.
     """
-    sums = table._suffix_sums
-    lo, hi = sums.at(split), sums.at(n_u)
-    e = lo + hi
-    if table.b1_total is not None:
-        e[0] = 2.0 * table.b1_total
+    d = table._suffix_sums.between(split, n_u)[:56]
     k = np.arange(1, 57)
     n = 256 + len(table) // 256 + k + 5
     a = np.array([abs(float(f)) for f in _log_j0_fracs(56)], dtype=np.longdouble)
@@ -1045,8 +1046,7 @@ def series_bound(table, alpha, s, split, n_u):
         c = (a * np.array([math.perm(2 * j, m) for j in k.tolist()])
              * np.longdouble(alpha) ** (2 * k)
              * np.longdouble(s) ** np.maximum(2 * k - m, 0))
-        out.append(float(np.sum(c * ((3 * k + 62) * (lo - hi)[:56]
-                                     + n * e[:56])) * 2.0 ** -64))
+        out.append(float(np.sum(c * (3 * k + 62 + n) * d) * 2.0 ** -64))
     return out
 
 
@@ -1103,8 +1103,7 @@ def test_log_i0_series_on_conjugate_pair_tables(key, s):
     n_u = table.count(250.0)
     split = int(sums.split(2.0 * entry.alpha * s / tr._FAR_Z))
     assert split < n_u < tr._SERIES_FROM
-    series, drop = tr._log_i0_series(s, entry.alpha,
-                                     sums.at(split) - sums.at(n_u))
+    series, drop = tr._log_i0_series(s, entry.alpha, sums.between(split, n_u))
     oracle = log_i0_oracle(table.gammas[split:n_u].tolist(), entry.alpha, s)
     bound = series_bound(table, entry.alpha, s, split, n_u)
     for m in range(6):
@@ -1129,6 +1128,27 @@ def test_cumulant_series_sums_independent_and_columnless(zeta_race,
     tr.phat_prefix(np.linspace(0.5, 60.0, 40), zeta_race)
     assert sums._cols.shape[1] > 0
     assert [repr(tr.l0_full(s, zeta_race, stats)) for s in ss] == before
+
+
+def test_extended_kernels_refuse_narrow_long_double(zeta_race, monkeypatch):
+    # where numpy's long double is narrower than x87's, the suffix sums
+    # and the J0 kernel refuse with one type that names the requirement,
+    # and so phat_prefix and l0_full's series do, on a fresh table and
+    # with its sums already built alike
+    monkeypatch.setattr(zd, "_table_cache", {})
+    stats = aggregate_stats(zeta_race, 14000.0)
+    monkeypatch.setattr(sf, "_LONG_DOUBLE_NMANT", 52)
+    for call in (lambda: tr.phat_prefix([1.0], zeta_race),
+                 lambda: tr.l0_full(1.0, zeta_race, stats)):
+        with pytest.raises(sf.ExtendedPrecisionError,
+                           match=r"64-bit significand .* nmant = 52"):
+            call()
+    assert "_suffix_sums" not in vars(bundled_table("zeta"))
+    monkeypatch.setattr(sf, "_LONG_DOUBLE_NMANT", 63)
+    bundled_table("zeta")._suffix_sums
+    monkeypatch.setattr(sf, "_LONG_DOUBLE_NMANT", 52)
+    with pytest.raises(sf.ExtendedPrecisionError):
+        tr.phat_prefix([20.0], zeta_race)
 
 
 def test_cumulant_validation(zeta_race, stats2000):

@@ -6,11 +6,14 @@ formulas, or digits matching independently tabulated race parameters)
 and frozen before the module was written.
 """
 
+import functools
+import inspect
 import math
 import os
 import sys
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,17 +183,23 @@ def test_single_series_radius_identity():
 
 def test_tail_stats_hold_only_what_routes_read():
     # the Fourier route's step and aliasing check read sigma0, u and
-    # n_zeros label its results, l0_full's remainder reads per_char; the
-    # order count is fixed, not chosen
+    # n_zeros label its results; per_char, which only l0_full's
+    # remainder reads, is a cached property, and a character's label,
+    # alpha and weight come from its RaceEntry. The order count is fixed,
+    # not chosen, and l0_full counts no zeros of its own
     assert [f.name for f in fields(TailStats)] == [
-        "race", "u", "sigma0", "n_zeros", "per_char"]
+        "race", "u", "sigma0", "n_zeros"]
+    assert isinstance(vars(TailStats)["per_char"], functools.cached_property)
     assert [f.name for f in fields(CharTailStats)] == [
-        "label", "qstar", "weight", "alpha", "b", "n_zeros", "y", "r",
-        "T_single"]
+        "b", "n_zeros", "y", "r", "T_single"]
+    assert not hasattr(tr, "_zeros_below")
     race = prime_count_race()
     st_ = aggregate_stats(race, 100.0)
+    assert st_.race is race
+    assert "per_char" not in vars(st_)
     assert len(st_.per_char[0].b) == len(st_.per_char[0].r) \
         == zd._TAIL_ORDERS == tr._CORR_TERMS == 8
+    assert "per_char" in vars(st_)
     with pytest.raises(TypeError):
         aggregate_stats(race, 100.0, Kmax=8)
 
@@ -411,61 +420,87 @@ def _plain_tail_sums(table, u, ks, n_head):
     return tuple(_plain_tail_bk(table, u, k, "auto") for k in ks)
 
 
+def _tail_record(race, stats) -> tuple:
+    # every field of stats, per_char's or its refusal past a table's
+    # coverage, and each table's b_1..b_8 at stats.u, past its end too
+    try:
+        per = repr(stats.per_char)
+    except ZeroDataError as exc:
+        per = f"refused: {exc}"
+    u = stats.u
+    b = [zd._tail_sums(t, u, range(1, 9), t.count(u))
+         for t in map(zd.resolve_table, race.characters)]
+    return repr(stats), per, repr(b)
+
+
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("race", [
     prime_count_race(), square_race(4), two_way_race(5, 1, 2), square_race(13),
     two_way_race(8, 1, 3), two_way_race(24, 1, 5)], ids=lambda r: r.name)
 def test_aggregate_stats_of_published_races_as_plain_sums(race, monkeypatch):
-    # every field, bit for bit, as with the tail sums taken as plain
-    # fsums, at cutoffs from below the first checkpoint to past
-    # every table's end but zeta's
+    # every field and tail, bit for bit, as with the tail sums taken as
+    # plain fsums, at cutoffs from below the first checkpoint to past
+    # every table's end but zeta's; past a table's coverage per_char
+    # refuses alike, and the table's b_k still match
     us = (4.352, 60.0, 140.0, 1500.0, 2999.0, 12000.0, 14000.0)
     with monkeypatch.context() as m:
         m.setattr(zd, "_tail_sums", _plain_tail_sums)
-        want = [aggregate_stats(race, u) for u in us]
+        want = [_tail_record(race, aggregate_stats(race, u)) for u in us]
     for u, w in zip(us, want):
-        got = aggregate_stats(race, u)
-        for f in fields(TailStats):
-            if f.name != "per_char":
-                assert repr(getattr(got, f.name)) \
-                    == repr(getattr(w, f.name)), (u, f.name)
-        for a, b in zip(got.per_char, w.per_char, strict=True):
-            for f in fields(CharTailStats):
-                assert repr(getattr(a, f.name)) \
-                    == repr(getattr(b, f.name)), (u, a.label, f.name)
+        assert _tail_record(race, aggregate_stats(race, u)) == w, u
+    # every table covers u = 60, so its tails are compared there
+    assert not want[1][1].startswith("refused")
 
 
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("race", [prime_count_race(), two_way_race(5, 1, 2)])
 def test_aggregate_stats_independent_of_call_order(race, monkeypatch):
-    # every field, bit for bit, whichever cutoff built the prefix sums'
-    # checkpoints first: fresh tables taken in ascending and then in
-    # descending order of cutoff
+    # every field and tail, bit for bit, whichever cutoff built the
+    # prefix sums' checkpoints first: fresh tables taken in ascending and
+    # then in descending order of cutoff
     us = (0.0, 30.0, 1000.0, 13000.0)
     monkeypatch.setattr(zd, "_table_cache", {})
-    up = [repr(aggregate_stats(race, u)) for u in us]
+    up = [_tail_record(race, aggregate_stats(race, u)) for u in us]
     monkeypatch.setattr(zd, "_table_cache", {})
-    down = [repr(aggregate_stats(race, u)) for u in reversed(us)]
+    down = [_tail_record(race, aggregate_stats(race, u)) for u in reversed(us)]
     assert down[::-1] == up
 
 
-def test_suffix_sums_at_one_index_as_columns(monkeypatch):
-    # W_k at one index equals the column that columns() builds for it,
-    # on a fresh table, at chunk edges and at the last zero; at the zero
-    # count it is the sum past the table end alone. A long double's
-    # equal value is its bits, padding aside
+@pytest.mark.parametrize("i, j", [
+    (0, 3), (250, 262), (256, 512), (100, 700), (0, 2000), (12000, 12300)])
+def test_suffix_sums_between_as_exact_sums(i, j, monkeypatch):
+    # D_k = W_k(i) - W_k(j), within a chunk, across one chunk edge and
+    # across whole chunks, against the exact sum of the zeros' terms:
+    # each term rounds k + 2 times, and no term passes through more than
+    # 256 + chunks additions. From a fresh table, building no column
     monkeypatch.setattr(zd, "_table_cache", {})
-    sums = bundled_table("zeta")._suffix_sums
-    n = len(bundled_table("zeta"))
-    idx = [0, 255, 256, 257, n - 1]
-    at = [sums.at(i) for i in idx]
+    table = bundled_table("zeta")
+    sums = table._suffix_sums
+    d = sums.between(i, j)
+    assert d.dtype == np.longdouble and d.shape == (57,)
     assert sums._cols.shape[1] == 0
-    cols = sums.columns(np.array(idx))
-    for j, w in enumerate(at):
-        assert w.dtype == np.longdouble and np.array_equal(w, cols[:, j])
-    past = sums.at(n)
-    assert np.array_equal(past[1:], sums._tops[1:, -1])
-    assert past[0] == sums._starts[-1]
+    dens = [Fraction(1, 4) + Fraction(g) ** 2 for g in table.gammas[i:j]]
+    for k in (1, 2, 8, 57):
+        exact = _fixed_point_sum([den ** -k for den in dens])
+        n = 256 + len(table) // 256 + 1 + k + 2
+        got = Fraction(*d[k - 1].as_integer_ratio())
+        assert abs(got - exact) <= Fraction(n, 2 ** 64) * exact, k
+    # the last zero alone: its own powers, nothing past the table end
+    last = table.gammas[-1:].astype(np.longdouble)
+    assert np.array_equal(sums.between(len(table) - 1, len(table)),
+                          sums._powers(1.0 / (0.25 + last * last))[:, 0])
+
+
+def _fixed_point_sum(terms) -> Fraction:
+    # the sum of positive rationals, largest first, each truncated to a
+    # multiple of 2^-N that puts the sum's error 2^-100 below its size:
+    # exact integer sums in place of a Fraction sum, whose denominators
+    # grow with every term
+    top = terms[0]
+    n = 100 + len(terms).bit_length() - (
+        top.numerator.bit_length() - top.denominator.bit_length() - 1)
+    return Fraction(sum((t.numerator << n) // t.denominator for t in terms),
+                    1 << n)
 
 
 def _file_race(path, gammas, b1_total):
@@ -485,9 +520,10 @@ def _index_state(table):
 
 
 def test_prefix_sums_built_as_far_as_calls_reach(tmp_path, monkeypatch):
-    # loading builds no sums; a call builds checkpoints only up to its
+    # loading builds no sums, and aggregate_stats only the empty start
+    # behind b_1(0); reading per_char builds checkpoints only up to its
     # cutoff's, with the totals behind b_2..b_8 (b_1 comes from the
-    # recorded total); a second call at a lower cutoff builds nothing
+    # recorded total); a second read at a lower cutoff builds nothing
     z = bundled_table("zeta")
     monkeypatch.setattr(zd, "_table_cache", {})
     assert "_prefix_sums" not in vars(bundled_table("zeta"))
@@ -496,11 +532,14 @@ def test_prefix_sums_built_as_far_as_calls_reach(tmp_path, monkeypatch):
     t = zd.resolve_table(race.characters[0])
     assert "_prefix_sums" not in vars(t)
     first = aggregate_stats(race, 2000.0)
+    assert _index_state(t) == ({1: [[]]}, {})
+    first.per_char
     marks, totals = _index_state(t)
     assert sorted(marks) == list(range(1, 9))
     assert {len(m) for m in marks.values()} == {t.count(2000.0) // 128 + 1}
     assert sorted(totals) == list(range(2, 9))
     second = aggregate_stats(race, 500.0)
+    second.per_char
     assert zd.resolve_table(race.characters[0]) is t
     after = _index_state(t)
     assert after[0].keys() == marks.keys() and after[1].keys() == totals.keys()
@@ -519,6 +558,7 @@ def test_rewritten_table_gets_fresh_power_sums(tmp_path):
     path = tmp_path / "zeta.txt"
     race = _file_race(path, z.gammas[:2000], z.b1_total)
     before = aggregate_stats(race, 100.0)
+    before.per_char
     _file_race(path, z.gammas[:1000], z.b1_total)
     after = aggregate_stats(race, 100.0)
     t = load_zeros(str(path))
@@ -530,8 +570,10 @@ def test_rewritten_table_gets_fresh_power_sums(tmp_path):
 
 def test_tail_warns_when_thin():
     t = bundled_table("mod5_quad")
+    race = square_race(5)
+    stats = aggregate_stats(race, t.last_zero - 1.0)
     with pytest.warns(ThinTailWarning):
-        aggregate_stats(square_race(5), t.last_zero - 1.0)
+        tr.l0_full(1.0, race, stats)
     beyond = _tail_bk(t, 500.0, 2)
     # past the table the value is the continuation formula alone
     y = math.log(5 * 500.0 / (2 * math.pi))
@@ -541,20 +583,40 @@ def test_tail_warns_when_thin():
 
 def test_aggregate_warns_once_per_thin_table():
     # mod5_j1 holds few zeros above 250, mod5_quad enough: one warning
-    # for all orders b_1..b_8, naming the line that asked for the stats
+    # for all orders b_1..b_8, from the first l0_full on the record, which
+    # builds its tails, naming that call's line; aggregate_stats and a
+    # second l0_full warn of nothing
+    race = two_way_race(5, 1, 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        aggregate_stats(two_way_race(5, 1, 2), 250.0)
+        stats = aggregate_stats(race, 250.0)
+        assert caught == []
+        tr.l0_full(1.0, race, stats)
+        line = inspect.currentframe().f_lineno - 1
+        tr.l0_full(2.0, race, stats)
     thin = [w for w in caught if issubclass(w.category, ThinTailWarning)]
     assert len(thin) == 1
     assert "mod5_j1" in str(thin[0].message)
-    assert thin[0].filename == __file__
+    assert (thin[0].filename, thin[0].lineno) == (__file__, line)
 
 
 def test_negative_cutoff_rejected():
     for u in (-1.0, math.nan):
         with pytest.raises(ValueError, match="finite"):
             aggregate_stats(prime_count_race(), u)
+
+
+def test_replaced_cutoff_gets_its_own_tails():
+    # dataclasses.replace gives a record that builds the tails at its own
+    # cutoff, not one that shares the tails read from the first
+    race = prime_count_race()
+    stats = aggregate_stats(race, 100.0)
+    stats.per_char
+    moved = replace(stats, u=500.0)
+    assert "per_char" not in vars(moved)
+    assert moved.per_char == aggregate_stats(race, 500.0).per_char
+    assert moved.per_char[0].n_zeros == bundled_table("zeta").count(500.0)
+    assert moved.per_char != stats.per_char
 
 
 def moment_ratios(stats):
@@ -615,10 +677,10 @@ def test_multi_character_moment_bounds():
         st_ = aggregate_stats(sp, u)
         R = race_moments(sp, st_).R
         singles = []
-        for p in st_.per_char:
-            rk = [p.weight ** (k - 1) * p.b[k - 1] / p.b[0] ** k
+        for e, p in zip(sp.characters, st_.per_char, strict=True):
+            rk = [e.weight ** (k - 1) * p.b[k - 1] / p.b[0] ** k
                   for k in range(1, 9)]
-            singles.append((p.weight, rk))
+            singles.append((e.weight, rk))
         wtot = sum(w for w, _ in singles)
         for k in range(3, 9):
             avg = sum(w * rk[k - 1] / rk[1] ** (k - 1)
