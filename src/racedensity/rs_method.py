@@ -31,6 +31,7 @@ the target in choose_params, e^-46 in race_result, the target itself in
 the step that an aliasing refusal names. Of the TailStats the functions
 take, until the benchmark's call sites are revised, they read sigma0
 alone; u and n_zeros only label a result, and per_char is never built.
+A record built for another race is refused (zerodata._check_race).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .race import RaceSpec
 from .results import DensityResult
 from .transforms import _FAR_TERMS, _near_envelope, _phat_rows
 from .transforms import _prefix_log_bound, _reach_error
-from .zerodata import TailStats
+from .zerodata import TailStats, _check_race
 
 __all__ = [
     "ParameterError",
@@ -206,6 +207,7 @@ def phat_samples(race: RaceSpec, params: RSParams,
     stats.sigma0 only seeds the search for the stop: the samples do not
     depend on stats.u.
     """
+    _check_race(stats, race)
     n, dropped = _lattice_stop(race, params.domega, stats.sigma0)
     m = np.arange(1, n + 1)
     omegas = m * params.domega
@@ -256,6 +258,7 @@ def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
     # E (density=False) or P0 at each v from one set of samples. The
     # checks run once, the aliasing bound at the largest |v|, where it is
     # worst, so every v shares one error estimate.
+    _check_race(stats, race)
     bad = [v for v in vs if not math.isfinite(v)]
     if bad:
         raise ParameterError(f"thresholds must be finite, got {bad[0]!r}")

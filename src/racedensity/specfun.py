@@ -127,7 +127,7 @@ def j0_lowbias(z) -> np.ndarray:
     (cephes: 1.3e-15 and 1.5e-19).
 
     transforms.phat_prefix calls it for the near zone of each product
-    only, the factors with z above transforms._FAR_Z; the far zone goes
+    only, the factors with z above zerodata._FAR_Z; the far zone goes
     through the log-J0 power series of _log_j0_coeffs instead.
 
     Returns extended precision so callers can keep multiplying without
@@ -347,21 +347,32 @@ def _asymptotic_coeffs() -> np.ndarray:
                      for m in range(6)])
 
 
+@lru_cache(maxsize=None)
+def _even_derivs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # row m, column k - 1 for k = 1..n: the m-th derivative of
+    # (-1)^(k-1) x^(2k) is falling[m, k-1] x^powers[m, k-1], with
+    # (2k)!/(2k-m)! zero where 2k < m (and that power clipped to 0). Every
+    # entry is an integer below 2^53, so exact; read-only, as every even
+    # series of the package shares it
+    falling = np.array([[(-1) ** (k - 1) * math.perm(2 * k, m)
+                         for k in range(1, n + 1)]
+                        for m in range(6)], dtype=float)
+    powers = np.maximum(2 * np.arange(1, n + 1) - np.arange(6)[:, None], 0)
+    for a in (falling, powers):
+        a.setflags(write=False)
+    return falling, powers
+
+
 @lru_cache(maxsize=1)
 def _series_coeffs() -> tuple[np.ndarray, np.ndarray]:
     # per order m: the lowest surviving power p0 of w, and the coefficients
     # of (w^2)^j above it, in the m-th derivative of
     # sum_{k<=25} (-1)^(k-1) c_k w^(2k) / 2^k; rows zero-padded at the top
-    c = c_coeffs(25)
-    p0 = np.empty(6, dtype=int)
-    rows = np.zeros((6, 25))
-    for m in range(6):
-        kmin = max(1, (m + 1) // 2)
-        p0[m] = 2 * kmin - m
-        rows[m, :26 - kmin] = [
-            (-1) ** (k - 1) * c[k - 1] * 0.5 ** k * math.perm(2 * k, m)
-            for k in range(kmin, 26)]
-    return p0, rows
+    falling, powers = _even_derivs(25)
+    kmin = np.argmax(falling != 0.0, axis=1)
+    rows = falling * np.ldexp(c_coeffs(25), -np.arange(1, 26))
+    return powers[range(6), kmin], np.array(
+        [np.roll(row, -k) for row, k in zip(rows, kmin)])
 
 
 # I0(w) - 1 = q sum_k q^k / ((k+1)!)^2 and I1(w) = (w/2) sum_k q^k / (k! (k+1)!)

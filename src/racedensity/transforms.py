@@ -3,18 +3,18 @@
 The Fourier side needs no cutoff. phat_prefix gives the characteristic
 function as a product of one J0 kernel factor per zero: the factors of
 the low zeros explicitly, and every zero past each frequency's own
-split, to the table end and beyond it, through one log-J0 series over
-the tables' suffix sums. _prefix_log_bound bounds that product in closed
-form, never rising with the frequency, for rs_method's lattice stop.
+split (zerodata.ZeroTable.split), to the table end and beyond it,
+through one log-J0 series over the tables' suffix sums.
+_prefix_log_bound bounds that product in closed form, never rising with
+the frequency, for rs_method's lattice stop.
 
 The Laplace side splits the distribution at a zero-height cutoff u.
 Below it each zero contributes log I0(x), x = 2*alpha*s/sqrt(1/4+g^2):
-the low zeros, with x above the Fourier side's split, as explicit terms,
-and the rest, where a character has enough of them to pay, through the
-log-I0 series over the same suffix sums, which log I0(x) =
-sum_k a_k (-x^2/4)^k shares with log J0. Above u only
-each character's tail moments survive, and its remainder is a power
-series in t = alpha*sqrt(2 b1)*s, b1 its own b_1(u). The raw series
+the zeros with x above the same split as explicit terms, and the rest
+below u, however few, through the log-I0 series over the same suffix
+sums, which log I0(x) = sum_k a_k (-x^2/4)^k shares with log J0. Above
+u only each character's tail moments survive, and its remainder is a
+power series in t = alpha*sqrt(2 b1)*s, b1 its own b_1(u). The raw series
 sum_k (-1)^(k-1) c_k r_k t^(2k) converges only inside the character's
 radius T (CharTailStats.T_single); the accelerated remainder below
 reaches (j2/j1) T.
@@ -51,11 +51,12 @@ from functools import lru_cache
 import numpy as np
 
 from .race import RaceSpec
-from .specfun import J0_ZERO1, J0_ZERO2, _log_j0_coeffs
+from .specfun import J0_ZERO1, J0_ZERO2, _even_derivs, _log_j0_coeffs
 from .specfun import arctan_integral
 from .specfun import base_constants, c_coeffs, j0_lowbias, log_i0_derivs
-from .zerodata import TailStats, ZeroDataError, _exact_sum, resolve_table
-from .zerodata import _SUFFIX_ORDERS, _TAIL_ORDERS as _CORR_TERMS
+from .zerodata import TailStats, ThinTailWarning, ZeroDataError
+from .zerodata import _check_race, _exact_sum, resolve_table
+from .zerodata import _FAR_Z, _SUFFIX_ORDERS, _TAIL_ORDERS as _CORR_TERMS
 
 __all__ = [
     "AccuracyWarning",
@@ -87,23 +88,8 @@ _SERIES_CUTOVER = 0.3
 _SERIES_TERMS = 24
 
 _K = np.arange(1.0, _SERIES_TERMS + 1.0)
-# row m: the m-th derivative of (-1)^(k-1) t^(2k) is _FALLING[m] t^_POWERS[m],
-# with (2k)!/(2k-m)! zero where 2k < m (and that power clipped to 0)
-_FALLING = np.array([[(-1) ** (k - 1) * math.perm(2 * k, m)
-                      for k in range(1, _SERIES_TERMS + 1)] for m in range(6)],
-                    dtype=float)
-_POWERS = np.maximum(2 * np.arange(1, _SERIES_TERMS + 1)
-                     - np.arange(6)[:, None], 0)
 
-# phat_prefix sums the kernel factors with z <= _FAR_Z from the log-J0
-# series, cut after _FAR_TERMS orders; its terms fall like (z/j1)^(2k)/k,
-# so a higher split trades near-zone J0 calls for orders. When the far
-# zone summed each far zero's powers per call, deep_cutoff passes took
-# 28.7 to 30.2 ms at splits 1.0 to 1.6, and races 51.2 ms at 1.4 against
-# 56.8 to 58.4 ms at the others (seed 7, 2-core VM). The split stays at
-# 1.4 until it is timed over the suffix sums. At z = _FAR_Z the series
-# drops 4.3e-29 per factor.
-_FAR_Z = 1.4
+# the log-J0 and log-I0 series keep this many orders; the next bounds the cut
 _FAR_TERMS = _SUFFIX_ORDERS - 1
 
 # the ratio of consecutive log-J0 terms rises towards (z/j1)^2 < this
@@ -117,10 +103,9 @@ _FAR_RATIO = (_FAR_Z / 2.4048) ** 2
 _LOG_J0_FAR_Z = -0.5676515275271513
 
 # phat_prefix evaluates the near factors in blocks of consecutive rows
-# holding at most this many factors over all characters. Unblocked, the
-# near factors of one mod 4 solve at u = 2999 formed a single block of
-# 87,911, and the deep_cutoff benchmark's peak RSS rose from 60.1 MB to
-# 65.7 MB; with blocks of 2^14 factors it read 60.4 MB.
+# holding at most this many factors over all characters. The largest
+# block of the four benchmark workloads (seeds 1 to 10) and of the six
+# published races' race_result at u = 4.352 to 2999 held 756 factors.
 _NEAR_BLOCK = 1 << 14
 
 
@@ -221,9 +206,8 @@ def _phat_rows(omegas, race: RaceSpec):
         # t = 2*alpha*w formed in extended precision: rounded to double,
         # one argument error would be shared by every factor of a row
         t = np.longdouble(2.0 * entry.alpha) * ws
-        # zeros before split[i] have z above _FAR_Z in row i, the split
-        # taken as _prefix_log_bound and _reach_error take it
-        split = sums.split(2.0 * entry.alpha * np.abs(ws) / _FAR_Z)
+        # zeros before split[i] have z above _FAR_Z in row i
+        split = table.split(2.0 * entry.alpha * np.abs(ws))
         if split.size and split.max() == len(table):
             raise _reach_error(race, ws[split == len(table)][0])
         # a_k q^k W_k for every order, q = t^2/4; the terms are all
@@ -253,13 +237,13 @@ def _reach_error(race: RaceSpec, w: float) -> ZeroDataError:
     # the first such table and the frequency
     for entry in race.characters:
         table = resolve_table(entry)
-        x = 2.0 * entry.alpha * abs(w) / _FAR_Z
-        if table._suffix_sums.split(x) == len(table):
+        t = 2.0 * entry.alpha * abs(w)
+        if table.split(t) == len(table):
             break
     return ZeroDataError(
         f"{entry.label}: zero table ends at {table.last_zero:.6g}, but the "
-        f"frequency w = {w:.6g} treats the zeros up to about {x:.6g} "
-        f"explicitly")
+        f"frequency w = {w:.6g} treats the zeros up to about "
+        f"{t / _FAR_Z:.6g} explicitly")
 
 
 def _prefix_log_bound(omegas, race: RaceSpec) -> np.ndarray:
@@ -281,7 +265,7 @@ def _prefix_log_bound(omegas, race: RaceSpec) -> np.ndarray:
         table = resolve_table(entry)
         sums = table._suffix_sums
         t = 2.0 * entry.alpha * ws
-        split = sums.split(t / _FAR_Z)
+        split = table.split(t)
         end = split == len(table)
         split[end] = 0
         out += np.where(end, np.inf, split * _LOG_J0_FAR_Z
@@ -300,7 +284,7 @@ def _near_envelope(omega: float, race: RaceSpec) -> tuple[int, float]:
     for entry in race.characters:
         table = resolve_table(entry)
         t = 2.0 * entry.alpha * abs(omega)
-        g = table.gammas[:int(table._suffix_sums.split(t / _FAR_Z))]
+        g = table.gammas[:int(table.split(t))]
         count += g.size
         log += 0.5 * float(np.sum(np.log(
             2.0 * np.sqrt(0.25 + g * g) / (math.pi * t))))
@@ -358,9 +342,9 @@ def _even_series(coefs: np.ndarray, t: float) -> list:
     # orders 0..5 in t of sum_k (-1)^(k-1) coefs[k-1] t^(2k). The powers
     # come from Python's float pow, the C library's, which misrounds t^p
     # in 2 of 3000 random cases where numpy's power misrounds 153
-    n = coefs.size
-    powers = np.array([t ** p for p in range(2 * n + 1)])
-    terms = coefs * _FALLING[:, :n] * powers[_POWERS[:, :n]]
+    falling, powers = _even_derivs(coefs.size)
+    tp = np.array([t ** p for p in range(2 * coefs.size + 1)])
+    terms = coefs * falling * tp[powers]
     return [math.fsum(row) for row in terms.tolist()]
 
 
@@ -399,42 +383,16 @@ def _remainder(t: float, y: float, T: float, r) -> tuple[list, float]:
             for m, (f, c) in enumerate(pairs)], last
 
 
-def _warn_if_truncated(value: float, last: float, t: float, T: float,
-                       label: str) -> None:
-    # the final retained correction term bounds what truncation dropped;
-    # past 1e-7 of the remainder it threatens the target accuracy.
-    # stacklevel 3 points at the caller of the public function.
-    scale = max(abs(value), 1e-300)
-    if abs(last) > 1e-7 * scale:
-        warnings.warn(
-            f"{label}: final correction term is {abs(last) / scale:.2e} of the "
-            f"remainder (t/T = {abs(t) / T:.3f}); raise the zero cutoff for "
-            f"full accuracy", AccuracyWarning, stacklevel=3)
-
-
 # ----------------------------------------------------------- full cumulant side
-
-# l0_full takes a character's zeros with x <= _FAR_Z below u from the
-# series only when they number at least this many. The series sums the
-# powers of at most two part chunks, and an explicit zero costs 0.4 us: a
-# zeta call at s = 1 took 438 us explicit against 142 us by the series
-# at 768 zeros, 295 against 187 at 384 (best of 5 alternated runs of
-# 7 x 100, 2-core VM). A lower count would pay, but would move the bits
-# of q5 1v2's values at u = 250, whose 343 and 170 zeros stay explicit
-_SERIES_FROM = 768
-
 
 @lru_cache(maxsize=1)
 def _log_i0_rows() -> tuple[np.ndarray, np.ndarray]:
     # row m, column k - 1 for k = 1.._FAR_TERMS: the m-th s-derivative of
     # (-1)^k a_k s^(2k) is rows[m, k-1] s^powers[m, k-1], with a_k the
-    # log-J0 coefficients and (2k)!/(2k-m)! zero where 2k < m (and that
-    # power clipped to 0)
-    k = np.arange(1, _FAR_TERMS + 1)
-    rows = np.array([[(-1) ** j * math.perm(2 * j, m) for j in k.tolist()]
-                     for m in range(6)], dtype=np.longdouble)
-    rows *= _log_j0_coeffs(_SUFFIX_ORDERS)[:_FAR_TERMS]
-    return rows, np.maximum(2 * k - np.arange(6)[:, None], 0)
+    # log-J0 coefficients (specfun._even_derivs, negated)
+    falling, powers = _even_derivs(_FAR_TERMS)
+    return (-falling.astype(np.longdouble)
+            * _log_j0_coeffs(_SUFFIX_ORDERS)[:_FAR_TERMS], powers)
 
 
 def _log_i0_series(s: float, alpha: float, d: np.ndarray):
@@ -497,20 +455,24 @@ class LDerivs:
 def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
     """Cumulant generating function with derivatives 1..5 at real s >= 0.
 
-    The zeros below stats.u enter through log I0 with the chain rule.
-    Each character's zeros with x = 2*alpha*s/sqrt(1/4+g^2) at or below
-    _FAR_Z, split as phat_prefix splits its rows, enter through the
-    log-I0 series over their own power sums (_SuffixSums.between,
-    _log_i0_series), when they number at least _SERIES_FROM; the rest
-    enter one log_i0_derivs term each. Each character's tail, from
-    stats.per_char (built by the first call on a record, which refuses
-    a cutoff past a table's coverage), enters through the accelerated
-    remainder in its own variable t_chi = alpha*sqrt(2 b1_chi)*s, all
-    six orders from one _remainder call per character. The error
-    estimate collects the final correction terms, which bound what
-    truncating the correction series discards, and what cutting each
-    log-I0 series drops from the value; a remainder whose final term
-    exceeds 1e-7 of it raises AccuracyWarning.
+    stats is aggregate_stats(race, u)'s record; one built for another
+    race is refused with ZeroDataError. The zeros below u = stats.u enter
+    through log I0 with the chain rule, split as phat_prefix splits its
+    rows (ZeroTable.split): those with x = 2*alpha*s/sqrt(1/4+g^2) above
+    _FAR_Z one log_i0_derivs term each (at s = 10 zeta's gamma_1 alone),
+    the rest, however few, through the log-I0 series over their own
+    power sums (_SuffixSums.between, _log_i0_series). Each character's
+    tail, from stats.per_char (built by the first call on a record,
+    which refuses a cutoff past a table's coverage), enters through the
+    accelerated remainder in its own variable t_chi = alpha*sqrt(2
+    b1_chi)*s, all six orders from one _remainder call per character.
+    The error estimate collects the final correction terms, which bound
+    what truncating the correction series discards, and what cutting
+    each log-I0 series drops from the value.
+
+    Each call warns, naming its caller's line: ThinTailWarning for a
+    table with fewer than 100 zeros above u, AccuracyWarning for a
+    remainder whose final correction term exceeds 1e-7 of it.
 
     Each order's terms, explicit zeros, series and remainders together,
     are summed by zerodata._exact_sum and so rounded once: math.fsum
@@ -521,6 +483,7 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
     s = float(s)
     if s < 0.0:
         raise ValueError("s must be nonnegative (the function is even)")
+    _check_race(stats, race)
     u = stats.u
     # per order, one array per character: its explicit zeros' terms, the
     # sum over its series zeros and then its remainder
@@ -528,15 +491,17 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
     err_parts = []
     for entry, pc in zip(race.characters, stats.per_char):
         table = resolve_table(entry)
-        # the zeros before the split have x above _FAR_Z, split as
-        # phat_prefix splits its rows; the rest enter through the series
-        # when there are at least _SERIES_FROM of them
-        n_u = split = pc.n_zeros
-        if n_u >= _SERIES_FROM:
-            sums = table._suffix_sums
-            first = int(sums.split(2.0 * entry.alpha * s / _FAR_Z))
-            if n_u - first >= _SERIES_FROM:
-                split = first
+        n_u = pc.n_zeros
+        if (n_above := len(table) - n_u) < 100:
+            warnings.warn(
+                f"{table.label}: only {n_above} tabulated zeros above "
+                f"u={u:g}; b_1..b_{_CORR_TERMS} lean on the analytic tail "
+                f"(relative error of order "
+                f"{_CORR_TERMS / max(u, table.last_zero):.1e} * 10)",
+                ThinTailWarning, stacklevel=2)
+        # the zeros before the split have x above _FAR_Z; the rest below
+        # u enter through the series
+        split = min(int(table.split(2.0 * entry.alpha * s)), n_u)
         g = table.gammas[:split]
         a = 2.0 * entry.alpha / np.sqrt(0.25 + g * g)
         d = log_i0_derivs(a * s)
@@ -545,8 +510,8 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
             buckets[m].append(p * d[m])
             p = p * a
         if split < n_u:
-            series, drop = _log_i0_series(s, entry.alpha,
-                                          sums.between(split, n_u))
+            series, drop = _log_i0_series(
+                s, entry.alpha, table._suffix_sums.between(split, n_u))
             err_parts.append(drop)
             # each order as two doubles whose sum is its extended value
             hi = series.astype(float)
@@ -566,7 +531,15 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
         if abs(t_chi) >= _EXT_RADIUS * T:
             raise _radius_error(abs(t_chi), _EXT_RADIUS * T, u, entry.label)
         vals, last = _remainder(t_chi, pc.y, T, pc.r)
-        _warn_if_truncated(vals[0], last, t_chi, T, entry.label)
+        # the final retained correction term bounds what truncation
+        # dropped; past 1e-7 of the remainder it threatens the accuracy
+        scale = max(abs(vals[0]), 1e-300)
+        if abs(last) > 1e-7 * scale:
+            warnings.warn(
+                f"{entry.label}: final correction term is "
+                f"{abs(last) / scale:.2e} of the remainder (t/T = "
+                f"{abs(t_chi) / T:.3f}); raise the zero cutoff for full "
+                f"accuracy", AccuracyWarning, stacklevel=2)
         p = float(entry.weight)
         err_parts.append(abs(p * last))
         for m in range(6):

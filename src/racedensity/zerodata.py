@@ -15,7 +15,9 @@ its single-series ratios and radius. Each table carries two indexes of
 these sums, built on first use and only as far as a call reaches: exact
 prefix sums at every 128th zero, from which b_k(u) comes rounded once
 (_PrefixSums), and the sums from every zero on in extended precision
-(_SuffixSums), for the log-J0 and log-I0 series.
+(_SuffixSums), for the log-J0 and log-I0 series. ZeroTable.split, from
+the ordinates alone, says where those series start: both routes take
+explicitly only the zeros whose kernel argument is above _FAR_Z.
 
 Tables for conjugate character pairs are merged: one file holds both
 members' ordinates ascending, with weight = 2 recorded in the header.
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -114,6 +115,14 @@ class ZeroTable:
     def count(self, u: float) -> int:
         """Number of tabulated ordinates at or below u."""
         return int(np.searchsorted(self.gammas, u, side="right"))
+
+    def split(self, t) -> np.ndarray:
+        """How many zeros have z = t/sqrt(1/4 + gamma^2) above _FAR_Z at
+        each t = 2*alpha*|w| (phat_prefix) or 2*alpha*s (l0_full): the
+        zeros both routes take explicitly. Reads only the ordinates."""
+        x = np.asarray(t, dtype=float) / _FAR_Z
+        return np.searchsorted(self.gammas,
+                               np.sqrt(np.maximum(x * x - 0.25, 0.0)))
 
     @property
     def last_zero(self) -> float:
@@ -279,8 +288,8 @@ def _tail_bk(table: ZeroTable, u: float, k: int) -> float:
     """b_k(u), the inverse-power sum over ordinates above u: the
     tabulated ones, then the analytic continuation past the table end.
     Past the last tabulated ordinate only the analytic term remains; its
-    own relative accuracy decays like k/u, which is why _char_tail
-    warns about thin tails rather than silently degrading."""
+    own relative accuracy decays like k/u, which is why l0_full warns
+    about thin tails rather than silently degrading."""
     return _tail_sums(table, u, (k,), table.count(u))[0]
 
 
@@ -319,8 +328,13 @@ def _past_table(table: ZeroTable, ueff, k: int):
     return table.weight * (y + 1.0 / m) / (2.0 * m * math.pi * ueff ** m)
 
 
-# the Fourier route's log-J0 series takes 56 orders and the 57th bounds
-# what it drops; the suffix sums are formed per chunk of 256 zeros
+# both routes take a zero explicitly where its z is above _FAR_Z
+# (ZeroTable.split) and every other one through a series over the suffix
+# sums, formed per chunk of 256 zeros: 56 orders, the 57th bounding the
+# cut, which drops 4.3e-29 per factor at z = _FAR_Z. A higher split needs
+# more orders, a lower one more explicit zeros; 1.4 has not been re-timed
+# since the series moved onto the suffix sums
+_FAR_Z = 1.4
 _SUFFIX_ORDERS = 57
 _SUFFIX_CHUNK = 256
 
@@ -373,12 +387,6 @@ class _SuffixSums:
         # extended W_1 at the zeros of chunk s
         return self._starts[s] - np.concatenate(
             ([0.0], np.cumsum(1.0 / den2[:-1])))
-
-    def split(self, x) -> np.ndarray:
-        """How many zeros have sqrt(1/4 + gamma^2) below each x."""
-        x = np.asarray(x, dtype=float)
-        return np.searchsorted(self._table.gammas,
-                               np.sqrt(np.maximum(x * x - 0.25, 0.0)))
 
     def w1(self, i: np.ndarray) -> np.ndarray:
         """W_1(i[r]) in double, every index below the zero count."""
@@ -604,6 +612,15 @@ class TailStats:
         return tuple(map(partial(_char_tail, u=self.u), self.race.characters))
 
 
+def _check_race(stats: TailStats, race: RaceSpec) -> None:
+    # a record of another race would answer under this one's name
+    if not (stats.race is race or stats.race == race):
+        raise ZeroDataError(
+            f"these tail statistics were built for race "
+            f"{stats.race.name or stats.race.q}, not {race.name or race.q}; "
+            f"rebuild them with aggregate_stats(race, u)")
+
+
 # (resolved path, qstar, label) -> (st_mtime_ns, st_size, table)
 _file_cache: dict[tuple[str, int, str], tuple[int, int, ZeroTable]] = {}
 
@@ -616,7 +633,7 @@ def resolve_table(entry: RaceEntry,
     changed, so its cached b1_full and span_fit survive between calls.
     tables, when given, maps entry labels to tables that win over both.
     The entry and its table must agree on how many series the table
-    holds (their weight)."""
+    holds (their weight) and on its conductor (qstar)."""
     if tables and entry.label in tables:
         table = tables[entry.label]
     elif not (os.sep in entry.table or entry.table.endswith(".txt")):
@@ -634,12 +651,13 @@ def resolve_table(entry: RaceEntry,
                               label=entry.label))
             _file_cache[key] = hit
         table = hit[2]
-    if table.weight != entry.weight:
+    if (table.weight, table.qstar) != (entry.weight, entry.qstar):
         raise ZeroDataError(
-            f"{entry.label}: the race gives weight {entry.weight}, its table "
-            f"{table.source} holds weight {table.weight}; make them agree "
-            "(weight.<label> in the race config, or the table's weight "
-            "header)")
+            f"{entry.label}: the race gives weight {entry.weight} and qstar "
+            f"{entry.qstar}, its table {table.source} holds weight "
+            f"{table.weight} and qstar {table.qstar}; make them agree "
+            "(weight.<label> and qstar.<label> in the race config, or the "
+            "table's headers)")
     return table
 
 
@@ -656,8 +674,8 @@ def _char_tail(entry: RaceEntry, u: float) -> CharTailStats:
     """One character's tail at u: b_k(u) for k = 1.._TAIL_ORDERS, the
     single-series ratios r_k and radius, and the table's zeros at or
     below u. Refuses a u more than three mean gaps past the table's last
-    zero, which could hide a missing zero; warns where fewer than 100
-    tabulated zeros lie above u."""
+    zero, which could hide a missing zero. Raises no warning: l0_full
+    warns of a thin tail itself."""
     t = resolve_table(entry)
     y_end = math.log(max(t.qstar * t.last_zero / _TWO_PI, 2.0))
     if not u <= t.last_zero + 3.0 * _TWO_PI / (t.weight * y_end):
@@ -666,13 +684,6 @@ def _char_tail(entry: RaceEntry, u: float) -> CharTailStats:
             f"so zeros below u = {u:g} are missing")
     n_head = t.count(u)
     b = _tail_sums(t, u, range(1, _TAIL_ORDERS + 1), n_head)
-    if (n_above := len(t) - n_head) < 100:
-        # the line that called l0_full: map and partial add no frame
-        warnings.warn(
-            f"{t.label}: only {n_above} tabulated zeros above u={u:g}; "
-            f"b_1..b_{_TAIL_ORDERS} lean on the analytic tail (relative "
-            f"error of order {_TAIL_ORDERS / max(u, t.last_zero):.1e} "
-            "* 10)", ThinTailWarning, stacklevel=5)
     y = math.log(t.qstar * u / _TWO_PI) if u > 0.0 else float("-inf")
     # single-series ratios r_k = b_k / b_1^k: the merged table's b_k is
     # weight times the per-member value, so r_k picks up weight^(k-1)

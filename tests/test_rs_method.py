@@ -702,6 +702,33 @@ def test_samples_of_another_race_refused(zeta_race):
         rs.compute_E(1.0, zeta, near, stats=stats, samples=samples)
 
 
+def test_stats_of_another_race_refused(zeta_race):
+    # zeta's tail statistics read for mod 4 would set mod 4's step from
+    # zeta's sigma0 (E 9.4e-11 off under an estimate of 1e-20) and zip
+    # mod 4's entry with zeta's tails in l0_full: every route refuses a
+    # record built for another race, and reads one of an equal race
+    # built afresh as its own
+    stats = aggregate_stats(zeta_race, 100.0)
+    mod4 = square_race(4)
+    params = rs.RSParams(domega=math.pi / 2, v_max=1.0)
+    for call in (lambda: rs.race_result(mod4, stats),
+                 lambda: tr.l0_full(1.0, mod4, stats),
+                 lambda: rs.phat_samples(mod4, params, stats),
+                 lambda: rs.compute_E(1.0, mod4, params, stats=stats),
+                 lambda: rs.compute_P(1.0, mod4, params, stats=stats),
+                 lambda: rs.density_grid([1.0], mod4, params, stats)):
+        with pytest.raises(zd.ZeroDataError,
+                           match=r"built for race zeta, not q4\.square; "
+                                 r"rebuild them with aggregate_stats\(race, u\)"):
+            call()
+    zeta = prime_count_race()
+    assert zeta is not zeta_race
+    assert repr(rs.race_result(zeta, stats)) == repr(
+        rs.race_result(zeta_race, stats))
+    assert repr(tr.l0_full(1.0, zeta, stats)) == repr(
+        tr.l0_full(1.0, zeta_race, stats))
+
+
 def test_plain_tuple_samples_refused(zeta_race):
     # phat_samples' record carries its v-independent sums, and reads as
     # fresh samples do, to the same bits; a plain tuple of the same

@@ -364,6 +364,35 @@ def test_log_i0_and_ratio_against_mpmath():
                 assert got[m, i] == pytest.approx(want[m], rel=1e-15), (w, m)
 
 
+def test_even_series_derivative_table():
+    # one table for every even series: row m, column k - 1 holds the m-th
+    # derivative's coefficient (-1)^(k-1) (2k)!/(2k-m)! and power
+    # max(2k - m, 0); l0_full's log-I0 rows are its negation times a_k,
+    # and the small-w log-I0 coefficients start at each row's first
+    # nonzero column
+    falling, powers = sf._even_derivs(57)
+    for m in range(6):
+        for k in range(1, 58):
+            assert falling[m, k - 1] == (-1) ** (k - 1) * math.perm(2 * k, m)
+            assert powers[m, k - 1] == max(2 * k - m, 0)
+    assert not falling.flags.writeable and not powers.flags.writeable
+    rows, rpowers = tr._log_i0_rows()
+    a = sf._log_j0_coeffs(57)
+    for m in range(6):
+        for k in range(1, 57):
+            assert rows[m, k - 1] == (-1) ** k * math.perm(2 * k, m) * a[k - 1]
+    assert np.array_equal(rpowers, powers[:, :56])
+    p0, coeffs = sf._series_coeffs()
+    c = sf.c_coeffs(25)
+    for m in range(6):
+        kmin = max(1, (m + 1) // 2)
+        assert p0[m] == 2 * kmin - m
+        for k in range(kmin, 26):
+            assert coeffs[m, k - kmin] == ((-1) ** (k - 1) * c[k - 1]
+                                           * 0.5 ** k * math.perm(2 * k, m))
+        assert not coeffs[m, 26 - kmin:].any()
+
+
 def test_log_i0_derivs_float_matches_array():
     ws = [0.0, 0.5, 1.0, 1.0 + 1e-12, 9.0, 18.0, 250.0]
     arr = sf.log_i0_derivs(np.array(ws))

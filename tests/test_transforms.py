@@ -1055,37 +1055,57 @@ def series_bound(table, alpha, s, split, n_u):
 EDGE_S = 0.7 * math.sqrt(0.25 + float(bundled_table("zeta").gammas[49]) ** 2)
 
 
-@pytest.mark.parametrize("u, s", [
-    (14000.0, 1.0), (14000.0, 10.0), (14000.0, 100.0), (2000.0, EDGE_S),
-])
-def test_cumulant_series_matches_decimal_oracle(zeta_race, u, s, monkeypatch):
-    # l0_full against the exact sum of its explicit terms, its remainder
-    # and the oracle's sum over exactly the zeros its series takes: within
-    # the series' rounding bound and half an ulp for the order sum's one
-    # rounding. The per-zero log I0 terms the series replaced put d5
-    # 1.8e-14 off the oracle at s = 10 and 1.1e-14 at s = 100
-    table = bundled_table("zeta")
-    stats = aggregate_stats(zeta_race, u)
-    sums = table._suffix_sums
-    n_u = table.count(u)
-    split = int(sums.split(2.0 * s / tr._FAR_Z))
-    assert n_u - split >= tr._SERIES_FROM
-    if s == EDGE_S:
-        x = 2.0 * s / math.sqrt(0.25 + float(table.gammas[49]) ** 2)
-        assert abs(x - 1.4) <= 2.0 * math.ulp(1.4) and split in (49, 50)
-    oracle = log_i0_oracle(table.gammas[split:n_u].tolist(), 1.0, s)
-    bound = series_bound(table, 1.0, s, split, n_u)
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.parametrize("race, u, s, explicit", [
+    pytest.param(prime_count_race(), u, s, n, id=f"{u}-{s}")
+    for u, s, n in ((14000.0, 1.0, [0]), (14000.0, 10.0, [1]),
+                    (14000.0, 100.0, [49]), (2000.0, EDGE_S, None))] + [
+    pytest.param(race, u, s, n, id=f"{race.name}-{u}-{s}")
+    for race, u, s, n in ((prime_count_race(), 500.0, 10.0, [1]),
+                          (two_way_race(5, 1, 2), 250.0, 2.5, [0, 0]),
+                          (two_way_race(5, 1, 2), 250.0, 10.0, [4, 3]),
+                          (two_way_race(5, 1, 2), 250.0, 19.0, [11, 9]))])
+def test_cumulant_series_matches_decimal_oracle(race, u, s, explicit,
+                                                monkeypatch):
+    # l0_full against the exact sum of its explicit terms, its remainders
+    # and the oracle's sum over exactly the zeros each series takes:
+    # within the series' rounding bounds and half an ulp for the order
+    # sum's one rounding. Every zero below u with x <= 1.4 enters the
+    # series, however few there are: zeta at s = 10 takes gamma_1 alone
+    # explicitly, and q5 1v2 at u = 250 takes 4 + 3 of its 343 + 170.
+    # The per-zero log I0 terms the series replaced put zeta's d5 1.8e-14
+    # off the oracle at s = 10 and 1.1e-14 at s = 100
+    stats = aggregate_stats(race, u)
     summed = []
     monkeypatch.setattr(tr, "_exact_sum",
                         lambda x: summed.append(x) or math.fsum(x.tolist()))
-    out = tr.l0_full(s, zeta_race, stats)
+    out = tr.l0_full(s, race, stats)
+    exact, bound, splits, at = [Fraction(0)] * 6, [0.0] * 6, [], 0
+    for entry in race.characters:
+        table = resolve_table(entry)
+        n_u = table.count(u)
+        split = int(table.split(2.0 * entry.alpha * s))
+        assert split < n_u
+        splits.append(split)
+        oracle = log_i0_oracle(table.gammas[split:n_u].tolist(),
+                               entry.alpha, s)
+        series = series_bound(table, entry.alpha, s, split, n_u)
+        for m in range(6):
+            # the explicit terms, the series as two doubles, the remainder
+            terms = summed[m][at:at + split + 3].tolist()
+            exact[m] += (sum(map(Fraction, terms[:split] + terms[-1:]))
+                         + Fraction(oracle[m]))
+            bound[m] += series[m]
+        at += split + 3
+    if explicit is None:
+        g = float(bundled_table("zeta").gammas[49])
+        x = 2.0 * s / math.sqrt(0.25 + g * g)
+        assert abs(x - 1.4) <= 2.0 * math.ulp(1.4) and splits[0] in (49, 50)
+    else:
+        assert splits == explicit
     for m in range(6):
-        # the explicit terms, the series as two doubles, the remainder
-        terms = summed[m].tolist()
-        assert len(terms) == split + 3
-        exact = (sum(map(Fraction, terms[:split] + terms[-1:]))
-                 + Fraction(oracle[m]))
-        assert abs(Fraction(out.values[m]) - exact) <= \
+        assert len(summed[m]) == at
+        assert abs(Fraction(out.values[m]) - exact[m]) <= \
             bound[m] + 0.5 * math.ulp(out.values[m]), m
 
 
@@ -1094,16 +1114,15 @@ def test_cumulant_series_matches_decimal_oracle(zeta_race, u, s, monkeypatch):
 def test_log_i0_series_on_conjugate_pair_tables(key, s):
     # the series over q5 1v2's zeros with x <= 1.4 below u = 250, on both
     # of its tables (mod5_j1 a conjugate pair at alpha = 1/sqrt 2), within
-    # its rounding bound of the oracle. l0_full takes them explicitly: too
-    # few to pay
+    # its rounding bound of the oracle, as l0_full takes them
     race = two_way_race(5, 1, 2)
     entry = next(e for e in race.characters if e.table == key)
     table = bundled_table(key)
-    sums = table._suffix_sums
     n_u = table.count(250.0)
-    split = int(sums.split(2.0 * entry.alpha * s / tr._FAR_Z))
-    assert split < n_u < tr._SERIES_FROM
-    series, drop = tr._log_i0_series(s, entry.alpha, sums.between(split, n_u))
+    split = int(table.split(2.0 * entry.alpha * s))
+    assert split < n_u
+    series, drop = tr._log_i0_series(
+        s, entry.alpha, table._suffix_sums.between(split, n_u))
     oracle = log_i0_oracle(table.gammas[split:n_u].tolist(), entry.alpha, s)
     bound = series_bound(table, entry.alpha, s, split, n_u)
     for m in range(6):
@@ -1130,19 +1149,29 @@ def test_cumulant_series_sums_independent_and_columnless(zeta_race,
     assert [repr(tr.l0_full(s, zeta_race, stats)) for s in ss] == before
 
 
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 def test_extended_kernels_refuse_narrow_long_double(zeta_race, monkeypatch):
     # where numpy's long double is narrower than x87's, the suffix sums
     # and the J0 kernel refuse with one type that names the requirement,
     # and so phat_prefix and l0_full's series do, on a fresh table and
-    # with its sums already built alike
+    # with its sums already built alike. l0_full's series runs whenever a
+    # zero below u has x <= 1.4, however few there are (q5 1v2 at u = 250
+    # and s = 10 takes 4 + 3 of 343 + 170 explicitly), and only then: zeta
+    # at u = 20 and s = 10, whose one zero below u is explicit, answers
+    # without building the sums
     monkeypatch.setattr(zd, "_table_cache", {})
     stats = aggregate_stats(zeta_race, 14000.0)
+    q5 = two_way_race(5, 1, 2)
+    few = aggregate_stats(q5, 250.0)
     monkeypatch.setattr(sf, "_LONG_DOUBLE_NMANT", 52)
     for call in (lambda: tr.phat_prefix([1.0], zeta_race),
-                 lambda: tr.l0_full(1.0, zeta_race, stats)):
+                 lambda: tr.l0_full(1.0, zeta_race, stats),
+                 lambda: tr.l0_full(10.0, q5, few)):
         with pytest.raises(sf.ExtendedPrecisionError,
                            match=r"64-bit significand .* nmant = 52"):
             call()
+    low = aggregate_stats(zeta_race, 20.0)
+    assert tr.l0_full(10.0, zeta_race, low).d2 > 0.0
     assert "_suffix_sums" not in vars(bundled_table("zeta"))
     monkeypatch.setattr(sf, "_LONG_DOUBLE_NMANT", 63)
     bundled_table("zeta")._suffix_sums

@@ -582,22 +582,23 @@ def test_tail_warns_when_thin():
 
 
 def test_aggregate_warns_once_per_thin_table():
-    # mod5_j1 holds few zeros above 250, mod5_quad enough: one warning
-    # for all orders b_1..b_8, from the first l0_full on the record, which
-    # builds its tails, naming that call's line; aggregate_stats and a
-    # second l0_full warn of nothing
+    # mod5_j1 holds few zeros above 250, mod5_quad enough: each l0_full
+    # call warns once for all orders b_1..b_8, naming the line that
+    # called it; aggregate_stats and a direct read of per_char, which
+    # builds the tails, warn of nothing
     race = two_way_race(5, 1, 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         stats = aggregate_stats(race, 250.0)
+        stats.per_char
         assert caught == []
-        tr.l0_full(1.0, race, stats)
-        line = inspect.currentframe().f_lineno - 1
-        tr.l0_full(2.0, race, stats)
+        for s in (1.0, 2.0):
+            tr.l0_full(s, race, stats)
+            line = inspect.currentframe().f_lineno - 1
     thin = [w for w in caught if issubclass(w.category, ThinTailWarning)]
-    assert len(thin) == 1
-    assert "mod5_j1" in str(thin[0].message)
-    assert (thin[0].filename, thin[0].lineno) == (__file__, line)
+    assert len(thin) == 2
+    assert all("mod5_j1" in str(w.message) for w in thin)
+    assert [(w.filename, w.lineno) for w in thin] == [(__file__, line)] * 2
 
 
 def test_negative_cutoff_rejected():
@@ -786,6 +787,26 @@ def test_entry_and_table_weights_must_agree(tmp_path):
         aggregate_stats(race, 100.0)
     with pytest.raises(ZeroDataError, match="weight 2.*weight 1"):
         tr.model_constants(race)
+
+
+def test_entry_and_table_conductors_must_agree(tmp_path):
+    # a config qstar of 5 over the bundled mod 4 table would give one
+    # series two conductors: the tails would use the table's 4, the
+    # model the entry's 5. The solve refuses; every published race's
+    # entries agree with their tables
+    cfg = tmp_path / "race.cfg"
+    cfg.write_text("q = 4\nresidues = 1, 3\nqstar.mod4 = 5\n")
+    race = race_from_config(str(cfg))
+    assert race.characters[0].qstar == 5
+    with pytest.raises(ZeroDataError, match="qstar 5.*qstar 4"):
+        rs.race_result(race, aggregate_stats(race, 100.0))
+    with pytest.raises(ZeroDataError, match="qstar 5.*qstar 4"):
+        tr.model_constants(race)
+    for race in (prime_count_race(), square_race(4), two_way_race(5, 1, 2),
+                 square_race(13), two_way_race(8, 1, 3),
+                 two_way_race(24, 1, 5)):
+        for entry in race.characters:
+            assert zd.resolve_table(entry).qstar == entry.qstar
 
 
 def test_data_dir_override(tmp_path, monkeypatch):
