@@ -23,7 +23,9 @@ aggregate_stats no longer reaches. A second fresh copy, the same file
 under another label, gives the time of one cold l0_full at u = 14000,
 s = 10, with its aggregate_stats and the first read of its per_char
 outside the clock (cold_l0_ms): it includes the first-use build of the
-suffix sums that its log-I0 series reads, which a warm call skips.
+suffix sums, and of the powers of each chunk that its log-I0 series
+reads. A second l0_full on the same record, at s = 20, gives the time of
+a warm call (warm_l0_ms), which reads those chunks' kept powers.
 Compare two checkouts by running each in turn, alternating which goes
 first.
 """
@@ -92,11 +94,14 @@ def main() -> None:
     t0 = time.perf_counter()
     l0_full(10.0, fresh, stats)
     cold_l0_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    l0_full(20.0, fresh, stats)
+    warm_l0_s = time.perf_counter() - t0
     print(json.dumps({
         "seed": seed, "import_ms": 1e3 * import_s, "index_ms": 1e3 * index_s,
         "j0_build_ms": 1e3 * j0_build_s,
         "stats_ms": 1e3 * stats_s, "deep_stats_ms": 1e3 * deep_stats_s,
-        "cold_l0_ms": 1e3 * cold_l0_s,
+        "cold_l0_ms": 1e3 * cold_l0_s, "warm_l0_ms": 1e3 * warm_l0_s,
         "solve_ms": 1e3 * solve_s,
         "heavy_modules": [m for m in HEAVY_MODULES if m in sys.modules]}))
 

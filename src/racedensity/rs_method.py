@@ -145,21 +145,22 @@ class _Samples(tuple):
 def _lattice_stop(race: RaceSpec, domega: float,
                   sigma0: float) -> tuple[int, tuple[float, float]]:
     # n, the lattice points before the first whose bound on log|phat| is
-    # at most -46, searched from twice where exp(-sigma0^2 w^2 / 2)
-    # reaches e^-46 on, doubling; a point past a table's reach there
-    # refuses. And bounds on what the sums drop past m = n:
-    # sum_{m > n} |phat(m domega)| weighted 1/(pi m) for E and domega/pi
-    # for P0. Out to _STOP_REACH n points each |phat| is at most
-    # exp(_prefix_log_bound), as far as the tables reach; past the last
-    # such point L, the near factors' envelope at L gives
-    # |phat| <= exp(log) (L/m)^(N/2). One bound array serves both, so
-    # each point is bounded once
+    # at most -46; a point past a table's reach there refuses. And bounds
+    # on what the sums drop past m = n: sum_{m > n} |phat(m domega)|
+    # weighted 1/(pi m) for E and domega/pi for P0. Out to _STOP_REACH n
+    # points each |phat| is at most exp(_prefix_log_bound), as far as the
+    # tables reach; past the last such point L, the near factors'
+    # envelope at L gives |phat| <= exp(log) (L/m)^(N/2). One bound
+    # array serves both, so each point is bounded once: it first reaches
+    # _STOP_REACH times the guess at n, twice where exp(-sigma0^2 w^2 / 2)
+    # reaches e^-46, so that a stop within the guess needs no more, and
+    # doubles while no stop is found
     def grow(bound, size):
         m = np.arange(bound.size + 1, size + 1)
         return np.concatenate((bound, _prefix_log_bound(m * domega, race)))
 
-    bound = grow(np.empty(0), int(2.0 * math.sqrt(2.0 * _EXPONENT_CUTOFF)
-                                  / (sigma0 * domega)) + 1)
+    bound = grow(np.empty(0), _STOP_REACH * (int(
+        2.0 * math.sqrt(2.0 * _EXPONENT_CUTOFF) / (sigma0 * domega)) + 1))
     while True:
         small = bound <= -(_EXPONENT_CUTOFF + _BOUND_MARGIN)
         n = int(np.argmax(small | np.isinf(bound)))

@@ -349,8 +349,12 @@ class _SuffixSums:
     the columns of every order and sqrt(1/4 + gamma^2) (den) are built
     only up to the highest index a caller reaches. A chunk's values
     follow from its own zeros and the totals at its ends, so their bits
-    do not depend on which calls came before. No 57-by-n array is ever
-    formed. Refuses, as j0_lowbias does, a long double not x87's.
+    do not depend on which calls came before. between keeps, read-only,
+    the 57 rows of powers of each chunk its part sums reach, 233 KB a
+    chunk: at most 14.8 MB for zeta's 64, about the size of the columns
+    at the table's end. Construction and columns form their powers
+    afresh and keep none. Refuses, as j0_lowbias does, a long double
+    not x87's.
     """
 
     def __init__(self, table: ZeroTable):
@@ -372,6 +376,9 @@ class _SuffixSums:
         self._w1 = np.empty(0)
         self._cols = np.empty((_SUFFIX_ORDERS, 0), dtype=np.longdouble)
         self.den = np.empty(0, dtype=np.longdouble)
+        # chunk s: its powers, (57, chunk size), formed on between's
+        # first read
+        self._rows: dict[int, np.ndarray] = {}
 
     def _den2(self, s: int) -> np.ndarray:
         g = self._table.gammas[s * _SUFFIX_CHUNK:(s + 1) * _SUFFIX_CHUNK]
@@ -419,7 +426,10 @@ class _SuffixSums:
         from the zeros i..j-1 alone, so no order cancels against a larger
         total: the part chunks at either end summed as a whole chunk is,
         and the whole chunks' totals between. No term passes through more
-        than 256 + chunks additions. Builds no column."""
+        than 256 + chunks additions. Builds no column, but keeps the
+        powers of each part chunk it sums, 233 KB a chunk, so that a
+        later call over the same chunks forms none; a part's sums have
+        the bits of its own powers' sums."""
         # [i, a) and [b, j) are the part chunks, [a, b) the whole ones
         a = min(-(-i // _SUFFIX_CHUNK) * _SUFFIX_CHUNK, j)
         b = max(j // _SUFFIX_CHUNK * _SUFFIX_CHUNK, a)
@@ -427,10 +437,16 @@ class _SuffixSums:
         return self._part(b, j) + whole.sum(axis=1) + self._part(i, a)
 
     def _part(self, i: int, j: int) -> np.ndarray:
-        # the sums over zeros i..j-1, all in one chunk
+        # the sums over zeros i..j-1, all in one chunk: the row sums of a
+        # slice of the chunk's powers, bit for bit those of the slice's
+        # own powers. An empty part forms no chunk
+        if i == j:
+            return np.zeros(_SUFFIX_ORDERS, dtype=np.longdouble)
         s = i // _SUFFIX_CHUNK
-        den2 = self._den2(s)[i - s * _SUFFIX_CHUNK:j - s * _SUFFIX_CHUNK]
-        return self._powers(1.0 / den2).sum(axis=1)
+        if (rows := self._rows.get(s)) is None:
+            rows = self._rows[s] = self._powers(1.0 / self._den2(s))
+            rows.flags.writeable = False
+        return rows[:, i - s * _SUFFIX_CHUNK:j - s * _SUFFIX_CHUNK].sum(axis=1)
 
 
 # From this many terms on, _exact_sum (l0_full's order sums) bins by

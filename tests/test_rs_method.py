@@ -201,6 +201,32 @@ def test_samples_stop_at_kernel_bound(name, u):
     assert rs.race_result(race, stats).params["n_terms"] == len(kept)
 
 
+@pytest.mark.parametrize("name", PUBLISHED_RACES)
+def test_lattice_stop_bounds_in_one_array(name, monkeypatch):
+    # a solve bounds its lattice points in one _prefix_log_bound call,
+    # out to ten times the Gaussian guess at the stop, which covers the
+    # stop's 10n reach; q13 square's stop, 45, lies past its guess of 35,
+    # so it grows once more. sigma0 and the step do not depend on u. The
+    # stop is the one that bounding a point at a time finds
+    race = PUBLISHED_RACES[name]()
+    calls = []
+
+    def counted(omegas, race):
+        calls.append(len(omegas))
+        return tr._prefix_log_bound(omegas, race)
+
+    monkeypatch.setattr(rs, "_prefix_log_bound", counted)
+    result = rs.race_result(race, aggregate_stats(race, 100.0))
+    assert len(calls) == (2 if name == "q13 square" else 1), calls
+    w = result.params["domega"]
+    m = 1
+    while (b := tr._prefix_log_bound([m * w], race)[0]) \
+            > -(rs._EXPONENT_CUTOFF + rs._BOUND_MARGIN):
+        assert b < math.inf
+        m += 1
+    assert result.params["n_terms"] == m - 1
+
+
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 def test_dropped_terms_within_truncation_bound():
     # the terms the lattice drops, |phat| summed here from phat_prefix

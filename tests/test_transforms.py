@@ -1137,16 +1137,29 @@ def test_log_i0_series_on_conjugate_pair_tables(key, s):
 def test_cumulant_series_sums_independent_and_columnless(zeta_race,
                                                          monkeypatch):
     # on a fresh table l0_full's series forms no column of the suffix
-    # sums, and gives the same bits after phat_prefix has built them
+    # sums, and gives the same bits after phat_prefix has built them, and
+    # in reverse order of s on another fresh table. It keeps the powers
+    # of the chunks its non-empty parts sum: at s = 0 and 1 every zero
+    # below u takes the series, so the part at the cutoff, in chunk
+    # count(14000) // 256 = 58; the splits at s = 100 and 1000, zeros 49
+    # and 1007, lie in chunks 0 and 3
     monkeypatch.setattr(zd, "_table_cache", {})
     stats = aggregate_stats(zeta_race, 14000.0)
     ss = (0.0, 1.0, 100.0, 1000.0)
     before = [repr(tr.l0_full(s, zeta_race, stats)) for s in ss]
-    sums = bundled_table("zeta")._suffix_sums
+    table = bundled_table("zeta")
+    sums = table._suffix_sums
+    assert table.count(14000.0) // 256 == 58
+    assert set(sums._rows) == {0, 3, 58}
     assert sums._cols.shape == (57, 0)
     tr.phat_prefix(np.linspace(0.5, 60.0, 40), zeta_race)
     assert sums._cols.shape[1] > 0
     assert [repr(tr.l0_full(s, zeta_race, stats)) for s in ss] == before
+    monkeypatch.setattr(zd, "_table_cache", {})
+    stats = aggregate_stats(zeta_race, 14000.0)
+    assert [repr(tr.l0_full(s, zeta_race, stats)) for s in ss[::-1]] \
+        == before[::-1]
+    assert bundled_table("zeta") is not table
 
 
 @pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")

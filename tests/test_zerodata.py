@@ -466,19 +466,31 @@ def test_aggregate_stats_independent_of_call_order(race, monkeypatch):
     assert down[::-1] == up
 
 
-@pytest.mark.parametrize("i, j", [
-    (0, 3), (250, 262), (256, 512), (100, 700), (0, 2000), (12000, 12300)])
+# between(i, j)'s ranges, each with the chunks its non-empty parts sum
+BETWEEN_CHUNKS = {(0, 3): {0}, (250, 262): {0, 1}, (256, 512): set(),
+                  (100, 700): {0, 2}, (0, 2000): {7}, (12000, 12300): {46, 48}}
+
+
+@pytest.mark.parametrize("i, j", BETWEEN_CHUNKS)
 def test_suffix_sums_between_as_exact_sums(i, j, monkeypatch):
     # D_k = W_k(i) - W_k(j), within a chunk, across one chunk edge and
     # across whole chunks, against the exact sum of the zeros' terms:
     # each term rounds k + 2 times, and no term passes through more than
-    # 256 + chunks additions. From a fresh table, building no column
+    # 256 + chunks additions. From a fresh table, building no column and
+    # keeping, read-only, the powers of the chunks that its non-empty
+    # part chunks sum, and only those. Asked again, directly and after a
+    # neighbouring range over the same chunks, it gives the same bits
     monkeypatch.setattr(zd, "_table_cache", {})
     table = bundled_table("zeta")
     sums = table._suffix_sums
     d = sums.between(i, j)
     assert d.dtype == np.longdouble and d.shape == (57,)
     assert sums._cols.shape[1] == 0
+    assert set(sums._rows) == BETWEEN_CHUNKS[i, j]
+    assert not any(rows.flags.writeable for rows in sums._rows.values())
+    assert np.array_equal(sums.between(i, j), d)
+    sums.between(i + 1, j - 1)
+    assert np.array_equal(sums.between(i, j), d)
     dens = [Fraction(1, 4) + Fraction(g) ** 2 for g in table.gammas[i:j]]
     for k in (1, 2, 8, 57):
         exact = _fixed_point_sum([den ** -k for den in dens])
