@@ -312,24 +312,23 @@ def two_way_race(q: int, a: int, b: int) -> RaceSpec:
                     name=f"q{q}.{a}v{b}")
 
 
-_QUAD_TABLE = {5: "mod5_quad", 7: "mod7_quad", 13: "mod13_quad"}
-
-
 def square_race(q: int) -> RaceSpec:
-    """Square versus nonsquare residues mod an odd prime q: one quadratic
-    character with unit coefficient, offset 1 (all the square-root excess
-    sits on the residue side)."""
+    """Square versus nonsquare residues mod an odd prime q: its one
+    quadratic character with unit coefficient, on that character's
+    table_key, offset 1 (all the square-root excess sits on the residue
+    side). Mod 8, with three quadratic characters, raises RaceError."""
     if q == 4:
         # squares mod 4 are just {1}, so this is the 1-versus-3 race
         spec = two_way_race(4, 1, 3)
         return RaceSpec(q=4, kind="square-vs-nonsquare", contestants=(1, 3),
                         characters=spec.characters, offset=spec.offset,
                         name="q4.square")
-    if q not in _QUAD_TABLE:
+    quads = [c for c in characters(q) if c.order == 2]
+    if len(quads) != 1:
         raise RaceError(f"no square race for q={q}")
-    quad = next(c for c in characters(q) if c.order == 2)
+    quad, = quads
     entry = RaceEntry(label=quad.label, qstar=quad.qstar, alpha=1.0,
-                      table=_QUAD_TABLE[q])
+                      table=quad.table_key)
     return RaceSpec(q=q, kind="square-vs-nonsquare", contestants=(),
                     characters=(entry,), offset=1.0, name=f"q{q}.square")
 

@@ -9,12 +9,12 @@ Pure functions only, on numpy alone. Three families matter downstream:
   built on first use from Bessel's equation at 40 digits; past 32 the
   Hankel form;
 * log I0 and its derivatives through fifth order, over a float or a
-  whole array of arguments: the cumulant function's terms for the zeros
-  it takes explicitly (the others come from the log-J0 coefficients'
-  series, a_k (-w^2/4)^k);
+  whole array of arguments from w = 1 up: the cumulant function's terms
+  for the zeros it takes explicitly, every one with w above 1.4 (the
+  others come from the log-J0 coefficients' series, a_k (-w^2/4)^k);
 * the coefficients c_k of log I0(w) = sum_{k>=1} (-1)^{k-1} c_k w^{2k} / 2^k,
-  shared between the Fourier remainder and the density expansions, each
-  rounded once from an exact rational.
+  which feed the accelerated tail remainder (transforms._remainder),
+  each rounded once from an exact rational.
 
 I0 and I1 themselves overflow near w = 713: the kernel works with log I0
 and the ratio I1/I0, and forms the series of I0 and I1 only below
@@ -268,16 +268,18 @@ def _j0_tail(z: np.ndarray) -> np.ndarray:
 #   g''''  = -2 g''^2 + 2 g''/w^2 - (2r + 1/w) g'''  - 2r/w^3
 #   g''''' = -6 g'' g''' + 3 g'''/w^2 - 6 g''/w^3 - (2r + 1/w) g'''' + 6r/w^4
 #
-# They are well conditioned only in a middle window. For w <= 1 we
-# differentiate the c_k series term by term instead. For large w the
-# recurrences degrade: g'' ~ 1/(2w^2) emerges from the cancellation
-# 1 - r^2 - r/w of O(1) pieces once r hugs 1, and each further order
-# repeats the game, so the relative error of g^(m) grows roughly like
-# w^m * eps. The asymptotic series (divergent, optimally truncated)
-# behaves oppositely: its error falls rapidly with w. At w = 18 both
-# give m = 5 to about 1e-9 relative (measured against mpmath: at most
-# 5e-10 from the recurrences just below, 1.2e-9 from the series at 18),
-# which fixes the upper switch point.
+# They are well conditioned only in a middle window. Below w = 1, g'''
+# and up emerge from O(1/w) pieces that cancel, and log_i0_derivs
+# refuses: l0_full sums every zero with w up to zerodata._FAR_Z = 1.4 by
+# transforms._log_i0_series. For large w the recurrences degrade:
+# g'' ~ 1/(2w^2) emerges from the cancellation 1 - r^2 - r/w of O(1)
+# pieces once r hugs 1, and each further order repeats the game, so the
+# relative error of g^(m) grows roughly like w^m * eps. The asymptotic
+# series (divergent, optimally truncated) behaves oppositely: its error
+# falls rapidly with w. At w = 18 both give m = 5 to about 1e-9 relative
+# (measured against mpmath: at most 5e-10 from the recurrences just
+# below, 1.2e-9 from the series at 18), which fixes the upper switch
+# point.
 
 _ODE_LO = 1.0
 _ODE_HI = 18.0
@@ -363,18 +365,6 @@ def _even_derivs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return falling, powers
 
 
-@lru_cache(maxsize=1)
-def _series_coeffs() -> tuple[np.ndarray, np.ndarray]:
-    # per order m: the lowest surviving power p0 of w, and the coefficients
-    # of (w^2)^j above it, in the m-th derivative of
-    # sum_{k<=25} (-1)^(k-1) c_k w^(2k) / 2^k; rows zero-padded at the top
-    falling, powers = _even_derivs(25)
-    kmin = np.argmax(falling != 0.0, axis=1)
-    rows = falling * np.ldexp(c_coeffs(25), -np.arange(1, 26))
-    return powers[range(6), kmin], np.array(
-        [np.roll(row, -k) for row, k in zip(rows, kmin)])
-
-
 # I0(w) - 1 = q sum_k q^k / ((k+1)!)^2 and I1(w) = (w/2) sum_k q^k / (k! (k+1)!)
 # with q = w^2/4, each coefficient rounded once; 40 terms cover w = 18
 # with room to spare (_ratio_terms picks how many an array needs)
@@ -393,12 +383,6 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
         acc *= x
         acc += c[:, None]
     return acc
-
-
-def _derivs_series(w: np.ndarray) -> np.ndarray:
-    p0, coeffs = _series_coeffs()
-    ww = w * w
-    return np.array([np.ones_like(w), w, ww])[p0] * _horner(coeffs, ww)
 
 
 def _ratio_terms(w_max: float) -> int:
@@ -445,11 +429,13 @@ def _derivs_asymptotic(w: np.ndarray) -> np.ndarray:
 def log_i0_derivs(w) -> list[float] | np.ndarray:
     """d^m/dw^m log I0(w) for m = 0..5.
 
-    w is a float or a 1-D array, every value finite and >= 0. A float
-    gives a list of 6 floats; an array of n values gives an array of
-    shape (6, n) whose row m is the m-th derivative. A float and the
-    same value inside an array give identical numbers. Safe for w up to ~1e6 and beyond: past w = 18
-    only the ratio I1/I0 and log I0 itself appear, never I0 or I1.
+    w is a float or a 1-D array, every value finite and >= 1; a smaller
+    one raises ValueError, as transforms._log_i0_series sums log I0 below
+    the split. A float gives a list of 6 floats; an array of n values
+    gives an array of shape (6, n) whose row m is the m-th derivative. A
+    float and the same value inside an array give identical numbers.
+    Safe for w up to ~1e6 and beyond: past w = 18 only the ratio I1/I0
+    and log I0 itself appear, never I0 or I1.
     """
     x = np.asarray(w, dtype=float)
     scalar = x.ndim == 0
@@ -457,14 +443,15 @@ def log_i0_derivs(w) -> list[float] | np.ndarray:
     if x.ndim != 1:
         raise ValueError(
             f"log_i0_derivs takes a float or a 1-D array, got shape {x.shape}")
-    bad = ~(np.isfinite(x) & (x >= 0.0))
+    bad = ~(np.isfinite(x) & (x >= _ODE_LO))
     if bad.any():
-        raise ValueError(f"log_i0_derivs needs finite w >= 0, got {float(x[bad][0])!r}")
+        raise ValueError(
+            f"log_i0_derivs needs finite w >= {_ODE_LO:g}, got "
+            f"{float(x[bad][0])!r}; smaller arguments are summed by "
+            "transforms._log_i0_series")
     out = np.empty((6, x.size))
-    lo = x <= _ODE_LO
     hi = x >= _ODE_HI
-    for sel, regime in ((lo, _derivs_series), (~(lo | hi), _derivs_ratio),
-                        (hi, _derivs_asymptotic)):
+    for sel, regime in ((~hi, _derivs_ratio), (hi, _derivs_asymptotic)):
         if sel.any():
             out[:, sel] = regime(x[sel])
     return out[:, 0].tolist() if scalar else out

@@ -25,7 +25,8 @@ of zeros is summed exactly into arctan / log / inverse-tangent-integral
 closed forms, and only the small difference between the true moments
 and the smooth-density model is kept as a correction series, truncated
 at eight terms. That correction is what makes saddle points at s in the
-thousands reachable with a few thousand explicit zeros. One call,
+thousands reachable, though not with few explicit zeros: at s = 12527.41
+and u = 14000 all 14,950 zeta zeros below u are explicit. One call,
 _remainder, gives the accelerated remainder with all five of its
 t-derivatives: near the origin as one fixed-length even series, model
 and correction together, and further out from the closed forms, whose
@@ -185,8 +186,16 @@ def phat_prefix(omegas, race: RaceSpec) -> np.ndarray:
     double never passes below the smallest long-double normal
     (3.4e-4932). A row below the double range rounds to a signed zero,
     as a sum of logs would give it too, and a zero factor gives 0.
+
+    A frequency that is not finite raises ValueError, which names it.
     """
-    return _phat_rows(omegas, race)[0]
+    ws = np.asarray(omegas, dtype=float).ravel()
+    bad = ~np.isfinite(ws)
+    if bad.any():
+        raise ValueError(
+            "phat_prefix needs finite frequencies, got w = "
+            f"{float(ws[bad][0])!r}")
+    return _phat_rows(ws, race)[0]
 
 
 def _phat_rows(omegas, race: RaceSpec):
@@ -453,7 +462,7 @@ class LDerivs:
 
 
 def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
-    """Cumulant generating function with derivatives 1..5 at real s >= 0.
+    """Cumulant generating function with derivatives 1..5 at finite s >= 0.
 
     stats is aggregate_stats(race, u)'s record; one built for another
     race is refused with ZeroDataError. The zeros below u = stats.u enter
@@ -481,8 +490,10 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
     and enters as two doubles whose sum is its extended value.
     """
     s = float(s)
-    if s < 0.0:
-        raise ValueError("s must be nonnegative (the function is even)")
+    if not (math.isfinite(s) and s >= 0.0):
+        raise ValueError(
+            "s must be finite and nonnegative (the function is even), "
+            f"got s = {s!r}")
     _check_race(stats, race)
     u = stats.u
     # per order, one array per character: its explicit zeros' terms, the

@@ -179,11 +179,23 @@ def test_q24_races_draw_on_mod24_odd():
 
 
 def test_square_race_single_quadratic_table():
-    for q, key in [(5, "mod5_quad"), (7, "mod7_quad"), (13, "mod13_quad")]:
-        sp = square_race(q)
-        assert [e.table for e in sp.characters] == [key]
-        assert sp.characters[0].alpha == 1.0
-    assert [e.table for e in square_race(4).characters] == ["mod4"]
+    # each square race field by field: the quadratic character's label,
+    # conductor and table_key, unit coefficient and offset 1. Mod 8 has
+    # three quadratic characters, so no square race
+    for q, label, key in [(5, "q5.j2", "mod5_quad"), (7, "q7.j3", "mod7_quad"),
+                          (13, "q13.j06", "mod13_quad")]:
+        assert square_race(q) == RaceSpec(
+            q=q, kind="square-vs-nonsquare", contestants=(),
+            characters=(RaceEntry(label=label, qstar=q, alpha=1.0,
+                                  table=key),),
+            offset=1.0, name=f"q{q}.square")
+    assert square_race(4) == RaceSpec(
+        q=4, kind="square-vs-nonsquare", contestants=(1, 3),
+        characters=(RaceEntry(label="mod4", qstar=4, alpha=1.0,
+                              table="mod4"),),
+        offset=1.0, name="q4.square")
+    with pytest.raises(RaceError, match="no square race for q=8"):
+        square_race(8)
 
 
 def test_alpha_power_sums_decrease():

@@ -157,6 +157,15 @@ def test_explicit_product_needs_zero_coverage(zeta_race):
         tr.phat_prefix([1.0, 11000.0], zeta_race)
 
 
+def test_explicit_product_refuses_non_finite_frequency(zeta_race):
+    # a NaN or infinite frequency is refused by name, as a ValueError and
+    # not as a ZeroDataError that blames the table
+    for w in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"w = {w!r}$") as exc:
+            tr.phat_prefix([1.0, w], zeta_race)
+        assert type(exc.value) is ValueError
+
+
 def past_table_log(w, entry, table, terms=12):
     # log J0 summed over the zeros past the table end as the log-J0
     # series sum_k a_k q^k b_k, q = (alpha w)^2: b_1 is what b1_total
@@ -1201,6 +1210,54 @@ def test_cumulant_validation(zeta_race, stats2000):
     object.__setattr__(stats_far, "u", 20000.0)
     with pytest.raises(ZeroDataError):
         tr.l0_full(1.0, zeta_race, stats_far)
+
+
+def test_cumulant_refuses_non_finite_s(zeta_race, monkeypatch):
+    # NaN and inf are refused before any work, at either cutoff, by a
+    # plain ValueError that names s: not by its subclass ConvergenceError,
+    # whose message would ask for a larger cutoff
+    stats = [aggregate_stats(zeta_race, u) for u in (10.0, 1000.0)]
+
+    def no_work(*args):
+        raise AssertionError("l0_full went past its argument check")
+    monkeypatch.setattr(tr, "_check_race", no_work)
+    monkeypatch.setattr(tr, "resolve_table", no_work)
+    for st_u in stats:
+        for s in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="nonnegative") as exc:
+                tr.l0_full(s, zeta_race, st_u)
+            assert type(exc.value) is ValueError
+            assert f"s = {s!r}" in str(exc.value)
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.filterwarnings("ignore::racedensity.transforms.AccuracyWarning")
+@pytest.mark.parametrize("race", PUBLISHED_RACES, ids=lambda r: r.name)
+def test_cumulant_explicit_arguments_stay_above_split(race, monkeypatch):
+    # log_i0_derivs takes w >= 1 only: l0_full passes it the zeros with x
+    # above zerodata._FAR_Z = 1.4 and sums the rest by the log-I0 series.
+    # On s at and just above the first four split boundaries of every
+    # character, where a zero's x reaches _FAR_Z, and a few s between,
+    # the smallest argument passed is _FAR_Z to within rounding
+    seen = []
+    derivs = tr.log_i0_derivs
+
+    def spy(w):
+        seen.append(np.min(w, initial=np.inf))
+        return derivs(w)
+    monkeypatch.setattr(tr, "log_i0_derivs", spy)
+    stats = aggregate_stats(race, 250.0)
+    grid = [1.0, 5.0, 20.0]
+    for entry in race.characters:
+        g = resolve_table(entry).gammas[:4]
+        for b in zd._FAR_Z * np.sqrt(0.25 + g * g) / (2.0 * entry.alpha):
+            grid += [float(b), float(np.nextafter(b, np.inf))]
+    for s in grid:
+        tr.l0_full(s, race, stats)
+    assert len(seen) == len(grid) * len(race.characters)
+    low = min(seen)
+    assert low >= zd._FAR_Z * (1.0 - 1e-12)
+    assert low <= zd._FAR_Z * (1.0 + 1e-12)
 
 
 # ------------------------------------------------------------ large-s model
