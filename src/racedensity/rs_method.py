@@ -5,10 +5,11 @@ per zero (transforms.phat_prefix). Poisson summation turns the inversion
 integral into a lattice sum over frequencies m*domega; the wrap-around
 (aliasing) error is a sum of exceedance masses at 2*pi/domega - v and
 beyond, which the Gaussian exceedance bound controls, so the step can be
-taken far larger than a quadrature view would suggest. Each lattice term
-is independent of the others; they are precomputed once per parameter
-set and reduced in a fixed ascending order so results are
-bit-reproducible.
+taken far larger than a quadrature view would suggest. The samples of
+phat are formed once per parameter set and kept as arrays; each
+threshold is one row of lattice terms, formed by array operations in the
+scalar formula's order and reduced by math.fsum, which rounds the exact
+sum once, so results are bit-reproducible.
 
 The exceedance sum reads
     E(v) = 1/2 - v*domega/(2 pi) - (1/pi) sum_m phat(m*domega) sin(m v domega)/m
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,8 +118,7 @@ def _check_v_max(v_max: float) -> None:
             f"v_max must be finite and non-negative, got {v_max!r}")
 
 
-@dataclass(frozen=True)
-class PhatSample:
+class PhatSample(NamedTuple):
     """The characteristic function at one lattice frequency."""
 
     m: int
@@ -133,11 +134,14 @@ class PhatSample:
 
 class _Samples(tuple):
     # phat_samples' records, with the race and step they were built for,
-    # _lattice_stop's bounds on the points past them and the sums of their
-    # series-cut bounds, weighted 1/m for E and evenly for P0: all
-    # independent of v
+    # the lattice as read-only arrays (m as float, phat) that _lattice
+    # reads, _lattice_stop's bounds on the points past them and the sums
+    # of their series-cut bounds, weighted 1/m for E and evenly for P0:
+    # all independent of v
     race: RaceSpec
     domega: float
+    m: np.ndarray
+    phat: np.ndarray
     dropped: tuple[float, float]
     errors: tuple[float, float]
 
@@ -198,14 +202,16 @@ def phat_samples(race: RaceSpec, params: RSParams,
     m = 1..n, that the sums keep.
 
     The expensive, threshold-independent part of both Poisson sums;
-    evaluate once and reuse across v. The lattice stops before the first
-    point where transforms._prefix_log_bound puts |phat| at or below
-    e^-46 (less _BOUND_MARGIN in the log, for rounding); the record
-    carries, as dropped, _lattice_stop's bounds on every point past it.
-    Each sample's error bounds what cutting the log-J0 series after 56
-    orders moves it by; the record carries their sums as errors, and the
-    race and step it was built for.
-    stats.sigma0 only seeds the search for the stop: the samples do not
+    evaluate once and reuse across v. The tuple of PhatSample is for
+    callers and the benchmark; compute_E and compute_P read the same
+    values from the arrays the record also carries, m (as floats) and
+    phat. The lattice stops before the first point where
+    transforms._prefix_log_bound puts |phat| at or below e^-46 (less
+    _BOUND_MARGIN in the log, for rounding); the record carries, as
+    dropped, _lattice_stop's bounds on every point past it. Each
+    sample's error bounds what cutting the log-J0 series after 56 orders
+    moves it by; the record carries their sums as errors, and the race
+    and step it was built for. stats.sigma0 only seeds the search for the stop: the samples do not
     depend on stats.u.
     """
     _check_race(stats, race)
@@ -215,12 +221,13 @@ def phat_samples(race: RaceSpec, params: RSParams,
     values, drops = _phat_rows(omegas, race)
     # |phat| (1 - exp(-drop)) <= |phat| drop
     errors = np.abs(values) * drops
-    samples = _Samples(
-        PhatSample(i, w, p, e)
-        for i, w, p, e in zip(m.tolist(), omegas.tolist(), values.tolist(),
-                              errors.tolist()))
+    samples = _Samples(map(PhatSample, m.tolist(), omegas.tolist(),
+                           values.tolist(), errors.tolist()))
     samples.race = race
     samples.domega = params.domega
+    samples.m = m.astype(float)
+    samples.phat = values
+    samples.m.flags.writeable = values.flags.writeable = False
     samples.dropped = dropped
     samples.errors = (math.fsum((errors / m).tolist()),
                       math.fsum(errors.tolist()))
@@ -286,16 +293,26 @@ def _lattice(vs, race: RaceSpec, params: RSParams, stats, samples,
             f"samples are not phat_samples' lattice m = 1..n at domega = "
             f"{params.domega:g}; rebuild them with these params: "
             f"phat_samples(race, params, stats)")
+    # the terms phat cos(m v w) and phat sin(m v w) / m, one row per v,
+    # rounded as the scalar formulas round them: (m v) w, then the
+    # product with phat, then the quotient by m. One threshold, as from
+    # compute_E and compute_P, skips the outer product's cost
     w = params.domega
+    terms = (samples.m * vs[0])[None] if len(vs) == 1 \
+        else np.multiply.outer(vs, samples.m)
+    terms *= w
     if density:
-        values = [w / math.pi * (0.5 + math.fsum(
-            [s.phat * math.cos(s.m * v * w) for s in samples]))
-            for v in vs]
+        np.cos(terms, out=terms)
+        terms *= samples.phat
+        values = [w / math.pi * (0.5 + math.fsum(row))
+                  for row in terms.tolist()]
         err = alias + w / math.pi * samples.errors[1] + samples.dropped[1]
     else:
-        values = [0.5 - v * w / (2.0 * math.pi) - math.fsum(
-            [s.phat * math.sin(s.m * v * w) / s.m for s in samples])
-            / math.pi for v in vs]
+        np.sin(terms, out=terms)
+        terms *= samples.phat
+        terms /= samples.m
+        values = [0.5 - v * w / (2.0 * math.pi) - math.fsum(row) / math.pi
+                  for v, row in zip(vs, terms.tolist())]
         err = alias + samples.errors[0] / math.pi + samples.dropped[0]
     return values, err, len(samples)
 
@@ -336,7 +353,9 @@ def compute_P(v: float, race: RaceSpec, params: RSParams,
 
 def density_grid(vs, race: RaceSpec, params: RSParams,
                  stats: TailStats) -> np.ndarray:
-    """P0 on an array of thresholds, sharing one set of lattice samples."""
+    """P0 on an array of thresholds, each to compute_P's bits: one row
+    per threshold of a thresholds x points matrix, over samples it draws
+    afresh from phat_samples on each call."""
     vs = np.asarray(vs, dtype=float).ravel().tolist()
     return np.array(_lattice(vs, race, params, stats, None, True)[0])
 

@@ -302,11 +302,19 @@ def _tail_sums(table: ZeroTable, u: float, ks,
     part is the table's total less the head; for k = 1 with a known
     full-spectrum total, it is that total less the rounded head sum.
     Every value has the bits of math.fsum over the plain terms.
+    With nothing tabulated above u, b_k is the continuation from u; b_1
+    from a known total is what it leaves past the last zero, less the
+    continuation's fall from there to u, so that b_1 does not jump where
+    u reaches the last zero.
     """
-    if n_head == len(table):
-        # nothing tabulated above u
-        return tuple(_past_table(table, u, k) for k in ks)
     sums = table._prefix_sums
+    if n_head == len(table):
+        last = table.last_zero
+        return tuple(
+            table.b1_total - math.fsum(sums.total(1))
+            - (_past_table(table, last, 1) - _past_table(table, u, 1))
+            if k == 1 and table.b1_total is not None
+            else _past_table(table, u, k) for k in ks)
     heads = sums.heads(ks, n_head)
     b = []
     for k, head in zip(ks, heads):

@@ -429,6 +429,97 @@ def test_density_grid_matches_scalar(zeta_race, run25):
             rel=1e-14)
 
 
+# ----------------------------------------------------------- lattice reduction
+
+def _log(x):
+    # a result's log_e or log_p from its value
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def lattice_oracle(v, samples, domega, density):
+    # the Poisson sum at v term by term over the PhatSample fields, with
+    # math's sin and cos, and its terms
+    w = domega
+    if density:
+        terms = [s.phat * math.cos(s.m * v * w) for s in samples]
+        return w / math.pi * (0.5 + math.fsum(terms)), terms
+    terms = [s.phat * math.sin(s.m * v * w) / s.m for s in samples]
+    return 0.5 - v * w / (2.0 * math.pi) - math.fsum(terms) / math.pi, terms
+
+
+@pytest.mark.parametrize("name", ["pi vs Li", "mod 4"])
+def test_lattice_matches_scalar_oracle(name):
+    # 200 thresholds on [0, 3], with a step sized one unit past 3 so that
+    # no P0 is refused: each value has the scalar sum's bits wherever
+    # numpy's sin or cos gives math's on every lattice argument of its v,
+    # and elsewhere lies within 4 ulp of sum |term|, and 4 of the value
+    # for the result's log; density_grid's matrix gives compute_P's
+    # one-row values, element for element. A result holds its value's
+    # log, so the logs are compared bit for bit
+    race = PUBLISHED_RACES[name]()
+    stats = aggregate_stats(race, 100.0)
+    params = rs.choose_params(4.0, stats, 1e-11)
+    samples = rs.phat_samples(race, params, stats)
+    assert len(samples) > 30
+    vs = np.linspace(0.0, 3.0, 200).tolist()
+    exact = 0
+    for density, compute, f, np_f in (
+            (False, rs.compute_E, math.sin, np.sin),
+            (True, rs.compute_P, math.cos, np.cos)):
+        for v in vs:
+            r = compute(v, race, params, stats=stats, samples=samples)
+            want, terms = lattice_oracle(v, samples, params.domega, density)
+            args = [s.m * v * params.domega for s in samples]
+            if np_f(np.array(args)).tolist() == list(map(f, args)):
+                exact += 1
+                assert (r.log_p if density else r.log_e) == _log(want), \
+                    (density, v)
+            else:
+                got = r.p if density else r.e
+                scale = math.fsum(map(abs, terms))
+                assert abs(got - want) <= 4.0 * math.ulp(scale) \
+                    + 4.0 * math.ulp(want), (density, v)
+    print(f"{exact} of {2 * len(vs)} thresholds compared bit for bit")
+    grid = rs.density_grid(vs, race, params, stats=stats)
+    assert list(map(_log, grid.tolist())) == [
+        rs.compute_P(v, race, params, stats=stats, samples=samples).log_p
+        for v in vs]
+
+
+def test_phat_samples_records():
+    # the records keep the fields, the repr and the tail of the dataclass
+    # they replaced, and the arrays the lattice reads hold their values
+    race = prime_count_race()
+    stats = aggregate_stats(race, 100.0)
+    params = rs.RSParams(domega=math.pi / 2, v_max=1.0)
+    samples = rs.phat_samples(race, params, stats)
+    s = samples[0]
+    assert rs.PhatSample._fields == ("m", "omega", "phat", "error")
+    assert repr(s) == (f"PhatSample(m=1, omega={s.omega!r}, "
+                       f"phat={s.phat!r}, error={s.error!r})")
+    assert type(s.m) is int and s.tail == 1.0
+    assert samples.m.tolist() == [float(x.m) for x in samples]
+    assert samples.phat.tolist() == [x.phat for x in samples]
+    with pytest.raises(ValueError):
+        samples.phat[0] = 0.0
+
+
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.parametrize("name", PUBLISHED_RACES)
+def test_race_result_is_compute_e_over_its_samples(name):
+    # race_result draws its own samples; compute_E over an explicit
+    # phat_samples record at the same parameters gives the same bits
+    race = PUBLISHED_RACES[name]()
+    stats = aggregate_stats(race, 100.0)
+    result = rs.race_result(race, stats)
+    v = abs(race.offset)
+    params = rs.choose_params(v, stats, 1e-11,
+                              domega=result.params["domega"])
+    samples = rs.phat_samples(race, params, stats)
+    assert repr(rs.compute_E(v, race, params, stats=stats,
+                             samples=samples)) == repr(result)
+
+
 # ------------------------------------------------------- parameter automation
 
 def test_choose_params_accepts_printed_step(zeta_race, run25):

@@ -959,6 +959,23 @@ def test_cumulant_combined_race_variance():
     assert tr.l0_full(5.0, race, stats).value > 0.0
 
 
+@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.parametrize("race, s", [
+    (prime_count_race(), 9000.0), (square_race(4), 1000.0),
+    (two_way_race(5, 1, 2), 10.0)], ids=["zeta", "mod4", "q5_1v2"])
+def test_cumulant_continuous_at_last_zero(race, s):
+    # where u reaches a table's last zero, that zero leaves the tail and
+    # enters the explicit sums, and b_1 of the zeros past it still comes
+    # from the recorded total: the value moves by no more than the two
+    # estimates. With b_1 from the smooth continuation it jumped by
+    # 0.1025 (zeta), 0.0445 (mod 4) and 3.8e-4 (q5 1v2)
+    last = min(zd.resolve_table(e).last_zero for e in race.characters)
+    below, at = (tr.l0_full(s, race, aggregate_stats(race, u))
+                 for u in (math.nextafter(last, 0.0), last))
+    assert abs(at.value - below.value) <= \
+        at.error_estimate + below.error_estimate
+
+
 def _l0_outcome(s, race, stats):
     # the result's repr (every value to the bit), or the refusal
     try:

@@ -274,21 +274,24 @@ def test_tail_head_consistency():
 
 
 def _plain_tail_bk(table, u, k, method):
-    # b_k(u) as one fsum over the tabulated ordinates above u (or, for
-    # k = 1 under "auto", the recorded total less the head), plus the
-    # analytic continuation past the table end
+    # b_k(u) as one fsum over the tabulated ordinates above u, plus the
+    # analytic continuation past the table end; for k = 1 under "auto",
+    # the recorded total less the head, and from the last zero on also
+    # less the continuation's fall from there to u
     g = table.gammas
     U = float(g[-1])
-    if k == 1 and method == "auto" and table.b1_total is not None and u < U:
+
+    def past(x):
+        y = math.log(table.qstar * x / (2.0 * math.pi))
+        m = 2 * k - 1
+        return table.weight * (y + 1.0 / m) / (2.0 * m * math.pi * x ** m)
+
+    if k == 1 and method == "auto" and table.b1_total is not None:
         head_g = g[g <= u]
-        return table.b1_total - math.fsum(1.0 / (0.25 + head_g * head_g))
+        b1 = table.b1_total - math.fsum(1.0 / (0.25 + head_g * head_g))
+        return b1 if u < U else b1 - (past(U) - past(u))
     tail_g = g[g > u]
-    explicit = math.fsum((0.25 + tail_g * tail_g) ** (-k))
-    ueff = max(u, U)
-    y = math.log(table.qstar * ueff / (2.0 * math.pi))
-    m = 2 * k - 1
-    return explicit + table.weight * (y + 1.0 / m) \
-        / (2.0 * m * math.pi * ueff ** m)
+    return math.fsum((0.25 + tail_g * tail_g) ** (-k)) + past(max(u, U))
 
 
 def _checkpoint_edges(table):
