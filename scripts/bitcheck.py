@@ -13,8 +13,7 @@ changed), each against its own src/. They also run aggregate_stats and
 l0_full of the six published races at u = 500, 2000 and 2999 and
 s = 0, 1, 10, 100, 1000 and 12527.41; aggregate_stats of each race at
 u = 60, 140, 12000 and 14000 (the races and cumulant workloads' ranges)
-and at zeta's 129th ordinate (a head that just passes the first
-checkpoint of the exact prefix sums); and phat_prefix of each race at
+and at zeta's 129th ordinate; and phat_prefix of each race at
 w = 2, 4, ..., 70 and u = 140, 500, 2000 and 2999, so that a change to
 the J0 kernel or the far zone shows its moves in the prefix itself; zeta
 solves at u = 140 to 2999 reach w = 69.8. A tree whose phat_prefix takes
@@ -25,9 +24,9 @@ For each operation it compares value, error_estimate, K, domega,
 n_terms, n_zeros and the refusal text, and the result itself: each field
 of a dataclass result, nested dataclasses such as TailStats.race
 included, or else its repr; floats by float.hex. A cached property of a
-dataclass result counts as a field, read after the operation: so
-TailStats.per_char is compared whether a tree stores it or builds it on
-first read, and a property that refuses records its refusal. A field
+dataclass result counts as a field, read after the operation, so a
+field is compared whether a tree stores it or builds it on first read,
+and a property that refuses records its refusal. A field
 that only one tree's result has is not a difference: such fields are
 listed at the end, each with the tree and the number of rows. Prints
 every row that differs, then one line per workload (the published rows

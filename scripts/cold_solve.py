@@ -16,16 +16,12 @@ the summed aggregate_stats time (stats_ms), the time of all six solves,
 aggregate_stats included (solve_ms), and which of the heavy modules
 scipy and numpy.ma the solves imported (heavy_modules). After the
 solves, a fresh copy of the zeta table, read from its file outside the
-clock, gives the time of one cold aggregate_stats at u = 2999 with the
-first read of its per_char (deep_stats_ms): the first-use build of the
-tail sums at a deep cutoff, apart from stats_ms, which a solve's
-aggregate_stats no longer reaches. A second fresh copy, the same file
-under another label, gives the time of one cold l0_full at u = 14000,
-s = 10, with its aggregate_stats and the first read of its per_char
-outside the clock (cold_l0_ms): it includes the first-use build of the
-suffix sums, and of the powers of each chunk that its log-I0 series
-reads. A second l0_full on the same record, at s = 20, gives the time of
-a warm call (warm_l0_ms), which reads those chunks' kept powers.
+clock under another label, gives the time of one cold l0_full at
+s = 10 (cold_l0_ms), with its aggregate_stats outside the clock: it
+includes the first-use build of the suffix sums and of the columns its
+log-I0 series reads. A second l0_full on the same record, at s = 20,
+gives the time of a warm call (warm_l0_ms), which builds no more sums
+than its split reaches.
 Compare two checkouts by running each in turn, alternating which goes
 first.
 """
@@ -78,19 +74,14 @@ def main() -> None:
         stats_s += time.perf_counter() - t0
         rs.race_result(race, stats=stats, target=1e-11)
     solve_s = time.perf_counter() - start
-    # pi vs Li on a table read from zeta's file, so that no sum is cached
+    # pi vs Li on a table read from zeta's file, under another label, so
+    # that no sum is cached: one cold l0_full
     zeta = races[0]
-    deep = replace(zeta, characters=(replace(
-        zeta.characters[0], table=zd.resolve_table(zeta.characters[0]).source),))
-    zd.resolve_table(deep.characters[0])
-    t0 = time.perf_counter()
-    zd.aggregate_stats(deep, 2999.0).per_char
-    deep_stats_s = time.perf_counter() - t0
-    # the same file under another label is read afresh: one cold l0_full
-    fresh = replace(deep, characters=(replace(
-        deep.characters[0], label="zeta (cold copy)"),))
+    fresh = replace(zeta, characters=(replace(
+        zeta.characters[0], label="zeta (cold copy)",
+        table=zd.resolve_table(zeta.characters[0]).source),))
+    zd.resolve_table(fresh.characters[0])
     stats = zd.aggregate_stats(fresh, 14000.0)
-    stats.per_char
     t0 = time.perf_counter()
     l0_full(10.0, fresh, stats)
     cold_l0_s = time.perf_counter() - t0
@@ -100,7 +91,7 @@ def main() -> None:
     print(json.dumps({
         "seed": seed, "import_ms": 1e3 * import_s, "index_ms": 1e3 * index_s,
         "j0_build_ms": 1e3 * j0_build_s,
-        "stats_ms": 1e3 * stats_s, "deep_stats_ms": 1e3 * deep_stats_s,
+        "stats_ms": 1e3 * stats_s,
         "cold_l0_ms": 1e3 * cold_l0_s, "warm_l0_ms": 1e3 * warm_l0_s,
         "solve_ms": 1e3 * solve_s,
         "heavy_modules": [m for m in HEAVY_MODULES if m in sys.modules]}))

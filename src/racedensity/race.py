@@ -190,7 +190,7 @@ def _label_for(q: int, s: tuple[int, ...], gens) -> str:
 
 
 def alpha_coeffs(q: int, a: int, b: int) -> tuple[tuple[Character, float], ...]:
-    """alpha per nontrivial character for the two-way race between residue
+    """alpha per nontrivial character for the two-way race of residue
     classes a and b: alpha = |chi(a) - chi(b)|/2, in [0, 1]."""
     if math.gcd(a, q) != 1 or math.gcd(b, q) != 1:
         raise RaceError(f"residues ({a}, {b}) must be coprime to q={q}")
@@ -292,7 +292,7 @@ def prime_count_race() -> RaceSpec:
 
 
 def two_way_race(q: int, a: int, b: int) -> RaceSpec:
-    """Race between residue classes a and b mod q.
+    """Race of residue class a against residue class b mod q.
 
     The offset is (c(a) - c(b))/2 where c counts square roots: residue
     classes with more square roots sit persistently lower, and each

@@ -31,7 +31,7 @@ largest one whose aliasing bound is at most a given level: a third of
 the target in choose_params, e^-46 in race_result, the target itself in
 the step that an aliasing refusal names. Of the TailStats the functions
 take, until the benchmark's call sites are revised, they read sigma0
-alone; u and n_zeros only label a result, and per_char is never built.
+alone; the cutoff and its zero count only label a result.
 A record built for another race is refused (zerodata._check_race).
 """
 

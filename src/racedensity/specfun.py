@@ -10,11 +10,11 @@ Pure functions only, on numpy alone. Three families matter downstream:
   Hankel form;
 * log I0 and its derivatives through fifth order, over a float or a
   whole array of arguments from w = 1 up: the cumulant function's terms
-  for the zeros it takes explicitly, every one with w above 1.4 (the
-  others come from the log-J0 coefficients' series, a_k (-w^2/4)^k);
-* the coefficients c_k of log I0(w) = sum_{k>=1} (-1)^{k-1} c_k w^{2k} / 2^k,
-  which feed the accelerated tail remainder (transforms._remainder),
-  each rounded once from an exact rational.
+  for the zeros it takes explicitly, every one with w above 1.4;
+* the coefficients a_k of log J0(z) = sum_k a_k (z^2/4)^k, each rounded
+  once from an exact rational, which give both routes' series over the
+  other zeros: log J0 on the Fourier side and, with alternating signs,
+  log I0(w) = sum_k a_k (-w^2/4)^k on the Laplace side.
 
 I0 and I1 themselves overflow near w = 713: the kernel works with log I0
 and the ratio I1/I0, and forms the series of I0 and I1 only below
@@ -37,8 +37,6 @@ __all__ = [
     "ExtendedPrecisionError",
     "j0_lowbias",
     "log_i0_derivs",
-    "c_coeffs",
-    "arctan_integral",
     "base_constants",
 ]
 
@@ -311,17 +309,12 @@ def _log_coeff_fracs() -> tuple[Fraction, ...]:
     return _log_series(num, 1, 8)
 
 
-# the depth of the c_k family: c_coeffs slices one cached set of exact
-# a_k this long
-_C_TERMS = 30
-
-
 @lru_cache(maxsize=None)
 def _log_j0_fracs(n: int) -> tuple[Fraction, ...]:
     """a_1..a_n of log J0(z) = sum_k a_k (z^2/4)^k, exact (|z| < j1).
 
-    They come from the ascending series J0 = sum_m (-1)^m (z^2/4)^m / (m!)^2
-    and equal -2^k c_k of the log-I0 family; every a_k is negative.
+    They come from the ascending series J0 = sum_m (-1)^m (z^2/4)^m / (m!)^2;
+    every a_k is negative. log I0(w) = sum_k a_k (-w^2/4)^k shares them.
     """
     return _log_series([(-1) ** m for m in range(n + 1)], 2, 1)
 
@@ -455,66 +448,6 @@ def log_i0_derivs(w) -> list[float] | np.ndarray:
         if sel.any():
             out[:, sel] = regime(x[sel])
     return out[:, 0].tolist() if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# the c_k coefficient family
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=1)
-def _c_all() -> tuple[float, ...]:
-    return tuple(float(-a / 2 ** k)
-                 for k, a in enumerate(_log_j0_fracs(_C_TERMS), start=1))
-
-
-@lru_cache(maxsize=None)
-def c_coeffs(K: int) -> tuple[float, ...]:
-    """c_1..c_K, each the double nearest c_k = -a_k / 2^k.
-
-    The a_k are the exact rationals of _log_j0_fracs. They also equal
-    (2^k / k) sum_l j_l^(-2k) over the zeros j_l of J0, the form the
-    tests check them against.
-    """
-    if not isinstance(K, int) or not 1 <= K <= _C_TERMS:
-        raise ValueError(f"K must be an integer in 1..{_C_TERMS}, got {K!r}")
-    return _c_all()[:K]
-
-
-# ---------------------------------------------------------------------------
-# the inverse-tangent integral on [0, 1]
-# ---------------------------------------------------------------------------
-
-def arctan_integral(x: float) -> float:
-    """int_0^x arctan(w)/w dw = sum_k (-1)^k x^(2k+1) / (2k+1)^2, 0 <= x <= 1.
-
-    Plain alternating summation is hopeless near x = 1 (the error after n
-    terms is ~1/4n^2, so 1e-14 would need ~5e6 terms) and slow well
-    below it (about 130 terms at x = 0.87), so the whole interval takes
-    the Chebyshev-weighted acceleration of Cohen, Rodriguez Villegas and
-    Zagier, which contracts like (3 + sqrt(8))^(-n) for series whose
-    terms are moments of a positive measure, as these are.
-    """
-    x = float(x)
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"arctan_integral defined on [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    # n = 36 puts the contraction factor near 1e-28, far below double
-    # rounding, and costs nothing
-    n = 36
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = 0.5 * (d + 1.0 / d)
-    b = -1.0
-    c = -d
-    s = 0.0
-    xx = x * x
-    p = x
-    for k in range(n):
-        c = b - c
-        s += c * p / (2 * k + 1) ** 2
-        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-        p *= xx
-    return s / d
 
 
 # ---------------------------------------------------------------------------

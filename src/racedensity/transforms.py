@@ -8,59 +8,34 @@ through one log-J0 series over the tables' suffix sums.
 _prefix_log_bound bounds that product in closed form, never rising with
 the frequency, for rs_method's lattice stop.
 
-The Laplace side splits the distribution at a zero-height cutoff u.
-Below it each zero contributes log I0(x), x = 2*alpha*s/sqrt(1/4+g^2):
-the zeros with x above the same split as explicit terms, and the rest
-below u, however few, through the log-I0 series over the same suffix
-sums, which log I0(x) = sum_k a_k (-x^2/4)^k shares with log J0. Above
-u only each character's tail moments survive, and its remainder is a
-power series in t = alpha*sqrt(2 b1)*s, b1 its own b_1(u). The raw series
-sum_k (-1)^(k-1) c_k r_k t^(2k) converges only inside the character's
-radius T (CharTailStats.T_single); the accelerated remainder below
-reaches (j2/j1) T.
-
-The raw remainder series loses accuracy quickly as t approaches T. The
-accelerated form fixes that: the series implied by the smooth density
-of zeros is summed exactly into arctan / log / inverse-tangent-integral
-closed forms, and only the small difference between the true moments
-and the smooth-density model is kept as a correction series, truncated
-at eight terms. That correction is what makes saddle points at s in the
-thousands reachable, though not with few explicit zeros: at s = 12527.41
-and u = 14000 all 14,950 zeta zeros below u are explicit. One call,
-_remainder, gives the accelerated remainder with all five of its
-t-derivatives: near the origin as one fixed-length even series, model
-and correction together, and further out from the closed forms, whose
-derivatives of order two and up follow one rule.
-
-Subtracting the smooth model also moves the wall. The raw series
-diverges at |t| = T because the smooth j1-ring singularity sits there;
-the correction series only keeps the difference from the model, so its
-own terms fall off like (0.19 t^2/T^2)^k and its disk reaches the
-second Bessel ring at (j2/j1) T, about 2.295 T. The closed forms are
-entire on the real axis, so the accelerated remainder is usable on the
-whole extended disk, with the retained-term check guarding accuracy as
-the edge is approached.
+The Laplace side, l0_full, reads the same sums. Each zero contributes
+log I0(x), x = 2*alpha*s/sqrt(1/4+g^2): the zeros with x above the same
+split as explicit terms, and every other one, to the table end and
+beyond it, through one log-I0 series over the suffix sums, which
+log I0(x) = sum_k a_k (-x^2/4)^k shares with log J0. Where the split
+passes a table's end, the zeros from its last one up to the height where
+x falls to the split are virtual: Gauss-Legendre nodes in log g weighted
+by the smooth zero density, which take the explicit path; the series
+takes over from that height. No cutoff enters either side, and past
+every table's end both read one model of the zeros.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .race import RaceSpec
-from .specfun import J0_ZERO1, J0_ZERO2, _even_derivs, _log_j0_coeffs
-from .specfun import arctan_integral
-from .specfun import base_constants, c_coeffs, j0_lowbias, log_i0_derivs
-from .zerodata import TailStats, ThinTailWarning, ZeroDataError
+from .specfun import _even_derivs, _log_j0_coeffs
+from .specfun import base_constants, j0_lowbias, log_i0_derivs
+from .zerodata import TailStats, ZeroDataError
 from .zerodata import _check_race, _exact_sum, resolve_table
-from .zerodata import _FAR_Z, _SUFFIX_ORDERS, _TAIL_ORDERS as _CORR_TERMS
+from .zerodata import _FAR_Z, _SUFFIX_ORDERS
 
 __all__ = [
-    "AccuracyWarning",
     "AsymptoticL",
     "ConvergenceError",
     "LDerivs",
@@ -72,23 +47,6 @@ __all__ = [
     "model_saddle",
     "phat_prefix",
 ]
-
-_J1SQ = J0_ZERO1 * J0_ZERO1
-
-# the accelerated remainder converges out to the second Bessel ring
-_EXT_RADIUS = J0_ZERO2 / J0_ZERO1
-
-# below this |t|/T the closed forms are abandoned for the defining
-# series, which is better conditioned near the origin (the closed
-# forms subtract almost-equal terms there)
-_SERIES_CUTOVER = 0.3
-
-# the series branch keeps k = 1.._SERIES_TERMS: at t/T = _SERIES_CUTOVER
-# the order-5 terms past it sum to below 2^-60 of that order's value for
-# every y from -0.9 up
-_SERIES_TERMS = 24
-
-_K = np.arange(1.0, _SERIES_TERMS + 1.0)
 
 # the log-J0 and log-I0 series keep this many orders; the next bounds the cut
 _FAR_TERMS = _SUFFIX_ORDERS - 1
@@ -109,35 +67,17 @@ _LOG_J0_FAR_Z = -0.5676515275271513
 # published races' race_result at u = 4.352 to 2999 held 756 factors.
 _NEAR_BLOCK = 1 << 14
 
+# l0_full's virtual zeros past a table's end: Gauss-Legendre nodes in
+# log g. Against 48 nodes, 24 moved L, L' and L'' by at most 7.6e-16
+# relative, rounding, for pi vs Li at s = 10500 to 50000, mod 4 at 2150
+# to 10000 and q5 1v2 at 280 to 2000
+_VIRTUAL_NODES = 24
+
 
 class ConvergenceError(ValueError):
-    """The requested point lies outside the remainder's convergence disk.
-
-    Carries min_u, the approximate zero cutoff that would bring the
-    point inside (t/T scales like 1/u at fixed s).
-    """
-
-    def __init__(self, message: str, min_u: float | None = None):
-        super().__init__(message)
-        self.min_u = min_u
-
-
-class AccuracyWarning(UserWarning):
-    """A truncated tail term is large enough to threaten the target accuracy."""
-
-
-def _radius_error(what: float, wall: float, u: float, label: str = "") -> ConvergenceError:
-    # t/T is exactly linear in 1/u at fixed s (the nearest tail zero
-    # sets the radius), so the needed cutoff follows by direct scaling;
-    # the few-percent pad covers the slowly drifting log factors in T
-    ratio = what / wall
-    min_u = 1.05 * u * ratio
-    where = f" ({label})" if label else ""
-    return ConvergenceError(
-        f"|t| = {what:.6g} is outside the usable radius {wall:.6g}{where}; "
-        f"raise the zero cutoff to at least u ~ {min_u:.0f}",
-        min_u=min_u,
-    )
+    """A point outside a route's reach. No route raises it any more; it
+    stays a public name because the benchmark runner (bench/run.py)
+    counts it among the refusals."""
 
 
 # ----------------------------------------------------------------- Fourier side
@@ -320,80 +260,6 @@ def _near_block(out, near, lo, hi) -> None:
 
 # ----------------------------------------------------------------- Laplace side
 
-def _model_derivs(x: float, y: float) -> list:
-    """F(x) = (y-1) g(x) + h(x) and its first five derivatives at x > 0,
-    in closed form, with g(x) = 2x arctan x - log(1+x^2) and h(x) = 2x Ti(x).
-
-    F' = 2y arctan x + 2 Ti(x) and F'' = 2y/(1+x^2) + 2 arctan(x)/x. The
-    higher orders differentiate F'' with D^n 1/(1+x^2) = (-1)^n n!
-    Im (x-i)^-(n+1), and arctan(x)/x by Leibniz's rule.
-    """
-    at = math.atan(x)
-    # D^n 1/(1+x^2), D^n arctan x and D^n 1/x, n = 0..3
-    z = 1.0 / complex(x, -1.0)
-    rat = [(-1) ** n * math.factorial(n) * (z ** (n + 1)).imag
-           for n in range(4)]
-    datan = [at] + rat[:3]
-    dinv = [(-1) ** j * math.factorial(j) / x ** (j + 1) for j in range(4)]
-    # the inverse tangent integral: arctan_integral covers [0, 1], beyond
-    # which Ti(x) = Ti(1/x) + (pi/2) log x
-    ti = (arctan_integral(x) if x <= 1.0 else
-          arctan_integral(1.0 / x) + 0.5 * math.pi * math.log(x))
-    out = [(y - 1.0) * (2.0 * x * at - math.log1p(x * x)) + 2.0 * x * ti,
-           2.0 * y * at + 2.0 * ti]
-    for n in range(4):
-        out.append(2.0 * y * rat[n] + 2.0 * math.fsum(
-            math.comb(n, j) * datan[j] * dinv[n - j] for j in range(n + 1)))
-    return out
-
-
-def _even_series(coefs: np.ndarray, t: float) -> list:
-    # orders 0..5 in t of sum_k (-1)^(k-1) coefs[k-1] t^(2k). The powers
-    # come from Python's float pow, the C library's, which misrounds t^p
-    # in 2 of 3000 random cases where numpy's power misrounds 153
-    falling, powers = _even_derivs(coefs.size)
-    tp = np.array([t ** p for p in range(2 * coefs.size + 1)])
-    terms = coefs * falling * tp[powers]
-    return [math.fsum(row) for row in terms.tolist()]
-
-
-def _remainder(t: float, y: float, T: float, r) -> tuple[list, float]:
-    """The accelerated remainder of one series and its first five
-    t-derivatives at 0 <= t, with the final correction term.
-
-    The remainder is the smooth-density model pref * F(t/T), pref =
-    2T^2/((y+1) j1^2), plus the correction sum over k <= 8 of (-1)^(k-1)
-    (c_k r_k - a_k) t^(2k). The model's t^(2k) coefficient is (-1)^(k-1)
-    a_k, a_k = 2 (y + 1/(2k-1)) / (k (2k-1) (y+1) j1^2 T^(2k-2)). The
-    prefactor 2 in pref makes the t^2 coefficient of the model 2/j1^2,
-    the full weight of the first Bessel ring in the smoothed kernel sum;
-    with half that weight the correction series would keep the other
-    half and gain nothing over the raw series (checked against
-    brute-force tail sums over the zero tables).
-
-    Below t = _SERIES_CUTOVER T model and correction are summed as one
-    even series in t, c_k r_k for k <= 8 and a_k after, cut after
-    _SERIES_TERMS terms; the closed forms of F subtract almost-equal
-    terms there. From the cutover on F comes from _model_derivs. The
-    final correction term, at order 0, bounds what truncating the
-    correction series discards.
-    """
-    model = (2.0 * (y + 1.0 / (2.0 * _K - 1.0))
-             / (_K * (2.0 * _K - 1.0) * (y + 1.0) * _J1SQ
-                * np.array([T ** (2 * j) for j in range(_SERIES_TERMS)])))
-    raw = np.array(c_coeffs(_CORR_TERMS)) * np.asarray(r[:_CORR_TERMS])
-    corr = raw - model[:_CORR_TERMS]
-    last = (-1) ** (_CORR_TERMS - 1) * corr[-1] * t ** (2 * _CORR_TERMS)
-    if t < _SERIES_CUTOVER * T:
-        series = np.concatenate([raw, model[_CORR_TERMS:]])
-        return _even_series(series, t), last
-    pairs = zip(_model_derivs(t / T, y), _even_series(corr, t))
-    return [2.0 * T ** (2 - m) / ((y + 1.0) * _J1SQ) * f + c
-            for m, (f, c) in enumerate(pairs)], last
-
-
-# ----------------------------------------------------------- full cumulant side
-
 @lru_cache(maxsize=1)
 def _log_i0_rows() -> tuple[np.ndarray, np.ndarray]:
     # row m, column k - 1 for k = 1.._FAR_TERMS: the m-th s-derivative of
@@ -427,13 +293,34 @@ def _log_i0_series(s: float, alpha: float, d: np.ndarray):
             float(drop / (1.0 - _FAR_RATIO)))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the n-point Gauss-Legendre nodes and weights on [-1, 1], read-only
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    for a in (nodes, weights):
+        a.setflags(write=False)
+    return nodes, weights
+
+
+def _virtual_zeros(table, top: float, n: int = _VIRTUAL_NODES):
+    # the ordinates g and weights of n virtual zeros standing for the
+    # smooth zero density weight/(2 pi) log(q* g/(2 pi)) on [last_zero,
+    # top]: n-point Gauss-Legendre in log g, so each weight is the node's
+    # weight times g times the density at g
+    lo, hi = math.log(table.last_zero), math.log(top)
+    nodes, weights = _gauss_legendre(n)
+    g = np.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes)
+    density = table.weight / (2.0 * math.pi) * np.log(
+        table.qstar * g / (2.0 * math.pi))
+    return g, 0.5 * (hi - lo) * weights * g * density
+
+
 @dataclass(frozen=True)
 class LDerivs:
     """The cumulant generating function and its first five s-derivatives."""
 
     s: float
     values: tuple
-    u: float
     error_estimate: float
 
     @property
@@ -464,30 +351,32 @@ class LDerivs:
 def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
     """Cumulant generating function with derivatives 1..5 at finite s >= 0.
 
-    stats is aggregate_stats(race, u)'s record; one built for another
-    race is refused with ZeroDataError. The zeros below u = stats.u enter
-    through log I0 with the chain rule, split as phat_prefix splits its
-    rows (ZeroTable.split): those with x = 2*alpha*s/sqrt(1/4+g^2) above
-    _FAR_Z one log_i0_derivs term each (at s = 10 zeta's gamma_1 alone),
-    the rest, however few, through the log-I0 series over their own
-    power sums (_SuffixSums.between, _log_i0_series). Each character's
-    tail, from stats.per_char (built by the first call on a record,
-    which refuses a cutoff past a table's coverage), enters through the
-    accelerated remainder in its own variable t_chi = alpha*sqrt(2
-    b1_chi)*s, all six orders from one _remainder call per character.
-    The error estimate collects the final correction terms, which bound
-    what truncating the correction series discards, and what cutting
-    each log-I0 series drops from the value.
+    Every zero of every character enters through log I0(x) with the chain
+    rule, x = 2*alpha*s/sqrt(1/4+g^2), split as phat_prefix splits its
+    rows (ZeroTable.split). The zeros with x above _FAR_Z are one
+    log_i0_derivs term each (at s = 10 zeta's gamma_1 alone); every other
+    one, to the table end and past it, enters through one log-I0 series
+    (_log_i0_series) over the table's suffix sums from the split
+    (_SuffixSums.columns), the sums that phat_prefix reads. Where the
+    split reaches the table's end, the zeros from its last one up to the
+    height where x falls to _FAR_Z are _VIRTUAL_NODES virtual zeros
+    (_virtual_zeros), which take the explicit path, and the series takes
+    over from that height (_SuffixSums.past). Past the last zero the
+    zeros follow the smooth density, with g in place of sqrt(1/4+g^2),
+    as the continuation of the suffix sums has it. The error estimate adds
+    what cutting each series drops from the value and, past a table's
+    end, the distance from the virtual zeros' value to that of half as
+    many. Neither counts rounding, nor the model of the zeros past the
+    table's end.
 
-    Each call warns, naming its caller's line: ThinTailWarning for a
-    table with fewer than 100 zeros above u, AccuracyWarning for a
-    remainder whose final correction term exceeds 1e-7 of it.
+    stats is read only to refuse, with ZeroDataError, a record built for
+    another race; its cutoff plays no part.
 
-    Each order's terms, explicit zeros, series and remainders together,
-    are summed by zerodata._exact_sum and so rounded once: math.fsum
-    below zerodata._BINNED_FROM terms, exponent bins from there on, with
-    the same bits either way. A series is summed in extended precision
-    and enters as two doubles whose sum is its extended value.
+    Each order's terms, explicit zeros, virtual zeros and series
+    together, are summed by zerodata._exact_sum and so rounded once:
+    math.fsum below zerodata._BINNED_FROM terms, exponent bins from there
+    on, with the same bits either way. A series is summed in extended
+    precision and enters as two doubles whose sum is its extended value.
     """
     s = float(s)
     if not (math.isfinite(s) and s >= 0.0):
@@ -495,74 +384,52 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
             "s must be finite and nonnegative (the function is even), "
             f"got s = {s!r}")
     _check_race(stats, race)
-    u = stats.u
-    # per order, one array per character: its explicit zeros' terms, the
-    # sum over its series zeros and then its remainder
+    # per order, one array per character: its explicit and virtual
+    # zeros' terms, then its series
     buckets = [[] for _ in range(6)]
     err_parts = []
-    for entry, pc in zip(race.characters, stats.per_char):
+    for entry in race.characters:
         table = resolve_table(entry)
-        n_u = pc.n_zeros
-        if (n_above := len(table) - n_u) < 100:
-            warnings.warn(
-                f"{table.label}: only {n_above} tabulated zeros above "
-                f"u={u:g}; b_1..b_{_CORR_TERMS} lean on the analytic tail "
-                f"(relative error of order "
-                f"{_CORR_TERMS / max(u, table.last_zero):.1e} * 10)",
-                ThinTailWarning, stacklevel=2)
-        # the zeros before the split have x above _FAR_Z; the rest below
-        # u enter through the series
-        split = min(int(table.split(2.0 * entry.alpha * s)), n_u)
+        sums = table._suffix_sums
+        t = 2.0 * entry.alpha * s
+        # the zeros before the split have x above _FAR_Z
+        split = int(table.split(t))
         g = table.gammas[:split]
         a = 2.0 * entry.alpha / np.sqrt(0.25 + g * g)
+        weight = np.ones(split)
+        if split < len(table):
+            power_sums = sums.columns(np.array([split]))[:, 0]
+        else:
+            # past the last zero the model takes g for sqrt(1/4 + g^2), as
+            # _past_table does, so x falls to _FAR_Z at the height top
+            top = t / _FAR_Z
+            virtual, w = _virtual_zeros(table, top)
+            a = np.concatenate((a, 2.0 * entry.alpha / virtual))
+            weight = np.concatenate((weight, w))
+            power_sums = sums.past(top)
         d = log_i0_derivs(a * s)
-        p = np.ones_like(a)
+        p = weight
         for m in range(6):
             buckets[m].append(p * d[m])
             p = p * a
-        if split < n_u:
-            series, drop = _log_i0_series(
-                s, entry.alpha, table._suffix_sums.between(split, n_u))
-            err_parts.append(drop)
-            # each order as two doubles whose sum is its extended value
-            hi = series.astype(float)
-            lo = (series - hi).astype(float)
-            for m in range(6):
-                buckets[m].append(np.array([hi[m], lo[m]]))
-        # remainder, once per series: the merged table carries `weight`
-        # identical conjugate series, each with b1_chi = b_1 / weight
-        dtds = entry.alpha * math.sqrt(2.0 * pc.b[0] / entry.weight)
-        t_chi = dtds * s
-        T = pc.T_single
-        # a usable radius, and |t| inside the extended disk (j2/j1) T
-        if not T > 0.0:
-            raise ConvergenceError(
-                f"{entry.label}: no usable convergence radius at u = {u:g}; "
-                "raise the cutoff")
-        if abs(t_chi) >= _EXT_RADIUS * T:
-            raise _radius_error(abs(t_chi), _EXT_RADIUS * T, u, entry.label)
-        vals, last = _remainder(t_chi, pc.y, T, pc.r)
-        # the final retained correction term bounds what truncation
-        # dropped; past 1e-7 of the remainder it threatens the accuracy
-        scale = max(abs(vals[0]), 1e-300)
-        if abs(last) > 1e-7 * scale:
-            warnings.warn(
-                f"{entry.label}: final correction term is "
-                f"{abs(last) / scale:.2e} of the remainder (t/T = "
-                f"{abs(t_chi) / T:.3f}); raise the zero cutoff for full "
-                f"accuracy", AccuracyWarning, stacklevel=2)
-        p = float(entry.weight)
-        err_parts.append(abs(p * last))
+        if split == len(table):
+            # the virtual zeros' value against that of half as many
+            half, w_half = _virtual_zeros(table, top, _VIRTUAL_NODES // 2)
+            err_parts.append(abs(math.fsum(w * d[0, split:]) - math.fsum(
+                w_half * log_i0_derivs(t / half)[0])))
+        series, drop = _log_i0_series(s, entry.alpha, power_sums)
+        err_parts.append(drop)
+        # each order as two doubles whose sum is its extended value
+        hi = series.astype(float)
+        lo = (series - hi).astype(float)
         for m in range(6):
-            buckets[m].append(np.array([p * vals[m]]))
-            p *= dtds
+            buckets[m].append(np.array([hi[m], lo[m]]))
     values = tuple(_exact_sum(np.concatenate(b)) for b in buckets)
     if s > 0.0 and not values[2] > 0.0:
         raise ArithmeticError(
             f"second derivative came out nonpositive ({values[2]:g}) at s = {s:g}; "
             f"the zero data must be inconsistent")
-    return LDerivs(s=s, values=values, u=u,
-                   error_estimate=math.fsum(err_parts))
+    return LDerivs(s=s, values=values, error_estimate=math.fsum(err_parts))
 
 
 # ------------------------------------------------------------- asymptotic model

@@ -1,28 +1,21 @@
-"""Zero tables and the tail statistics built from them.
+"""Zero tables and the sums built from them.
 
 Every calculation route starts from lists of positive imaginary parts
 gamma of nontrivial L-function zeros. This module loads and validates
-those lists, evaluates the inverse-power sums
-
-    b_k(u) = sum over gamma > u of (1/4 + gamma^2)^(-k)
-
-with an analytic continuation past the end of each table, and gathers
-them over the characters of a race into TailStats: sigma_0 = sqrt(2 sum
-of alpha^2 b_1(0)) from the full tables, all the Fourier route reads,
-with the cutoff u and the zero count below it; and, built on first read
-for l0_full alone, each character's b_k(u), k = 1.._TAIL_ORDERS, with
-its single-series ratios and radius. Each table carries two indexes of
-these sums, built on first use and only as far as a call reaches: exact
-prefix sums at every 128th zero, from which b_k(u) comes rounded once
-(_PrefixSums), and the sums from every zero on in extended precision
-(_SuffixSums), for the log-J0 and log-I0 series. ZeroTable.split, from
-the ordinates alone, says where those series start: both routes take
-explicitly only the zeros whose kernel argument is above _FAR_Z.
+those lists, and gathers over the characters of a race what the Fourier
+route reads into TailStats: sigma_0 = sqrt(2 sum of alpha^2 b_1), b_1 the
+inverse-square sum over every zero of a table, with the cutoff and zero
+count that label a result. Each table carries, built on first use and only
+as far as a call reaches, the power sums from every zero on in extended
+precision (_SuffixSums), with an analytic continuation past the table's
+end (_past_table), for the log-J0 and log-I0 series of both routes.
+ZeroTable.split, from the ordinates alone, says where those series
+start: both routes take explicitly only the zeros whose kernel argument
+is above _FAR_Z.
 
 Tables for conjugate character pairs are merged: one file holds both
 members' ordinates ascending, with weight = 2 recorded in the header.
-All per-table sums then already cover the pair, while per-character
-ratios recover the single-series values through the weight.
+All per-table sums then already cover the pair.
 """
 
 from __future__ import annotations
@@ -30,17 +23,15 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .race import RaceEntry, RaceSpec
-from .specfun import J0_ZERO1, _require_extended
+from .specfun import _require_extended
 
 __all__ = [
-    "CharTailStats",
     "TailStats",
-    "ThinTailWarning",
     "ZeroDataError",
     "ZeroTable",
     "aggregate_stats",
@@ -56,17 +47,12 @@ class ZeroDataError(ValueError):
     pass
 
 
-class ThinTailWarning(UserWarning):
-    """Fewer than 100 tabulated zeros lie above the cutoff, so b_k leans
-    on the analytic continuation past the table end."""
-
-
 @dataclass(frozen=True)
 class ZeroTable:
     """An ascending list of zero ordinates for one L-function (weight 1)
     or a merged conjugate pair (weight 2), plus the exact full-spectrum
-    value of b_1 when known. Loading builds no sums; the indexes behind
-    b_k and the Fourier route are built on first use."""
+    value of b_1 when known. Loading builds no sums; the suffix sums
+    both routes read are built on first use."""
     gammas: np.ndarray
     qstar: int
     label: str
@@ -133,13 +119,14 @@ class ZeroTable:
 
     @cached_property
     def b1_full(self) -> float:
-        """b_1(0), the inverse-square sum over every ordinate."""
-        return _tail_bk(self, 0.0, 1)
-
-    @cached_property
-    def _prefix_sums(self) -> _PrefixSums:
-        # the exact sums behind b_k, extended as calls reach them
-        return _PrefixSums(self.gammas)
+        """b_1(0), the inverse-square sum over every ordinate: b1_total
+        where the table carries it, else the tabulated sum rounded once
+        plus the continuation past the last zero."""
+        if self.b1_total is not None:
+            return self.b1_total
+        g = self.gammas
+        return (math.fsum((1.0 / (0.25 + g * g)).tolist())
+                + _past_table(self, self.last_zero, 1))
 
     @cached_property
     def _suffix_sums(self) -> _SuffixSums:
@@ -284,50 +271,6 @@ def bundled_table(key: str) -> ZeroTable:
     return table
 
 
-def _tail_bk(table: ZeroTable, u: float, k: int) -> float:
-    """b_k(u), the inverse-power sum over ordinates above u: the
-    tabulated ones, then the analytic continuation past the table end.
-    Past the last tabulated ordinate only the analytic term remains; its
-    own relative accuracy decays like k/u, which is why l0_full warns
-    about thin tails rather than silently degrading."""
-    return _tail_sums(table, u, (k,), table.count(u))[0]
-
-
-def _tail_sums(table: ZeroTable, u: float, ks,
-               n_head: int) -> tuple[float, ...]:
-    """b_k(u) for each k in ks, with n_head = table.count(u).
-
-    Each comes from the exact sums over the n_head ordinates at or below
-    u, the head (_PrefixSums), rounded once by math.fsum: b_k's tabulated
-    part is the table's total less the head; for k = 1 with a known
-    full-spectrum total, it is that total less the rounded head sum.
-    Every value has the bits of math.fsum over the plain terms.
-    With nothing tabulated above u, b_k is the continuation from u; b_1
-    from a known total is what it leaves past the last zero, less the
-    continuation's fall from there to u, so that b_1 does not jump where
-    u reaches the last zero.
-    """
-    sums = table._prefix_sums
-    if n_head == len(table):
-        last = table.last_zero
-        return tuple(
-            table.b1_total - math.fsum(sums.total(1))
-            - (_past_table(table, last, 1) - _past_table(table, u, 1))
-            if k == 1 and table.b1_total is not None
-            else _past_table(table, u, k) for k in ks)
-    heads = sums.heads(ks, n_head)
-    b = []
-    for k, head in zip(ks, heads):
-        if k == 1 and table.b1_total is not None:
-            b.append(table.b1_total - math.fsum(head))
-        else:
-            # fsum rounds to nearest even, so minus the rounded head less
-            # the total is the rounded total less the head
-            b.append(-math.fsum(head + [-p for p in sums.total(k)])
-                     + _past_table(table, table.last_zero, k))
-    return tuple(b)
-
-
 def _past_table(table: ZeroTable, ueff, k: int):
     # b_k's analytic continuation past ueff, at or beyond the table end:
     # the smooth zero density's integral of gamma^(-2k); ueff may be long
@@ -351,17 +294,15 @@ class _SuffixSums:
     """W_k(i) = sum over j >= i of (1/4 + gamma_j^2)^(-k), k = 1..57, over
     the tabulated zeros from the i-th on, plus b_k's analytic
     continuation past the table end (_past_table); W_1 is b1_total less
-    the head sum where the table carries b1_total, as _tail_bk takes it.
-    Summed in extended precision a chunk at a time: construction keeps
-    the per-order totals of and from each chunk, and W_1 in double (w1),
-    the columns of every order and sqrt(1/4 + gamma^2) (den) are built
-    only up to the highest index a caller reaches. A chunk's values
-    follow from its own zeros and the totals at its ends, so their bits
-    do not depend on which calls came before. between keeps, read-only,
-    the 57 rows of powers of each chunk its part sums reach, 233 KB a
-    chunk: at most 14.8 MB for zeta's 64, about the size of the columns
-    at the table's end. Construction and columns form their powers
-    afresh and keep none. Refuses, as j0_lowbias does, a long double
+    the head sum where the table carries b1_total. Summed in extended
+    precision a chunk at a time: construction keeps the per-order totals
+    of and from each chunk, and W_1 in double (w1), the columns of every
+    order and sqrt(1/4 + gamma^2) (den) are built only up to the highest
+    index a caller reaches. A chunk's values follow from its own zeros
+    and the totals at its ends, so their bits do not depend on which
+    calls came before. Construction and columns form their powers afresh
+    and keep none. past gives the same sums over the zeros past a height
+    beyond the table's end. Refuses, as j0_lowbias does, a long double
     not x87's.
     """
 
@@ -384,9 +325,6 @@ class _SuffixSums:
         self._w1 = np.empty(0)
         self._cols = np.empty((_SUFFIX_ORDERS, 0), dtype=np.longdouble)
         self.den = np.empty(0, dtype=np.longdouble)
-        # chunk s: its powers, (57, chunk size), formed on between's
-        # first read
-        self._rows: dict[int, np.ndarray] = {}
 
     def _den2(self, s: int) -> np.ndarray:
         g = self._table.gammas[s * _SUFFIX_CHUNK:(s + 1) * _SUFFIX_CHUNK]
@@ -429,32 +367,14 @@ class _SuffixSums:
             self.den = np.concatenate((self.den, np.sqrt(den2[j:j + stop])))
         return self._cols[:, i]
 
-    def between(self, i: int, j: int) -> np.ndarray:
-        """D_k = W_k(i) - W_k(j) for k = 1..57, 0 <= i < j <= zero count,
-        from the zeros i..j-1 alone, so no order cancels against a larger
-        total: the part chunks at either end summed as a whole chunk is,
-        and the whole chunks' totals between. No term passes through more
-        than 256 + chunks additions. Builds no column, but keeps the
-        powers of each part chunk it sums, 233 KB a chunk, so that a
-        later call over the same chunks forms none; a part's sums have
-        the bits of its own powers' sums."""
-        # [i, a) and [b, j) are the part chunks, [a, b) the whole ones
-        a = min(-(-i // _SUFFIX_CHUNK) * _SUFFIX_CHUNK, j)
-        b = max(j // _SUFFIX_CHUNK * _SUFFIX_CHUNK, a)
-        whole = self._chunks[:, a // _SUFFIX_CHUNK:b // _SUFFIX_CHUNK]
-        return self._part(b, j) + whole.sum(axis=1) + self._part(i, a)
-
-    def _part(self, i: int, j: int) -> np.ndarray:
-        # the sums over zeros i..j-1, all in one chunk: the row sums of a
-        # slice of the chunk's powers, bit for bit those of the slice's
-        # own powers. An empty part forms no chunk
-        if i == j:
-            return np.zeros(_SUFFIX_ORDERS, dtype=np.longdouble)
-        s = i // _SUFFIX_CHUNK
-        if (rows := self._rows.get(s)) is None:
-            rows = self._rows[s] = self._powers(1.0 / self._den2(s))
-            rows.flags.writeable = False
-        return rows[:, i - s * _SUFFIX_CHUNK:j - s * _SUFFIX_CHUNK].sum(axis=1)
+    def past(self, h: float) -> np.ndarray:
+        """W_k for k = 1..57 over the zeros above h, at or past the last
+        zero: b_k's continuation from h, W_1 moved by what b1_total leaves
+        past the last zero less the continuation from there."""
+        w = np.array([_past_table(self._table, np.longdouble(h), k)
+                      for k in range(1, _SUFFIX_ORDERS + 1)])
+        w[0] += self._starts[-1] - self._tops[0, -1]
+        return w
 
 
 # From this many terms on, _exact_sum (l0_full's order sums) bins by
@@ -463,8 +383,7 @@ class _SuffixSums:
 # 2-core Xeon VM over zeta's 1/(1/4 + gamma^2), its square root and 8th
 # power (fsum against binned, in us): 35-47 against 32-71 at 1000 terms, 85-97
 # against 61-76 at 2000, 182-194 against 66-86 at 4096 and 569-612
-# against 112-156 at 13728. _PrefixSums bins every table total and block
-# whatever its length: it runs fsum over the result several times.
+# against 112-156 at 13728.
 _BINNED_FROM = 2048
 
 
@@ -510,85 +429,6 @@ def _exact_rows(x: np.ndarray) -> list[list[float]]:
     return [halves[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
-# _PrefixSums keeps an exact prefix sum at every this many zeros
-_CHECKPOINT = 128
-
-
-class _PrefixSums:
-    """Exact sums of (1/4 + gamma^2)^(-k) over a table's leading zeros, for
-    each order k asked for.
-
-    Per order it holds the exact expansion (_expansion) of the sum over
-    the first 128c zeros, c = 0, 1, ..., built only up to the highest
-    checkpoint a call reaches, and that of the full-table total, built on
-    first use. A sum over the first n zeros is then a checkpoint's parts
-    and at most 127 terms, which one math.fsum rounds once, to the bits
-    of math.fsum over all n terms. Each checkpoint follows from the one
-    before and its own 128 terms, so no value depends on which calls came
-    first, and no orders-by-n array is ever formed.
-    """
-
-    def __init__(self, gammas: np.ndarray):
-        self._g = gammas
-        self._marks: dict[int, list[list[float]]] = {}
-        self._totals: dict[int, list[float]] = {}
-
-    def heads(self, orders, n: int) -> list[list[float]]:
-        """Per order, doubles whose exact sum is that of its terms over
-        the first n zeros."""
-        c = n // _CHECKPOINT
-        self._extend(orders, c)
-        rows = _terms(self._g[c * _CHECKPOINT:n], orders).tolist()
-        return [self._marks[k][c] + row for k, row in zip(orders, rows)]
-
-    def total(self, k: int) -> list[float]:
-        """The expansion of order k's sum over every zero."""
-        parts = self._totals.get(k)
-        if parts is None:
-            parts = _expansion(_exact_bins(_terms(self._g, (k,))[0]))
-            self._totals[k] = parts
-        return parts
-
-    def _extend(self, orders, c: int) -> None:
-        # checkpoints up to c for every order, from the exact sums of
-        # whole blocks, up to 16 blocks of terms at a time
-        short = [k for k in orders if len(self._marks.setdefault(k, [[]])) <= c]
-        if not short:
-            return
-        for lo in range(min(len(self._marks[k]) for k in short) - 1, c, 16):
-            hi = min(lo + 16, c)
-            g = self._g[lo * _CHECKPOINT:hi * _CHECKPOINT]
-            blocks = _exact_rows(_terms(g, short).reshape(-1, _CHECKPOINT))
-            for i, k in enumerate(short):
-                marks = self._marks[k]
-                for b in range(max(lo, len(marks) - 1), hi):
-                    marks.append(_expansion(
-                        marks[b] + blocks[i * (hi - lo) + b - lo]))
-
-
-def _terms(g: np.ndarray, orders) -> np.ndarray:
-    # (1/4 + g^2)^(-k) down the rows, one per order k: k = 1 by division,
-    # as numpy's power takes an exponent of -1; the other orders by one
-    # broadcast power, which gives the bits of one power per order (the
-    # tests check both)
-    den = 0.25 + g * g
-    rows = den ** -np.array(orders, dtype=float)[:, None]
-    for i, k in enumerate(orders):
-        if k == 1:
-            rows[i] = 1.0 / den
-    return rows
-
-
-def _expansion(x: list[float]) -> list[float]:
-    # doubles whose exact sum is that of x: each the correctly rounded
-    # remainder the ones before it leave, down to a zero remainder (at
-    # most four for k <= 8 on the bundled tables, five for k <= 10)
-    parts = []
-    while (rest := math.fsum(x + [-p for p in parts])) != 0.0:
-        parts.append(rest)
-    return parts
-
-
 def _span_main(table: ZeroTable, t: np.ndarray) -> np.ndarray:
     lt = np.log(t)
     a_chi = math.log(table.qstar / _TWO_PI)
@@ -603,37 +443,15 @@ def _median(x: np.ndarray) -> float:
     return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2.0)
 
 
-# each character carries b_k for k = 1.._TAIL_ORDERS: the accelerated
-# remainder's correction series (transforms._remainder) is always cut
-# there, as its terms fall off geometrically and more would add nothing
-# above double precision
-_TAIL_ORDERS = 8
-
-
-@dataclass(frozen=True)
-class CharTailStats:
-    # one character's tail; its RaceEntry holds label, alpha and weight
-    b: tuple[float, ...]     # table-level b_k(u), k = 1.._TAIL_ORDERS
-    n_zeros: int             # the table's ordinates at or below u
-    y: float
-    r: tuple[float, ...]     # single-series ratios r_k, k = 1.._TAIL_ORDERS
-    T_single: float          # convergence radius as a lone series
-
-
 @dataclass(frozen=True)
 class TailStats:
-    """A race at a cutoff u: sigma0, which both routes read, and the zero
-    count that labels a Fourier result with u. per_char, which only
-    l0_full reads, is built on first read."""
+    """A race at a cutoff u: sigma0, which the Fourier route reads, and
+    the zero count that labels a Fourier result with u. l0_full reads
+    only the race."""
     race: RaceSpec
     u: float
     sigma0: float            # sqrt(2 sum of alpha^2 b_1(0))
     n_zeros: int
-
-    @cached_property
-    def per_char(self) -> tuple[CharTailStats, ...]:
-        """Each character's tail at u, in race order (_char_tail)."""
-        return tuple(map(partial(_char_tail, u=self.u), self.race.characters))
 
 
 def _check_race(stats: TailStats, race: RaceSpec) -> None:
@@ -654,7 +472,7 @@ def resolve_table(entry: RaceEntry,
     """The zero table an entry draws from: a file when entry.table holds
     a path separator or ends in .txt, else the bundled table of that key.
     A file is read again only once its modification time or size has
-    changed, so its cached b1_full and span_fit survive between calls.
+    changed, so its cached b1_full and span_fit survive from call to call.
     tables, when given, maps entry labels to tables that win over both.
     The entry and its table must agree on how many series the table
     holds (their weight) and on its conductor (qstar)."""
@@ -685,43 +503,10 @@ def resolve_table(entry: RaceEntry,
     return table
 
 
-def _t_single(y: float, r2: float) -> float:
-    # the tail asymptotics of b_1 and b_2 make (y+1/3)/(6(y+1)r_2) equal
-    # to b_1 u^2 / 2, which is where the first oscillatory-kernel zero
-    # pinches the transform's log expansion
-    if not (y + 1.0 / 3.0 > 0.0 and r2 > 0.0):
-        return float("nan")
-    return J0_ZERO1 * math.sqrt((y + 1.0 / 3.0) / (6.0 * (y + 1.0) * r2))
-
-
-def _char_tail(entry: RaceEntry, u: float) -> CharTailStats:
-    """One character's tail at u: b_k(u) for k = 1.._TAIL_ORDERS, the
-    single-series ratios r_k and radius, and the table's zeros at or
-    below u. Refuses a u more than three mean gaps past the table's last
-    zero, which could hide a missing zero. Raises no warning: l0_full
-    warns of a thin tail itself."""
-    t = resolve_table(entry)
-    y_end = math.log(max(t.qstar * t.last_zero / _TWO_PI, 2.0))
-    if not u <= t.last_zero + 3.0 * _TWO_PI / (t.weight * y_end):
-        raise ZeroDataError(
-            f"{entry.label}: zero table ends at {t.last_zero:.6g}, "
-            f"so zeros below u = {u:g} are missing")
-    n_head = t.count(u)
-    b = _tail_sums(t, u, range(1, _TAIL_ORDERS + 1), n_head)
-    y = math.log(t.qstar * u / _TWO_PI) if u > 0.0 else float("-inf")
-    # single-series ratios r_k = b_k / b_1^k: the merged table's b_k is
-    # weight times the per-member value, so r_k picks up weight^(k-1)
-    r = tuple(t.weight ** (k - 1) * b[k - 1] / b[0] ** k
-              for k in range(1, _TAIL_ORDERS + 1))
-    return CharTailStats(b=b, n_zeros=n_head, y=y, r=r,
-                         T_single=_t_single(y, r[1]))
-
-
 def aggregate_stats(race: RaceSpec, u: float) -> TailStats:
-    """The tail statistics of a race at truncation height u: sigma0 =
-    sqrt(2 B), B the sum of alpha^2 b_1(0) over the characters' full
-    tables (merged tables already cover conjugate pairs), and the zeros
-    at or below u. No tail order is formed until per_char is read."""
+    """The statistics of a race at label height u: sigma0 = sqrt(2 B), B
+    the sum of alpha^2 b_1(0) over the characters' full tables (merged
+    tables already cover conjugate pairs), and the zeros at or below u."""
     if not (math.isfinite(u) and u >= 0.0):
         raise ValueError(f"u must be finite and >= 0, got {u!r}")
     tables = [resolve_table(e) for e in race.characters]

@@ -30,7 +30,7 @@ from racedensity.race import (
     prime_count_race, race_from_config, square_race, two_way_race,
 )
 from racedensity.zerodata import aggregate_stats, bundled_table
-from tail_moments import race_moments, span
+from tail_moments import race_moments, single_radius, span
 
 REFINED_E1 = 2.629967324e-7
 
@@ -186,7 +186,6 @@ def _solve_params(race, stats):
     return rs.RSParams(domega=params["domega"], v_max=v)
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("name, u", [("pi vs Li", 2999.0), ("mod 4", 2999.0),
                                      ("q24 1v5", 140.0)])
 def test_samples_stop_at_kernel_bound(name, u):
@@ -227,7 +226,6 @@ def test_lattice_stop_bounds_in_one_array(name, monkeypatch):
     assert result.params["n_terms"] == m - 1
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 def test_dropped_terms_within_truncation_bound():
     # the terms the lattice drops, |phat| summed here from phat_prefix
     # over every point past the stop that the tables cover, with E's and
@@ -304,7 +302,6 @@ def test_mod4_race_value():
     assert result.v == 1.0
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("u", [100.0, 1000.0, 2999.0])
 def test_config_race_of_unlisted_modulus(tmp_path, monkeypatch, u):
     # a modulus outside the supported set comes in through a config with
@@ -342,7 +339,8 @@ def test_q5_inter_residue_race():
     # one zero per component L-function suffices for seven decimals
     race = two_way_race(5, 1, 2)
     stats = aggregate_stats(race, 7.0)
-    assert [p.n_zeros for p in stats.per_char] == [2, 1]
+    assert [zd.resolve_table(e).count(7.0) for e in race.characters] \
+        == [2, 1]
     params = forced_params(stats, 0.83, v_max=1.0)
     result = rs.compute_E(1.0, race, params, stats=stats)
     assert result.e == pytest.approx(0.0478254, abs=5e-8)
@@ -504,7 +502,6 @@ def test_phat_samples_records():
         samples.phat[0] = 0.0
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("name", PUBLISHED_RACES)
 def test_race_result_is_compute_e_over_its_samples(name):
     # race_result draws its own samples; compute_E over an explicit
@@ -548,7 +545,6 @@ STEPS = {"pi vs Li": math.pi / 2, "mod 4": 1.27, "q5 1v2": 0.83,
          "q13 square": 0.79, "q8 1v3": 0.8, "q24 1v5": 0.5}
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("name", PUBLISHED_RACES)
 def test_race_result_step_meets_lattice_cutoff(name):
     # race_result's step puts the wrap-around point where the aliasing
@@ -581,7 +577,6 @@ def test_alias_bound_and_step_are_inverses(density):
                     (sigma0, v, b)
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("name", PUBLISHED_RACES)
 def test_fourier_value_reads_stats_through_sigma0_alone(name):
     # tail statistics with another cutoff and zero count give the very
@@ -609,13 +604,12 @@ def test_fourier_value_reads_stats_through_sigma0_alone(name):
     vs = np.linspace(-2.0, 2.0, 9)
     assert np.array_equal(rs.density_grid(vs, race, params, stats=bare),
                           rs.density_grid(vs, race, params, stats=stats))
-    assert "per_char" not in vars(stats) and "per_char" not in vars(bare)
 
 
 def test_fourier_solve_near_table_end_warns_of_nothing():
-    # mod 4's table ends at 2999.83, so at u = 2990 its tails lean on the
-    # analytic continuation; a Fourier solve reads none of them and
-    # warns of nothing, while l0_full, which reads them, warns
+    # mod 4's table ends at 2999.83, so at u = 2990 few zeros lie above
+    # the cutoff; neither a Fourier solve nor l0_full reads the cutoff,
+    # and both warn of nothing
     race = square_race(4)
     stats = aggregate_stats(race, 2990.0)
     with warnings.catch_warnings():
@@ -626,10 +620,8 @@ def test_fourier_solve_near_table_end_warns_of_nothing():
         rs.compute_P(1.0, race, params, stats=stats, samples=samples)
         rs.density_grid(np.array([0.5, 1.0]), race, params, stats=stats)
         result = rs.race_result(race, stats)
-    assert result.e == pytest.approx(0.004072076720775, abs=1e-13)
-    assert "per_char" not in vars(stats)
-    with pytest.warns(zd.ThinTailWarning, match="mod4"):
         tr.l0_full(1.0, race, stats)
+    assert result.e == pytest.approx(0.004072076720775, abs=1e-13)
 
 
 def _search_by_hand(v_max, stats, target, domega=None):
@@ -659,7 +651,6 @@ def _outcome(search, *args):
         return str(e)
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("name", PUBLISHED_RACES)
 def test_choose_params_matches_order_by_order_search(name):
     # choose_params against the search by hand, over cutoffs, targets
@@ -888,11 +879,11 @@ def test_params_hold_only_the_runs_choices():
 
 
 def test_no_convergence_radius_refused(zeta_race):
-    # below the first zero the tail statistics carry a NaN radius. No
-    # solve reads it any more: compute_E, choose_params and race_result
-    # answer there, with the bits they give at u = 100
+    # below the first zero a tail series would have a NaN radius. No
+    # solve reads one: compute_E, choose_params and race_result answer
+    # there, with the bits they give at u = 100
     stats = aggregate_stats(zeta_race, 1.0)
-    assert math.isnan(stats.per_char[0].T_single)
+    assert math.isnan(single_radius(zeta_race.characters[0], 1.0))
     deep = aggregate_stats(zeta_race, 100.0)
     params = rs.RSParams(domega=1.0, v_max=1.0)
     for got, want in (
@@ -905,7 +896,6 @@ def test_no_convergence_radius_refused(zeta_race):
         == rs.choose_params(1.0, deep, 1e-11)
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("name", PUBLISHED_RACES)
 def test_race_result_independent_of_cutoff(name):
     # every zero enters each sample whatever the cutoff, so the published
@@ -922,7 +912,6 @@ def test_race_result_independent_of_cutoff(name):
         assert r.error_estimate < 1e-19
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 def test_solve_past_table_end_refused(tmp_path):
     # a truncated copy of the zeta table: a lattice that needs its rows
     # split past the last listed zero is refused with the table and the
@@ -955,16 +944,15 @@ def test_public_names_pinned():
         "compute_E", "compute_P", "density_grid", "phat_samples",
         "race_result"]
     assert tr.__all__ == [
-        "AccuracyWarning", "AsymptoticL", "ConvergenceError", "LDerivs",
+        "AsymptoticL", "ConvergenceError", "LDerivs",
         "l0_asymptotic", "l0_full", "model_constants", "model_log_density",
         "model_log_exceedance", "model_saddle", "phat_prefix"]
     assert sf.__all__ == [
         "BaseConstants", "ExtendedPrecisionError", "j0_lowbias",
-        "log_i0_derivs", "c_coeffs", "arctan_integral", "base_constants"]
+        "log_i0_derivs", "base_constants"]
     assert zd.__all__ == [
-        "CharTailStats", "TailStats", "ThinTailWarning", "ZeroDataError",
-        "ZeroTable", "aggregate_stats", "available_tables", "bundled_table",
-        "load_zeros", "resolve_table"]
+        "TailStats", "ZeroDataError", "ZeroTable", "aggregate_stats",
+        "available_tables", "bundled_table", "load_zeros", "resolve_table"]
     assert rc.__all__ == [
         "Character", "RaceEntry", "RaceError", "RaceSpec",
         "SUPPORTED_MODULI", "alpha_coeffs", "characters", "prime_count_race",

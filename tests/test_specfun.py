@@ -1,9 +1,8 @@
 """Special-function kernel tests.
 
 Reference values marked "oracle" were computed once with mpmath at 30
-significant digits (Bessel values, Catalan, the arctan integral by
-adaptive quadrature, log I0 derivatives by direct high-precision
-differentiation) and are frozen here. The array tests of the J0 tail
+significant digits (Bessel values, log I0 derivatives by direct
+high-precision differentiation) and are frozen here. The array tests of the J0 tail
 and of the log I0 kernel compute their references with mpmath (a dev
 dependency) at 30 to 40 digits as they run; the J0 zeros come from
 scipy.special.jn_zeros.
@@ -438,12 +437,18 @@ def test_log_i0_bounds_dense_sample():
 
 
 # ---------------------------------------------------------------------------
-# c_k coefficients
+# the log-J0 coefficients, a_k = -2^k c_k
 # ---------------------------------------------------------------------------
 
+def _c(n):
+    # c_k = -a_k / 2^k, k = 1..n, from the exact a_k of log J0(z) =
+    # sum_k a_k (z^2/4)^k, which both series take
+    return [-a / 2 ** k for k, a in enumerate(sf._log_j0_fracs(n), start=1)]
+
+
 def test_c_first_five_exact():
-    ct = sf.c_coeffs(5)
-    assert ct == (1 / 2, 1 / 16, 1 / 72, 11 / 3072, 19 / 19200)
+    assert _c(5) == [Fraction(1, 2), Fraction(1, 16), Fraction(1, 72),
+                     Fraction(11, 3072), Fraction(19, 19200)]
 
 
 def _zero_sum_c(k, L=1000):
@@ -457,30 +462,32 @@ def _zero_sum_c(k, L=1000):
 
 
 def test_c1_recovered_from_zero_sum():
-    assert sf.c_coeffs(1)[0] == 0.5
+    assert sf._log_j0_coeffs(1)[0] == -1.0
     assert _zero_sum_c(1) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_c_coeffs_match_zero_sum():
-    # the exact rationals against the zero-sum definition of the family
-    c = sf.c_coeffs(30)
+    # the extended coefficients the series take against the zero-sum
+    # definition of the family
+    a = sf._log_j0_coeffs(30)
     for k in range(1, 31):
-        assert c[k - 1] == pytest.approx(_zero_sum_c(k), rel=1e-14), k
+        assert float(-a[k - 1] / 2 ** k) == pytest.approx(_zero_sum_c(k),
+                                                           rel=1e-14), k
 
 
 def test_c6_inside_bracket():
-    ct = sf.c_coeffs(6)
+    c6 = float(_c(6)[5])
     j1 = jn_zeros(0, 1)[0]
     lo = (1 / 6) * (2 / j1 ** 2) ** 6
     hi = lo * (1 + 1.16 * 0.19 ** 6)
-    assert lo < ct[5] < hi
+    assert lo < c6 < hi
 
 
 def test_c_ratio_decreases_to_limit():
     # c_k ~ (1/k)(2/j1^2)^k exponentially fast, so successive ratios
     # c_k/c_{k+1} = (k+1)/k * j1^2/2 * (1 + O(0.19^k)) fall monotonically
     # toward j1^2/2 from above
-    ct = sf.c_coeffs(25)
+    ct = [float(c) for c in _c(25)]
     ratios = [ct[k] / ct[k + 1] for k in range(len(ct) - 1)]
     assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
     j1 = jn_zeros(0, 1)[0]
@@ -490,46 +497,33 @@ def test_c_ratio_decreases_to_limit():
     assert all(c > 0 for c in ct)
 
 
-def test_c_coeffs_range_check():
-    with pytest.raises(ValueError):
-        sf.c_coeffs(0)
-    with pytest.raises(ValueError):
-        sf.c_coeffs(31)
-
-
 def test_coeff_table_immutable():
-    # every caller shares one cached tuple
-    ct = sf.c_coeffs(5)
-    with pytest.raises(TypeError):
-        ct[0] = 1.0
+    # every caller shares one cached array
+    a = sf._log_j0_coeffs(5)
+    assert sf._log_j0_coeffs(5) is a
+    with pytest.raises(ValueError):
+        a[0] = 1.0
 
 
 def test_log_j0_series_identity():
-    # log J0(w) = -sum c_k w^{2k} / 2^k inside the first zero; the tail
+    # log J0(w) = sum a_k (w^2/4)^k inside the first zero; the tail
     # ratio is w^2/j1^2 so at w = 1.5 depth 25 leaves ~1e-12
-    ct = sf.c_coeffs(25)
+    a = [float(x) for x in sf._log_j0_coeffs(25)]
     for w in (0.5, 1.0, 1.5):
         direct = math.log(scipy_j0(w))
-        series = -sum(ct[k - 1] * w ** (2 * k) / 2 ** k
-                      for k in range(1, 26))
+        series = sum(a[k - 1] * (w * w / 4) ** k for k in range(1, 26))
         assert direct == pytest.approx(series, abs=1e-10)
 
 
 def test_log_j0_exact_coefficients_match_c_family():
     # a_k of log J0(z) = sum a_k (z^2/4)^k are -2^k c_k: the first five
-    # against their closed forms, and every c_k of c_coeffs(30) is the
-    # double nearest -a_k / 2^k
+    # against their closed forms, and every one negative
     a = sf._log_j0_fracs(30)
     assert all(x < 0 for x in a)
     closed = (Fraction(1, 2), Fraction(1, 16), Fraction(1, 72),
               Fraction(11, 3072), Fraction(19, 19200))
     for k, c in enumerate(closed, start=1):
         assert a[k - 1] == -(2 ** k) * c
-    c = sf.c_coeffs(30)
-    for k in range(1, 31):
-        exact = -a[k - 1] / 2 ** k
-        assert c[k - 1] == float(exact)
-        assert abs(Fraction(c[k - 1]) - exact) <= Fraction(math.ulp(c[k - 1])) / 2
 
 
 def test_log_j0_coefficients_rounded_once():
@@ -573,68 +567,16 @@ def test_log_j0_truncation_bound():
 
 
 def test_log_i0_series_identity():
-    # log I0(w) = sum (-1)^{k-1} c_k w^{2k} / 2^k for |w| <= 1, against
-    # mpmath's log I0 at 30 digits
+    # log I0(w) = sum a_k (-w^2/4)^k for |w| <= 1, against mpmath's log I0
+    # at 30 digits
     import mpmath
 
-    ct = sf.c_coeffs(25)
+    a = [float(x) for x in sf._log_j0_coeffs(25)]
     for w in (0.125, 0.5, 0.9, 1.0):
         with mpmath.workdps(30):
             direct = float(mpmath.log(mpmath.besseli(0, w)))
-        series = sum((-1) ** (k - 1) * ct[k - 1] * w ** (2 * k) / 2 ** k
-                     for k in range(1, 26))
+        series = sum(a[k - 1] * (-w * w / 4) ** k for k in range(1, 26))
         assert direct == pytest.approx(series, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# arctan integral
-# ---------------------------------------------------------------------------
-
-def test_arctan_integral_endpoints():
-    assert sf.arctan_integral(0.0) == 0.0
-    # Catalan's constant
-    assert sf.arctan_integral(1.0) == pytest.approx(0.915965594177219015, abs=1e-14)
-
-
-@pytest.mark.parametrize("x,want", [
-    (0.25, 0.248301750982306869),
-    (0.5, 0.487222358294522357),
-    (0.75, 0.710570104643646942),
-    (0.95, 0.876337541334202778),
-])
-def test_arctan_integral_oracle(x, want):
-    assert sf.arctan_integral(x) == pytest.approx(want, abs=1e-14)
-
-
-def test_arctan_integral_against_polylog():
-    # Ti2(x) = Im Li2(ix), from mpmath at 40 digits, over (0, 1] and at
-    # subnormal, tiny and endpoint arguments
-    import mpmath
-
-    rng = np.random.default_rng(20261019)
-    xs = np.concatenate([rng.uniform(0.0, 1.0, 400),
-                         [5e-324, 1e-300, 1e-8, 0.9, 1.0]])
-    with mpmath.workdps(40):
-        for x in xs:
-            want = mpmath.polylog(2, 1j * mpmath.mpf(float(x))).imag
-            got = sf.arctan_integral(float(x))
-            assert abs(got - want) <= 2e-15 * want
-
-
-def test_arctan_integral_domain():
-    with pytest.raises(ValueError):
-        sf.arctan_integral(-0.1)
-    with pytest.raises(ValueError):
-        sf.arctan_integral(1.5)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1.0))
-def test_arctan_integral_monotone_bounded(x):
-    v = sf.arctan_integral(x)
-    # integrand is in (0, 1], so 0 <= value <= x, and it beats x*atan(x)/x
-    assert 0.0 <= v <= x + 1e-15
-    assert v >= x * math.atan(x) / max(x, 1e-300) * 0.5 if x > 0 else True
 
 
 # ---------------------------------------------------------------------------

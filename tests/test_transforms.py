@@ -1,23 +1,24 @@
-"""Transform layer: characteristic-function factors, tail remainder
-series, the accelerated closed forms, the full cumulant function with
-derivatives, and the large-argument model.
+"""Transform layer: characteristic-function factors, the log-I0 series,
+the full cumulant function with derivatives, and the large-argument
+model.
 
 Printed four-digit factor values, the classical variance constant
-2 + euler_gamma - log(4 pi) and a brute-force sum of log I0 over the
-tabulated tail zeros serve as external anchors; everything else is an
-internal consistency obligation (split-point independence,
-finite-difference derivative chains, series-vs-closed-form agreement).
+2 + euler_gamma - log(4 pi), a brute-force sum of log I0 over every
+tabulated zero with a quadrature of the smooth density past the table,
+and decimal sums at 40 digits serve as external anchors; everything
+else is an internal consistency obligation (cutoff independence,
+finite-difference derivative chains).
 """
 
 import bisect
 import math
-import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import i0e, jn_zeros
 from scipy.special import j0 as scipy_j0
 
@@ -31,14 +32,14 @@ from racedensity.race import (
 from racedensity.rs_method import (
     RSParams, choose_params, phat_samples, race_result,
 )
-from racedensity.specfun import _log_j0_fracs, base_constants, c_coeffs
+from racedensity.specfun import _log_j0_fracs, base_constants
 from racedensity.specfun import j0_lowbias
 from racedensity.zerodata import (
     ZeroDataError, aggregate_stats, bundled_table, resolve_table,
 )
 from tail_moments import race_moments, sigma_u
 
-J1, J2 = (float(j) for j in jn_zeros(0, 2))
+J1 = float(jn_zeros(0, 1)[0])
 EULER_GAMMA = 0.5772156649015329
 
 
@@ -246,7 +247,6 @@ def test_explicit_product_frequencies_independent(race, u, monkeypatch):
     assert tr.phat_prefix([], race).size == 0
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("race", [prime_count_race(), two_way_race(4, 1, 3)])
 def test_prefix_rows_independent_over_deep_lattice(race):
     # every row of one call over the lattice of a race_result solve, out
@@ -442,7 +442,6 @@ def _solve_params(race, stats):
     return choose_params(abs(race.offset), stats, 1e-11, domega=step)
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("race, u", [
     (prime_count_race(), 2999.0),
     (two_way_race(4, 1, 3), 2999.0),
@@ -463,7 +462,6 @@ def test_prefix_matches_explicit_product(race, u):
     assert np.all(np.abs(got - want)[small] <= 1e-18)
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("race, u", [
     (prime_count_race(), 2999.0),
     (two_way_race(4, 1, 3), 2999.0),
@@ -519,7 +517,6 @@ BOUND_CASES = [(race, u) for u in (60.0, 140.0) for race in PUBLISHED_RACES] \
 BOUND_IDS = [f"{race.name}-{u:g}" for race, u in BOUND_CASES]
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("race, u", BOUND_CASES, ids=BOUND_IDS)
 def test_prefix_log_bound_covers_prefix(race, u):
     # on 400 frequencies out to T/sigma_u, with T the race radius of the
@@ -561,204 +558,49 @@ def test_j0_past_split_at_most_its_value_there():
     assert max(abs(mpmath.besselj(0, z)) for z in grid) <= top
 
 
-# ------------------------------------------------------------ raw tail series
+# ------------------------------------------------------------ log-I0 series
 
-def l_remainder(s, stats, K=8, order=0):
-    """Order-th s-derivative of the raw tail series of the cumulant function.
-
-    sum_{k<=K} (-1)^{k-1} c_k R_k t^{2k} with t = sqrt(2 B1) s,
-    differentiated term by term; valid only strictly inside |t| < T. The
-    accelerated remainder replaces it in the package; here it is the
-    oracle the accelerated form must reproduce inside the radius. The
-    zeta race's moments, built by tail_moments.race_moments.
-    """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    if not 0 <= order <= 5:
-        raise ValueError("order must lie in 0..5")
-    race = prime_count_race()
-    moments = race_moments(race, stats, K)
-    deviation = sigma_u(race, stats.u)
-    t = deviation * s
-    if abs(t) >= moments.T:
-        raise tr._radius_error(abs(t), moments.T, stats.u)
-    c = c_coeffs(K)
-    parts = []
-    for k in range(max(1, (order + 1) // 2), K + 1):
-        p = 2 * k
-        if p < order:
-            continue
-        coef = ((-1.0) ** (k - 1) * c[k - 1] * moments.R[k - 1]
-                * deviation ** p)
-        parts.append(coef * math.perm(p, order) * s ** (p - order))
-    return math.fsum(parts)
+def series_orders(s, stats, order=0):
+    """Order-th s-derivative of the log-I0 series over the zeta zeros
+    above stats.u and past the table's end, sum_k (-1)^k a_k s^(2k) W_k,
+    as l0_full sums a character's far zeros (tr._log_i0_series)."""
+    table = bundled_table("zeta")
+    w = table._suffix_sums.columns(np.array([table.count(stats.u)]))[:, 0]
+    return float(tr._log_i0_series(s, 1.0, w)[0][order])
 
 
 def test_raw_series_at_origin(zeta_race, stats500):
-    assert l_remainder(0.0, stats500) == 0.0
+    # s = 0 gives exact zeros in the value and the odd orders; the only
+    # surviving term of the second derivative at 0 is the tail variance
+    assert series_orders(0.0, stats500) == 0.0
     for order in (1, 3, 5):
-        assert l_remainder(0.0, stats500, order=order) == 0.0
-    # the only surviving term of the second derivative at 0 is the
-    # tail variance
-    assert l_remainder(0.0, stats500, order=2) == pytest.approx(
+        assert series_orders(0.0, stats500, order=order) == 0.0
+    assert series_orders(0.0, stats500, order=2) == pytest.approx(
         sigma_u(zeta_race, stats500.u) ** 2, rel=1e-15)
 
 
 def test_raw_series_single_term(zeta_race, stats500):
+    # with W_1 alone the series is (alpha s)^2 W_1
+    w = np.zeros(zd._SUFFIX_ORDERS, dtype=np.longdouble)
+    w[0] = 0.5 * sigma_u(zeta_race, stats500.u) ** 2
     s = 2.3
-    assert l_remainder(s, stats500, K=1) == pytest.approx(
+    assert float(tr._log_i0_series(s, 1.0, w)[0][0]) == pytest.approx(
         0.5 * (sigma_u(zeta_race, stats500.u) * s) ** 2, rel=1e-15)
 
 
 def test_raw_series_derivative_chain(stats500):
     for order in range(1, 6):
         fd = five_point(
-            lambda x: l_remainder(x, stats500, 8, order - 1), 200.0, 0.02)
-        got = l_remainder(200.0, stats500, 8, order)
+            lambda x: series_orders(x, stats500, order - 1), 200.0, 0.02)
+        got = series_orders(200.0, stats500, order)
         assert got == pytest.approx(fd, rel=1e-8)
 
 
 def test_raw_series_parity(stats500):
-    assert l_remainder(-3.0, stats500, order=1) == pytest.approx(
-        -l_remainder(3.0, stats500, order=1), rel=1e-15)
-    assert l_remainder(-3.0, stats500, order=2) == pytest.approx(
-        l_remainder(3.0, stats500, order=2), rel=1e-15)
-
-
-def test_raw_series_outside_radius(zeta_race, stats35):
-    s_bad = 1.2 * stats35.per_char[0].T_single / sigma_u(zeta_race, stats35.u)
-    with pytest.raises(tr.ConvergenceError) as exc:
-        l_remainder(s_bad, stats35)
-    # the suggested cutoff scales the current one by the overshoot
-    assert 40.0 < exc.value.min_u < 50.0
-
-
-def test_raw_series_validation(stats500):
-    with pytest.raises(ValueError):
-        l_remainder(1.0, stats500, order=6)
-    with pytest.raises(ValueError):
-        l_remainder(1.0, stats500, K=0)
-
-
-# ------------------------------------------------------ accelerated remainder
-
-def accelerated(t, stats, order=0):
-    # the accelerated remainder of a lone weight-1 series, from its own
-    # ratios r_k
-    pc = stats.per_char[0]
-    return tr._remainder(t, pc.y, pc.T_single, pc.r)[0][order]
-
-
-def test_accelerated_matches_raw_series(zeta_race, stats500):
-    # inside the radius the accelerated form and a deep raw series are
-    # two routes to the same function
-    stats = stats500
-    deviation = sigma_u(zeta_race, stats.u)
-    for s in (1.0, 20.0, 80.0):
-        t = deviation * s
-        assert accelerated(t, stats) == pytest.approx(
-            l_remainder(s, stats, K=25), rel=1e-9)
-    # halfway to the radius the eight correction terms leave ~1e-7
-    s = 300.0
-    got = accelerated(deviation * s, stats)
-    assert got == pytest.approx(l_remainder(s, stats, K=25), rel=1e-6)
-
-
-def test_accelerated_origin_normalization(stats500):
-    # in the normalized variable the remainder starts as t^2/2 exactly
-    for order in (0, 1, 3, 5):
-        assert accelerated(0.0, stats500, order) == 0.0
-    assert accelerated(0.0, stats500, 2) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_accelerated_branch_agreement(stats500, monkeypatch):
-    # the defining series and the closed forms must agree where either
-    # could be selected; at the cutover the series' fixed term count
-    # leaves its largest tail, at order 5
-    pc = stats500.per_char[0]
-    t = 0.3 * pc.T_single
-    assert t >= tr._SERIES_CUTOVER * pc.T_single
-    closed = tr._remainder(t, pc.y, pc.T_single, pc.r)[0]
-    monkeypatch.setattr(tr, "_SERIES_CUTOVER", 0.31)
-    series = tr._remainder(t, pc.y, pc.T_single, pc.r)[0]
-    # relative alone: approx's default absolute tolerance of 1e-12 would
-    # let the order-5 value, 6.4e-5, move by 1.6e-8 of itself
-    for a, b in zip(closed, series):
-        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
-
-
-def test_accelerated_derivative_chain(stats500):
-    pc = stats500.per_char[0]
-    t0 = 0.5 * pc.T_single
-    h = 1e-3 * pc.T_single
-    for order in range(1, 6):
-        fd = five_point(lambda x: accelerated(x, stats500, order - 1), t0, h)
-        got = accelerated(t0, stats500, order)
-        assert got == pytest.approx(fd, rel=1e-6)
-
-
-def test_accelerated_correction_leading_coefficient(stats500):
-    # the t^2 coefficient of the correction, the remainder less the
-    # smooth-density model 2T^2/((y+1) j1^2) F(t/T), is 1/2 - 2/j1^2
-    # (= 0.154169861938710): the raw variance term less the full
-    # first-ring weight 2/j1^2 that the smooth-density model carries
-    pc = stats500.per_char[0]
-    T, y = pc.T_single, pc.y
-    t = 1e-8
-    value = tr._remainder(t, y, T, pc.r)[0][0]
-    model = 2.0 * T * T / ((y + 1.0) * J1 ** 2) * tr._model_derivs(t / T, y)[0]
-    assert (value - model) / t ** 2 == pytest.approx(0.5 - 2.0 / J1 ** 2,
-                                                      rel=1e-6)
-
-
-@pytest.mark.parametrize("u", [500.0, 14000.0])
-def test_model_closed_forms_match_oracle(zeta_race, u):
-    # F(x) = (y-1)(2x arctan x - log(1+x^2)) + 2x Ti(x) and its first
-    # five derivatives from the closed forms, against 40-digit numerical
-    # derivatives with Ti(x) = Im Li2(ix), from the cutover to the wall
-    # at (j2/j1) T; measured 1.5e-15 at worst, at x = 0.3, order 4
-    mpmath = pytest.importorskip("mpmath")
-    y = aggregate_stats(zeta_race, u).per_char[0].y
-    with mpmath.workdps(40):
-        def F(x):
-            return ((y - 1) * (2 * x * mpmath.atan(x) - mpmath.log1p(x * x))
-                    + 2 * x * mpmath.im(mpmath.polylog(2, 1j * x)))
-        for x in (0.3, 0.87, 1.5, 2.29):
-            got = tr._model_derivs(x, y)
-            for m, want in enumerate(mpmath.diffs(F, mpmath.mpf(x), 5)):
-                want = float(want)
-                assert abs(got[m] - want) <= 1e-14 * max(1.0, abs(want)), \
-                    (x, m)
-
-
-def test_accelerated_outside_radius(zeta_race, stats500):
-    # the wall sits at the second Bessel ring, (j2/j1) T: just inside it
-    # a value still comes back (flagged as inaccurate), just outside it
-    # the error names the cutoff that would bring the point inside. For
-    # the zeta race the tail variable is t = sigma_u * s
-    pc = stats500.per_char[0]
-    wall = J2 / J1 * pc.T_single / sigma_u(zeta_race, stats500.u)
-    with pytest.warns(tr.AccuracyWarning):
-        inside = tr.l0_full(0.99 * wall, zeta_race, stats500)
-    assert all(math.isfinite(v) for v in inside.values) and inside.value > 0.0
-    with pytest.raises(tr.ConvergenceError) as exc:
-        tr.l0_full(1.01 * wall, zeta_race, stats500)
-    assert 500.0 < exc.value.min_u < 560.0
-
-
-def test_accelerated_warns_near_radius(zeta_race, stats500):
-    # against the brute-force tail sum (test_cumulant_matches_brute_force_tail)
-    # the remainder is good to <= 1.4e-9 up to 0.7 T and off by >= 3e-7
-    # from T on; the final-term ratio crosses its 1e-7 threshold between
-    # 0.8 T and 0.9 T, too close to 0.9 T to pin there
-    s_at_T = stats500.per_char[0].T_single / sigma_u(zeta_race, stats500.u)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", tr.AccuracyWarning)
-        tr.l0_full(0.3 * s_at_T, zeta_race, stats500)
-        tr.l0_full(0.7 * s_at_T, zeta_race, stats500)
-    for ratio in (1.0, 1.5, 2.0):
-        with pytest.warns(tr.AccuracyWarning):
-            tr.l0_full(ratio * s_at_T, zeta_race, stats500)
+    assert series_orders(-3.0, stats500, order=1) == pytest.approx(
+        -series_orders(3.0, stats500, order=1), rel=1e-15)
+    assert series_orders(-3.0, stats500, order=2) == pytest.approx(
+        series_orders(3.0, stats500, order=2), rel=1e-15)
 
 
 # ------------------------------------------------------------- full cumulant
@@ -782,7 +624,7 @@ def test_cumulant_origin_fourth_derivative(zeta_race, stats2000):
     assert out.d4 == pytest.approx(expect, rel=1e-12)
 
 
-@pytest.mark.parametrize("s0", [1.0, 10.0, 100.0, 1000.0])
+@pytest.mark.parametrize("s0", [1.0, 10.0, 100.0, 1000.0, 12527.41, 50000.0])
 def test_cumulant_derivative_chain(zeta_race, stats2000, s0):
     h = 6e-4 * max(1.0, s0)
     base = tr.l0_full(s0, zeta_race, stats2000)
@@ -812,45 +654,12 @@ def test_cumulant_slope_increasing(zeta_race, stats2000):
 
 
 def test_cumulant_dual_cutoff_consistency(zeta_race):
-    # at a saddle in the ten-thousands, two cutoffs that put it at
-    # t/T = 0.87 and 0.74, well inside the (j2/j1) T disk of the
-    # accelerated remainder, agree to a few 1e-5 relative
-    s = 12527.41
-    a = tr.l0_full(s, zeta_race, aggregate_stats(zeta_race, 12000.0)).value
-    b = tr.l0_full(s, zeta_race, aggregate_stats(zeta_race, 14000.0)).value
-    assert abs(a - b) / abs(b) < 1e-4
-
-
-def test_cumulant_insufficient_cutoff_raises(zeta_race):
-    # with only four thousand zeros the same saddle sits at t/T = 2.31,
-    # past the (j2/j1) T = 2.295 T wall (ten thousand zeros would put it
-    # at 1.055 T, inside); the error must say how many more zeros would
-    # fix it, and the cutoff it names must indeed give a usable value
-    s = 12527.41
-    table = bundled_table("zeta")
-    u = float(table.gammas[3999])
-    stats = aggregate_stats(zeta_race, u)
-    with pytest.raises(tr.ConvergenceError) as exc:
-        tr.l0_full(s, zeta_race, stats)
-    min_u = exc.value.min_u
-    assert u < min_u < 1.1 * u
-    with pytest.warns(tr.AccuracyWarning):
-        fixed = tr.l0_full(s, zeta_race, aggregate_stats(zeta_race, min_u))
-    deep = tr.l0_full(s, zeta_race, aggregate_stats(zeta_race, 14000.0))
-    assert abs(fixed.value - deep.value) <= (
-        fixed.error_estimate + deep.error_estimate)
-
-
-def test_cumulant_warns_near_wall(zeta_race):
-    # at u = 4765.3 the saddle sits at t/T = 2.19, where the final
-    # correction term is 4.8e-3 of the remainder; at u = 14000 it is
-    # 1.5e-8, under the 1e-7 threshold
-    s = 12527.41
-    with pytest.warns(tr.AccuracyWarning, match="zeta"):
-        tr.l0_full(s, zeta_race, aggregate_stats(zeta_race, 4765.3))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", tr.AccuracyWarning)
-        tr.l0_full(s, zeta_race, aggregate_stats(zeta_race, 14000.0))
+    # l0_full reads only the race: every value, to the bit, is the same
+    # at cutoffs 60, 2000 and 14000, inside the table and past its end
+    for s in (0.0, 1.0, 10.0, 100.0, 1000.0, 12527.41, 30000.0):
+        got = {repr(tr.l0_full(s, zeta_race, aggregate_stats(zeta_race, u)))
+               for u in (60.0, 2000.0, 14000.0)}
+        assert len(got) == 1, s
 
 
 def _log_i0_coeffs(n):
@@ -860,83 +669,126 @@ def _log_i0_coeffs(n):
     lg = [Fraction(0)] * (n + 1)
     for m in range(1, n + 1):
         lg[m] = a[m] - sum(k * lg[k] * a[m - k] for k in range(1, m)) / m
-    return [float(c) for c in lg]
+    return [float(c) for c in lg[1:]]
 
 
 LOG_I0_COEFFS = _log_i0_coeffs(40)
 
 
-def brute_force_l0(s, entry, table, u, b1_total):
-    """The cumulant function at s summed zero by zero, split at u.
+def log_i0(x):
+    """log I0(x) at each x >= 0: up to 1.4 the Maclaurin series, whose
+    terms fall by (1.4/j1)^2 = 0.34 at least, so 40 orders leave under
+    1e-18 of it; above, log i0e(x) + x, which would cancel at small x."""
+    x = np.asarray(x, dtype=float)
+    q = x * x
+    acc = np.zeros_like(q)
+    for c in LOG_I0_COEFFS[::-1]:
+        acc = acc * q + c
+    with np.errstate(divide="ignore"):
+        big = np.log(i0e(x)) + x
+    return np.where(x <= 1.4, acc * q, big)
 
-    Every tabulated ordinate contributes log I0(x) = log i0e(x) + x with
-    x = 2 alpha s / sqrt(1/4 + g^2). Zeros past the table end enter
-    through the raw series sum_k l_k (2 alpha s)^(2k) b_k: their b_1 is
-    the full-spectrum value less the whole table's sum, and for k >= 2
-    b_k integrates g^(-2k) against the smooth zero density
-    weight/(2 pi) log(qstar g / 2 pi) from the table end U on. Returns
-    the parts at or below u and above u.
+
+def brute_force_l0(s, race):
+    """The cumulant function at s summed zero by zero.
+
+    Every tabulated ordinate contributes log I0(x), x = 2 alpha s /
+    sqrt(1/4 + g^2). The zeros past the table's end T are the smooth
+    density weight/(2 pi) log(qstar g / 2 pi) with x = 2 alpha s / g,
+    integrated by scipy's quad in log g from T, to where x falls to 1.4
+    and on for 80 e-folds (the rest is below 1e-30 of it). Where the
+    table records b1_total, the zeros past T add (alpha s)^2 times what
+    it leaves past the table less the density's b_1 there.
     """
-    g = table.gammas
-    x = 2.0 * entry.alpha * s / np.sqrt(0.25 + g * g)
-    per_zero = np.log(i0e(x)) + x
-    U = float(g[-1])
-    y = math.log(table.qstar * U / (2.0 * math.pi))
-    z = (2.0 * entry.alpha * s) ** 2
-    beyond = [LOG_I0_COEFFS[1] * z * (b1_total - math.fsum(1.0 / (0.25 + g * g)))]
-    for k in range(2, len(LOG_I0_COEFFS)):
-        # b_k = weight (y + 1/m) / (2 m pi U^m) with m = 2k - 1, its
-        # U-power folded into z^k to keep both in floating-point range
-        m = 2 * k - 1
-        beyond.append(LOG_I0_COEFFS[k] * (z / (U * U)) ** k * U
-                      * table.weight * (y + 1.0 / m) / (2.0 * m * math.pi))
-    head = math.fsum(per_zero[g <= u])
-    tail = math.fsum(per_zero[g > u]) + math.fsum(beyond)
-    return head, tail
+    parts = []
+    for entry in race.characters:
+        table = resolve_table(entry)
+        g = table.gammas
+        T = float(g[-1])
+        t = 2.0 * entry.alpha * s
+        parts.append(math.fsum(log_i0(t / np.sqrt(0.25 + g * g)).tolist()))
+
+        def density(y):
+            gamma = math.exp(y)
+            return (gamma * table.weight / (2.0 * math.pi)
+                    * math.log(table.qstar * gamma / (2.0 * math.pi))
+                    * float(log_i0(t / gamma)))
+        top = math.log(max(t / 1.4, T))
+        parts.append(quad(density, math.log(T), top, epsabs=0.0,
+                          epsrel=1e-13, limit=200)[0])
+        parts.append(quad(density, top, top + 80.0, epsabs=0.0,
+                          epsrel=1e-13, limit=400,
+                          points=[top + k for k in range(1, 80, 4)])[0])
+        if table.b1_total is not None:
+            y = math.log(table.qstar * T / (2.0 * math.pi))
+            past_b1 = table.weight * (y + 1.0) / (2.0 * math.pi * T)
+            parts.append((entry.alpha * s) ** 2 * (
+                table.b1_total - math.fsum((1.0 / (0.25 + g * g)).tolist())
+                - past_b1))
+    return math.fsum(parts)
 
 
-ORACLE_RATIOS = (0.3, 0.5, 0.7, 0.9, 1.0, 1.2, 1.5, 2.0)
-
-
-# the ratios from 1.0 up are near enough the wall to warn
-@pytest.mark.filterwarnings("ignore::racedensity.transforms.AccuracyWarning")
-@pytest.mark.parametrize("race_fn, key, u, fixed_rel", [
-    (prime_count_race, "zeta", 500.0, {0.9: 1e-6, 1.2: 1e-5}),
-    (prime_count_race, "zeta", 2000.0, {0.9: 1e-6, 1.2: 1e-5}),
-    # at t/T = 1.2 this table's remainder is 4.2e-5 off (its estimate
-    # says 7.2e-5), so only 0.9 gets a fixed bound; with the model
-    # weight halved to 1/j1^2 it is 2.3e-4 off at 0.9 and d2 <= 0 at 1.2
-    (lambda: two_way_race(5, 1, 4), "mod5_j1", 100.0, {0.9: 1e-6}),
+@pytest.mark.parametrize("race_fn, key, ss", [
+    (prime_count_race, "zeta", (0.5, 1.0, 10.0, 100.0, 1000.0, 9000.0)),
+    (prime_count_race, "zeta", (10500.0, 11000.0, 20000.0)),
+    (lambda: two_way_race(5, 1, 4), "mod5_j1", (1.0, 10.0, 100.0, 250.0)),
 ], ids=["zeta-u500", "zeta-u2000", "mod5_j1-u100"])
-def test_cumulant_matches_brute_force_tail(race_fn, key, u, fixed_rel):
-    # the accelerated remainder against the tail summed zero by zero,
-    # across the extended disk out to t/T = 2, with t the series' own
-    # variable alpha sqrt(2 b1_chi) s that l0_full checks its wall in;
-    # the fixed bounds separate the full first-ring weight 2/j1^2 from
-    # half of it
+def test_cumulant_matches_brute_force_tail(race_fn, key, ss):
+    # l0_full against every zero summed one by one, with the density
+    # past the table's end, inside the table and across the s where its
+    # split passes the table's end: within the estimate and 2e-14
     race = race_fn()
-    (entry,) = race.characters
-    assert entry.table == key
-    table = bundled_table(key)
-    if key == "zeta":
-        # sum over gamma > 0 of 1/(1/4 + gamma^2), half of 2 + gamma - log 4 pi
-        b1_total = 1.0 + EULER_GAMMA / 2.0 - math.log(4.0 * math.pi) / 2.0
-    else:
-        b1_total = table.b1_total
-    stats = aggregate_stats(race, u)
-    pc = stats.per_char[0]
-    dtds = entry.alpha * math.sqrt(2.0 * pc.b[0] / entry.weight)
-    for ratio in ORACLE_RATIOS:
-        s = ratio * pc.T_single / dtds
-        head, tail = brute_force_l0(s, entry, table, u, b1_total)
+    assert [e.table for e in race.characters] == [key]
+    stats = aggregate_stats(race, 100.0)
+    for s in ss:
         out = tr.l0_full(s, race, stats)
-        diff = abs(out.value - (head + tail))
-        assert diff <= out.error_estimate + 1e-13 * abs(head + tail), ratio
-        if ratio in fixed_rel:
-            assert diff <= fixed_rel[ratio] * abs(tail), ratio
+        want = brute_force_l0(s, race)
+        assert abs(out.value - want) <= out.error_estimate + 2e-14 * want, s
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
+@pytest.mark.parametrize("race, s", [
+    (prime_count_race(), 12527.41), (prime_count_race(), 30000.0),
+    (square_race(4), 3231.0), (square_race(4), 10000.0),
+    (two_way_race(5, 1, 2), 300.0)],
+    ids=["zeta-12527.41", "zeta-30000", "mod4-3231", "mod4-10000",
+         "q5_1v2-300"])
+def test_cumulant_matches_brute_force_past_table_end(race, s):
+    # where the split passes a table's end l0_full takes virtual zeros
+    # and a series from where x falls to 1.4; against the brute-force
+    # sum, within the estimate and 2e-14. The old accelerated remainder
+    # refused zeta at 30000 and mod 4 at 10000 (its radius)
+    assert any(resolve_table(e).split(2.0 * e.alpha * s) == len(
+        resolve_table(e)) for e in race.characters)
+    out = tr.l0_full(s, race, aggregate_stats(race, 100.0))
+    want = brute_force_l0(s, race)
+    assert abs(out.value - want) <= out.error_estimate + 2e-14 * want
+
+
+@pytest.mark.parametrize("race, s", [
+    (prime_count_race(), 10500.0), (prime_count_race(), 12527.41),
+    (prime_count_race(), 50000.0), (square_race(4), 10000.0),
+    (two_way_race(5, 1, 2), 300.0)],
+    ids=["zeta-10500", "zeta-12527.41", "zeta-50000", "mod4-10000",
+         "q5_1v2-300"])
+def test_virtual_zero_quadrature_estimate_covers_48_nodes(race, s):
+    # the quadrature part of the estimate, |Q24 - Q12| per table past
+    # its end, covers the distance from 24 nodes to 48, to within
+    # rounding: at these s both are a few ulps of Q24
+    est, far = 0.0, 0.0
+    for entry in race.characters:
+        table = resolve_table(entry)
+        t = 2.0 * entry.alpha * s
+        if table.split(t) < len(table):
+            continue
+        q = {}
+        for n in (12, 24, 48):
+            g, w = tr._virtual_zeros(table, t / zd._FAR_Z, n)
+            q[n] = math.fsum(w * tr.log_i0_derivs(t / g)[0])
+        est += abs(q[24] - q[12])
+        far += abs(q[24] - q[48])
+    assert far <= est + 1e-15 * abs(q[24])
+
+
 def test_cumulant_paired_series(zeta_race):
     # a conjugate-pair table carries two identical series; derivative
     # consistency exercises the pair weighting end to end
@@ -950,7 +802,6 @@ def test_cumulant_paired_series(zeta_race):
         assert base.values[order] == pytest.approx(fd, rel=1e-7)
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 def test_cumulant_combined_race_variance():
     race = two_way_race(5, 1, 2)
     stats = aggregate_stats(race, 250.0)
@@ -959,21 +810,24 @@ def test_cumulant_combined_race_variance():
     assert tr.l0_full(5.0, race, stats).value > 0.0
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
-@pytest.mark.parametrize("race, s", [
-    (prime_count_race(), 9000.0), (square_race(4), 1000.0),
-    (two_way_race(5, 1, 2), 10.0)], ids=["zeta", "mod4", "q5_1v2"])
-def test_cumulant_continuous_at_last_zero(race, s):
-    # where u reaches a table's last zero, that zero leaves the tail and
-    # enters the explicit sums, and b_1 of the zeros past it still comes
-    # from the recorded total: the value moves by no more than the two
-    # estimates. With b_1 from the smooth continuation it jumped by
-    # 0.1025 (zeta), 0.0445 (mod 4) and 3.8e-4 (q5 1v2)
-    last = min(zd.resolve_table(e).last_zero for e in race.characters)
-    below, at = (tr.l0_full(s, race, aggregate_stats(race, u))
-                 for u in (math.nextafter(last, 0.0), last))
-    assert abs(at.value - below.value) <= \
-        at.error_estimate + below.error_estimate
+@pytest.mark.parametrize("race", [
+    prime_count_race(), square_race(4), two_way_race(5, 1, 2)],
+    ids=["zeta", "mod4", "q5_1v2"])
+def test_cumulant_continuous_at_last_zero(race):
+    # where the split reaches a table's last zero, that zero leaves the
+    # series for the explicit terms and the virtual zeros start: the
+    # value moves by no more than the two estimates, rounding and the
+    # slope over the step in s
+    s_end = min(zd._FAR_Z * math.sqrt(0.25 + zd.resolve_table(e).last_zero
+                                      ** 2) / (2.0 * e.alpha)
+                for e in race.characters)
+    stats = aggregate_stats(race, 100.0)
+    below, at = (tr.l0_full(s, race, stats)
+                 for s in (math.nextafter(s_end, 0.0),
+                           math.nextafter(s_end, math.inf)))
+    assert abs(at.value - below.value) <= (
+        at.error_estimate + below.error_estimate + 1e-14 * at.value
+        + at.d1 * (at.s - below.s))
 
 
 def _l0_outcome(s, race, stats):
@@ -984,8 +838,6 @@ def _l0_outcome(s, race, stats):
         return f"{type(exc).__name__}: {exc}"
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
-@pytest.mark.filterwarnings("ignore::racedensity.transforms.AccuracyWarning")
 @pytest.mark.parametrize("race, u, ss", [
     (prime_count_race(), 2000.0, (0.0, 1.0, 100.0, 12527.41)),
     (prime_count_race(), 14000.0, (0.0, 1.0, 100.0, 12527.41)),
@@ -1043,37 +895,69 @@ def log_i0_oracle(gammas, alpha, s, prec=40):
     return out
 
 
-def series_bound(table, alpha, s, split, n_u):
+def series_bound(table, alpha, s, split):
     """Per order m, a first-order bound on the rounding error of l0_full's
-    extended log-I0 series over the zeros split..n_u-1, in units of
-    u = 2^-64, summed over its terms k = 1..56, each C_k D_k with
-    C_k = |a_k| (2k)!/(2k-m)! alpha^(2k) s^(2k-m) and D_k = W_k(split) -
-    W_k(n_u), the sum over those zeros alone (_SuffixSums.between):
+    extended log-I0 series from the split on, in units of u = 2^-64,
+    summed over its terms k = 1..56, each C_k W_k with C_k = |a_k|
+    (2k)!/(2k-m)! alpha^(2k) s^(2k-m) and W_k = W_k(split), the suffix
+    sums' column (_SuffixSums.columns):
 
-    * the term's arithmetic, (3k + 62) u of C_k D_k: alpha^(2k) and
+    * the term's arithmetic, (3k + 62) u of C_k W_k: alpha^(2k) and
       s^(2k-m) by repeated multiplication, a few products, and the
       partial sums of 56 terms;
-    * the power sums behind D_k, n_k u of C_k D_k: D_k adds positive
+    * the power sums behind W_k, n_k u of C_k W_k: W_k adds positive
       terms, each a power of (1/4 + g^2)^-1 formed in k + 2 roundings,
-      and none of them passes through more than 256 + chunks additions
-      (at most 255 in its chunk and one per whole chunk, then the two
-      that join the three parts), so n_k = 256 + chunks + k + 5 covers
-      both with room to spare.
+      and none of them passes through more than 256 additions in its
+      chunk, 256 in its chunk's total and one per chunk after it, so
+      n_k = 512 + chunks + k + 5 covers both with room to spare.
 
-    Each part is relative to D_k itself, so D_1 carries no error of
-    order b1_total however small it is.
+    W_1 is the recorded total less the head, so its part is relative to
+    W_1 at the first zero instead.
     """
-    d = table._suffix_sums.between(split, n_u)[:56]
+    sums = table._suffix_sums
+    w = sums.columns(np.array([split]))[:56, 0]
+    w[0] = sums.columns(np.array([0]))[0, 0]
     k = np.arange(1, 57)
-    n = 256 + len(table) // 256 + k + 5
+    n = 512 + len(table) // 256 + k + 5
     a = np.array([abs(float(f)) for f in _log_j0_fracs(56)], dtype=np.longdouble)
     out = []
     for m in range(6):
         c = (a * np.array([math.perm(2 * j, m) for j in k.tolist()])
              * np.longdouble(alpha) ** (2 * k)
              * np.longdouble(s) ** np.maximum(2 * k - m, 0))
-        out.append(float(np.sum(c * (3 * k + 62 + n) * d) * 2.0 ** -64))
+        out.append(float(np.sum(c * (3 * k + 62 + n) * w) * 2.0 ** -64))
     return out
+
+
+def continuation_exact(table, alpha, s):
+    """Orders 0..5 in s of the log-I0 series over the zeros past the
+    table's end, sum_k (-1)^k a_k alpha^(2k) s^(2k) W_k for k = 1..56, in
+    rationals: W_k the continuation past the last zero as the suffix
+    sums take it (zerodata._past_table in extended precision, here
+    exact), and W_1, where the table records b1_total, that total less
+    the exact sum over every tabulated zero."""
+    T = np.longdouble(table.last_zero)
+    w = [Fraction(*zd._past_table(table, T, k).as_integer_ratio())
+         for k in range(1, 57)]
+    if table.b1_total is not None:
+        dens = [Fraction(1, 4) + Fraction(g) ** 2 for g in table.gammas]
+        w[0] = Fraction(table.b1_total) - _fixed_point_sum(
+            [1 / d for d in dens])
+    a = _log_j0_fracs(56)
+    al, fs = Fraction(alpha), Fraction(s)
+    return [sum((-1) ** k * a[k - 1] * al ** (2 * k) * math.perm(2 * k, m)
+                * fs ** (2 * k - m) * w[k - 1]
+                for k in range(1, 57) if 2 * k >= m)
+            for m in range(6)]
+
+
+def _fixed_point_sum(terms) -> Fraction:
+    # the sum of positive rationals, each truncated to a multiple of
+    # 2^-240: exact integer sums in place of a Fraction sum, whose
+    # denominators grow with every term, with an error below 2^-226
+    n = 240
+    return Fraction(sum((t.numerator << n) // t.denominator for t in terms),
+                    1 << n)
 
 
 # s = 1.4 sqrt(1/4 + g^2) / 2 for zeta's 50th ordinate puts that zero at
@@ -1081,7 +965,6 @@ def series_bound(table, alpha, s, split, n_u):
 EDGE_S = 0.7 * math.sqrt(0.25 + float(bundled_table("zeta").gammas[49]) ** 2)
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("race, u, s, explicit", [
     pytest.param(prime_count_race(), u, s, n, id=f"{u}-{s}")
     for u, s, n in ((14000.0, 1.0, [0]), (14000.0, 10.0, [1]),
@@ -1093,14 +976,13 @@ EDGE_S = 0.7 * math.sqrt(0.25 + float(bundled_table("zeta").gammas[49]) ** 2)
                           (two_way_race(5, 1, 2), 250.0, 19.0, [11, 9]))])
 def test_cumulant_series_matches_decimal_oracle(race, u, s, explicit,
                                                 monkeypatch):
-    # l0_full against the exact sum of its explicit terms, its remainders
-    # and the oracle's sum over exactly the zeros each series takes:
-    # within the series' rounding bounds and half an ulp for the order
-    # sum's one rounding. Every zero below u with x <= 1.4 enters the
-    # series, however few there are: zeta at s = 10 takes gamma_1 alone
-    # explicitly, and q5 1v2 at u = 250 takes 4 + 3 of its 343 + 170.
-    # The per-zero log I0 terms the series replaced put zeta's d5 1.8e-14
-    # off the oracle at s = 10 and 1.1e-14 at s = 100
+    # l0_full against the exact sum of its explicit terms, the oracle's
+    # sum over every tabulated zero its series takes and the exact
+    # continuation past the table's end: within the series' rounding
+    # bounds and half an ulp for the order sum's one rounding. Every zero
+    # with x <= 1.4 enters the series, however few take the explicit
+    # path: zeta at s = 10 takes gamma_1 alone explicitly, and q5 1v2 at
+    # s = 10 takes 4 + 3 of its 410 + 303. The cutoff u plays no part
     stats = aggregate_stats(race, u)
     summed = []
     monkeypatch.setattr(tr, "_exact_sum",
@@ -1109,20 +991,19 @@ def test_cumulant_series_matches_decimal_oracle(race, u, s, explicit,
     exact, bound, splits, at = [Fraction(0)] * 6, [0.0] * 6, [], 0
     for entry in race.characters:
         table = resolve_table(entry)
-        n_u = table.count(u)
         split = int(table.split(2.0 * entry.alpha * s))
-        assert split < n_u
+        assert split < len(table)
         splits.append(split)
-        oracle = log_i0_oracle(table.gammas[split:n_u].tolist(),
-                               entry.alpha, s)
-        series = series_bound(table, entry.alpha, s, split, n_u)
+        oracle = log_i0_oracle(table.gammas[split:].tolist(), entry.alpha, s)
+        past = continuation_exact(table, entry.alpha, s)
+        series = series_bound(table, entry.alpha, s, split)
         for m in range(6):
-            # the explicit terms, the series as two doubles, the remainder
-            terms = summed[m][at:at + split + 3].tolist()
-            exact[m] += (sum(map(Fraction, terms[:split] + terms[-1:]))
-                         + Fraction(oracle[m]))
+            # the explicit terms, then the series as two doubles
+            terms = summed[m][at:at + split].tolist()
+            exact[m] += (sum(map(Fraction, terms)) + Fraction(oracle[m])
+                         + past[m])
             bound[m] += series[m]
-        at += split + 3
+        at += split + 2
     if explicit is None:
         g = float(bundled_table("zeta").gammas[49])
         x = 2.0 * s / math.sqrt(0.25 + g * g)
@@ -1138,48 +1019,44 @@ def test_cumulant_series_matches_decimal_oracle(race, u, s, explicit,
 @pytest.mark.parametrize("key", ["mod5_j1", "mod5_quad"])
 @pytest.mark.parametrize("s", [2.5, 8.0, 19.0])
 def test_log_i0_series_on_conjugate_pair_tables(key, s):
-    # the series over q5 1v2's zeros with x <= 1.4 below u = 250, on both
-    # of its tables (mod5_j1 a conjugate pair at alpha = 1/sqrt 2), within
-    # its rounding bound of the oracle, as l0_full takes them
+    # the series over q5 1v2's zeros with x <= 1.4 and past its tables'
+    # ends, on both of its tables (mod5_j1 a conjugate pair at alpha =
+    # 1/sqrt 2), within its rounding bound of the oracle, as l0_full
+    # takes them
     race = two_way_race(5, 1, 2)
     entry = next(e for e in race.characters if e.table == key)
     table = bundled_table(key)
-    n_u = table.count(250.0)
     split = int(table.split(2.0 * entry.alpha * s))
-    assert split < n_u
+    assert split < len(table)
     series, drop = tr._log_i0_series(
-        s, entry.alpha, table._suffix_sums.between(split, n_u))
-    oracle = log_i0_oracle(table.gammas[split:n_u].tolist(), entry.alpha, s)
-    bound = series_bound(table, entry.alpha, s, split, n_u)
+        s, entry.alpha, table._suffix_sums.columns(np.array([split]))[:, 0])
+    oracle = log_i0_oracle(table.gammas[split:].tolist(), entry.alpha, s)
+    past = continuation_exact(table, entry.alpha, s)
+    bound = series_bound(table, entry.alpha, s, split)
     for m in range(6):
         hi = float(series[m])
         got = Fraction(hi) + Fraction(float(series[m] - hi))
-        assert abs(got - Fraction(oracle[m])) <= bound[m], m
+        assert abs(got - Fraction(oracle[m]) - past[m]) <= bound[m], m
     # the cut's bound: the first dropped term over the split's zero, at
     # x <= 1.4, is below 4.3e-29 of a log-J0 factor there
-    assert 0.0 < drop < 5e-29 * (n_u - split)
+    assert 0.0 < drop < 5e-29 * (len(table) - split)
 
 
-def test_cumulant_series_sums_independent_and_columnless(zeta_race,
+def test_cumulant_series_sums_independent_of_phat_prefix(zeta_race,
                                                          monkeypatch):
-    # on a fresh table l0_full's series forms no column of the suffix
-    # sums, and gives the same bits after phat_prefix has built them, and
-    # in reverse order of s on another fresh table. It keeps the powers
-    # of the chunks its non-empty parts sum: at s = 0 and 1 every zero
-    # below u takes the series, so the part at the cutoff, in chunk
-    # count(14000) // 256 = 58; the splits at s = 100 and 1000, zeros 49
-    # and 1007, lie in chunks 0 and 3
+    # on a fresh table l0_full builds the suffix sums' columns only
+    # through its largest split, and gives the same bits after
+    # phat_prefix has built more of them, and in reverse order of s on
+    # another fresh table
     monkeypatch.setattr(zd, "_table_cache", {})
     stats = aggregate_stats(zeta_race, 14000.0)
     ss = (0.0, 1.0, 100.0, 1000.0)
     before = [repr(tr.l0_full(s, zeta_race, stats)) for s in ss]
     table = bundled_table("zeta")
     sums = table._suffix_sums
-    assert table.count(14000.0) // 256 == 58
-    assert set(sums._rows) == {0, 3, 58}
-    assert sums._cols.shape == (57, 0)
-    tr.phat_prefix(np.linspace(0.5, 60.0, 40), zeta_race)
-    assert sums._cols.shape[1] > 0
+    assert sums._cols.shape == (57, int(table.split(2000.0)) + 1)
+    tr.phat_prefix(np.linspace(0.5, 3000.0, 40), zeta_race)
+    assert sums._cols.shape[1] > int(table.split(2000.0)) + 1
     assert [repr(tr.l0_full(s, zeta_race, stats)) for s in ss] == before
     monkeypatch.setattr(zd, "_table_cache", {})
     stats = aggregate_stats(zeta_race, 14000.0)
@@ -1188,16 +1065,12 @@ def test_cumulant_series_sums_independent_and_columnless(zeta_race,
     assert bundled_table("zeta") is not table
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 def test_extended_kernels_refuse_narrow_long_double(zeta_race, monkeypatch):
     # where numpy's long double is narrower than x87's, the suffix sums
     # and the J0 kernel refuse with one type that names the requirement,
-    # and so phat_prefix and l0_full's series do, on a fresh table and
-    # with its sums already built alike. l0_full's series runs whenever a
-    # zero below u has x <= 1.4, however few there are (q5 1v2 at u = 250
-    # and s = 10 takes 4 + 3 of 343 + 170 explicitly), and only then: zeta
-    # at u = 20 and s = 10, whose one zero below u is explicit, answers
-    # without building the sums
+    # and so phat_prefix and l0_full do, on a fresh table and with its
+    # sums already built alike. l0_full reads the suffix sums at every s,
+    # past a table's end too, where its series starts past the last zero
     monkeypatch.setattr(zd, "_table_cache", {})
     stats = aggregate_stats(zeta_race, 14000.0)
     q5 = two_way_race(5, 1, 2)
@@ -1205,12 +1078,11 @@ def test_extended_kernels_refuse_narrow_long_double(zeta_race, monkeypatch):
     monkeypatch.setattr(sf, "_LONG_DOUBLE_NMANT", 52)
     for call in (lambda: tr.phat_prefix([1.0], zeta_race),
                  lambda: tr.l0_full(1.0, zeta_race, stats),
-                 lambda: tr.l0_full(10.0, q5, few)):
+                 lambda: tr.l0_full(10.0, q5, few),
+                 lambda: tr.l0_full(30000.0, zeta_race, stats)):
         with pytest.raises(sf.ExtendedPrecisionError,
                            match=r"64-bit significand .* nmant = 52"):
             call()
-    low = aggregate_stats(zeta_race, 20.0)
-    assert tr.l0_full(10.0, zeta_race, low).d2 > 0.0
     assert "_suffix_sums" not in vars(bundled_table("zeta"))
     monkeypatch.setattr(sf, "_LONG_DOUBLE_NMANT", 63)
     bundled_table("zeta")._suffix_sums
@@ -1222,17 +1094,19 @@ def test_extended_kernels_refuse_narrow_long_double(zeta_race, monkeypatch):
 def test_cumulant_validation(zeta_race, stats2000):
     with pytest.raises(ValueError):
         tr.l0_full(-1.0, zeta_race, stats2000)
-    # a cutoff past the table end is refused outright
+    # statistics of another race are refused outright; those of this
+    # race at a cutoff past the table's end are not, as u plays no part
+    with pytest.raises(ZeroDataError, match="built for race"):
+        tr.l0_full(1.0, square_race(4), stats2000)
     stats_far = aggregate_stats(zeta_race, 2000.0)
     object.__setattr__(stats_far, "u", 20000.0)
-    with pytest.raises(ZeroDataError):
-        tr.l0_full(1.0, zeta_race, stats_far)
+    assert repr(tr.l0_full(1.0, zeta_race, stats_far)) \
+        == repr(tr.l0_full(1.0, zeta_race, stats2000))
 
 
 def test_cumulant_refuses_non_finite_s(zeta_race, monkeypatch):
     # NaN and inf are refused before any work, at either cutoff, by a
-    # plain ValueError that names s: not by its subclass ConvergenceError,
-    # whose message would ask for a larger cutoff
+    # plain ValueError that names s, not by its subclass ConvergenceError
     stats = [aggregate_stats(zeta_race, u) for u in (10.0, 1000.0)]
 
     def no_work(*args):
@@ -1247,8 +1121,6 @@ def test_cumulant_refuses_non_finite_s(zeta_race, monkeypatch):
             assert f"s = {s!r}" in str(exc.value)
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
-@pytest.mark.filterwarnings("ignore::racedensity.transforms.AccuracyWarning")
 @pytest.mark.parametrize("race", PUBLISHED_RACES, ids=lambda r: r.name)
 def test_cumulant_explicit_arguments_stay_above_split(race, monkeypatch):
     # log_i0_derivs takes w >= 1 only: l0_full passes it the zeros with x

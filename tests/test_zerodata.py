@@ -1,4 +1,4 @@
-"""Zero tables, inverse-power tail sums, and aggregated race statistics.
+"""Zero tables, their power sums, and aggregated race statistics.
 
 Reference values quoted here were computed independently of this
 implementation (closed forms, high-precision quadrature of the explicit
@@ -6,19 +6,15 @@ formulas, or digits matching independently tabulated race parameters)
 and frozen before the module was written.
 """
 
-import functools
-import inspect
 import math
 import os
 import sys
-import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import jn_zeros
 
 from racedensity import rs_method as rs
 from racedensity import transforms as tr
@@ -28,11 +24,10 @@ from racedensity.race import (
     square_root_count, two_way_race,
 )
 from racedensity.zerodata import (
-    CharTailStats, TailStats, ThinTailWarning, ZeroDataError, ZeroTable,
-    aggregate_stats, available_tables, bundled_table, load_zeros,
+    TailStats, ZeroDataError, ZeroTable, aggregate_stats, available_tables,
+    bundled_table, load_zeros,
 )
-from racedensity.zerodata import _tail_bk
-from tail_moments import race_moments, sigma_u
+from tail_moments import _plain_tail_bk, race_moments, sigma_u, single_radius
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -108,8 +103,12 @@ def test_b1_closed_form():
     # the full inverse-square sum over all nontrivial zeros of the
     # conductor-1 function: 1 + gamma_E/2 - log(4 pi)/2
     want = 1.0 + EULER_GAMMA / 2 - math.log(4 * math.pi) / 2
-    got = _tail_bk(bundled_table("zeta"), 0.0, 1)
-    assert got == pytest.approx(want, abs=1e-12)
+    z = bundled_table("zeta")
+    assert z.b1_full == pytest.approx(want, abs=1e-12)
+    # without its recorded total, the table's own sum and continuation,
+    # off by the continuation's next-order term
+    assert replace(z, b1_total=None).b1_full == pytest.approx(
+        want, abs=2.5 / z.last_zero ** 2)
 
 
 def test_b1_header_matches_explicit_sum():
@@ -170,36 +169,26 @@ def test_convergence_radius_reference_points():
         u = float(z.gammas[n - 1]) + 1e-9
         st_ = aggregate_stats(pc, u)
         assert st_.n_zeros == n
-        assert st_.per_char[0].T_single == pytest.approx(want, abs=0.02)
-
-
-def test_single_series_radius_identity():
-    j1 = jn_zeros(0, 1)[0]
-    st_ = aggregate_stats(square_race(7), 50.0)
-    p = st_.per_char[0]
-    want = j1 * math.sqrt((p.y + 1 / 3) / (6 * (p.y + 1) * p.r[1]))
-    assert p.T_single == pytest.approx(want, rel=1e-13)
+        assert single_radius(pc.characters[0], u) == pytest.approx(
+            want, abs=0.02)
+        assert race_moments(pc, st_).T == single_radius(pc.characters[0], u)
 
 
 def test_tail_stats_hold_only_what_routes_read():
     # the Fourier route's step and aliasing check read sigma0, u and
-    # n_zeros label its results; per_char, which only l0_full's
-    # remainder reads, is a cached property, and a character's label,
-    # alpha and weight come from its RaceEntry. The order count is fixed,
-    # not chosen, and l0_full counts no zeros of its own
+    # n_zeros label its results, and l0_full reads only the race: no
+    # record carries a per-character tail, and the module forms none
     assert [f.name for f in fields(TailStats)] == [
         "race", "u", "sigma0", "n_zeros"]
-    assert isinstance(vars(TailStats)["per_char"], functools.cached_property)
-    assert [f.name for f in fields(CharTailStats)] == [
-        "b", "n_zeros", "y", "r", "T_single"]
+    assert not hasattr(TailStats, "per_char")
+    for name in ("CharTailStats", "_char_tail", "_tail_bk", "_tail_sums",
+                 "_PrefixSums", "ThinTailWarning"):
+        assert not hasattr(zd, name), name
     assert not hasattr(tr, "_zeros_below")
     race = prime_count_race()
     st_ = aggregate_stats(race, 100.0)
     assert st_.race is race
-    assert "per_char" not in vars(st_)
-    assert len(st_.per_char[0].b) == len(st_.per_char[0].r) \
-        == zd._TAIL_ORDERS == tr._CORR_TERMS == 8
-    assert "per_char" in vars(st_)
+    assert vars(st_).keys() == {"race", "u", "sigma0", "n_zeros"}
     with pytest.raises(TypeError):
         aggregate_stats(race, 100.0, Kmax=8)
 
@@ -251,117 +240,81 @@ def test_table_construction_rejects_disorder():
 
 def test_tail_formula_against_brute_truncation():
     # drop everything the table knows above u, keep only the analytic
-    # continuation, and compare with the true value from the full table:
-    # the relative error shrinks like k/u
+    # continuation (_SuffixSums.past), and compare with the true value
+    # from the full table: the relative error shrinks like k/u
     z = bundled_table("zeta")
     for u in (50.0, 100.0, 300.0, 1000.0):
         g = z.gammas[z.gammas <= u]
         trunc = ZeroTable(gammas=g, qstar=1, label="trunc", source="x")
+        pure = trunc._suffix_sums.past(u)
         for k in range(1, 9):
-            pure = _tail_bk(trunc, u, k)
-            true = _tail_bk(z, u, k)
-            rel = abs(pure - true) / true
+            true = _plain_tail_bk(z, u, k, "tail")
+            rel = abs(float(pure[k - 1]) - true) / true
             assert rel < 10.0 * k / u, (u, k, rel)
+    # past the table the sums are the continuation formula alone, b_1
+    # moved by what b1_total leaves past the last zero
+    t = bundled_table("mod5_quad")
+    past = t._suffix_sums.past(500.0)
+    y = math.log(5 * 500.0 / (2 * math.pi))
+    assert float(past[1]) == pytest.approx(
+        (y + 1 / 3) / (6 * math.pi * 500.0 ** 3), rel=1e-13)
+    assert float(past[0]) == pytest.approx(
+        _plain_tail_bk(t, 500.0, 1, "auto"), rel=1e-13)
 
 
 def test_tail_head_consistency():
+    # the suffix sums at the first zero, less the head below u = 100,
+    # are those from the first zero past it
     z = bundled_table("zeta")
+    cols = z._suffix_sums.columns(np.array([0, 29]))
     for k in (2, 3):
-        full = _tail_bk(z, 0.0, k)
-        at_u = _tail_bk(z, 100.0, k)
         head = math.fsum((0.25 + g * g) ** -k for g in z.gammas[:29])
-        assert full - head == pytest.approx(at_u, rel=1e-12)
-
-
-def _plain_tail_bk(table, u, k, method):
-    # b_k(u) as one fsum over the tabulated ordinates above u, plus the
-    # analytic continuation past the table end; for k = 1 under "auto",
-    # the recorded total less the head, and from the last zero on also
-    # less the continuation's fall from there to u
-    g = table.gammas
-    U = float(g[-1])
-
-    def past(x):
-        y = math.log(table.qstar * x / (2.0 * math.pi))
-        m = 2 * k - 1
-        return table.weight * (y + 1.0 / m) / (2.0 * m * math.pi * x ** m)
-
-    if k == 1 and method == "auto" and table.b1_total is not None:
-        head_g = g[g <= u]
-        b1 = table.b1_total - math.fsum(1.0 / (0.25 + head_g * head_g))
-        return b1 if u < U else b1 - (past(U) - past(u))
-    tail_g = g[g > u]
-    return math.fsum((0.25 + tail_g * tail_g) ** (-k)) + past(max(u, U))
-
-
-def _checkpoint_edges(table):
-    # cutoffs whose heads hold 0, 127, 128, 129, 255, 256, n - 1 and n
-    # ordinates (those the table has), and one past the table end
-    g = table.gammas
-    n = len(g)
-    counts = sorted({h for h in (0, 127, 128, 129, 255, 256, n - 1, n)
-                     if h <= n})
-    us = [0.0 if h == 0 else float(g[h - 1]) for h in counts]
-    assert [table.count(u) for u in us] == counts
-    return us + [table.last_zero + 1.0]
+        assert float(cols[k - 1, 0]) - head == pytest.approx(
+            float(cols[k - 1, 1]), rel=1e-12)
 
 
 @pytest.mark.parametrize("key", available_tables())
 def test_tail_bk_bit_exact_against_plain_sum(key):
-    # b_k from the exact prefix sums must give the very bits of one fsum
-    # over the plain terms, on both sides of every checkpoint a head can
-    # reach
+    # b_1(0), the one tail sum the package still rounds in double
+    # (ZeroTable.b1_full, behind sigma0), has the bits of one fsum over
+    # the plain terms plus the continuation, for a table without a
+    # recorded total; with one, it is that total
     t = bundled_table(key)
-    g = t.gammas
-    rng = np.random.default_rng(sum(map(ord, key)))
-    n = len(g)
-    us = ([0.0] + g[::max(1, n // 12)].tolist()
-          + rng.uniform(0.0, 1.05 * t.last_zero, 8).tolist()
-          + [float(g[n // 2 - 1]), float(g[n // 2]),
-             float(0.5 * (g[n // 2 - 1] + g[n // 2])),
-             t.last_zero, t.last_zero + 1.0]
-          + _checkpoint_edges(t))
-    # heads both shorter and longer than half the table
-    assert {2 * t.count(u) < n for u in us} == {True, False}
-    for k in range(1, 11):
-        for u in us:
-            assert _tail_bk(t, u, k) == _plain_tail_bk(t, u, k, "auto"), (u, k)
-    # b_1 from the table's own total, as for a table with no b1_total
-    t = replace(t, b1_total=None)
-    for u in us:
-        assert _tail_bk(t, u, 1) == _plain_tail_bk(t, u, 1, "auto"), u
+    assert t.b1_full == t.b1_total
+    bare = replace(t, b1_total=None)
+    assert bare.b1_full == _plain_tail_bk(bare, 0.0, 1, "auto")
+    assert bare.b1_full == _plain_tail_bk(t, 0.0, 1, "tail")
 
 
 @pytest.mark.parametrize("key", available_tables())
 def test_terms_have_the_bits_of_one_power_per_order(key):
-    # the prefix sums form every order's terms at once; each row must hold
-    # the bits of numpy's power for that order alone, as the plain sums
-    # take them (for k = 1 that is a reciprocal, which a broadcast power
-    # does not give), whole or in unaligned slices
-    g = bundled_table(key).gammas
-    den = 0.25 + g * g
-    orders = tuple(range(1, 11))
-    want = [den ** -k for k in orders]
+    # the suffix sums form every order's powers at once; each row must
+    # hold the bits of that order formed alone, by repeated
+    # multiplication in extended precision, whole or in unaligned slices,
+    # as construction takes whole chunks and columns their tails
+    g = bundled_table(key).gammas.astype(np.longdouble)
+    inv = 1.0 / (0.25 + g * g)
+    want = [inv]
+    for _ in range(1, zd._SUFFIX_ORDERS):
+        want.append(want[-1] * inv)
     for lo, hi in ((0, len(g)), (5, 133), (len(g) - 130, len(g) - 1)):
-        rows = zd._terms(g[lo:hi], orders)
-        for k, row, w in zip(orders, rows, want):
+        rows = zd._SuffixSums._powers(inv[lo:hi])
+        for k, (row, w) in enumerate(zip(rows, want), start=1):
             assert np.array_equal(row, w[lo:hi]), (k, lo)
 
 
 def test_tail_bk_bit_exact_with_subnormal_terms():
     # at k = 37 the top zeta terms fall below the smallest normal double;
-    # the exponent bins behind the full sum must still keep every bit,
-    # of either sign, and zero terms must add nothing
+    # the exponent bins behind l0_full's order sums must still keep every
+    # bit, of either sign, and zero terms must add nothing
     t = bundled_table("zeta")
     g = t.gammas
     x = (0.25 + g * g) ** (-37)
     assert x.min() < sys.float_info.min
-    # u = g[3000]: a head long enough that one plain sum of it would be
-    # binned, here 23 checkpoints and 57 terms negated against the total
-    assert 3000 >= zd._BINNED_FROM
-    for u in (0.0, 30.0, 1000.0, float(g[3000]), t.last_zero,
-              *_checkpoint_edges(t)):
-        assert _tail_bk(t, u, 37) == _plain_tail_bk(t, u, 37, "auto"), u
+    # tails of it long enough to be binned
+    assert len(g) - 3000 >= zd._BINNED_FROM
+    for lo in (0, 30, 1000, 3000):
+        assert zd._exact_sum(x[lo:]).hex() == math.fsum(x[lo:].tolist()).hex()
     x = np.concatenate([x, [0.0, 5e-324]])
     assert math.fsum(zd._exact_bins(x) + (-x).tolist()) == 0.0
     signs = np.random.default_rng(37).choice([-1.0, 1.0], x.size)
@@ -417,93 +370,72 @@ def test_exact_sum_nonfinite_as_fsum(n):
         assert got.hex() == want.hex() or math.isnan(got) and math.isnan(want)
 
 
-def _plain_tail_sums(table, u, ks, n_head):
-    # the oracle of zerodata._tail_sums: one fsum over the plain terms
-    assert n_head == int(np.count_nonzero(table.gammas <= u))
-    return tuple(_plain_tail_bk(table, u, k, "auto") for k in ks)
-
-
-def _tail_record(race, stats) -> tuple:
-    # every field of stats, per_char's or its refusal past a table's
-    # coverage, and each table's b_1..b_8 at stats.u, past its end too
-    try:
-        per = repr(stats.per_char)
-    except ZeroDataError as exc:
-        per = f"refused: {exc}"
-    u = stats.u
-    b = [zd._tail_sums(t, u, range(1, 9), t.count(u))
-         for t in map(zd.resolve_table, race.characters)]
-    return repr(stats), per, repr(b)
-
-
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("race", [
     prime_count_race(), square_race(4), two_way_race(5, 1, 2), square_race(13),
     two_way_race(8, 1, 3), two_way_race(24, 1, 5)], ids=lambda r: r.name)
-def test_aggregate_stats_of_published_races_as_plain_sums(race, monkeypatch):
-    # every field and tail, bit for bit, as with the tail sums taken as
-    # plain fsums, at cutoffs from below the first checkpoint to past
-    # every table's end but zeta's; past a table's coverage per_char
-    # refuses alike, and the table's b_k still match
-    us = (4.352, 60.0, 140.0, 1500.0, 2999.0, 12000.0, 14000.0)
-    with monkeypatch.context() as m:
-        m.setattr(zd, "_tail_sums", _plain_tail_sums)
-        want = [_tail_record(race, aggregate_stats(race, u)) for u in us]
-    for u, w in zip(us, want):
-        assert _tail_record(race, aggregate_stats(race, u)) == w, u
-    # every table covers u = 60, so its tails are compared there
-    assert not want[1][1].startswith("refused")
+def test_aggregate_stats_of_published_races_as_plain_sums(race):
+    # every field, bit for bit, as with b_1(0) taken as a plain fsum, at
+    # cutoffs from below the first zero to past every table's end
+    tables = [zd.resolve_table(e) for e in race.characters]
+    sigma0 = math.sqrt(2.0 * math.fsum(
+        e.alpha ** 2 * _plain_tail_bk(t, 0.0, 1, "auto")
+        for e, t in zip(race.characters, tables)))
+    for u in (4.352, 60.0, 140.0, 1500.0, 2999.0, 12000.0, 14000.0, 2e4):
+        want = TailStats(race=race, u=u, sigma0=sigma0, n_zeros=sum(
+            int(np.count_nonzero(t.gammas <= u)) for t in tables))
+        assert repr(aggregate_stats(race, u)) == repr(want), u
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 @pytest.mark.parametrize("race", [prime_count_race(), two_way_race(5, 1, 2)])
 def test_aggregate_stats_independent_of_call_order(race, monkeypatch):
-    # every field and tail, bit for bit, whichever cutoff built the
-    # prefix sums' checkpoints first: fresh tables taken in ascending and
-    # then in descending order of cutoff
-    us = (0.0, 30.0, 1000.0, 13000.0)
+    # every field and every l0_full value, bit for bit, whichever call
+    # built the suffix sums' columns first: fresh tables taken in
+    # ascending and then in descending order of s, inside every table
+    # and past some tables' ends
+    ss = (0.0, 3.0, 30.0, 300.0)
+
+    def record(s):
+        stats = aggregate_stats(race, 100.0)
+        return repr(stats), repr(tr.l0_full(s, race, stats))
     monkeypatch.setattr(zd, "_table_cache", {})
-    up = [_tail_record(race, aggregate_stats(race, u)) for u in us]
+    up = [record(s) for s in ss]
     monkeypatch.setattr(zd, "_table_cache", {})
-    down = [_tail_record(race, aggregate_stats(race, u)) for u in reversed(us)]
+    down = [record(s) for s in reversed(ss)]
     assert down[::-1] == up
 
 
-# between(i, j)'s ranges, each with the chunks its non-empty parts sum
-BETWEEN_CHUNKS = {(0, 3): {0}, (250, 262): {0, 1}, (256, 512): set(),
-                  (100, 700): {0, 2}, (0, 2000): {7}, (12000, 12300): {46, 48}}
+# (i, j) ranges: within a chunk, across one chunk edge, whole chunks,
+# and across many
+BETWEEN_RANGES = [(0, 3), (250, 262), (256, 512), (100, 700), (0, 2000),
+                  (12000, 12300)]
 
 
-@pytest.mark.parametrize("i, j", BETWEEN_CHUNKS)
+@pytest.mark.parametrize("i, j", BETWEEN_RANGES)
 def test_suffix_sums_between_as_exact_sums(i, j, monkeypatch):
-    # D_k = W_k(i) - W_k(j), within a chunk, across one chunk edge and
-    # across whole chunks, against the exact sum of the zeros' terms:
-    # each term rounds k + 2 times, and no term passes through more than
-    # 256 + chunks additions. From a fresh table, building no column and
-    # keeping, read-only, the powers of the chunks that its non-empty
-    # part chunks sum, and only those. Asked again, directly and after a
-    # neighbouring range over the same chunks, it gives the same bits
+    # W_k(i) - W_k(j) from the suffix sums' columns, within a chunk,
+    # across one chunk edge and across whole chunks, against the exact
+    # sum of the zeros i..j-1: each column's term rounds k + 2 times and
+    # passes through at most 256 + chunks additions, so each column is
+    # within n 2^-64 of itself, b1_total for W_1, which comes from the
+    # recorded total less the head. From a fresh table, built only
+    # through j; asked again after a longer call, the same bits
     monkeypatch.setattr(zd, "_table_cache", {})
     table = bundled_table("zeta")
     sums = table._suffix_sums
-    d = sums.between(i, j)
-    assert d.dtype == np.longdouble and d.shape == (57,)
-    assert sums._cols.shape[1] == 0
-    assert set(sums._rows) == BETWEEN_CHUNKS[i, j]
-    assert not any(rows.flags.writeable for rows in sums._rows.values())
-    assert np.array_equal(sums.between(i, j), d)
-    sums.between(i + 1, j - 1)
-    assert np.array_equal(sums.between(i, j), d)
+    cols = sums.columns(np.array([i, j]))
+    assert cols.dtype == np.longdouble and cols.shape == (57, 2)
+    assert sums._cols.shape[1] == j + 1
+    d = cols[:, 0] - cols[:, 1]
+    sums.columns(np.array([j + 300]))
+    assert np.array_equal(sums.columns(np.array([i, j])), cols)
     dens = [Fraction(1, 4) + Fraction(g) ** 2 for g in table.gammas[i:j]]
     for k in (1, 2, 8, 57):
         exact = _fixed_point_sum([den ** -k for den in dens])
         n = 256 + len(table) // 256 + 1 + k + 2
+        scale = table.b1_total if k == 1 else cols[k - 1, 0]
         got = Fraction(*d[k - 1].as_integer_ratio())
-        assert abs(got - exact) <= Fraction(n, 2 ** 64) * exact, k
-    # the last zero alone: its own powers, nothing past the table end
-    last = table.gammas[-1:].astype(np.longdouble)
-    assert np.array_equal(sums.between(len(table) - 1, len(table)),
-                          sums._powers(1.0 / (0.25 + last * last))[:, 0])
+        assert abs(got - exact) <= Fraction(2 * n, 2 ** 64) \
+            * Fraction(*np.longdouble(scale).as_integer_ratio()), k
 
 
 def _fixed_point_sum(terms) -> Fraction:
@@ -526,113 +458,48 @@ def _file_race(path, gammas, b1_total):
         replace(race.characters[0], table=str(path)),))
 
 
-def _index_state(table):
-    # the prefix-sum index as built so far: per order the expansion
-    # objects at each checkpoint, and the totals
-    sums = table._prefix_sums
-    return ({k: list(marks) for k, marks in sums._marks.items()},
-            dict(sums._totals))
-
-
 def test_prefix_sums_built_as_far_as_calls_reach(tmp_path, monkeypatch):
-    # loading builds no sums, and aggregate_stats only the empty start
-    # behind b_1(0); reading per_char builds checkpoints only up to its
-    # cutoff's, with the totals behind b_2..b_8 (b_1 comes from the
-    # recorded total); a second read at a lower cutoff builds nothing
+    # loading builds no sums, and aggregate_stats none either; l0_full
+    # builds the suffix sums' columns only through its split, and a call
+    # at a lower s builds nothing more
     z = bundled_table("zeta")
     monkeypatch.setattr(zd, "_table_cache", {})
-    assert "_prefix_sums" not in vars(bundled_table("zeta"))
+    assert "_suffix_sums" not in vars(bundled_table("zeta"))
     race = _file_race(tmp_path / "zeta.txt", z.gammas, z.b1_total)
-    assert "_prefix_sums" not in vars(load_zeros(str(tmp_path / "zeta.txt")))
+    assert "_suffix_sums" not in vars(load_zeros(str(tmp_path / "zeta.txt")))
     t = zd.resolve_table(race.characters[0])
-    assert "_prefix_sums" not in vars(t)
-    first = aggregate_stats(race, 2000.0)
-    assert _index_state(t) == ({1: [[]]}, {})
-    first.per_char
-    marks, totals = _index_state(t)
-    assert sorted(marks) == list(range(1, 9))
-    assert {len(m) for m in marks.values()} == {t.count(2000.0) // 128 + 1}
-    assert sorted(totals) == list(range(2, 9))
-    second = aggregate_stats(race, 500.0)
-    second.per_char
+    stats = aggregate_stats(race, 2000.0)
+    assert "_suffix_sums" not in vars(t)
+    tr.l0_full(1000.0, race, stats)
+    cols = t._suffix_sums._cols
+    assert cols.shape == (57, int(t.split(2000.0)) + 1)
+    tr.l0_full(100.0, race, aggregate_stats(race, 500.0))
     assert zd.resolve_table(race.characters[0]) is t
-    after = _index_state(t)
-    assert after[0].keys() == marks.keys() and after[1].keys() == totals.keys()
-    assert all(a is b for k in marks for a, b in zip(after[0][k], marks[k],
-                                                     strict=True))
-    assert all(after[1][k] is totals[k] for k in totals)
-    for st_, u in ((first, 2000.0), (second, 500.0)):
-        assert st_.per_char[0].b == tuple(
-            _plain_tail_bk(t, u, k, "auto") for k in range(1, 9))
+    assert t._suffix_sums._cols is cols
 
 
 def test_rewritten_table_gets_fresh_power_sums(tmp_path):
-    # a file rewritten with fewer zeros is a new table: its b_k must come
+    # a file rewritten with fewer zeros is a new table: l0_full must come
     # from its own ordinates, not from sums cached for the old ones
     z = bundled_table("zeta")
     path = tmp_path / "zeta.txt"
     race = _file_race(path, z.gammas[:2000], z.b1_total)
-    before = aggregate_stats(race, 100.0)
-    before.per_char
+    before = tr.l0_full(700.0, race, aggregate_stats(race, 100.0))
     _file_race(path, z.gammas[:1000], z.b1_total)
-    after = aggregate_stats(race, 100.0)
-    t = load_zeros(str(path))
-    assert len(t) == 1000
-    want = tuple(_plain_tail_bk(t, 100.0, k, "auto") for k in range(1, 9))
-    assert after.per_char[0].b == want
-    assert before.per_char[0].b[1:] != want[1:]
-
-
-def test_tail_warns_when_thin():
-    t = bundled_table("mod5_quad")
-    race = square_race(5)
-    stats = aggregate_stats(race, t.last_zero - 1.0)
-    with pytest.warns(ThinTailWarning):
-        tr.l0_full(1.0, race, stats)
-    beyond = _tail_bk(t, 500.0, 2)
-    # past the table the value is the continuation formula alone
-    y = math.log(5 * 500.0 / (2 * math.pi))
-    want = (y + 1 / 3) / (6 * math.pi * 500.0 ** 3)
-    assert beyond == pytest.approx(want, rel=1e-13)
-
-
-def test_aggregate_warns_once_per_thin_table():
-    # mod5_j1 holds few zeros above 250, mod5_quad enough: each l0_full
-    # call warns once for all orders b_1..b_8, naming the line that
-    # called it; aggregate_stats and a direct read of per_char, which
-    # builds the tails, warn of nothing
-    race = two_way_race(5, 1, 2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        stats = aggregate_stats(race, 250.0)
-        stats.per_char
-        assert caught == []
-        for s in (1.0, 2.0):
-            tr.l0_full(s, race, stats)
-            line = inspect.currentframe().f_lineno - 1
-    thin = [w for w in caught if issubclass(w.category, ThinTailWarning)]
-    assert len(thin) == 2
-    assert all("mod5_j1" in str(w.message) for w in thin)
-    assert [(w.filename, w.lineno) for w in thin] == [(__file__, line)] * 2
+    after = tr.l0_full(700.0, race, aggregate_stats(race, 100.0))
+    assert len(zd.resolve_table(race.characters[0])) == 1000
+    # the same file under another label is read afresh
+    fresh = replace(race, characters=(
+        replace(race.characters[0], label="fresh"),))
+    assert repr(after) == repr(
+        tr.l0_full(700.0, fresh, aggregate_stats(fresh, 100.0)))
+    assert after.values != before.values
 
 
 def test_negative_cutoff_rejected():
     for u in (-1.0, math.nan):
         with pytest.raises(ValueError, match="finite"):
             aggregate_stats(prime_count_race(), u)
-
-
-def test_replaced_cutoff_gets_its_own_tails():
-    # dataclasses.replace gives a record that builds the tails at its own
-    # cutoff, not one that shares the tails read from the first
-    race = prime_count_race()
-    stats = aggregate_stats(race, 100.0)
-    stats.per_char
-    moved = replace(stats, u=500.0)
-    assert "per_char" not in vars(moved)
-    assert moved.per_char == aggregate_stats(race, 500.0).per_char
-    assert moved.per_char[0].n_zeros == bundled_table("zeta").count(500.0)
-    assert moved.per_char != stats.per_char
 
 
 def moment_ratios(stats):
@@ -693,8 +560,10 @@ def test_multi_character_moment_bounds():
         st_ = aggregate_stats(sp, u)
         R = race_moments(sp, st_).R
         singles = []
-        for e, p in zip(sp.characters, st_.per_char, strict=True):
-            rk = [e.weight ** (k - 1) * p.b[k - 1] / p.b[0] ** k
+        for e in sp.characters:
+            b = [_plain_tail_bk(bundled_table(e.table), u, k, "auto")
+                 for k in range(1, 9)]
+            rk = [e.weight ** (k - 1) * b[k - 1] / b[0] ** k
                   for k in range(1, 9)]
             singles.append((e.weight, rk))
         wtot = sum(w for w, _ in singles)
@@ -717,26 +586,25 @@ def test_file_path_table(tmp_path):
     race = prime_count_race()
     race = replace(race, characters=(
         replace(race.characters[0], table=str(p)),))
-    t = load_zeros(str(p))
     st_ = aggregate_stats(race, 20.0)
     assert st_.n_zeros == 1
-    b = st_.per_char[0].b
-    assert b == tuple(_tail_bk(t, 20.0, k) for k in range(1, 9))
+    t = zd.resolve_table(race.characters[0])
+    assert t.source == str(p) and len(t) == 500
+    w = [float(x) for x in t._suffix_sums.columns(np.array([1]))[:, 0]]
+    assert w[1] == pytest.approx(_plain_tail_bk(t, 20.0, 2, "auto"),
+                                 rel=1e-15)
     # both tables give b_1 from the same b1_total; b_2 tells them apart
-    assert b[1] != _tail_bk(z, 20.0, 2)
+    assert w[0] == pytest.approx(_plain_tail_bk(z, 20.0, 1, "auto"),
+                                 rel=1e-15)
+    assert abs(w[1] / _plain_tail_bk(z, 20.0, 2, "auto") - 1.0) > 1e-12
 
 
 def test_aggregate_matches_manual_weighting():
-    # each character's b_k is its table's, and sigma0^2 / 2 sums the full
-    # tables' b_1 weighted by alpha^2
+    # sigma0^2 / 2 sums the full tables' b_1 weighted by alpha^2
     sp = two_way_race(5, 1, 2)
     st_ = aggregate_stats(sp, 35.0)
-    for e, p in zip(sp.characters, st_.per_char):
-        for k in (1, 3, 6):
-            manual = _tail_bk(bundled_table(e.table), 35.0, k)
-            assert p.b[k - 1] == pytest.approx(manual, rel=1e-13)
     manual = math.fsum(
-        e.alpha ** 2 * _tail_bk(bundled_table(e.table), 0.0, 1)
+        e.alpha ** 2 * _plain_tail_bk(bundled_table(e.table), 0.0, 1, "auto")
         for e in sp.characters)
     assert st_.sigma0 ** 2 / 2.0 == pytest.approx(manual, rel=1e-13)
 
@@ -744,12 +612,12 @@ def test_aggregate_matches_manual_weighting():
 @given(st.floats(0.0, 380.0), st.floats(0.5, 20.0))
 @settings(max_examples=40, deadline=None)
 def test_tail_bk_monotone(u, du):
+    # the suffix sums fall as their first zero rises, and with the order
     t = bundled_table("mod5_quad")
-    b2a = _tail_bk(t, u, 2)
-    b2b = _tail_bk(t, u + du, 2)
-    b3a = _tail_bk(t, u, 3)
-    assert b2b <= b2a * (1 + 1e-12)
-    assert b3a <= b2a * (1 + 1e-12)
+    i, j = (min(t.count(x), len(t) - 1) for x in (u, u + du))
+    w = t._suffix_sums.columns(np.array([i, j]))
+    assert w[1, 1] <= w[1, 0]
+    assert w[2, 0] <= w[1, 0]
 
 
 def test_load_zeros_roundtrip(tmp_path):
@@ -873,7 +741,6 @@ def test_unknown_bundled_key():
         bundled_table("nonexistent_table")
 
 
-@pytest.mark.filterwarnings("ignore::racedensity.zerodata.ThinTailWarning")
 def test_file_table_read_once_until_rewritten(tmp_path, monkeypatch):
     # a config race's file-path table is read once; later calls, and
     # l0_asymptotic's two lookups, reuse it until the file changes
