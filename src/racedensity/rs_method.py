@@ -353,9 +353,11 @@ def compute_P(v: float, race: RaceSpec, params: RSParams,
 
 def density_grid(vs, race: RaceSpec, params: RSParams,
                  stats: TailStats) -> np.ndarray:
-    """P0 on an array of thresholds, each to compute_P's bits: one row
-    per threshold of a thresholds x points matrix, over samples it draws
-    afresh from phat_samples on each call."""
+    """P0 on an array of thresholds: the lattice values themselves, one
+    row per threshold of a thresholds x points matrix, over samples it
+    draws afresh from phat_samples on each call. compute_P holds the log
+    of the same value, so its .p, exp(log_p), can differ in the last bit,
+    and a value at or below 0 gives log_p = -inf."""
     vs = np.asarray(vs, dtype=float).ravel().tolist()
     return np.array(_lattice(vs, race, params, stats, None, True)[0])
 

@@ -342,22 +342,6 @@ def _asymptotic_coeffs() -> np.ndarray:
                      for m in range(6)])
 
 
-@lru_cache(maxsize=None)
-def _even_derivs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # row m, column k - 1 for k = 1..n: the m-th derivative of
-    # (-1)^(k-1) x^(2k) is falling[m, k-1] x^powers[m, k-1], with
-    # (2k)!/(2k-m)! zero where 2k < m (and that power clipped to 0). Every
-    # entry is an integer below 2^53, so exact; read-only, as every even
-    # series of the package shares it
-    falling = np.array([[(-1) ** (k - 1) * math.perm(2 * k, m)
-                         for k in range(1, n + 1)]
-                        for m in range(6)], dtype=float)
-    powers = np.maximum(2 * np.arange(1, n + 1) - np.arange(6)[:, None], 0)
-    for a in (falling, powers):
-        a.setflags(write=False)
-    return falling, powers
-
-
 # I0(w) - 1 = q sum_k q^k / ((k+1)!)^2 and I1(w) = (w/2) sum_k q^k / (k! (k+1)!)
 # with q = w^2/4, each coefficient rounded once; 40 terms cover w = 18
 # with room to spare (_ratio_terms picks how many an array needs)

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .race import RaceSpec
-from .specfun import _even_derivs, _log_j0_coeffs
+from .specfun import _log_j0_coeffs
 from .specfun import base_constants, j0_lowbias, log_i0_derivs
 from .zerodata import TailStats, ZeroDataError
 from .zerodata import _check_race, _exact_sum, resolve_table
@@ -52,8 +52,8 @@ __all__ = [
 _FAR_TERMS = _SUFFIX_ORDERS - 1
 
 # the ratio of consecutive log-J0 terms rises towards (z/j1)^2 < this
-# for every far factor (2.4048 < j1), so |a_57| q^57 W_57 / (1 - r) bounds
-# what the series drops over a row's far factors
+# for every far factor (2.4048 < j1), so the first term _far_terms drops,
+# over 1 - r, bounds all that the series drops
 _FAR_RATIO = (_FAR_Z / 2.4048) ** 2
 
 # log J0(_FAR_Z), rounded toward zero: no factor with z at or above
@@ -139,14 +139,11 @@ def phat_prefix(omegas, race: RaceSpec) -> np.ndarray:
 
 
 def _phat_rows(omegas, race: RaceSpec):
-    # phat_prefix's rows, and per row a bound on what cutting the series
-    # after _FAR_TERMS orders drops from the log: every dropped term is
-    # negative and the term ratios stay below _FAR_RATIO, so that is at
-    # most |a_57| q^57 W_57 / (1 - _FAR_RATIO)
+    # phat_prefix's rows, and per row a bound on what cutting each log-J0
+    # series (_far_terms) drops from the log
     ws = np.asarray(omegas, dtype=float).ravel()
     far = np.zeros(ws.size, dtype=np.longdouble)
     drop = np.zeros(ws.size, dtype=np.longdouble)
-    coeffs = _log_j0_coeffs(_SUFFIX_ORDERS)[:, None]
     near = []
     for entry in race.characters:
         table = resolve_table(entry)
@@ -159,16 +156,12 @@ def _phat_rows(omegas, race: RaceSpec):
         split = table.split(2.0 * entry.alpha * np.abs(ws))
         if split.size and split.max() == len(table):
             raise _reach_error(race, ws[split == len(table)][0])
-        # a_k q^k W_k for every order, q = t^2/4; the terms are all
-        # negative, and accumulate adds them in order whatever the number
-        # of rows
-        q = 0.25 * np.square(t)
-        terms = np.multiply.accumulate(
-            np.broadcast_to(q, (_SUFFIX_ORDERS, q.size)), axis=0)
-        terms *= coeffs * sums.columns(split)
+        # the terms are all negative, and accumulate adds them in order
+        # whatever the number of rows
+        terms, cut = _far_terms(0.25 * np.square(t), sums.columns(split))
         near.append((t, sums.den, split))
-        far += np.add.accumulate(terms[:-1], axis=0)[-1]
-        drop -= terms[-1]
+        far += np.add.accumulate(terms, axis=0)[-1]
+        drop += cut
     out = np.exp(far)
     sizes = sum(split for _, _, split in near)
     ends = np.cumsum(sizes)
@@ -179,6 +172,20 @@ def _phat_rows(omegas, race: RaceSpec):
         _near_block(out, near, start, stop)
         start = stop
     return out.astype(float), (drop / (1.0 - _FAR_RATIO)).astype(float)
+
+
+def _far_terms(q, w):
+    # the log-J0 series sum_k a_k q^k W_k, k = 1.._FAR_TERMS, as terms
+    # (row k - 1, one column per q), and |a_57 q^57 W_57|, the first term
+    # it drops: over 1 - _FAR_RATIO, a bound on all it drops. q = t^2/4
+    # gives phat_prefix's rows, q = -alpha^2 the coefficients of s^(2k)
+    # in l0_full's log-I0 series. q^k by repeated multiplication, in
+    # extended precision
+    q = np.atleast_1d(q)
+    terms = np.full((_SUFFIX_ORDERS, q.size), q)
+    np.multiply.accumulate(terms, axis=0, out=terms)
+    terms *= _log_j0_coeffs(_SUFFIX_ORDERS)[:, None] * w
+    return terms[:-1], np.abs(terms[-1])
 
 
 def _reach_error(race: RaceSpec, w: float) -> ZeroDataError:
@@ -260,37 +267,33 @@ def _near_block(out, near, lo, hi) -> None:
 
 # ----------------------------------------------------------------- Laplace side
 
-@lru_cache(maxsize=1)
-def _log_i0_rows() -> tuple[np.ndarray, np.ndarray]:
-    # row m, column k - 1 for k = 1.._FAR_TERMS: the m-th s-derivative of
-    # (-1)^k a_k s^(2k) is rows[m, k-1] s^powers[m, k-1], with a_k the
-    # log-J0 coefficients (specfun._even_derivs, negated)
-    falling, powers = _even_derivs(_FAR_TERMS)
-    return (-falling.astype(np.longdouble)
-            * _log_j0_coeffs(_SUFFIX_ORDERS)[:_FAR_TERMS], powers)
+# the m-th s-derivative of s^(2k) is _FALLING[m, k-1] s^_POWERS[m, k-1]
+# for k = 1.._FAR_TERMS: (2k)!/(2k-m)!, 0 where 2k < m (and that power
+# clipped to 0). Every entry is an integer below 2^53, so exact
+_FALLING = np.array([[math.perm(2 * k, m) for k in range(1, _FAR_TERMS + 1)]
+                     for m in range(6)], dtype=np.longdouble)
+_POWERS = np.maximum(2 * np.arange(1, _FAR_TERMS + 1)
+                     - np.arange(6)[:, None], 0)
+_FALLING.setflags(write=False)
+_POWERS.setflags(write=False)
 
 
 def _log_i0_series(s: float, alpha: float, d: np.ndarray):
     # orders 0..5 in s of the sum of log I0(2 alpha s / sqrt(1/4 + g^2))
     # over the zeros whose power sums D_k, k = 1..57, are d: log I0(x) =
-    # sum_k a_k (-x^2/4)^k makes it sum_k (-1)^k a_k alpha^(2k) s^(2k) D_k,
-    # cut after _FAR_TERMS orders. In extended precision, s^(2k-m) formed
-    # directly, so s = 0 gives exact zeros in the value and the odd
+    # sum_k a_k (-x^2/4)^k makes it the log-J0 series (_far_terms) at
+    # q = -alpha^2, with s^(2k) for each term. In extended precision, s^p
+    # formed directly, so s = 0 gives exact zeros in the value and the odd
     # orders, and summed from the highest order down. Also the bound on
-    # what the cut drops from the value, as _phat_rows takes it: the terms
-    # alternate in sign, with ratios below _FAR_RATIO in size
-    rows, powers = _log_i0_rows()
-    # alpha^(2k) for k = 1..57 and s^p for p = 0..114, each by repeated
-    # multiplication
-    c = np.multiply.accumulate(
-        np.full(_SUFFIX_ORDERS, np.longdouble(alpha) ** 2)) * d
+    # what the cut drops from the value, as _phat_rows takes it
+    c, cut = _far_terms(-np.longdouble(alpha) ** 2, d[:, None])
+    # s^p for p = 0..114 by repeated multiplication
     sp = np.ones(2 * _SUFFIX_ORDERS + 1, dtype=np.longdouble)
     np.multiply.accumulate(np.full(2 * _SUFFIX_ORDERS, np.longdouble(s)),
                            out=sp[1:])
-    terms = rows * c[:-1] * sp[powers]
-    drop = -_log_j0_coeffs(_SUFFIX_ORDERS)[-1] * c[-1] * sp[-1]
+    terms = c[:, 0] * _FALLING * sp[_POWERS]
     return (np.add.accumulate(terms[:, ::-1], axis=1)[:, -1],
-            float(drop / (1.0 - _FAR_RATIO)))
+            float(cut[0] * sp[-1] / (1.0 - _FAR_RATIO)))
 
 
 @lru_cache(maxsize=None)
@@ -366,8 +369,11 @@ def l0_full(s: float, race: RaceSpec, stats: TailStats) -> LDerivs:
     as the continuation of the suffix sums has it. The error estimate adds
     what cutting each series drops from the value and, past a table's
     end, the distance from the virtual zeros' value to that of half as
-    many. Neither counts rounding, nor the model of the zeros past the
-    table's end.
+    many. That distance |Q24 - Q12| reads rounding only: the quadrature
+    in log g settles by 6 nodes (zeta at s = 10500 to 50000, mod 4 at
+    2150 to 10000, q5 1v2 at 280 to 2000). So the estimate bounds the
+    series cuts alone; it counts neither rounding nor the model of the
+    zeros past the table's end.
 
     stats is read only to refuse, with ZeroDataError, a record built for
     another race; its cutoff plays no part.

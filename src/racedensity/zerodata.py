@@ -76,6 +76,8 @@ class ZeroTable:
         object.__setattr__(self, "gammas", g)
         if self.qstar < 1:
             raise ZeroDataError(f"{self.label}: qstar must be >= 1")
+        if self.weight < 1:
+            raise ZeroDataError(f"{self.label}: weight must be >= 1")
         # the counting function can never wander far from its smooth
         # approximation; a residual of 4 means zeros are missing or
         # duplicated, far outside genuine counting fluctuations
@@ -393,40 +395,28 @@ def _exact_sum(x: np.ndarray) -> float:
 
 
 def _exact_bins(x: np.ndarray) -> list[float]:
-    # a few hundred doubles with the exact sum of x, so that one fsum over
-    # them is short
-    return _exact_rows(x[None, :])[0]
-
-
-def _exact_rows(x: np.ndarray) -> list[list[float]]:
-    # per row of x, doubles with the row's exact sum, two per run of terms
-    # with one exponent: a sorted row, as a zero table gives, has one run
-    # per exponent. Each x is q * 2**(e - 53) with an integer
-    # |q| < 2**53; the 26-bit halves of q (q >> 26 keeps the sign, the
-    # low half is >= 0), summed over a run, stay integers below 2**53 for
-    # fewer than 2**26 terms, and rescaled they keep every bit of x at or
-    # above 2**-1074, subnormals included. size * max|x| < 2**1022 keeps
-    # every partial sum finite, here and in fsum; past it, or for inf and
-    # nan, the rows themselves are returned, so fsum raises or propagates
-    # as it would
+    # doubles with the exact sum of the 1-D x, two per run of terms with
+    # one exponent: a sorted x, as a zero table gives, has one run per
+    # exponent, so that one fsum over them is short. Each x is
+    # q * 2**(e - 53) with an integer |q| < 2**53; the 26-bit halves of q
+    # (q >> 26 keeps the sign, the low half is >= 0), summed over a run,
+    # stay integers below 2**53 for fewer than 2**26 terms, and rescaled
+    # they keep every bit of x at or above 2**-1074, subnormals included.
+    # size * max|x| < 2**1022 keeps every partial sum finite, here and in
+    # fsum; past it, or for inf and nan, x itself is returned, so fsum
+    # raises or propagates as it would
     if not (0 < x.size < 2 ** 26
             and np.abs(x).max() < 2.0 ** 1022 / x.size):
         return x.tolist()
-    m, e = np.frexp(x.ravel())
+    m, e = np.frexp(x)
     q = np.ldexp(m, 53).astype(np.int64)
-    # where a run starts: a new exponent, or a new row
-    start = np.empty(e.size, dtype=bool)
-    start[0] = True
-    np.not_equal(e[1:], e[:-1], out=start[1:])
-    start[::x.shape[1]] = True
-    at = np.flatnonzero(start)
+    # where a run starts: the first term, or a new exponent
+    at = np.flatnonzero(np.concatenate(([True], e[1:] != e[:-1])))
     scale = e[at]
-    halves = np.stack((
+    return np.stack((
         np.ldexp(np.add.reduceat(q >> 26, at).astype(float), scale - 27),
         np.ldexp(np.add.reduceat(q & (2 ** 26 - 1), at).astype(float),
                  scale - 53)), axis=1).ravel().tolist()
-    ends = (2 * np.searchsorted(at, np.arange(1, len(x) + 1) * x.shape[1])).tolist()
-    return [halves[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def _span_main(table: ZeroTable, t: np.ndarray) -> np.ndarray:

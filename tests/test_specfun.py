@@ -360,21 +360,30 @@ def test_log_i0_and_ratio_against_mpmath():
 
 
 def test_even_series_derivative_table():
-    # one table for every even series: row m, column k - 1 holds the m-th
-    # derivative's coefficient (-1)^(k-1) (2k)!/(2k-m)! and power
-    # max(2k - m, 0); l0_full's log-I0 rows are its negation times a_k
-    falling, powers = sf._even_derivs(57)
+    # the log-I0 series' derivative table: row m, column k - 1 holds the
+    # m-th s-derivative of s^(2k) as (2k)!/(2k-m)! s^max(2k - m, 0)
+    assert tr._FALLING.shape == tr._POWERS.shape == (6, tr._FAR_TERMS)
     for m in range(6):
-        for k in range(1, 58):
-            assert falling[m, k - 1] == (-1) ** (k - 1) * math.perm(2 * k, m)
-            assert powers[m, k - 1] == max(2 * k - m, 0)
-    assert not falling.flags.writeable and not powers.flags.writeable
-    rows, rpowers = tr._log_i0_rows()
-    a = sf._log_j0_coeffs(57)
-    for m in range(6):
-        for k in range(1, 57):
-            assert rows[m, k - 1] == (-1) ** k * math.perm(2 * k, m) * a[k - 1]
-    assert np.array_equal(rpowers, powers[:, :56])
+        for k in range(1, tr._FAR_TERMS + 1):
+            assert tr._FALLING[m, k - 1] == math.perm(2 * k, m)
+            assert tr._POWERS[m, k - 1] == max(2 * k - m, 0)
+    assert not tr._FALLING.flags.writeable
+    assert not tr._POWERS.flags.writeable
+    # its coefficients of s^(2k), (-1)^k a_k alpha^(2k) W_k for k <= 56,
+    # and the first dropped one, positive as a_57 < 0, against exact
+    # rationals: alpha^2, each power of it, a_k and both products round
+    # once each
+    alpha = 0.7071067811865476
+    w = np.array([1.0 / (k + 0.5) ** 2 for k in range(1, 58)],
+                 dtype=np.longdouble)
+    terms, cut = tr._far_terms(-np.longdouble(alpha) ** 2, w[:, None])
+    assert terms.shape == (tr._FAR_TERMS, 1)
+    got = list(terms[:, 0]) + [cut[0]]
+    for k, a in enumerate(sf._log_j0_fracs(57), start=1):
+        exact = (-1) ** k * a * Fraction(alpha) ** (2 * k) \
+            * Fraction(*w[k - 1].as_integer_ratio())
+        assert abs(Fraction(*got[k - 1].as_integer_ratio()) - exact) \
+            <= (k + 2) * Fraction(1, 2 ** 63) * abs(exact), k
 
 
 def test_log_i0_derivs_float_matches_array():

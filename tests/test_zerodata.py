@@ -655,6 +655,16 @@ def test_load_zeros_errors(tmp_path):
         load_zeros(str(tmp_path / "absent.txt"))
 
 
+@pytest.mark.parametrize("weight", [0, -2])
+def test_load_zeros_refuses_weight_below_one(tmp_path, weight):
+    # refused by its header's name: weight 0 would load and -2 would read
+    # as a table with gaps or duplicates
+    p = tmp_path / "tiny.txt"
+    p.write_text(f"# qstar: 1\n# weight: {weight}\n14.134725142\n21.022039639\n")
+    with pytest.raises(ZeroDataError, match="tiny: weight must be >= 1"):
+        load_zeros(str(p))
+
+
 def test_entry_and_table_weights_must_agree(tmp_path):
     # a config weight of 2 on a file without a weight header would give
     # one series two weights: the tail sums would use 1, the model 2
