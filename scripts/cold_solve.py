@@ -21,7 +21,12 @@ s = 10 (cold_l0_ms), with its aggregate_stats outside the clock: it
 includes the first-use build of the suffix sums and of the columns its
 log-I0 series reads. A second l0_full on the same record, at s = 20,
 gives the time of a warm call (warm_l0_ms), which builds no more sums
-than its split reaches.
+than its split reaches. A second fresh copy, its suffix sums built
+outside the clock, gives the time of one cold deep l0_full at s = 10000
+(cold_deep_l0_ms), which builds the columns through its split in one
+call. The script exits 1 unless that result has the repr of
+l0_full(10000.0) on the first copy, whose columns were grown stepwise
+at s = 10 and 20 before it.
 Compare two checkouts by running each in turn, alternating which goes
 first.
 """
@@ -77,24 +82,37 @@ def main() -> None:
     # pi vs Li on a table read from zeta's file, under another label, so
     # that no sum is cached: one cold l0_full
     zeta = races[0]
-    fresh = replace(zeta, characters=(replace(
-        zeta.characters[0], label="zeta (cold copy)",
-        table=zd.resolve_table(zeta.characters[0]).source),))
-    zd.resolve_table(fresh.characters[0])
-    stats = zd.aggregate_stats(fresh, 14000.0)
+
+    def fresh_copy(label):
+        race = replace(zeta, characters=(replace(
+            zeta.characters[0], label=label,
+            table=zd.resolve_table(zeta.characters[0]).source),))
+        return race, zd.aggregate_stats(race, 14000.0)
+
+    fresh, stats = fresh_copy("zeta (cold copy)")
     t0 = time.perf_counter()
     l0_full(10.0, fresh, stats)
     cold_l0_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     l0_full(20.0, fresh, stats)
     warm_l0_s = time.perf_counter() - t0
+    stepwise = repr(l0_full(10000.0, fresh, stats))
+    deep, stats = fresh_copy("zeta (deep cold copy)")
+    zd.resolve_table(deep.characters[0])._suffix_sums
+    t0 = time.perf_counter()
+    at_once = repr(l0_full(10000.0, deep, stats))
+    cold_deep_l0_s = time.perf_counter() - t0
     print(json.dumps({
         "seed": seed, "import_ms": 1e3 * import_s, "index_ms": 1e3 * index_s,
         "j0_build_ms": 1e3 * j0_build_s,
         "stats_ms": 1e3 * stats_s,
         "cold_l0_ms": 1e3 * cold_l0_s, "warm_l0_ms": 1e3 * warm_l0_s,
+        "cold_deep_l0_ms": 1e3 * cold_deep_l0_s,
         "solve_ms": 1e3 * solve_s,
         "heavy_modules": [m for m in HEAVY_MODULES if m in sys.modules]}))
+    if at_once != stepwise:
+        sys.exit(f"l0_full(10000.0) on columns built in one call gives "
+                 f"{at_once}, on columns grown stepwise {stepwise}")
 
 
 if __name__ == "__main__":

@@ -2,12 +2,11 @@
 
 Pure functions only, on numpy alone. Three families matter downstream:
 
-* J0, in extended precision over the whole real line, and its first two
-  positive zeros, which set where the two-sided characteristic function
-  of a single zero's contribution vanishes. Up to 32 it is a Taylor
-  polynomial about the nearest of 278 centres, whose coefficients are
-  built on first use from Bessel's equation at 40 digits; past 32 the
-  Hankel form;
+* J0, in extended precision over the whole real line, whose zeros are
+  where the two-sided characteristic function of a single zero's
+  contribution vanishes. Up to 32 it is a Taylor polynomial about the
+  nearest of 278 centres, whose coefficients are built on first use
+  from Bessel's equation at 40 digits; past 32 the Hankel form;
 * log I0 and its derivatives through fifth order, over a float or a
   whole array of arguments from w = 1 up: the cumulant function's terms
   for the zeros it takes explicitly, every one with w above 1.4;
@@ -59,10 +58,6 @@ def _require_extended() -> None:
             "the J0 kernel and the suffix sums need a long double with x87's "
             f"64-bit significand (nmant >= 63), not nmant = {_LONG_DOUBLE_NMANT}")
 
-
-# the first two positive zeros of J0, each the double nearest the zero
-J0_ZERO1 = 2.404825557695773
-J0_ZERO2 = 5.520078110286311
 
 # |z| <= _J0_NEAR_CUT takes a Taylor polynomial of degree 10 about the
 # nearest of the centres c_k = 6k/52, k = 0..277, so |z - c_k| <= 3/52

@@ -147,7 +147,6 @@ def _phat_rows(omegas, race: RaceSpec):
     near = []
     for entry in race.characters:
         table = resolve_table(entry)
-        sums = table._suffix_sums
         # every factor of row i is J0(t[i] / den), in both zones, with
         # t = 2*alpha*w formed in extended precision: rounded to double,
         # one argument error would be shared by every factor of a row
@@ -158,8 +157,11 @@ def _phat_rows(omegas, race: RaceSpec):
             raise _reach_error(race, ws[split == len(table)][0])
         # the terms are all negative, and accumulate adds them in order
         # whatever the number of rows
-        terms, cut = _far_terms(0.25 * np.square(t), sums.columns(split))
-        near.append((t, sums.den, split))
+        terms, cut = _far_terms(0.25 * np.square(t),
+                               table._suffix_sums.columns(split))
+        # den, over the zeros that any row takes near
+        g = table.gammas[:split.max(initial=0)].astype(np.longdouble)
+        near.append((t, np.sqrt(0.25 + np.square(g)), split))
         far += np.add.accumulate(terms, axis=0)[-1]
         drop += cut
     out = np.exp(far)

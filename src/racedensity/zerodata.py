@@ -8,7 +8,9 @@ inverse-square sum over every zero of a table, with the cutoff and zero
 count that label a result. Each table carries, built on first use and only
 as far as a call reaches, the power sums from every zero on in extended
 precision (_SuffixSums), with an analytic continuation past the table's
-end (_past_table), for the log-J0 and log-I0 series of both routes.
+end (_past_table), for the log-J0 and log-I0 series of both routes; W_1
+is summed like every order, what a recorded b1_total leaves past the
+last zero standing in for its continuation.
 ZeroTable.split, from the ordinates alone, says where those series
 start: both routes take explicitly only the zeros whose kernel argument
 is above _FAR_Z.
@@ -273,9 +275,10 @@ def bundled_table(key: str) -> ZeroTable:
     return table
 
 
-def _past_table(table: ZeroTable, ueff, k: int):
+def _past_table(table: ZeroTable, ueff, k):
     # b_k's analytic continuation past ueff, at or beyond the table end:
-    # the smooth zero density's integral of gamma^(-2k); ueff may be long
+    # the smooth zero density's integral of gamma^(-2k), for an order k
+    # or an array of them; ueff may be long
     y = math.log(table.qstar * ueff / _TWO_PI)
     m = 2 * k - 1
     return table.weight * (y + 1.0 / m) / (2.0 * m * math.pi * ueff ** m)
@@ -290,92 +293,88 @@ def _past_table(table: ZeroTable, ueff, k: int):
 _FAR_Z = 1.4
 _SUFFIX_ORDERS = 57
 _SUFFIX_CHUNK = 256
+_ORDERS = np.arange(1, _SUFFIX_ORDERS + 1)
 
 
 class _SuffixSums:
     """W_k(i) = sum over j >= i of (1/4 + gamma_j^2)^(-k), k = 1..57, over
     the tabulated zeros from the i-th on, plus b_k's analytic
-    continuation past the table end (_past_table); W_1 is b1_total less
-    the head sum where the table carries b1_total. Summed in extended
-    precision a chunk at a time: construction keeps the per-order totals
-    of and from each chunk, and W_1 in double (w1), the columns of every
-    order and sqrt(1/4 + gamma^2) (den) are built only up to the highest
-    index a caller reaches. A chunk's values follow from its own zeros
-    and the totals at its ends, so their bits do not depend on which
-    calls came before. Construction and columns form their powers afresh
-    and keep none. past gives the same sums over the zeros past a height
-    beyond the table's end. Refuses, as j0_lowbias does, a long double
-    not x87's.
+    continuation past the table end (_past_table), for which W_1 takes
+    what b1_total, where recorded, leaves past the last zero. Every
+    order, W_1 included, is summed alike, in extended precision a chunk
+    at a time: construction keeps the per-order totals from each chunk
+    on, and W_1 in double (w1) and the columns of every order are built
+    only up to the highest index a caller reaches. A chunk's values
+    follow from its own zeros and the totals past it, so their bits do
+    not depend on which calls came before. Construction and columns form
+    their powers afresh and keep none. past gives the same sums over the
+    zeros past a height beyond the table's end. Refuses, as j0_lowbias
+    does, a long double not x87's.
     """
 
     def __init__(self, table: ZeroTable):
         _require_extended()
         self._table = table
-        # _chunks[:, s]: the sums over chunk s; _tops[:, s]: those from
-        # chunk s on, the analytic continuation past the table end last
-        self._chunks = np.stack([self._powers(1.0 / self._den2(s)).sum(axis=1)
-                                 for s in range(-(-len(table) // _SUFFIX_CHUNK))],
-                                axis=1)
-        past = [[_past_table(table, np.longdouble(table.last_zero), k)]
-                for k in range(1, _SUFFIX_ORDERS + 1)]
-        self._tops = np.add.accumulate(np.hstack((self._chunks, past))[:, ::-1],
-                                       axis=1)[:, ::-1]
-        # W_1 at the first zero of each chunk
-        self._starts = self._tops[0] if table.b1_total is None \
-            else np.longdouble(table.b1_total) - np.cumsum(np.concatenate(
-                ([0.0], self._chunks[0])))
+        inv = self._inv(0, len(table))
+        chunks = np.stack([self._powers(inv[a:a + _SUFFIX_CHUNK]).sum(axis=1)
+                           for a in range(0, inv.size, _SUFFIX_CHUNK)], axis=1)
+        past = _past_table(table, np.longdouble(table.last_zero), _ORDERS)
+        # what b1_total leaves past the last zero, less the continuation
+        # there: added to W_1's continuation here and in past
+        self._anchor = 0.0 if table.b1_total is None else (
+            table.b1_total - np.cumsum(chunks[0])[-1] - past[0])
+        past[0] += self._anchor
+        # _tops[:, s]: the sums from chunk s on, the continuation last
+        self._tops = np.add.accumulate(
+            np.hstack((chunks, past[:, None]))[:, ::-1], axis=1)[:, ::-1]
         self._w1 = np.empty(0)
         self._cols = np.empty((_SUFFIX_ORDERS, 0), dtype=np.longdouble)
-        self.den = np.empty(0, dtype=np.longdouble)
 
-    def _den2(self, s: int) -> np.ndarray:
-        g = self._table.gammas[s * _SUFFIX_CHUNK:(s + 1) * _SUFFIX_CHUNK]
-        return 0.25 + np.square(g.astype(np.longdouble))
+    def _inv(self, lo: int, hi: int) -> np.ndarray:
+        # 1/(1/4 + gamma^2) in extended precision, zeros lo..hi-1
+        g = self._table.gammas[lo:hi].astype(np.longdouble)
+        return 1.0 / (0.25 + np.square(g))
 
     @staticmethod
-    def _powers(inv: np.ndarray) -> np.ndarray:
-        # inv^k, orders k = 1..57 down the rows
+    def _powers(inv: np.ndarray, orders: int = _SUFFIX_ORDERS) -> np.ndarray:
+        # inv^k, orders k = 1..orders down the rows
         return np.multiply.accumulate(
-            np.broadcast_to(inv, (_SUFFIX_ORDERS, inv.size)), axis=0)
+            np.broadcast_to(inv, (orders, inv.size)), axis=0)
 
-    def _w1_chunk(self, s: int, den2: np.ndarray) -> np.ndarray:
-        # extended W_1 at the zeros of chunk s
-        return self._starts[s] - np.concatenate(
-            ([0.0], np.cumsum(1.0 / den2[:-1])))
+    def _grown(self, have: np.ndarray, top: int, orders: int) -> np.ndarray:
+        # have (orders rows, the sums at indices below its width c) and
+        # the sums at c..top, in one array: per chunk, its powers summed
+        # from its last zero down, in place, plus the totals past it
+        c = have.shape[-1]
+        out = np.empty((orders, top + 1), dtype=np.longdouble)
+        out[:, :c] = have
+        for s in range(c // _SUFFIX_CHUNK, top // _SUFFIX_CHUNK + 1):
+            lo, hi = max(c, s * _SUFFIX_CHUNK), (s + 1) * _SUFFIX_CHUNK
+            p = self._powers(self._inv(lo, hi), orders)
+            np.add.accumulate(p[:, ::-1], axis=1, out=p[:, ::-1])
+            np.add(p[:, :top + 1 - lo], self._tops[:orders, s + 1, None],
+                   out=out[:, lo:hi])
+        return out
 
     def w1(self, i: np.ndarray) -> np.ndarray:
-        """W_1(i[r]) in double, every index below the zero count."""
-        while self._w1.size <= int(i.max(initial=-1)):
-            s = self._w1.size // _SUFFIX_CHUNK
-            self._w1 = np.concatenate(
-                (self._w1, self._w1_chunk(s, self._den2(s)).astype(float)))
+        """columns(i)[0] rounded to double, kept apart in 1-D because
+        _prefix_log_bound reads W_1 alone, and deep."""
+        if self._w1.size <= (top := int(i.max(initial=-1))):
+            self._w1 = self._grown(self._w1, top, 1)[0].astype(float)
         return self._w1[i]
 
     def columns(self, i: np.ndarray) -> np.ndarray:
         """W_k(i[r]) for k = 1..57 (rows) at each index (columns), every
-        index below the zero count; den then reaches past every index."""
-        top = int(i.max(initial=-1))
-        while (c := self._cols.shape[1]) <= top:
-            s, j = divmod(c, _SUFFIX_CHUNK)
-            den2 = self._den2(s)
-            stop = min(top + 1 - c, den2.size - j)
-            # summed from the chunk's last zero down, in place, then added
-            # to the totals past the chunk
-            p = self._powers(1.0 / den2[j:])
-            np.add.accumulate(p[:, ::-1], axis=1, out=p[:, ::-1])
-            col = p[:, :stop] + self._tops[:, s + 1, None]
-            col[0] = self._w1_chunk(s, den2)[j:j + stop]
-            self._cols = np.concatenate((self._cols, col), axis=1)
-            self.den = np.concatenate((self.den, np.sqrt(den2[j:j + stop])))
+        index below the zero count."""
+        if self._cols.shape[1] <= (top := int(i.max(initial=-1))):
+            self._cols = self._grown(self._cols, top, _SUFFIX_ORDERS)
         return self._cols[:, i]
 
     def past(self, h: float) -> np.ndarray:
         """W_k for k = 1..57 over the zeros above h, at or past the last
-        zero: b_k's continuation from h, W_1 moved by what b1_total leaves
-        past the last zero less the continuation from there."""
-        w = np.array([_past_table(self._table, np.longdouble(h), k)
-                      for k in range(1, _SUFFIX_ORDERS + 1)])
-        w[0] += self._starts[-1] - self._tops[0, -1]
+        zero: b_k's continuation from h, W_1 moved by the anchor."""
+        w = _past_table(self._table, np.longdouble(h), _ORDERS)
+        w[0] += self._anchor
         return w
 
 

@@ -49,7 +49,8 @@ def test_j0_at_two_oracle():
 
 
 def test_j0_vanishes_at_first_zero():
-    j1 = sf.J0_ZERO1
+    # the double nearest J0's first positive zero
+    j1 = float("2.40482555769577276862")
     assert abs(float(sf.j0_lowbias(j1)[0])) < 1e-12
 
 
@@ -212,19 +213,6 @@ def test_j0_lowbias_even_and_vanishes_at_jn_zeros():
     mid = sf.j0_lowbias(np.concatenate([[0.0], (z[1:] + z[:-1]) / 2.0]))
     assert np.all(np.diff(np.sign(mid.astype(float))) != 0.0)
     assert np.array_equal(sf.j0_lowbias(-z), sf.j0_lowbias(z))
-
-
-def test_j0_zeros_first_two():
-    # the constants are the doubles nearest the zeros; scipy's may sit
-    # one ulp away. The first zero is 2.4048..., not the misprinted
-    # 2.2048 sometimes seen; 2.2048 is inconsistent with both the second
-    # zero and sum(1/j_l^2) = 1/4
-    z = (sf.J0_ZERO1, sf.J0_ZERO2)
-    assert z == (float("2.40482555769577276862"),
-                 float("5.52007811028631064960"))
-    for mine, scipy_zero in zip(z, jn_zeros(0, 2)):
-        assert abs(mine - scipy_zero) <= math.ulp(mine)
-    assert round(z[1], 4) == 5.5201
 
 
 # ---------------------------------------------------------------------------

@@ -911,8 +911,9 @@ def series_bound(table, alpha, s, split):
       chunk, 256 in its chunk's total and one per chunk after it, so
       n_k = 512 + chunks + k + 5 covers both with room to spare.
 
-    W_1 is the recorded total less the head, so its part is relative to
-    W_1 at the first zero instead.
+    W_1's continuation is what the recorded total leaves past the last
+    zero, the total less a sum over every tabulated zero, so its part is
+    relative to W_1 at the first zero instead.
     """
     sums = table._suffix_sums
     w = sums.columns(np.array([split]))[:56, 0]

@@ -416,9 +416,10 @@ def test_suffix_sums_between_as_exact_sums(i, j, monkeypatch):
     # across one chunk edge and across whole chunks, against the exact
     # sum of the zeros i..j-1: each column's term rounds k + 2 times and
     # passes through at most 256 + chunks additions, so each column is
-    # within n 2^-64 of itself, b1_total for W_1, which comes from the
-    # recorded total less the head. From a fresh table, built only
-    # through j; asked again after a longer call, the same bits
+    # within n 2^-64 of itself, b1_total for W_1, whose continuation
+    # takes what the recorded total leaves past the last zero. From a
+    # fresh table, built only through j; asked again after a longer
+    # call, the same bits
     monkeypatch.setattr(zd, "_table_cache", {})
     table = bundled_table("zeta")
     sums = table._suffix_sums
@@ -436,6 +437,51 @@ def test_suffix_sums_between_as_exact_sums(i, j, monkeypatch):
         got = Fraction(*d[k - 1].as_integer_ratio())
         assert abs(got - exact) <= Fraction(2 * n, 2 ** 64) \
             * Fraction(*np.longdouble(scale).as_integer_ratio()), k
+
+
+@pytest.mark.parametrize("key", available_tables())
+def test_w1_is_the_first_column_row_rounded(key):
+    # W_1 in double, read alone, has the bits of the columns' first row
+    # rounded, at the first and last zero and either side of a chunk
+    # edge; and the first zero's W_1 rounds to the recorded total
+    t = bundled_table(key)
+    i = np.array([k for k in (0, 255, 256, len(t) - 1) if k < len(t)])
+    sums = zd._SuffixSums(t)
+    assert np.array_equal(sums.w1(i), sums.columns(i)[0].astype(float))
+    if t.b1_total is not None:
+        assert float(zd._SuffixSums(t).columns(np.array([0]))[0, 0]) \
+            == t.b1_total
+
+
+@pytest.mark.parametrize("key, deep", [("zeta", 15301), ("mod4", 3129)])
+def test_deep_column_same_read_first_or_stepwise(key, deep):
+    # a deep read first, on a fresh table, gives every column up to it
+    # the bits of the same columns reached through shallower reads on
+    # another fresh table, for every order and for W_1 in double
+    path = bundled_table(key).source
+    first = load_zeros(path)._suffix_sums
+    stepwise = load_zeros(path)._suffix_sums
+    first.columns(np.array([deep]))
+    first.w1(np.array([deep]))
+    steps = np.array([3, 255, 256, 700, deep - 1, deep])
+    for i in steps:
+        stepwise.columns(np.array([i]))
+        stepwise.w1(np.array([i]))
+    assert first._cols.shape == stepwise._cols.shape == (57, deep + 1)
+    assert np.array_equal(stepwise.columns(steps), first.columns(steps))
+    assert np.array_equal(stepwise.w1(steps), first.w1(steps))
+
+
+@pytest.mark.parametrize("key", ["zeta", "mod4", "mod5_j1", "mod13_quad"])
+def test_past_table_over_orders_is_each_order(key):
+    # the continuation over an array of orders has the bits of each
+    # order taken alone, at the last zero and past it
+    t = bundled_table(key)
+    k = np.arange(1, zd._SUFFIX_ORDERS + 1)
+    for h in (t.last_zero, 1.37 * t.last_zero, 12345.678):
+        h = np.longdouble(h)
+        each = [zd._past_table(t, h, int(j)) for j in k]
+        assert np.array_equal(zd._past_table(t, h, k), np.array(each))
 
 
 def _fixed_point_sum(terms) -> Fraction:
