@@ -34,9 +34,10 @@ and the prefix rows count as one more each) with the rows whose value
 moved, the largest |dvalue|, the largest |dvalue| / |value| and the
 largest |dvalue| / error_estimate, the estimate taken from this
 checkout's row; then the rows whose error_estimate or n_terms
-moved and the largest |d error_estimate| / error_estimate, taken from
-REF's row. A change that moves counts and estimates but no value shows
-it there. Then one line per workload with its largest error_estimate on
+moved, how many of those rows' error_estimate rose and how many fell,
+and the largest |d error_estimate| / error_estimate, taken from REF's
+row. A change that moves counts and estimates but no value shows it
+there, with the direction the estimates took. Then one line per workload with its largest error_estimate on
 each tree and the -log10 of it, which is what bench/run.py reports as
 err_digits.min, so that a move of that metric shows without a benchmark
 run. Then one line per race: the spread (largest less smallest) of E
@@ -205,12 +206,13 @@ def _floats(v) -> list:
 
 
 def _estimate_move(a, b) -> float:
-    # |d error_estimate| / error_estimate of REF's row, 0 where either
-    # row has none
+    # d error_estimate / |error_estimate| of REF's row, signed, 0 where
+    # either row has none
     old, new = _floats(a.get("error_estimate")), _floats(b.get("error_estimate"))
     if not (old and new) or old == new:
         return 0.0
-    return abs(new[0] - old[0]) / abs(old[0]) if old[0] else math.inf
+    delta = new[0] - old[0]
+    return delta / abs(old[0]) if old[0] else math.copysign(math.inf, delta)
 
 
 def summary(ref_rows, new_rows) -> list:
@@ -218,11 +220,14 @@ def summary(ref_rows, new_rows) -> list:
     groups = {}
     for a, b in zip(ref_rows, new_rows):
         group = groups.setdefault(a["op"].split()[0],
-                                  [0, 0, 0.0, 0.0, None, 0, 0.0])
+                                  [0, 0, 0.0, 0.0, None, 0, 0.0, 0, 0])
         group[0] += 1
         if any(a.get(f) != b.get(f) for f in ("error_estimate", "n_terms")):
+            move = _estimate_move(a, b)
             group[5] += 1
-            group[6] = max(group[6], _estimate_move(a, b))
+            group[6] = max(group[6], abs(move))
+            group[7] += move > 0.0
+            group[8] += move < 0.0
         if a.get("value") == b.get("value"):
             continue
         group[1] += 1
@@ -243,10 +248,11 @@ def summary(ref_rows, new_rows) -> list:
             f"{delta:.3g}, largest |dvalue|/|value| {rel:.3g}, largest "
             f"|dvalue|/error_estimate "
             f"{'n/a' if ratio is None else f'{ratio:.3g}'}; {est_moved} "
-            f"moved error_estimate or n_terms, largest relative estimate "
-            f"move {est_rel:.3g}"
-            for name, (rows, moved, delta, rel, ratio, est_moved, est_rel)
-            in groups.items()]
+            f"moved error_estimate or n_terms, error_estimate rose in "
+            f"{rose} and fell in {fell}, largest relative estimate move "
+            f"{est_rel:.3g}"
+            for name, (rows, moved, delta, rel, ratio, est_moved, est_rel,
+                       rose, fell) in groups.items()]
 
 
 def largest_estimates(rows) -> dict:

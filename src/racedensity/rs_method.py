@@ -21,8 +21,9 @@ where a bound on |phat| that never rises with omega falls to e^-46
 sample, explicitly or through the log-J0 series past the row's split,
 so no zero cutoff, series order or convergence radius enters the
 lattice. The error estimate adds the aliasing bound, the per-sample
-bound on what the series drops, and a bound on every lattice point past
-the stop.
+bound on what the series drops, and the bound on every dropped lattice
+point from one envelope of |phat| taken at the first of them
+(transforms._near_envelope).
 
 One Gaussian rule, exp(-w^2 / (2 sigma0^2)) with sigma0 the race's
 deviation over every zero, bounds the aliasing of E and, in its density
@@ -71,11 +72,6 @@ _EXPONENT_CUTOFF = 46.0
 # more), so the computed sum is within 1e-8 of its size for fewer than a
 # million zeros: under 1e-6 at 46
 _BOUND_MARGIN = 1e-6
-
-# the dropped lattice points are bounded point by point out to this many
-# times the kept count, then by the near factors' envelope
-_STOP_REACH = 10
-
 
 class ParameterError(ValueError):
     """Poisson parameters cannot deliver the requested accuracy."""
@@ -135,9 +131,10 @@ class PhatSample(NamedTuple):
 class _Samples(tuple):
     # phat_samples' records, with the race and step they were built for,
     # the lattice as read-only arrays (m as float, phat) that _lattice
-    # reads, _lattice_stop's bounds on the points past them and the sums
-    # of their series-cut bounds, weighted 1/m for E and evenly for P0:
-    # all independent of v
+    # reads, _lattice_stop's bounds on the points it drops, from one
+    # envelope at the first of them, and the sums of the records'
+    # series-cut bounds, weighted 1/m for E and evenly for P0: all
+    # independent of v
     race: RaceSpec
     domega: float
     m: np.ndarray
@@ -149,51 +146,39 @@ class _Samples(tuple):
 def _lattice_stop(race: RaceSpec, domega: float,
                   sigma0: float) -> tuple[int, tuple[float, float]]:
     # n, the lattice points before the first whose bound on log|phat| is
-    # at most -46; a point past a table's reach there refuses. And bounds
-    # on what the sums drop past m = n: sum_{m > n} |phat(m domega)|
-    # weighted 1/(pi m) for E and domega/pi for P0. Out to _STOP_REACH n
-    # points each |phat| is at most exp(_prefix_log_bound), as far as the
-    # tables reach; past the last such point L, the near factors'
-    # envelope at L gives |phat| <= exp(log) (L/m)^(N/2). One bound
-    # array serves both, so each point is bounded once: it first reaches
-    # _STOP_REACH times the guess at n, twice where exp(-sigma0^2 w^2 / 2)
-    # reaches e^-46, so that a stop within the guess needs no more, and
-    # doubles while no stop is found
-    def grow(bound, size):
-        m = np.arange(bound.size + 1, size + 1)
-        return np.concatenate((bound, _prefix_log_bound(m * domega, race)))
-
-    bound = grow(np.empty(0), _STOP_REACH * (int(
-        2.0 * math.sqrt(2.0 * _EXPONENT_CUTOFF) / (sigma0 * domega)) + 1))
+    # at most -46; a point past a table's reach there refuses. The bounds
+    # are formed for m = 1..size, size first twice the guess at n where
+    # exp(-sigma0^2 w^2 / 2) reaches e^-46, and doubled while no stop is
+    # found. And bounds on what the sums drop from the first dropped
+    # point L = n + 1 on: sum_{m >= L} |phat(m domega)| weighted 1/(pi m)
+    # for E and domega/pi for P0, where the near factors' envelope at L
+    # gives |phat| <= exp(log) (L/m)^(N/2)
+    size = 2 * (int(
+        2.0 * math.sqrt(2.0 * _EXPONENT_CUTOFF) / (sigma0 * domega)) + 1)
     while True:
+        bound = _prefix_log_bound(np.arange(1, size + 1) * domega, race)
         small = bound <= -(_EXPONENT_CUTOFF + _BOUND_MARGIN)
         n = int(np.argmax(small | np.isinf(bound)))
         if small[n]:
             break
         if np.isinf(bound[n]):
             raise _reach_error(race, float((n + 1) * domega))
-        bound = grow(bound, 2 * bound.size)
-    reach = _STOP_REACH * max(n, 1)
-    if bound.size < reach:
-        bound = grow(bound, reach)
-    bound = bound[n:reach]
-    m = np.arange(n + 1, reach + 1)[np.isfinite(bound)]
-    heads = np.exp(bound[:m.size])
-    last = n + m.size
-    N, log = _near_envelope(last * domega, race)
-    tail_e, tail_p = _envelope_sums(last, N)
+        size *= 2
+    N, log = _near_envelope((n + 1) * domega, race)
+    sum_e, sum_p = _envelope_sums(n + 1, N)
     scale = math.exp(log)
-    return n, ((math.fsum((heads / m).tolist()) + scale * tail_e) / math.pi,
-               domega / math.pi * (math.fsum(heads.tolist()) + scale * tail_p))
+    return n, (scale * sum_e / math.pi, domega / math.pi * scale * sum_p)
 
 
-def _envelope_sums(last: int, N: int) -> tuple[float, float]:
-    # bounds on sum_{m > last} (last/m)^(N/2) / m and on sum_{m > last}
-    # (last/m)^(N/2): as the terms fall, each sum is below its integral
-    # from last on, 2/N and last/(N/2 - 1); the second diverges for N <= 2
+def _envelope_sums(first: int, N: int) -> tuple[float, float]:
+    # bounds on sum_{m >= first} (first/m)^(N/2) / m and on
+    # sum_{m >= first} (first/m)^(N/2): the term at first, 1/first and
+    # 1, plus the rest, which lies below its integral from first on, as
+    # the terms fall: 2/N and first/(N/2 - 1); the second diverges for
+    # N <= 2
     if N <= 2:
         return math.inf, math.inf
-    return 2.0 / N, last / (0.5 * N - 1.0)
+    return 1.0 / first + 2.0 / N, 1.0 + first / (0.5 * N - 1.0)
 
 
 def phat_samples(race: RaceSpec, params: RSParams,
@@ -208,11 +193,12 @@ def phat_samples(race: RaceSpec, params: RSParams,
     phat. The lattice stops before the first point where
     transforms._prefix_log_bound puts |phat| at or below e^-46 (less
     _BOUND_MARGIN in the log, for rounding); the record carries, as
-    dropped, _lattice_stop's bounds on every point past it. Each
-    sample's error bounds what cutting the log-J0 series after 56 orders
-    moves it by; the record carries their sums as errors, and the race
-    and step it was built for. stats.sigma0 only seeds the search for the stop: the samples do not
-    depend on stats.u.
+    dropped, _lattice_stop's bounds on that point and every one past
+    it, from one envelope of |phat| taken there. Each sample's error
+    bounds what cutting the log-J0 series after 56 orders moves it by;
+    the record carries their sums as errors, and the race and step it
+    was built for. stats.sigma0 only seeds the search for the stop: the
+    samples do not depend on stats.u.
     """
     _check_race(stats, race)
     n, dropped = _lattice_stop(race, params.domega, stats.sigma0)

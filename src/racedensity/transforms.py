@@ -233,19 +233,24 @@ def _prefix_log_bound(omegas, race: RaceSpec) -> np.ndarray:
 
 def _near_envelope(omega: float, race: RaceSpec) -> tuple[int, float]:
     # the zeros whose factors are near at omega, N over all characters,
-    # and the log of the product of sqrt(2/(pi z)) over them. As
+    # and the log of the product of sqrt(2/(pi z)) over them and of
+    # exp(-z0^2/4) over the far ones, -(t^2/4) W_1 from the split on. As
     # x M0(x)^2 rises to 2/pi, |J0(x)| <= sqrt(2/(pi x)) for x > 0, and
-    # these zeros stay near at every larger frequency, where z grows in
-    # proportion; every other factor is at most 1 in size. So for
-    # w >= omega, |phat(w)| <= exp(log) (omega/w)^(N/2)
+    # the near zeros stay near at every larger frequency, where z grows
+    # in proportion from its z0 at omega. A far factor's log J0(z) is at
+    # most -z^2/4 <= -z0^2/4 while z <= _FAR_Z, as every a_k < 0, and
+    # past it |J0(z)| <= e^_LOG_J0_FAR_Z < e^-0.49 <= exp(-z0^2/4). So
+    # for w >= omega, |phat(w)| <= exp(log) (omega/w)^(N/2)
     count, log = 0, 0.0
     for entry in race.characters:
         table = resolve_table(entry)
         t = 2.0 * entry.alpha * abs(omega)
-        g = table.gammas[:int(table.split(t))]
+        split = table.split(t)
+        g = table.gammas[:int(split)]
         count += g.size
         log += 0.5 * float(np.sum(np.log(
             2.0 * np.sqrt(0.25 + g * g) / (math.pi * t))))
+        log -= 0.25 * t * t * float(table._suffix_sums.w1(split))
     return count, log
 
 

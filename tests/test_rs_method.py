@@ -203,10 +203,9 @@ def test_samples_stop_at_kernel_bound(name, u):
 @pytest.mark.parametrize("name", PUBLISHED_RACES)
 def test_lattice_stop_bounds_in_one_array(name, monkeypatch):
     # a solve bounds its lattice points in one _prefix_log_bound call,
-    # out to ten times the Gaussian guess at the stop, which covers the
-    # stop's 10n reach; q13 square's stop, 45, lies past its guess of 35,
-    # so it grows once more. sigma0 and the step do not depend on u. The
-    # stop is the one that bounding a point at a time finds
+    # out to twice the Gaussian guess at the stop, which every published
+    # race's stop lies within. sigma0 and the step do not depend on u.
+    # The stop is the one that bounding a point at a time finds
     race = PUBLISHED_RACES[name]()
     calls = []
 
@@ -216,7 +215,7 @@ def test_lattice_stop_bounds_in_one_array(name, monkeypatch):
 
     monkeypatch.setattr(rs, "_prefix_log_bound", counted)
     result = rs.race_result(race, aggregate_stats(race, 100.0))
-    assert len(calls) == (2 if name == "q13 square" else 1), calls
+    assert len(calls) == 1, calls
     w = result.params["domega"]
     m = 1
     while (b := tr._prefix_log_bound([m * w], race)[0]) \
@@ -251,26 +250,49 @@ def test_dropped_terms_within_truncation_bound():
                                   for m, p in zip(ms, phats))
             assert dropped_e <= bound_e, (name, u, v)
             assert dropped_p <= bound_p, (name, u, v)
-        assert bound_e < 1e-19 and bound_p < 1e-16, (name, u)
+        assert bound_e < 1e-22 and bound_p < 1e-20, (name, u)
         assert len(ms) > 5 * n, (name, u)
 
 
+@pytest.mark.parametrize("name", PUBLISHED_RACES)
+def test_dropped_points_within_envelope(name):
+    # the envelope at the first dropped point L bounds every dropped
+    # point: log|phat_prefix(m domega)| <= log + (N/2) log(L/m) at each m
+    # from L to 30 L, as far as the tables reach, at race_result's step
+    # and at choose_params' step for v_max = 4. Rows whose product
+    # underflows to 0 have no log to compare
+    race = PUBLISHED_RACES[name]()
+    stats = aggregate_stats(race, 140.0)
+    for params in (_solve_params(race, stats),
+                   rs.choose_params(4.0, stats, 1e-11)):
+        w = params.domega
+        first = len(rs.phat_samples(race, params, stats)) + 1
+        N, log = tr._near_envelope(first * w, race)
+        m = np.arange(first, min(30 * first + 1, math.ceil(reach(race) / w)))
+        assert m.size > first, (name, w)
+        prefix = np.abs(tr.phat_prefix(m * w, race))
+        live = prefix > 0.0
+        assert live.sum() > first, (name, w)
+        envelope = log + 0.5 * N * np.log(first / m)
+        assert np.all(np.log(prefix[live]) <= envelope[live]), (name, w)
+
+
 def test_truncation_bound_closed_form_covers_sum():
-    # the closed forms past the last bounded point L stay above the sums
-    # they replace, of (L/m)^(N/2) / m for E and of (L/m)^(N/2) for P0
-    # over m > L: checked against the sums to 2^20 points past L plus
-    # the integral from there on, which is below the rest of the sum
-    for last in (1, 2, 5, 17, 100, 1000):
+    # the closed forms from the first dropped point L on stay above the
+    # sums they replace, of (L/m)^(N/2) / m for E and of (L/m)^(N/2) for
+    # P0 over m >= L: checked against the sums to 2^20 points from L
+    # plus the integral from there on, which is below the rest of the sum
+    for first in (1, 2, 5, 17, 100, 1000):
         for N in (3, 4, 5, 10, 81, 400):
-            m = np.arange(last + 1, last + 2 ** 20 + 1, dtype=float)
-            terms = (last / m) ** (0.5 * N)
+            m = np.arange(first, first + 2 ** 20, dtype=float)
+            terms = (first / m) ** (0.5 * N)
             end = m[-1] + 1.0
-            rest = (last / end) ** (0.5 * N)
+            rest = (first / end) ** (0.5 * N)
             exact_e = math.fsum((terms / m).tolist()) + rest * 2.0 / N
             exact_p = math.fsum(terms.tolist()) + rest * end / (0.5 * N - 1.0)
-            tail_e, tail_p = rs._envelope_sums(last, N)
-            assert exact_e <= tail_e, (last, N)
-            assert exact_p <= tail_p, (last, N)
+            sum_e, sum_p = rs._envelope_sums(first, N)
+            assert exact_e <= sum_e, (first, N)
+            assert exact_p <= sum_p, (first, N)
     assert rs._envelope_sums(5, 2) == (math.inf, math.inf)
 
 

@@ -558,6 +558,21 @@ def test_j0_past_split_at_most_its_value_there():
     assert max(abs(mpmath.besselj(0, z)) for z in grid) <= top
 
 
+def test_j0_past_z0_within_far_factor_envelope():
+    # _near_envelope's bound on a far factor: |J0(z)| <= exp(-z0^2/4) for
+    # every z >= z0, z0 in (0, _FAR_Z]. The bound falls as z0 grows, so
+    # it holds for all such z0 where it holds at z0 = min(z, _FAR_Z): on
+    # a grid of step 0.02 out to 200, past which sqrt(2 / (pi z)) < 0.06
+    # bounds |J0|, at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for z in np.arange(0.02, 200.0, 0.02).tolist():
+            z0 = mpmath.mpf(min(z, tr._FAR_Z))
+            assert abs(mpmath.besselj(0, z)) <= mpmath.exp(-z0 * z0 / 4), z
+    # past _FAR_Z the step from J0's bound there to the envelope's
+    assert tr._LOG_J0_FAR_Z < -0.25 * tr._FAR_Z ** 2
+
+
 # ------------------------------------------------------------ log-I0 series
 
 def series_orders(s, stats, order=0):
