@@ -22,8 +22,8 @@ sample, explicitly or through the log-J0 series past the row's split,
 so no zero cutoff, series order or convergence radius enters the
 lattice. The error estimate adds the aliasing bound, the per-sample
 bound on what the series drops, and the bound on every dropped lattice
-point from one envelope of |phat| taken at the first of them
-(transforms._near_envelope).
+point from one envelope of |phat| taken at the first of them, which the
+same _prefix_log_bound call gives.
 
 One Gaussian rule, exp(-w^2 / (2 sigma0^2)) with sigma0 the race's
 deviation over every zero, bounds the aliasing of E and, in its density
@@ -46,8 +46,8 @@ import numpy as np
 
 from .race import RaceSpec
 from .results import DensityResult
-from .transforms import _FAR_TERMS, _near_envelope, _phat_rows
-from .transforms import _prefix_log_bound, _reach_error
+from .transforms import _FAR_TERMS, _phat_rows, _prefix_log_bound
+from .transforms import _reach_error
 from .zerodata import TailStats, _check_race
 
 __all__ = [
@@ -151,12 +151,13 @@ def _lattice_stop(race: RaceSpec, domega: float,
     # exp(-sigma0^2 w^2 / 2) reaches e^-46, and doubled while no stop is
     # found. And bounds on what the sums drop from the first dropped
     # point L = n + 1 on: sum_{m >= L} |phat(m domega)| weighted 1/(pi m)
-    # for E and domega/pi for P0, where the near factors' envelope at L
-    # gives |phat| <= exp(log) (L/m)^(N/2)
+    # for E and domega/pi for P0, where the same call's envelope at L,
+    # over its N near zeros, gives |phat| <= exp(log) (L/m)^(N/2)
     size = 2 * (int(
         2.0 * math.sqrt(2.0 * _EXPONENT_CUTOFF) / (sigma0 * domega)) + 1)
     while True:
-        bound = _prefix_log_bound(np.arange(1, size + 1) * domega, race)
+        bound, count, log = _prefix_log_bound(
+            np.arange(1, size + 1) * domega, race)
         small = bound <= -(_EXPONENT_CUTOFF + _BOUND_MARGIN)
         n = int(np.argmax(small | np.isinf(bound)))
         if small[n]:
@@ -164,9 +165,8 @@ def _lattice_stop(race: RaceSpec, domega: float,
         if np.isinf(bound[n]):
             raise _reach_error(race, float((n + 1) * domega))
         size *= 2
-    N, log = _near_envelope((n + 1) * domega, race)
-    sum_e, sum_p = _envelope_sums(n + 1, N)
-    scale = math.exp(log)
+    sum_e, sum_p = _envelope_sums(n + 1, int(count[n]))
+    scale = math.exp(log[n])
     return n, (scale * sum_e / math.pi, domega / math.pi * scale * sum_p)
 
 

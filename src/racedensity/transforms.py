@@ -6,7 +6,8 @@ the low zeros explicitly, and every zero past each frequency's own
 split (zerodata.ZeroTable.split), to the table end and beyond it,
 through one log-J0 series over the tables' suffix sums.
 _prefix_log_bound bounds that product in closed form, never rising with
-the frequency, for rs_method's lattice stop.
+the frequency, for rs_method's lattice stop, and gives the envelope that
+bounds every lattice point past it.
 
 The Laplace side, l0_full, reads the same sums. Each zero contributes
 log I0(x), x = 2*alpha*s/sqrt(1/4+g^2): the zeros with x above the same
@@ -204,54 +205,45 @@ def _reach_error(race: RaceSpec, w: float) -> ZeroDataError:
         f"{t / _FAR_Z:.6g} explicitly")
 
 
-def _prefix_log_bound(omegas, race: RaceSpec) -> np.ndarray:
-    # an upper bound on log|phat_prefix(w)| at each w, summed over the
-    # characters, that never rises as |w| grows while every table covers
-    # the row: +inf (no bound) from the first w whose split reaches a
-    # table's end. Each factor with z above _FAR_Z gives at most
-    # _LOG_J0_FAR_Z; each factor with z at or below it gives at most
-    # -z^2/4, as log J0 = sum_k a_k (z^2/4)^k has a_1 = -1 and every
-    # a_k < 0, and those sum to -(t^2/4) W_1 from the split on. Both
-    # parts fall as z grows, and a zero only moves from the far part (at
-    # least -_FAR_Z^2/4 = -0.49) to the near one. Summed in double
-    # precision: a few ulps per term, and a z within rounding of _FAR_Z
-    # may take the wrong side of the split; rs_method._BOUND_MARGIN
-    # covers both where the lattice stops
+def _prefix_log_bound(omegas, race: RaceSpec):
+    # at each w, summed over the characters: an upper bound on
+    # log|phat_prefix(w)| that never rises as |w| grows while every table
+    # covers the row, +inf (no bound) from the first w whose split
+    # reaches a table's end; the count of near zeros, z above _FAR_Z; and
+    # the log of an envelope of |phat| at every larger frequency, read
+    # only where the bound is finite. A far factor (z at or below _FAR_Z)
+    # gives at most -z^2/4 to both, as log J0 = sum_k a_k (z^2/4)^k has
+    # a_1 = -1 and every a_k < 0: -(t^2/4) W_1 from the split on. In the
+    # bound a near factor gives at most _LOG_J0_FAR_Z. Both parts fall as
+    # z grows, and a zero only moves from the far part (at least
+    # -_FAR_Z^2/4 = -0.49) to the near one. In the envelope a near factor
+    # gives sqrt(2/(pi z)): as x M0(x)^2 rises to 2/pi, |J0(x)| <=
+    # sqrt(2/(pi x)) for x > 0, and the near zeros stay near at every
+    # larger frequency, where z grows in proportion from its z0 at w. A
+    # far factor stays at most exp(-z0^2/4): -z^2/4 <= -z0^2/4 while
+    # z <= _FAR_Z, and past it |J0(z)| <= e^_LOG_J0_FAR_Z < e^-0.49 <=
+    # exp(-z0^2/4). So |phat(v)| <= exp(log) (w/v)^(count/2) for v >= w.
+    # Summed in double precision: a few ulps per term, and a z within
+    # rounding of _FAR_Z may take the wrong side of the split;
+    # rs_method._BOUND_MARGIN covers both where the lattice stops
     ws = np.abs(np.asarray(omegas, dtype=float).ravel())
-    out = np.zeros(ws.size)
+    bound, log = np.zeros(ws.size), np.zeros(ws.size)
+    count = np.zeros(ws.size, dtype=int)
     for entry in race.characters:
         table = resolve_table(entry)
-        sums = table._suffix_sums
         t = 2.0 * entry.alpha * ws
         split = table.split(t)
         end = split == len(table)
         split[end] = 0
-        out += np.where(end, np.inf, split * _LOG_J0_FAR_Z
-                        - 0.25 * t * t * sums.w1(split))
-    return out
-
-
-def _near_envelope(omega: float, race: RaceSpec) -> tuple[int, float]:
-    # the zeros whose factors are near at omega, N over all characters,
-    # and the log of the product of sqrt(2/(pi z)) over them and of
-    # exp(-z0^2/4) over the far ones, -(t^2/4) W_1 from the split on. As
-    # x M0(x)^2 rises to 2/pi, |J0(x)| <= sqrt(2/(pi x)) for x > 0, and
-    # the near zeros stay near at every larger frequency, where z grows
-    # in proportion from its z0 at omega. A far factor's log J0(z) is at
-    # most -z^2/4 <= -z0^2/4 while z <= _FAR_Z, as every a_k < 0, and
-    # past it |J0(z)| <= e^_LOG_J0_FAR_Z < e^-0.49 <= exp(-z0^2/4). So
-    # for w >= omega, |phat(w)| <= exp(log) (omega/w)^(N/2)
-    count, log = 0, 0.0
-    for entry in race.characters:
-        table = resolve_table(entry)
-        t = 2.0 * entry.alpha * abs(omega)
-        split = table.split(t)
-        g = table.gammas[:int(split)]
-        count += g.size
-        log += 0.5 * float(np.sum(np.log(
-            2.0 * np.sqrt(0.25 + g * g) / (math.pi * t))))
-        log -= 0.25 * t * t * float(table._suffix_sums.w1(split))
-    return count, log
+        far = -0.25 * t * t * table._suffix_sums.w1(split)
+        g = table.gammas[:int(split.max(initial=0))]
+        # sums of log sqrt(1/4 + gamma^2) over the zeros below each index
+        heads = np.concatenate(([0.0], np.cumsum(np.log(np.hypot(0.5, g)))))
+        bound += np.where(end, np.inf, split * _LOG_J0_FAR_Z + far)
+        count += split
+        log += 0.5 * (heads[split] + split * np.log(2.0 / (math.pi * t))) \
+            + far
+    return bound, count, log
 
 
 def _near_block(out, near, lo, hi) -> None:

@@ -303,13 +303,14 @@ class _SuffixSums:
     what b1_total, where recorded, leaves past the last zero. Every
     order, W_1 included, is summed alike, in extended precision a chunk
     at a time: construction keeps the per-order totals from each chunk
-    on, and W_1 in double (w1) and the columns of every order are built
-    only up to the highest index a caller reaches. A chunk's values
-    follow from its own zeros and the totals past it, so their bits do
-    not depend on which calls came before. Construction and columns form
-    their powers afresh and keep none. past gives the same sums over the
-    zeros past a height beyond the table's end. Refuses, as j0_lowbias
-    does, a long double not x87's.
+    on, and one cache holds the columns of every order, built only up to
+    the highest index a caller reaches; W_1 in double (w1) is its first
+    row rounded. A chunk's values follow from its own zeros and the
+    totals past it, so their bits do not depend on which calls came
+    before. Construction and columns form their powers afresh and keep
+    none. past gives the same sums over the zeros past a height beyond
+    the table's end. Refuses, as j0_lowbias does, a long double not
+    x87's.
     """
 
     def __init__(self, table: ZeroTable):
@@ -327,7 +328,6 @@ class _SuffixSums:
         # _tops[:, s]: the sums from chunk s on, the continuation last
         self._tops = np.add.accumulate(
             np.hstack((chunks, past[:, None]))[:, ::-1], axis=1)[:, ::-1]
-        self._w1 = np.empty(0)
         self._cols = np.empty((_SUFFIX_ORDERS, 0), dtype=np.longdouble)
 
     def _inv(self, lo: int, hi: int) -> np.ndarray:
@@ -336,38 +336,36 @@ class _SuffixSums:
         return 1.0 / (0.25 + np.square(g))
 
     @staticmethod
-    def _powers(inv: np.ndarray, orders: int = _SUFFIX_ORDERS) -> np.ndarray:
-        # inv^k, orders k = 1..orders down the rows
+    def _powers(inv: np.ndarray) -> np.ndarray:
+        # inv^k, orders k = 1..57 down the rows
         return np.multiply.accumulate(
-            np.broadcast_to(inv, (orders, inv.size)), axis=0)
+            np.broadcast_to(inv, (_SUFFIX_ORDERS, inv.size)), axis=0)
 
-    def _grown(self, have: np.ndarray, top: int, orders: int) -> np.ndarray:
-        # have (orders rows, the sums at indices below its width c) and
-        # the sums at c..top, in one array: per chunk, its powers summed
-        # from its last zero down, in place, plus the totals past it
-        c = have.shape[-1]
-        out = np.empty((orders, top + 1), dtype=np.longdouble)
-        out[:, :c] = have
+    def _grow(self, top: int) -> None:
+        # extends the columns, held at the indices below their width c,
+        # through top: per chunk, its powers summed from its last zero
+        # down, in place, plus the totals past it
+        if (c := self._cols.shape[1]) > top:
+            return
+        out = np.empty((_SUFFIX_ORDERS, top + 1), dtype=np.longdouble)
+        out[:, :c] = self._cols
         for s in range(c // _SUFFIX_CHUNK, top // _SUFFIX_CHUNK + 1):
             lo, hi = max(c, s * _SUFFIX_CHUNK), (s + 1) * _SUFFIX_CHUNK
-            p = self._powers(self._inv(lo, hi), orders)
+            p = self._powers(self._inv(lo, hi))
             np.add.accumulate(p[:, ::-1], axis=1, out=p[:, ::-1])
-            np.add(p[:, :top + 1 - lo], self._tops[:orders, s + 1, None],
+            np.add(p[:, :top + 1 - lo], self._tops[:, s + 1, None],
                    out=out[:, lo:hi])
-        return out
+        self._cols = out
 
     def w1(self, i: np.ndarray) -> np.ndarray:
-        """columns(i)[0] rounded to double, kept apart in 1-D because
-        _prefix_log_bound reads W_1 alone, and deep."""
-        if self._w1.size <= (top := int(i.max(initial=-1))):
-            self._w1 = self._grown(self._w1, top, 1)[0].astype(float)
-        return self._w1[i]
+        """columns(i)[0] rounded to double."""
+        self._grow(int(i.max(initial=-1)))
+        return self._cols[0, i].astype(float)
 
     def columns(self, i: np.ndarray) -> np.ndarray:
         """W_k(i[r]) for k = 1..57 (rows) at each index (columns), every
         index below the zero count."""
-        if self._cols.shape[1] <= (top := int(i.max(initial=-1))):
-            self._cols = self._grown(self._cols, top, _SUFFIX_ORDERS)
+        self._grow(int(i.max(initial=-1)))
         return self._cols[:, i]
 
     def past(self, h: float) -> np.ndarray:

@@ -202,10 +202,11 @@ def test_samples_stop_at_kernel_bound(name, u):
 
 @pytest.mark.parametrize("name", PUBLISHED_RACES)
 def test_lattice_stop_bounds_in_one_array(name, monkeypatch):
-    # a solve bounds its lattice points in one _prefix_log_bound call,
-    # out to twice the Gaussian guess at the stop, which every published
-    # race's stop lies within. sigma0 and the step do not depend on u.
-    # The stop is the one that bounding a point at a time finds
+    # a solve bounds its lattice points, and takes the envelope of the
+    # points it drops, in one _prefix_log_bound call, out to twice the
+    # Gaussian guess at the stop, which every published race's stop lies
+    # within. sigma0 and the step do not depend on u. The stop is the one
+    # that bounding a point at a time finds
     race = PUBLISHED_RACES[name]()
     calls = []
 
@@ -218,7 +219,7 @@ def test_lattice_stop_bounds_in_one_array(name, monkeypatch):
     assert len(calls) == 1, calls
     w = result.params["domega"]
     m = 1
-    while (b := tr._prefix_log_bound([m * w], race)[0]) \
+    while (b := tr._prefix_log_bound([m * w], race)[0][0]) \
             > -(rs._EXPONENT_CUTOFF + rs._BOUND_MARGIN):
         assert b < math.inf
         m += 1
@@ -267,7 +268,7 @@ def test_dropped_points_within_envelope(name):
                    rs.choose_params(4.0, stats, 1e-11)):
         w = params.domega
         first = len(rs.phat_samples(race, params, stats)) + 1
-        N, log = tr._near_envelope(first * w, race)
+        _, (N,), (log,) = tr._prefix_log_bound([first * w], race)
         m = np.arange(first, min(30 * first + 1, math.ceil(reach(race) / w)))
         assert m.size > first, (name, w)
         prefix = np.abs(tr.phat_prefix(m * w, race))
@@ -277,22 +278,59 @@ def test_dropped_points_within_envelope(name):
         assert np.all(np.log(prefix[live]) <= envelope[live]), (name, w)
 
 
+def test_envelope_matches_zero_by_zero_oracle():
+    # at the first dropped point, the near-zero count and the envelope's
+    # log that _prefix_log_bound gives, against a count and an fsum over
+    # every tabulated zero, each character's rest past the table from
+    # b1_total, as prefix_bound_oracle builds its bound: 0.5 log(2 /
+    # (pi z)) for a near factor, -z^2/4 for a far one. The six published
+    # races at u = 140, at race_result's step and at choose_params' step
+    # for v_max = 4
+    for name, make in PUBLISHED_RACES.items():
+        race = make()
+        stats = aggregate_stats(race, 140.0)
+        for params in (_solve_params(race, stats),
+                       rs.choose_params(4.0, stats, 1e-11)):
+            w = (len(rs.phat_samples(race, params, stats)) + 1) \
+                * params.domega
+            count, parts = 0, []
+            for entry in race.characters:
+                table = zd.resolve_table(entry)
+                t = 2.0 * entry.alpha * w
+                den2 = 0.25 + table.gammas * table.gammas
+                near = np.sqrt(den2) < t / tr._FAR_Z
+                count += int(near.sum())
+                parts += np.where(
+                    near, 0.5 * np.log(2.0 * np.sqrt(den2) / (math.pi * t)),
+                    -0.25 * t * t / den2).tolist()
+                parts.append(-0.25 * t * t * (
+                    table.b1_total - math.fsum((1.0 / den2).tolist())))
+            want = math.fsum(parts)
+            _, (got_count,), (got,) = tr._prefix_log_bound([w], race)
+            assert got_count == count > 0, (name, w)
+            assert abs(got - want) <= 1e-13 * abs(want), (name, w, got, want)
+
+
 def test_truncation_bound_closed_form_covers_sum():
     # the closed forms from the first dropped point L on stay above the
     # sums they replace, of (L/m)^(N/2) / m for E and of (L/m)^(N/2) for
-    # P0 over m >= L: checked against the sums to 2^20 points from L
-    # plus the integral from there on, which is below the rest of the sum
+    # P0 over m >= L: checked against an upper bound on each sum, the
+    # 2^12 terms from L plus, for the rest, the term at the next point
+    # and the integral from there on, which lie above it as the terms
+    # fall
     for first in (1, 2, 5, 17, 100, 1000):
         for N in (3, 4, 5, 10, 81, 400):
-            m = np.arange(first, first + 2 ** 20, dtype=float)
+            m = np.arange(first, first + 2 ** 12, dtype=float)
             terms = (first / m) ** (0.5 * N)
             end = m[-1] + 1.0
-            rest = (first / end) ** (0.5 * N)
-            exact_e = math.fsum((terms / m).tolist()) + rest * 2.0 / N
-            exact_p = math.fsum(terms.tolist()) + rest * end / (0.5 * N - 1.0)
+            head = (first / end) ** (0.5 * N)
+            upper_e = math.fsum((terms / m).tolist()) \
+                + head / end + head * 2.0 / N
+            upper_p = math.fsum(terms.tolist()) \
+                + head + head * end / (0.5 * N - 1.0)
             sum_e, sum_p = rs._envelope_sums(first, N)
-            assert exact_e <= sum_e, (first, N)
-            assert exact_p <= sum_p, (first, N)
+            assert upper_e <= sum_e, (first, N)
+            assert upper_p <= sum_p, (first, N)
     assert rs._envelope_sums(5, 2) == (math.inf, math.inf)
 
 

@@ -530,13 +530,14 @@ def test_prefix_log_bound_covers_prefix(race, u):
                 / (2.0 * e.alpha) for e in race.characters)
     ws = np.linspace(0.0, min(radius / sigma_u(race, u), reach * (1 - 1e-9)),
                      401)[1:]
-    bound = tr._prefix_log_bound(ws, race)
+    bound = tr._prefix_log_bound(ws, race)[0]
     assert np.all(np.diff(bound) <= 0.0)
     prefix = np.abs(tr.phat_prefix(ws, race))
     live = prefix > 0.0
     assert live.sum() > 20
     assert np.all(np.log(prefix[live]) <= bound[live])
-    assert tr._prefix_log_bound([reach * (1 + 1e-9)], race).tolist() == [math.inf]
+    assert tr._prefix_log_bound([reach * (1 + 1e-9)], race)[0].tolist() \
+        == [math.inf]
 
 
 def test_log_j0_at_split_rounded_toward_zero():
@@ -559,11 +560,11 @@ def test_j0_past_split_at_most_its_value_there():
 
 
 def test_j0_past_z0_within_far_factor_envelope():
-    # _near_envelope's bound on a far factor: |J0(z)| <= exp(-z0^2/4) for
-    # every z >= z0, z0 in (0, _FAR_Z]. The bound falls as z0 grows, so
-    # it holds for all such z0 where it holds at z0 = min(z, _FAR_Z): on
-    # a grid of step 0.02 out to 200, past which sqrt(2 / (pi z)) < 0.06
-    # bounds |J0|, at 30 digits
+    # the bound on a far factor in _prefix_log_bound's envelope:
+    # |J0(z)| <= exp(-z0^2/4) for every z >= z0, z0 in (0, _FAR_Z]. The
+    # bound falls as z0 grows, so it holds for all such z0 where it holds
+    # at z0 = min(z, _FAR_Z): on a grid of step 0.02 out to 200, past
+    # which sqrt(2 / (pi z)) < 0.06 bounds |J0|, at 30 digits
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         for z in np.arange(0.02, 200.0, 0.02).tolist():

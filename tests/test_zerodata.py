@@ -11,6 +11,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -715,8 +716,9 @@ def test_entry_and_table_weights_must_agree(tmp_path):
     # a config weight of 2 on a file without a weight header would give
     # one series two weights: the tail sums would use 1, the model 2
     table = tmp_path / "mod4.txt"
+    source = Path(bundled_table("mod4").source).read_text()
     table.write_text("".join(
-        line for line in open(bundled_table("mod4").source)
+        line for line in source.splitlines(keepends=True)
         if not line.startswith("# weight")))
     cfg = tmp_path / "race.cfg"
     cfg.write_text(f"q = 9\nkind = custom\noffset = 1\ntable.a = {table}\n"
@@ -801,7 +803,7 @@ def test_file_table_read_once_until_rewritten(tmp_path, monkeypatch):
     # a config race's file-path table is read once; later calls, and
     # l0_asymptotic's two lookups, reuse it until the file changes
     table = tmp_path / "mod4.txt"
-    table.write_text(open(bundled_table("mod4").source).read())
+    table.write_text(Path(bundled_table("mod4").source).read_text())
     cfg = tmp_path / "race.cfg"
     cfg.write_text(f"q = 9\nkind = custom\noffset = 1\n"
                    f"table.main = {table}\nqstar.main = 4\nalpha.main = 1\n")
