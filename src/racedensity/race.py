@@ -8,15 +8,15 @@ and the offset v at which the exceedance probability E(v) answers the
 race question.
 
 Supported moduli are fixed to the small set this package ships zero data
-for; anything else must come in through a config file with explicit
-tables, alphas and offset (see race_from_config).
+for. A race of any other modulus, or with other coefficients or offset,
+is a RaceSpec built directly from RaceEntry values whose tables are zero
+table files (see zerodata.load_zeros for their format).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +29,6 @@ __all__ = [
     "alpha_coeffs",
     "characters",
     "prime_count_race",
-    "race_from_config",
     "square_race",
     "square_root_count",
     "two_way_race",
@@ -122,7 +121,7 @@ def characters(q: int) -> tuple[Character, ...]:
     if q not in SUPPORTED_MODULI:
         raise RaceError(
             f"modulus {q} not supported; supported: {SUPPORTED_MODULI}. "
-            "Use a race config file for other moduli.")
+            "Build other races from RaceEntry values with table files.")
     gens = _GENERATORS[q]
     if not gens:
         return ()
@@ -225,7 +224,7 @@ class RaceEntry:
     label: str
     qstar: int
     alpha: float
-    table: str     # bundled table key, or a file path from a config
+    table: str     # bundled table key, or a zero table file path
     weight: int = 1   # number of L-functions merged in the table
 
 
@@ -331,126 +330,3 @@ def square_race(q: int) -> RaceSpec:
                       table=quad.table_key)
     return RaceSpec(q=q, kind="square-vs-nonsquare", contestants=(),
                     characters=(entry,), offset=1.0, name=f"q{q}.square")
-
-
-def race_from_config(path: str) -> RaceSpec:
-    """Build a race from a line-oriented key = value file.
-
-    Recognized keys: q, kind, residues (comma separated), offset,
-    table.<label> = zero file path, alpha.<label> = coefficient,
-    qstar.<label>, weight.<label>. For supported moduli the characters
-    are constructed and entries only override; for other q every
-    character must be given explicitly. A label that names no character
-    of the race raises RaceError.
-    """
-    kv: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise RaceError(f"{path}:{i}: expected key = value")
-            k, v = line.split("=", 1)
-            k, v = k.strip(), v.strip()
-            if k in kv:
-                raise RaceError(f"{path}:{i}: duplicate key {k!r}")
-            kv[k] = v
-            lines[k] = i
-
-    def bad(key, msg):
-        return RaceError(f"{path}:{lines.get(key, 0)}: {msg}")
-
-    def number(key, text, kind):
-        try:
-            return kind(text)
-        except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise bad(key, f"{key} must be {what}, got {text!r}") from None
-
-    def override(pre, label, kind, default):
-        if label not in overrides[pre]:
-            return default
-        return number(f"{pre}.{label}", overrides[pre][label], kind)
-
-    def known_labels(valid, prefixes):
-        for pre in prefixes:
-            for label in overrides[pre]:
-                if label not in valid:
-                    raise bad(f"{pre}.{label}",
-                              f"{pre}.{label}: {label!r} is not a character "
-                              f"of this race; its labels are "
-                              f"{', '.join(valid)}")
-
-    if "q" not in kv:
-        raise RaceError(f"{path}: missing required key 'q'")
-    q = number("q", kv.pop("q"), int)
-    kind = kv.pop("kind", "two-way")
-    residues: tuple[int, ...] = ()
-    if "residues" in kv:
-        try:
-            residues = tuple(int(t) for t in kv.pop("residues").split(","))
-        except ValueError:
-            raise bad("residues", "residues must be comma-separated integers")
-    offset = None
-    if "offset" in kv:
-        offset = number("offset", kv.pop("offset"), float)
-
-    overrides = {"table": {}, "alpha": {}, "qstar": {}, "weight": {}}
-    for k in list(kv):
-        for pre in overrides:
-            if k.startswith(pre + "."):
-                overrides[pre][k[len(pre) + 1:]] = kv.pop(k)
-    if kv:
-        raise RaceError(f"{path}: unrecognized keys: {sorted(kv)}")
-
-    if q in SUPPORTED_MODULI and kind != "custom":
-        if kind == "prime-count":
-            spec = prime_count_race()
-        elif kind == "two-way":
-            if len(residues) != 2:
-                raise bad("residues", "two-way race needs exactly 2 residues")
-            spec = two_way_race(q, *residues)
-        elif kind == "square-vs-nonsquare":
-            spec = square_race(q)
-        else:
-            raise bad("kind", f"unknown kind {kind!r}")
-        known_labels([e.label for e in spec.characters], overrides)
-        entries = []
-        for e in spec.characters:
-            tab = overrides["table"].get(e.label, e.table)
-            al = override("alpha", e.label, float, e.alpha)
-            qs = override("qstar", e.label, int, e.qstar)
-            wt = override("weight", e.label, int, e.weight)
-            entries.append(RaceEntry(e.label, qs, al, tab, wt))
-        off = spec.offset if offset is None else offset
-        return RaceSpec(q=spec.q, kind=spec.kind, contestants=spec.contestants,
-                        characters=tuple(entries), offset=off, name=spec.name)
-
-    # fully explicit race for unsupported moduli
-    labels = sorted(overrides["table"])
-    if not labels:
-        raise RaceError(
-            f"{path}: q={q} is outside the bundled set, so every character "
-            "needs table.<label> (plus alpha.<label>, qstar.<label>)")
-    known_labels(labels, ("alpha", "qstar", "weight"))
-    if offset is None:
-        raise RaceError(
-            f"{path}: offset required in config for q={q} races")
-    entries = []
-    for lb in labels:
-        tab = overrides["table"][lb]
-        if not os.path.exists(tab):
-            raise RaceError(f"{path}: zero table for {lb} not found: {tab}")
-        try:
-            al = number(f"alpha.{lb}", overrides["alpha"][lb], float)
-            qs = number(f"qstar.{lb}", overrides["qstar"][lb], int)
-        except KeyError as missing:
-            raise RaceError(
-                f"{path}: character {lb} missing {missing} entry") from None
-        wt = override("weight", lb, int, 1)
-        entries.append(RaceEntry(lb, qs, al, tab, wt))
-    return RaceSpec(q=q, kind="two-way" if kind == "custom" else kind,
-                    contestants=residues, characters=tuple(entries),
-                    offset=offset, name=f"q{q}.custom")

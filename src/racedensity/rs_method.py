@@ -96,6 +96,12 @@ class RSParams:
         if not (self.domega > 0.0 and math.isfinite(self.domega)):
             raise ParameterError("domega must be positive and finite")
         _check_v_max(self.v_max)
+        # a NaN target would disarm the aliasing check, one <= 0 fail in it
+        if self.target is not None and not (
+                self.target > 0.0 and math.isfinite(self.target)):
+            raise ParameterError(
+                f"target must be None or positive and finite, got "
+                f"{self.target!r}")
         if 2.0 * math.pi / self.domega <= self.v_max:
             raise ParameterError(
                 f"2 pi / domega = {2.0 * math.pi / self.domega:.6g} must exceed "

@@ -80,6 +80,15 @@ class ZeroTable:
             raise ZeroDataError(f"{self.label}: qstar must be >= 1")
         if self.weight < 1:
             raise ZeroDataError(f"{self.label}: weight must be >= 1")
+        if self.parity not in (0, 1):
+            raise ZeroDataError(
+                f"{self.label}: parity must be 0 or 1, got {self.parity!r}")
+        # a NaN or infinite b_1 would reach the solve as a NaN step
+        if self.b1_total is not None and not (
+                self.b1_total > 0.0 and math.isfinite(self.b1_total)):
+            raise ZeroDataError(
+                f"{self.label}: b1_total must be positive and finite, got "
+                f"{self.b1_total!r}")
         # the counting function can never wander far from its smooth
         # approximation; a residual of 4 means zeros are missing or
         # duplicated, far outside genuine counting fluctuations
@@ -162,7 +171,17 @@ class ZeroTable:
 def load_zeros(path: str, qstar: int | None = None,
                label: str | None = None) -> ZeroTable:
     """Read a zero table file: '#' header lines with 'name: value'
-    fields, then one ordinate per line, ascending."""
+    fields, then one ordinate per line, ascending, finite and positive.
+    A RaceEntry whose table is a path reads it here, so for a race built
+    from RaceEntry values this file is the one outside input.
+
+    Headers: count (integer, the ordinates in the file), max_gamma (no
+    ordinate above it), qstar (integer >= 1; required unless the qstar
+    argument gives it), key (the label, unless the label argument gives
+    one; else the file name), weight (integer >= 1, 2 for a merged
+    conjugate pair; default 1), parity (0 or 1, chi(-1) = (-1)**parity;
+    default 0), b1_total (positive and finite: b_1 over every zero of
+    the series). Other '#' lines are comments."""
     head: dict[str, tuple[str, int]] = {}   # name -> (value, line)
     vals: list[float] = []
     prev = 0.0
@@ -485,8 +504,7 @@ def resolve_table(entry: RaceEntry,
             f"{entry.label}: the race gives weight {entry.weight} and qstar "
             f"{entry.qstar}, its table {table.source} holds weight "
             f"{table.weight} and qstar {table.qstar}; make them agree "
-            "(weight.<label> and qstar.<label> in the race config, or the "
-            "table's headers)")
+            "(the entry's weight and qstar, or the table's headers)")
     return table
 
 

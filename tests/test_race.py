@@ -1,14 +1,14 @@
-"""Character data, alpha coefficients, offsets, and config parsing."""
+"""Character data, alpha coefficients, offsets, and the RaceSpec checks."""
 
 import math
-import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from racedensity.race import (
     RaceEntry, RaceError, RaceSpec, SUPPORTED_MODULI, alpha_coeffs,
-    characters, prime_count_race, race_from_config, square_race,
+    characters, prime_count_race, square_race,
     square_root_count, two_way_race,
 )
 
@@ -226,102 +226,16 @@ def test_bad_inputs_rejected():
                  characters=(), offset=-1.0)
 
 
-def test_config_standard_race(tmp_path):
-    p = tmp_path / "race.cfg"
-    p.write_text("""
-# mod 13 race of 1 against 6
-q = 13
-kind = two-way
-residues = 1, 6
-""")
-    sp = race_from_config(str(p))
-    assert sp == two_way_race(13, 1, 6)
-
-
-def test_config_overrides(tmp_path):
-    p = tmp_path / "race.cfg"
-    p.write_text("q = 5\nkind = two-way\nresidues = 1, 2\noffset = 3\n")
-    sp = race_from_config(str(p))
-    assert sp.offset == 3.0
-    assert sp.characters == two_way_race(5, 1, 2).characters
-    # a coefficient override that breaks the sum rule is caught, not
-    # silently accepted
-    p.write_text("q = 5\nkind = two-way\nresidues = 1, 2\n"
-                 "alpha.mod5_quad = 0.5\n")
-    with pytest.raises(RaceError, match="sum of alpha"):
-        race_from_config(str(p))
-
-
-def test_config_custom_modulus(tmp_path):
-    import racedensity
-    mod3 = os.path.join(os.path.dirname(racedensity.__file__), "data",
-                        "mod3.txt")
-    p = tmp_path / "race.cfg"
-    p.write_text(
-        f"q = 3\nkind = two-way\nresidues = 1, 2\noffset = 1\n"
-        f"table.main = {mod3}\nalpha.main = 1.0\nqstar.main = 3\n")
-    sp = race_from_config(str(p))
-    assert sp.q == 3 and sp.offset == 1.0
-    assert sp.characters[0].table == mod3
-
-
-def test_config_errors(tmp_path):
-    import racedensity
-    mod3 = os.path.join(os.path.dirname(racedensity.__file__), "data",
-                        "mod3.txt")
-    custom = f"q = 3\noffset = 1\ntable.a = {mod3}\nqstar.a = 3\n"
-    cases = [
-        ("kind = two-way\n", "missing required key 'q'"),
-        ("q = 5\nq = 5\n", ":2: duplicate"),
-        ("q = five\n", "q must be an integer"),
-        (custom + "alpha.a = x\n", ":5: alpha.a must be a number, got 'x'"),
-        (custom + "alpha.a = 1\nweight.a = two\n",
-         ":6: weight.a must be an integer, got 'two'"),
-        ("q = 5\nresidues = 1, 2\nqstar.mod5_quad = 5.0\n",
-         ":3: qstar.mod5_quad must be an integer, got '5.0'"),
-        ("q = 5\nresidues = 1, 2\noffset = one\n",
-         ":3: offset must be a number, got 'one'"),
-        ("q = 5\nbroken line\n", ":2: expected key = value"),
-        ("q = 5\nkind = two-way\nresidues = 1\n", "exactly 2"),
-        ("q = 5\nwhatever = 3\n", "unrecognized"),
-        ("q = 3\nkind = two-way\nresidues = 1, 2\n", "table.<label>"),
-        # a label that names no character is refused, not ignored
-        ("q = 5\nresidues = 1, 2\nalpha.mod5_qaud = 0.5\n",
-         ":3: alpha.mod5_qaud: 'mod5_qaud' is not a character of this "
-         "race; its labels are mod5_j1, mod5_quad"),
-        ("q = 5\nresidues = 1, 2\ntable.nonesuch = /nope.txt\n",
-         ":3: table.nonesuch: 'nonesuch'"),
-        ("q = 4\nkind = square-vs-nonsquare\nqstar.x = 4\n",
-         ":3: qstar.x: 'x' is not a character"),
-        ("q = 1\nkind = prime-count\nweight.zeta2 = 2\n",
-         ":3: weight.zeta2: 'zeta2' is not a character"),
-        (custom + "alpha.a = 1\nalpha.b = 1\n",
-         ":6: alpha.b: 'b' is not a character of this race; its labels "
-         "are a"),
-        (custom + "alpha.a = 1\nqstar.b = 3\n", ":6: qstar.b: 'b'"),
-        (custom + "alpha.a = 1\nweight.b = 2\n", ":6: weight.b: 'b'"),
-    ]
-    for i, (text, match) in enumerate(cases):
-        p = tmp_path / f"cfg{i}"
-        p.write_text(text)
-        with pytest.raises(RaceError, match=match):
-            race_from_config(str(p))
-
-
-def test_custom_config_requires_offset(tmp_path):
-    import racedensity
-    mod3 = os.path.join(os.path.dirname(racedensity.__file__), "data",
-                        "mod3.txt")
-    p = tmp_path / "race.cfg"
-    p.write_text(f"q = 3\ntable.main = {mod3}\nalpha.main = 1\n"
-                 f"qstar.main = 3\n")
-    with pytest.raises(RaceError, match="offset required"):
-        race_from_config(str(p))
-
-
 def test_entry_invariants():
     with pytest.raises(RaceError, match="outside"):
         RaceSpec(q=5, kind="two-way", contestants=(1, 2),
                  characters=(RaceEntry("x", 5, 1.5, "mod5_quad"),),
                  offset=1.0)
+    # a coefficient that breaks the sum rule of a supported modulus is
+    # caught, not silently accepted; another offset is a free choice
+    race = two_way_race(5, 1, 2)
+    j1, quad = race.characters
+    assert replace(race, offset=3.0).offset == 3.0
+    with pytest.raises(RaceError, match="sum of alpha"):
+        replace(race, characters=(j1, replace(quad, alpha=0.5)))
     assert 1 in SUPPORTED_MODULI and 24 in SUPPORTED_MODULI

@@ -12,6 +12,7 @@ import inspect
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -27,7 +28,7 @@ from racedensity import specfun as sf
 from racedensity import transforms as tr
 from racedensity import zerodata as zd
 from racedensity.race import (
-    prime_count_race, race_from_config, square_race, two_way_race,
+    RaceEntry, RaceSpec, prime_count_race, square_race, two_way_race,
 )
 from racedensity.zerodata import aggregate_stats, bundled_table
 from tail_moments import race_moments, single_radius, span
@@ -362,26 +363,48 @@ def test_mod4_race_value():
     assert result.v == 1.0
 
 
+def file_copy_race(tmp_path, race):
+    # the race as a modulus outside the supported set is built: q = 9,
+    # each entry's table a file copy of its bundled table
+    (tmp_path / race.name).mkdir()
+    entries = []
+    for entry in race.characters:
+        path = tmp_path / race.name / f"{entry.table}.txt"
+        shutil.copyfile(bundled_table(entry.table).source, path)
+        entries.append(dataclasses.replace(entry, table=str(path)))
+    return RaceSpec(q=9, kind="two-way", contestants=(),
+                    characters=tuple(entries), offset=race.offset)
+
+
 @pytest.mark.parametrize("u", [100.0, 1000.0, 2999.0])
 def test_config_race_of_unlisted_modulus(tmp_path, monkeypatch, u):
-    # a modulus outside the supported set comes in through a config with
-    # explicit tables; fed the mod 4 table, it must give the published
-    # mod 4 value, reading the table file once for the tail statistics
-    # and once for all lattice frequencies together
-    p = tmp_path / "race.cfg"
-    p.write_text(f"q = 9\nkind = custom\noffset = 1\n"
-                 f"table.main = {bundled_table('mod4').source}\n"
-                 f"qstar.main = 4\nalpha.main = 1\n")
-    race = race_from_config(str(p))
-    assert race.q == 9
+    # a race of a modulus outside the supported set is a RaceSpec whose
+    # entries name table files. Over file copies of its bundled tables,
+    # every published race gives the bundled race's result and l0_full
+    # bit for bit, the weight-2 merged tables included, reading each
+    # file once for the tail statistics and all lattice frequencies
+    # together; the mod 4 copy gives the published mod 4 value
     loads = []
     load = zd.load_zeros
     monkeypatch.setattr(zd, "load_zeros",
                         lambda *a, **k: loads.append(a) or load(*a, **k))
-    result = rs.race_result(race, stats=aggregate_stats(race, u))
-    assert result.v == 1.0
-    assert result.e == pytest.approx(0.004072076720775, abs=1e-13)
-    assert len(loads) <= 2
+    for name, make in PUBLISHED_RACES.items():
+        race = make()
+        copy = file_copy_race(tmp_path, race)
+        assert copy.q == 9
+        loads.clear()
+        stats = aggregate_stats(copy, u)
+        result = rs.race_result(copy, stats=stats)
+        assert sorted(a[0] for a in loads) \
+            == sorted(e.table for e in copy.characters), name
+        want = rs.race_result(race, stats=aggregate_stats(race, u))
+        assert result.v == want.v == race.offset
+        assert (result.e, result.error_estimate) \
+            == (want.e, want.error_estimate), name
+        assert tr.l0_full(10.0, copy, stats) \
+            == tr.l0_full(10.0, race, aggregate_stats(race, u)), name
+        if name == "mod 4":
+            assert result.e == pytest.approx(0.004072076720775, abs=1e-13)
 
 
 def test_q24_odd_conductor_races_solve():
@@ -926,6 +949,11 @@ def test_invalid_params_rejected():
     for v_max in (float("nan"), float("inf"), -1.0):
         with pytest.raises(rs.ParameterError, match="v_max must be finite"):
             rs.RSParams(domega=1.0, v_max=v_max)
+    # a NaN target would turn the aliasing check off, and -1 or 0 would
+    # fail inside it with a bare math error
+    for target in (float("nan"), float("inf"), -1.0, 0.0):
+        with pytest.raises(rs.ParameterError, match="target must be"):
+            rs.RSParams(domega=4.0, v_max=1.0, target=target)
 
 
 def test_params_hold_only_the_runs_choices():
@@ -980,10 +1008,8 @@ def test_solve_past_table_end_refused(tmp_path):
     path = tmp_path / "zeta20.txt"
     path.write_text(f"# qstar: 1\n# b1_total: {table.b1_total!r}\n"
                     + "".join(f"{g!r}\n" for g in table.gammas[:20].tolist()))
-    cfg = tmp_path / "race.cfg"
-    cfg.write_text(f"q = 9\nkind = custom\noffset = 1\n"
-                   f"table.short = {path}\nqstar.short = 1\nalpha.short = 1\n")
-    race = race_from_config(str(cfg))
+    race = RaceSpec(q=9, kind="two-way", contestants=(), offset=1.0,
+                    characters=(RaceEntry("short", 1, 1.0, str(path)),))
     end = float(table.gammas[19])
     w = tr._FAR_Z * end / 2.0 + 1.0
     assert tr.phat_prefix([w - 2.0], race).size == 1
@@ -1016,8 +1042,7 @@ def test_public_names_pinned():
     assert rc.__all__ == [
         "Character", "RaceEntry", "RaceError", "RaceSpec",
         "SUPPORTED_MODULI", "alpha_coeffs", "characters", "prime_count_race",
-        "race_from_config", "square_race", "square_root_count",
-        "two_way_race"]
+        "square_race", "square_root_count", "two_way_race"]
     assert rr.__all__ == ["DensityResult"]
     for mod in (rs, tr, sf, zd, rc, rr):
         for name in mod.__all__:

@@ -27,7 +27,7 @@ from racedensity import specfun as sf
 from racedensity import transforms as tr
 from racedensity import zerodata as zd
 from racedensity.race import (
-    prime_count_race, race_from_config, square_race, two_way_race,
+    RaceEntry, RaceSpec, prime_count_race, square_race, two_way_race,
 )
 from racedensity.rs_method import (
     RSParams, choose_params, phat_samples, race_result,
@@ -291,7 +291,7 @@ def truncated_race(tmp_path, race, u):
     # its table's b1_total and weight: its characteristic function is
     # the explicit product over the zeros at or below u times the series
     # over the smooth zero density past u
-    lines = ["q = 9", "kind = custom", f"offset = {race.offset!r}"]
+    entries = []
     for i, entry in enumerate(race.characters):
         table = resolve_table(entry)
         path = tmp_path / f"{entry.table}_cut.txt"
@@ -299,12 +299,10 @@ def truncated_race(tmp_path, race, u):
             f"# b1_total: {table.b1_total!r}\n# weight: {table.weight}\n"
             + "".join(f"{g!r}\n" for g in
                       table.gammas[table.gammas <= u].tolist()))
-        lines += [f"table.c{i} = {path}", f"qstar.c{i} = {table.qstar}",
-                  f"alpha.c{i} = {entry.alpha!r}",
-                  f"weight.c{i} = {table.weight}"]
-    cfg = tmp_path / "cut.cfg"
-    cfg.write_text("\n".join(lines) + "\n")
-    return race_from_config(str(cfg))
+        entries.append(RaceEntry(f"c{i}", table.qstar, entry.alpha,
+                                 str(path), table.weight))
+    return RaceSpec(q=9, kind="two-way", contestants=(),
+                    characters=tuple(entries), offset=race.offset)
 
 
 def mp_product(mpmath, w, race, terms=80):

@@ -21,7 +21,7 @@ from racedensity import rs_method as rs
 from racedensity import transforms as tr
 from racedensity import zerodata as zd
 from racedensity.race import (
-    SUPPORTED_MODULI, prime_count_race, race_from_config, square_race,
+    SUPPORTED_MODULI, RaceEntry, RaceSpec, prime_count_race, square_race,
     square_root_count, two_way_race,
 )
 from racedensity.zerodata import (
@@ -692,6 +692,14 @@ def test_load_zeros_errors(tmp_path):
          "tiny.txt:1: header qstar must be an integer, got 'four'"),
         ("# qstar: 1\n\n# b1_total: n/a\n14.1\n",
          "tiny.txt:3: header b1_total must be a number"),
+        # b_1 sums positive terms; chi(-1) = (-1)**parity reads 0 or 1
+        ("# qstar: 1\n# b1_total: nan\n14.1\n",
+         "tiny: b1_total must be positive and finite, got nan"),
+        ("# qstar: 1\n# b1_total: inf\n14.1\n",
+         "tiny: b1_total must be positive and finite, got inf"),
+        ("# qstar: 1\n# b1_total: -1.0\n14.1\n",
+         "tiny: b1_total must be positive and finite, got -1.0"),
+        ("# qstar: 1\n# parity: 2\n14.1\n", "tiny: parity must be 0 or 1"),
     ]
     for text, match in cases:
         p = tmp_path / "tiny.txt"
@@ -713,31 +721,28 @@ def test_load_zeros_refuses_weight_below_one(tmp_path, weight):
 
 
 def test_entry_and_table_weights_must_agree(tmp_path):
-    # a config weight of 2 on a file without a weight header would give
+    # an entry weight of 2 on a file without a weight header would give
     # one series two weights: the tail sums would use 1, the model 2
     table = tmp_path / "mod4.txt"
     source = Path(bundled_table("mod4").source).read_text()
     table.write_text("".join(
         line for line in source.splitlines(keepends=True)
         if not line.startswith("# weight")))
-    cfg = tmp_path / "race.cfg"
-    cfg.write_text(f"q = 9\nkind = custom\noffset = 1\ntable.a = {table}\n"
-                   "qstar.a = 4\nalpha.a = 1\nweight.a = 2\n")
-    race = race_from_config(str(cfg))
+    race = RaceSpec(q=9, kind="two-way", contestants=(), offset=1.0,
+                    characters=(RaceEntry("a", 4, 1.0, str(table), 2),))
     with pytest.raises(ZeroDataError, match="weight 2.*weight 1"):
         aggregate_stats(race, 100.0)
     with pytest.raises(ZeroDataError, match="weight 2.*weight 1"):
         tr.model_constants(race)
 
 
-def test_entry_and_table_conductors_must_agree(tmp_path):
-    # a config qstar of 5 over the bundled mod 4 table would give one
+def test_entry_and_table_conductors_must_agree():
+    # an entry qstar of 5 over the bundled mod 4 table would give one
     # series two conductors: the tails would use the table's 4, the
     # model the entry's 5. The solve refuses; every published race's
     # entries agree with their tables
-    cfg = tmp_path / "race.cfg"
-    cfg.write_text("q = 4\nresidues = 1, 3\nqstar.mod4 = 5\n")
-    race = race_from_config(str(cfg))
+    race = two_way_race(4, 1, 3)
+    race = replace(race, characters=(replace(race.characters[0], qstar=5),))
     assert race.characters[0].qstar == 5
     with pytest.raises(ZeroDataError, match="qstar 5.*qstar 4"):
         rs.race_result(race, aggregate_stats(race, 100.0))
@@ -800,14 +805,12 @@ def test_unknown_bundled_key():
 
 
 def test_file_table_read_once_until_rewritten(tmp_path, monkeypatch):
-    # a config race's file-path table is read once; later calls, and
+    # a race's file-path table is read once; later calls, and
     # l0_asymptotic's two lookups, reuse it until the file changes
     table = tmp_path / "mod4.txt"
     table.write_text(Path(bundled_table("mod4").source).read_text())
-    cfg = tmp_path / "race.cfg"
-    cfg.write_text(f"q = 9\nkind = custom\noffset = 1\n"
-                   f"table.main = {table}\nqstar.main = 4\nalpha.main = 1\n")
-    race = race_from_config(str(cfg))
+    race = RaceSpec(q=9, kind="two-way", contestants=(), offset=1.0,
+                    characters=(RaceEntry("main", 4, 1.0, str(table)),))
     loads = []
     load = zd.load_zeros
     monkeypatch.setattr(zd, "load_zeros",
