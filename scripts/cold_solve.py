@@ -15,8 +15,8 @@ tables (import_ms), the first-use build of those tables' suffix sums
 the summed aggregate_stats time (stats_ms), the time of all six solves,
 aggregate_stats included (solve_ms), and which of the heavy modules
 scipy and numpy.ma the solves imported (heavy_modules). After the
-solves, a fresh copy of the zeta table, read from its file outside the
-clock under another label, gives the time of one cold l0_full at
+solves, a fresh copy of the zeta table, copied to a file of its own and
+read from it outside the clock, gives the time of one cold l0_full at
 s = 10 (cold_l0_ms), with its aggregate_stats outside the clock: it
 includes the first-use build of the suffix sums and of the columns its
 log-I0 series reads. A second l0_full on the same record, at s = 20,
@@ -37,7 +37,9 @@ import argparse
 import json
 import os
 import random
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import replace
 
@@ -79,17 +81,20 @@ def main() -> None:
         stats_s += time.perf_counter() - t0
         rs.race_result(race, stats=stats, target=1e-11)
     solve_s = time.perf_counter() - start
-    # pi vs Li on a table read from zeta's file, under another label, so
-    # that no sum is cached: one cold l0_full
+    # pi vs Li on a table read from a copy of zeta's file: tables are
+    # cached by path, so each copy is a file of its own and no sum is
+    # cached: one cold l0_full
     zeta = races[0]
+    scratch = tempfile.TemporaryDirectory()
 
-    def fresh_copy(label):
+    def fresh_copy(name):
+        path = os.path.join(scratch.name, name + ".txt")
+        shutil.copyfile(zd.resolve_table(zeta.characters[0]).source, path)
         race = replace(zeta, characters=(replace(
-            zeta.characters[0], label=label,
-            table=zd.resolve_table(zeta.characters[0]).source),))
+            zeta.characters[0], table=path),))
         return race, zd.aggregate_stats(race, 14000.0)
 
-    fresh, stats = fresh_copy("zeta (cold copy)")
+    fresh, stats = fresh_copy("cold")
     t0 = time.perf_counter()
     l0_full(10.0, fresh, stats)
     cold_l0_s = time.perf_counter() - t0
@@ -97,11 +102,15 @@ def main() -> None:
     l0_full(20.0, fresh, stats)
     warm_l0_s = time.perf_counter() - t0
     stepwise = repr(l0_full(10000.0, fresh, stats))
-    deep, stats = fresh_copy("zeta (deep cold copy)")
+    deep, stats = fresh_copy("deep")
+    if zd.resolve_table(deep.characters[0]) is zd.resolve_table(
+            fresh.characters[0]):
+        sys.exit("the deep copy shares the first copy's table")
     zd.resolve_table(deep.characters[0])._suffix_sums
     t0 = time.perf_counter()
     at_once = repr(l0_full(10000.0, deep, stats))
     cold_deep_l0_s = time.perf_counter() - t0
+    scratch.cleanup()
     print(json.dumps({
         "seed": seed, "import_ms": 1e3 * import_s, "index_ms": 1e3 * index_s,
         "j0_build_ms": 1e3 * j0_build_s,

@@ -8,9 +8,12 @@ and the offset v at which the exceedance probability E(v) answers the
 race question.
 
 Supported moduli are fixed to the small set this package ships zero data
-for. A race of any other modulus, or with other coefficients or offset,
-is a RaceSpec built directly from RaceEntry values whose tables are zero
-table files (see zerodata.load_zeros for their format).
+for, a table in its data directory for every character. A race of any
+other modulus, or with other coefficients or offset, is a RaceSpec of
+RaceEntry values whose tables are zero table files; each file's headers
+give the conductor and weight its entry must match (see
+zerodata.load_zeros). Every RaceSpec holds at least one character, each
+with alpha in (0, 1].
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ def characters(q: int) -> tuple[Character, ...]:
         par = 0 if abs(vals[(q - 1) % q] - 1) < 1e-9 else 1
         out.append(Character(
             label=label, q=q, qstar=_conductor(q, tuple(vals)), parity=par,
-            order=order, table_key=_TABLE_KEYS.get((q, label), ""),
+            order=order, table_key=_TABLE_KEYS[q, label],
             values=tuple(vals)))
     out.sort(key=lambda c: c.label)
     return tuple(out)
@@ -240,11 +243,14 @@ class RaceSpec:
     def __post_init__(self):
         if self.kind not in ("prime-count", "two-way", "square-vs-nonsquare"):
             raise RaceError(f"unknown race kind {self.kind!r}")
-        for e in self.characters:
-            if not 0.0 <= e.alpha <= 1.0:
-                raise RaceError(f"alpha for {e.label} outside [0,1]: {e.alpha}")
         if not self.offset >= 0.0:
             raise RaceError(f"offset must be >= 0, got {self.offset!r}")
+        if not self.characters:
+            raise RaceError("a race needs at least one character")
+        for e in self.characters:
+            if not 0.0 < e.alpha <= 1.0:
+                raise RaceError(
+                    f"alpha for {e.label} outside (0, 1]: {e.alpha}")
         if self.kind == "two-way" and self.q in SUPPORTED_MODULI:
             total = sum(e.alpha ** 2 * e.weight for e in self.characters)
             phi_half = _euler_phi(self.q) / 2.0
@@ -264,8 +270,6 @@ def _entries_from_alphas(q, coeffs) -> tuple[RaceEntry, ...]:
     for c, al in coeffs:
         if al < 1e-12:
             continue
-        if not c.table_key:
-            raise RaceError(f"no bundled zero table for character {c.label}")
         if c.table_key not in by_table:
             by_table[c.table_key] = [c, al, 0]
             order.append(c.table_key)

@@ -168,20 +168,19 @@ class ZeroTable:
         return _median(resid), int(np.count_nonzero(top))
 
 
-def load_zeros(path: str, qstar: int | None = None,
-               label: str | None = None) -> ZeroTable:
+def load_zeros(path: str, label: str | None = None) -> ZeroTable:
     """Read a zero table file: '#' header lines with 'name: value'
     fields, then one ordinate per line, ascending, finite and positive.
     A RaceEntry whose table is a path reads it here, so for a race built
     from RaceEntry values this file is the one outside input.
 
     Headers: count (integer, the ordinates in the file), max_gamma (no
-    ordinate above it), qstar (integer >= 1; required unless the qstar
-    argument gives it), key (the label, unless the label argument gives
-    one; else the file name), weight (integer >= 1, 2 for a merged
-    conjugate pair; default 1), parity (0 or 1, chi(-1) = (-1)**parity;
-    default 0), b1_total (positive and finite: b_1 over every zero of
-    the series). Other '#' lines are comments."""
+    ordinate above it), qstar (integer >= 1, the conductor; required),
+    key (the label, unless the label argument gives one; else the file
+    name), weight (integer >= 1, 2 for a merged conjugate pair; default
+    1), parity (0 or 1, chi(-1) = (-1)**parity; default 0), b1_total
+    (positive and finite: b_1 over every zero of the series). Other '#'
+    lines are comments."""
     head: dict[str, tuple[str, int]] = {}   # name -> (value, line)
     vals: list[float] = []
     prev = 0.0
@@ -237,11 +236,9 @@ def load_zeros(path: str, qstar: int | None = None,
         raise ZeroDataError(
             f"{path}: last ordinate {vals[-1]!r} above the header's "
             f"search ceiling {head['max_gamma'][0]}")
+    qstar = number("qstar", int)
     if qstar is None:
-        qstar = number("qstar", int)
-        if qstar is None:
-            raise ZeroDataError(
-                f"{path}: no qstar header and none supplied")
+        raise ZeroDataError(f"{path}: no qstar header")
     if label is None:
         label = (number("key", str)
                  or os.path.splitext(os.path.basename(path))[0])
@@ -257,40 +254,28 @@ _PACKAGE_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "data")
 
 
-def _data_dir() -> str:
-    return os.environ.get("RACE_DENSITY_DATA") or _PACKAGE_DATA
-
-
 def available_tables() -> tuple[str, ...]:
-    d = _data_dir()
-    try:
-        names = os.listdir(d)
-    except OSError:
-        return ()
-    return tuple(sorted(os.path.splitext(f)[0] for f in names
+    return tuple(sorted(os.path.splitext(f)[0]
+                        for f in os.listdir(_PACKAGE_DATA)
                         if f.endswith(".txt")))
 
 
-# (absolute data directory, key) -> table, so that a warm call does no
-# path work
-_table_cache: dict[tuple[str, str], ZeroTable] = {}
+# key -> table, so that a warm call does no path work
+_table_cache: dict[str, ZeroTable] = {}
 
 
 def bundled_table(key: str) -> ZeroTable:
-    """Load a packaged zero table by key (e.g. 'zeta', 'mod4',
-    'mod13_j5'), honoring the RACE_DENSITY_DATA directory override; a
-    relative override is taken from the working directory of each call."""
-    d = _data_dir()
-    if not os.path.isabs(d):
-        d = os.path.abspath(d)
-    table = _table_cache.get((d, key))
+    """Load a zero table shipped in the package's data directory by key
+    (e.g. 'zeta', 'mod4', 'mod13_j5'). Other tables are files named by
+    RaceEntry.table; see load_zeros."""
+    table = _table_cache.get(key)
     if table is None:
-        path = os.path.abspath(os.path.join(d, key + ".txt"))
+        path = os.path.join(_PACKAGE_DATA, key + ".txt")
         if not os.path.exists(path):
             raise ZeroDataError(
                 f"no bundled zero table {key!r}; available: "
                 f"{', '.join(available_tables())}")
-        table = _table_cache[d, key] = load_zeros(path, label=key)
+        table = _table_cache[key] = load_zeros(path, label=key)
     return table
 
 
@@ -469,19 +454,20 @@ def _check_race(stats: TailStats, race: RaceSpec) -> None:
             f"rebuild them with aggregate_stats(race, u)")
 
 
-# (resolved path, qstar, label) -> (st_mtime_ns, st_size, table)
-_file_cache: dict[tuple[str, int, str], tuple[int, int, ZeroTable]] = {}
+# resolved path -> (st_mtime_ns, st_size, table)
+_file_cache: dict[str, tuple[int, int, ZeroTable]] = {}
 
 
 def resolve_table(entry: RaceEntry,
                   tables: dict[str, ZeroTable] | None = None) -> ZeroTable:
     """The zero table an entry draws from: a file when entry.table holds
     a path separator or ends in .txt, else the bundled table of that key.
-    A file is read again only once its modification time or size has
-    changed, so its cached b1_full and span_fit survive from call to call.
-    tables, when given, maps entry labels to tables that win over both.
-    The entry and its table must agree on how many series the table
-    holds (their weight) and on its conductor (qstar)."""
+    Files are cached by resolved path, so entries naming one file share
+    one table, read again only once its modification time or size has
+    changed; its cached b1_full and span_fit survive from call to call.
+    The table's weight and qstar come from its own headers and must
+    agree with the entry's. tables, when given, maps entry labels to
+    tables that win over both (the benchmark tracer's counted copies)."""
     if tables and entry.label in tables:
         table = tables[entry.label]
     elif not (os.sep in entry.table or entry.table.endswith(".txt")):
@@ -491,13 +477,11 @@ def resolve_table(entry: RaceEntry,
             st = os.stat(entry.table)
         except OSError as e:
             raise ZeroDataError(f"{entry.table}: {e.strerror or e}") from None
-        key = (os.path.realpath(entry.table), entry.qstar, entry.label)
-        hit = _file_cache.get(key)
+        path = os.path.realpath(entry.table)
+        hit = _file_cache.get(path)
         if hit is None or hit[:2] != (st.st_mtime_ns, st.st_size):
-            hit = (st.st_mtime_ns, st.st_size,
-                   load_zeros(entry.table, qstar=entry.qstar,
-                              label=entry.label))
-            _file_cache[key] = hit
+            hit = _file_cache[path] = (st.st_mtime_ns, st.st_size,
+                                       load_zeros(entry.table))
         table = hit[2]
     if (table.weight, table.qstar) != (entry.weight, entry.qstar):
         raise ZeroDataError(

@@ -238,4 +238,13 @@ def test_entry_invariants():
     assert replace(race, offset=3.0).offset == 3.0
     with pytest.raises(RaceError, match="sum of alpha"):
         replace(race, characters=(j1, replace(quad, alpha=0.5)))
+    # a race with no character, or one at alpha 0, has no fluctuation
+    # to draw a density from: refused here, not deep in a solve
+    with pytest.raises(RaceError, match="at least one character"):
+        RaceSpec(q=9, kind="two-way", contestants=(), characters=(),
+                 offset=1.0)
+    for alpha in (0.0, -0.0, math.nan):
+        with pytest.raises(RaceError, match=r"outside \(0, 1\]"):
+            RaceSpec(q=9, kind="two-way", contestants=(), offset=1.0,
+                     characters=(RaceEntry("x", 5, alpha, "mod5_quad"),))
     assert 1 in SUPPORTED_MODULI and 24 in SUPPORTED_MODULI

@@ -296,7 +296,8 @@ def truncated_race(tmp_path, race, u):
         table = resolve_table(entry)
         path = tmp_path / f"{entry.table}_cut.txt"
         path.write_text(
-            f"# b1_total: {table.b1_total!r}\n# weight: {table.weight}\n"
+            f"# qstar: {table.qstar}\n# b1_total: {table.b1_total!r}\n"
+            f"# weight: {table.weight}\n"
             + "".join(f"{g!r}\n" for g in
                       table.gammas[table.gammas <= u].tolist()))
         entries.append(RaceEntry(f"c{i}", table.qstar, entry.alpha,

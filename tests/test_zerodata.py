@@ -74,11 +74,17 @@ def test_all_tables_load_and_validate():
 
 
 def test_every_table_key_is_bundled():
-    # a character's table key must name a shipped table, or any race
-    # drawing on that character fails when evaluated
-    from racedensity.race import _TABLE_KEYS
+    # every character of every supported modulus names a shipped table
+    # whose headers give that character's conductor and parity, or a
+    # race drawing on it would answer for another L-function
+    from racedensity.race import _TABLE_KEYS, characters
     for key in sorted(set(_TABLE_KEYS.values())):
         assert len(bundled_table(key)) > 0, key
+    chars = [c for q in SUPPORTED_MODULI for c in characters(q)]
+    assert len(chars) == 30
+    for c in chars:
+        table = bundled_table(c.table_key)
+        assert (c.qstar, c.parity) == (table.qstar, table.parity), c.label
 
 
 def test_two_way_races_carry_only_real_characters():
@@ -535,9 +541,10 @@ def test_rewritten_table_gets_fresh_power_sums(tmp_path):
     _file_race(path, z.gammas[:1000], z.b1_total)
     after = tr.l0_full(700.0, race, aggregate_stats(race, 100.0))
     assert len(zd.resolve_table(race.characters[0])) == 1000
-    # the same file under another label is read afresh
-    fresh = replace(race, characters=(
-        replace(race.characters[0], label="fresh"),))
+    # a copy of the rewritten file, never cached, is read afresh
+    fresh = _file_race(tmp_path / "copy.txt", z.gammas[:1000], z.b1_total)
+    assert (zd.resolve_table(fresh.characters[0])
+            is not zd.resolve_table(race.characters[0]))
     assert repr(after) == repr(
         tr.l0_full(700.0, fresh, aggregate_stats(fresh, 100.0)))
     assert after.values != before.values
@@ -686,7 +693,7 @@ def test_load_zeros_errors(tmp_path):
         ("# qstar: 1\n14.1\n13.0\n", "not above previous"),
         ("# qstar: 1\n-2.0\n", "positive"),
         ("# qstar: 1\n# count: 5\n14.1\n", "header says 5"),
-        ("14.1\n15.0\n", "no qstar"),
+        ("# key: tiny\n14.1\n15.0\n", "tiny.txt: no qstar header$"),
         ("# qstar: 1\n", "no ordinates"),
         ("# qstar: four\n14.1\n",
          "tiny.txt:1: header qstar must be an integer, got 'four'"),
@@ -736,7 +743,7 @@ def test_entry_and_table_weights_must_agree(tmp_path):
         tr.model_constants(race)
 
 
-def test_entry_and_table_conductors_must_agree():
+def test_entry_and_table_conductors_must_agree(tmp_path):
     # an entry qstar of 5 over the bundled mod 4 table would give one
     # series two conductors: the tails would use the table's 4, the
     # model the entry's 5. The solve refuses; every published race's
@@ -748,43 +755,27 @@ def test_entry_and_table_conductors_must_agree():
         rs.race_result(race, aggregate_stats(race, 100.0))
     with pytest.raises(ZeroDataError, match="qstar 5.*qstar 4"):
         tr.model_constants(race)
+    # a file table's conductor is its own qstar header: copies of 300
+    # and of 20 mod 4 zeros under an entry with qstar 5 are refused as a
+    # conductor mismatch, not read at the entry's conductor (300 zeros
+    # would then fail the counting check, 20 would load)
+    mod4 = bundled_table("mod4")
+    for n in (300, 20):
+        path = tmp_path / f"mod4_{n}.txt"
+        path.write_text(
+            f"# qstar: 4\n# b1_total: {mod4.b1_total!r}\n"
+            + "".join(f"{g!r}\n" for g in mod4.gammas[:n].tolist()))
+        entry = RaceEntry("a", 5, 1.0, str(path))
+        copy = RaceSpec(q=9, kind="two-way", contestants=(), offset=1.0,
+                        characters=(entry,))
+        with pytest.raises(ZeroDataError, match="qstar 5.*qstar 4"):
+            aggregate_stats(copy, 10.0)
+        assert zd.resolve_table(replace(entry, qstar=4)).qstar == 4
     for race in (prime_count_race(), square_race(4), two_way_race(5, 1, 2),
                  square_race(13), two_way_race(8, 1, 3),
                  two_way_race(24, 1, 5)):
         for entry in race.characters:
             assert zd.resolve_table(entry).qstar == entry.qstar
-
-
-def test_data_dir_override(tmp_path, monkeypatch):
-    p = tmp_path / "zeta.txt"
-    p.write_text("# key: zeta\n# qstar: 1\n14.134725\n21.022040\n25.010858\n")
-    monkeypatch.setenv("RACE_DENSITY_DATA", str(tmp_path))
-    t = bundled_table("zeta")
-    assert len(t) == 3 and t.source.startswith(str(tmp_path))
-    monkeypatch.delenv("RACE_DENSITY_DATA")
-    assert len(bundled_table("zeta")) >= 16000
-
-
-def test_relative_data_override_follows_working_directory(tmp_path,
-                                                          monkeypatch):
-    # a relative RACE_DENSITY_DATA is read against the working directory
-    # of each call, even once a table has been loaded through it
-    z = bundled_table("zeta")
-    for name, n in (("a", 1000), ("b", 2000)):
-        d = tmp_path / name / "tables"
-        d.mkdir(parents=True)
-        (d / "zeta.txt").write_text(
-            "# qstar: 1\n" + "".join(f"{g!r}\n" for g in z.gammas[:n].tolist()))
-    monkeypatch.setattr(zd, "_table_cache", {})
-    monkeypatch.setenv("RACE_DENSITY_DATA", "tables")
-    monkeypatch.chdir(tmp_path / "a")
-    a = bundled_table("zeta")
-    assert len(a) == 1000
-    assert a.source == str(tmp_path / "a" / "tables" / "zeta.txt")
-    monkeypatch.chdir(tmp_path / "b")
-    assert len(bundled_table("zeta")) == 2000
-    monkeypatch.chdir(tmp_path / "a")
-    assert bundled_table("zeta") is a
 
 
 def test_warm_bundled_table_does_no_path_work(monkeypatch):
@@ -825,6 +816,10 @@ def test_file_table_read_once_until_rewritten(tmp_path, monkeypatch):
     model = tr.l0_asymptotic(50.0, race)
     assert len(loads) == 1
     assert len(resolves) == 1
+    # another entry on the same file shares its table: no second load
+    other = RaceEntry("other", 4, 1.0, str(table))
+    assert zd.resolve_table(other) is zd.resolve_table(race.characters[0])
+    assert len(loads) == 1
     # the same bytes under a new modification time: read once more
     stat = os.stat(table)
     os.utime(table, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10 ** 9))
